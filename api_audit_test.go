@@ -1,10 +1,10 @@
 package parhip
 
-// This audit enforces the v2 API contract mechanically: no exported,
-// non-deprecated declaration of this package may accept or return a bare
-// []int32 partition. Partitions cross the API boundary as *Partition
-// values; the raw-slice forms survive only behind "Deprecated:" markers
-// (v1 compatibility) and the explicitly allowlisted boundary adapter.
+// This audit enforces the API contract mechanically: no exported
+// declaration of this package may accept or return a bare []int32
+// partition. Partitions cross the API boundary as *Partition values; the
+// raw-slice form survives only in the explicitly allowlisted boundary
+// functions (NewPartition, EdgeCut, IsFeasible).
 //
 // The rule itself lives in internal/analysis (the apiaudit analyzer, which
 // generalizes the original AST walk from this file to every package and

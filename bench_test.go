@@ -61,7 +61,7 @@ func benchTable(b *testing.B, k int32) {
 				cfg := matchbase.DefaultConfig(k)
 				cfg.Seed = uint64(i + 1)
 				cfg.MemoryBudgetNodes = budget
-				res, err := matchbase.Run(benchPEs, g, cfg)
+				res, err := matchbase.RunCtx(context.Background(), benchPEs, g, cfg)
 				if err != nil {
 					failed = true // the paper's "*" entries
 					continue
@@ -79,7 +79,7 @@ func benchTable(b *testing.B, k int32) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.FastConfig(k, inst.Class)
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(benchPEs, g, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), g, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func benchTable(b *testing.B, k int32) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.EcoConfig(k, inst.Class)
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(benchPEs, g, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), g, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -126,7 +126,7 @@ func BenchmarkFig5Weak(b *testing.B) {
 						if algo == "fast" {
 							cfg := core.FastConfig(16, core.ClassMesh)
 							cfg.Seed = uint64(i + 1)
-							res, err := core.Run(p, g, cfg)
+							res, err := core.RunOn(context.Background(), mpi.NewWorld(p), g, cfg)
 							if err != nil {
 								b.Fatal(err)
 							}
@@ -134,7 +134,7 @@ func BenchmarkFig5Weak(b *testing.B) {
 						} else {
 							cfg := matchbase.DefaultConfig(16)
 							cfg.Seed = uint64(i + 1)
-							res, err := matchbase.Run(p, g, cfg)
+							res, err := matchbase.RunCtx(context.Background(), p, g, cfg)
 							if err != nil {
 								b.Fatal(err)
 							}
@@ -173,7 +173,7 @@ func benchStrong(b *testing.B, which string) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.FastConfig(16, inst.Class)
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(p, inst.G, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(p), inst.G, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -193,7 +193,7 @@ func benchStrong(b *testing.B, which string) {
 			if inst.BudgetDivisor > 0 {
 				cfg.MemoryBudgetNodes = int64(inst.G.NumNodes()) / inst.BudgetDivisor
 			}
-			res, err := matchbase.Run(4, inst.G, cfg)
+			res, err := matchbase.RunCtx(context.Background(), 4, inst.G, cfg)
 			if err != nil {
 				failed = true
 				continue
@@ -213,7 +213,7 @@ func benchStrong(b *testing.B, which string) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.MinimalConfig(16, inst.Class)
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(4, inst.G, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(4), inst.G, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -280,7 +280,7 @@ func BenchmarkAblationSizeFactor(b *testing.B) {
 				cfg := core.FastConfig(8, core.ClassSocial)
 				cfg.SizeFactor = f
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(benchPEs, g, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), g, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,7 +302,7 @@ func BenchmarkAblationVCycles(b *testing.B) {
 				cfg := core.FastConfig(8, core.ClassSocial)
 				cfg.VCycles = vc
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(benchPEs, g, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), g, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -324,7 +324,7 @@ func BenchmarkAblationLPIters(b *testing.B) {
 				cfg := core.FastConfig(8, core.ClassSocial)
 				cfg.RefineIters = r
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(benchPEs, g, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), g, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -347,7 +347,7 @@ func BenchmarkAblationEvoBudget(b *testing.B) {
 				cfg := core.FastConfig(8, core.ClassSocial)
 				cfg.EvoRounds = rounds
 				cfg.Seed = uint64(i + 1)
-				res, err := core.Run(benchPEs, coarse, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), coarse, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -403,7 +403,7 @@ func BenchmarkAblationObjective(b *testing.B) {
 				cfg := core.FastConfig(8, core.ClassSocial)
 				cfg.Seed = uint64(i + 1)
 				cfg.Objective = o.obj
-				res, err := core.Run(benchPEs, g, cfg)
+				res, err := core.RunOn(context.Background(), mpi.NewWorld(benchPEs), g, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -452,7 +452,7 @@ func BenchmarkEvolutionaryCombine(b *testing.B) {
 	g, _ := gen.PlantedPartition(1500, 12, 9, 0.8, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := PartitionGraph(g, 4, Options{PEs: 2, Seed: uint64(i + 1)})
+		res, err := runSession(g, WithK(4), WithPEs(2), WithSeed(uint64(i+1)))
 		if err != nil {
 			b.Fatal(err)
 		}

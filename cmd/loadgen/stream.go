@@ -55,7 +55,7 @@ func runStream(cfg streamCfg) {
 
 	enable := map[string]any{
 		"k":       cfg.k,
-		"options": map[string]any{"mode": cfg.mode, "pes": 4, "seed": 1},
+		"options": map[string]any{"mode": cfg.mode},
 		"policy":  map[string]any{"churn_fraction": 0.05, "max_staleness_ms": 500},
 	}
 	if code, body := postJSON(cfg.addr+"/v1/graphs/"+id+"/live", enable, nil); code != http.StatusCreated {

@@ -14,11 +14,23 @@
 // exits with status 130. -progress streams per-level checkpoint events to
 // stderr while the run is in flight.
 //
+// With -transport tcp the process instead hosts one rank of a
+// multi-process world: launch one process per rank — on one machine or
+// many — with identical graph, seed, mode and rank-ordered -peers
+// arguments; they rendezvous, and the rank-0 process reports the result
+// (bit-identical to the in-process run). A process that dies aborts the
+// whole world within -hb-timeout instead of hanging it.
+//
 // Examples:
 //
 //	parhip -family web -n 20000 -k 8 -pes 8 -mode eco -progress
 //	parhip -graph mygraph.metis -k 2 -out blocks.part
 //	parhip -graph mygraph-v2.metis -prev blocks.part -out blocks-v2.part
+//
+//	peers=127.0.0.1:7701,127.0.0.1:7702,127.0.0.1:7703
+//	parhip -transport tcp -rank 0 -peers $peers -family web -n 20000 -k 8 &
+//	parhip -transport tcp -rank 1 -peers $peers -family web -n 20000 -k 8 &
+//	parhip -transport tcp -rank 2 -peers $peers -family web -n 20000 -k 8
 package main
 
 import (
@@ -38,19 +50,69 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi/transport"
 )
+
+// settingsFlags are the flags that decide the partition; every other flag
+// only decides what is reported or where it is written.
+type settingsFlags struct {
+	k       int
+	pes     int      // -pes: world size of the inproc transport
+	peers   []string // -peers: the tcp world; its length replaces pes
+	mode    string
+	class   string // social, mesh or auto
+	eps     float64
+	seed    uint64
+	workers int // 0 = library default
+}
+
+var (
+	modeNames = map[string]parhip.Mode{
+		"fast": parhip.Fast, "eco": parhip.Eco, "minimal": parhip.Minimal}
+	classNames = map[string]parhip.GraphClass{
+		"social": parhip.Social, "mesh": parhip.Mesh}
+)
+
+// options is the one flag → library option mapping, shared by both
+// transports. Values are passed through as given: a -seed 0 or -eps 0 is
+// the library's range error, not a silent default. auto is the class
+// "-class auto" resolves to.
+func (f settingsFlags) options(auto parhip.GraphClass) ([]parhip.Option, error) {
+	mode, ok := modeNames[f.mode]
+	if !ok {
+		return nil, fmt.Errorf("unknown mode %q (want fast, eco or minimal)", f.mode)
+	}
+	class, ok := classNames[f.class]
+	if f.class == "auto" {
+		class, ok = auto, true
+	}
+	if !ok {
+		return nil, fmt.Errorf("unknown class %q (want social, mesh or auto)", f.class)
+	}
+	pes := f.pes
+	if f.peers != nil {
+		pes = len(f.peers)
+	}
+	opts := []parhip.Option{parhip.WithK(int32(f.k)), parhip.WithPEs(pes),
+		parhip.WithMode(mode), parhip.WithClass(class),
+		parhip.WithEps(f.eps), parhip.WithSeed(f.seed)}
+	if f.workers != 0 {
+		opts = append(opts, parhip.WithWorkers(f.workers))
+	}
+	return opts, nil
+}
 
 func main() {
 	var (
 		graphFile = flag.String("graph", "", "METIS graph file to partition")
 		family    = flag.String("family", "", "generated family: rgg, delaunay, rmat, ba, web, mesh3d, grid")
 		n         = flag.Int("n", 10000, "node count for generated graphs")
-		seed      = flag.Uint64("seed", 1, "random seed")
+		seed      = flag.Uint64("seed", parhip.DefaultSeed, "random seed")
 		k         = flag.Int("k", 2, "number of blocks")
-		pes       = flag.Int("pes", 4, "simulated processing elements")
+		pes       = flag.Int("pes", parhip.DefaultPEs, "simulated processing elements")
 		mode      = flag.String("mode", "fast", "fast, eco or minimal")
 		class     = flag.String("class", "auto", "graph class: social, mesh or auto")
-		eps       = flag.Float64("eps", 0.03, "allowed imbalance")
+		eps       = flag.Float64("eps", parhip.DefaultEps, "allowed imbalance")
 		baseline  = flag.Bool("baseline", false, "run the matching-based baseline instead")
 		progress  = flag.Bool("progress", false, "stream per-level progress events to stderr")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
@@ -61,79 +123,51 @@ func main() {
 		backend   = flag.String("transport", "inproc", "rank communication: inproc (all ranks in this process) or tcp (this process hosts one rank of a multi-process world)")
 		rank      = flag.Int("rank", 0, "tcp: rank this process hosts, in [0, world size)")
 		peersList = flag.String("peers", "", "tcp: rank-ordered comma-separated host:port list; its length is the world size")
+		hbTimeout = flag.Duration("hb-timeout", 0, "tcp: declare a silent peer dead after this long (default 5s)")
+		bootWait  = flag.Duration("bootstrap-timeout", 0, "tcp: give up the rendezvous after this long (default 30s)")
+		verbose   = flag.Bool("v", false, "tcp: log transport lifecycle events to stderr")
 	)
 	flag.Parse()
-
-	g, cls, err := loadGraph(*graphFile, *family, int32(*n), *seed)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "parhip:", err)
 		os.Exit(1)
 	}
-	opt := parhip.Options{
-		PEs:     *pes,
-		Eps:     *eps,
-		Seed:    *seed,
-		Workers: *workers,
-	}
-	var tracer *parhip.Tracer
-	if *traceFile != "" {
-		tracer = parhip.NewTracer(*pes)
-		opt.Trace = tracer
-	}
-	switch *mode {
-	case "fast":
-		opt.Mode = parhip.Fast
-	case "eco":
-		opt.Mode = parhip.Eco
-	case "minimal":
-		opt.Mode = parhip.Minimal
-	default:
-		fmt.Fprintf(os.Stderr, "parhip: unknown mode %q\n", *mode)
-		os.Exit(1)
-	}
-	switch *class {
-	case "social":
-		opt.Class = parhip.Social
-	case "mesh":
-		opt.Class = parhip.Mesh
-	case "auto":
-		opt.Class = cls
-	default:
-		fmt.Fprintf(os.Stderr, "parhip: unknown class %q\n", *class)
-		os.Exit(1)
-	}
 
+	g, cls, err := loadGraph(*graphFile, *family, int32(*n), *seed)
+	if err != nil {
+		fail(err)
+	}
+	sf := settingsFlags{k: *k, pes: *pes, mode: *mode, class: *class,
+		eps: *eps, seed: *seed, workers: *workers}
 	switch *backend {
 	case "inproc":
 		if *peersList != "" {
-			fmt.Fprintln(os.Stderr, "parhip: -peers requires -transport tcp")
-			os.Exit(1)
+			fail(errors.New("-peers requires -transport tcp"))
 		}
 	case "tcp":
-		runTCP(g, opt, *rank, *peersList, *mode, int32(*k), *timeout, *out,
-			*baseline || *prevFile != "" || *traceFile != "" || *progress)
-		return
+		if *baseline || *prevFile != "" || *traceFile != "" || *progress {
+			fail(errors.New("-baseline, -prev, -trace and -progress are not supported with -transport tcp (use the inproc transport, or -v for transport logs)"))
+		}
+		if sf.peers, err = cluster.ParsePeers(*peersList); err != nil {
+			fail(err)
+		}
 	default:
-		fmt.Fprintf(os.Stderr, "parhip: unknown transport %q (want inproc or tcp)\n", *backend)
-		os.Exit(1)
+		fail(fmt.Errorf("unknown transport %q (want inproc or tcp)", *backend))
 	}
 
 	var prev *parhip.Partition
 	if *prevFile != "" {
 		if *baseline {
-			fmt.Fprintln(os.Stderr, "parhip: -prev is not supported with -baseline")
-			os.Exit(1)
+			fail(errors.New("-prev is not supported with -baseline"))
 		}
 		f, err := os.Open(*prevFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "parhip:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		prev, err = parhip.ReadPartition(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "parhip:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		kSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -142,14 +176,14 @@ func main() {
 			}
 		})
 		if kSet && int32(*k) != prev.K() {
-			fmt.Fprintf(os.Stderr, "parhip: -k %d conflicts with -prev partition's k=%d\n", *k, prev.K())
-			os.Exit(1)
+			fail(fmt.Errorf("-k %d conflicts with -prev partition's k=%d", *k, prev.K()))
 		}
-		*k = int(prev.K())
+		sf.k = int(prev.K())
 	}
-
-	fmt.Printf("graph: n=%d m=%d   k=%d  pes=%d  mode=%s\n",
-		g.NumNodes(), g.NumEdges(), *k, *pes, *mode)
+	opts, err := sf.options(cls)
+	if err != nil {
+		fail(err)
+	}
 
 	// Ctrl-C / SIGTERM cancels the run cooperatively; -timeout bounds it.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -158,6 +192,19 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
+	}
+
+	tcp := sf.peers != nil
+	world := fmt.Sprintf("pes=%d", *pes)
+	if tcp {
+		world = fmt.Sprintf("rank=%d/%d  transport=tcp", *rank, len(sf.peers))
+	}
+	fmt.Printf("graph: n=%d m=%d   k=%d  %s  mode=%s\n", g.NumNodes(), g.NumEdges(), sf.k, world, *mode)
+
+	var tracer *parhip.Tracer
+	if *traceFile != "" {
+		tracer = parhip.NewTracer(*pes)
+		opts = append(opts, parhip.WithTracer(tracer))
 	}
 
 	// Track the latest checkpoint so an interrupted run can report how far
@@ -181,11 +228,21 @@ func main() {
 
 	start := time.Now()
 	var res parhip.Result
-	if *baseline {
-		res, err = parhip.PartitionBaselineCtx(ctx, g, int32(*k), opt, 0)
-	} else {
-		opts := []parhip.Option{parhip.WithK(int32(*k)), parhip.WithOptions(opt),
-			parhip.WithProgressFunc(onEvent)}
+	var ts transport.Stats // tcp only
+	switch {
+	case tcp:
+		cfg := cluster.Config{Rank: *rank, Peers: sf.peers, Graph: g,
+			HeartbeatTimeout: *hbTimeout, BootstrapTimeout: *bootWait}
+		if *verbose {
+			cfg.Logf = func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			}
+		}
+		res, ts, err = runTCP(ctx, cfg, opts)
+	case *baseline:
+		res, err = parhip.RunBaseline(ctx, g, 0, opts...)
+	default:
+		opts = append(opts, parhip.WithProgressFunc(onEvent))
 		if prev != nil {
 			opts = append(opts, parhip.WithPrevious(prev))
 		}
@@ -195,10 +252,10 @@ func main() {
 			res, err = p.Run(ctx)
 		}
 	}
+	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "parhip: run cancelled after %.3fs (%v)\n",
-				time.Since(start).Seconds(), err)
+			fmt.Fprintf(os.Stderr, "parhip: run cancelled after %.3fs (%v)\n", elapsed.Seconds(), err)
 			mu.Lock()
 			if last != nil {
 				fmt.Fprintf(os.Stderr, "parhip: partial progress: cycle %d/%d, phase %s, level %d (n=%d)",
@@ -207,17 +264,20 @@ func main() {
 					fmt.Fprintf(os.Stderr, ", cut=%d imbalance=%.4f", last.Cut, last.Imbalance)
 				}
 				fmt.Fprintln(os.Stderr)
-			} else {
+			} else if !tcp {
 				fmt.Fprintln(os.Stderr, "parhip: cancelled before the first checkpoint")
 			}
 			mu.Unlock()
 			writeTrace(*traceFile, tracer) // partial trace: spans completed before the abort
 			os.Exit(130)
 		}
-		fmt.Fprintln(os.Stderr, "parhip:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	elapsed := time.Since(start)
+	if res.Partition == nil { // tcp, and rank 0 lives in another process
+		fmt.Printf("rank %d done in %.3fs (%d frames / %d bytes sent; result reported by rank 0)\n",
+			*rank, elapsed.Seconds(), ts.FramesSent, ts.BytesSent)
+		return
+	}
 	fmt.Printf("cut=%d  imbalance=%.4f  feasible=%v  commvol=%d  time=%.3fs\n",
 		res.Cut, res.Imbalance, res.Feasible,
 		res.Partition.CommunicationVolume(g), elapsed.Seconds())
@@ -234,6 +294,10 @@ func main() {
 		fmt.Printf("comm: %d msgs, %d bytes (%d neighbor msgs over %d sparse exchanges)\n",
 			c.MessagesSent, c.BytesSent(), c.NeighborMessages, c.NeighborExchanges)
 	}
+	if tcp {
+		fmt.Printf("transport: %d frames / %d bytes sent, %d reconnects, %d heartbeat misses\n",
+			ts.FramesSent, ts.BytesSent, ts.Reconnects, ts.HeartbeatMisses)
+	}
 	if len(res.Stats.Levels) > 0 {
 		fmt.Print("hierarchy:")
 		for _, lv := range res.Stats.Levels {
@@ -243,8 +307,7 @@ func main() {
 	}
 	if *out != "" {
 		if err := writePartition(*out, res.Partition); err != nil {
-			fmt.Fprintln(os.Stderr, "parhip:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
@@ -254,80 +317,27 @@ func main() {
 // runTCP is the multi-process launcher path: this process hosts exactly
 // one rank of a real networked world instead of simulating every PE
 // in-process. Every process of the run must be started with identical
-// graph, seed, k, mode and peer-table arguments; the result — printed
-// and written only by the rank-0 process — is bit-identical to the
-// in-process run with the same seed and configuration.
-func runTCP(g *parhip.Graph, opt parhip.Options, rank int, peersList, mode string,
-	k int32, timeout time.Duration, out string, unsupported bool) {
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "parhip:", err)
-		os.Exit(1)
-	}
-	if unsupported {
-		fail(errors.New("-baseline, -prev, -trace and -progress are not supported with -transport tcp (use the inproc transport, or parhip-worker -v for transport logs)"))
-	}
-	peers, err := cluster.ParsePeers(peersList)
+// graph, seed, k, mode and peer-table arguments; the result — returned
+// only in the rank-0 process, the others get a zero Result — is
+// bit-identical to the in-process run with the same seed and
+// configuration, because both run the configuration a session resolves
+// from opts.
+func runTCP(ctx context.Context, cfg cluster.Config, opts []parhip.Option) (parhip.Result, transport.Stats, error) {
+	p, err := parhip.New(cfg.Graph, opts...)
 	if err != nil {
-		fail(err)
+		return parhip.Result{}, transport.Stats{}, err
 	}
-	clsName := "social"
-	if opt.Class == parhip.Mesh {
-		clsName = "mesh"
+	cfg.Core = p.CoreConfig()
+	rep, err := cluster.Run(ctx, cfg)
+	if err != nil || cfg.Rank != 0 {
+		return parhip.Result{}, rep.Transport, err
 	}
-	coreCfg, err := cluster.CoreConfig(mode, clsName, k, opt.Eps, opt.Seed)
-	if err != nil {
-		fail(err)
-	}
-	coreCfg.Workers = opt.Workers
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	fmt.Printf("graph: n=%d m=%d   k=%d  rank=%d/%d  mode=%s  transport=tcp\n",
-		g.NumNodes(), g.NumEdges(), k, rank, len(peers), mode)
-	start := time.Now()
-	rep, err := cluster.Run(ctx, cluster.Config{
-		Rank:  rank,
-		Peers: peers,
-		Graph: g,
-		Core:  coreCfg,
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "parhip: run cancelled after %.3fs (%v)\n",
-				time.Since(start).Seconds(), err)
-			os.Exit(130)
-		}
-		fail(err)
-	}
-	elapsed := time.Since(start)
-	if !rep.IsRoot {
-		fmt.Printf("rank %d done in %.3fs (result reported by rank 0)\n", rank, elapsed.Seconds())
-		return
-	}
-	// Rebuild the first-class Partition value so the report line carries
-	// the same fields (including commvol) as the in-process path.
-	p, err := parhip.NewPartition(g, rep.Result.Part, k, coreCfg.Eps)
-	if err != nil {
-		fail(err)
-	}
+	// Rebuild the first-class Partition value so the report carries the
+	// same fields (including commvol) as the in-process path.
 	st := rep.Result.Stats
-	fmt.Printf("cut=%d  imbalance=%.4f  feasible=%v  commvol=%d  time=%.3fs\n",
-		st.Cut, st.Imbalance, st.Feasible, p.CommunicationVolume(g), elapsed.Seconds())
-	ts := rep.Transport
-	fmt.Printf("transport: %d frames / %d bytes sent, %d reconnects, %d heartbeat misses\n",
-		ts.FramesSent, ts.BytesSent, ts.Reconnects, ts.HeartbeatMisses)
-	if out != "" {
-		if err := writePartition(out, p); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
+	part, err := parhip.NewPartition(cfg.Graph, rep.Result.Part, cfg.Core.K, cfg.Core.Eps)
+	return parhip.Result{Partition: part, Cut: st.Cut, Imbalance: st.Imbalance,
+		Feasible: st.Feasible, Stats: st}, rep.Transport, err
 }
 
 // writeTrace serializes the recorded spans as Chrome trace-event JSON.

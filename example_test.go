@@ -7,7 +7,7 @@ import (
 	"repro"
 )
 
-// ExampleNew partitions two joined cliques with the v2 session API: a
+// ExampleNew partitions two joined cliques with a session: a
 // cancellable Partitioner constructed with functional options and run
 // under a context.
 func ExampleNew() {
@@ -52,7 +52,12 @@ func ExamplePartition() {
 	b.AddEdge(3, 4)
 	g := b.Build()
 
-	res, err := parhip.PartitionGraph(g, 2, parhip.Options{PEs: 2, Seed: 1})
+	p, err := parhip.New(g, parhip.WithK(2), parhip.WithPEs(2), parhip.WithSeed(1))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := p.Run(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -33,9 +34,12 @@ func main() {
 			} else {
 				g = gen.DelaunayLike(n, 3)
 			}
-			res, err := parhip.PartitionGraph(g, k, parhip.Options{
-				PEs: p, Class: parhip.Mesh, Seed: 3,
-			})
+			s, err := parhip.New(g, parhip.WithK(k), parhip.WithPEs(p),
+				parhip.WithClass(parhip.Mesh), parhip.WithSeed(3))
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := s.Run(context.Background())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,37 +32,40 @@ func main() {
 	for v := int32(0); v < n; v++ {
 		hash[v] = v % k
 	}
-	report("hash", g, hash, k)
-
-	opt := parhip.Options{PEs: 8, Class: parhip.Social, Seed: 5}
-	bres, err := parhip.PartitionBaseline(g, k, opt, 0)
+	hp, err := parhip.NewPartition(g, hash, k, parhip.DefaultEps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("matching-baseline", g, bres.Part, k)
+	report("hash", g, hp)
 
-	res, err := parhip.PartitionGraph(g, k, opt)
+	ctx := context.Background()
+	opts := []parhip.Option{parhip.WithK(k), parhip.WithPEs(8), parhip.WithSeed(5)}
+	bres, err := parhip.RunBaseline(ctx, g, 0, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("parhip-fast", g, res.Part, k)
+	report("matching-baseline", g, bres.Partition)
 
-	eco := opt
-	eco.Mode = parhip.Eco
-	eres, err := parhip.PartitionGraph(g, k, eco)
-	if err != nil {
-		log.Fatal(err)
+	for _, run := range []struct {
+		name string
+		mode parhip.Mode
+	}{{"parhip-fast", parhip.Fast}, {"parhip-eco", parhip.Eco}} {
+		p, err := parhip.New(g, append(opts, parhip.WithMode(run.mode))...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := p.Run(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		report(run.name, g, res.Partition)
 	}
-	report("parhip-eco", g, eres.Part, k)
 
 	fmt.Println("\nLower cut and communication volume mean fewer messages per")
 	fmt.Println("PageRank superstep; balance keeps all PEs equally loaded.")
 }
 
-func report(name string, g *parhip.Graph, part []int32, k int32) {
-	cut := parhip.EdgeCut(g, part)
-	vol := parhip.CommunicationVolume(g, part, k)
-	imb := parhip.Imbalance(g, part, k)
+func report(name string, g *parhip.Graph, p *parhip.Partition) {
 	fmt.Printf("%-18s cut=%8d  commvol=%8d  imbalance=%.4f  feasible=%v\n",
-		name, cut, vol, imb, parhip.IsFeasible(g, part, k, 0.03))
+		name, p.Cut(), p.CommunicationVolume(g), p.Imbalance(), p.Feasible())
 }

@@ -21,20 +21,21 @@ func main() {
 	fmt.Printf("web graph: n=%d m=%d maxdeg=%d\n", web.NumNodes(), web.NumEdges(), web.MaxDegree())
 
 	const k = 8
-	opt := parhip.Options{PEs: 8, Class: parhip.Social, Seed: 1}
+	opts := []parhip.Option{parhip.WithK(k), parhip.WithPEs(8)}
 
-	// The v2 session API streams per-level progress while the run is in
-	// flight — on a real web crawl this is minutes of otherwise-silent work.
-	p, err := parhip.New(web, parhip.WithK(k), parhip.WithOptions(opt),
+	// A session streams per-level progress while the run is in flight — on
+	// a real web crawl this is minutes of otherwise-silent work.
+	p, err := parhip.New(web, append(opts,
 		parhip.WithProgressFunc(func(ev parhip.ProgressEvent) {
 			if ev.Phase == "refine" {
 				fmt.Printf("  refine level %d (n=%d): cut=%d\n", ev.Level, ev.N, ev.Cut)
 			}
-		}))
+		}))...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := p.Run(context.Background())
+	ctx := context.Background()
+	res, err := p.Run(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	// The baseline under a memory budget of n/6 nodes: its matching-based
 	// coarsening cannot shrink the leaf fringe fast enough.
 	budget := int64(web.NumNodes()) / 6
-	bres, err := parhip.PartitionBaseline(web, k, opt, budget)
+	bres, err := parhip.RunBaseline(ctx, web, budget, opts...)
 	if err != nil {
 		fmt.Printf("baseline: FAILED as in the paper's tables: %v\n", err)
 	} else {
@@ -58,7 +59,7 @@ func main() {
 	}
 
 	// Without the budget the baseline finishes; compare quality.
-	bres, err = parhip.PartitionBaseline(web, k, opt, 0)
+	bres, err = parhip.RunBaseline(ctx, web, 0, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

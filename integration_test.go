@@ -2,6 +2,7 @@ package parhip
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -22,7 +23,7 @@ func TestIntegrationParallelVsSequentialQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PartitionGraph(g, k, Options{PEs: 4, Seed: 2})
+	par, err := runSession(g, WithK(k), WithPEs(4), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestIntegrationIORoundTripThenPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PartitionGraph(g2, 4, Options{PEs: 2, Class: Mesh, Seed: 1})
+	res, err := runSession(g2, WithK(4), WithPEs(2), WithClass(Mesh), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestIntegrationIORoundTripThenPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := PartitionGraph(g3, 4, Options{PEs: 2, Class: Mesh, Seed: 1})
+	res2, err := runSession(g3, WithK(4), WithPEs(2), WithClass(Mesh), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,8 @@ func TestIntegrationIORoundTripThenPartition(t *testing.T) {
 	}
 }
 
-// Prepartition improvement through the public API.
+// Improving an outside placement through the public API: a raw assignment
+// wrapped by NewPartition seeds a run that never worsens it.
 func TestIntegrationPrepartitionPublicAPI(t *testing.T) {
 	g, _ := gen.PlantedPartition(1500, 12, 9, 0.5, 6)
 	k := int32(4)
@@ -79,7 +81,11 @@ func TestIntegrationPrepartitionPublicAPI(t *testing.T) {
 		pre[v] = v % k
 	}
 	preCut := EdgeCut(g, pre)
-	res, err := PartitionGraph(g, k, Options{PEs: 2, Seed: 3, Prepartition: pre})
+	prev, err := NewPartition(g, pre, k, DefaultEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Repartition(context.Background(), g, prev, WithPEs(2), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +99,13 @@ func TestIntegrationPrepartitionPublicAPI(t *testing.T) {
 func TestIntegrationHeadlineComparison(t *testing.T) {
 	g := gen.WebCrawlLike(8000, 60, 10, 0.4, 80, 9)
 	k := int32(8)
-	opt := Options{PEs: 2, Seed: 1}
-	ours, err := PartitionGraph(g, k, opt)
+	opts := []Option{WithK(k), WithPEs(2), WithSeed(1)}
+	ours, err := runSession(g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := PartitionBaseline(g, k, opt, 0)
+	ctx := context.Background()
+	base, err := RunBaseline(ctx, g, 0, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +113,7 @@ func TestIntegrationHeadlineComparison(t *testing.T) {
 		t.Fatalf("ParHIP cut %d not better than baseline %d on a web graph", ours.Cut, base.Cut)
 	}
 	// And the baseline fails under the calibrated memory budget.
-	if _, err := PartitionBaseline(g, k, opt, int64(g.NumNodes())/6); err == nil {
+	if _, err := RunBaseline(ctx, g, int64(g.NumNodes())/6, opts...); err == nil {
 		t.Fatal("baseline should exceed the memory budget on a web-crawl graph")
 	}
 }

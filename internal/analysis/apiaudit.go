@@ -3,31 +3,32 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // APIAuditAnalyzer generalizes the root package's v2 API audit (previously
 // a hand-rolled AST walk in api_audit_test.go) to every package: no
-// exported, non-deprecated declaration may accept, return or carry a bare
-// []int32. Partitions travel under documented names — *parhip.Partition at
+// exported declaration may accept, return or carry a bare []int32. Partitions travel under documented names — *parhip.Partition at
 // the public boundary, partition.Partition and friends internally — so
 // that a slice of block IDs is never confused with a slice of anything
 // else. Named types whose underlying is []int32 pass: the rule targets
 // anonymous slices, not the wrappers.
 //
-// Escapes: "Deprecated:" markers (v1 compatibility), the NewPartition
-// boundary adapter, and //lint:rawslice-ok <reason> for internal SPMD
-// plumbing where the raw assignment slice is the working representation.
+// Escapes: the allowlisted raw-slice boundary functions, and
+// //lint:rawslice-ok <reason> for internal SPMD plumbing where the raw
+// assignment slice is the working representation.
 var APIAuditAnalyzer = &Analyzer{
 	Name: "apiaudit",
 	Doc:  "exported declarations must not carry bare []int32 partitions",
 	Run:  runAPIAudit,
 }
 
-// rawSliceAllowlist names the sanctioned raw-assignment adapters: the
-// single entry points wrapping a raw slice into the value type.
+// rawSliceAllowlist names the sanctioned raw-assignment boundary: the
+// adapter wrapping a raw slice into the value type, and the two checkers
+// for assignments that arrive as raw slices.
 var rawSliceAllowlist = map[string]bool{
 	"NewPartition": true,
+	"EdgeCut":      true,
+	"IsFeasible":   true,
 }
 
 func runAPIAudit(p *Pass) {
@@ -41,20 +42,6 @@ func runAPIAudit(p *Pass) {
 			}
 		}
 	}
-}
-
-func isDeprecated(groups ...*ast.CommentGroup) bool {
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if strings.Contains(c.Text, "Deprecated:") {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // hasBareInt32Slice reports whether the type expression contains a literal
@@ -110,13 +97,12 @@ func receiverExported(d *ast.FuncDecl) bool {
 
 func auditFuncDecl(p *Pass, d *ast.FuncDecl) {
 	if !d.Name.IsExported() || !receiverExported(d) ||
-		isDeprecated(d.Doc) || rawSliceAllowlist[d.Name.Name] ||
-		p.lintOK("rawslice", d.Pos()) {
+		rawSliceAllowlist[d.Name.Name] || p.lintOK("rawslice", d.Pos()) {
 		return
 	}
 	if fieldsHaveBareInt32(d.Type.Params) || fieldsHaveBareInt32(d.Type.Results) {
 		p.Reportf(d.Pos(),
-			"exported %s has a bare []int32 in its signature; use a documented partition type, deprecate it, or annotate //lint:rawslice-ok <reason>",
+			"exported %s has a bare []int32 in its signature; use a documented partition type or annotate //lint:rawslice-ok <reason>",
 			d.Name.Name)
 	}
 }
@@ -127,8 +113,7 @@ func auditGenDecl(p *Pass, d *ast.GenDecl) {
 	}
 	for _, spec := range d.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
-		if !ok || !ts.Name.IsExported() ||
-			isDeprecated(d.Doc, ts.Doc, ts.Comment) || p.lintOK("rawslice", ts.Pos()) {
+		if !ok || !ts.Name.IsExported() || p.lintOK("rawslice", ts.Pos()) {
 			continue
 		}
 		st, ok := ts.Type.(*ast.StructType)
@@ -144,8 +129,7 @@ func auditGenDecl(p *Pass, d *ast.GenDecl) {
 			continue
 		}
 		for _, f := range st.Fields.List {
-			if isDeprecated(f.Doc, f.Comment) || !hasBareInt32Slice(f.Type) ||
-				p.lintOK("rawslice", f.Pos()) {
+			if !hasBareInt32Slice(f.Type) || p.lintOK("rawslice", f.Pos()) {
 				continue
 			}
 			exported := false
@@ -156,7 +140,7 @@ func auditGenDecl(p *Pass, d *ast.GenDecl) {
 			}
 			if exported {
 				p.Reportf(f.Pos(),
-					"exported field %s.%v carries a bare []int32; use a documented partition type, deprecate it, or annotate //lint:rawslice-ok <reason>",
+					"exported field %s.%v carries a bare []int32; use a documented partition type or annotate //lint:rawslice-ok <reason>",
 					ts.Name.Name, f.Names)
 			}
 		}

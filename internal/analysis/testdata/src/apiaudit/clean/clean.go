@@ -1,5 +1,5 @@
 // Package clean holds the sanctioned API shapes: documented wrapper types,
-// the NewPartition adapter, deprecations and annotated escapes.
+// the allowlisted raw-slice boundary and annotated escapes.
 package clean
 
 // Partition is the documented wrapper: a named int32-slice type passes.
@@ -11,10 +11,8 @@ func Assign(n int) Partition { return make(Partition, n) }
 // NewPartition is the sanctioned raw-slice boundary adapter.
 func NewPartition(raw []int32) Partition { return Partition(raw) }
 
-// Legacy returns a raw slice for v1 compatibility.
-//
-// Deprecated: use Assign.
-func Legacy(n int) []int32 { return make([]int32, n) }
+// EdgeCut is an allowlisted checker for a raw assignment.
+func EdgeCut(raw []int32) int64 { return int64(len(raw)) }
 
 // Ranks returns PE ranks, not a partition; the escape documents that.
 //

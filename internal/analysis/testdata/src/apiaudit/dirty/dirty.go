@@ -6,6 +6,13 @@ func Assign(n int) []int32 { // want `exported Assign has a bare \[\]int32`
 	return make([]int32, n)
 }
 
+// Legacy returns a raw slice; a deprecation tag is not an escape.
+//
+// Deprecated: use a wrapper.
+func Legacy(n int) []int32 { // want `exported Legacy has a bare \[\]int32`
+	return make([]int32, n)
+}
+
 // Apply takes a raw partition slice.
 func Apply(part []int32) { // want `exported Apply has a bare \[\]int32`
 }

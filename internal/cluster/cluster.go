@@ -1,11 +1,10 @@
 // Package cluster joins one OS process to a multi-process ParHIP world
-// over the TCP transport. It is the shared logic behind the
-// `parhip -transport tcp -rank i -peers ...` launcher path and the
-// cmd/parhip-worker binary: every process loads the same (replicated)
-// input graph, joins the rendezvous mesh as one rank, runs the identical
-// SPMD partition pipeline, and the process hosting rank 0 receives the
-// assembled result. The partition is bit-identical to an in-process run
-// with the same seed and configuration.
+// over the TCP transport. It is the logic behind the
+// `parhip -transport tcp -rank i -peers ...` launcher path: every process
+// loads the same (replicated) input graph, joins the rendezvous mesh as
+// one rank, runs the identical SPMD partition pipeline, and the process
+// hosting rank 0 receives the assembled result. The partition is
+// bit-identical to an in-process run with the same seed and configuration.
 package cluster
 
 import (
@@ -35,10 +34,9 @@ type Config struct {
 	// Core is the partition configuration; identical on every process.
 	Core core.Config
 
-	// HeartbeatInterval / HeartbeatTimeout override the transport liveness
-	// parameters when positive (defaults: 250ms / 5s).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
+	// HeartbeatTimeout, when positive, overrides how long a silent peer
+	// is tolerated before it is declared dead (default 5s).
+	HeartbeatTimeout time.Duration
 	// BootstrapTimeout bounds the rendezvous wait for slow-starting peers
 	// (default 30s).
 	BootstrapTimeout time.Duration
@@ -48,12 +46,8 @@ type Config struct {
 
 // Report is what one process's run produced.
 type Report struct {
-	Rank      int
-	WorldSize int
-	// IsRoot is true in the process hosting rank 0 — the only one whose
-	// Result is populated.
-	IsRoot bool
-	// Result is the assembled partition and statistics (root only).
+	// Result is the assembled partition and statistics, populated only in
+	// the process hosting rank 0.
 	Result core.Result
 	// Transport is this process's transport counter snapshot.
 	Transport transport.Stats
@@ -80,59 +74,22 @@ func ParsePeers(list string) ([]string, error) {
 	return peers, nil
 }
 
-// CoreConfig maps the CLI mode/class vocabulary onto a core.Config, the
-// same way the public parhip.Options mapping does. Every process of one
-// run must be given identical arguments.
-func CoreConfig(mode, class string, k int32, eps float64, seed uint64) (core.Config, error) {
-	var cls core.GraphClass
-	switch class {
-	case "social":
-		cls = core.ClassSocial
-	case "mesh":
-		cls = core.ClassMesh
-	default:
-		return core.Config{}, fmt.Errorf("cluster: unknown graph class %q (want social or mesh)", class)
-	}
-	var cfg core.Config
-	switch mode {
-	case "fast":
-		cfg = core.FastConfig(k, cls)
-	case "eco":
-		cfg = core.EcoConfig(k, cls)
-	case "minimal":
-		cfg = core.MinimalConfig(k, cls)
-	default:
-		return core.Config{}, fmt.Errorf("cluster: unknown mode %q (want fast, eco or minimal)", mode)
-	}
-	if eps > 0 {
-		cfg.Eps = eps
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	return cfg, nil
-}
-
 // Run joins the mesh as cfg.Rank, partitions, and returns this process's
 // report. It blocks in the rendezvous until every peer process is up
 // (bounded by BootstrapTimeout), and returns an error if a peer dies
 // mid-run — the whole world aborts rather than hanging. Cancelling ctx
 // aborts the world cooperatively across all processes.
 func Run(ctx context.Context, cfg Config) (Report, error) {
-	rep := Report{Rank: cfg.Rank, WorldSize: len(cfg.Peers), IsRoot: cfg.Rank == 0}
+	var rep Report
 	if cfg.Graph == nil {
 		return rep, fmt.Errorf("cluster: nil graph")
 	}
-	if cfg.Rank < 0 || cfg.Rank >= len(cfg.Peers) {
-		return rep, fmt.Errorf("cluster: rank %d outside peer table of size %d", cfg.Rank, len(cfg.Peers))
-	}
 	tcp, err := transport.NewTCP(transport.TCPConfig{
-		Self:              cfg.Rank,
-		Addrs:             cfg.Peers,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		HeartbeatTimeout:  cfg.HeartbeatTimeout,
-		BootstrapTimeout:  cfg.BootstrapTimeout,
-		Logf:              cfg.Logf,
+		Self:             cfg.Rank,
+		Addrs:            cfg.Peers,
+		HeartbeatTimeout: cfg.HeartbeatTimeout,
+		BootstrapTimeout: cfg.BootstrapTimeout,
+		Logf:             cfg.Logf,
 	})
 	if err != nil {
 		return rep, err

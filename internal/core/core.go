@@ -157,7 +157,7 @@ type Config struct {
 
 	// Tracer, when non-nil, records per-rank spans across the whole run:
 	// pipeline phases and levels here, sclp supersteps, and mpi exchanges
-	// (RunCtx attaches it to the world it creates). Nil — the default —
+	// (RunOn attaches it to the world). Nil — the default —
 	// disables tracing at zero cost. Must be identical on every rank.
 	Tracer *obs.Tracer
 }
@@ -288,7 +288,7 @@ type levelRec struct {
 // roughly one superstep past cancellation. A cancelled rank returns
 // ctx.Err(); ranks cut short inside a collective unwind through the abort
 // panic that mpi.World.Run swallows. Callers running their own world must
-// pair a non-background ctx with mpi.World.WatchContext, as RunCtx does —
+// pair a non-background ctx with mpi.World.WatchContext, as RunOn does —
 // otherwise ranks still blocked in collectives are never woken.
 func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]int64, Stats, error) {
 	if ctx == nil {
@@ -701,30 +701,19 @@ type Result struct {
 	Stats Stats
 }
 
-// Run partitions g with P simulated PEs and returns the full partition and
-// the statistics observed on rank 0. It is the entry point used by the
-// examples and the experiment harness. Run is RunCtx with a background
-// context (not cancellable).
-func Run(P int, g *graph.Graph, cfg Config) (Result, error) {
-	return RunCtx(context.Background(), P, g, cfg)
-}
-
-// RunCtx is Run bound to a context: when ctx is cancelled or its deadline
-// passes, every simulated rank unwinds cooperatively (no goroutine outlives
-// the call) and RunCtx returns ctx.Err(). A run that completed before the
-// cancellation was observed still returns its result.
-func RunCtx(ctx context.Context, P int, g *graph.Graph, cfg Config) (Result, error) {
-	return RunOn(ctx, mpi.NewWorld(P), g, cfg)
-}
-
-// RunOn is RunCtx over a caller-provided world — the multi-process entry
-// point. With a networked transport the world hosts a subset of the ranks
-// (for TCP, one per process); every process calls RunOn with the same
-// graph and config, and only the process hosting rank 0 receives the
-// populated Result (the others get a zero Result and a nil error). A
-// transport failure — a peer process dying mid-run — aborts the world
-// and surfaces as an error on every surviving process. The caller keeps
-// ownership of the world and closes it after RunOn returns.
+// RunOn partitions g on the ranks of world and returns the full partition
+// and the statistics observed on rank 0 — the one entry point. In-process
+// callers pass mpi.NewWorld(P). With a networked transport the world hosts
+// a subset of the ranks (for TCP, one per process); every process calls
+// RunOn with the same graph and config, and only the process hosting rank
+// 0 receives the populated Result (the others get a zero Result and a nil
+// error). When ctx is cancelled or its deadline passes, every rank unwinds
+// cooperatively (no goroutine outlives the call) and RunOn returns
+// ctx.Err(); a run that completed before the cancellation was observed
+// still returns its result. A transport failure — a peer process dying
+// mid-run — aborts the world and surfaces as an error on every surviving
+// process. The caller keeps ownership of the world and closes it after
+// RunOn returns.
 func RunOn(ctx context.Context, world *mpi.World, g *graph.Graph, cfg Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,16 +1,23 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 	"repro/internal/partition"
 )
 
+// run partitions g on a fresh in-process world of P ranks.
+func run(P int, g *graph.Graph, cfg Config) (Result, error) {
+	return RunOn(context.Background(), mpi.NewWorld(P), g, cfg)
+}
+
 func TestRunFastSocial(t *testing.T) {
 	g, _ := gen.PlantedPartition(4000, 30, 10, 0.5, 1)
-	res, err := Run(4, g, FastConfig(2, ClassSocial))
+	res, err := run(4, g, FastConfig(2, ClassSocial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +38,7 @@ func TestRunFastSocial(t *testing.T) {
 func TestRunMeshK4(t *testing.T) {
 	g := gen.DelaunayLike(3600, 2)
 	cfg := FastConfig(4, ClassMesh)
-	res, err := Run(4, g, cfg)
+	res, err := run(4, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +55,7 @@ func TestRunMeshK4(t *testing.T) {
 
 func TestRunCoarseningShrinksSocialFast(t *testing.T) {
 	g, _ := gen.PlantedPartition(6000, 50, 12, 0.3, 3)
-	res, err := Run(4, g, FastConfig(2, ClassSocial))
+	res, err := run(4, g, FastConfig(2, ClassSocial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +72,11 @@ func TestRunCoarseningShrinksSocialFast(t *testing.T) {
 
 func TestRunEcoAtLeastAsGoodAsFast(t *testing.T) {
 	g, _ := gen.PlantedPartition(3000, 20, 10, 0.8, 4)
-	fast, err := Run(2, g, FastConfig(4, ClassSocial))
+	fast, err := run(2, g, FastConfig(4, ClassSocial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eco, err := Run(2, g, EcoConfig(4, ClassSocial))
+	eco, err := run(2, g, EcoConfig(4, ClassSocial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestRunEcoAtLeastAsGoodAsFast(t *testing.T) {
 func TestRunVariousPEcounts(t *testing.T) {
 	g, _ := gen.PlantedPartition(2500, 16, 9, 0.5, 5)
 	for _, P := range []int{1, 2, 3, 8} {
-		res, err := Run(P, g, FastConfig(2, ClassSocial))
+		res, err := run(P, g, FastConfig(2, ClassSocial))
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
@@ -101,7 +108,7 @@ func TestRunVariousPEcounts(t *testing.T) {
 
 func TestRunK1(t *testing.T) {
 	g := gen.RGG(500, 6)
-	res, err := Run(2, g, FastConfig(1, ClassMesh))
+	res, err := run(2, g, FastConfig(1, ClassMesh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +121,7 @@ func TestRunK1(t *testing.T) {
 
 func TestRunInvalidK(t *testing.T) {
 	g := graph.Path(10)
-	if _, err := Run(2, g, Config{K: 0}); err == nil {
+	if _, err := run(2, g, Config{K: 0}); err == nil {
 		t.Fatal("expected error for k=0")
 	}
 }
@@ -123,7 +130,7 @@ func TestRunSmallGraphNoCoarsening(t *testing.T) {
 	// Graph below the coarsest limit: evolutionary algorithm runs directly.
 	g := graph.Cycle(64)
 	cfg := FastConfig(2, ClassMesh)
-	res, err := Run(2, g, cfg)
+	res, err := run(2, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +147,11 @@ func TestRunDeterministicWithRounds(t *testing.T) {
 	g, _ := gen.PlantedPartition(1500, 12, 9, 0.5, 8)
 	cfg := FastConfig(2, ClassSocial)
 	cfg.Seed = 99
-	a, err := Run(2, g, cfg)
+	a, err := run(2, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(2, g, cfg)
+	b, err := run(2, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestPrepartitionNeverWorsened(t *testing.T) {
 	preCut := partition.EdgeCut(g, pre)
 	cfg := FastConfig(k, ClassSocial)
 	cfg.Prepartition = pre
-	res, err := Run(2, g, cfg)
+	res, err := run(2, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +201,14 @@ func TestPrepartitionWrongLength(t *testing.T) {
 	g := gen.RGG(100, 1)
 	cfg := FastConfig(2, ClassMesh)
 	cfg.Prepartition = make([]int32, 5)
-	if _, err := Run(1, g, cfg); err == nil {
+	if _, err := run(1, g, cfg); err == nil {
 		t.Fatal("expected error for wrong-length prepartition")
 	}
 }
 
 func TestStatsPopulated(t *testing.T) {
 	g, _ := gen.PlantedPartition(2000, 15, 9, 0.5, 9)
-	res, err := Run(2, g, FastConfig(2, ClassSocial))
+	res, err := run(2, g, FastConfig(2, ClassSocial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +288,7 @@ func TestPrevPartitionStats(t *testing.T) {
 	cfg := MinimalConfig(k, ClassSocial)
 	cfg.Prepartition = planted
 	cfg.PrevPartition = planted
-	res, err := Run(4, g, cfg)
+	res, err := run(4, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +305,7 @@ func TestPrevPartitionStats(t *testing.T) {
 		t.Errorf("MigrationVolume = %d, want %d", res.Stats.MigrationVolume, want)
 	}
 	// A run without PrevPartition reports zero.
-	res2, err := Run(4, g, MinimalConfig(k, ClassSocial))
+	res2, err := run(4, g, MinimalConfig(k, ClassSocial))
 	if err != nil {
 		t.Fatal(err)
 	}

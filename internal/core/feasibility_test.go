@@ -57,7 +57,7 @@ func TestRunFeasibilityFuzz(t *testing.T) {
 		name := fmt.Sprintf("cfg %d: %s n=%d k=%d eps=%g P=%d seed=%d",
 			i, fam.name, g.NumNodes(), k, eps, P, seed)
 
-		res, err := Run(P, g, cfg)
+		res, err := run(P, g, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -81,7 +81,7 @@ func TestRunFeasibilityFuzz(t *testing.T) {
 func TestStatsBalanceFields(t *testing.T) {
 	g := gen.RGG(900, 3)
 	const k, eps = 4, 0.03
-	res, err := Run(4, g, FastConfig(k, ClassMesh))
+	res, err := run(4, g, FastConfig(k, ClassMesh))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestPartitionCrossBackendIdentical(t *testing.T) {
 	cfg := FastConfig(4, ClassSocial)
 	cfg.Seed = 42
 
-	inproc, err := RunCtx(context.Background(), P, g, cfg)
+	inproc, err := run(P, g, cfg)
 	if err != nil {
 		t.Fatalf("inproc run: %v", err)
 	}

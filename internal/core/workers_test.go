@@ -37,13 +37,13 @@ func TestWorkerBitIdentity(t *testing.T) {
 				cfg := FastConfig(8, fam.class)
 				cfg.Seed = 12345
 				cfg.Workers = 1
-				base, err := Run(P, fam.g, cfg)
+				base, err := run(P, fam.g, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range workerCounts {
 					cfg.Workers = w
-					res, err := Run(P, fam.g, cfg)
+					res, err := run(P, fam.g, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -10,6 +10,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -251,7 +252,7 @@ func RunTable(opt TableOptions) []TableRow {
 			cfg.Eps = opt.Eps
 			cfg.Seed = seed
 			cfg.MemoryBudgetNodes = budget
-			res, err := matchbase.Run(opt.PEs, g, cfg)
+			res, err := matchbase.RunCtx(context.Background(), opt.PEs, g, cfg)
 			if err != nil {
 				return nil, 0, mpi.Stats{}, err
 			}
@@ -261,7 +262,7 @@ func RunTable(opt TableOptions) []TableRow {
 			cfg := core.FastConfig(opt.K, inst.Class)
 			cfg.Eps = opt.Eps
 			cfg.Seed = seed
-			res, err := core.Run(opt.PEs, g, cfg)
+			res, err := core.RunOn(context.Background(), mpi.NewWorld(opt.PEs), g, cfg)
 			if err != nil {
 				return nil, 0, mpi.Stats{}, err
 			}
@@ -271,7 +272,7 @@ func RunTable(opt TableOptions) []TableRow {
 			cfg := core.EcoConfig(opt.K, inst.Class)
 			cfg.Eps = opt.Eps
 			cfg.Seed = seed
-			res, err := core.Run(opt.PEs, g, cfg)
+			res, err := core.RunOn(context.Background(), mpi.NewWorld(opt.PEs), g, cfg)
 			if err != nil {
 				return nil, 0, mpi.Stats{}, err
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mpi"
 )
 
 // RepartPoint is one repartitioning measurement: a graph is partitioned
@@ -76,14 +78,14 @@ func RunRepartition(opt RepartOptions) []RepartPoint {
 			fmt.Fprintf(os.Stderr, "repartition: %s: %s run failed: %v (instance dropped)\n",
 				inst.Name, stage, err)
 		}
-		prevRes, err := core.Run(opt.PEs, g, cfg)
+		prevRes, err := core.RunOn(context.Background(), mpi.NewWorld(opt.PEs), g, cfg)
 		if err != nil {
 			skip("previous", err)
 			continue
 		}
 
 		tCold := time.Now()
-		coldRes, err := core.Run(opt.PEs, g2, cfg)
+		coldRes, err := core.RunOn(context.Background(), mpi.NewWorld(opt.PEs), g2, cfg)
 		if err != nil {
 			skip("cold", err)
 			continue
@@ -94,7 +96,7 @@ func RunRepartition(opt RepartOptions) []RepartPoint {
 		warmCfg.Prepartition = prevRes.Part
 		warmCfg.PrevPartition = prevRes.Part
 		tWarm := time.Now()
-		warmRes, err := core.Run(opt.PEs, g2, warmCfg)
+		warmRes, err := core.RunOn(context.Background(), mpi.NewWorld(opt.PEs), g2, warmCfg)
 		if err != nil {
 			skip("warm", err)
 			continue

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -53,14 +54,14 @@ func RunWeakScaling(peList []int, baseNodes int32, k int32, seed uint64) []WeakP
 			pt := WeakPoint{Family: fam, PEs: p, N: g.NumNodes(), M: g.NumEdges()}
 			fastCfg := core.FastConfig(k, core.ClassMesh)
 			fastCfg.Seed = seed
-			fres, err := core.Run(p, g, fastCfg)
+			fres, err := core.RunOn(context.Background(), mpi.NewWorld(p), g, fastCfg)
 			if err == nil {
 				pt.FastPerEdge = fres.Stats.TotalTime.Seconds() / float64(g.NumEdges())
 				pt.FastCut = fres.Stats.Cut
 			}
 			bcfg := matchbase.DefaultConfig(k)
 			bcfg.Seed = seed
-			bres, berr := matchbase.Run(p, g, bcfg)
+			bres, berr := matchbase.RunCtx(context.Background(), p, g, bcfg)
 			if berr != nil {
 				pt.BaseFailed = true
 			} else {
@@ -138,7 +139,7 @@ func RunStrongScaling(instances []StrongInstance, peList []int, k int32, seed ui
 			pt := StrongPoint{Instance: inst.Name, PEs: p}
 			cfg := core.FastConfig(k, inst.Class)
 			cfg.Seed = seed
-			res, err := core.Run(p, inst.G, cfg)
+			res, err := core.RunOn(context.Background(), mpi.NewWorld(p), inst.G, cfg)
 			if err == nil {
 				pt.FastTime = res.Stats.TotalTime
 				pt.FastCut = res.Stats.Cut
@@ -148,7 +149,7 @@ func RunStrongScaling(instances []StrongInstance, peList []int, k int32, seed ui
 			if inst.BudgetDivisor > 0 {
 				bcfg.MemoryBudgetNodes = int64(inst.G.NumNodes()) / inst.BudgetDivisor
 			}
-			bres, berr := matchbase.Run(p, inst.G, bcfg)
+			bres, berr := matchbase.RunCtx(context.Background(), p, inst.G, bcfg)
 			if berr != nil {
 				pt.BaseFailed = true
 			} else {
@@ -158,7 +159,7 @@ func RunStrongScaling(instances []StrongInstance, peList []int, k int32, seed ui
 			if inst.Name == "web" && i == len(peList)-1 {
 				mcfg := core.MinimalConfig(k, inst.Class)
 				mcfg.Seed = seed
-				if mres, merr := core.Run(p, inst.G, mcfg); merr == nil {
+				if mres, merr := core.RunOn(context.Background(), mpi.NewWorld(p), inst.G, mcfg); merr == nil {
 					pt.MinimalTime = mres.Stats.TotalTime
 					pt.HasMinimal = true
 				}
@@ -226,7 +227,7 @@ func RunShrink(name string, g *graph.Graph, P int, u int64, seed uint64) ShrinkR
 	// Matching levels via the baseline's stats.
 	cfg := matchbase.DefaultConfig(2)
 	cfg.Seed = seed
-	if res, err := matchbase.Run(P, g, cfg); err == nil {
+	if res, err := matchbase.RunCtx(context.Background(), P, g, cfg); err == nil {
 		rep.MatchLevels = res.Stats.Levels
 	}
 	return rep

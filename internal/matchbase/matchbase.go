@@ -393,15 +393,10 @@ type Result struct {
 	Stats Stats
 }
 
-// Run partitions g with P simulated PEs using the baseline. It returns
-// ErrMemoryBudget (wrapped) when the memory model aborts the run. Run is
-// RunCtx with a background context.
-func Run(P int, g *graph.Graph, cfg Config) (Result, error) {
-	return RunCtx(context.Background(), P, g, cfg)
-}
-
-// RunCtx is Run bound to a context: cancellation unwinds every simulated
-// rank cooperatively and returns ctx.Err().
+// RunCtx partitions g with P simulated PEs using the baseline. It returns
+// ErrMemoryBudget (wrapped) when the memory model aborts the run;
+// cancelling ctx unwinds every simulated rank cooperatively and returns
+// ctx.Err().
 func RunCtx(ctx context.Context, P int, g *graph.Graph, cfg Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

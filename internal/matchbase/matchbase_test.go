@@ -1,6 +1,7 @@
 package matchbase
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,9 +10,13 @@ import (
 	"repro/internal/partition"
 )
 
+func run(P int, g *graph.Graph, cfg Config) (Result, error) {
+	return RunCtx(context.Background(), P, g, cfg)
+}
+
 func TestRunMeshFeasible(t *testing.T) {
 	g := gen.DelaunayLike(2500, 1)
-	res, err := Run(4, g, DefaultConfig(2))
+	res, err := run(4, g, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +33,7 @@ func TestMatchingCoarseningEffectiveOnMesh(t *testing.T) {
 	// On a mesh, matching halves the graph per level: coarsening reaches
 	// the limit without stalling.
 	g := gen.DelaunayLike(4000, 2)
-	res, err := Run(2, g, DefaultConfig(2))
+	res, err := run(2, g, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +51,7 @@ func TestMatchingStallsOnStarOfCliques(t *testing.T) {
 	// contraction. Verify matching needs many more levels than cluster
 	// contraction to reach the same size.
 	g := gen.StarOfCliques(200, 20, 3) // 4001 nodes
-	res, err := Run(2, g, DefaultConfig(2))
+	res, err := run(2, g, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +74,7 @@ func TestMemoryBudgetAbort(t *testing.T) {
 	g := graph.Star(5000)
 	cfg := DefaultConfig(2)
 	cfg.MemoryBudgetNodes = 1000
-	_, err := Run(2, g, cfg)
+	_, err := run(2, g, cfg)
 	if err == nil {
 		t.Fatal("expected memory-budget failure on a star graph")
 	}
@@ -82,7 +87,7 @@ func TestMemoryBudgetGenerousPasses(t *testing.T) {
 	g := gen.DelaunayLike(1600, 4)
 	cfg := DefaultConfig(2)
 	cfg.MemoryBudgetNodes = 1 << 30
-	if _, err := Run(2, g, cfg); err != nil {
+	if _, err := run(2, g, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +97,7 @@ func TestBaselineWorseThanClusterContractionOnCommunities(t *testing.T) {
 	// system wins on quality. Compare coarsening effectiveness here (the
 	// cut comparison lives in the experiment harness).
 	g, _ := gen.PlantedPartition(4000, 40, 12, 0.3, 5)
-	res, err := Run(2, g, DefaultConfig(2))
+	res, err := run(2, g, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +111,14 @@ func TestBaselineWorseThanClusterContractionOnCommunities(t *testing.T) {
 
 func TestRunInvalidK(t *testing.T) {
 	g := graph.Path(10)
-	if _, err := Run(1, g, Config{K: 0}); err == nil {
+	if _, err := run(1, g, Config{K: 0}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestRunSingleRank(t *testing.T) {
 	g := gen.RGG(800, 6)
-	res, err := Run(1, g, DefaultConfig(4))
+	res, err := run(1, g, DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}

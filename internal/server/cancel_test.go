@@ -25,14 +25,14 @@ func genBig() (*graph.Graph, []int32) {
 // is cancelled (returning ctx.Err()) or the release channel is closed
 // (returning a real partition). calls counts invocations.
 func blockingPartitionFn(calls *atomic.Int64, release <-chan struct{}) PartitionFunc {
-	return func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+	return func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		calls.Add(1)
 		select {
 		case <-ctx.Done():
 			return parhip.Result{}, ctx.Err()
 		case <-release:
-			return parhip.PartitionGraph(g, k, opt)
+			return partitionNow(g, k, opts)
 		}
 	}
 }
@@ -266,14 +266,14 @@ func TestQueuedJobTimeoutExpiresEagerly(t *testing.T) {
 func TestCancelledRunNeverCached(t *testing.T) {
 	var calls atomic.Int64
 	cfg := Config{Workers: 1}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		calls.Add(1)
 		if calls.Load() == 1 {
 			<-ctx.Done() // lose the race on purpose, then "finish" anyway
-			return parhip.PartitionGraph(g, k, opt)
+			return partitionNow(g, k, opts)
 		}
-		return parhip.PartitionGraph(g, k, opt)
+		return partitionNow(g, k, opts)
 	}
 	e := newEnv(t, cfg)
 	id := e.uploadMetis(testGraph(24))
@@ -302,14 +302,14 @@ func TestJobProgressExposed(t *testing.T) {
 	emitted := make(chan struct{})
 	release := make(chan struct{})
 	cfg := Config{Workers: 1}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		onProgress(parhip.ProgressEvent{Phase: "refine", Cycle: 1, Cycles: 2, Level: 3,
 			N: int64(g.NumNodes()), M: g.NumEdges(), Cut: 42, Imbalance: 0.01,
 			Elapsed: 5 * time.Millisecond})
 		close(emitted)
 		<-release
-		return parhip.PartitionGraph(g, k, opt)
+		return partitionNow(g, k, opts)
 	}
 	e := newEnv(t, cfg)
 	t.Cleanup(func() { close(release) })

@@ -33,13 +33,15 @@ const (
 )
 
 // PartitionFunc computes a partition; the production implementation wraps
-// a parhip.Partitioner session. prev, when non-nil, requests a
-// migration-aware repartitioning run seeded with that previous partition.
+// a parhip.Partitioner session configured from opts (the job's canonical
+// options, plus its tracer when one was requested). prev, when non-nil,
+// requests a migration-aware repartitioning run seeded with that previous
+// partition.
 // It must honor ctx (return promptly with ctx.Err() once cancelled) and
 // may report live progress through onProgress (never nil; called from the
 // partitioner's coordinating rank). Tests substitute counting/blocking
 // wrappers.
-type PartitionFunc func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+type PartitionFunc func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 	prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error)
 
 // job is the manager-internal record. Every field is guarded by the
@@ -51,8 +53,7 @@ type job struct {
 	graphID   string
 	g         *graph.Graph
 	k         int32
-	opts      parhip.Options
-	optsView  jobOptions
+	opts      jobOptions        // canonical (see canonOptions)
 	prev      *parhip.Partition // previous partition for repartition jobs
 	prevJobID string            // source job of prev ("" for inline/none)
 	repart    bool              // submitted with a previous partition
@@ -231,7 +232,7 @@ var (
 // eps=0.03 share a key. Repartition jobs carry the previous partition's
 // content checksum: the same graph repartitioned from two different
 // previous states is two different results.
-func jobKey(fingerprint string, k int32, prev *parhip.Partition, o parhip.Options) string {
+func jobKey(fingerprint string, k int32, prev *parhip.Partition, o jobOptions) string {
 	var b strings.Builder
 	b.WriteString(fingerprint)
 	b.WriteString("|k=")
@@ -242,8 +243,8 @@ func jobKey(fingerprint string, k int32, prev *parhip.Partition, o parhip.Option
 	} else {
 		b.WriteString("none")
 	}
-	fmt.Fprintf(&b, "|mode=%d|class=%d|eps=%.17g|seed=%d|pes=%d|obj=%d|budget=%d",
-		o.Mode, o.Class, o.Eps, o.Seed, o.PEs, o.Objective, o.EvoTimeBudget)
+	fmt.Fprintf(&b, "|mode=%s|class=%s|eps=%.17g|seed=%d|pes=%d|obj=%s|budget=%d",
+		o.Mode, o.Class, o.Eps, o.Seed, o.PEs, o.Objective, o.EvoBudgetMS)
 	return b.String()
 }
 
@@ -254,7 +255,7 @@ func jobKey(fingerprint string, k int32, prev *parhip.Partition, o parhip.Option
 // making the capacity check atomic with the closed check and with
 // registration (no partially registered jobs visible to concurrent
 // submissions).
-func (m *jobManager) submit(sg *storedGraph, k int32, opts parhip.Options, view jobOptions,
+func (m *jobManager) submit(sg *storedGraph, k int32, opts jobOptions,
 	prev *parhip.Partition, prevJobID string, timeoutMS int64, trace bool) (*job, error) {
 	key := jobKey(sg.Fingerprint, k, prev, opts)
 	now := time.Now()
@@ -271,7 +272,6 @@ func (m *jobManager) submit(sg *storedGraph, k int32, opts parhip.Options, view 
 		g:         sg.g,
 		k:         k,
 		opts:      opts,
-		optsView:  view,
 		prev:      prev,
 		prevJobID: prevJobID,
 		repart:    prev != nil,
@@ -298,12 +298,10 @@ func (m *jobManager) submit(sg *storedGraph, k int32, opts parhip.Options, view 
 
 	// Like TimeoutMS, the trace flag is deliberately not part of the cache
 	// key: tracing must not change the result, so traced and untraced twins
-	// share an entry. The tracer is attached through Options.Trace, which
-	// jobKey never reads. Allocated only past the cache-hit fast path — a
-	// job answered from cache records no spans and has no trace.
+	// share an entry. Allocated only past the cache-hit fast path — a job
+	// answered from cache records no spans and has no trace.
 	if trace {
 		j.tracer = parhip.NewTracer(opts.PEs)
-		j.opts.Trace = j.tracer
 	}
 
 	// The per-job context is rooted in Background, not the submission
@@ -457,7 +455,8 @@ func (m *jobManager) runJob(j *job) {
 		return
 	}
 	m.cacheMisses++
-	g, k, opts, prev, ctx := j.g, j.k, j.opts, j.prev, j.ctx
+	g, k, prev, ctx := j.g, j.k, j.prev, j.ctx
+	opts := append(j.opts.sessionOptions(), parhip.WithTracer(j.tracer)) // nil: untraced
 	m.mu.Unlock()
 
 	onProgress := func(ev parhip.ProgressEvent) {

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/live"
 	"repro/internal/obs"
 )
@@ -41,8 +40,7 @@ type liveGraph struct {
 	mu       sync.Mutex
 	ctrl     *live.Controller // guarded by mu
 	k        int32            // guarded by mu
-	opts     parhip.Options   // guarded by mu
-	optsView jobOptions       // guarded by mu
+	opts     jobOptions       // canonical; guarded by mu
 	curJobID string           // guarded by mu: in-flight repartition job ("" idle)
 	autoRuns int64            // guarded by mu: repartition jobs triggered (incl. initial)
 	swaps    int64            // guarded by mu: completed epoch swaps
@@ -157,15 +155,14 @@ func (lm *liveManager) count() int {
 
 // enable promotes sg into a live graph and schedules the initial cold
 // partition. Fails when the graph is already live.
-func (lm *liveManager) enable(sg *storedGraph, k int32, opts parhip.Options, view jobOptions,
+func (lm *liveManager) enable(sg *storedGraph, k int32, opts jobOptions,
 	policy live.Policy, trace bool) (*liveGraph, error) {
 	ls := &liveGraph{
-		id:       sg.ID,
-		lg:       live.NewGraph(sg.g),
-		ctrl:     live.NewController(policy),
-		k:        k,
-		opts:     opts,
-		optsView: view,
+		id:   sg.ID,
+		lg:   live.NewGraph(sg.g),
+		ctrl: live.NewController(policy),
+		k:    k,
+		opts: opts,
 	}
 	if trace {
 		ls.tracer = obs.NewTracer(1)
@@ -210,7 +207,7 @@ func (lm *liveManager) startRepartitionLocked(ls *liveGraph, reason string) erro
 		M:           snap.G.NumEdges(),
 		g:           snap.G,
 	}
-	j, err := lm.jobs.submit(syn, ls.k, ls.opts, ls.optsView, snap.Prev, "", 0, false)
+	j, err := lm.jobs.submit(syn, ls.k, ls.opts, snap.Prev, "", 0, false)
 	if err != nil {
 		ls.lg.AbortRepartition()
 		return fmt.Errorf("enqueue repartition: %w", err)
@@ -418,7 +415,7 @@ func (lm *liveManager) statusView(ls *liveGraph) liveStatusView {
 	v := liveStatusView{
 		GraphID:          ls.id,
 		K:                ls.k,
-		Options:          ls.optsView,
+		Options:          ls.opts,
 		Policy:           policyView(ls.ctrl.Policy()),
 		Epoch:            st.Epoch,
 		Seq:              st.Seq,
@@ -467,7 +464,7 @@ func (s *Server) handleLiveEnable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k = %d exceeds graph %s's %d nodes", req.K, sg.ID, sg.N)
 		return
 	}
-	opts, view, err := canonOptions(req.Options)
+	opts, err := canonOptions(req.Options)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
 		return
@@ -477,7 +474,7 @@ func (s *Server) handleLiveEnable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid policy: %v", err)
 		return
 	}
-	ls, err := s.live.enable(sg, req.K, opts, view, policy, req.Trace)
+	ls, err := s.live.enable(sg, req.K, opts, policy, req.Trace)
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return

@@ -18,18 +18,18 @@ import (
 // round-robin partition — live control-flow tests don't need the real
 // solver. calls counts invocations.
 func stubPartitionFn(calls *atomic.Int64) PartitionFunc {
-	return func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+	return func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		calls.Add(1)
 		assign := make([]int32, g.NumNodes())
 		for v := range assign {
 			assign[v] = int32(v) % k
 		}
-		p, err := parhip.NewPartition(g, assign, k, opt.Eps)
+		p, err := parhip.NewPartition(g, assign, k, 0)
 		if err != nil {
 			return parhip.Result{}, err
 		}
-		return parhip.Result{Partition: p, Part: assign, Cut: p.Cut(), Feasible: true}, nil
+		return parhip.Result{Partition: p, Cut: p.Cut(), Feasible: true}, nil
 	}
 }
 
@@ -169,7 +169,7 @@ func TestLiveEndToEnd(t *testing.T) {
 	// must be within 5% of a cold run (plus slack for tiny cuts), matching
 	// the library-level repartition acceptance.
 	drifted := gen.ApplyEdgeDeltas(g, deltas)
-	cold, err := parhip.PartitionGraph(drifted, 8, parhip.Options{Mode: parhip.Eco, PEs: 4, Eps: 0.03, Seed: 1})
+	cold, err := partitionNow(drifted, 8, []parhip.Option{parhip.WithMode(parhip.Eco)})
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestLivePlacementLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	// The initial run parks until released: the pre-epoch window is
 	// observable deterministically.
-	blockFirst := func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+	blockFirst := func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		if calls.Add(1) == 1 {
 			select {
@@ -287,7 +287,7 @@ func TestLivePlacementLifecycle(t *testing.T) {
 			case <-release:
 			}
 		}
-		return stubPartitionFn(new(atomic.Int64))(ctx, g, k, opt, prev, onProgress)
+		return stubPartitionFn(new(atomic.Int64))(ctx, g, k, opts, prev, onProgress)
 	}
 	e := newEnv(t, Config{Workers: 1, PartitionFn: blockFirst})
 	id := e.uploadMetis(graph.Grid2D(10, 10))

@@ -1,16 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
-
-	"repro"
-	"repro/internal/graph"
 )
 
 // getRaw fetches path and returns status, Content-Type and body.
@@ -92,22 +88,13 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestJobTrace exercises the trace download path end to end: a job
 // submitted with "trace": true exposes the spans its partitioner recorded
-// through Options.Trace as Chrome trace-event JSON, an untraced job 404s,
+// through WithTracer as Chrome trace-event JSON, an untraced job 404s,
 // and a traced resubmission answered from cache 409s (no run, no trace).
 func TestJobTrace(t *testing.T) {
-	cfg := Config{Workers: 2}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
-		prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
-		// Record one span per simulated rank through the job's tracer, the
-		// way core.RunCtx does via the world. Nil-safe: untraced jobs pass
-		// opt.Trace == nil and this records nothing.
-		for r := 0; r < opt.PEs; r++ {
-			sp := opt.Trace.Begin(r, "test.partition")
-			opt.Trace.End1(sp, "k", int64(k))
-		}
-		return parhip.PartitionGraph(g, k, opt)
-	}
-	e := newEnv(t, cfg)
+	// minimal mode is one V-cycle, so every simulated rank records exactly
+	// one core.initial_partition span through the job's tracer.
+	const rankSpan = "core.initial_partition"
+	e := newEnv(t, Config{Workers: 2})
 	id := e.uploadMetis(testGraph(6))
 
 	traced := fmt.Sprintf(`{"graph_id":%q,"k":2,"options":{"mode":"minimal","pes":2},"trace":true}`, id)
@@ -131,12 +118,12 @@ func TestJobTrace(t *testing.T) {
 	}
 	spans := 0
 	for _, ev := range doc.TraceEvents {
-		if ev["name"] == "test.partition" {
+		if ev["name"] == rankSpan {
 			spans++
 		}
 	}
 	if spans != 2 {
-		t.Errorf("trace has %d test.partition spans, want one per rank (2)", spans)
+		t.Errorf("trace has %d %s spans, want one per rank (2)", spans, rankSpan)
 	}
 
 	// The trace flag must not split the cache: the traced twin of the same

@@ -77,13 +77,13 @@ type Config struct {
 	// MaxGraphs bounds the in-memory graph store (default 256).
 	MaxGraphs int
 	// CoreWorkers is the intra-rank worker-thread count every core run uses
-	// for superstep compute (parhip.Options.Workers). 0 keeps the library
+	// for superstep compute (parhip.WithWorkers). 0 keeps the library
 	// default. It is deliberately a server setting, not a job option:
 	// results are bit-identical for any value, so it must never enter the
 	// result cache key.
 	CoreWorkers int
 	// PartitionFn overrides the partitioning implementation (tests); the
-	// default wraps parhip.Partition.
+	// default runs a parhip.Partitioner session.
 	PartitionFn PartitionFunc
 	// Logger receives structured service events (live-controller decisions,
 	// epoch swaps). Nil discards them; request logging stays with the
@@ -112,15 +112,14 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PartitionFn == nil {
 		coreWorkers := c.CoreWorkers
-		c.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options,
+		c.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 			prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
-			// Applied after the cache key was built from opt: Workers only
-			// changes wall-clock time, never the partition.
-			opt.Workers = coreWorkers
-			opts := []parhip.Option{parhip.WithK(k), parhip.WithOptions(opt),
-				parhip.WithProgressFunc(onProgress)}
+			opts = append(opts, parhip.WithK(k), parhip.WithProgressFunc(onProgress))
 			if prev != nil {
 				opts = append(opts, parhip.WithPrevious(prev))
+			}
+			if coreWorkers > 0 {
+				opts = append(opts, parhip.WithWorkers(coreWorkers))
 			}
 			p, err := parhip.New(g, opts...)
 			if err != nil {
@@ -287,18 +286,31 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 
 // --- jobs -------------------------------------------------------------
 
-// jobOptions is the wire form of parhip.Options. Zero values select the
-// library defaults; the canonical (default-applied) values are echoed back
-// in job views.
+// jobOptions is the wire form of a job's partitioner options. Zero values
+// select the library defaults; a job carries the canonical
+// (default-applied, see canonOptions) value, which is what the cache key
+// hashes, what the partitioner is configured from and what job views echo.
 type jobOptions struct {
 	Mode        string  `json:"mode,omitempty"`      // fast | eco | minimal
 	Class       string  `json:"class,omitempty"`     // social | mesh
-	Eps         float64 `json:"eps,omitempty"`       // imbalance, default 0.03
-	Seed        uint64  `json:"seed,omitempty"`      // default 1
-	PEs         int     `json:"pes,omitempty"`       // simulated ranks, default 4
+	Eps         float64 `json:"eps,omitempty"`       // imbalance, default parhip.DefaultEps
+	Seed        uint64  `json:"seed,omitempty"`      // default parhip.DefaultSeed
+	PEs         int     `json:"pes,omitempty"`       // simulated ranks, default parhip.DefaultPEs
 	Objective   string  `json:"objective,omitempty"` // cut | commvol | maxcommvol | maxquotdeg
 	EvoBudgetMS int64   `json:"evo_budget_ms,omitempty"`
 }
+
+// The wire vocabulary of the enumerated options; the first name of each
+// comment is the default an empty field canonicalizes to.
+var (
+	modeNames = map[string]parhip.Mode{ // fast
+		"fast": parhip.Fast, "eco": parhip.Eco, "minimal": parhip.Minimal}
+	classNames = map[string]parhip.GraphClass{ // social
+		"social": parhip.Social, "mesh": parhip.Mesh}
+	objectiveNames = map[string]parhip.Objective{ // cut
+		"cut": parhip.MinimizeCut, "commvol": parhip.MinimizeCommVolume,
+		"maxcommvol": parhip.MinimizeMaxCommVolume, "maxquotdeg": parhip.MinimizeMaxQuotientDegree}
+)
 
 type jobRequest struct {
 	GraphID string     `json:"graph_id"`
@@ -325,69 +337,62 @@ type jobRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// canonOptions maps the wire options onto parhip.Options with every default
-// applied eagerly, so the cache key built from the result is canonical.
-func canonOptions(o jobOptions) (parhip.Options, jobOptions, error) {
-	var opt parhip.Options
-	switch o.Mode {
-	case "", "fast":
-		opt.Mode = parhip.Fast
+// canonOptions validates the wire options and applies every default
+// eagerly, so the cache key built from the result is canonical.
+func canonOptions(o jobOptions) (jobOptions, error) {
+	if o.Mode == "" {
 		o.Mode = "fast"
-	case "eco":
-		opt.Mode = parhip.Eco
-	case "minimal":
-		opt.Mode = parhip.Minimal
-	default:
-		return opt, o, fmt.Errorf("unknown mode %q (want fast, eco or minimal)", o.Mode)
 	}
-	switch o.Class {
-	case "", "social":
-		opt.Class = parhip.Social
+	if _, ok := modeNames[o.Mode]; !ok {
+		return o, fmt.Errorf("unknown mode %q (want fast, eco or minimal)", o.Mode)
+	}
+	if o.Class == "" {
 		o.Class = "social"
-	case "mesh":
-		opt.Class = parhip.Mesh
-	default:
-		return opt, o, fmt.Errorf("unknown class %q (want social or mesh)", o.Class)
 	}
-	switch o.Objective {
-	case "", "cut":
-		opt.Objective = parhip.MinimizeCut
+	if _, ok := classNames[o.Class]; !ok {
+		return o, fmt.Errorf("unknown class %q (want social or mesh)", o.Class)
+	}
+	if o.Objective == "" {
 		o.Objective = "cut"
-	case "commvol":
-		opt.Objective = parhip.MinimizeCommVolume
-	case "maxcommvol":
-		opt.Objective = parhip.MinimizeMaxCommVolume
-	case "maxquotdeg":
-		opt.Objective = parhip.MinimizeMaxQuotientDegree
-	default:
-		return opt, o, fmt.Errorf("unknown objective %q", o.Objective)
+	}
+	if _, ok := objectiveNames[o.Objective]; !ok {
+		return o, fmt.Errorf("unknown objective %q", o.Objective)
 	}
 	if o.Eps < 0 {
-		return opt, o, fmt.Errorf("eps must be >= 0, got %g", o.Eps)
+		return o, fmt.Errorf("eps must be >= 0, got %g", o.Eps)
 	}
 	if o.Eps > parhip.MaxEps {
-		return opt, o, fmt.Errorf("eps must be <= %g, got %g", parhip.MaxEps, o.Eps)
+		return o, fmt.Errorf("eps must be <= %g, got %g", parhip.MaxEps, o.Eps)
 	}
 	if o.Eps == 0 {
-		o.Eps = 0.03
+		o.Eps = parhip.DefaultEps
 	}
-	opt.Eps = o.Eps
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = parhip.DefaultSeed
 	}
-	opt.Seed = o.Seed
 	if o.PEs < 0 {
-		return opt, o, fmt.Errorf("pes must be >= 0, got %d", o.PEs)
+		return o, fmt.Errorf("pes must be >= 0, got %d", o.PEs)
 	}
 	if o.PEs == 0 {
-		o.PEs = 4
+		o.PEs = parhip.DefaultPEs
 	}
-	opt.PEs = o.PEs
 	if o.EvoBudgetMS < 0 {
-		return opt, o, fmt.Errorf("evo_budget_ms must be >= 0, got %d", o.EvoBudgetMS)
+		return o, fmt.Errorf("evo_budget_ms must be >= 0, got %d", o.EvoBudgetMS)
 	}
-	opt.EvoTimeBudget = time.Duration(o.EvoBudgetMS) * time.Millisecond
-	return opt, o, nil
+	return o, nil
+}
+
+// sessionOptions maps canonical job options onto the library's.
+func (o jobOptions) sessionOptions() []parhip.Option {
+	return []parhip.Option{
+		parhip.WithMode(modeNames[o.Mode]),
+		parhip.WithClass(classNames[o.Class]),
+		parhip.WithObjective(objectiveNames[o.Objective]),
+		parhip.WithEps(o.Eps),
+		parhip.WithSeed(o.Seed),
+		parhip.WithPEs(o.PEs),
+		parhip.WithEvoTimeBudget(time.Duration(o.EvoBudgetMS) * time.Millisecond),
+	}
 }
 
 // progressView is the wire form of the latest partitioner checkpoint of a
@@ -439,7 +444,7 @@ func viewLocked(j *job) jobView {
 		ID:          j.id,
 		GraphID:     j.graphID,
 		K:           j.k,
-		Options:     j.optsView,
+		Options:     j.opts,
 		Repartition: j.repart,
 		PrevJobID:   j.prevJobID,
 		TimeoutMS:   j.timeoutMS,
@@ -451,7 +456,7 @@ func viewLocked(j *job) jobView {
 	if j.progress != nil {
 		ev := *j.progress
 		v.Progress = &progressView{
-			Phase:           ev.Phase,
+			Phase:           string(ev.Phase),
 			Cycle:           ev.Cycle,
 			Cycles:          ev.Cycles,
 			Level:           ev.Level,
@@ -504,7 +509,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "timeout_ms must be >= 0, got %d", req.TimeoutMS)
 		return
 	}
-	opts, view, err := canonOptions(req.Options)
+	opts, err := canonOptions(req.Options)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
 		return
@@ -542,7 +547,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j, err := s.jobs.submit(sg, req.K, opts, view, prev, req.PrevJobID, req.TimeoutMS, req.Trace)
+	j, err := s.jobs.submit(sg, req.K, opts, prev, req.PrevJobID, req.TimeoutMS, req.Trace)
 	switch {
 	case errors.Is(err, errQueueFull):
 		writeError(w, http.StatusTooManyRequests, "job queue full (%d queued)", s.cfg.QueueSize)
@@ -720,14 +725,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // partSlice is the wire-form assignment array of a result (the JSON API
-// speaks raw blocks). Result.Part aliases the Partition's storage, so this
-// is allocation-free per request — important for large graphs polled
-// repeatedly.
+// speaks raw blocks).
 func partSlice(res *parhip.Result) []int32 {
-	if res == nil {
+	if res == nil || res.Partition == nil {
 		return nil
 	}
-	return res.Part
+	part := make([]int32, res.Partition.NumNodes())
+	for v := range part {
+		part[v] = res.Partition.Block(int32(v))
+	}
+	return part
 }
 
 // --- stats ------------------------------------------------------------

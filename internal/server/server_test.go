@@ -38,6 +38,16 @@ func newEnv(t *testing.T, cfg Config) *testEnv {
 	return &testEnv{t: t, srv: srv, ts: ts}
 }
 
+// partitionNow runs a real, uncancellable partitioner session: what the
+// PartitionFn fakes fall through to once they have observed what they test.
+func partitionNow(g *graph.Graph, k int32, opts []parhip.Option) (parhip.Result, error) {
+	p, err := parhip.New(g, append(opts, parhip.WithK(k))...)
+	if err != nil {
+		return parhip.Result{}, err
+	}
+	return p.Run(context.Background())
+}
+
 func (e *testEnv) do(method, path string, body []byte, out any) (int, string) {
 	e.t.Helper()
 	req, err := http.NewRequest(method, e.ts.URL+path, bytes.NewReader(body))
@@ -176,9 +186,9 @@ func TestUploadBinaryFormat(t *testing.T) {
 func TestCacheHitSkipsRecomputation(t *testing.T) {
 	var runs atomic.Int64
 	cfg := Config{Workers: 2}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		runs.Add(1)
-		return parhip.PartitionGraph(g, k, opt)
+		return partitionNow(g, k, opts)
 	}
 	e := newEnv(t, cfg)
 	id := e.uploadMetis(testGraph(3))
@@ -291,9 +301,9 @@ func TestQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once
 	cfg := Config{Workers: 1, QueueSize: 1}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		<-block
-		return parhip.PartitionGraph(g, k, opt)
+		return partitionNow(g, k, opts)
 	}
 	e := newEnv(t, cfg)
 	t.Cleanup(func() { once.Do(func() { close(block) }) })
@@ -362,9 +372,9 @@ func TestResultBeforeDone(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once
 	cfg := Config{Workers: 1}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		<-block
-		return parhip.PartitionGraph(g, k, opt)
+		return partitionNow(g, k, opts)
 	}
 	e := newEnv(t, cfg)
 	t.Cleanup(func() { once.Do(func() { close(block) }) })
@@ -460,10 +470,9 @@ func TestServerCloseDrainsQueue(t *testing.T) {
 func TestInfeasibleResultFailsJob(t *testing.T) {
 	var calls atomic.Int64
 	cfg := Config{Workers: 1}
-	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opt parhip.Options, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
+	cfg.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option, prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 		calls.Add(1)
 		res := parhip.Result{
-			Part:      make([]int32, g.NumNodes()), // everything in block 0
 			Imbalance: float64(k) - 1,
 			Feasible:  false,
 		}

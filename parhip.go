@@ -11,7 +11,7 @@
 // graph. Parallelism runs on simulated message-passing ranks (goroutines),
 // standing in for the paper's MPI processes.
 //
-// Quick start (v2 session API):
+// Quick start:
 //
 //	b := parhip.NewBuilder(4)
 //	b.AddEdge(0, 1)
@@ -24,16 +24,13 @@
 // A session is bound to a context.Context: cancelling it (or letting its
 // deadline pass) unwinds every simulated rank cooperatively and Run
 // returns ctx.Err(). Progress() streams per-level checkpoint events while
-// the run is in flight. The v1 Partition/Options entry points remain as
-// deprecated wrappers.
+// the run is in flight.
 //
 // See the examples directory for realistic scenarios.
 package parhip
 
 import (
 	"context"
-	"time"
-
 	"io"
 
 	"repro/internal/core"
@@ -81,63 +78,20 @@ const (
 )
 
 // GraphClass tells the coarsening which size-constraint factor to use.
-type GraphClass int
+type GraphClass = core.GraphClass
 
 // Graph classes: social/web graphs use f=14, mesh-like graphs f=20000
 // (§V-A).
 const (
-	Social GraphClass = iota
-	Mesh
+	Social = core.ClassSocial
+	Mesh   = core.ClassMesh
 )
-
-// Options configures the deprecated Partition entry point. The zero value
-// requests the Fast mode on a social-type graph with 4 simulated PEs, 3%
-// imbalance and seed 1.
-//
-// Deprecated: new code should configure a session with New and functional
-// options (WithK, WithMode, ...). Options remains a thin wrapper: it can
-// be applied wholesale to a session with WithOptions.
-type Options struct {
-	// PEs is the number of simulated processing elements (default 4).
-	PEs int
-	// Mode is the quality/time setting (default Fast).
-	Mode Mode
-	// Class is the graph type (default Social).
-	Class GraphClass
-	// Eps is the allowed imbalance (default 0.03).
-	Eps float64
-	// Seed makes runs reproducible (default 1).
-	Seed uint64
-	// EvoTimeBudget optionally gives the evolutionary algorithm a
-	// wall-clock budget, divided by the number of PEs as in the paper's
-	// eco setting.
-	EvoTimeBudget time.Duration
-	// Objective selects the fitness minimized by the evolutionary search
-	// on the coarsest graph (default: edge cut).
-	Objective Objective
-	// Prepartition optionally supplies an existing k-way partition (e.g. a
-	// geographic or hash placement, §VI) that is fed into the first
-	// V-cycle and improved; the result is never worse than the input.
-	Prepartition []int32
-	// Trace, when non-nil, records per-rank spans of the run (pipeline
-	// phases, sclp supersteps, mpi exchanges); serialize the tracer with
-	// Tracer.WriteJSON afterwards to obtain a Chrome trace-event file.
-	// Nil (the default) disables tracing at zero cost.
-	Trace *Tracer
-	// Workers is the number of OS threads each simulated rank uses for the
-	// compute half of its supersteps (label propagation proposals, quotient
-	// edge accumulation). 0 selects the default, NumCPU divided by the
-	// number of ranks hosted in this process, so in-process worlds don't
-	// oversubscribe the machine. The partition is bit-identical for every
-	// worker count; Workers trades wall-clock time only.
-	Workers int
-}
 
 // Tracer records per-rank spans of a partitioning run and serializes them
 // as Chrome trace-event JSON (WriteJSON), openable in Perfetto or
 // chrome://tracing with one track per simulated rank. Create one with
-// NewTracer and attach it via WithTracer (or Options.Trace); a nil *Tracer
-// is a valid, disabled tracer.
+// NewTracer and attach it via WithTracer; a nil *Tracer is a valid,
+// disabled tracer.
 type Tracer = obs.Tracer
 
 // NewTracer returns an enabled tracer with one track per rank. Size it to
@@ -174,11 +128,6 @@ type Result struct {
 	// assignment plus block weights, cut, feasibility and the graph
 	// fingerprint, with serialization and migration planning attached.
 	Partition *Partition
-	// Part assigns every node a block in [0, k). It aliases Partition's
-	// storage and must be treated as read-only.
-	//
-	// Deprecated: use Partition.
-	Part []int32
 	// Cut is the weight of edges between different blocks.
 	Cut int64
 	// Imbalance is max block weight / average block weight - 1.
@@ -190,88 +139,28 @@ type Result struct {
 	Stats core.Stats
 }
 
-func (o Options) coreConfig(k int32) core.Config {
-	class := core.ClassSocial
-	if o.Class == Mesh {
-		class = core.ClassMesh
-	}
-	var cfg core.Config
-	switch o.Mode {
-	case Eco:
-		cfg = core.EcoConfig(k, class)
-	case Minimal:
-		cfg = core.MinimalConfig(k, class)
-	default:
-		cfg = core.FastConfig(k, class)
-	}
-	if o.Eps > 0 {
-		cfg.Eps = o.Eps
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	cfg.EvoTimeBudget = o.EvoTimeBudget
-	cfg.Objective = o.Objective
-	cfg.Prepartition = o.Prepartition
-	cfg.Tracer = o.Trace
-	cfg.Workers = o.Workers
-	return cfg
-}
-
-func (o Options) pes() int {
-	if o.PEs <= 0 {
-		return 4
-	}
-	return o.PEs
-}
-
-// PartitionGraph computes a k-way partition of g with the ParHIP
-// algorithm. It applies the same strict option validation as New (invalid
-// eps, PEs, mode etc. are errors, not silently replaced by defaults). In
-// earlier releases this function was named Partition; that name now
-// belongs to the first-class partition value type.
-//
-// Deprecated: use New + Run, which add cancellation and progress:
-//
-//	p, err := parhip.New(g, parhip.WithK(k), parhip.WithOptions(opt))
-//	res, err := p.Run(ctx)
-func PartitionGraph(g *Graph, k int32, opt Options) (Result, error) {
-	p, err := New(g, WithK(k), WithOptions(opt))
-	if err != nil {
-		return Result{}, err
-	}
-	return p.Run(context.Background())
-}
-
-// PartitionBaseline computes a k-way partition with the ParMETIS-style
+// RunBaseline computes a k-way partition with the ParMETIS-style
 // matching-based baseline the paper compares against. memoryBudgetNodes
 // bounds the size of the coarsest graph a PE may replicate (0 = unlimited);
 // beyond it the run fails like ParMETIS running out of memory in the
-// paper's tables. It is PartitionBaselineCtx with a background context.
-func PartitionBaseline(g *Graph, k int32, opt Options, memoryBudgetNodes int64) (Result, error) {
-	return PartitionBaselineCtx(context.Background(), g, k, opt, memoryBudgetNodes)
-}
-
-// PartitionBaselineCtx is PartitionBaseline bound to a context: when ctx
-// is cancelled, the simulated ranks unwind cooperatively and it returns
-// ctx.Err(). It applies the same strict option validation as New, and its
-// Result carries the same Stats detail (hierarchy levels, phase timings,
-// balance bound, communication) as the main partitioner's, so bench
-// comparisons against the baseline are apples-to-apples.
-func PartitionBaselineCtx(ctx context.Context, g *Graph, k int32, opt Options, memoryBudgetNodes int64) (Result, error) {
-	if err := validateRun(g, k, opt); err != nil {
+// paper's tables. The options are validated exactly as by New; the
+// baseline reads k, eps, seed, PEs and the tracer from them and has no use
+// for the rest. When ctx is cancelled, the simulated ranks unwind
+// cooperatively and it returns ctx.Err(). Its Result carries the same
+// Stats detail (hierarchy levels, phase timings, balance bound,
+// communication) as the main partitioner's, so bench comparisons against
+// the baseline are apples-to-apples.
+func RunBaseline(ctx context.Context, g *Graph, memoryBudgetNodes int64, opts ...Option) (Result, error) {
+	s, err := resolve(g, opts)
+	if err != nil {
 		return Result{}, err
 	}
-	cfg := matchbase.DefaultConfig(k)
-	if opt.Eps > 0 {
-		cfg.Eps = opt.Eps
-	}
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
+	cfg := matchbase.DefaultConfig(s.k)
+	cfg.Eps = s.eps
+	cfg.Seed = s.seed
 	cfg.MemoryBudgetNodes = memoryBudgetNodes
-	cfg.Tracer = opt.Trace
-	res, err := matchbase.RunCtx(ctx, opt.pes(), g, cfg)
+	cfg.Tracer = s.tracer
+	res, err := matchbase.RunCtx(ctx, s.pes, g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -283,10 +172,8 @@ func PartitionBaselineCtx(ctx context.Context, g *Graph, k int32, opt Options, m
 			levels[i].M = st.LevelsM[i]
 		}
 	}
-	pv := newPartitionFromRun(g, res.Part, k, cfg.Eps, st.Cut, st.Feasible)
 	return Result{
-		Partition: pv,
-		Part:      res.Part,
+		Partition: newPartitionFromRun(g, res.Part, s.k, cfg.Eps, st.Cut, st.Feasible),
 		Cut:       st.Cut,
 		Imbalance: st.Imbalance,
 		Feasible:  st.Feasible,
@@ -310,35 +197,19 @@ func PartitionBaselineCtx(ctx context.Context, g *Graph, k int32, opt Options, m
 // over the CSR arrays and node/edge weights. Equal fingerprints mean
 // byte-identical graph representations, which makes the fingerprint a safe
 // cache key for partitioning results; the parhipd service keys its result
-// cache on Fingerprint(g) plus the canonicalized Options.
+// cache on Fingerprint(g) plus the canonicalized job options.
 func Fingerprint(g *Graph) string { return g.Fingerprint() }
 
-// EdgeCut returns the weight of edges crossing between blocks of p.
-//
-// Deprecated: use Partition.Cut, which every Result carries precomputed.
+// EdgeCut returns the weight of edges crossing between blocks of p. With
+// IsFeasible it is the checker for an assignment that arrives as a raw
+// slice (a wire payload, another tool's output); library results carry
+// both precomputed in their Partition.
 func EdgeCut(g *Graph, p []int32) int64 {
 	return partition.EdgeCut(g, p)
 }
 
-// Imbalance returns max block weight over average block weight, minus 1.
-//
-// Deprecated: use Partition.Imbalance.
-func Imbalance(g *Graph, p []int32, k int32) float64 {
-	return partition.Imbalance(g, p, k)
-}
-
-// CommunicationVolume returns the total communication volume of p — for
-// every node, the number of distinct foreign blocks among its neighbours.
-//
-// Deprecated: use Partition.CommunicationVolume.
-func CommunicationVolume(g *Graph, p []int32, k int32) int64 {
-	return partition.CommunicationVolume(g, p, k)
-}
-
-// IsFeasible reports whether p respects the balance bound
-// (1+eps)*ceil(W/k) for every block.
-//
-// Deprecated: use Partition.Feasible (or Validate after deserializing).
+// IsFeasible reports whether the raw assignment p respects the balance
+// bound (1+eps)*ceil(W/k) for every block.
 func IsFeasible(g *Graph, p []int32, k int32, eps float64) bool {
 	return partition.IsFeasible(g, p, k, eps)
 }

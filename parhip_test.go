@@ -2,27 +2,38 @@ package parhip
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/gen"
 )
 
+// runSession is the tests' one-call form of New + Run.
+func runSession(g *Graph, opts ...Option) (Result, error) {
+	p, err := New(g, opts...)
+	if err != nil {
+		return Result{}, err
+	}
+	return p.Run(context.Background())
+}
+
 func TestPartitionPublicAPI(t *testing.T) {
 	g, _ := gen.PlantedPartition(3000, 20, 10, 0.5, 1)
-	res, err := PartitionGraph(g, 4, Options{PEs: 2, Seed: 2})
+	res, err := runSession(g, WithK(4), WithPEs(2), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Part) != int(g.NumNodes()) {
-		t.Fatalf("partition length %d", len(res.Part))
+	part := res.Partition.assign
+	if len(part) != int(g.NumNodes()) {
+		t.Fatalf("partition length %d", len(part))
 	}
 	if !res.Feasible {
 		t.Fatalf("infeasible: imbalance %.4f", res.Imbalance)
 	}
-	if res.Cut != EdgeCut(g, res.Part) {
-		t.Fatalf("reported cut %d != recomputed %d", res.Cut, EdgeCut(g, res.Part))
+	if res.Cut != EdgeCut(g, part) {
+		t.Fatalf("reported cut %d != recomputed %d", res.Cut, EdgeCut(g, part))
 	}
-	if !IsFeasible(g, res.Part, 4, 0.03) {
+	if !IsFeasible(g, part, 4, DefaultEps) {
 		t.Fatal("IsFeasible disagrees with Feasible")
 	}
 }
@@ -30,7 +41,7 @@ func TestPartitionPublicAPI(t *testing.T) {
 func TestPartitionModes(t *testing.T) {
 	g, _ := gen.PlantedPartition(1500, 12, 9, 0.5, 2)
 	for _, m := range []Mode{Fast, Eco, Minimal} {
-		res, err := PartitionGraph(g, 2, Options{PEs: 2, Mode: m, Seed: 1})
+		res, err := runSession(g, WithK(2), WithPEs(2), WithMode(m), WithSeed(1))
 		if err != nil {
 			t.Fatalf("mode %d: %v", m, err)
 		}
@@ -41,18 +52,19 @@ func TestPartitionModes(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	if _, err := PartitionGraph(nil, 2, Options{}); err == nil {
+	if _, err := runSession(nil, WithK(2)); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 	g := NewBuilder(4)
 	g.AddEdge(0, 1)
-	if _, err := PartitionGraph(g.Build(), 0, Options{}); err == nil {
+	if _, err := runSession(g.Build(), WithK(0)); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := PartitionBaseline(nil, 2, Options{}, 0); err == nil {
+	ctx := context.Background()
+	if _, err := RunBaseline(ctx, nil, 0, WithK(2)); err == nil {
 		t.Fatal("nil graph accepted by baseline")
 	}
-	if _, err := PartitionBaseline(Star(5), 0, Options{}, 0); err == nil {
+	if _, err := RunBaseline(ctx, Star(5), 0, WithK(0)); err == nil {
 		t.Fatal("k=0 accepted by baseline")
 	}
 }
@@ -68,7 +80,7 @@ func Star(n int32) *Graph {
 
 func TestBaselinePublicAPI(t *testing.T) {
 	g := gen.DelaunayLike(2000, 3)
-	res, err := PartitionBaseline(g, 2, Options{PEs: 2, Class: Mesh, Seed: 1}, 0)
+	res, err := RunBaseline(context.Background(), g, 0, WithK(2), WithPEs(2), WithClass(Mesh), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +95,7 @@ func TestBaselinePublicAPI(t *testing.T) {
 // are apples-to-apples (not just Cut/Imbalance/Feasible).
 func TestBaselineStatsDetail(t *testing.T) {
 	g := gen.DelaunayLike(3000, 5)
-	res, err := PartitionBaseline(g, 4, Options{PEs: 2, Class: Mesh, Seed: 1}, 0)
+	res, err := RunBaseline(context.Background(), g, 0, WithK(4), WithPEs(2), WithClass(Mesh), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +146,25 @@ func TestMetricsExports(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	gg := g.Build()
-	p := []int32{0, 0, 1, 1}
-	if EdgeCut(gg, p) != 1 {
+	raw := []int32{0, 0, 1, 1}
+	if EdgeCut(gg, raw) != 1 {
 		t.Fatal("EdgeCut wrong")
 	}
-	if CommunicationVolume(gg, p, 2) != 2 {
+	p, err := NewPartition(gg, raw, 2, DefaultEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.CommunicationVolume(gg) != 2 {
 		t.Fatal("CommunicationVolume wrong")
 	}
-	if Imbalance(gg, p, 2) != 0 {
+	if p.Imbalance() != 0 {
 		t.Fatal("Imbalance wrong")
 	}
 }
 
 func TestPartitionWithObjective(t *testing.T) {
 	g, _ := gen.PlantedPartition(1200, 10, 9, 0.5, 7)
-	res, err := PartitionGraph(g, 4, Options{PEs: 2, Seed: 3, Objective: MinimizeCommVolume})
+	res, err := runSession(g, WithK(4), WithPEs(2), WithSeed(3), WithObjective(MinimizeCommVolume))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,22 +187,26 @@ func TestClusterModularityPublic(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.pes() != 4 {
-		t.Fatalf("default PEs %d", o.pes())
+func TestSettingsDefaults(t *testing.T) {
+	g := Star(5)
+	p, err := New(g, WithK(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := o.coreConfig(2)
-	if cfg.VCycles != 2 {
-		t.Fatalf("default mode should be Fast (2 V-cycles), got %d", cfg.VCycles)
+	if p.s.pes != DefaultPEs {
+		t.Fatalf("default PEs %d", p.s.pes)
 	}
-	o.Mode = Eco
-	if o.coreConfig(2).VCycles != 5 {
-		t.Fatal("Eco should map to 5 V-cycles")
+	if cfg := p.CoreConfig(); cfg.VCycles != 2 || cfg.Eps != DefaultEps || cfg.Seed != DefaultSeed {
+		t.Fatalf("default mode should be Fast (2 V-cycles) with the default eps and seed, got %+v", cfg)
 	}
-	o.Mode = Minimal
-	if o.coreConfig(2).VCycles != 1 {
-		t.Fatal("Minimal should map to 1 V-cycle")
+	for mode, want := range map[Mode]int{Eco: 5, Minimal: 1} {
+		p, err := New(g, WithK(2), WithMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.CoreConfig().VCycles; got != want {
+			t.Fatalf("mode %d maps to %d V-cycles, want %d", mode, got, want)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package parhip
 
-// This file defines Partition, the first-class result value of the v2 API:
+// This file defines Partition, the first-class result value of the API:
 // a k-way block assignment together with the derived state callers
 // otherwise recompute by hand (block weights, cut, feasibility) and the
 // fingerprint of the graph it was computed on. Partitions serialize to a
 // versioned binary and a versioned text format, survive a save → mutate
 // graph → Repartition round trip, and can diff themselves against a
-// previous partition into a MigrationPlan. The raw-[]int32 entry points of
-// the v1 API remain as deprecated shims over this type.
+// previous partition into a MigrationPlan.
 
 import (
 	"bufio"
@@ -59,8 +58,7 @@ type Partition struct {
 // representation at API boundaries (file parsers, wire handlers); library
 // results are already Partition values. The assignment is copied; it must
 // have one entry per node of g with blocks in [0, k), and eps records the
-// balance bound the partition is judged against (0 selects the 0.03
-// default).
+// balance bound the partition is judged against (0 selects DefaultEps).
 func NewPartition(g *Graph, assignment []int32, k int32, eps float64) (*Partition, error) {
 	if g == nil {
 		return nil, errors.New("parhip: NewPartition: nil graph")
@@ -72,7 +70,7 @@ func NewPartition(g *Graph, assignment []int32, k int32, eps float64) (*Partitio
 		return nil, fmt.Errorf("parhip: NewPartition: eps = %g outside [0, %g]", eps, MaxEps)
 	}
 	if eps == 0 {
-		eps = 0.03
+		eps = DefaultEps
 	}
 	if int32(len(assignment)) != g.NumNodes() {
 		return nil, fmt.Errorf("parhip: NewPartition: %d entries for %d nodes",

@@ -8,12 +8,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
 )
 
-// This file is the v2 public API: a Partitioner session constructed with
-// New and functional options, run under a context.Context with live
-// progress reporting. The v1 entry points (Partition, PartitionBaseline,
-// the Options struct) remain as thin deprecated wrappers around it.
+// This file is the session API: a Partitioner constructed with New and
+// functional options, run under a context.Context with live progress
+// reporting.
 
 // ErrAlreadyRun is returned by Partitioner.Run when the session has
 // already been started: a Partitioner is single-use, like an http.Request.
@@ -25,137 +25,160 @@ var ErrAlreadyRun = errors.New("parhip: session already run; create a new Partit
 const MaxEps = 99.0
 
 // ProgressEvent is one checkpoint of a running partition, delivered on the
-// Partitioner's Progress channel (and to WithProgressFunc callbacks).
-type ProgressEvent struct {
-	// Phase is the pipeline stage: "coarsen", "init", "refine",
-	// "rebalance" or "done".
-	Phase string
-	// Cycle is the 0-based V-cycle index; Cycles the configured total.
-	Cycle, Cycles int
-	// Level is the hierarchy level the event refers to (0 = input graph).
-	Level int
-	// N and M are the node/edge counts of the graph at that level.
-	N, M int64
-	// Cut and Imbalance are the current partition quality, or -1 when the
-	// phase has not computed them (coarsening tracks shrinkage only).
-	Cut       int64
-	Imbalance float64
-	// Elapsed is the wall-clock time since Run started.
-	Elapsed time.Duration
-	// CommMsgs and CommBytes are the messages and bytes the simulated ranks
-	// have exchanged since the run started (cumulative, monotone).
-	CommMsgs  int64
-	CommBytes int64
-	// TransportFrames and TransportBytes are the transport-level view of
-	// that traffic: frames and payload bytes the hosting process's
-	// transport has sent (cumulative; equals the rank-level counts on the
-	// in-process transport, and this process's wire share on TCP).
-	TransportFrames int64
-	TransportBytes  int64
-}
+// Partitioner's Progress channel (and to WithProgressFunc callbacks). Phase
+// is one of "coarsen", "init", "refine", "rebalance" or "done"; Cut and
+// Imbalance are -1 when the phase has not computed them (coarsening tracks
+// shrinkage only).
+type ProgressEvent = core.Progress
 
-// settings is the resolved configuration of a Partitioner session. The
-// *Set flags record that an option was passed explicitly: the legacy
-// Options struct uses 0 as "unset, take the default", so an explicit zero
-// would otherwise be silently replaced — exactly what v2 validation
-// promises not to do. New rejects those instead.
+// Defaults of a session. This is the one declaration of them: the CLIs'
+// flag defaults and the parhipd job canonicalization read these constants.
+const (
+	DefaultPEs  = 4    // simulated processing elements
+	DefaultEps  = 0.03 // allowed imbalance (the paper's 3%)
+	DefaultSeed = 1    // random seed
+)
+
+// settings is the resolved configuration of a Partitioner session. Every
+// option range-checks its own value when applied, so a zero in k, eps or
+// workers can only mean "not configured" and is filled in by resolve.
 type settings struct {
-	k          int32
-	opts       Options
+	k          int32 // 0: required, or inherited from prev
+	pes        int
+	mode       Mode
+	class      GraphClass
+	eps        float64 // 0: prev's eps on a repartitioning run, else DefaultEps
+	seed       uint64
+	workers    int // 0: core derives NumCPU / ranks hosted in this process
+	evoBudget  time.Duration
+	objective  Objective
+	tracer     *Tracer
 	prev       *Partition // previous partition for migration-aware runs
-	epsSet     bool
-	seedSet    bool
-	pesSet     bool
-	workersSet bool
 	onProgress []func(ProgressEvent)
 	progressN  int // Progress channel capacity
 }
 
-// Option configures a Partitioner session (see New).
-type Option func(*settings)
+// Option configures a Partitioner session (see New). An option whose value
+// is out of range makes New fail with a descriptive error.
+type Option func(*settings) error
 
 // WithK sets the number of blocks. Required.
-func WithK(k int32) Option { return func(s *settings) { s.k = k } }
+func WithK(k int32) Option { return func(s *settings) error { s.k = k; return nil } }
 
 // WithPEs sets the number of simulated processing elements. Must be
-// positive; omit the option for the default of 4.
+// positive; omit the option for DefaultPEs.
 func WithPEs(n int) Option {
-	return func(s *settings) { s.opts.PEs = n; s.pesSet = true }
+	return func(s *settings) error {
+		if n < 1 {
+			return fmt.Errorf("parhip: PEs = %d, must be >= 1", n)
+		}
+		s.pes = n
+		return nil
+	}
 }
 
 // WithMode selects the quality/time trade-off (default Fast).
-func WithMode(m Mode) Option { return func(s *settings) { s.opts.Mode = m } }
+func WithMode(m Mode) Option {
+	return func(s *settings) error {
+		if m < Fast || m > Minimal {
+			return fmt.Errorf("parhip: unknown mode %d", m)
+		}
+		s.mode = m
+		return nil
+	}
+}
 
 // WithClass selects the graph class driving the coarsening size constraint
 // (default Social).
-func WithClass(c GraphClass) Option { return func(s *settings) { s.opts.Class = c } }
+func WithClass(c GraphClass) Option {
+	return func(s *settings) error {
+		if c < Social || c > Mesh {
+			return fmt.Errorf("parhip: unknown graph class %d", c)
+		}
+		s.class = c
+		return nil
+	}
+}
 
 // WithEps sets the allowed imbalance. Must be in (0, MaxEps]; omit the
-// option for the default of 0.03. An explicit 0 is rejected rather than
-// silently mapped to the default (the hard-balance case eps=0 is not
-// supported by the partitioner).
+// option for DefaultEps (the hard-balance case eps=0 is not supported by
+// the partitioner).
 func WithEps(eps float64) Option {
-	return func(s *settings) { s.opts.Eps = eps; s.epsSet = true }
+	return func(s *settings) error {
+		if !(eps > 0 && eps <= MaxEps) {
+			return fmt.Errorf("parhip: eps = %g, must be in (0, %g]", eps, MaxEps)
+		}
+		s.eps = eps
+		return nil
+	}
 }
 
 // WithSeed makes the run reproducible. Must be >= 1; omit the option for
-// the default of 1 (0 is the legacy "unset" sentinel and is rejected).
+// DefaultSeed.
 func WithSeed(seed uint64) Option {
-	return func(s *settings) { s.opts.Seed = seed; s.seedSet = true }
+	return func(s *settings) error {
+		if seed < 1 {
+			return errors.New("parhip: seed = 0, must be >= 1")
+		}
+		s.seed = seed
+		return nil
+	}
 }
 
 // WithWorkers sets the number of OS threads each simulated rank uses for
 // the compute half of its supersteps. Must be positive; omit the option
-// for the default (NumCPU divided by the ranks hosted in this process).
-// The partition is bit-identical for every worker count — this is purely
-// a wall-clock knob.
+// for the default (NumCPU divided by the ranks hosted in this process, so
+// in-process worlds don't oversubscribe the machine). The partition is
+// bit-identical for every worker count — this is purely a wall-clock knob.
 func WithWorkers(n int) Option {
-	return func(s *settings) { s.opts.Workers = n; s.workersSet = true }
+	return func(s *settings) error {
+		if n < 1 {
+			return fmt.Errorf("parhip: Workers = %d, must be >= 1", n)
+		}
+		s.workers = n
+		return nil
+	}
 }
 
 // WithEvoTimeBudget bounds the evolutionary search by wall-clock time,
 // divided among the PEs as in the paper's eco setting.
 func WithEvoTimeBudget(d time.Duration) Option {
-	return func(s *settings) { s.opts.EvoTimeBudget = d }
+	return func(s *settings) error {
+		if d < 0 {
+			return fmt.Errorf("parhip: negative evolutionary time budget %v", d)
+		}
+		s.evoBudget = d
+		return nil
+	}
 }
 
 // WithObjective selects the fitness of the coarsest-level evolutionary
 // search (default MinimizeCut).
-func WithObjective(o Objective) Option { return func(s *settings) { s.opts.Objective = o } }
-
-// WithPrepartition feeds an existing k-way partition into the first
-// V-cycle; the result is never worse than the input.
-//
-// Deprecated: use WithPrevious, which additionally makes the run
-// migration-aware (refinement keeps nodes on their previous block when
-// cut-neutral and Stats reports the migration volume).
-func WithPrepartition(p []int32) Option { return func(s *settings) { s.opts.Prepartition = p } }
+func WithObjective(o Objective) Option {
+	return func(s *settings) error {
+		if o < MinimizeCut || o > MinimizeMigration {
+			return fmt.Errorf("parhip: unknown objective %d", o)
+		}
+		s.objective = o
+		return nil
+	}
+}
 
 // WithPrevious makes the session a repartitioning run: prev — typically
-// the result of an earlier run on an older version of the graph — seeds
-// the first V-cycle exactly like a prepartition, and the whole pipeline
-// becomes migration-aware: label propagation refinement keeps nodes on
-// their previous block when a move is cut-neutral, the coarsest-level
-// evolutionary selection breaks objective ties in favour of fewer moved
-// nodes, and Stats gains MigratedNodes/MigrationVolume. The previous
-// partition may come from a different (drifted) graph as long as the node
-// count matches; use Repartition for the one-call form.
+// the result of an earlier run on an older version of the graph — is fed
+// into the first V-cycle (the result is never worse than the input, §VI),
+// and the whole pipeline becomes migration-aware: label propagation
+// refinement keeps nodes on their previous block when a move is
+// cut-neutral, the coarsest-level evolutionary selection breaks objective
+// ties in favour of fewer moved nodes, and Stats gains
+// MigratedNodes/MigrationVolume. The previous partition may come from a
+// different (drifted) graph as long as the node count matches; use
+// Repartition for the one-call form.
 //
-// When WithK is omitted, the session inherits prev's block count; when no
-// eps is configured, it inherits prev's.
-func WithPrevious(prev *Partition) Option { return func(s *settings) { s.prev = prev } }
-
-// WithOptions applies a v1 Options struct wholesale — the bridge for
-// callers migrating incrementally. It replaces everything set by earlier
-// With* options (v1 semantics: zero fields mean "use the default"); later
-// options still override it.
-func WithOptions(o Options) Option {
-	return func(s *settings) {
-		s.opts = o
-		// The struct carries v1 zero-means-default semantics, so earlier
-		// explicit-zero markers no longer apply to its fields.
-		s.epsSet, s.seedSet, s.pesSet, s.workersSet = false, false, false, false
-	}
+// When WithK is omitted, the session inherits prev's block count; when
+// WithEps is omitted, it inherits prev's eps.
+func WithPrevious(prev *Partition) Option {
+	return func(s *settings) error { s.prev = prev; return nil }
 }
 
 // WithTracer attaches a span tracer to the session: the run records
@@ -164,24 +187,71 @@ func WithOptions(o Options) Option {
 // t.WriteJSON afterwards yields a Chrome trace-event file openable in
 // Perfetto with one track per rank. A nil t leaves tracing disabled (the
 // default, zero cost).
-func WithTracer(t *Tracer) Option { return func(s *settings) { s.opts.Trace = t } }
+func WithTracer(t *Tracer) Option { return func(s *settings) error { s.tracer = t; return nil } }
 
 // WithProgressFunc registers a callback invoked synchronously for every
 // progress event (on the coordinating rank's goroutine — it must not block
 // for long). Unlike the Progress channel, callbacks never drop events. A
 // nil fn is ignored.
 func WithProgressFunc(fn func(ProgressEvent)) Option {
-	return func(s *settings) {
+	return func(s *settings) error {
 		if fn != nil {
 			s.onProgress = append(s.onProgress, fn)
 		}
+		return nil
 	}
 }
 
 // WithProgressBuffer sets the capacity of the Progress channel (default
 // 64). When the consumer falls behind, newer events are dropped rather
 // than stalling the partitioner.
-func WithProgressBuffer(n int) Option { return func(s *settings) { s.progressN = n } }
+func WithProgressBuffer(n int) Option { return func(s *settings) error { s.progressN = n; return nil } }
+
+// resolve applies opts over the defaults and validates the result against
+// g. It is the one place a caller's options become settings, shared by New
+// and RunBaseline.
+func resolve(g *Graph, opts []Option) (settings, error) {
+	s := settings{pes: DefaultPEs, seed: DefaultSeed, progressN: 64}
+	for _, o := range opts {
+		if err := o(&s); err != nil {
+			return s, err
+		}
+	}
+	if g == nil {
+		return s, errors.New("parhip: nil graph")
+	}
+	if s.prev != nil {
+		// A repartitioning session inherits k (and, unless set, eps) from
+		// the previous partition, then validates the pair.
+		if s.k == 0 {
+			s.k = s.prev.K()
+		}
+		if s.eps == 0 {
+			s.eps = s.prev.Eps()
+		}
+		if s.prev.NumNodes() != g.NumNodes() {
+			return s, fmt.Errorf("parhip: previous partition has %d nodes, graph has %d (repartitioning requires a matching node set)",
+				s.prev.NumNodes(), g.NumNodes())
+		}
+		if s.prev.K() != s.k {
+			return s, fmt.Errorf("parhip: previous partition has k = %d, session configured k = %d",
+				s.prev.K(), s.k)
+		}
+	}
+	if s.eps == 0 {
+		s.eps = DefaultEps
+	}
+	if s.objective == MinimizeMigration && s.prev == nil {
+		return s, errors.New("parhip: MinimizeMigration requires a previous partition (WithPrevious or Repartition)")
+	}
+	if s.k < 1 {
+		return s, fmt.Errorf("parhip: k = %d, need k >= 1 (set it with WithK)", s.k)
+	}
+	if s.k > g.NumNodes() {
+		return s, fmt.Errorf("parhip: k = %d exceeds the graph's %d nodes", s.k, g.NumNodes())
+	}
+	return s, nil
+}
 
 // Partitioner is a single-use partitioning session: configure it with New,
 // optionally subscribe to Progress, then call Run. All methods are safe
@@ -202,99 +272,49 @@ type Partitioner struct {
 //	...
 //	res, err := p.Run(ctx)
 //
-// Unlike the deprecated Partition, every invalid setting is rejected here
-// with a descriptive error instead of being silently replaced by a
-// default: k < 1 or k > n, eps outside [0, MaxEps], negative PEs, unknown
-// Mode/Class/Objective values, a negative evolutionary time budget, and a
-// prepartition of the wrong length.
+// Every invalid setting is rejected here with a descriptive error instead
+// of being silently replaced by a default: k < 1 or k > n, eps outside
+// (0, MaxEps], PEs, seed or workers below 1, unknown Mode/Class/Objective
+// values, a negative evolutionary time budget, and a previous partition
+// that does not match the graph or k.
 func New(g *Graph, opts ...Option) (*Partitioner, error) {
-	s := settings{progressN: 64}
-	for _, o := range opts {
-		o(&s)
-	}
-	if s.prev != nil {
-		// A repartitioning session inherits k (and, unless set, eps) from
-		// the previous partition, then validates the pair.
-		if s.k == 0 {
-			s.k = s.prev.K()
-		}
-		if s.opts.Eps == 0 && !s.epsSet {
-			s.opts.Eps = s.prev.Eps()
-		}
-		if g != nil && s.prev.NumNodes() != g.NumNodes() {
-			return nil, fmt.Errorf("parhip: previous partition has %d nodes, graph has %d (repartitioning requires a matching node set)",
-				s.prev.NumNodes(), g.NumNodes())
-		}
-		if s.prev.K() != s.k {
-			return nil, fmt.Errorf("parhip: previous partition has k = %d, session configured k = %d",
-				s.prev.K(), s.k)
-		}
-	}
-	if s.opts.Objective == MinimizeMigration && s.prev == nil {
-		return nil, errors.New("parhip: MinimizeMigration requires a previous partition (WithPrevious or Repartition)")
-	}
-	if err := validateRun(g, s.k, s.opts); err != nil {
+	s, err := resolve(g, opts)
+	if err != nil {
 		return nil, err
-	}
-	// The legacy Options struct reads 0 as "unset": an explicit zero passed
-	// through an option would be silently replaced by the default, which is
-	// the exact behavior v2 validation exists to eliminate. Reject it.
-	if s.epsSet && s.opts.Eps == 0 {
-		return nil, errors.New("parhip: WithEps(0) is not supported (0 is the legacy 'use default' sentinel); omit WithEps for the 0.03 default or pass a positive eps")
-	}
-	if s.seedSet && s.opts.Seed == 0 {
-		return nil, errors.New("parhip: WithSeed(0) is not supported (0 is the legacy 'use default' sentinel); omit WithSeed for the default seed 1")
-	}
-	if s.pesSet && s.opts.PEs == 0 {
-		return nil, errors.New("parhip: WithPEs(0) is not supported (0 is the legacy 'use default' sentinel); omit WithPEs for the default of 4")
-	}
-	if s.workersSet && s.opts.Workers == 0 {
-		return nil, errors.New("parhip: WithWorkers(0) is not supported (0 is the legacy 'use default' sentinel); omit WithWorkers for the NumCPU-derived default")
 	}
 	return &Partitioner{g: g, s: s}, nil
 }
 
-// validateRun is the strict option validation shared by New and the
-// deprecated Partition/PartitionBaseline entry points.
-func validateRun(g *Graph, k int32, o Options) error {
-	if g == nil {
-		return errors.New("parhip: nil graph")
+// CoreConfig returns the pipeline configuration the session resolved from
+// its options — exactly what Run hands to the partitioner, and the one
+// mapping from mode, class and the rest onto core.Config. It is exported
+// for launchers that host one rank of a multi-process world themselves
+// (parhip -transport tcp), so that they run what a session would.
+func (p *Partitioner) CoreConfig() core.Config {
+	s := &p.s
+	var cfg core.Config
+	switch s.mode {
+	case Eco:
+		cfg = core.EcoConfig(s.k, s.class)
+	case Minimal:
+		cfg = core.MinimalConfig(s.k, s.class)
+	default:
+		cfg = core.FastConfig(s.k, s.class)
 	}
-	if k < 1 {
-		return fmt.Errorf("parhip: k = %d, need k >= 1 (set it with WithK)", k)
+	cfg.Eps = s.eps
+	cfg.Seed = s.seed
+	cfg.EvoTimeBudget = s.evoBudget
+	cfg.Objective = s.objective
+	cfg.Tracer = s.tracer
+	cfg.Workers = s.workers
+	if s.prev != nil {
+		// Repartitioning: the previous assignment both seeds the first
+		// V-cycle (prepartition semantics: never worse than the input) and
+		// acts as the migration reference the pipeline stays close to.
+		cfg.Prepartition = s.prev.assign
+		cfg.PrevPartition = s.prev.assign
 	}
-	if k > g.NumNodes() {
-		return fmt.Errorf("parhip: k = %d exceeds the graph's %d nodes", k, g.NumNodes())
-	}
-	if o.Eps < 0 {
-		return fmt.Errorf("parhip: eps = %g, must be >= 0", o.Eps)
-	}
-	if o.Eps > MaxEps {
-		return fmt.Errorf("parhip: eps = %g, must be <= %g", o.Eps, MaxEps)
-	}
-	if o.PEs < 0 {
-		return fmt.Errorf("parhip: PEs = %d, must be >= 0 (0 selects the default)", o.PEs)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("parhip: Workers = %d, must be >= 0 (0 selects the default)", o.Workers)
-	}
-	if o.Mode < Fast || o.Mode > Minimal {
-		return fmt.Errorf("parhip: unknown mode %d", o.Mode)
-	}
-	if o.Class < Social || o.Class > Mesh {
-		return fmt.Errorf("parhip: unknown graph class %d", o.Class)
-	}
-	if o.Objective < MinimizeCut || o.Objective > MinimizeMigration {
-		return fmt.Errorf("parhip: unknown objective %d", o.Objective)
-	}
-	if o.EvoTimeBudget < 0 {
-		return fmt.Errorf("parhip: negative evolutionary time budget %v", o.EvoTimeBudget)
-	}
-	if o.Prepartition != nil && int32(len(o.Prepartition)) != g.NumNodes() {
-		return fmt.Errorf("parhip: prepartition has %d entries for %d nodes",
-			len(o.Prepartition), g.NumNodes())
-	}
-	return nil
+	return cfg
 }
 
 // Progress returns the session's progress channel. Subscribe before
@@ -365,48 +385,16 @@ func (p *Partitioner) Run(ctx context.Context) (Result, error) {
 		p.mu.Unlock()
 	}()
 
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg := p.s.opts.coreConfig(p.s.k)
-	if p.s.prev != nil {
-		// Repartitioning: the previous assignment both seeds the first
-		// V-cycle (prepartition semantics: never worse than the input) and
-		// acts as the migration reference the pipeline stays close to.
-		cfg.Prepartition = p.s.prev.assign
-		cfg.PrevPartition = p.s.prev.assign
-	}
+	cfg := p.CoreConfig()
 	if p.emitsProgress() {
-		cfg.OnProgress = func(cp core.Progress) {
-			p.emit(ProgressEvent{
-				Phase:           string(cp.Phase),
-				Cycle:           cp.Cycle,
-				Cycles:          cp.Cycles,
-				Level:           cp.Level,
-				N:               cp.N,
-				M:               cp.M,
-				Cut:             cp.Cut,
-				Imbalance:       cp.Imbalance,
-				Elapsed:         cp.Elapsed,
-				CommMsgs:        cp.CommMsgs,
-				CommBytes:       cp.CommBytes,
-				TransportFrames: cp.TransportFrames,
-				TransportBytes:  cp.TransportBytes,
-			})
-		}
+		cfg.OnProgress = p.emit
 	}
-	res, err := core.RunCtx(ctx, p.s.opts.pes(), p.g, cfg)
+	res, err := core.RunOn(ctx, mpi.NewWorld(p.s.pes), p.g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	eps := cfg.Eps
-	if eps <= 0 {
-		eps = 0.03 // the core default, so the Partition records the bound actually enforced
-	}
-	pv := newPartitionFromRun(p.g, res.Part, p.s.k, eps, res.Stats.Cut, res.Stats.Feasible)
 	return Result{
-		Partition: pv,
-		Part:      res.Part,
+		Partition: newPartitionFromRun(p.g, res.Part, p.s.k, cfg.Eps, res.Stats.Cut, res.Stats.Feasible),
 		Cut:       res.Stats.Cut,
 		Imbalance: res.Stats.Imbalance,
 		Feasible:  res.Stats.Feasible,

@@ -12,7 +12,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestSessionRun: the v2 happy path is equivalent to v1 Partition.
+// TestSessionRun: the happy path, and sessions are single-use.
 func TestSessionRun(t *testing.T) {
 	g, _ := gen.PlantedPartition(3000, 20, 10, 0.5, 1)
 	p, err := New(g, WithK(4), WithPEs(2), WithSeed(2))
@@ -23,11 +23,12 @@ func TestSessionRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Part) != int(g.NumNodes()) || !res.Feasible {
-		t.Fatalf("bad result: len=%d feasible=%v", len(res.Part), res.Feasible)
+	part := res.Partition.assign
+	if len(part) != int(g.NumNodes()) || !res.Feasible {
+		t.Fatalf("bad result: len=%d feasible=%v", len(part), res.Feasible)
 	}
-	if res.Cut != EdgeCut(g, res.Part) {
-		t.Fatalf("cut %d != recomputed %d", res.Cut, EdgeCut(g, res.Part))
+	if res.Cut != EdgeCut(g, part) {
+		t.Fatalf("cut %d != recomputed %d", res.Cut, EdgeCut(g, part))
 	}
 	// Sessions are single-use.
 	if _, err := p.Run(context.Background()); !errors.Is(err, ErrAlreadyRun) {
@@ -65,7 +66,7 @@ func TestSessionProgress(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for _, ev := range evs {
-		seen[ev.Phase]++
+		seen[string(ev.Phase)]++
 	}
 	for _, phase := range []string{"coarsen", "init", "refine", "done"} {
 		if seen[phase] == 0 {
@@ -233,12 +234,13 @@ func TestNewValidation(t *testing.T) {
 		{"bad class", g, []Option{WithK(2), WithClass(GraphClass(9))}, "class"},
 		{"bad objective", g, []Option{WithK(2), WithObjective(Objective(77))}, "objective"},
 		{"negative budget", g, []Option{WithK(2), WithEvoTimeBudget(-time.Second)}, "budget"},
-		{"prepartition length", g, []Option{WithK(2), WithPrepartition(make([]int32, 7))}, "prepartition"},
-		// Explicit zeros collide with the legacy "unset" sentinel and would
-		// be silently replaced by defaults; v2 rejects them instead.
-		{"explicit eps 0", g, []Option{WithK(2), WithEps(0)}, "WithEps(0)"},
-		{"explicit seed 0", g, []Option{WithK(2), WithSeed(0)}, "WithSeed(0)"},
-		{"explicit pes 0", g, []Option{WithK(2), WithPEs(0)}, "WithPEs(0)"},
+		{"workers negative", g, []Option{WithK(2), WithWorkers(-2)}, "Workers"},
+		// An explicit zero is out of range like any other bad value; it is
+		// never read as "use the default".
+		{"explicit eps 0", g, []Option{WithK(2), WithEps(0)}, "eps = 0"},
+		{"explicit seed 0", g, []Option{WithK(2), WithSeed(0)}, "seed = 0"},
+		{"explicit pes 0", g, []Option{WithK(2), WithPEs(0)}, "PEs = 0"},
+		{"explicit workers 0", g, []Option{WithK(2), WithWorkers(0)}, "Workers = 0"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.g, tc.opts...)
@@ -255,28 +257,12 @@ func TestNewValidation(t *testing.T) {
 		WithClass(Mesh), WithObjective(MinimizeCommVolume)); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
-	// WithOptions replaces earlier options wholesale, including their
-	// explicit-zero markers: this must not trip the sentinel rejection.
-	if _, err := New(g, WithK(2), WithSeed(5), WithOptions(Options{Mode: Eco})); err != nil {
-		t.Fatalf("WithSeed before WithOptions rejected: %v", err)
-	}
-}
-
-// TestDeprecatedPartitionValidates: the v1 wrapper applies the same strict
-// checks (it used to silently replace a negative eps by the default).
-func TestDeprecatedPartitionValidates(t *testing.T) {
-	g, _ := gen.PlantedPartition(100, 6, 6, 0.5, 1)
-	if _, err := PartitionGraph(g, 2, Options{Eps: -1}); err == nil {
-		t.Fatal("negative eps accepted by Partition")
-	}
-	if _, err := PartitionGraph(g, 101, Options{}); err == nil {
-		t.Fatal("k > n accepted by Partition")
-	}
-	if _, err := PartitionGraph(g, 2, Options{PEs: -4}); err == nil {
-		t.Fatal("negative PEs accepted by Partition")
-	}
-	if _, err := PartitionBaseline(g, 2, Options{Eps: 1e9}, 0); err == nil {
-		t.Fatal("absurd eps accepted by PartitionBaseline")
+	// RunBaseline validates exactly like New.
+	for _, tc := range cases {
+		if _, err := RunBaseline(context.Background(), tc.g, 0, tc.opts...); err == nil ||
+			!strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunBaseline %s: error %v does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -286,7 +272,7 @@ func TestBaselineCtxCancel(t *testing.T) {
 	g := gen.DelaunayLike(20000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PartitionBaselineCtx(ctx, g, 2, Options{PEs: 2, Class: Mesh}, 0); !errors.Is(err, context.Canceled) {
+	if _, err := RunBaseline(ctx, g, 0, WithK(2), WithPEs(2), WithClass(Mesh)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v", err)
 	}
 	testutil.WaitNoLeak(t, base, 2)
