@@ -1,8 +1,9 @@
 package contract
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/dgraph"
@@ -28,12 +29,13 @@ type ParResult struct {
 //     distribution, which counts its distinct IDs.
 //  2. A prefix sum over the distinct counts yields the mapping q from
 //     cluster IDs to the contiguous coarse ID space.
-//  3. Ranks query q for every cluster ID they reference (local and ghost)
-//     and derive C(v) = q(label(v)).
-//  4. Each rank builds its local weighted quotient edges by hashing and
-//     sends every coarse edge and node-weight contribution to the rank
-//     owning the coarse source node in the new uniform distribution.
-//  5. Owners aggregate and assemble the coarse distributed graph.
+//  3. Ranks query q once per cluster ID they reference and resolve
+//     C(v) = q(label(v)) for every local and ghost node into a flat array.
+//  4. Local nodes are grouped by cluster; each cluster's outgoing arcs are
+//     hashed into one quotient row, which travels as one record to the rank
+//     owning the coarse node in the new uniform distribution.
+//  5. Owners merge the rows they receive and assemble the coarse
+//     distributed graph.
 //
 // Collective.
 //
@@ -46,19 +48,56 @@ func ParContract(fine *dgraph.DGraph, labels []int64) *ParResult {
 // The zero value runs everything on the calling goroutine with heap
 // scratch; results are bit-identical for any option combination.
 type ContractOptions struct {
-	// Pool, when non-nil, fills the per-shard quotient accumulators of
-	// step 4 in parallel.
+	// Pool, when non-nil, builds the quotient rows of step 4 in parallel.
 	Pool *workpool.Pool
-	// Arena, when non-nil, backs the shard accumulators; the caller resets
-	// it after the contraction's scratch is dead.
+	// Arena, when non-nil, backs the grouping scratch and the lane
+	// accumulators; the caller resets it after the contraction's scratch
+	// is dead.
 	Arena *arena.Arena
 }
 
-// quotientShard is the number of local fine nodes one quotient-accumulation
-// shard covers. Like the sclp propose chunks, the shard count is a function
-// of the node count alone, so the shard tables — and the shard-order merge
-// into the exchange below — are identical for any worker count.
-const quotientShard = 2048
+// quotientChunk is the number of local clusters one quotient chunk covers.
+// Like the sclp propose chunks, the chunk grid is a function of the cluster
+// count alone, never of the worker count.
+const quotientChunk = 512
+
+// quotientHeader is the number of header words of a quotient record:
+//
+//	cu, nodeWeight, count, (cv, w) × count
+//
+// One record is one rank's whole contribution to coarse node cu: the summed
+// weight of its local members and its merged arcs to other coarse nodes.
+const quotientHeader = 3
+
+// walkQuotientRecords checks that buf, built by rank src, is a sequence of
+// well-formed quotient records for coarse nodes in [lo, hi) and calls fn
+// with each whole record (header included; rec aliases buf). The error
+// names src and the word offset of the offending record.
+func walkQuotientRecords(src int, buf []int64, lo, hi int64, fn func(rec []int64)) error {
+	for off := 0; off < len(buf); {
+		if len(buf)-off < quotientHeader {
+			return fmt.Errorf("contract: quotient record from rank %d at word %d: header truncated (%d of %d words)",
+				src, off, len(buf)-off, quotientHeader)
+		}
+		cu, count := buf[off], buf[off+2]
+		if cu < lo || cu >= hi {
+			return fmt.Errorf("contract: quotient record from rank %d at word %d: coarse node %d outside [%d,%d)",
+				src, off, cu, lo, hi)
+		}
+		body := len(buf) - off - quotientHeader
+		if count < 0 || count > int64(body/2) {
+			return fmt.Errorf("contract: quotient record from rank %d at word %d: %d arcs do not fit the %d words left",
+				src, off, count, body)
+		}
+		end := off + quotientHeader + 2*int(count)
+		fn(buf[off:end])
+		off = end
+	}
+	return nil
+}
+
+// coarseArc is one received quotient arc while its row is being assembled.
+type coarseArc struct{ dst, w int64 }
 
 // ParContractWith is ParContract with explicit worksharing options.
 // Collective.
@@ -68,17 +107,33 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 	c := fine.Comm
 	size := c.Size()
 	nl := fine.NLocal()
-	// One sharder serves every owner-routed exchange of the contraction;
-	// its per-destination buffers are recycled between steps.
+	nt := fine.NTotal()
+	ar := opt.Arena
 	sh := mpi.NewSharder(c)
 
-	// Step 1: route distinct local cluster IDs to their responsible ranks.
-	seen := hashtab.NewSetI64(int(nl) + 16)
-	for v := int32(0); v < nl; v++ {
-		l := labels[v]
-		if seen.Insert(l) {
-			sh.Add(fine.Owner(l), l)
+	// Every referenced cluster ID gets a dense index in order of first
+	// occurrence, local nodes first — so the clusters with a local member
+	// are exactly the indices below nLocalClusters. This is the only hash
+	// lookup per node; nothing below hashes per arc except the row
+	// accumulator itself.
+	clusterIdx := hashtab.NewMapI64(int(nt) + 16)
+	nodeCluster := ar.Int32s(int(nt))
+	var clusterLabel []int64
+	index := func(lo, hi int32) {
+		for v := lo; v < hi; v++ {
+			idx, inserted := clusterIdx.PutIfAbsent(labels[v], int64(len(clusterLabel)))
+			if inserted {
+				clusterLabel = append(clusterLabel, labels[v])
+			}
+			nodeCluster[v] = int32(idx)
 		}
+	}
+
+	// Step 1: route distinct local cluster IDs to their responsible ranks.
+	index(0, nl)
+	nLocalClusters := len(clusterLabel)
+	for _, l := range clusterLabel {
+		sh.Add(fine.Owner(l), l)
 	}
 	distinct := hashtab.NewSetI64(64)
 	var respLabels []int64
@@ -90,7 +145,7 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		}
 	})
 	// Deterministic coarse IDs: sort the responsible labels.
-	sort.Slice(respLabels, func(i, j int) bool { return respLabels[i] < respLabels[j] })
+	slices.Sort(respLabels)
 
 	// Step 2: contiguous coarse ID space via an exclusive prefix sum.
 	myCount := int64(len(respLabels))
@@ -101,17 +156,16 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		q.Put(l, offset+int64(i))
 	}
 
-	// Step 3: query q for every referenced cluster ID (local and ghost).
-	// The query lists must survive until the answers return (positions
-	// correlate them), so this exchange keeps explicit per-rank buffers and
-	// runs them through the pooled collective.
-	queries := hashtab.NewSetI64(int(fine.NTotal()) + 16)
+	// Step 3: query q once per referenced cluster ID (local and ghost). The
+	// query lists must survive until the answers return (positions correlate
+	// them), so this exchange keeps explicit per-rank buffers.
+	index(nl, nt)
 	queryByResp := make([][]int64, size)
-	for v := int32(0); v < fine.NTotal(); v++ {
-		l := labels[v]
-		if queries.Insert(l) {
-			queryByResp[fine.Owner(l)] = append(queryByResp[fine.Owner(l)], l)
-		}
+	queryCluster := make([][]int32, size) // cluster index of each query, parallel to queryByResp
+	for idx, l := range clusterLabel {
+		o := fine.Owner(l)
+		queryByResp[o] = append(queryByResp[o], l)
+		queryCluster[o] = append(queryCluster[o], int32(idx))
 	}
 	replies := make([][]int64, size)
 	c.AlltoallvFunc(queryByResp, func(rk int, buf []int64) {
@@ -131,31 +185,87 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		}
 		replies[rk] = ans
 	})
-	labelToCoarse := hashtab.NewMapI64(int(fine.NTotal()) + 16)
+	clusterCoarse := make([]int64, len(clusterLabel))
 	c.AlltoallvFunc(replies, func(rk int, ans []int64) {
 		if len(ans) != len(queryByResp[rk]) {
 			c.PoisonPeers()
 			panic(fmt.Sprintf("contract: rank %d answered %d of %d cluster queries",
 				rk, len(ans), len(queryByResp[rk])))
 		}
-		for i, l := range queryByResp[rk] {
-			labelToCoarse.Put(l, ans[i])
+		for i, idx := range queryCluster[rk] {
+			clusterCoarse[idx] = ans[i]
 		}
 	})
-	cOf := func(v int32) int64 {
-		id, ok := labelToCoarse.Get(labels[v])
-		if !ok {
-			panic("contract: missing coarse mapping")
-		}
-		return id
-	}
-	fineToCoarse := make([]int64, nl)
-	for v := int32(0); v < nl; v++ {
-		fineToCoarse[v] = cOf(v)
+	// C(v) for every local and ghost node; FineToCoarse is the local prefix.
+	coarseOf := make([]int64, nt)
+	for v := range coarseOf {
+		coarseOf[v] = clusterCoarse[nodeCluster[v]]
 	}
 
-	// Step 4: local quotient edges and node weights, routed to coarse
-	// owners under the new uniform distribution.
+	// Step 4: group local nodes by cluster (counting sort by cluster index,
+	// members stay in ascending node order) and build one quotient record
+	// per cluster.
+	clusterStart := ar.Int32s(nLocalClusters + 1)
+	for v := int32(0); v < nl; v++ {
+		clusterStart[nodeCluster[v]+1]++
+	}
+	for ci := 0; ci < nLocalClusters; ci++ {
+		clusterStart[ci+1] += clusterStart[ci]
+	}
+	members := ar.Int32s(int(nl))
+	fill := ar.Int32s(nLocalClusters)
+	copy(fill, clusterStart)
+	for v := int32(0); v < nl; v++ {
+		ci := nodeCluster[v]
+		members[fill[ci]] = v
+		fill[ci]++
+	}
+
+	// Chunks of clusters are work-shared over the pool. Each lane owns one
+	// single-key accumulator (the key is just cv, so no composite-key
+	// overflow can arise) and one growing record buffer; a finished chunk
+	// keeps an exactly-sized copy. The accumulators keep their capacity from
+	// chunk to chunk, so the order of the arcs inside a record depends on
+	// which lane built it — harmless HERE ONLY because the receiving owner
+	// sorts every row: emission order must never reach anything but the wire.
+	nchunks := workpool.Chunks(nLocalClusters, quotientChunk)
+	chunkRecords := make([][]int64, nchunks)
+	laneAcc := make([]*hashtab.AccumulatorI64, opt.Pool.Size())
+	laneBuf := make([][]int64, opt.Pool.Size())
+	for w := range laneAcc {
+		laneAcc[w] = hashtab.NewAccumulatorI64In(ar, 1024)
+	}
+	tracer := c.Tracer()
+	qsp := tracer.Begin(c.Rank(), "contract.quotient")
+	busy := opt.Pool.Run(nchunks, func(w, ch int) {
+		acc, buf := laneAcc[w], laneBuf[w][:0]
+		emit := func(cv, weight int64) { buf = append(buf, cv, weight) }
+		clo, chi := workpool.Bounds(nLocalClusters, nchunks, ch)
+		for ci := clo; ci < chi; ci++ {
+			ms := members[clusterStart[ci]:clusterStart[ci+1]]
+			cu := clusterCoarse[ci]
+			var nodeWeight int64
+			for _, v := range ms {
+				nodeWeight += fine.NW[v]
+				ws := fine.EdgeWeights(v)
+				for i, u := range fine.Neighbors(v) {
+					if cv := coarseOf[u]; cv != cu {
+						acc.Add(cv, ws[i])
+					}
+				}
+			}
+			buf = slices.Grow(buf, quotientHeader+2*acc.Len())
+			buf = append(buf, cu, nodeWeight, int64(acc.Len()))
+			acc.ForEach(emit)
+			acc.Reset()
+		}
+		laneBuf[w] = buf
+		chunkRecords[ch] = slices.Clone(buf)
+	})
+	tracer.End2(qsp, "busy_ns", int64(busy), "chunks", int64(nchunks))
+
+	// Whole records go to the owner of cu under the new uniform
+	// distribution, in exactly-sized send buffers.
 	coarseVtx := dgraph.UniformVtxDist(coarseN, size)
 	ownerOfCoarse := func(id int64) int {
 		lo, hi := 0, size
@@ -169,101 +279,94 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		}
 		return lo
 	}
-	// Accumulate local quotient edges keyed by the (cu, cv) pair, sharded
-	// over fixed node ranges so the pool's workers fill disjoint tables. A
-	// composite cu*coarseN+cv key would overflow int64 once coarseN exceeds
-	// ~3·10^9, silently merging unrelated coarse edges. A pair occurring in
-	// several shards is sent once per shard; the receiver-side sort-and-merge
-	// below already combines contributions from different ranks, so
-	// cross-shard duplicates collapse the same way and the coarse graph is
-	// identical for any shard count or worker schedule.
-	nshards := workpool.Chunks(int(nl), quotientShard)
-	edgeAccs := make([]*hashtab.AccumulatorPairI64, nshards)
-	nodeAccs := make([]*hashtab.AccumulatorI64, nshards)
-	for s := 0; s < nshards; s++ {
-		slo, shi := workpool.Bounds(int(nl), nshards, s)
-		edgeAccs[s] = hashtab.NewAccumulatorPairI64In(opt.Arena, 1024)
-		nodeAccs[s] = hashtab.NewAccumulatorI64In(opt.Arena, shi-slo+16)
-	}
-	tracer := c.Tracer()
-	qsp := tracer.Begin(c.Rank(), "contract.quotient")
-	busy := opt.Pool.Run(nshards, func(_, s int) {
-		slo, shi := workpool.Bounds(int(nl), nshards, s)
-		edgeAcc, nodeAcc := edgeAccs[s], nodeAccs[s]
-		for v := int32(slo); v < int32(shi); v++ {
-			cu := fineToCoarse[v]
-			nodeAcc.Add(cu, fine.NW[v])
-			ws := fine.EdgeWeights(v)
-			for i, u := range fine.Neighbors(v) {
-				cv := cOf(u)
-				if cv != cu {
-					edgeAcc.Add(cu, cv, ws[i])
-				}
-			}
+	// walk is the one decoder of quotient records, for this rank's own
+	// chunks and for what peers send; a malformed buffer fails loudly on
+	// every rank instead of building a wrong graph.
+	walk := func(src int, buf []int64, lo, hi int64, fn func(rec []int64)) {
+		if err := walkQuotientRecords(src, buf, lo, hi, fn); err != nil {
+			c.PoisonPeers()
+			panic(fmt.Sprintf("rank %d: %v", c.Rank(), err))
 		}
-	})
-	tracer.End2(qsp, "busy_ns", int64(busy), "shards", int64(nshards))
-	lo := coarseVtx[c.Rank()]
-	cLocal := int32(coarseVtx[c.Rank()+1] - lo)
-	type triple struct{ src, dst, w int64 }
-	var edges []triple
-	for _, edgeAcc := range edgeAccs {
-		edgeAcc.ForEach(func(cu, cv, w int64) {
-			sh.Add(ownerOfCoarse(cu), cu, cv, w)
+	}
+	sendWords := make([]int, size)
+	for _, recs := range chunkRecords {
+		walk(c.Rank(), recs, 0, coarseN, func(rec []int64) { sendWords[ownerOfCoarse(rec[0])] += len(rec) })
+	}
+	send := make([][]int64, size)
+	for r := range send {
+		send[r] = make([]int64, 0, sendWords[r])
+	}
+	for _, recs := range chunkRecords {
+		walk(c.Rank(), recs, 0, coarseN, func(rec []int64) {
+			o := ownerOfCoarse(rec[0])
+			send[o] = append(send[o], rec...)
 		})
 	}
-	sh.Exchange(func(rk int, buf []int64) {
-		if len(buf)%3 != 0 {
-			c.PoisonPeers()
-			panic(fmt.Sprintf("contract: rank %d sent %d words of quotient edges (not triples)", rk, len(buf)))
-		}
-		for i := 0; i < len(buf); i += 3 {
-			edges = append(edges, triple{buf[i], buf[i+1], buf[i+2]})
-		}
-	})
-	nw := make([]int64, cLocal)
-	for _, nodeAcc := range nodeAccs {
-		nodeAcc.ForEach(func(cu, w int64) {
-			sh.Add(ownerOfCoarse(cu), cu, w)
-		})
-	}
-	sh.Exchange(func(rk int, buf []int64) {
-		if len(buf)%2 != 0 {
-			c.PoisonPeers()
-			panic(fmt.Sprintf("contract: rank %d sent %d words of node weights (not pairs)", rk, len(buf)))
-		}
-		for i := 0; i < len(buf); i += 2 {
-			nw[buf[i]-lo] += buf[i+1]
-		}
-	})
+	chunkRecords = nil
 
-	// Step 5: assemble the local coarse subgraph.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].src != edges[j].src {
-			return edges[i].src < edges[j].src
+	// Step 5: the one exchange of the assembly. The payload is only valid
+	// during the callback, so remote payloads are kept as copies (this
+	// rank's own is its send buffer); the callback validates every record,
+	// sums node weights and counts row degrees.
+	lo := coarseVtx[c.Rank()]
+	hi := coarseVtx[c.Rank()+1]
+	cLocal := int32(hi - lo)
+	nw := make([]int64, cLocal)
+	rowStart := make([]int64, cLocal+1)
+	received := make([][]int64, size)
+	c.AlltoallvFunc(send, func(rk int, buf []int64) {
+		walk(rk, buf, lo, hi, func(rec []int64) {
+			row := rec[0] - lo
+			nw[row] += rec[1]
+			rowStart[row+1] += rec[2]
+		})
+		if rk != c.Rank() {
+			buf = slices.Clone(buf)
 		}
-		return edges[i].dst < edges[j].dst
+		received[rk] = buf
 	})
-	xadj := make([]int64, cLocal+1)
-	var adjG, adjW []int64
-	e := 0
 	for v := int32(0); v < cLocal; v++ {
-		src := lo + int64(v)
-		for e < len(edges) && edges[e].src == src {
-			// Merge duplicates (contributions from different fine ranks).
-			dst, w := edges[e].dst, edges[e].w
-			e++
-			for e < len(edges) && edges[e].src == src && edges[e].dst == dst {
-				w += edges[e].w
-				e++
+		rowStart[v+1] += rowStart[v]
+	}
+	// Bucket the arcs by row (counting sort, O(arcs)), then canonicalize
+	// each row: sorted by destination, contributions of different fine ranks
+	// to one coarse edge merged. The result is a function of the multiset of
+	// received arcs, not of the order they were emitted or arrived in.
+	arcs := make([]coarseArc, rowStart[cLocal])
+	next := slices.Clone(rowStart[:cLocal])
+	for rk, buf := range received {
+		walk(rk, buf, lo, hi, func(rec []int64) {
+			at := next[rec[0]-lo]
+			for i := quotientHeader; i < len(rec); i += 2 {
+				arcs[at] = coarseArc{rec[i], rec[i+1]}
+				at++
 			}
-			adjG = append(adjG, dst)
-			adjW = append(adjW, w)
+			next[rec[0]-lo] = at
+		})
+	}
+	received, send = nil, nil
+	xadj := make([]int64, cLocal+1)
+	out := int64(0) // merged rows are compacted in place: out never passes a row's start
+	for v := int32(0); v < cLocal; v++ {
+		row := arcs[rowStart[v]:rowStart[v+1]]
+		slices.SortFunc(row, func(a, b coarseArc) int { return cmp.Compare(a.dst, b.dst) })
+		for _, a := range row {
+			if out > xadj[v] && arcs[out-1].dst == a.dst {
+				arcs[out-1].w += a.w
+			} else {
+				arcs[out] = a
+				out++
+			}
 		}
-		xadj[v+1] = int64(len(adjG))
+		xadj[v+1] = out
+	}
+	adjG := make([]int64, out)
+	adjW := make([]int64, out)
+	for i, a := range arcs[:out] {
+		adjG[i], adjW[i] = a.dst, a.w
 	}
 	coarse := dgraph.Build(c, coarseVtx, nw, xadj, adjG, adjW)
-	return &ParResult{Coarse: coarse, FineToCoarse: fineToCoarse}
+	return &ParResult{Coarse: coarse, FineToCoarse: coarseOf[:nl:nl]}
 }
 
 // ParLift transfers a partition of the fine graph up to the coarse graph.

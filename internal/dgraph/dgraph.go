@@ -12,7 +12,7 @@ package dgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/hashtab"
@@ -159,7 +159,7 @@ func (d *DGraph) finalize() {
 		if len(scratch) == 0 {
 			continue
 		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
+		slices.Sort(scratch)
 		prev := int32(-1)
 		for _, r := range scratch {
 			if r != prev {

@@ -61,3 +61,20 @@ func BenchmarkDegreeOrder(b *testing.B) {
 		DegreeOrder(g)
 	}
 }
+
+// BenchmarkInducedSubgraph splits a graph of the shape rmat-tcp hands the
+// initial partitioner (55K nodes, 12.5K edges: mostly isolated nodes) into
+// its two halves, as one level of kaffpa's recursive bisection does.
+func BenchmarkInducedSubgraph(b *testing.B) {
+	g := benchGraph(55000, 12500)
+	var half [2][]NodeID
+	for v := int32(0); v < g.NumNodes(); v++ {
+		half[v%2] = append(half[v%2], v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		InducedSubgraph(g, half[0])
+		InducedSubgraph(g, half[1])
+	}
+}

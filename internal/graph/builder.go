@@ -90,23 +90,17 @@ func (b *Builder) Build() *Graph {
 		adj[p], adjw[p] = u, w
 		pos[v]++
 	}
-	// Sort each adjacency list and merge duplicates in place.
+	// Sort each adjacency list and merge duplicates, compacting in place.
 	xadj := make([]int64, n+1)
+	var sorter adjSorter
 	out := int64(0)
 	for v := int32(0); v < n; v++ {
 		lo, hi := deg[v], deg[v+1]
-		seg := adjSorter{adj[lo:hi], adjw[lo:hi]}
-		sort.Sort(seg)
+		m := int64(sorter.canonicalize(adj[lo:hi], adjw[lo:hi]))
 		xadj[v] = out
-		for i := lo; i < hi; i++ {
-			if out > xadj[v] && adj[out-1] == adj[i] {
-				adjw[out-1] += adjw[i]
-			} else {
-				adj[out] = adj[i]
-				adjw[out] = adjw[i]
-				out++
-			}
-		}
+		copy(adj[out:], adj[lo:lo+m])
+		copy(adjw[out:], adjw[lo:lo+m])
+		out += m
 	}
 	xadj[n] = out
 	return &Graph{
@@ -117,16 +111,47 @@ func (b *Builder) Build() *Graph {
 	}
 }
 
+// adjSorter sorts one adjacency row (ids with parallel weights) by
+// neighbour ID. One value is reused for every row of a graph and handed to
+// sort.Sort by pointer, so no row pays an interface boxing allocation.
 type adjSorter struct {
 	ids []NodeID
 	ws  []int64
 }
 
-func (s adjSorter) Len() int           { return len(s.ids) }
-func (s adjSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s adjSorter) Swap(i, j int) {
+func (s *adjSorter) Len() int           { return len(s.ids) }
+func (s *adjSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
+func (s *adjSorter) Swap(i, j int) {
 	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
 	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
+}
+
+// canonicalize brings one row into canonical form in place — strictly
+// ascending neighbour IDs, duplicates merged by summing their weights — and
+// returns its new length. A row that is already canonical is left alone.
+func (s *adjSorter) canonicalize(ids []NodeID, ws []int64) int {
+	canonical := true
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			canonical = false
+			break
+		}
+	}
+	if canonical {
+		return len(ids)
+	}
+	s.ids, s.ws = ids, ws
+	sort.Sort(s)
+	out := 0
+	for i := range ids {
+		if out > 0 && ids[out-1] == ids[i] {
+			ws[out-1] += ws[i]
+		} else {
+			ids[out], ws[out] = ids[i], ws[i]
+			out++
+		}
+	}
+	return out
 }
 
 // FromCSR constructs a graph directly from CSR arrays without copying.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -279,6 +280,55 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if back[0] != 0 || back[3] != 3 {
 		t.Fatalf("back map wrong: %v", back)
+	}
+}
+
+// inducedByBuilder is the reference InducedSubgraph: map IDs through a Go
+// map and let Builder canonicalize the rows.
+func inducedByBuilder(g *Graph, nodes []NodeID) *Graph {
+	newID := make(map[NodeID]NodeID, len(nodes))
+	for i, v := range nodes {
+		newID[v] = int32(i)
+	}
+	b := NewBuilder(int32(len(nodes)))
+	for i, v := range nodes {
+		b.SetNodeWeight(int32(i), g.NW[v])
+		for j, u := range g.Neighbors(v) {
+			if lu, ok := newID[u]; ok && v < u {
+				b.AddEdgeW(int32(i), lu, g.EdgeWeights(v)[j])
+			}
+		}
+	}
+	return b.Build()
+}
+
+func TestInducedSubgraphMatchesBuilder(t *testing.T) {
+	r := rng.New(3)
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := randomGraph(300, 2400, seed)
+		for v := range g.NW {
+			g.NW[v] = r.Int64n(7) + 1
+		}
+		var nodes []NodeID
+		for v := int32(0); v < g.NumNodes(); v++ {
+			if r.Intn(3) > 0 {
+				nodes = append(nodes, v)
+			}
+		}
+		for _, order := range []string{"ascending", "shuffled"} {
+			if order == "shuffled" {
+				r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+			}
+			sub, back := InducedSubgraph(g, nodes)
+			want := inducedByBuilder(g, nodes)
+			if err := sub.Validate(); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, order, err)
+			}
+			if !slices.Equal(back, nodes) || !slices.Equal(sub.NW, want.NW) || !slices.Equal(sub.XAdj, want.XAdj) ||
+				!slices.Equal(sub.Adj, want.Adj) || !slices.Equal(sub.AdjW, want.AdjW) {
+				t.Fatalf("seed %d %s: induced subgraph differs from the Builder reference", seed, order)
+			}
+		}
 	}
 }
 

@@ -97,23 +97,39 @@ func DegreeOrder(g *Graph) []NodeID {
 // InducedSubgraph extracts the subgraph induced by the given nodes. It
 // returns the subgraph and the mapping from subgraph IDs back to ids in g.
 // Edges with exactly one endpoint in nodes are dropped.
+//
+// Rows are written straight into the CSR arrays by filtering g's adjacency
+// through a flat old→new table. For ascending nodes over a graph with sorted
+// rows (every Builder-built graph) the filtered rows are already canonical
+// and nothing is sorted; any other row is sorted and merged like Builder
+// would, so the result does not depend on the order nodes are given in.
 func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
-	toLocal := make(map[NodeID]NodeID, len(nodes))
+	newID := make([]int32, g.NumNodes()) // new ID + 1; 0 = not selected
+	var arcs int64
 	for i, v := range nodes {
-		toLocal[v] = int32(i)
+		newID[v] = int32(i) + 1
+		arcs += int64(g.Degree(v))
 	}
-	b := NewBuilder(int32(len(nodes)))
+	xadj := make([]int64, len(nodes)+1)
+	adj := make([]NodeID, arcs)
+	adjw := make([]int64, arcs)
+	nw := make([]int64, len(nodes))
 	back := make([]NodeID, len(nodes))
+	var sorter adjSorter
+	out := int64(0)
 	for i, v := range nodes {
 		back[i] = v
-		b.SetNodeWeight(int32(i), g.NW[v])
+		nw[i] = g.NW[v]
+		lo := out
+		ws := g.EdgeWeights(v)
 		for j, u := range g.Neighbors(v) {
-			lu, ok := toLocal[u]
-			if !ok || u <= v { // add each edge once, from the smaller endpoint
-				continue
+			if lu := newID[u]; lu != 0 {
+				adj[out], adjw[out] = lu-1, ws[j]
+				out++
 			}
-			b.AddEdgeW(int32(i), lu, g.EdgeWeights(v)[j])
 		}
+		out = lo + int64(sorter.canonicalize(adj[lo:out], adjw[lo:out]))
+		xadj[i+1] = out
 	}
-	return b.Build(), back
+	return &Graph{XAdj: xadj, Adj: adj[:out:out], AdjW: adjw[:out:out], NW: nw}, back
 }

@@ -9,10 +9,21 @@
 // allocation-free in steady state and support O(keys) reset via a key log.
 //
 // The *In constructors carve the backing arrays out of an arena instead of
-// the heap, so per-superstep tables (one per worker lane, one per contraction
-// shard) recycle their memory across V-cycle levels. Growth beyond the
-// initial capacity falls back to plain heap slices — an arena is a bump
-// allocator and cannot free the outgrown arrays early.
+// the heap, so per-superstep tables (one per worker lane) recycle their
+// memory across V-cycle levels. Growth beyond the initial capacity falls
+// back to plain heap slices — an arena is a bump allocator and cannot free
+// the outgrown arrays early.
+//
+// Order guarantee: ForEach on the two accumulators visits the keys in the
+// order Add first saw them since the last Reset. That order is a function of
+// the Add sequence alone — not of the table's capacity, nor of whether or
+// when it grew — so a table that is kept across uses (a worker lane's)
+// iterates exactly like a fresh one. MapI64 and SetI64 iterate in
+// unspecified order.
+//
+// AccumulatorPairI64 has no production caller since the contraction groups
+// by cluster and keys its rows by the destination alone; the benchmark's
+// hashtab.pair_add_mops substrate is what keeps it.
 package hashtab
 
 import "repro/internal/arena"
@@ -113,7 +124,8 @@ func (t *AccumulatorI64) Get(key int64) (int64, bool) {
 // Len returns the number of distinct keys in the table.
 func (t *AccumulatorI64) Len() int { return t.size }
 
-// ForEach calls fn for every (key, value) pair in insertion-touch order.
+// ForEach calls fn for every (key, value) pair in the order Add first saw
+// the keys (see the package comment's order guarantee).
 func (t *AccumulatorI64) ForEach(fn func(key, val int64)) {
 	for _, i := range t.touched {
 		fn(t.keys[i], t.vals[i])
@@ -130,19 +142,22 @@ func (t *AccumulatorI64) Reset() {
 	t.size = 0
 }
 
+// grow doubles the table and re-inserts the entries in touched order, so
+// the rebuilt touched log lists the keys in the order Add first saw them —
+// re-inserting in slot order would make ForEach depend on when the table
+// grew. The log is rebuilt in place: entry k is read before the k-th
+// re-insert overwrites it.
 func (t *AccumulatorI64) grow() {
-	oldKeys, oldVals, oldUsed := t.keys, t.vals, t.used
+	oldKeys, oldVals, oldTouched := t.keys, t.vals, t.touched
 	n := 2 * len(oldKeys)
 	t.keys = make([]int64, n)
 	t.vals = make([]int64, n)
 	t.used = make([]bool, n)
-	t.touched = t.touched[:0]
+	t.touched = oldTouched[:0]
 	t.mask = uint64(n - 1)
 	t.size = 0
-	for i, u := range oldUsed {
-		if u {
-			t.Add(oldKeys[i], oldVals[i])
-		}
+	for _, i := range oldTouched {
+		t.Add(oldKeys[i], oldVals[i])
 	}
 }
 
@@ -293,11 +308,10 @@ func (s *SetI64) ForEach(fn func(key int64)) {
 }
 
 // AccumulatorPairI64 maps (int64, int64) key pairs to accumulated int64
-// values with the same open-addressing scheme as AccumulatorI64. The
-// contraction step keys quotient edges by their (source, destination)
-// coarse IDs; composing the pair into one int64 as src*coarseN+dst
-// overflows once coarseN exceeds ~3·10^9, silently merging unrelated
-// edges, so the pair is stored as-is.
+// values with the same open-addressing scheme as AccumulatorI64. The pair is
+// stored as-is: composing it into one int64 as a*n+b overflows once n
+// exceeds ~3·10^9, silently merging unrelated keys. Kept for the benchmark's
+// hashtab.pair_add_mops substrate (see the package comment).
 type AccumulatorPairI64 struct {
 	keysA   []int64
 	keysB   []int64
@@ -321,23 +335,6 @@ func NewAccumulatorPairI64(capacity int) *AccumulatorPairI64 {
 		vals:    make([]int64, n),
 		used:    make([]bool, n),
 		touched: make([]int, 0, capacity),
-		mask:    uint64(n - 1),
-	}
-}
-
-// NewAccumulatorPairI64In is NewAccumulatorPairI64 with the backing arrays
-// carved from ar. A nil arena degrades to heap allocation.
-func NewAccumulatorPairI64In(ar *arena.Arena, capacity int) *AccumulatorPairI64 {
-	n := 16
-	for n < 2*capacity {
-		n *= 2
-	}
-	return &AccumulatorPairI64{
-		keysA:   ar.Int64s(n),
-		keysB:   ar.Int64s(n),
-		vals:    ar.Int64s(n),
-		used:    ar.Bools(n),
-		touched: ar.Ints(capacity)[:0],
 		mask:    uint64(n - 1),
 	}
 }
@@ -389,7 +386,8 @@ func (t *AccumulatorPairI64) Get(a, b int64) (int64, bool) {
 // Len returns the number of distinct pairs in the table.
 func (t *AccumulatorPairI64) Len() int { return t.size }
 
-// ForEach calls fn for every (a, b, value) triple in insertion-touch order.
+// ForEach calls fn for every (a, b, value) triple in the order Add first saw
+// the pairs.
 func (t *AccumulatorPairI64) ForEach(fn func(a, b, val int64)) {
 	for _, i := range t.touched {
 		fn(t.keysA[i], t.keysB[i], t.vals[i])
@@ -405,19 +403,18 @@ func (t *AccumulatorPairI64) Reset() {
 	t.size = 0
 }
 
+// grow re-inserts in touched order, like AccumulatorI64.grow.
 func (t *AccumulatorPairI64) grow() {
-	oldA, oldB, oldVals, oldUsed := t.keysA, t.keysB, t.vals, t.used
+	oldA, oldB, oldVals, oldTouched := t.keysA, t.keysB, t.vals, t.touched
 	n := 2 * len(oldA)
 	t.keysA = make([]int64, n)
 	t.keysB = make([]int64, n)
 	t.vals = make([]int64, n)
 	t.used = make([]bool, n)
-	t.touched = t.touched[:0]
+	t.touched = oldTouched[:0]
 	t.mask = uint64(n - 1)
 	t.size = 0
-	for i, u := range oldUsed {
-		if u {
-			t.Add(oldA[i], oldB[i], oldVals[i])
-		}
+	for _, i := range oldTouched {
+		t.Add(oldA[i], oldB[i], oldVals[i])
 	}
 }

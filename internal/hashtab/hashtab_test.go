@@ -1,6 +1,7 @@
 package hashtab
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +298,50 @@ func TestAccumulatorPairI64GrowKeepsPairs(t *testing.T) {
 	})
 	if count != n {
 		t.Fatalf("ForEach visited %d pairs, want %d", count, n)
+	}
+}
+
+// TestForEachOrderIndependentOfCapacity is the order guarantee of the two
+// accumulators: ForEach yields the keys in the order Add first saw them,
+// whatever the table's initial capacity was and however often it grew on
+// the way. Per-lane tables keep their capacity from one chunk to the next,
+// so anything less makes results depend on which lane ran which chunk.
+func TestForEachOrderIndependentOfCapacity(t *testing.T) {
+	r := rng.New(17)
+	keys := make([]int64, 3000)
+	for i := range keys {
+		keys[i] = r.Int64n(700) // ~700 distinct keys, revisited out of order
+	}
+	var wantKeys, wantVals []int64 // first-seen order of the Add sequence
+	sum := map[int64]int64{}
+	for j, k := range keys {
+		if _, seen := sum[k]; !seen {
+			wantKeys = append(wantKeys, k)
+		}
+		sum[k] += int64(j)
+	}
+	for _, k := range wantKeys {
+		wantVals = append(wantVals, sum[k])
+	}
+	for _, capacity := range []int{16, 64, 256, 4096} {
+		single, pair := NewAccumulatorI64(capacity), NewAccumulatorPairI64(capacity)
+		for j, k := range keys {
+			single.Add(k, int64(j))
+			pair.Add(k, -k, int64(j))
+		}
+		var gotKeys, gotVals, pairKeys, pairVals []int64
+		single.ForEach(func(k, v int64) { gotKeys, gotVals = append(gotKeys, k), append(gotVals, v) })
+		pair.ForEach(func(a, b, v int64) {
+			if b != -a {
+				t.Fatalf("capacity %d: pair (%d,%d) was never added", capacity, a, b)
+			}
+			pairKeys, pairVals = append(pairKeys, a), append(pairVals, v)
+		})
+		if !slices.Equal(gotKeys, wantKeys) || !slices.Equal(gotVals, wantVals) {
+			t.Errorf("AccumulatorI64 capacity %d: ForEach order is not the first-Add order", capacity)
+		}
+		if !slices.Equal(pairKeys, wantKeys) || !slices.Equal(pairVals, wantVals) {
+			t.Errorf("AccumulatorPairI64 capacity %d: ForEach order is not the first-Add order", capacity)
+		}
 	}
 }

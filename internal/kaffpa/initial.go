@@ -91,7 +91,12 @@ func bisectInto(g *graph.Graph, k int32, eps float64, r *rng.RNG, out []int32, f
 		lmaxSide = target0
 	}
 	p2 := growBisection(g, target0, lmaxSide, r)
-	var nodes0, nodes1 []graph.NodeID
+	var n1 int
+	for _, b := range p2 {
+		n1 += int(b)
+	}
+	nodes0 := make([]graph.NodeID, 0, len(p2)-n1)
+	nodes1 := make([]graph.NodeID, 0, n1)
 	for v := int32(0); v < g.NumNodes(); v++ {
 		if p2[v] == 0 {
 			nodes0 = append(nodes0, v)
