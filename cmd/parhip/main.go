@@ -294,6 +294,10 @@ func main() {
 		fmt.Printf("comm: %d msgs, %d bytes (%d neighbor msgs over %d sparse exchanges)\n",
 			c.MessagesSent, c.BytesSent(), c.NeighborMessages, c.NeighborExchanges)
 	}
+	if p := res.Stats.Par; p.Evaluated > 0 {
+		fmt.Printf("sclp: %d supersteps, %d node evaluations, %d interior (%.1f%%)\n",
+			p.Supersteps, p.Evaluated, p.Interior, 100*float64(p.Interior)/float64(p.Evaluated))
+	}
 	if tcp {
 		fmt.Printf("transport: %d frames / %d bytes sent, %d reconnects, %d heartbeat misses\n",
 			ts.FramesSent, ts.BytesSent, ts.Reconnects, ts.HeartbeatMisses)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // TestWorkerBitIdentity is the contract of the intra-rank worksharing
@@ -18,7 +17,8 @@ import (
 // chunk/seed grid leaked the worker count. The hub family puts more distinct
 // labels around a node than a lane accumulator's initial capacity, so the
 // tables grow mid-node: whatever then depends on a lane's capacity history
-// (as hashtab's ForEach order once did) depends on the schedule.
+// (as hashtab's ForEach order once did) depends on the schedule. The exact
+// work counters of sclp.ParStats are held to the same standard.
 func TestWorkerBitIdentity(t *testing.T) {
 	type family struct {
 		name  string
@@ -27,7 +27,10 @@ func TestWorkerBitIdentity(t *testing.T) {
 		pes   []int
 		// phases overrides PhasesPerRound: the hub graph is small, and at the
 		// default 8 phases a rank's phase is a single chunk, which runs
-		// inline on lane 0 whatever the worker count.
+		// inline on lane 0 whatever the worker count. One centre is not
+		// enough either: the order only differs on a lane that meets its
+		// first centre with a fresh table, so there must be enough centres
+		// for several lanes of a rank to meet one.
 		phases int
 	}
 	pes := []int{1, 4, 8}
@@ -39,7 +42,7 @@ func TestWorkerBitIdentity(t *testing.T) {
 	families := []family{
 		{"mesh", gen.DelaunayLike(3600, 2), ClassMesh, pes, 0},
 		{"social", mustPlanted(4000, 30, 10, 0.5, 7), ClassSocial, pes, 0},
-		{"hub", hubGraph(3800, 128, 80, 2), ClassSocial, []int{2, 4}, 1},
+		{"hub", gen.HubMesh(3800, 128, 80, 2), ClassSocial, []int{2, 4}, 1},
 	}
 	for _, fam := range families {
 		for _, P := range fam.pes {
@@ -70,6 +73,15 @@ func TestWorkerBitIdentity(t *testing.T) {
 					if res.Stats.Cut != base.Stats.Cut {
 						t.Fatalf("workers=%d: identical partition but cut %d != %d", w, res.Stats.Cut, base.Stats.Cut)
 					}
+					// The work counters are summed over lanes, so they are as exact
+					// as the partition: same evaluations, same early-outs.
+					if got, want := res.Stats.Par, base.Stats.Par; got.Evaluated != want.Evaluated || got.Interior != want.Interior {
+						t.Fatalf("workers=%d: %d nodes evaluated / %d interior, workers=1 counted %d / %d",
+							w, got.Evaluated, got.Interior, want.Evaluated, want.Interior)
+					}
+					if p := res.Stats.Par; p.Interior <= 0 || p.Interior >= p.Evaluated {
+						t.Fatalf("workers=%d: %d of %d evaluations interior: want some, not all", w, p.Interior, p.Evaluated)
+					}
 				}
 			})
 		}
@@ -79,42 +91,4 @@ func TestWorkerBitIdentity(t *testing.T) {
 func mustPlanted(n, comm int32, degIn, degOut float64, seed uint64) *graph.Graph {
 	g, _ := gen.PlantedPartition(n, comm, degIn, degOut, seed)
 	return g
-}
-
-// hubGraph returns a mesh with hubs extra centre nodes, each adjacent to
-// reach random mesh nodes. A centre sees more distinct clusters than a lane
-// accumulator's initial capacity (64), at connection strengths that keep
-// changing while the mesh clusters merge — so the number of tie-break draws
-// it takes from its chunk's stream depends on the order it meets the labels
-// in, and the tie-prone mesh nodes behind it in the chunk inherit the shift.
-// One centre is not enough: the order only differs on a lane that meets its
-// first centre with a fresh table, so there must be enough centres for
-// several lanes of a rank to meet one. Centres are spread over the ID range
-// so every rank owns its share.
-func hubGraph(meshNodes, hubs, reach int32, seed uint64) *graph.Graph {
-	mesh := gen.DelaunayLike(meshNodes, seed)
-	n := mesh.NumNodes() + hubs
-	var centres, meshID []graph.NodeID
-	for v := int32(0); v < n; v++ {
-		if v%(n/hubs) == 0 && int32(len(centres)) < hubs {
-			centres = append(centres, v)
-		} else {
-			meshID = append(meshID, v)
-		}
-	}
-	b := graph.NewBuilder(n)
-	for v := int32(0); v < mesh.NumNodes(); v++ {
-		for _, u := range mesh.Neighbors(v) {
-			if v < u {
-				b.AddEdge(meshID[v], meshID[u])
-			}
-		}
-	}
-	r := rng.New(seed)
-	for _, h := range centres {
-		for i := int32(0); i < reach; i++ {
-			b.AddEdge(h, meshID[r.Int31n(mesh.NumNodes())])
-		}
-	}
-	return b.Build()
 }

@@ -369,6 +369,41 @@ func StarOfCliques(cliques, cliqueSize int32, seed uint64) *graph.Graph {
 	return b.Build()
 }
 
+// HubMesh returns a Delaunay-like mesh of meshNodes nodes plus hubs extra
+// centre nodes, each adjacent to reach random mesh nodes. A centre sees more
+// distinct clusters than a fresh accumulator's capacity (64), at connection
+// strengths that keep changing while the mesh clusters merge, so whatever a
+// move-selection kernel lets depend on capacity history or evaluation order
+// shows here (the hub family of the worker bit-identity and golden tests).
+// Centres are spread over the ID range so every rank owns its share.
+func HubMesh(meshNodes, hubs, reach int32, seed uint64) *graph.Graph {
+	mesh := DelaunayLike(meshNodes, seed)
+	n := mesh.NumNodes() + hubs
+	var centres, meshID []graph.NodeID
+	for v := int32(0); v < n; v++ {
+		if v%(n/hubs) == 0 && int32(len(centres)) < hubs {
+			centres = append(centres, v)
+		} else {
+			meshID = append(meshID, v)
+		}
+	}
+	b := graph.NewBuilder(n)
+	for v := int32(0); v < mesh.NumNodes(); v++ {
+		for _, u := range mesh.Neighbors(v) {
+			if v < u {
+				b.AddEdge(meshID[v], meshID[u])
+			}
+		}
+	}
+	r := rng.New(seed)
+	for _, h := range centres {
+		for i := int32(0); i < reach; i++ {
+			b.AddEdge(h, meshID[r.Int31n(mesh.NumNodes())])
+		}
+	}
+	return b.Build()
+}
+
 func max32(a, b int32) int32 {
 	if a > b {
 		return a

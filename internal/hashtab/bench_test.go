@@ -28,6 +28,56 @@ func BenchmarkAccumulatorLP(b *testing.B) {
 	}
 }
 
+// blockRows is the block-keyed shape of refinement and FM: rows of degree
+// 12 whose keys are block IDs below k=16.
+func blockRows() [][12]int64 {
+	r := rng.New(2)
+	rows := make([][12]int64, 256)
+	for i := range rows {
+		for j := range rows[i] {
+			rows[i][j] = r.Int64n(16)
+		}
+	}
+	return rows
+}
+
+// BenchmarkAccumulatorBlocksLP is what the block-keyed kernels paid while
+// they hashed; BenchmarkDenseAccumulatorLP is the same rows through the
+// dense accumulator.
+func BenchmarkAccumulatorBlocksLP(b *testing.B) {
+	rows := blockRows()
+	acc := NewAccumulatorI64(64)
+	var sum int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Reset()
+		for _, k := range rows[i%len(rows)] {
+			acc.Add(k, 1)
+		}
+		acc.ForEach(func(_, v int64) { sum += v })
+	}
+	sink = sum
+}
+
+func BenchmarkDenseAccumulatorLP(b *testing.B) {
+	rows := blockRows()
+	acc := NewDenseAccumulator(16)
+	var sum int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.Reset()
+		for _, k := range rows[i%len(rows)] {
+			acc.Add(k, 1)
+		}
+		acc.ForEach(func(_, v int64) { sum += v })
+	}
+	sink = sum
+}
+
+var sink int64
+
 func BenchmarkBuiltinMapLP(b *testing.B) {
 	r := rng.New(1)
 	keys := make([]int64, 64)

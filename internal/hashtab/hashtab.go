@@ -14,12 +14,19 @@
 // back to plain heap slices — an arena is a bump allocator and cannot free
 // the outgrown arrays early.
 //
-// Order guarantee: ForEach on the two accumulators visits the keys in the
-// order Add first saw them since the last Reset. That order is a function of
-// the Add sequence alone — not of the table's capacity, nor of whether or
-// when it grew — so a table that is kept across uses (a worker lane's)
-// iterates exactly like a fresh one. MapI64 and SetI64 iterate in
-// unspecified order.
+// Which accumulator: AccumulatorI64 hashes, for keys drawn from the node ID
+// space (cluster labels: sclp's clustering kernels, the contraction's rows);
+// DenseAccumulator indexes, for keys in a small known range [0, k) (block
+// IDs: sclp's refinement, demand and rebalance kernels, kaffpa's FM). A
+// block-keyed caller must use the dense one — hashing a key that is already
+// an array index buys nothing — and a label-keyed caller cannot.
+//
+// Order guarantee: ForEach on the accumulators visits the keys in the order
+// Add first saw them since the last Reset. That order is a function of the
+// Add sequence alone — not of the table's kind or capacity, nor of whether
+// or when it grew — so a table that is kept across uses (a worker lane's)
+// iterates exactly like a fresh one, and DenseAccumulator iterates exactly
+// like AccumulatorI64. MapI64 and SetI64 iterate in unspecified order.
 //
 // AccumulatorPairI64 has no production caller since the contraction groups
 // by cluster and keys its rows by the destination alone; the benchmark's
@@ -159,6 +166,69 @@ func (t *AccumulatorI64) grow() {
 	for _, i := range oldTouched {
 		t.Add(oldKeys[i], oldVals[i])
 	}
+}
+
+// DenseAccumulator is AccumulatorI64 for keys in [0, k): the same
+// Add/Get/ForEach/Reset surface and the same first-seen ForEach order, with
+// an array index where the hash table probes. A key outside [0, k) is a
+// caller bug and panics on the index.
+type DenseAccumulator struct {
+	vals    []int64
+	seen    []bool
+	touched []int64 // keys in first-Add order
+}
+
+// NewDenseAccumulator returns an accumulator for keys in [0, k).
+func NewDenseAccumulator(k int) *DenseAccumulator {
+	return &DenseAccumulator{
+		vals:    make([]int64, k),
+		seen:    make([]bool, k),
+		touched: make([]int64, 0, k),
+	}
+}
+
+// Add accumulates delta into the value for key.
+//
+//parhip:hotpath
+func (t *DenseAccumulator) Add(key, delta int64) {
+	if t.seen[key] {
+		t.vals[key] += delta
+		return
+	}
+	t.seen[key] = true
+	t.vals[key] = delta
+	t.touched = append(t.touched, key)
+}
+
+// Get returns the accumulated value for key and whether Add saw the key
+// since the last Reset.
+//
+//parhip:hotpath
+func (t *DenseAccumulator) Get(key int64) (int64, bool) {
+	if !t.seen[key] {
+		return 0, false
+	}
+	return t.vals[key], true
+}
+
+// ForEach calls fn for every (key, value) pair in the order Add first saw
+// the keys (see the package comment's order guarantee).
+//
+//parhip:hotpath
+func (t *DenseAccumulator) ForEach(fn func(key, val int64)) {
+	for _, k := range t.touched {
+		fn(k, t.vals[k])
+	}
+}
+
+// Reset removes all keys in O(keys added).
+//
+//parhip:hotpath
+func (t *DenseAccumulator) Reset() {
+	for _, k := range t.touched {
+		t.seen[k] = false
+	}
+	t.touched = t.touched[:0]
 }
 
 // MapI64 maps int64 keys to int64 values with last-write-wins semantics.

@@ -345,3 +345,37 @@ func TestForEachOrderIndependentOfCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseAccumulatorMatchesHash feeds the same random Add sequences —
+// revisits, resets in between, keys never touched — to the dense and the
+// hash accumulator and requires the same ForEach sequence and the same Get
+// for every key of the range: a block-keyed kernel that swaps one for the
+// other sees the same candidates in the same order.
+func TestDenseAccumulatorMatchesHash(t *testing.T) {
+	r := rng.New(23)
+	for _, k := range []int{1, 2, 16, 300} {
+		dense, hash := NewDenseAccumulator(k), NewAccumulatorI64(4)
+		for round := 0; round < 50; round++ {
+			dense.Reset()
+			hash.Reset()
+			for n := r.Intn(3 * k); n > 0; n-- {
+				key, delta := r.Int64n(int64(k)), r.Int64n(9)-4
+				dense.Add(key, delta)
+				hash.Add(key, delta)
+			}
+			var got, want [][2]int64
+			dense.ForEach(func(key, v int64) { got = append(got, [2]int64{key, v}) })
+			hash.ForEach(func(key, v int64) { want = append(want, [2]int64{key, v}) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d round %d: ForEach gave %v, hash accumulator %v", k, round, got, want)
+			}
+			for key := int64(0); key < int64(k); key++ {
+				gv, gok := dense.Get(key)
+				wv, wok := hash.Get(key)
+				if gv != wv || gok != wok {
+					t.Fatalf("k=%d round %d: Get(%d) = %d,%v, hash accumulator %d,%v", k, round, key, gv, gok, wv, wok)
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hashtab"
 	"repro/internal/rng"
+	"repro/internal/sclp"
 )
 
 // moveCand is a candidate move in the gain priority queue.
@@ -36,6 +37,34 @@ func (h *gainHeap) Pop() any {
 	return x
 }
 
+// bestMove computes the best foreign-target move of v under lmax: the
+// eligible neighbouring block of highest gain, the lighter block on equal
+// gain. A node with no neighbour outside its block has none, and is told
+// apart by the neighbour scan alone.
+//
+//parhip:hotpath
+func bestMove(g *graph.Graph, p []int32, weight []int64, lmax int64,
+	conn *hashtab.DenseAccumulator, v int32) (int32, int64, bool) {
+
+	if !sclp.GatherBlocks(conn, g.Neighbors(v), g.EdgeWeights(v), p, v, false) {
+		return -1, 0, false
+	}
+	cur := int64(p[v])
+	curConn, _ := conn.Get(cur)
+	var bt int64 = -1
+	var bg int64
+	conn.ForEach(func(b, c int64) {
+		if b == cur || weight[b]+g.NW[v] > lmax {
+			return
+		}
+		gain := c - curConn
+		if bt < 0 || gain > bg || (gain == bg && weight[b] < weight[bt]) {
+			bt, bg = b, gain
+		}
+	})
+	return int32(bt), bg, bt >= 0
+}
+
 // fmRefine performs rounds of greedy k-way boundary refinement in the
 // spirit of Fiduccia-Mattheyses: boundary nodes are kept in a max-gain
 // priority queue and moved while gain is non-negative and the balance bound
@@ -51,49 +80,16 @@ func fmRefine(g *graph.Graph, p []int32, k int32, lmax int64, maxRounds int, see
 	for v := int32(0); v < n; v++ {
 		weight[p[v]] += g.NW[v]
 	}
-	conn := hashtab.NewAccumulatorI64(64)
+	conn := hashtab.NewDenseAccumulator(int(k))
 	stamp := make([]uint32, n)
 	movedRound := make([]uint32, n) // round number when last moved; 0 = never
 	totalMoves := 0
 
-	// bestMove computes the best foreign-target move of v under lmax.
-	bestMove := func(v int32) (int32, int64, bool) {
-		conn.Reset()
-		ws := g.EdgeWeights(v)
-		for i, u := range g.Neighbors(v) {
-			conn.Add(int64(p[u]), ws[i])
-		}
-		curConn, _ := conn.Get(int64(p[v]))
-		var bt int32 = -1
-		var bg int64
-		found := false
-		conn.ForEach(func(label, c int64) {
-			b := int32(label)
-			if b == p[v] || weight[b]+g.NW[v] > lmax {
-				return
-			}
-			gain := c - curConn
-			if !found || gain > bg || (gain == bg && weight[b] < weight[bt]) {
-				bt, bg, found = b, gain, true
-			}
-		})
-		return bt, bg, found
-	}
-
 	for round := uint32(1); round <= uint32(maxRounds); round++ {
 		h := gainHeap{}
 		for v := int32(0); v < n; v++ {
-			boundary := false
-			for _, u := range g.Neighbors(v) {
-				if p[u] != p[v] {
-					boundary = true
-					break
-				}
-			}
-			if !boundary {
-				continue
-			}
-			if t, gain, ok := bestMove(v); ok && gain >= 0 {
+			// Only boundary nodes have a move; bestMove finds none for the rest.
+			if t, gain, ok := bestMove(g, p, weight, lmax, conn, v); ok && gain >= 0 {
 				h = append(h, moveCand{gain: gain, rand: r.Uint32(), node: v, target: t, stamp: stamp[v]})
 			}
 		}
@@ -105,7 +101,7 @@ func fmRefine(g *graph.Graph, p []int32, k int32, lmax int64, maxRounds int, see
 			if stamp[v] != c.stamp || movedRound[v] == round {
 				continue // stale or already moved this round
 			}
-			t, gain, ok := bestMove(v)
+			t, gain, ok := bestMove(g, p, weight, lmax, conn, v)
 			if !ok || gain < 0 {
 				continue
 			}
@@ -129,7 +125,7 @@ func fmRefine(g *graph.Graph, p []int32, k int32, lmax int64, maxRounds int, see
 				if movedRound[u] == round {
 					continue
 				}
-				if ut, ugain, uok := bestMove(u); uok && ugain >= 0 {
+				if ut, ugain, uok := bestMove(g, p, weight, lmax, conn, u); uok && ugain >= 0 {
 					stamp[u]++
 					heap.Push(&h, moveCand{gain: ugain, rand: r.Uint32(), node: u, target: ut, stamp: stamp[u]})
 				}

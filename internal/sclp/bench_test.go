@@ -241,3 +241,31 @@ func BenchmarkParRefineP4(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkParRefineInterior is refinement where it is cheapest to be
+// right: a mesh cut in two halves of the ID range (mesh-p2's shape at a
+// fine level), so all but the nodes along the cut have no neighbour outside
+// their block and nothing to rate. Reports the measured interior share.
+func BenchmarkParRefineInterior(b *testing.B) {
+	g := gen.DelaunayLike(65536, 4)
+	n := int64(g.NumNodes())
+	lmax := partition.Lmax(g.TotalNodeWeight(), 2, 0.03)
+	var stats ParStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mpi.NewWorld(2).Run(func(c *mpi.Comm) {
+			d := dgraph.FromGraph(c, g)
+			part := make([]int64, d.NTotal())
+			for v := int32(0); v < d.NTotal(); v++ {
+				part[v] = d.ToGlobal(v) * 2 / n
+			}
+			cfg := ParRefineConfig{K: 2, Lmax: lmax, Iterations: 6, Seed: uint64(i + 1)}
+			if c.Rank() == 0 {
+				cfg.Stats = &stats
+			}
+			ParRefine(d, part, cfg)
+		})
+	}
+	b.ReportMetric(float64(stats.Interior)/float64(stats.Evaluated), "interior/evaluated")
+}

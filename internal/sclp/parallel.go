@@ -15,7 +15,7 @@ import (
 // ParClusterConfig controls the parallel clustering run (§IV-A/B).
 type ParClusterConfig struct {
 	// U is the cluster weight bound; during coarsening the constraint is
-	// soft and enforced against locally maintained block weights only.
+	// soft and enforced against locally maintained cluster weights only.
 	U int64
 	// Iterations is the number of label propagation rounds.
 	Iterations int
@@ -45,8 +45,8 @@ type ParClusterConfig struct {
 	// proposal buffer, dirty-set bits, accumulator backing arrays). The
 	// caller resets it after the call returns; nil falls back to the heap.
 	Arena *arena.Arena
-	// Stats, when non-nil, accumulates the propose/commit split timings and
-	// worker busy time of every superstep.
+	// Stats, when non-nil, accumulates the propose/commit split timings,
+	// worker busy time and node-evaluation counts of every superstep.
 	Stats *ParStats
 }
 
@@ -67,18 +67,14 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	}
 	// Locally maintained cluster weights (paper §IV-B, coarsening): each PE
 	// tracks the weights of clusters containing its local and ghost nodes.
-	weight := hashtab.NewMapI64(int(nt) + 16)
-	for v := int32(0); v < nt; v++ {
-		weight.Put(labels[v], d.NW[v])
-	}
+	weight := newLabelWeights(d)
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
-	conn := hashtab.NewAccumulatorI64In(cfg.Arena, 64)
 
 	nl := d.NLocal()
 	order := localOrder(d, cfg.DegreeOrder, r, cfg.Arena)
 	props := cfg.Arena.Int64s(len(order))
-	lanes := newLanes(cfg.Pool, cfg.Arena)
-	var crng rng.RNG
+	lanes := newLanes(cfg.Pool, cfg.Arena, 0)
+	commit := &lanes[len(lanes)-1]
 	changedSet := newDirtySetIn(nl, cfg.Arena)
 	casc := newDirtySetIn(nl, cfg.Arena)
 	tracer := d.Comm.Tracer()
@@ -124,10 +120,10 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			// attractive, ...) that a pure propose filter would cut off.
 			csp := tracer.Begin(rank, "sclp.commit")
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
-			crng.Reseed(commitSeed(phaseSeed))
+			commit.rng.Reseed(commitSeed(phaseSeed))
 			for i, v := range phase {
 				if (phaseProps[i] >= 0 || casc.has(v)) &&
-					commitClusterMove(d, v, labels, weight, cfg.Constraint, cfg.U, conn, &crng) {
+					commitClusterMove(d, v, labels, weight, cfg.Constraint, cfg.U, commit) {
 					movedLocal++
 					for _, nb := range d.Neighbors(v) {
 						if nb < nl {
@@ -151,6 +147,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			break
 		}
 	}
+	cfg.Stats.count(lanes)
 	return labels
 }
 
@@ -217,15 +214,12 @@ func (s *dirtySet) reset() {
 // for the next phase. Collective.
 //
 //parhip:collective
-func exchangeLabels(d *dgraph.DGraph, labels []int64, weight *hashtab.MapI64, changed *dirtySet) {
+func exchangeLabels(d *dgraph.DGraph, labels []int64, weight *labelWeights, changed *dirtySet) {
 	var onUpdate func(ghost int32, old, new int64)
 	if weight != nil {
 		onUpdate = func(ghost int32, old, new int64) {
-			gw := d.NW[ghost]
-			ow, _ := weight.Get(old)
-			weight.Put(old, ow-gw)
-			nw, _ := weight.Get(new)
-			weight.Put(new, nw+gw)
+			weight.Add(old, -d.NW[ghost])
+			weight.Add(new, d.NW[ghost])
 		}
 	}
 	d.PushGhostsFunc(labels, changed.stack, onUpdate)
@@ -289,11 +283,10 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 	maxNW := d.MaxNodeWeightGlobal()
 	P := int64(d.Comm.Size())
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
-	conn := hashtab.NewAccumulatorI64In(cfg.Arena, 64)
 	order := localOrder(d, false, r, cfg.Arena)
 	props := cfg.Arena.Int64s(len(order))
-	lanes := newLanes(cfg.Pool, cfg.Arena)
-	var crng rng.RNG
+	lanes := newLanes(cfg.Pool, cfg.Arena, k)
+	commit := &lanes[len(lanes)-1]
 	changedSet := newDirtySetIn(nl, cfg.Arena)
 	casc := newDirtySetIn(nl, cfg.Arena)
 	tracer := d.Comm.Tracer()
@@ -331,7 +324,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 				}
 			}
 			if tight {
-				refineDemand(d, phase, part, blockWeight, cfg.Lmax, conn, demand)
+				refineDemand(d, phase, part, blockWeight, cfg.Lmax, commit.blocks, demand)
 				claimHeadroom(d.Comm, blockWeight, demand, cfg.Lmax,
 					iter*cfg.PhasesPerRound+ph, false, headroom)
 			} else {
@@ -363,10 +356,10 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			// propose filter.
 			csp := tracer.Begin(rank, "sclp.commit")
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
-			crng.Reseed(commitSeed(phaseSeed))
+			commit.rng.Reseed(commitSeed(phaseSeed))
 			for i, v := range phase {
 				if (phaseProps[i] >= 0 || casc.has(v)) &&
-					commitRefineMove(d, v, part, cfg.Prev, blockWeight, localContrib, headroom, cfg.Lmax, conn, &crng) {
+					commitRefineMove(d, v, part, cfg.Prev, blockWeight, localContrib, headroom, cfg.Lmax, commit) {
 					movedLocal++
 					for _, nb := range d.Neighbors(v) {
 						if nb < nl {
@@ -394,6 +387,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			break
 		}
 	}
+	cfg.Stats.count(lanes)
 	return totalMoves
 }
 
@@ -404,7 +398,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 // phase-start global vector (identical on every rank), so the lightest
 // block is chosen consistently.
 func refineDemand(d *dgraph.DGraph, phase []int32, part []int64,
-	blockWeight []int64, lmax int64, conn *hashtab.AccumulatorI64, demand []int64) {
+	blockWeight []int64, lmax int64, conn *hashtab.DenseAccumulator, demand []int64) {
 
 	for b := range demand {
 		demand[b] = 0

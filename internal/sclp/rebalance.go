@@ -44,7 +44,7 @@ func ParRebalance(d *dgraph.DGraph, part []int64, cfg ParRebalanceConfig) (int64
 	blockWeight := d.Comm.AllreduceSum(localContrib)
 	headroom := make([]int64, k)
 	demand := make([]int64, k)
-	conn := hashtab.NewAccumulatorI64(64)
+	conn := hashtab.NewDenseAccumulator(int(k))
 	changedSet := newDirtySet(nl)
 	var totalMoves int64
 
@@ -137,7 +137,7 @@ type rebalanceCandidate struct {
 // localContrib are updated with the local view of the moves.
 func rebalanceRound(d *dgraph.DGraph, part []int64,
 	blockWeight, localContrib, headroom, quota []int64, lmax int64,
-	conn *hashtab.AccumulatorI64, changedSet *dirtySet) int64 {
+	conn *hashtab.DenseAccumulator, changedSet *dirtySet) int64 {
 
 	nl := d.NLocal()
 	var cands []rebalanceCandidate

@@ -11,6 +11,9 @@
 package sclp
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/hashtab"
 	"repro/internal/rng"
@@ -44,14 +47,14 @@ type ClusterConfig struct {
 func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
 	n := g.NumNodes()
 	labels := make([]int32, n)
-	weight := make([]int64, n) // weight[label] = cluster weight
 	for v := int32(0); v < n; v++ {
 		labels[v] = v
-		weight[v] = g.NW[v]
 	}
 	if n == 0 || cfg.Iterations <= 0 {
 		return labels
 	}
+	// Every label is a node ID, so the whole weight table is "own range".
+	weight := &labelWeights{own: slices.Clone(g.NW[:n])}
 	r := rng.New(cfg.Seed)
 	conn := hashtab.NewAccumulatorI64(64)
 	var order []int32
@@ -79,53 +82,21 @@ func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
 
 // moveNode evaluates node v and moves it to the strongest eligible cluster.
 // It reports whether the label changed.
-func moveNode(g *graph.Graph, v int32, labels []int32, weight []int64,
+//
+//parhip:hotpath
+func moveNode(g *graph.Graph, v int32, labels []int32, weight *labelWeights,
 	constraint []int32, u int64, conn *hashtab.AccumulatorI64, r *rng.RNG) bool {
 
-	nbrs := g.Neighbors(v)
-	if len(nbrs) == 0 {
+	if !gatherLabels(conn, g.Neighbors(v), g.EdgeWeights(v), labels, constraint, v) {
 		return false
 	}
-	ws := g.EdgeWeights(v)
-	conn.Reset()
-	for i, nb := range nbrs {
-		if constraint != nil && constraint[nb] != constraint[v] {
-			continue
-		}
-		conn.Add(int64(labels[nb]), ws[i])
-	}
-	cur := labels[v]
-	curConn, _ := conn.Get(int64(cur))
-	best := cur
-	bestConn := curConn
-	ties := 1
-	conn.ForEach(func(label, c int64) {
-		l := int32(label)
-		if l == cur {
-			return
-		}
-		// Eligible when the target stays within the bound after the move.
-		if weight[l]+g.NW[v] > u {
-			return
-		}
-		switch {
-		case c > bestConn:
-			best, bestConn, ties = l, c, 1
-		case c == bestConn && l != cur:
-			// Reservoir sampling over tied candidates for random tie
-			// breaking (staying put participates as the incumbent).
-			ties++
-			if r.Intn(ties) == 0 {
-				best = l
-			}
-		}
-	})
-	if best == cur {
+	best := selectCluster(conn, int64(labels[v]), g.NW[v], u, weight, r)
+	if best < 0 {
 		return false
 	}
-	weight[cur] -= g.NW[v]
-	weight[best] += g.NW[v]
-	labels[v] = best
+	weight.Add(int64(labels[v]), -g.NW[v])
+	weight.Add(best, g.NW[v])
+	labels[v] = int32(best)
 	return true
 }
 
@@ -159,8 +130,12 @@ func Refine(g *graph.Graph, p []int32, cfg RefineConfig) int {
 	for v := int32(0); v < n; v++ {
 		weight[p[v]] += g.NW[v]
 	}
+	headroom := make([]int64, cfg.K)
+	for b := range headroom {
+		headroom[b] = math.MaxInt64
+	}
 	r := rng.New(cfg.Seed)
-	conn := hashtab.NewAccumulatorI64(64)
+	conn := hashtab.NewDenseAccumulator(int(cfg.K))
 	order := r.Perm(int(n))
 	totalMoves := 0
 	for iter := 0; iter < cfg.Iterations; iter++ {
@@ -169,7 +144,7 @@ func Refine(g *graph.Graph, p []int32, cfg RefineConfig) int {
 		}
 		moved := 0
 		for _, v := range order {
-			if refineNode(g, v, p, weight, cfg.Lmax, conn, r) {
+			if refineNode(g, v, p, weight, headroom, cfg.Lmax, conn, r) {
 				moved++
 			}
 		}
@@ -181,76 +156,24 @@ func Refine(g *graph.Graph, p []int32, cfg RefineConfig) int {
 	return totalMoves
 }
 
-func refineNode(g *graph.Graph, v int32, p []int32, weight []int64,
-	lmax int64, conn *hashtab.AccumulatorI64, r *rng.RNG) bool {
+// refineNode is the sequential refinement step: the parallel selection with
+// no previous partition and no headroom shares to respect (headroom holds
+// "unlimited" for every block).
+//
+//parhip:hotpath
+func refineNode(g *graph.Graph, v int32, p []int32, weight, headroom []int64,
+	lmax int64, conn *hashtab.DenseAccumulator, r *rng.RNG) bool {
 
-	nbrs := g.Neighbors(v)
-	if len(nbrs) == 0 {
+	cur := int64(p[v])
+	if !GatherBlocks(conn, g.Neighbors(v), g.EdgeWeights(v), p, v, weight[cur] > lmax) {
 		return false
 	}
-	ws := g.EdgeWeights(v)
-	conn.Reset()
-	for i, nb := range nbrs {
-		conn.Add(int64(p[nb]), ws[i])
-	}
-	cur := p[v]
-	overloaded := weight[cur] > lmax
-	curConn, _ := conn.Get(int64(cur))
-
-	best := int32(-1)
-	var bestConn int64 = -1
-	ties := 0
-	conn.ForEach(func(label, c int64) {
-		b := int32(label)
-		if b == cur {
-			return
-		}
-		if weight[b]+g.NW[v] > lmax {
-			return
-		}
-		switch {
-		case c > bestConn:
-			best, bestConn, ties = b, c, 1
-		case c == bestConn:
-			ties++
-			if r.Intn(ties) == 0 {
-				best = b
-			}
-		}
-	})
+	best := selectRefine(conn, cur, g.NW[v], -1, weight, headroom, lmax, r)
 	if best < 0 {
-		if !overloaded {
-			return false
-		}
-		// Overloaded node with no eligible neighbouring block: fall back to
-		// the globally lightest block so feasibility can always be
-		// restored. (Extension beyond the paper's rule, which only
-		// considers neighbouring blocks; without it a block with no
-		// boundary to an underloaded block could stay overloaded forever.)
-		for b := int32(0); b < int32(len(weight)); b++ {
-			if b == cur {
-				continue
-			}
-			if best < 0 || weight[b] < weight[best] {
-				best = b
-			}
-		}
-		if best < 0 || weight[best]+g.NW[v] > lmax {
-			return false
-		}
-	}
-	if !overloaded {
-		// Never worsen the cut: require at least as strong a connection,
-		// and only take equal-connection moves when they help balance.
-		if bestConn < curConn {
-			return false
-		}
-		if bestConn == curConn && weight[best]+g.NW[v] >= weight[cur] {
-			return false
-		}
+		return false
 	}
 	weight[cur] -= g.NW[v]
 	weight[best] += g.NW[v]
-	p[v] = best
+	p[v] = int32(best)
 	return true
 }

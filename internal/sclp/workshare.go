@@ -20,13 +20,19 @@ const proposeChunk = 256
 // wall-clock split between the parallel propose pass and the sequential
 // commit pass of every superstep, and the summed busy time of the worker
 // lanes during propose (BusyNS / (ProposeNS * Workers) is the propose-pass
-// utilization).
+// utilization). Evaluated and Interior are exact work counts, not timings:
+// identical for any worker count and from run to run.
 type ParStats struct {
 	Workers    int
 	Supersteps int64
 	ProposeNS  int64 // wall time of the parallel propose passes
 	CommitNS   int64 // wall time of the sequential commit passes
 	BusyNS     int64 // summed per-lane busy time inside propose passes
+	// Evaluated counts the node evaluations of the propose and commit
+	// passes; Interior is how many of them returned "stay" from the
+	// neighbour scan alone, before any rating was accumulated.
+	Evaluated int64
+	Interior  int64
 }
 
 // Add accumulates o into s; Workers adopts o's value when set.
@@ -38,6 +44,8 @@ func (s *ParStats) Add(o ParStats) {
 	s.ProposeNS += o.ProposeNS
 	s.CommitNS += o.CommitNS
 	s.BusyNS += o.BusyNS
+	s.Evaluated += o.Evaluated
+	s.Interior += o.Interior
 }
 
 // Utilization returns the mean fraction of propose wall time the worker
@@ -65,21 +73,45 @@ func (s *ParStats) observe(workers int, propose, commit, busy time.Duration) {
 	s.BusyNS += int64(busy)
 }
 
-// lane is the per-worker scratch of a propose pass: a connectivity
-// accumulator and a generator reseeded at every chunk boundary. Lanes are
-// indexed by the workpool worker ID; no state survives from one chunk into
-// the next, so which lane runs a chunk cannot influence results.
-type lane struct {
-	conn *hashtab.AccumulatorI64
-	rng  rng.RNG
+// count folds the lanes' work counters into s. Called once per kernel run,
+// after the last pool.Run: a sum over lanes does not depend on which lane
+// evaluated which chunk. Nil-safe.
+func (s *ParStats) count(lanes []lane) {
+	if s == nil {
+		return
+	}
+	for i := range lanes {
+		s.Evaluated += lanes[i].evaluated
+		s.Interior += lanes[i].interior
+	}
 }
 
-// newLanes allocates one lane per pool worker, with the accumulator backing
-// arrays carved from ar (heap when ar is nil).
-func newLanes(pool *workpool.Pool, ar *arena.Arena) []lane {
-	lanes := make([]lane, pool.Size())
+// lane is the scratch of one evaluating goroutine — a propose worker, or
+// the commit pass: a rating accumulator (label-keyed for clustering,
+// block-keyed for refinement), a generator reseeded at every chunk boundary,
+// and the work counters. Propose lanes are indexed by the workpool worker
+// ID. An accumulator keeps its capacity from chunk to chunk, so which lane
+// runs a chunk cannot influence results only because hashtab's ForEach
+// order is a function of the Add sequence alone (its order guarantee).
+type lane struct {
+	conn   *hashtab.AccumulatorI64   // clustering lanes
+	blocks *hashtab.DenseAccumulator // refinement lanes
+	rng    rng.RNG
+
+	evaluated, interior int64
+}
+
+// newLanes allocates one lane per pool worker plus, last, the commit pass's
+// lane. k > 0 makes refinement lanes over k blocks; k == 0 clustering lanes,
+// with the accumulator backing arrays carved from ar (heap when ar is nil).
+func newLanes(pool *workpool.Pool, ar *arena.Arena, k int32) []lane {
+	lanes := make([]lane, pool.Size()+1)
 	for i := range lanes {
-		lanes[i].conn = hashtab.NewAccumulatorI64In(ar, 64)
+		if k > 0 {
+			lanes[i].blocks = hashtab.NewDenseAccumulator(int(k))
+		} else {
+			lanes[i].conn = hashtab.NewAccumulatorI64In(ar, 64)
+		}
 	}
 	return lanes
 }
@@ -100,69 +132,113 @@ func commitSeed(phaseSeed uint64) uint64 {
 	return phaseSeed ^ 0xbf58476d1ce4e5b9
 }
 
-// proposeCluster is the parallel half of one clustering superstep: every
-// chunk of the phase's traversal order evaluates its nodes against the
-// phase-start labels and cluster weights (both frozen during the pass) and
-// records the winning target label — or -1 for "stay" — in props. props is
-// indexed by traversal position, so chunk writes are disjoint. Returns the
-// summed lane busy time.
-func proposeCluster(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
-	phase []int32, props []int64, labels []int64, weight *hashtab.MapI64,
-	constraint []int64, u int64) time.Duration {
-
-	nchunks := workpool.Chunks(len(phase), proposeChunk)
-	return pool.Run(nchunks, func(worker, chunk int) {
-		ln := &lanes[worker]
-		ln.rng.Reseed(chunkSeed(phaseSeed, chunk))
-		lo, hi := workpool.Bounds(len(phase), nchunks, chunk)
-		for i := lo; i < hi; i++ {
-			props[i] = proposeClusterNode(d, phase[i], labels, weight, constraint, u, ln.conn, &ln.rng)
-		}
-	})
+// labelWeights holds the cluster weights one rank maintains during
+// clustering (§IV-B), keyed by cluster label. Labels in the rank's own ID
+// range — most of what a node's neighbourhood shows — index a flat array;
+// only foreign labels (ghosts' clusters) go through the hash map. A label
+// never seen reads as weight 0, as it did when everything was in the map.
+// The sequential kernel uses it with the whole ID range as "own".
+type labelWeights struct {
+	first   int64   // label of own[0]
+	own     []int64 // weight of cluster first+i
+	foreign *hashtab.MapI64
 }
 
-// proposeClusterNode evaluates one node against the phase-start state and
-// returns the cluster label it proposes to join, or -1 to stay. It mutates
-// nothing shared: labels and weight are only read.
+// newLabelWeights starts every local and ghost node of d as a singleton
+// cluster labelled by its global ID.
+func newLabelWeights(d *dgraph.DGraph) *labelWeights {
+	nl, nt := d.NLocal(), d.NTotal()
+	w := &labelWeights{
+		first:   d.FirstGlobal(),
+		own:     make([]int64, nl),
+		foreign: hashtab.NewMapI64(int(nt-nl) + 16),
+	}
+	copy(w.own, d.NW[:nl])
+	for v := nl; v < nt; v++ {
+		w.foreign.Put(d.ToGlobal(v), d.NW[v])
+	}
+	return w
+}
+
+//parhip:hotpath
+func (w *labelWeights) Get(label int64) int64 {
+	if i := label - w.first; uint64(i) < uint64(len(w.own)) {
+		return w.own[i]
+	}
+	lw, _ := w.foreign.Get(label)
+	return lw
+}
+
+//parhip:hotpath
+func (w *labelWeights) Add(label, delta int64) {
+	if i := label - w.first; uint64(i) < uint64(len(w.own)) {
+		w.own[i] += delta
+		return
+	}
+	lw, _ := w.foreign.Get(label)
+	w.foreign.Put(label, lw+delta)
+}
+
+// The move selections below are shared by the parallel kernels (both roles:
+// propose against frozen phase-start state, commit against current state),
+// the sequential kernels of seq.go and kaffpa's FM. Each is a gather — scan
+// the neighbourhood, and only if it can matter accumulate the ratings —
+// followed by a select over the accumulated ratings. What they skip cannot
+// change the returned target or the number of RNG draws (DESIGN.md §13);
+// TestKernelsMatchOracle holds them to the full-accumulate originals.
+
+// gatherLabels accumulates the edge weight from v towards each admissible
+// neighbouring cluster into conn — admissible meaning the same constraint
+// label as v, when constraint is set — and reports whether a selection is
+// needed at all. It is not when every admissible neighbour (possibly none)
+// already carries v's label: with only the incumbent rated, the selection
+// keeps it without drawing. That case returns false from the plain scan,
+// before conn is touched.
 //
 //parhip:hotpath
-func proposeClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *hashtab.MapI64,
-	constraint []int64, u int64, conn *hashtab.AccumulatorI64, r *rng.RNG) int64 {
+func gatherLabels[L int32 | int64](conn *hashtab.AccumulatorI64, nbrs []int32, ws []int64,
+	labels, constraint []L, v int32) bool {
 
-	nbrs := d.Neighbors(v)
-	if len(nbrs) == 0 {
-		return -1
+	i := 0
+	for i < len(nbrs) && (labels[nbrs[i]] == labels[v] ||
+		constraint != nil && constraint[nbrs[i]] != constraint[v]) {
+		i++
 	}
-	ws := d.EdgeWeights(v)
+	if i == len(nbrs) {
+		return false
+	}
 	conn.Reset()
 	for i, nb := range nbrs {
-		if constraint != nil && constraint[nb] != constraint[v] {
-			continue
+		if constraint == nil || constraint[nb] == constraint[v] {
+			conn.Add(int64(labels[nb]), ws[i])
 		}
-		conn.Add(labels[nb], ws[i])
 	}
-	cur := labels[v]
-	curConn, _ := conn.Get(cur)
+	return true
+}
+
+// selectCluster picks, from the ratings gatherLabels accumulated, the
+// cluster a node of weight nw in cluster cur joins: the strongest-connected
+// one that stays within u after the move, ties broken by reservoir sampling
+// with the incumbent taking part. Returns -1 to stay. A candidate rated
+// below the best so far can neither win nor tie, so its weight is not even
+// looked up.
+//
+//parhip:hotpath
+func selectCluster(conn *hashtab.AccumulatorI64, cur, nw, u int64, weight *labelWeights, r *rng.RNG) int64 {
 	best := cur
-	bestConn := curConn
+	bestConn, _ := conn.Get(cur)
 	ties := 1
-	nw := d.NW[v]
 	conn.ForEach(func(label, c int64) {
-		if label == cur {
+		if label == cur || c < bestConn || weight.Get(label)+nw > u {
 			return
 		}
-		lw, _ := weight.Get(label)
-		if lw+nw > u {
-			return
-		}
-		switch {
-		case c > bestConn:
+		if c > bestConn {
 			best, bestConn, ties = label, c, 1
-		case c == bestConn && label != cur:
-			ties++
-			if r.Intn(ties) == 0 {
-				best = label
-			}
+			return
+		}
+		ties++
+		if r.Intn(ties) == 0 {
+			best = label
 		}
 	})
 	if best == cur {
@@ -171,99 +247,60 @@ func proposeClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *hasht
 	return best
 }
 
-// commitClusterMove finalizes one move during the sequential commit pass.
-// The stale proposal (or the cascade dirty-set) only decided that the node
-// is worth re-examining; the actual decision re-runs the full selection against the
-// current labels and cluster weights, so a committed move is exactly the
-// one the sequential kernel would have made at this point of the
-// traversal. Because commits run one at a time in traversal order with a
-// dedicated commit RNG stream, the result is independent of how the
-// propose pass was scheduled.
+// GatherBlocks is gatherLabels for block-keyed selections: it accumulates
+// the edge weight from v towards every neighbouring block (v's own
+// included) into conn and reports whether a selection is needed. It is not
+// for a node without neighbours, nor — unless mustLeave is set, because v's
+// block is overloaded and v may be sent to a block it has no edge to — for
+// one whose neighbours all share its block: no other block is rated, so
+// nothing can be selected. Those return false before conn is touched.
 //
 //parhip:hotpath
-func commitClusterMove(d *dgraph.DGraph, v int32, labels []int64,
-	weight *hashtab.MapI64, constraint []int64, u int64,
-	conn *hashtab.AccumulatorI64, r *rng.RNG) bool {
+//lint:rawslice-ok internal kernel shared with kaffpa's FM: nbrs is an adjacency row and part the raw working assignment
+func GatherBlocks[B int32 | int64](conn *hashtab.DenseAccumulator, nbrs []int32, ws []int64,
+	part []B, v int32, mustLeave bool) bool {
 
-	b := proposeClusterNode(d, v, labels, weight, constraint, u, conn, r)
-	if b < 0 {
+	if len(nbrs) == 0 {
 		return false
 	}
-	cur := labels[v]
-	nw := d.NW[v]
-	bw, _ := weight.Get(b) // fits: the selection enforced bw+nw <= u
-	cw, _ := weight.Get(cur)
-	weight.Put(cur, cw-nw)
-	weight.Put(b, bw+nw)
-	labels[v] = b
+	if !mustLeave {
+		cur := part[v]
+		i := 0
+		for i < len(nbrs) && part[nbrs[i]] == cur {
+			i++
+		}
+		if i == len(nbrs) {
+			return false
+		}
+	}
+	conn.Reset()
+	for i, nb := range nbrs {
+		conn.Add(int64(part[nb]), ws[i])
+	}
 	return true
 }
 
-// proposeRefine is the parallel half of one refinement superstep; see
-// proposeCluster. blockWeight and headroom are the phase-start vectors,
-// frozen during the pass.
-func proposeRefine(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
-	phase []int32, props []int64, part, prev []int64,
-	blockWeight, headroom []int64, lmax int64) time.Duration {
-
-	nchunks := workpool.Chunks(len(phase), proposeChunk)
-	return pool.Run(nchunks, func(worker, chunk int) {
-		ln := &lanes[worker]
-		ln.rng.Reseed(chunkSeed(phaseSeed, chunk))
-		lo, hi := workpool.Bounds(len(phase), nchunks, chunk)
-		for i := lo; i < hi; i++ {
-			props[i] = proposeRefineNode(d, phase[i], part, prev, blockWeight, headroom, lmax, ln.conn, &ln.rng)
-		}
-	})
-}
-
-// proposeRefineNode evaluates one node and returns the block it selects,
-// or -1 to stay. The selection logic — eligibility, previous-block tie
-// pinning, the overloaded fallback to the lightest eligible block, and the
-// non-overloaded acceptance rules — matches the sequential kernel this
-// pass replaced. It runs in two roles: during the parallel propose pass it
-// sees phase-start state and its verdict only *flags* the node for
-// re-examination; during the sequential commit pass it re-runs against
-// current state and its verdict is final. Nodes whose stale verdict said
-// "stay" still get re-examined when a same-phase committed move dirtied
-// them (see the cascade dirty-set in ParRefine).
+// selectRefine picks, from the ratings GatherBlocks accumulated, the block a
+// node of weight nw in block cur moves to, or -1 to stay. A block is
+// eligible when the node fits under lmax and into this rank's remaining
+// headroom share. prevB is the node's block in the previous partition (-1
+// when the run is not migration-aware): it wins connectivity ties and pins
+// the node against cut-neutral moves. A node of an overloaded block moves to
+// its strongest eligible neighbouring block regardless of the cut, or, with
+// none, to the lightest eligible block overall, so feasibility can always be
+// restored (an extension beyond the paper's rule, which only considers
+// neighbouring blocks); any other node moves only where the cut does not
+// grow, and on equal connectivity only where balance improves.
 //
 //parhip:hotpath
-func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
-	blockWeight, headroom []int64, lmax int64,
-	conn *hashtab.AccumulatorI64, r *rng.RNG) int64 {
+func selectRefine(conn *hashtab.DenseAccumulator, cur, nw, prevB int64,
+	blockWeight, headroom []int64, lmax int64, r *rng.RNG) int64 {
 
-	nbrs := d.Neighbors(v)
-	if len(nbrs) == 0 {
-		return -1
-	}
-	ws := d.EdgeWeights(v)
-	conn.Reset()
-	for i, nb := range nbrs {
-		conn.Add(part[nb], ws[i])
-	}
-	cur := part[v]
-	nw := d.NW[v]
-	overloaded := blockWeight[cur] > lmax
-	curConn, _ := conn.Get(cur)
-
-	// prevB is the node's block in the previous partition (-1 when the run
-	// is not migration-aware). It wins connectivity ties and pins the node
-	// against cut-neutral moves.
-	prevB := int64(-1)
-	if prev != nil {
-		prevB = prev[v]
-	}
-
-	//lint:hotpath-ok never escapes the frame: only called here and captured by ForEach, which does not retain its callback
-	eligible := func(b int64) bool {
-		return blockWeight[b]+nw <= lmax && headroom[b] >= nw
-	}
 	best := int64(-1)
 	var bestConn int64 = -1
 	ties := 0
 	conn.ForEach(func(label, c int64) {
-		if label == cur || !eligible(label) {
+		if label == cur || blockWeight[label]+nw > lmax || headroom[label] < nw {
 			return
 		}
 		switch {
@@ -283,14 +320,13 @@ func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
 			}
 		}
 	})
+	overloaded := blockWeight[cur] > lmax
 	if best < 0 {
 		if !overloaded {
 			return -1
 		}
-		// Overloaded node with no eligible neighbouring block: lightest
-		// eligible block overall (see the sequential variant).
 		for b := int64(0); b < int64(len(blockWeight)); b++ {
-			if b == cur || !eligible(b) {
+			if b == cur || blockWeight[b]+nw > lmax || headroom[b] < nw {
 				continue
 			}
 			if best < 0 || blockWeight[b] < blockWeight[best] {
@@ -300,6 +336,7 @@ func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
 		return best
 	}
 	if !overloaded {
+		curConn, _ := conn.Get(cur)
 		if bestConn < curConn {
 			return -1
 		}
@@ -315,6 +352,110 @@ func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
 	return best
 }
 
+// proposeCluster is the parallel half of one clustering superstep: every
+// chunk of the phase's traversal order evaluates its nodes against the
+// phase-start labels and cluster weights (both frozen during the pass) and
+// records the winning target label — or -1 for "stay" — in props. props is
+// indexed by traversal position, so chunk writes are disjoint. Returns the
+// summed lane busy time.
+func proposeCluster(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
+	phase []int32, props []int64, labels []int64, weight *labelWeights,
+	constraint []int64, u int64) time.Duration {
+
+	nchunks := workpool.Chunks(len(phase), proposeChunk)
+	return pool.Run(nchunks, func(worker, chunk int) {
+		ln := &lanes[worker]
+		ln.rng.Reseed(chunkSeed(phaseSeed, chunk))
+		lo, hi := workpool.Bounds(len(phase), nchunks, chunk)
+		for i := lo; i < hi; i++ {
+			props[i] = proposeClusterNode(d, phase[i], labels, weight, constraint, u, ln)
+		}
+	})
+}
+
+// proposeClusterNode evaluates one node and returns the cluster label it
+// selects, or -1 to stay. It mutates nothing shared: labels and weight are
+// only read. It runs in two roles: during the parallel propose pass it sees
+// phase-start state and its verdict only *flags* the node for
+// re-examination; during the sequential commit pass it re-runs against
+// current state and its verdict is final.
+//
+//parhip:hotpath
+func proposeClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *labelWeights,
+	constraint []int64, u int64, ln *lane) int64 {
+
+	ln.evaluated++
+	if !gatherLabels(ln.conn, d.Neighbors(v), d.EdgeWeights(v), labels, constraint, v) {
+		ln.interior++
+		return -1
+	}
+	return selectCluster(ln.conn, labels[v], d.NW[v], u, weight, &ln.rng)
+}
+
+// commitClusterMove finalizes one move during the sequential commit pass.
+// The stale proposal (or the cascade dirty-set) only decided that the node
+// is worth re-examining; the actual decision re-runs the full selection against the
+// current labels and cluster weights, so a committed move is exactly the
+// one the sequential kernel would have made at this point of the
+// traversal. Because commits run one at a time in traversal order with a
+// dedicated commit RNG stream, the result is independent of how the
+// propose pass was scheduled.
+//
+//parhip:hotpath
+func commitClusterMove(d *dgraph.DGraph, v int32, labels []int64,
+	weight *labelWeights, constraint []int64, u int64, ln *lane) bool {
+
+	b := proposeClusterNode(d, v, labels, weight, constraint, u, ln)
+	if b < 0 {
+		return false
+	}
+	nw := d.NW[v]
+	weight.Add(labels[v], -nw)
+	weight.Add(b, nw) // fits: the selection enforced weight(b)+nw <= u
+	labels[v] = b
+	return true
+}
+
+// proposeRefine is the parallel half of one refinement superstep; see
+// proposeCluster. blockWeight and headroom are the phase-start vectors,
+// frozen during the pass.
+func proposeRefine(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
+	phase []int32, props []int64, part, prev []int64,
+	blockWeight, headroom []int64, lmax int64) time.Duration {
+
+	nchunks := workpool.Chunks(len(phase), proposeChunk)
+	return pool.Run(nchunks, func(worker, chunk int) {
+		ln := &lanes[worker]
+		ln.rng.Reseed(chunkSeed(phaseSeed, chunk))
+		lo, hi := workpool.Bounds(len(phase), nchunks, chunk)
+		for i := lo; i < hi; i++ {
+			props[i] = proposeRefineNode(d, phase[i], part, prev, blockWeight, headroom, lmax, ln)
+		}
+	})
+}
+
+// proposeRefineNode evaluates one node and returns the block it selects,
+// or -1 to stay; the two roles are proposeClusterNode's. Nodes whose stale
+// verdict said "stay" still get re-examined when a same-phase committed
+// move dirtied them (see the cascade dirty-set in ParRefine).
+//
+//parhip:hotpath
+func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
+	blockWeight, headroom []int64, lmax int64, ln *lane) int64 {
+
+	ln.evaluated++
+	cur := part[v]
+	if !GatherBlocks(ln.blocks, d.Neighbors(v), d.EdgeWeights(v), part, v, blockWeight[cur] > lmax) {
+		ln.interior++
+		return -1
+	}
+	prevB := int64(-1)
+	if prev != nil {
+		prevB = prev[v]
+	}
+	return selectRefine(ln.blocks, cur, d.NW[v], prevB, blockWeight, headroom, lmax, &ln.rng)
+}
+
 // commitRefineMove finalizes one refinement proposal during the sequential
 // commit pass: the full selection of proposeRefineNode re-runs against the
 // current part, block weights and remaining headroom, so a committed move
@@ -326,10 +467,9 @@ func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
 //
 //parhip:hotpath
 func commitRefineMove(d *dgraph.DGraph, v int32, part, prev []int64,
-	blockWeight, localContrib, headroom []int64, lmax int64,
-	conn *hashtab.AccumulatorI64, r *rng.RNG) bool {
+	blockWeight, localContrib, headroom []int64, lmax int64, ln *lane) bool {
 
-	b := proposeRefineNode(d, v, part, prev, blockWeight, headroom, lmax, conn, r)
+	b := proposeRefineNode(d, v, part, prev, blockWeight, headroom, lmax, ln)
 	if b < 0 {
 		return false
 	}

@@ -104,6 +104,12 @@ func (s *Server) buildMetrics(reg *obs.Registry) {
 	reg.CounterFunc("parhipd_sclp_worker_busy_seconds_total",
 		"Summed per-lane busy seconds inside propose passes.",
 		lockedGauge(func() float64 { return float64(m.par.BusyNS) / 1e9 }))
+	reg.CounterFunc("parhipd_sclp_evaluated_total",
+		"Node evaluations by the propose and commit passes (exact; rank 0's view).",
+		lockedGauge(func() float64 { return float64(m.par.Evaluated) }))
+	reg.CounterFunc("parhipd_sclp_interior_total",
+		"Node evaluations settled by the neighbour scan alone, before any rating was accumulated.",
+		lockedGauge(func() float64 { return float64(m.par.Interior) }))
 	reg.GaugeFunc("parhipd_sclp_workers",
 		"Intra-rank worker threads per simulated rank (last core run).",
 		lockedGauge(func() float64 { return float64(m.par.Workers) }))

@@ -60,6 +60,8 @@ func TestMetricsExposition(t *testing.T) {
 		"parhipd_cache_hits_total 1",
 		"parhipd_cache_misses_total 1",
 		"parhipd_core_runs_total 1",
+		"# TYPE parhipd_sclp_evaluated_total counter",
+		"# TYPE parhipd_sclp_interior_total counter",
 		"# TYPE parhipd_queue_depth gauge",
 		"parhipd_queue_depth 0",
 		"parhipd_worker_utilization 0",
@@ -68,6 +70,12 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
+	}
+
+	if sclp := e.srv.Stats().Core.Sclp; sclp.Evaluated <= 0 || sclp.Interior < 0 || sclp.Interior > sclp.Evaluated ||
+		!strings.Contains(text, fmt.Sprintf("parhipd_sclp_evaluated_total %d\n", sclp.Evaluated)) {
+		t.Errorf("/v1/stats counts %d node evaluations, %d interior; /metrics must carry the same evaluated total",
+			sclp.Evaluated, sclp.Interior)
 	}
 
 	// Well-formedness: every non-comment line is "name[{labels}] value",

@@ -809,6 +809,11 @@ type StatsView struct {
 			CommitMS           float64 `json:"commit_ms"`
 			WorkerBusyMS       float64 `json:"worker_busy_ms"`
 			ProposeUtilization float64 `json:"propose_utilization"`
+			// Evaluated and Interior are exact work counts: node
+			// evaluations by propose and commit, and how many of them
+			// were settled by the neighbour scan alone.
+			Evaluated int64 `json:"evaluated"`
+			Interior  int64 `json:"interior"`
 		} `json:"sclp"`
 	} `json:"core"`
 
@@ -855,6 +860,8 @@ func (s *Server) Stats() StatsView {
 	v.Core.Sclp.CommitMS = float64(m.par.CommitNS) / 1e6
 	v.Core.Sclp.WorkerBusyMS = float64(m.par.BusyNS) / 1e6
 	v.Core.Sclp.ProposeUtilization = m.par.Utilization()
+	v.Core.Sclp.Evaluated = m.par.Evaluated
+	v.Core.Sclp.Interior = m.par.Interior
 	v.RecentJobs = append([]JobTiming(nil), m.recent...)
 	m.mu.Unlock()
 
