@@ -16,9 +16,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/kaffpa"
 	"repro/internal/matchbase"
-	"repro/internal/modularity"
 	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/sclp"
@@ -51,7 +49,7 @@ func benchTable(b *testing.B, k int32) {
 		// target so the baseline is never failed merely for stopping at
 		// its own coarsest-size limit (matches exp.RunTable).
 		budget := int64(g.NumNodes()) / 6
-		if floor := 2 * matchbase.DefaultConfig(k).CoarsestPerBlock * int64(k); budget < floor {
+		if floor := 2 * matchbase.CoarsestPerBlock * int64(k); budget < floor {
 			budget = floor
 		}
 		b.Run(inst.Name+"/baseline", func(b *testing.B) {
@@ -358,32 +356,6 @@ func BenchmarkAblationEvoBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFlows compares the multilevel pipeline with and without
-// KaHIP's flow-based refinement (§II-C) on a mesh, where flows help most.
-func BenchmarkAblationFlows(b *testing.B) {
-	g := gen.DelaunayLike(8100, 7)
-	for _, flows := range []bool{false, true} {
-		name := "lp+fm"
-		if flows {
-			name = "lp+fm+flows"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cut int64
-			for i := 0; i < b.N; i++ {
-				cfg := kaffpa.DefaultConfig(8)
-				cfg.Seed = uint64(i + 1)
-				cfg.UseFlows = flows
-				p, err := kaffpa.Partition(g, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = partition.EdgeCut(g, p)
-			}
-			b.ReportMetric(float64(cut), "cut")
-		})
-	}
-}
-
 // BenchmarkAblationObjective compares evolutionary objectives (§VI): the
 // cut objective against communication-volume-oriented fitness.
 func BenchmarkAblationObjective(b *testing.B) {
@@ -414,18 +386,6 @@ func BenchmarkAblationObjective(b *testing.B) {
 			b.ReportMetric(float64(vol), "commvol")
 		})
 	}
-}
-
-// BenchmarkModularityClustering covers the §VI clustering extension.
-func BenchmarkModularityClustering(b *testing.B) {
-	g, _ := gen.PlantedPartition(10000, 40, 10, 0.5, 9)
-	var q float64
-	for i := 0; i < b.N; i++ {
-		cfg := modularity.DefaultConfig()
-		cfg.Seed = uint64(i + 1)
-		_, q = modularity.Cluster(g, cfg)
-	}
-	b.ReportMetric(q, "modularity")
 }
 
 // --- Micro-benchmarks of the primitives ----------------------------------

@@ -1,5 +1,6 @@
 // Command bench regenerates the paper's tables and figures at reduced
-// scale (see DESIGN.md §4 for the experiment index).
+// scale and checks that they show the paper's shape (see DESIGN.md §4 for
+// the experiment index; performance is measured by benchmark/run.sh).
 //
 //	bench -table1          benchmark-set properties (Table I analogue)
 //	bench -table2          k=2 quality/time comparison (Table II)
@@ -7,20 +8,16 @@
 //	bench -fig5            weak scaling on rgg/delaunay (Figure 5)
 //	bench -fig6            strong scaling incl. web instance (Figure 6)
 //	bench -shrink          coarsening effectiveness (§V-B observation)
-//	bench -repart          repartitioning under edge churn (cold vs warm
-//	                       cut, migration volume)
 //	bench -all             everything
 //
-// Flags -scale, -pes, -reps tune the workload size. -json switches the
-// output to a single machine-readable JSON document (cut, imbalance and
-// seconds per instance/algorithm) for recording the perf trajectory across
-// PRs.
+// Flags -scale, -pes, -reps tune the workload size. The tables exit
+// non-zero when exp.CheckShape fails: a ParHIP row infeasible, fast worse
+// than the baseline, or eco worse than fast.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 
@@ -30,109 +27,68 @@ import (
 
 func main() {
 	var (
-		table1   = flag.Bool("table1", false, "print benchmark-set properties (Table I)")
-		table2   = flag.Bool("table2", false, "run the k=2 comparison (Table II)")
-		table3   = flag.Bool("table3", false, "run the k=32 comparison (Table III)")
-		fig5     = flag.Bool("fig5", false, "run the weak-scaling experiment (Figure 5)")
-		fig6     = flag.Bool("fig6", false, "run the strong-scaling experiment (Figure 6)")
-		shrink   = flag.Bool("shrink", false, "run the coarsening-effectiveness experiment")
-		repart   = flag.Bool("repart", false, "run the repartitioning-under-churn experiment")
-		all      = flag.Bool("all", false, "run everything")
-		scale    = flag.Int("scale", 1, "instance size multiplier")
-		pes      = flag.Int("pes", 4, "simulated PEs for the tables")
-		reps     = flag.Int("reps", 3, "repetitions per configuration")
-		maxP     = flag.Int("maxp", maxPdefault(), "largest PE count for scaling runs")
-		jsonMode = flag.Bool("json", false, "emit one machine-readable JSON document instead of text tables")
+		table1 = flag.Bool("table1", false, "print benchmark-set properties (Table I)")
+		table2 = flag.Bool("table2", false, "run the k=2 comparison (Table II)")
+		table3 = flag.Bool("table3", false, "run the k=32 comparison (Table III)")
+		fig5   = flag.Bool("fig5", false, "run the weak-scaling experiment (Figure 5)")
+		fig6   = flag.Bool("fig6", false, "run the strong-scaling experiment (Figure 6)")
+		shrink = flag.Bool("shrink", false, "run the coarsening-effectiveness experiment")
+		all    = flag.Bool("all", false, "run everything")
+		scale  = flag.Int("scale", 1, "instance size multiplier")
+		pes    = flag.Int("pes", 4, "simulated PEs for the tables")
+		reps   = flag.Int("reps", 3, "repetitions per configuration")
+		maxP   = flag.Int("maxp", maxPdefault(), "largest PE count for scaling runs")
 	)
 	flag.Parse()
-	if !(*table1 || *table2 || *table3 || *fig5 || *fig6 || *shrink || *repart || *all) {
+	if !(*all || *table1 || *table2 || *table3 || *fig5 || *fig6 || *shrink) {
 		flag.Usage()
 		os.Exit(2)
 	}
 	w := os.Stdout
-	var report exp.JSONReport
+	shapeOK := true
+	table := func(title string, k int32) {
+		rows := exp.RunTable(exp.TableOptions{K: k, PEs: *pes, Reps: *reps, Scale: int32(*scale), BudgetDivisor: 6})
+		exp.WriteTable(w, title, rows)
+		fmt.Fprintln(w)
+		if err := exp.CheckShape(rows); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: k=%d shape check failed:\n%v\n", k, err)
+			shapeOK = false
+		}
+	}
 
 	if *all || *table1 {
-		if !*jsonMode {
-			fmt.Fprintln(w, "Table I (analogue): benchmark set properties")
-			fmt.Fprintf(w, "%-12s %-4s %9s %10s\n", "graph", "type", "n", "m")
-		}
+		fmt.Fprintln(w, "Table I (analogue): benchmark set properties")
+		fmt.Fprintf(w, "%-12s %-4s %9s %10s\n", "graph", "type", "n", "m")
 		for _, inst := range exp.BenchmarkSet(int32(*scale)) {
 			g := inst.Gen(42)
-			if *jsonMode {
-				report.Properties = append(report.Properties, exp.GraphProps{
-					Graph: inst.Name, Type: inst.Type, N: g.NumNodes(), M: g.NumEdges(),
-				})
-			} else {
-				fmt.Fprintf(w, "%-12s %-4s %9d %10d\n", inst.Name, inst.Type, g.NumNodes(), g.NumEdges())
-			}
+			fmt.Fprintf(w, "%-12s %-4s %9d %10d\n", inst.Name, inst.Type, g.NumNodes(), g.NumEdges())
 		}
-		if !*jsonMode {
-			fmt.Fprintln(w)
-		}
+		fmt.Fprintln(w)
 	}
 	if *all || *table2 {
-		rows := exp.RunTable(exp.TableOptions{K: 2, PEs: *pes, Reps: *reps, Scale: int32(*scale), BudgetDivisor: 6})
-		if *jsonMode {
-			report.Records = append(report.Records, exp.Records("table2", 2, *pes, rows)...)
-		} else {
-			exp.WriteTable(w, "Table II (analogue): k=2, avg/best cut and time", rows)
-			fmt.Fprintln(w)
-		}
+		table("Table II (analogue): k=2, avg/best cut and time", 2)
 	}
 	if *all || *table3 {
-		rows := exp.RunTable(exp.TableOptions{K: 32, PEs: *pes, Reps: *reps, Scale: int32(*scale), BudgetDivisor: 6})
-		if *jsonMode {
-			report.Records = append(report.Records, exp.Records("table3", 32, *pes, rows)...)
-		} else {
-			exp.WriteTable(w, "Table III (analogue): k=32, avg/best cut and time", rows)
-			fmt.Fprintln(w)
-		}
+		table("Table III (analogue): k=32, avg/best cut and time", 32)
 	}
 	if *all || *fig5 {
-		pts := exp.RunWeakScaling(peList(*maxP), int32(4096**scale), 16, 1)
-		if *jsonMode {
-			report.Weak = exp.WeakRecords(pts)
-		} else {
-			exp.WriteWeakScaling(w, pts)
-			fmt.Fprintln(w)
-		}
+		exp.WriteWeakScaling(w, exp.RunWeakScaling(peList(*maxP), int32(4096**scale), 16, 1))
+		fmt.Fprintln(w)
 	}
 	if *all || *fig6 {
-		insts := exp.DefaultStrongInstances(int32(*scale))
-		pts := exp.RunStrongScaling(insts, peList(*maxP), 16, 1)
-		if *jsonMode {
-			report.Strong = exp.StrongRecords(pts)
-		} else {
-			exp.WriteStrongScaling(w, pts)
-			fmt.Fprintln(w)
-		}
+		exp.WriteStrongScaling(w, exp.RunStrongScaling(exp.DefaultStrongInstances(int32(*scale)), peList(*maxP), 16, 1))
+		fmt.Fprintln(w)
 	}
 	if *all || *shrink {
 		web, _ := gen.PlantedPartition(int32(20000**scale), 100, 10, 0.4, 1)
 		mesh := gen.DelaunayLike(int32(16000**scale), 1)
-		shrinkReps := []exp.ShrinkReport{
+		exp.WriteShrink(w, []exp.ShrinkReport{
 			exp.RunShrink("web-comm", web, *pes, 300, 1),
 			exp.RunShrink("delaunay", mesh, *pes, 300, 1),
-		}
-		if *jsonMode {
-			report.Shrink = exp.ShrinkRecords(shrinkReps)
-		} else {
-			exp.WriteShrink(w, shrinkReps)
-		}
+		})
 	}
-	if *all || *repart {
-		pts := exp.RunRepartition(exp.RepartOptions{K: 16, PEs: *pes, Scale: int32(*scale)})
-		if *jsonMode {
-			report.Repart = exp.RepartRecords(pts)
-		} else {
-			exp.WriteRepartition(w, pts)
-		}
-	}
-	if *jsonMode {
-		if err := exp.WriteJSON(w, report); err != nil {
-			log.Fatalf("bench: write json: %v", err)
-		}
+	if !shapeOK {
+		os.Exit(1)
 	}
 }
 

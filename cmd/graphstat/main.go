@@ -1,10 +1,9 @@
 // Command graphstat reports structural statistics of a graph: size, degree
-// distribution, connectivity, and (optionally) a modularity clustering —
-// the quantities that predict whether matching-based or cluster-based
-// coarsening will work on it.
+// distribution and connectivity — the quantities that predict whether
+// matching-based or cluster-based coarsening will work on it.
 //
 //	graphstat -graph web.metis
-//	graphstat -family rmat -n 100000 -cluster
+//	graphstat -family rmat -n 100000
 package main
 
 import (
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/modularity"
 )
 
 func main() {
@@ -24,7 +22,6 @@ func main() {
 		family    = flag.String("family", "", "generated family (see graphgen)")
 		n         = flag.Int("n", 10000, "node count for generated graphs")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		cluster   = flag.Bool("cluster", false, "also run modularity clustering")
 	)
 	flag.Parse()
 
@@ -86,13 +83,4 @@ func main() {
 		}
 	}
 	fmt.Printf("components=%d giant=%d (%.1f%%)\n", cnt, giant, 100*float64(giant)/float64(nn))
-
-	if *cluster {
-		clusters, q := modularity.Cluster(g, modularity.DefaultConfig())
-		distinct := make(map[int32]bool)
-		for _, c := range clusters {
-			distinct[c] = true
-		}
-		fmt.Printf("modularity clustering: Q=%.4f clusters=%d\n", q, len(distinct))
-	}
 }

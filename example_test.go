@@ -74,27 +74,3 @@ func ExamplePartition() {
 	// same block within clique 2: true
 	// cliques separated: true
 }
-
-// ExampleClusterModularity clusters two communities without fixing k.
-func ExampleClusterModularity() {
-	b := parhip.NewBuilder(8)
-	for u := int32(0); u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			b.AddEdge(u, v)
-			b.AddEdge(u+4, v+4)
-		}
-	}
-	b.AddEdge(0, 4)
-	g := b.Build()
-
-	clusters, q := parhip.ClusterModularity(g, 1)
-	fmt.Println("clique 1 together:", clusters[0] == clusters[3])
-	fmt.Println("clique 2 together:", clusters[4] == clusters[7])
-	fmt.Println("separated:", clusters[0] != clusters[4])
-	fmt.Println("modularity positive:", q > 0)
-	// Output:
-	// clique 1 together: true
-	// clique 2 together: true
-	// separated: true
-	// modularity positive: true
-}

@@ -10,8 +10,9 @@
 //     rank-dependent branch is a latent deadlock.
 //   - mutexguard  — fields documented "guarded by <mu>" may only be touched
 //     by functions that lock that mutex (or are annotated as holding it).
-//   - determinism — core/sclp/contract/evo decisions must be reproducible:
-//     no time.Now, no global math/rand, no order-dependent map iteration.
+//   - determinism — core/sclp/contract/evo decisions and gen's graphs must
+//     be reproducible: no time.Now, no global math/rand, no order-dependent
+//     map iteration.
 //   - hotpath     — functions annotated //parhip:hotpath must stay
 //     allocation-free: no variadic calls, fmt, int boxing, stored closures.
 //   - apiaudit    — partitions cross exported APIs under documented names,

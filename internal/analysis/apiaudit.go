@@ -118,8 +118,8 @@ func auditGenDecl(p *Pass, d *ast.GenDecl) {
 		}
 		st, ok := ts.Type.(*ast.StructType)
 		if !ok {
-			// Non-struct named types (e.g. Clustering) are the documented
-			// wrappers the rule asks for — but a func type with a bare
+			// Non-struct named types are the documented wrappers the
+			// rule asks for — but a func type with a bare
 			// []int32 parameter still counts.
 			if ft, isFunc := ts.Type.(*ast.FuncType); isFunc {
 				if fieldsHaveBareInt32(ft.Params) || fieldsHaveBareInt32(ft.Results) {

@@ -8,7 +8,8 @@ import (
 )
 
 // DeterminismAnalyzer guards the reproducibility contract of the decision
-// packages (core, sclp, contract, evo): for a fixed seed — and in the
+// packages (core, sclp, contract, evo) and of the generators every
+// experiment's input comes from (gen): for a fixed seed — and in the
 // parallel setting a fixed (seed, rank) pair — runs must be bit-identical.
 // Three sources of hidden nondeterminism are flagged:
 //
@@ -28,12 +29,14 @@ var DeterminismAnalyzer = &Analyzer{
 }
 
 // determinismScope lists the packages (by final import-path element) whose
-// decisions feed partition state.
+// decisions feed partition state, plus gen, whose output is that state's
+// input.
 var determinismScope = map[string]bool{
 	"core":     true,
 	"sclp":     true,
 	"contract": true,
 	"evo":      true,
+	"gen":      true,
 }
 
 func runDeterminism(p *Pass) {

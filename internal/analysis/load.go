@@ -36,7 +36,7 @@ type Module struct {
 // mpiCollectives names the communication primitives of internal/mpi that
 // are collective: every rank of the world (or, for NeighborAlltoallv, the
 // plan topology) must call them in the same order. Point-to-point
-// Send/Recv/TryRecv are deliberately absent.
+// Send/Recv/TryRecvAny are deliberately absent.
 var mpiCollectives = map[string]bool{
 	"Barrier":           true,
 	"Bcast":             true,
@@ -47,10 +47,8 @@ var mpiCollectives = map[string]bool{
 	"AlltoallvFunc":     true,
 	"AllreduceSum":      true,
 	"AllreduceMax":      true,
-	"AllreduceMin":      true,
 	"AllreduceSum1":     true,
 	"AllreduceMax1":     true,
-	"AllreduceMin1":     true,
 	"ExScanSum":         true,
 	"NeighborAlltoallv": true,
 }

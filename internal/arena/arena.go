@@ -55,15 +55,6 @@ func (a *typedArena[T]) reset() {
 	a.off = 0
 }
 
-// held reports the total number of elements across all slabs.
-func (a *typedArena[T]) held() int {
-	var t int
-	for _, s := range a.slabs {
-		t += len(s)
-	}
-	return t
-}
-
 // Arena hands out zeroed typed slices carved from recycled slabs. The zero
 // value is ready to use; a nil *Arena is also valid — every allocator
 // method falls back to a plain make, so callers can thread an optional
@@ -132,14 +123,4 @@ func (a *Arena) Reset() {
 	a.ints.reset()
 	a.u64.reset()
 	a.bs.reset()
-}
-
-// HeldBytes reports the memory the arena is holding across all typed
-// slabs, for observability.
-func (a *Arena) HeldBytes() int64 {
-	if a == nil {
-		return 0
-	}
-	return int64(a.i64.held())*8 + int64(a.i32.held())*4 +
-		int64(a.ints.held())*8 + int64(a.u64.held())*8 + int64(a.bs.held())
 }

@@ -74,6 +74,21 @@ const (
 	ClassMesh
 )
 
+// Settings with one value in use (§V-A).
+const (
+	// coarsenIters is the label propagation iteration count during
+	// coarsening (paper: 3; RefineIters, 6, is a Config field).
+	coarsenIters = 3
+	// coarsestPerBlock stops coarsening once GlobalN <= coarsestPerBlock*K
+	// (the paper uses 10000*k at web scale; this is the reduced-scale
+	// value). minCoarsest is an absolute floor.
+	coarsestPerBlock = 100
+	minCoarsest      = 300
+	// evoPopulation is KaFFPaE's population size per rank on the coarsest
+	// graph.
+	evoPopulation = 3
+)
+
 // Config parameterizes a ParHIP run.
 type Config struct {
 	K   int32
@@ -83,29 +98,21 @@ type Config struct {
 	Class      GraphClass
 	SizeFactor float64
 
-	// CoarsenIters / RefineIters are the label propagation iteration
-	// counts (paper: 3 and 6).
-	CoarsenIters int
-	RefineIters  int
+	// RefineIters is the label propagation iteration count during
+	// uncoarsening (paper: 6).
+	RefineIters int
 
 	// VCycles is the number of multilevel iterations (fast 2, eco 5,
 	// minimal 1).
 	VCycles int
 
-	// CoarsestPerBlock stops coarsening once GlobalN <= CoarsestPerBlock*K
-	// (the paper uses 10000*k at web scale; the reduced-scale default is
-	// 100). MinCoarsest is an absolute floor.
-	CoarsestPerBlock int64
-	MinCoarsest      int64
-
 	// PhasesPerRound is the label propagation communication granularity.
 	PhasesPerRound int
 
-	// EvoPopulation and EvoRounds control KaFFPaE on the coarsest graph;
-	// EvoRounds = 0 computes only the initial population (fast/minimal).
-	// EvoTimeBudget, when positive, replaces EvoRounds by a wall-clock
-	// budget divided by the number of PEs (eco: t_p = t_1/p).
-	EvoPopulation int
+	// EvoRounds controls KaFFPaE on the coarsest graph; 0 computes only
+	// the initial population (fast/minimal). EvoTimeBudget, when positive,
+	// replaces EvoRounds by a wall-clock budget divided by the number of
+	// PEs (eco: t_p = t_1/p).
 	EvoRounds     int
 	EvoTimeBudget time.Duration
 
@@ -173,26 +180,14 @@ func (c *Config) normalize() {
 			c.SizeFactor = 14
 		}
 	}
-	if c.CoarsenIters <= 0 {
-		c.CoarsenIters = 3
-	}
 	if c.RefineIters <= 0 {
 		c.RefineIters = 6
 	}
 	if c.VCycles <= 0 {
 		c.VCycles = 1
 	}
-	if c.CoarsestPerBlock <= 0 {
-		c.CoarsestPerBlock = 100
-	}
-	if c.MinCoarsest <= 0 {
-		c.MinCoarsest = 300
-	}
 	if c.PhasesPerRound <= 0 {
 		c.PhasesPerRound = 8
-	}
-	if c.EvoPopulation <= 0 {
-		c.EvoPopulation = 3
 	}
 }
 
@@ -359,10 +354,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	imbalanceOf := func(mx int64) float64 {
 		return float64(mx)/(float64(totalWeight)/float64(cfg.K)) - 1
 	}
-	coarsestLimit := cfg.CoarsestPerBlock * int64(cfg.K)
-	if coarsestLimit < cfg.MinCoarsest {
-		coarsestLimit = cfg.MinCoarsest
-	}
+	coarsestLimit := max(coarsestPerBlock*int64(cfg.K), minCoarsest)
 	maxNW := d.MaxNodeWeightGlobal()
 
 	var part []int64 // current partition on the finest level (NTotal, synced)
@@ -429,7 +421,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			spLvl := c.Tracer().Begin(c.Rank(), "core.coarsen_level")
 			labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
 				U:              u,
-				Iterations:     cfg.CoarsenIters,
+				Iterations:     coarsenIters,
 				DegreeOrder:    true,
 				PhasesPerRound: cfg.PhasesPerRound,
 				Constraint:     constraint,
@@ -484,7 +476,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		evoCfg := evo.Config{
 			K:              cfg.K,
 			Eps:            cfg.Eps,
-			PopulationSize: cfg.EvoPopulation,
+			PopulationSize: evoPopulation,
 			Rounds:         cfg.EvoRounds,
 			MutationProb:   0.1,
 			MigrateEvery:   2,

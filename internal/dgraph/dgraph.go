@@ -391,30 +391,14 @@ func (d *DGraph) SyncGhosts(vals []int64) {
 	d.Comm.Tracer().End(sp)
 }
 
-// syncGhostsDense is the pre-plan implementation (point queries through the
-// dense all-to-all). It is retained as the test oracle the plan-based path
-// is verified against.
-func (d *DGraph) syncGhostsDense(vals []int64) {
-	answers := d.LookupI64(vals[:d.nLocal], d.ghostGlobal)
-	copy(vals[d.nLocal:], answers)
-}
-
-// PushGhosts propagates updated values of the given changed local interface
-// nodes to the ranks holding them as ghosts, updating their vals arrays in
-// place. Nodes in changed that are not interface nodes are skipped. This is
-// the update-exchange from §IV-A, realized as one sparse neighborhood
-// exchange per phase. Collective.
-//
-//parhip:collective
-//lint:rawslice-ok changed is a list of local node IDs, not a partition
-func (d *DGraph) PushGhosts(vals []int64, changed []int32) {
-	d.PushGhostsFunc(vals, changed, nil)
-}
-
-// PushGhostsFunc is PushGhosts with an update hook: when onUpdate is
-// non-nil it is invoked for every ghost whose value actually changes,
-// before the write, with the ghost's local ID and the old and new values.
-// Label propagation uses it to migrate locally tracked cluster weights.
+// PushGhostsFunc propagates updated values of the given changed local
+// interface nodes to the ranks holding them as ghosts, updating their vals
+// arrays in place. Nodes in changed that are not interface nodes are
+// skipped. This is the update-exchange from §IV-A, realized as one sparse
+// neighborhood exchange per phase. When onUpdate is non-nil it is invoked
+// for every ghost whose value actually changes, before the write, with the
+// ghost's local ID and the old and new values; label propagation uses it
+// to migrate locally tracked cluster weights.
 //
 // Wire protocol: for each changed vertex v and each adjacent rank, the
 // plan's staging receives the pair (position of v in that neighbor's send
@@ -461,27 +445,6 @@ func (d *DGraph) PushGhostsFunc(vals []int64, changed []int32, onUpdate func(gho
 	})
 	p.resetStaging()
 	d.Comm.Tracer().End1(sp, "changed", int64(len(changed)))
-}
-
-// pushGhostsDense is the pre-plan implementation ((globalID, value) pairs
-// over the dense all-to-all, silently skipping unknown IDs). It is retained
-// as the test oracle the plan-based path is verified against.
-func (d *DGraph) pushGhostsDense(vals []int64, changed []int32) {
-	size := d.Comm.Size()
-	out := make([][]int64, size)
-	for _, v := range changed {
-		for _, r := range d.AdjacentRanks(v) {
-			out[r] = append(out[r], d.ToGlobal(v), vals[v])
-		}
-	}
-	in := d.Comm.Alltoallv(out)
-	for _, buf := range in {
-		for i := 0; i+1 < len(buf); i += 2 {
-			if lu, ok := d.ToLocal(buf[i]); ok && lu >= d.nLocal {
-				vals[lu] = buf[i+1]
-			}
-		}
-	}
 }
 
 // Gather replicates the full distributed graph on every rank. The paper

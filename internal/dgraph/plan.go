@@ -138,12 +138,6 @@ func (d *DGraph) Plan() *ExchangePlan { return d.plan }
 // Topology returns the sparse rank topology the plan exchanges over.
 func (p *ExchangePlan) Topology() *mpi.Topology { return p.topo }
 
-// NeighborRanks returns the adjacent ranks in ascending order. The slice
-// must not be modified.
-//
-//lint:rawslice-ok list of PE ranks, not a partition
-func (p *ExchangePlan) NeighborRanks() []int32 { return p.nbrs }
-
 // SendList returns the interface vertices shipped to the i-th neighbor on a
 // full sync, in wire order. The slice must not be modified.
 //

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mpi"
 )
 
 func TestBenchmarkSetShape(t *testing.T) {
@@ -62,9 +61,9 @@ func TestRepeatAggregates(t *testing.T) {
 		}
 	}
 	calls := 0
-	st := repeat(g, 2, 0.03, 3, func(_ *graph.Graph, seed uint64) ([]int32, time.Duration, mpi.Stats, error) {
+	st := repeat(g, 2, 0.03, 3, func(_ *graph.Graph, seed uint64) ([]int32, time.Duration, error) {
 		calls++
-		return balanced, 0, mpi.Stats{MessagesSent: 6, WordsSent: 12}, nil
+		return balanced, 0, nil
 	})
 	if calls != 3 {
 		t.Fatalf("runner called %d times", calls)
@@ -75,44 +74,49 @@ func TestRepeatAggregates(t *testing.T) {
 	if st.Failed || !st.Feasible || st.WorstOverload != 0 {
 		t.Fatalf("balanced run misreported: %+v", st)
 	}
-	if st.CommMsgs != 6 || st.CommBytes != 12*8 {
-		t.Fatalf("comm aggregation: msgs=%d bytes=%d, want 6 and 96", st.CommMsgs, st.CommBytes)
-	}
 
-	st = repeat(g, 2, 0.03, 2, func(_ *graph.Graph, seed uint64) ([]int32, time.Duration, mpi.Stats, error) {
-		return skewed, 0, mpi.Stats{}, nil
+	st = repeat(g, 2, 0.03, 2, func(_ *graph.Graph, seed uint64) ([]int32, time.Duration, error) {
+		return skewed, 0, nil
 	})
 	if st.Feasible || st.WorstOverload != 3 {
 		t.Fatalf("skewed run: feasible=%v overload=%d, want false,3", st.Feasible, st.WorstOverload)
 	}
 }
 
-func TestRecordsCarryBalanceFields(t *testing.T) {
-	rows := []TableRow{{
-		Instance: Instance{Name: "x", Type: "S"},
-		N:        100, M: 200,
-		Baseline: AlgoStats{Failed: true, Reason: "memory"},
-		Fast:     AlgoStats{AvgCut: 10, BestCut: 8, Feasible: true},
-		Eco:      AlgoStats{AvgCut: 9, BestCut: 7, WorstOverload: 4},
-	}}
-	recs := Records("t", 2, 4, rows)
-	if len(recs) != 3 {
-		t.Fatalf("%d records", len(recs))
+// TestCheckShape feeds canned rows through the gate cmd/bench exits on.
+func TestCheckShape(t *testing.T) {
+	ok := AlgoStats{AvgCut: 100, BestCut: 100, Feasible: true}
+	withCut := func(c float64) AlgoStats { a := ok; a.AvgCut = c; return a }
+	stalled := AlgoStats{Failed: true, Reason: "memory"}
+	cases := []struct {
+		name                string
+		baseline, fast, eco AlgoStats
+		want                string // substring of the error; "" means pass
+	}{
+		{"clean", ok, withCut(95), withCut(90), ""},
+		{"inside-tolerance", ok, withCut(100 * shapeTolerance), withCut(100 * shapeTolerance), ""},
+		{"stalled-baseline-skipped", stalled, withCut(500), withCut(450), ""},
+		{"fast-infeasible", ok, AlgoStats{AvgCut: 95, WorstOverload: 4}, withCut(90), "fast infeasible, worst overload 4"},
+		{"eco-failed", ok, withCut(95), AlgoStats{Failed: true, Reason: "boom"}, "eco failed: boom"},
+		{"fast-above-baseline", ok, withCut(120), withCut(110), "fast cut 120 above baseline cut 100"},
+		{"eco-above-fast", ok, withCut(50), withCut(60), "eco cut 60 above fast cut 50"},
 	}
-	for _, r := range recs {
-		switch r.Algo {
-		case "baseline":
-			if r.Feasible || !r.Failed {
-				t.Fatalf("failed baseline record: %+v", r)
+	for _, c := range cases {
+		rows := []TableRow{
+			{Instance: Instance{Name: "good"}, Baseline: ok, Fast: ok, Eco: ok},
+			{Instance: Instance{Name: c.name}, Baseline: c.baseline, Fast: c.fast, Eco: c.eco},
+		}
+		err := CheckShape(rows)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected failure: %v", c.name, err)
 			}
-		case "fast":
-			if !r.Feasible || r.WorstOverload != 0 {
-				t.Fatalf("fast record: %+v", r)
-			}
-		case "eco":
-			if r.Feasible || r.WorstOverload != 4 {
-				t.Fatalf("eco record: %+v", r)
-			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: passed, want %q", c.name, c.want)
+		} else if msg := err.Error(); !strings.Contains(msg, c.name+": "+c.want) || strings.Contains(msg, "good") {
+			t.Errorf("%s: error %q, want only %q named with %q", c.name, msg, c.name, c.want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -189,8 +190,12 @@ func BarabasiAlbert(n int32, mAttach int, seed uint64) *graph.Graph {
 			targets = append(targets, u, v)
 		}
 	}
+	// attached is v's attach set in draw order (at most mAttach entries, so
+	// membership is a linear scan): the order feeds targets, and with it
+	// every later draw.
+	attached := make([]int32, 0, mAttach)
 	for v := start + 1; v < n; v++ {
-		attached := make(map[int32]bool, mAttach)
+		attached = attached[:0]
 		for len(attached) < mAttach {
 			var t int32
 			if len(targets) == 0 {
@@ -198,11 +203,11 @@ func BarabasiAlbert(n int32, mAttach int, seed uint64) *graph.Graph {
 			} else {
 				t = targets[r.Intn(len(targets))]
 			}
-			if t != v {
-				attached[t] = true
+			if t != v && !slices.Contains(attached, t) {
+				attached = append(attached, t)
 			}
 		}
-		for t := range attached {
+		for _, t := range attached {
 			b.AddEdge(v, t)
 			targets = append(targets, v, t)
 		}
@@ -582,15 +587,18 @@ func ApplyEdgeDeltas(g *graph.Graph, deltas []EdgeDelta) *graph.Graph {
 			b.AddEdgeW(v, u, ws[i])
 		}
 	}
-	for key, w := range eff {
+	// New edges, in delta order (not eff's map order).
+	for _, d := range deltas {
+		key := graph.EdgeKey(d.U, d.V)
+		w := eff[key]
 		if w <= 0 {
 			continue
 		}
-		u, v := graph.EdgeKeyEndpoints(key)
-		if _, ok := g.HasEdge(u, v); ok {
+		if _, ok := g.HasEdge(d.U, d.V); ok {
 			continue // already emitted (possibly overridden) above
 		}
-		b.AddEdgeW(u, v, w)
+		b.AddEdgeW(d.U, d.V, w)
+		eff[key] = 0 // emitted once; later deltas on the same edge add nothing
 	}
 	return b.Build()
 }

@@ -119,6 +119,18 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 }
 
+// TestBarabasiAlbertDeterministic: the attach set used to be a map ranged
+// into the degree-proportional sampling pool, so the same (n, m, seed) gave
+// a different graph from run to run.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	want := BarabasiAlbert(2000, 5, 42).Fingerprint()
+	for i := 1; i < 20; i++ {
+		if got := BarabasiAlbert(2000, 5, 42).Fingerprint(); got != want {
+			t.Fatalf("build %d: fingerprint %s, first build %s", i, got, want)
+		}
+	}
+}
+
 func TestPlantedPartitionCommunities(t *testing.T) {
 	g, comm := PlantedPartition(4000, 16, 12, 0.5, 4)
 	if err := g.Validate(); err != nil {

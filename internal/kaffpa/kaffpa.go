@@ -14,11 +14,21 @@ import (
 	"fmt"
 
 	"repro/internal/contract"
-	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/sclp"
+)
+
+const (
+	// coarsenIters is the label propagation iteration count during
+	// coarsening (paper default, §V-A).
+	coarsenIters = 3
+	// fmRounds bounds the FM refinement rounds per level.
+	fmRounds = 3
+	// initialTries is the number of independent initial partitioning
+	// attempts on the coarsest graph.
+	initialTries = 4
 )
 
 // Config holds the parameters of a multilevel run. The zero value is not
@@ -29,21 +39,11 @@ type Config struct {
 
 	// SizeFactor is f in U = max(max_v c(v), Lmax/f) during coarsening.
 	SizeFactor float64
-	// CoarsenIters and RefineIters are the label propagation iteration
-	// counts (paper defaults: 3 and 6).
-	CoarsenIters int
-	RefineIters  int
-	// FMRounds bounds the FM refinement rounds per level.
-	FMRounds int
+	// RefineIters is the label propagation iteration count during
+	// uncoarsening (paper default: 6).
+	RefineIters int
 	// CoarsestSize stops coarsening once n <= max(CoarsestSize, 2K).
 	CoarsestSize int32
-	// InitialTries is the number of independent initial partitioning
-	// attempts on the coarsest graph.
-	InitialTries int
-	// UseFlows additionally runs max-flow/min-cut refinement over adjacent
-	// block pairs at every level (KaHIP's flow technique, §II-C). More
-	// expensive, typically better cuts on mesh-like graphs.
-	UseFlows bool
 	// Seed drives all randomness in the run.
 	Seed uint64
 
@@ -67,11 +67,8 @@ func DefaultConfig(k int32) Config {
 		K:            k,
 		Eps:          0.03,
 		SizeFactor:   14,
-		CoarsenIters: 3,
 		RefineIters:  6,
-		FMRounds:     3,
 		CoarsestSize: 0, // derived from K in Normalize
-		InitialTries: 4,
 		Seed:         1,
 	}
 }
@@ -84,17 +81,8 @@ func (c *Config) Normalize() {
 	if c.SizeFactor <= 0 {
 		c.SizeFactor = 14
 	}
-	if c.CoarsenIters <= 0 {
-		c.CoarsenIters = 3
-	}
 	if c.RefineIters <= 0 {
 		c.RefineIters = 6
-	}
-	if c.FMRounds <= 0 {
-		c.FMRounds = 3
-	}
-	if c.InitialTries <= 0 {
-		c.InitialTries = 4
 	}
 	if c.CoarsestSize <= 0 {
 		c.CoarsestSize = 20 * c.K
@@ -149,7 +137,7 @@ func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
 	for cur.NumNodes() > cfg.CoarsestSize {
 		labels := sclp.Cluster(cur, sclp.ClusterConfig{
 			U:           u,
-			Iterations:  cfg.CoarsenIters,
+			Iterations:  coarsenIters,
 			DegreeOrder: true,
 			Constraint:  constraint,
 			Seed:        r.Uint64(),
@@ -174,9 +162,9 @@ func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
 		p = append([]int32(nil), initPart...)
 		// The inherited partition is already feasible on the coarsest graph
 		// (same cut and balance as on the finest level); refine it.
-		fmRefine(cur, p, cfg.K, lmax, cfg.FMRounds, r.Uint64())
+		fmRefine(cur, p, cfg.K, lmax, fmRounds, r.Uint64())
 	} else {
-		p = initialPartition(cur, cfg.K, cfg.Eps, cfg.InitialTries, r)
+		p = initialPartition(cur, cfg.K, cfg.Eps, initialTries, r)
 	}
 	sclp.Refine(cur, p, sclp.RefineConfig{K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: r.Uint64()})
 
@@ -184,12 +172,7 @@ func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
 	for i := len(levels) - 1; i >= 0; i-- {
 		p = contract.Project(p, levels[i].fineToCoarse)
 		sclp.Refine(levels[i].g, p, sclp.RefineConfig{K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: r.Uint64()})
-		fmRefine(levels[i].g, p, cfg.K, lmax, cfg.FMRounds, r.Uint64())
-		if cfg.UseFlows {
-			flow.Refine(levels[i].g, p, flow.RefineConfig{
-				K: cfg.K, Lmax: lmax, Rounds: 1, Seed: r.Uint64(),
-			})
-		}
+		fmRefine(levels[i].g, p, cfg.K, lmax, fmRounds, r.Uint64())
 	}
 	return p, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -254,38 +253,6 @@ func TestProjectDown(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("projectDown %v, want %v", got, want)
 		}
-	}
-}
-
-func TestUseFlowsNeverWorseAndFeasible(t *testing.T) {
-	g := gen.DelaunayLike(2500, 14)
-	k := int32(4)
-	base := DefaultConfig(k)
-	base.Seed = 5
-	p0, err := Partition(g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFlows := base
-	withFlows.UseFlows = true
-	p1, err := Partition(g, withFlows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partition.IsFeasible(g, p1, k, 0.03) {
-		t.Fatal("flows broke feasibility")
-	}
-	// Flow refinement applied as a post-pass never worsens (its accept
-	// rule requires a strict local improvement).
-	c0 := partition.EdgeCut(g, p0)
-	post := append([]int32(nil), p0...)
-	lmax := partition.Lmax(g.TotalNodeWeight(), k, 0.03)
-	flow.Refine(g, post, flow.RefineConfig{K: k, Lmax: lmax, Rounds: 2, Seed: 9})
-	if cp := partition.EdgeCut(g, post); cp > c0 {
-		t.Fatalf("flow post-pass worsened the cut: %d -> %d", c0, cp)
-	}
-	if !partition.IsFeasible(g, post, k, 0.03) {
-		t.Fatal("flow post-pass broke feasibility")
 	}
 }
 

@@ -37,20 +37,26 @@ import (
 // out of memory on uk-2007/sk-2005/arabic in the paper.
 var ErrMemoryBudget = errors.New("matchbase: coarsest graph exceeds the per-PE memory budget")
 
+// Settings with one value in use.
+const (
+	// maxLevels bounds the coarsening depth.
+	maxLevels = 40
+	// CoarsestPerBlock stops coarsening once GlobalN <= CoarsestPerBlock*K;
+	// minCoarsest is an absolute floor. Exported because the experiments
+	// size the per-PE memory budget from it.
+	CoarsestPerBlock = 100
+	minCoarsest      = 300
+	// stallFactor stops coarsening when one matching round shrinks the
+	// node count by less than this factor (ParMETIS stops "too early" on
+	// complex networks because matchings cannot shrink them).
+	stallFactor = 0.95
+)
+
 // Config parameterizes a baseline run.
 type Config struct {
 	K   int32
 	Eps float64
 
-	// MaxLevels bounds the coarsening depth.
-	MaxLevels int
-	// CoarsestPerBlock stops coarsening once GlobalN <= CoarsestPerBlock*K.
-	CoarsestPerBlock int64
-	MinCoarsest      int64
-	// StallFactor stops coarsening when one matching round shrinks the
-	// node count by less than this factor (ParMETIS stops "too early" on
-	// complex networks because matchings cannot shrink them).
-	StallFactor float64
 	// MemoryBudgetNodes is the largest coarsest graph (in nodes) a PE may
 	// replicate; 0 means unlimited. The run fails with ErrMemoryBudget
 	// beyond it.
@@ -67,32 +73,16 @@ type Config struct {
 // DefaultConfig returns the baseline defaults.
 func DefaultConfig(k int32) Config {
 	return Config{
-		K:                k,
-		Eps:              0.03,
-		MaxLevels:        40,
-		CoarsestPerBlock: 100,
-		MinCoarsest:      300,
-		StallFactor:      0.95,
-		RefineIters:      6,
-		Seed:             1,
+		K:           k,
+		Eps:         0.03,
+		RefineIters: 6,
+		Seed:        1,
 	}
 }
 
 func (c *Config) normalize() {
 	if c.Eps <= 0 {
 		c.Eps = 0.03
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 40
-	}
-	if c.CoarsestPerBlock <= 0 {
-		c.CoarsestPerBlock = 100
-	}
-	if c.MinCoarsest <= 0 {
-		c.MinCoarsest = 300
-	}
-	if c.StallFactor <= 0 {
-		c.StallFactor = 0.95
 	}
 	if c.RefineIters <= 0 {
 		c.RefineIters = 6
@@ -278,10 +268,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	local := rng.New(cfg.Seed).Split(uint64(c.Rank() + 1))
 	totalWeight := d.GlobalNodeWeight()
 	lmax := partition.Lmax(totalWeight, cfg.K, cfg.Eps)
-	coarsestLimit := cfg.CoarsestPerBlock * int64(cfg.K)
-	if coarsestLimit < cfg.MinCoarsest {
-		coarsestLimit = cfg.MinCoarsest
-	}
+	coarsestLimit := max(CoarsestPerBlock*int64(cfg.K), minCoarsest)
 	// Matched pairs must stay contractible into a feasible partition.
 	maxPair := lmax / 2
 	if mw := d.MaxNodeWeightGlobal(); maxPair < mw {
@@ -298,7 +285,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	st.Levels = append(st.Levels, cur.GlobalN)
 	st.LevelsM = append(st.LevelsM, cur.GlobalM)
 	tCoarsen := time.Now()
-	for lvl := 0; lvl < cfg.MaxLevels && cur.GlobalN > coarsestLimit; lvl++ {
+	for lvl := 0; lvl < maxLevels && cur.GlobalN > coarsestLimit; lvl++ {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
 		}
@@ -309,7 +296,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		cur.SyncGhosts(labels)
 		res := contract.ParContract(cur, labels)
 		c.Tracer().End2(sp, "level", int64(lvl), "coarse_n", res.Coarse.GlobalN)
-		if float64(res.Coarse.GlobalN) >= cfg.StallFactor*float64(cur.GlobalN) {
+		if float64(res.Coarse.GlobalN) >= stallFactor*float64(cur.GlobalN) {
 			st.Stalled = true
 			break
 		}

@@ -115,9 +115,6 @@ func TestPoisonUnblocksReceiver(t *testing.T) {
 func TestTryRecvDoesNotBlock(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
-		if _, ok := c.TryRecv((c.Rank()+1)%2, 42); ok {
-			t.Error("TryRecv found a message that was never sent")
-		}
 		if _, _, ok := c.TryRecvAny(42); ok {
 			t.Error("TryRecvAny found a message that was never sent")
 		}

@@ -582,15 +582,10 @@ func (c *Comm) Send(dst, tag int, data []int64) { c.send(dst, kindUser, tag, dat
 // returns its payload.
 func (c *Comm) Recv(src, tag int) []int64 { return c.recv(src, kindUser, tag) }
 
-// TryRecv returns a queued user message with the given tag from src, or
-// ok=false without blocking. It models MPI_Iprobe + MPI_Recv, which the
-// evolutionary algorithm uses to pick up migrants opportunistically.
-func (c *Comm) TryRecv(src, tag int) ([]int64, bool) {
-	return c.world.boxes[c.rank][src].tryPop(kindUser, tag)
-}
-
 // TryRecvAny returns a queued user message with the given tag from any
-// rank, or ok=false without blocking.
+// rank, or ok=false without blocking. It models MPI_Iprobe + MPI_Recv,
+// which the evolutionary algorithm uses to pick up migrants
+// opportunistically.
 func (c *Comm) TryRecvAny(tag int) (src int, data []int64, ok bool) {
 	for s := 0; s < c.world.size; s++ {
 		if data, found := c.world.boxes[c.rank][s].tryPop(kindUser, tag); found {
@@ -702,14 +697,6 @@ func opMax(a, b []int64) {
 	}
 }
 
-func opMin(a, b []int64) {
-	for i := range a {
-		if b[i] < a[i] {
-			a[i] = b[i]
-		}
-	}
-}
-
 // PoisonPeers notifies every other rank of a fatal local error so that
 // ranks blocked in Recv or collectives panic instead of hanging. It is
 // called before panicking on protocol violations; tests injecting faults
@@ -755,17 +742,11 @@ func (c *Comm) AllreduceSum(vals []int64) []int64 { return c.allreduce(vals, opS
 // AllreduceMax returns the element-wise maximum of vals across all ranks.
 func (c *Comm) AllreduceMax(vals []int64) []int64 { return c.allreduce(vals, opMax) }
 
-// AllreduceMin returns the element-wise minimum of vals across all ranks.
-func (c *Comm) AllreduceMin(vals []int64) []int64 { return c.allreduce(vals, opMin) }
-
 // AllreduceSum1 is AllreduceSum for a single value.
 func (c *Comm) AllreduceSum1(v int64) int64 { return c.AllreduceSum([]int64{v})[0] }
 
 // AllreduceMax1 is AllreduceMax for a single value.
 func (c *Comm) AllreduceMax1(v int64) int64 { return c.AllreduceMax([]int64{v})[0] }
-
-// AllreduceMin1 is AllreduceMin for a single value.
-func (c *Comm) AllreduceMin1(v int64) int64 { return c.AllreduceMin([]int64{v})[0] }
 
 // ExScanSum returns the exclusive prefix sum of v over ranks: rank r gets
 // sum of the values passed by ranks 0..r-1 (0 at rank 0). The paper uses

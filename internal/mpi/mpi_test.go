@@ -163,9 +163,6 @@ func TestAllreduceMaxMin(t *testing.T) {
 		if got := c.AllreduceMax1(int64(c.Rank())); got != P-1 {
 			t.Errorf("max = %d", got)
 		}
-		if got := c.AllreduceMin1(int64(c.Rank())); got != 0 {
-			t.Errorf("min = %d", got)
-		}
 	})
 }
 

@@ -165,10 +165,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	return t, nil
 }
 
-// ListenAddr returns the bound listen address (useful with ephemeral
-// ports).
-func (t *TCP) ListenAddr() net.Addr { return t.ln.Addr() }
-
 // Size returns the world size.
 func (t *TCP) Size() int { return t.size }
 

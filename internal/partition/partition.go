@@ -28,18 +28,6 @@ func (p Partition) Clone() Partition {
 	return c
 }
 
-// NumBlocks returns 1 + the largest block ID present (0 for an empty
-// partition).
-func (p Partition) NumBlocks() int32 {
-	var mx int32 = -1
-	for _, b := range p {
-		if b > mx {
-			mx = b
-		}
-	}
-	return mx + 1
-}
-
 // EdgeCut returns the total weight of edges whose endpoints lie in
 // different blocks.
 func EdgeCut(g *graph.Graph, p Partition) int64 {
@@ -155,8 +143,7 @@ func scaledBoundBig(w int64, eps float64) int64 {
 }
 
 // WorstOverload returns by how much the heaviest block exceeds the balance
-// bound Lmax (0 for feasible partitions). Benchmarks record it alongside
-// the cut so balance regressions are visible in BENCH_*.json trajectories.
+// bound Lmax (0 for feasible partitions).
 func WorstOverload(g *graph.Graph, p Partition, k int32, eps float64) int64 {
 	lmax := Lmax(g.TotalNodeWeight(), k, eps)
 	var worst int64
@@ -289,29 +276,6 @@ func MaxCommVolume(g *graph.Graph, p Partition, k int32) int64 {
 		}
 	}
 	return mx
-}
-
-// QuotientGraph builds the weighted quotient graph of the partition
-// (§II-A): one node per block with weight equal to the block weight, and an
-// edge between two blocks with weight equal to the total weight of edges
-// running between them.
-func QuotientGraph(g *graph.Graph, p Partition, k int32) *graph.Graph {
-	b := graph.NewBuilder(k)
-	bw := BlockWeights(g, p, k)
-	for i := int32(0); i < k; i++ {
-		if bw[i] > 0 {
-			b.SetNodeWeight(i, bw[i])
-		}
-	}
-	for v := int32(0); v < g.NumNodes(); v++ {
-		ws := g.EdgeWeights(v)
-		for i, u := range g.Neighbors(v) {
-			if u > v && p[u] != p[v] {
-				b.AddEdgeW(p[v], p[u], ws[i])
-			}
-		}
-	}
-	return b.Build()
 }
 
 // Validate checks that p has one entry per node of g and block IDs in

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"strconv"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -149,49 +148,6 @@ func TestMaxCommVolume(t *testing.T) {
 	}
 }
 
-func TestQuotientGraph(t *testing.T) {
-	g, p := twoBlocksOfPath(10)
-	q := QuotientGraph(g, p, 2)
-	if q.NumNodes() != 2 || q.NumEdges() != 1 {
-		t.Fatalf("quotient %v", q)
-	}
-	if q.NW[0] != 5 || q.NW[1] != 5 {
-		t.Fatalf("quotient node weights %v", q.NW)
-	}
-	if w, ok := q.HasEdge(0, 1); !ok || w != 1 {
-		t.Fatalf("quotient edge weight %d", w)
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property from the paper (§III): contracting a clustering preserves cut and
-// balance; the quotient graph's total edge weight equals the original cut.
-func TestQuotientPreservesCut(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		b := graph.NewBuilder(30)
-		for i := 0; i < 120; i++ {
-			u, v := r.Int31n(30), r.Int31n(30)
-			if u != v {
-				b.AddEdgeW(u, v, r.Int64n(4)+1)
-			}
-		}
-		g := b.Build()
-		k := int32(4)
-		p := New(30)
-		for v := range p {
-			p[v] = r.Int31n(k)
-		}
-		q := QuotientGraph(g, p, k)
-		return q.TotalEdgeWeight() == EdgeCut(g, p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidatePartition(t *testing.T) {
 	g := graph.Path(5)
 	if err := Validate(g, New(5), 2); err != nil {
@@ -215,16 +171,6 @@ func TestEvaluateReport(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Fatal("empty report string")
-	}
-}
-
-func TestNumBlocks(t *testing.T) {
-	p := Partition{0, 2, 1, 2}
-	if p.NumBlocks() != 3 {
-		t.Fatalf("NumBlocks = %d", p.NumBlocks())
-	}
-	if New(0).NumBlocks() != 0 {
-		t.Fatal("empty partition should have 0 blocks")
 	}
 }
 

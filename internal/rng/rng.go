@@ -9,8 +9,6 @@
 // 64-bit output path; it is not cryptographically secure.
 package rng
 
-import "math"
-
 // RNG is a deterministic pseudo-random number generator. The zero value is
 // not useful; construct instances with New or Split.
 type RNG struct {
@@ -113,20 +111,6 @@ func (r *RNG) IntRange(lo, hi int) int {
 		panic("rng: IntRange with hi < lo")
 	}
 	return lo + r.Intn(hi-lo+1)
-}
-
-// NormFloat64 returns a normally distributed value with mean 0 and standard
-// deviation 1, using the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
 }
 
 // Shuffle pseudo-randomly permutes the order of n elements using the

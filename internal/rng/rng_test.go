@@ -190,25 +190,6 @@ func TestBoolBalance(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(23)
-	const n = 200000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormFloat64 mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("NormFloat64 variance = %v", variance)
-	}
-}
-
 func TestInt64nRange(t *testing.T) {
 	r := New(31)
 	for i := 0; i < 1000; i++ {

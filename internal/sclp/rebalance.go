@@ -9,13 +9,11 @@ import (
 )
 
 // ParRebalanceConfig controls the dedicated distributed rebalancing pass.
+// It runs until feasible or no progress: every round strictly reduces the
+// total overload, so the pass always terminates.
 type ParRebalanceConfig struct {
 	K    int32
 	Lmax int64
-	// MaxRounds caps the number of move rounds; 0 means "until feasible or
-	// no progress". Every round strictly reduces the total overload, so the
-	// pass always terminates.
-	MaxRounds int
 }
 
 // ParRebalance restores the hard balance constraint of §II-A: it moves
@@ -72,9 +70,6 @@ func ParRebalance(d *dgraph.DGraph, part []int64, cfg ParRebalanceConfig) (int64
 		// branch and the collectives below stay symmetric.
 		if feasible() {
 			return totalMoves, true
-		}
-		if cfg.MaxRounds > 0 && round >= cfg.MaxRounds {
-			return totalMoves, false
 		}
 		if stalls > d.Comm.Size() {
 			return totalMoves, false

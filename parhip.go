@@ -37,7 +37,6 @@ import (
 	"repro/internal/evo"
 	"repro/internal/graph"
 	"repro/internal/matchbase"
-	"repro/internal/modularity"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -219,26 +218,4 @@ func IsFeasible(g *Graph, p []int32, k int32, eps float64) bool {
 // among its neighbours.
 func (p *Partition) CommunicationVolume(g *Graph) int64 {
 	return partition.CommunicationVolume(g, p.assign, p.k)
-}
-
-// Clustering assigns every node a cluster ID. Unlike a Partition there is
-// no block count or balance bound attached; cluster IDs are dense-ish but
-// arbitrary.
-type Clustering []int32
-
-// ClusterModularity computes a multilevel modularity clustering of g (the
-// §VI graph-clustering extension): no block count and no balance bound,
-// maximizing Newman's modularity instead. It returns the cluster of each
-// node and the achieved modularity.
-func ClusterModularity(g *Graph, seed uint64) (Clustering, float64) {
-	cfg := modularity.DefaultConfig()
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	return modularity.Cluster(g, cfg)
-}
-
-// Modularity returns Newman's modularity of a clustering of g.
-func Modularity(g *Graph, clusters Clustering) float64 {
-	return modularity.Modularity(g, clusters)
 }

@@ -173,20 +173,6 @@ func TestPartitionWithObjective(t *testing.T) {
 	}
 }
 
-func TestClusterModularityPublic(t *testing.T) {
-	g, _ := gen.PlantedPartition(2000, 10, 10, 0.5, 3)
-	clusters, q := ClusterModularity(g, 1)
-	if len(clusters) != int(g.NumNodes()) {
-		t.Fatal("wrong clustering length")
-	}
-	if q < 0.3 {
-		t.Fatalf("modularity %v too low", q)
-	}
-	if got := Modularity(g, clusters); got != q {
-		t.Fatalf("Modularity() = %v, Cluster reported %v", got, q)
-	}
-}
-
 func TestSettingsDefaults(t *testing.T) {
 	g := Star(5)
 	p, err := New(g, WithK(2))

@@ -55,8 +55,12 @@ type settings struct {
 	tracer     *Tracer
 	prev       *Partition // previous partition for migration-aware runs
 	onProgress []func(ProgressEvent)
-	progressN  int // Progress channel capacity
 }
+
+// progressBuffer is the capacity of the Progress channel. When the
+// consumer falls behind, newer events are dropped rather than stalling the
+// partitioner.
+const progressBuffer = 64
 
 // Option configures a Partitioner session (see New). An option whose value
 // is out of range makes New fail with a descriptive error.
@@ -202,16 +206,11 @@ func WithProgressFunc(fn func(ProgressEvent)) Option {
 	}
 }
 
-// WithProgressBuffer sets the capacity of the Progress channel (default
-// 64). When the consumer falls behind, newer events are dropped rather
-// than stalling the partitioner.
-func WithProgressBuffer(n int) Option { return func(s *settings) error { s.progressN = n; return nil } }
-
 // resolve applies opts over the defaults and validates the result against
 // g. It is the one place a caller's options become settings, shared by New
 // and RunBaseline.
 func resolve(g *Graph, opts []Option) (settings, error) {
-	s := settings{pes: DefaultPEs, seed: DefaultSeed, progressN: 64}
+	s := settings{pes: DefaultPEs, seed: DefaultSeed}
 	for _, o := range opts {
 		if err := o(&s); err != nil {
 			return s, err
@@ -325,11 +324,7 @@ func (p *Partitioner) Progress() <-chan ProgressEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.progress == nil {
-		n := p.s.progressN
-		if n < 1 {
-			n = 1
-		}
-		p.progress = make(chan ProgressEvent, n)
+		p.progress = make(chan ProgressEvent, progressBuffer)
 		if p.finished {
 			// First subscription after Run already returned: hand back a
 			// closed (empty) channel so ranging over it still terminates.
