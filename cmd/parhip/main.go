@@ -119,7 +119,7 @@ func main() {
 		prevFile  = flag.String("prev", "", "previous partition file: run a migration-aware repartition seeded with it")
 		out       = flag.String("out", "", "write the partition to this file (text format; binary when the name ends in .bpart)")
 		traceFile = flag.String("trace", "", "record per-rank spans and write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
-		workers   = flag.Int("workers", 0, "OS threads per rank for superstep compute (0 = NumCPU / ranks in this process; results are bit-identical for any value)")
+		workers   = flag.Int("workers", 0, "OS threads per rank for refinement and contraction (0 = NumCPU / ranks in this process; results bit-identical for any value)")
 		backend   = flag.String("transport", "inproc", "rank communication: inproc (all ranks in this process) or tcp (this process hosts one rank of a multi-process world)")
 		rank      = flag.Int("rank", 0, "tcp: rank this process hosts, in [0, world size)")
 		peersList = flag.String("peers", "", "tcp: rank-ordered comma-separated host:port list; its length is the world size")

@@ -16,9 +16,16 @@ import (
 // Re-record only when a change is *meant* to alter the algorithm's choices
 // (a different tie-break, traversal order, RNG stream, coarsening rule):
 // blank the want fields, run `go test -run TestGoldenChecksums .`, copy the
-// printed rows back, and say in CHANGES.md why the partitions moved. The
-// rows below were recorded at the parent of PR 22 (commit c906dbe), before
-// any kernel was edited.
+// printed rows back, and say in CHANGES.md why the partitions moved.
+//
+// Who was allowed to move them: PR 22 recorded the rows at its parent
+// (commit c906dbe) before editing any kernel, and PRs 22 and 23 left them
+// untouched — exact rules and deletions only. PR 24 re-recorded all nine:
+// clustering became one sweep per phase and refinement visits active nodes
+// only, so every run (the baseline and the repartition included — both
+// refine) consumes the tie-break streams differently. Old -> new cuts are in
+// CHANGES.md; the partitions are re-rolled, not worse (mean cuts over 20+
+// seeds, ibid.).
 func TestGoldenChecksums(t *testing.T) {
 	ctx := context.Background()
 	web := func(n int32, seed uint64) *parhip.Graph {
@@ -48,29 +55,29 @@ func TestGoldenChecksums(t *testing.T) {
 		cut      int64
 	}{
 		{"mesh/k=4/P=1", session(mesh, parhip.WithK(4), parhip.WithClass(parhip.Mesh), parhip.WithPEs(1), parhip.WithSeed(11)),
-			"b100e175584ef53a", 341},
+			"24814531f4837b0a", 343},
 		{"mesh/k=2/P=4", session(mesh, parhip.WithK(2), parhip.WithClass(parhip.Mesh), parhip.WithPEs(4), parhip.WithSeed(12)),
-			"3d580e935d682067", 162},
+			"7fc828d11e090d52", 161},
 		{"web/k=16/P=2", session(webG, parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(13)),
-			"cf53ef5f9f732675", 12456},
+			"93c19e06fe7b6569", 12669},
 		{"web/k=8/P=1", session(webG, parhip.WithK(8), parhip.WithPEs(1), parhip.WithSeed(14)),
-			"9f0e7dd5d406cada", 8601},
+			"fd8efc050dc34ba2", 7682},
 		{"hub/k=8/P=2/W=2", session(hub, parhip.WithK(8), parhip.WithPEs(2), parhip.WithWorkers(2), parhip.WithSeed(15)),
-			"4a5d15c78f81f6eb", 9047},
+			"664487ece5933d33", 9027},
 		{"hub/k=8/P=4", session(hub, parhip.WithK(8), parhip.WithPEs(4), parhip.WithSeed(16)),
-			"83f9ca841bb2b199", 9084},
+			"a7ccb402b68552ce", 9104},
 		{"rmat-16K/k=16/P=2", session(gen.RMAT(14, 8, 0.57, 0.19, 0.19, 6), parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(17)),
-			"8de1b6ecf5596b4f", 103207},
+			"c51e19959adea7ab", 103875},
 		{"web/repartition/k=16/P=2", func() (parhip.Result, error) {
 			cold, err := session(webG, parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(13))()
 			if err != nil {
 				return cold, err
 			}
 			return parhip.Repartition(ctx, gen.Perturb(webG, 0.05, 7), cold.Partition, parhip.WithPEs(2), parhip.WithSeed(18))
-		}, "914c3046c1a93dcc", 14166},
+		}, "de46680cb17922de", 14395},
 		{"web/baseline/k=8/P=2", func() (parhip.Result, error) {
 			return parhip.RunBaseline(ctx, web(4096, 8), 0, parhip.WithK(8), parhip.WithPEs(2), parhip.WithSeed(19))
-		}, "4de39dd68d5288ab", 4793},
+		}, "408547c1a7ae0707", 4825},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,9 @@ import (
 )
 
 // DeterminismAnalyzer guards the reproducibility contract of the decision
-// packages (core, sclp, contract, evo) and of the generators every
+// packages (core, sclp, contract, evo), of the distributed graph whose
+// orderings they iterate (dgraph: adjacency, exchange plan, the ghost
+// reverse CSR behind refinement's active set) and of the generators every
 // experiment's input comes from (gen): for a fixed seed — and in the
 // parallel setting a fixed (seed, rank) pair — runs must be bit-identical.
 // Three sources of hidden nondeterminism are flagged:
@@ -29,13 +31,14 @@ var DeterminismAnalyzer = &Analyzer{
 }
 
 // determinismScope lists the packages (by final import-path element) whose
-// decisions feed partition state, plus gen, whose output is that state's
-// input.
+// decisions feed partition state, plus dgraph, whose row orders those
+// decisions walk, and gen, whose output is that state's input.
 var determinismScope = map[string]bool{
 	"core":     true,
 	"sclp":     true,
 	"contract": true,
 	"evo":      true,
+	"dgraph":   true,
 	"gen":      true,
 }
 

@@ -142,8 +142,8 @@ type Config struct {
 	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
 	PrevPartition []int32
 
-	// Workers sizes the per-rank worker pool behind the parallel propose
-	// passes of label propagation and contract's quotient accumulation.
+	// Workers sizes the per-rank worker pool behind refinement's parallel
+	// propose passes and contract's quotient accumulation.
 	// 0 (the default) resolves to runtime.NumCPU() divided by the number
 	// of ranks hosted in this process, so in-process worlds do not
 	// oversubscribe the machine while one-rank-per-process (TCP) worlds
@@ -239,9 +239,9 @@ type Stats struct {
 	MigratedNodes   int64
 	MigrationVolume int64
 	Feasible        bool
-	// Par reports this rank's intra-rank worksharing measurements: the
-	// resolved worker count, superstep propose/commit wall-clock split and
-	// summed worker busy time.
+	// Par reports this rank's superstep measurements: the resolved worker
+	// count, the propose/commit wall-clock split, summed worker busy time
+	// and the exact evaluation counts (see sclp.ParStats).
 	Par  sclp.ParStats
 	Comm mpi.Stats // whole-world traffic (filled by Run)
 	// Transport is the transport-level counter snapshot of this process's
@@ -426,7 +426,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				PhasesPerRound: cfg.PhasesPerRound,
 				Constraint:     constraint,
 				Seed:           shared.Uint64(),
-				Pool:           pool,
 				Arena:          ar,
 				Stats:          &st.Par,
 			})

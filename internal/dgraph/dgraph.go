@@ -56,6 +56,11 @@ type DGraph struct {
 	// plan is the precomputed halo-exchange plan (see plan.go), built once
 	// in finalize().
 	plan *ExchangePlan
+
+	// Reverse CSR of the halo (see GhostNeighbors): ghost nLocal+i's local
+	// neighbours are ghostAdj[ghostAdjOff[i]:ghostAdjOff[i+1]].
+	ghostAdjOff []int64
+	ghostAdj    []int32
 }
 
 // UniformVtxDist splits n nodes into size contiguous chunks of nearly equal
@@ -236,6 +241,39 @@ func (d *DGraph) Owner(g int64) int {
 
 // GhostOwner returns the rank owning ghost with local ID v.
 func (d *DGraph) GhostOwner(v int32) int32 { return d.ghostOwner[v-d.nLocal] }
+
+// GhostNeighbors returns the local nodes adjacent to ghost g, ascending: who
+// has to look again when g's value changes in an exchange. The reverse CSR
+// behind it (one int32 per interface arc, counting-sorted by walking the
+// local nodes in ID order) is built on the first call, at most once per
+// DGraph. The slice aliases internal storage.
+//
+//lint:rawslice-ok local node IDs in CSR order, not a partition
+func (d *DGraph) GhostNeighbors(g int32) []int32 {
+	if d.ghostAdjOff == nil {
+		ng := d.NGhost()
+		d.ghostAdjOff = make([]int64, ng+1)
+		for _, u := range d.Adj {
+			if u >= d.nLocal {
+				d.ghostAdjOff[u-d.nLocal+1]++
+			}
+		}
+		for i := int32(0); i < ng; i++ {
+			d.ghostAdjOff[i+1] += d.ghostAdjOff[i]
+		}
+		d.ghostAdj = make([]int32, d.ghostAdjOff[ng])
+		next := slices.Clone(d.ghostAdjOff[:ng])
+		for v := int32(0); v < d.nLocal; v++ {
+			for _, u := range d.Neighbors(v) {
+				if u >= d.nLocal {
+					d.ghostAdj[next[u-d.nLocal]] = v
+					next[u-d.nLocal]++
+				}
+			}
+		}
+	}
+	return d.ghostAdj[d.ghostAdjOff[g-d.nLocal]:d.ghostAdjOff[g-d.nLocal+1]]
+}
 
 // Degree returns the degree of local node v.
 func (d *DGraph) Degree(v int32) int32 { return int32(d.XAdj[v+1] - d.XAdj[v]) }

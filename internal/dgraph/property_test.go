@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,5 +129,51 @@ func TestPropertyGatherIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyGhostNeighborsMatchBruteForce: the ghost → local reverse CSR
+// lists, for every ghost, exactly the local nodes with an arc to it,
+// ascending — and is built once: asking again hands back the same storage.
+func TestPropertyGhostNeighborsMatchBruteForce(t *testing.T) {
+	f := func(seed uint64, pRaw uint8) bool {
+		P := int(pRaw%3) + 2 // 2, 3, 4
+		r := rng.New(seed)
+		n := r.Int31n(120) + 5
+		b := graph.NewBuilder(n)
+		for i := 0; i < int(n)*3; i++ {
+			if u, v := r.Int31n(n), r.Int31n(n); u != v {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		ok := true
+		mpi.NewWorld(P).Run(func(c *mpi.Comm) {
+			d := FromGraph(c, g)
+			for gh := d.NLocal(); gh < d.NTotal(); gh++ {
+				var want []int32
+				for v := int32(0); v < d.NLocal(); v++ {
+					if slices.Contains(d.Neighbors(v), gh) {
+						want = append(want, v)
+					}
+				}
+				got := d.GhostNeighbors(gh)
+				if len(want) == 0 || !slices.Equal(got, want) {
+					t.Errorf("seed %d P=%d rank %d ghost %d: reverse row %v, brute force %v",
+						seed, P, c.Rank(), gh, got, want)
+					ok = false
+					return
+				}
+				if again := d.GhostNeighbors(gh); &again[0] != &got[0] {
+					t.Errorf("seed %d P=%d rank %d ghost %d: second call rebuilt the reverse CSR", seed, P, c.Rank(), gh)
+					ok = false
+					return
+				}
+			}
+		})
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

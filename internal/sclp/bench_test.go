@@ -1,16 +1,14 @@
 package sclp
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/partition"
-	"repro/internal/workpool"
+	"repro/internal/rng"
 )
 
 func BenchmarkClusterCommunity(b *testing.B) {
@@ -50,31 +48,6 @@ func BenchmarkParClusterP4(b *testing.B) {
 		mpi.NewWorld(4).Run(func(c *mpi.Comm) {
 			d := dgraph.FromGraph(c, g)
 			ParCluster(d, ParClusterConfig{U: 600, Iterations: 3, DegreeOrder: true, Seed: uint64(i + 1)})
-		})
-	}
-}
-
-// BenchmarkParClusterWorkers measures the intra-rank worksharing speedup
-// of the propose/commit superstep split on a large mesh hosted by a single
-// rank (P=1 isolates the worker pool from rank-level parallelism). The
-// partition is bit-identical across the sub-benchmarks by construction
-// (TestWorkerBitIdentity); only the wall clock may differ.
-func BenchmarkParClusterWorkers(b *testing.B) {
-	g := gen.DelaunayLike(200000, 5)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			pool := workpool.New(w)
-			defer pool.Close()
-			ar := arena.New()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ar.Reset()
-				mpi.NewWorld(1).Run(func(c *mpi.Comm) {
-					d := dgraph.FromGraph(c, g)
-					ParCluster(d, ParClusterConfig{U: 6000, Iterations: 3, DegreeOrder: true,
-						Seed: uint64(i + 1), Pool: pool, Arena: ar})
-				})
-			}
 		})
 	}
 }
@@ -268,4 +241,70 @@ func BenchmarkParRefineInterior(b *testing.B) {
 		})
 	}
 	b.ReportMetric(float64(stats.Interior)/float64(stats.Evaluated), "interior/evaluated")
+}
+
+// BenchmarkParRefineRounds is a whole ParRefine call from the kind of start
+// uncoarsening gives it: a partition refinement has already settled (here:
+// contiguous blocks, refined once outside the timer), with one node in fifty
+// knocked into a neighbour's block the way a projection blurs boundaries.
+// Reports rank 0's node evaluations per call next to the time — the count
+// the active-node rule exists to cut (six full rounds would be 6x the rank's
+// nodes, plus commits).
+func BenchmarkParRefineRounds(b *testing.B) {
+	web, err := gen.ByFamily(gen.FamilyWeb, 32768, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+		k    int64
+	}{
+		{"delaunay-65536-k2-P2", gen.DelaunayLike(65536, 4), 2},
+		{"web-32768-k16-P2", web, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := int64(bc.g.NumNodes())
+			lmax := partition.Lmax(bc.g.TotalNodeWeight(), int32(bc.k), 0.03)
+			start := make([]int64, n)
+			for gv := range start {
+				start[gv] = int64(gv) * bc.k / n
+			}
+			refine := func(seed uint64, stats *ParStats) {
+				mpi.NewWorld(2).Run(func(c *mpi.Comm) {
+					d := dgraph.FromGraph(c, bc.g)
+					part := make([]int64, d.NTotal())
+					for v := range part {
+						part[v] = start[d.ToGlobal(int32(v))]
+					}
+					cfg := ParRefineConfig{K: int32(bc.k), Lmax: lmax, Iterations: 6, Seed: seed}
+					if c.Rank() == 0 {
+						cfg.Stats = stats
+					}
+					ParRefine(d, part, cfg)
+					if stats == nil { // the set-up call: keep what it settled on
+						settled := c.Allgatherv(part[:d.NLocal()])
+						if c.Rank() == 0 {
+							for p, theirs := range settled {
+								copy(start[d.VtxDist[p]:], theirs)
+							}
+						}
+					}
+				})
+			}
+			refine(1, nil)
+			r := rng.New(2)
+			for i := int64(0); i < n/50; i++ {
+				if v := r.Int31n(int32(n)); bc.g.Degree(v) > 0 {
+					start[v] = start[bc.g.Neighbors(v)[r.Intn(int(bc.g.Degree(v)))]]
+				}
+			}
+			var stats ParStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refine(uint64(i+1), &stats)
+			}
+			b.ReportMetric(float64(stats.Evaluated)/float64(b.N), "evaluated/op")
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package sclp
 
 import (
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/arena"
@@ -35,18 +37,16 @@ type ParClusterConfig struct {
 	// Seed drives traversal order and tie breaking; each rank derives its
 	// own stream.
 	Seed uint64
-	// Pool, when non-nil, runs the propose half of every superstep on its
-	// workers. Results are bit-identical for any pool size (nil included):
-	// chunk grids and per-chunk RNG streams depend only on the phase, and
-	// moves are decided by a sequential commit pass that re-selects in
-	// traversal order.
+	// Pool is not read (clustering is one sequential sweep per phase). It
+	// stays only because benchmark/adapter.go, frozen outside benchmark
+	// PRs, sets it; it goes when that file stops (ROADMAP item 4).
 	Pool *workpool.Pool
 	// Arena, when non-nil, supplies the per-call scratch (traversal order,
-	// proposal buffer, dirty-set bits, accumulator backing arrays). The
-	// caller resets it after the call returns; nil falls back to the heap.
+	// proposal buffer, bitsets, accumulator backing arrays). The caller
+	// resets it after the call returns; nil falls back to the heap.
 	Arena *arena.Arena
-	// Stats, when non-nil, accumulates the propose/commit split timings,
-	// worker busy time and node-evaluation counts of every superstep.
+	// Stats, when non-nil, accumulates the superstep timings and the
+	// node-evaluation counts (see ParStats).
 	Stats *ParStats
 }
 
@@ -70,13 +70,14 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	weight := newLabelWeights(d)
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
 
-	nl := d.NLocal()
 	order := localOrder(d, cfg.DegreeOrder, r, cfg.Arena)
-	props := cfg.Arena.Int64s(len(order))
-	lanes := newLanes(cfg.Pool, cfg.Arena, 0)
-	commit := &lanes[len(lanes)-1]
-	changedSet := newDirtySetIn(nl, cfg.Arena)
-	casc := newDirtySetIn(nl, cfg.Arena)
+	// One rating table, sized so that it never grows inside the sweep.
+	sweep := lane{conn: hashtab.NewAccumulatorI64In(cfg.Arena, int(maxLocalDegree(d)))}
+	changedSet := newDirtySetIn(d.NLocal(), cfg.Arena)
+	moveGhost := func(ghost int32, old, new int64) {
+		weight.Add(old, -d.NW[ghost])
+		weight.Add(new, d.NW[ghost])
+	}
 	tracer := d.Comm.Tracer()
 	rank := d.Comm.Rank()
 
@@ -94,60 +95,34 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			d.Comm.CheckAbort()
 			sp := tracer.Begin(rank, "sclp.cluster_superstep")
 			movedBefore := movedLocal
-			start := ph * len(order) / cfg.PhasesPerRound
-			end := (ph + 1) * len(order) / cfg.PhasesPerRound
-			phase := order[start:end]
-			phaseProps := props[start:end]
+			phase := order[ph*len(order)/cfg.PhasesPerRound : (ph+1)*len(order)/cfg.PhasesPerRound]
 			// The phase seed is drawn from the rank stream whether or not the
 			// phase has nodes, keeping the stream aligned across ranks with
 			// different local counts.
-			phaseSeed := r.Uint64()
+			sweep.rng.Reseed(commitSeed(r.Uint64()))
 
-			// Parallel propose: workers evaluate disjoint chunks of the
-			// traversal order against the frozen phase-start state.
-			psp := tracer.Begin(rank, "sclp.propose")
-			pt0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
-			busy := proposeCluster(d, cfg.Pool, lanes, phaseSeed, phase, phaseProps,
-				labels, weight, cfg.Constraint, cfg.U)
-			proposeDur := time.Since(pt0) //lint:determinism-ok stats timing only, never feeds partition state
-			tracer.End2(psp, "busy_ns", int64(busy), "nodes", int64(len(phase)))
-
-			// Sequential commit: re-run the selection in traversal order
-			// against current labels and weights for every node the stale
-			// propose flagged, plus every node a committed move dirtied —
-			// marking the moved node's local neighbors keeps the
-			// Gauss-Seidel cascades (move one node, its neighbor becomes
-			// attractive, ...) that a pure propose filter would cut off.
-			csp := tracer.Begin(rank, "sclp.commit")
+			// One Gauss-Seidel sweep (§IV-A: "each PE traverses its local
+			// nodes and moves them"): every node is evaluated once, against
+			// the labels and weights its predecessors in the phase left.
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
-			commit.rng.Reseed(commitSeed(phaseSeed))
-			for i, v := range phase {
-				if (phaseProps[i] >= 0 || casc.has(v)) &&
-					commitClusterMove(d, v, labels, weight, cfg.Constraint, cfg.U, commit) {
+			for _, v := range phase {
+				if commitClusterMove(d, v, labels, weight, cfg.Constraint, cfg.U, &sweep) {
 					movedLocal++
-					for _, nb := range d.Neighbors(v) {
-						if nb < nl {
-							casc.add(nb)
-						}
-					}
 					if d.IsInterface(v) {
 						changedSet.add(v)
 					}
 				}
 			}
-			casc.reset()
-			commitDur := time.Since(ct0) //lint:determinism-ok stats timing only, never feeds partition state
-			tracer.End1(csp, "moves", movedLocal-movedBefore)
-			cfg.Stats.observe(cfg.Pool.Size(), proposeDur, commitDur, busy)
+			cfg.Stats.observe(0, 0, time.Since(ct0), 0) //lint:determinism-ok stats timing only, never feeds partition state
 
-			exchangeLabels(d, labels, weight, changedSet)
+			exchangeLabels(d, labels, moveGhost, changedSet)
 			tracer.End2(sp, "moves", movedLocal-movedBefore, "phase", int64(iter*cfg.PhasesPerRound+ph))
 		}
 		if d.Comm.AllreduceSum1(movedLocal) == 0 {
 			break
 		}
 	}
-	cfg.Stats.count(lanes)
+	cfg.Stats.count(sweep)
 	return labels
 }
 
@@ -209,21 +184,41 @@ func (s *dirtySet) reset() {
 
 // exchangeLabels pushes the changed interface nodes' labels to the adjacent
 // PEs holding their ghosts (plan-based sparse exchange) and applies the
-// incoming updates, moving each reassigned ghost's weight between the
-// locally tracked clusters when weight is non-nil. The dirty set is drained
-// for the next phase. Collective.
+// incoming updates, calling onUpdate (when non-nil) for every ghost whose
+// value changes: clustering migrates the ghost's weight between the locally
+// tracked clusters, refinement activates the ghost's local neighbours. The
+// dirty set is drained for the next phase. Collective.
 //
 //parhip:collective
-func exchangeLabels(d *dgraph.DGraph, labels []int64, weight *labelWeights, changed *dirtySet) {
-	var onUpdate func(ghost int32, old, new int64)
-	if weight != nil {
-		onUpdate = func(ghost int32, old, new int64) {
-			weight.Add(old, -d.NW[ghost])
-			weight.Add(new, d.NW[ghost])
-		}
-	}
+func exchangeLabels(d *dgraph.DGraph, labels []int64, onUpdate func(ghost int32, old, new int64), changed *dirtySet) {
 	d.PushGhostsFunc(labels, changed.stack, onUpdate)
 	changed.reset()
+}
+
+// refineRoundHook, nil outside tests, is shown every ParRefine round's visit
+// list (ascending, before the shuffle) and the partition the round starts from.
+var refineRoundHook func(d *dgraph.DGraph, round int, visit []int32, part []int64)
+
+// activeSet is the bitset of local nodes refinement visits in its next
+// round: the nodes that moved and the local neighbours of everything that
+// moved, local or ghost. Any other node would be evaluated against the
+// neighbourhood it already rejected.
+type activeSet []uint64
+
+//parhip:hotpath
+func (s activeSet) add(v int32) { s[v>>6] |= 1 << (uint(v) & 63) }
+
+// drain empties the set into out[:0], ascending by node ID, so the order
+// the activations arrived in cannot reach the visit list.
+func (s activeSet) drain(out []int32) []int32 {
+	out = out[:0]
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+		s[w] = 0
+	}
+	return out
 }
 
 // ParRefineConfig controls the parallel refinement run (§IV-B,
@@ -283,23 +278,39 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 	maxNW := d.MaxNodeWeightGlobal()
 	P := int64(d.Comm.Size())
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
-	order := localOrder(d, false, r, cfg.Arena)
-	props := cfg.Arena.Int64s(len(order))
+	order := cfg.Arena.Int32s(int(nl))
+	props := cfg.Arena.Int64s(int(nl))
 	lanes := newLanes(cfg.Pool, cfg.Arena, k)
 	commit := &lanes[len(lanes)-1]
 	changedSet := newDirtySetIn(nl, cfg.Arena)
 	casc := newDirtySetIn(nl, cfg.Arena)
+	next := activeSet(cfg.Arena.Uint64s((int(nl) + 63) / 64))
+	wakeGhost := func(ghost int32, _, _ int64) {
+		for _, v := range d.GhostNeighbors(ghost) {
+			next.add(v)
+		}
+	}
 	tracer := d.Comm.Tracer()
 	rank := d.Comm.Rank()
 	var totalMoves int64
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if iter > 0 {
-			r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		// The first round visits every node, and so does any round that
+		// starts with a block over Lmax (blockWeight is exact here): an
+		// overloaded block's nodes must leave, changed neighbourhood or not.
+		if iter == 0 || slices.Max(blockWeight) > cfg.Lmax {
+			for v := int32(0); v < nl; v++ {
+				next.add(v)
+			}
 		}
+		order = next.drain(order)
+		if refineRoundHook != nil {
+			refineRoundHook(d, iter, order, part)
+		}
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var movedLocal int64
 		// Fixed phase count on every rank (see ParCluster): phases are
-		// collective synchronization points.
+		// collective synchronization points, however few nodes are active.
 		for ph := 0; ph < cfg.PhasesPerRound; ph++ {
 			// Superstep boundary: cancelled worlds unwind here.
 			d.Comm.CheckAbort()
@@ -351,9 +362,10 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 
 			// Sequential commit in traversal order; headroom is consumed
 			// here, so the claimed shares still bound what this rank adds.
-			// Like the clustering commit, a committed move dirties the moved
-			// node's local neighbors so same-phase cascades survive the
-			// propose filter.
+			// A committed move dirties the moved node's local neighbours, so
+			// the Gauss-Seidel cascades (move one node, its neighbour becomes
+			// attractive, ...) survive the propose filter within the phase,
+			// and activates them and the mover for the next round.
 			csp := tracer.Begin(rank, "sclp.commit")
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
 			commit.rng.Reseed(commitSeed(phaseSeed))
@@ -361,9 +373,11 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 				if (phaseProps[i] >= 0 || casc.has(v)) &&
 					commitRefineMove(d, v, part, cfg.Prev, blockWeight, localContrib, headroom, cfg.Lmax, commit) {
 					movedLocal++
+					next.add(v)
 					for _, nb := range d.Neighbors(v) {
 						if nb < nl {
 							casc.add(nb)
+							next.add(nb)
 						}
 					}
 					if d.IsInterface(v) {
@@ -376,7 +390,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			tracer.End1(csp, "moves", movedLocal-movedBefore)
 			cfg.Stats.observe(cfg.Pool.Size(), proposeDur, commitDur, busy)
 
-			exchangeLabels(d, part, nil, changedSet)
+			exchangeLabels(d, part, wakeGhost, changedSet)
 			// Restore exact block weights (one allreduce per phase).
 			blockWeight = d.Comm.AllreduceSum(localContrib)
 			tracer.End2(sp, "moves", movedLocal-movedBefore, "phase", int64(iter*cfg.PhasesPerRound+ph))
@@ -387,7 +401,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			break
 		}
 	}
-	cfg.Stats.count(lanes)
+	cfg.Stats.count(lanes...)
 	return totalMoves
 }
 

@@ -16,21 +16,24 @@ import (
 // proposals, are bit-identical for any pool size.
 const proposeChunk = 256
 
-// ParStats aggregates one rank's intra-rank worksharing measurements: the
-// wall-clock split between the parallel propose pass and the sequential
-// commit pass of every superstep, and the summed busy time of the worker
-// lanes during propose (BusyNS / (ProposeNS * Workers) is the propose-pass
-// utilization). Evaluated and Interior are exact work counts, not timings:
-// identical for any worker count and from run to run.
+// ParStats aggregates one rank's superstep measurements. Clustering is one
+// sequential sweep per superstep and books its time to CommitNS;
+// refinement splits a superstep into a parallel propose pass and a
+// sequential commit pass, so ProposeNS and BusyNS (the summed busy time of
+// the worker lanes) cover refinement only, and BusyNS / (ProposeNS *
+// Workers) is the refinement propose-pass utilization. Evaluated and
+// Interior are exact work counts, not timings: identical for any worker
+// count and from run to run.
 type ParStats struct {
 	Workers    int
 	Supersteps int64
-	ProposeNS  int64 // wall time of the parallel propose passes
-	CommitNS   int64 // wall time of the sequential commit passes
+	ProposeNS  int64 // wall time of refinement's parallel propose passes
+	CommitNS   int64 // wall time of the sequential passes: clustering sweeps, refinement commits
 	BusyNS     int64 // summed per-lane busy time inside propose passes
-	// Evaluated counts the node evaluations of the propose and commit
-	// passes; Interior is how many of them returned "stay" from the
-	// neighbour scan alone, before any rating was accumulated.
+	// Evaluated counts the node evaluations of the sweeps and of the
+	// propose and commit passes; Interior is how many of them returned
+	// "stay" from the neighbour scan alone, before any rating was
+	// accumulated.
 	Evaluated int64
 	Interior  int64
 }
@@ -61,12 +64,15 @@ func (s *ParStats) Utilization() float64 {
 	return u
 }
 
-// observe folds one superstep's measurements into s. Nil-safe.
+// observe folds one superstep's measurements into s; like Add, it adopts
+// workers only when set (a clustering sweep has none to report). Nil-safe.
 func (s *ParStats) observe(workers int, propose, commit, busy time.Duration) {
 	if s == nil {
 		return
 	}
-	s.Workers = workers
+	if workers > 0 {
+		s.Workers = workers
+	}
 	s.Supersteps++
 	s.ProposeNS += int64(propose)
 	s.CommitNS += int64(commit)
@@ -76,7 +82,7 @@ func (s *ParStats) observe(workers int, propose, commit, busy time.Duration) {
 // count folds the lanes' work counters into s. Called once per kernel run,
 // after the last pool.Run: a sum over lanes does not depend on which lane
 // evaluated which chunk. Nil-safe.
-func (s *ParStats) count(lanes []lane) {
+func (s *ParStats) count(lanes ...lane) {
 	if s == nil {
 		return
 	}
@@ -86,32 +92,30 @@ func (s *ParStats) count(lanes []lane) {
 	}
 }
 
-// lane is the scratch of one evaluating goroutine — a propose worker, or
-// the commit pass: a rating accumulator (label-keyed for clustering,
-// block-keyed for refinement), a generator reseeded at every chunk boundary,
-// and the work counters. Propose lanes are indexed by the workpool worker
-// ID. An accumulator keeps its capacity from chunk to chunk, so which lane
-// runs a chunk cannot influence results only because hashtab's ForEach
-// order is a function of the Add sequence alone (its order guarantee).
+// lane is the scratch of one evaluating goroutine — the clustering sweep, a
+// refinement propose worker, or the refinement commit pass: a rating
+// accumulator (label-keyed for clustering, block-keyed for refinement), a
+// generator reseeded at every phase or chunk boundary, and the work
+// counters. Propose lanes are indexed by the workpool worker ID.
 type lane struct {
-	conn   *hashtab.AccumulatorI64   // clustering lanes
+	conn   *hashtab.AccumulatorI64   // clustering lane
 	blocks *hashtab.DenseAccumulator // refinement lanes
 	rng    rng.RNG
 
 	evaluated, interior int64
 }
 
-// newLanes allocates one lane per pool worker plus, last, the commit pass's
-// lane. k > 0 makes refinement lanes over k blocks; k == 0 clustering lanes,
-// with the accumulator backing arrays carved from ar (heap when ar is nil).
+// newLanes allocates one refinement lane over k blocks per pool worker plus,
+// last, the commit pass's lane. k == 0 makes the one clustering lane with a
+// default-sized table carved from ar (heap when ar is nil) — ParCluster
+// sizes its own from the rank's largest neighbourhood instead.
 func newLanes(pool *workpool.Pool, ar *arena.Arena, k int32) []lane {
+	if k == 0 {
+		return []lane{{conn: hashtab.NewAccumulatorI64In(ar, 64)}}
+	}
 	lanes := make([]lane, pool.Size()+1)
 	for i := range lanes {
-		if k > 0 {
-			lanes[i].blocks = hashtab.NewDenseAccumulator(int(k))
-		} else {
-			lanes[i].conn = hashtab.NewAccumulatorI64In(ar, 64)
-		}
+		lanes[i].blocks = hashtab.NewDenseAccumulator(int(k))
 	}
 	return lanes
 }
@@ -123,11 +127,11 @@ func chunkSeed(phaseSeed uint64, chunk int) uint64 {
 	return phaseSeed ^ (uint64(chunk)+1)*0x9e3779b97f4a7c15
 }
 
-// commitSeed derives the seed of a phase's sequential commit RNG stream.
-// A different mixing constant than chunkSeed keeps it uncorrelated with
-// every propose chunk stream; since the commit pass runs in traversal
-// order on one goroutine, a single per-phase stream is deterministic and
-// independent of the worker count.
+// commitSeed derives the seed of a phase's sequential RNG stream — the
+// clustering sweep's, the refinement commit pass's. A different mixing
+// constant than chunkSeed keeps it uncorrelated with every propose chunk
+// stream; since the pass runs in traversal order on one goroutine, a single
+// per-phase stream is deterministic and independent of the worker count.
 func commitSeed(phaseSeed uint64) uint64 {
 	return phaseSeed ^ 0xbf58476d1ce4e5b9
 }
@@ -179,9 +183,10 @@ func (w *labelWeights) Add(label, delta int64) {
 	w.foreign.Put(label, lw+delta)
 }
 
-// The move selections below are shared by the parallel kernels (both roles:
-// propose against frozen phase-start state, commit against current state),
-// the sequential kernels of seq.go and kaffpa's FM. Each is a gather — scan
+// The move selections below are shared by the parallel kernels (the
+// clustering sweep; refinement in both roles: propose against frozen
+// phase-start state, commit against current state), the sequential kernels
+// of seq.go and kaffpa's FM. Each is a gather — scan
 // the neighbourhood, and only if it can matter accumulate the ratings —
 // followed by a select over the accumulated ratings. What they skip cannot
 // change the returned target or the number of RNG draws (DESIGN.md §13);
@@ -352,36 +357,12 @@ func selectRefine(conn *hashtab.DenseAccumulator, cur, nw, prevB int64,
 	return best
 }
 
-// proposeCluster is the parallel half of one clustering superstep: every
-// chunk of the phase's traversal order evaluates its nodes against the
-// phase-start labels and cluster weights (both frozen during the pass) and
-// records the winning target label — or -1 for "stay" — in props. props is
-// indexed by traversal position, so chunk writes are disjoint. Returns the
-// summed lane busy time.
-func proposeCluster(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
-	phase []int32, props []int64, labels []int64, weight *labelWeights,
-	constraint []int64, u int64) time.Duration {
-
-	nchunks := workpool.Chunks(len(phase), proposeChunk)
-	return pool.Run(nchunks, func(worker, chunk int) {
-		ln := &lanes[worker]
-		ln.rng.Reseed(chunkSeed(phaseSeed, chunk))
-		lo, hi := workpool.Bounds(len(phase), nchunks, chunk)
-		for i := lo; i < hi; i++ {
-			props[i] = proposeClusterNode(d, phase[i], labels, weight, constraint, u, ln)
-		}
-	})
-}
-
-// proposeClusterNode evaluates one node and returns the cluster label it
-// selects, or -1 to stay. It mutates nothing shared: labels and weight are
-// only read. It runs in two roles: during the parallel propose pass it sees
-// phase-start state and its verdict only *flags* the node for
-// re-examination; during the sequential commit pass it re-runs against
-// current state and its verdict is final.
+// evalClusterNode evaluates one node against the current labels and cluster
+// weights and returns the cluster label it selects, or -1 to stay. It
+// mutates nothing shared.
 //
 //parhip:hotpath
-func proposeClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *labelWeights,
+func evalClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *labelWeights,
 	constraint []int64, u int64, ln *lane) int64 {
 
 	ln.evaluated++
@@ -392,20 +373,15 @@ func proposeClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *label
 	return selectCluster(ln.conn, labels[v], d.NW[v], u, weight, &ln.rng)
 }
 
-// commitClusterMove finalizes one move during the sequential commit pass.
-// The stale proposal (or the cascade dirty-set) only decided that the node
-// is worth re-examining; the actual decision re-runs the full selection against the
-// current labels and cluster weights, so a committed move is exactly the
-// one the sequential kernel would have made at this point of the
-// traversal. Because commits run one at a time in traversal order with a
-// dedicated commit RNG stream, the result is independent of how the
-// propose pass was scheduled.
+// commitClusterMove is the clustering sweep's step: select for v and, if
+// the selection names another cluster, move v there. It is seq.go's
+// moveNode over the distributed graph view.
 //
 //parhip:hotpath
 func commitClusterMove(d *dgraph.DGraph, v int32, labels []int64,
 	weight *labelWeights, constraint []int64, u int64, ln *lane) bool {
 
-	b := proposeClusterNode(d, v, labels, weight, constraint, u, ln)
+	b := evalClusterNode(d, v, labels, weight, constraint, u, ln)
 	if b < 0 {
 		return false
 	}
@@ -416,9 +392,12 @@ func commitClusterMove(d *dgraph.DGraph, v int32, labels []int64,
 	return true
 }
 
-// proposeRefine is the parallel half of one refinement superstep; see
-// proposeCluster. blockWeight and headroom are the phase-start vectors,
-// frozen during the pass.
+// proposeRefine is the parallel half of one refinement superstep: every
+// chunk of the phase's traversal order evaluates its nodes against the
+// phase-start part, block weights and headroom shares (all frozen during
+// the pass) and records the winning target block — or -1 for "stay" — in
+// props. props is indexed by traversal position, so chunk writes are
+// disjoint. Returns the summed lane busy time.
 func proposeRefine(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
 	phase []int32, props []int64, part, prev []int64,
 	blockWeight, headroom []int64, lmax int64) time.Duration {
@@ -435,9 +414,13 @@ func proposeRefine(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSee
 }
 
 // proposeRefineNode evaluates one node and returns the block it selects,
-// or -1 to stay; the two roles are proposeClusterNode's. Nodes whose stale
-// verdict said "stay" still get re-examined when a same-phase committed
-// move dirtied them (see the cascade dirty-set in ParRefine).
+// or -1 to stay. It mutates nothing shared: part and the weight vectors are
+// only read. It runs in two roles: during the parallel propose pass it sees
+// phase-start state and its verdict only *flags* the node for
+// re-examination; during the sequential commit pass it re-runs against
+// current state and its verdict is final. Nodes whose stale verdict said
+// "stay" still get re-examined when a same-phase committed move dirtied
+// them (see the cascade dirty-set in ParRefine).
 //
 //parhip:hotpath
 func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
@@ -484,19 +467,22 @@ func commitRefineMove(d *dgraph.DGraph, v int32, part, prev []int64,
 	return true
 }
 
+// maxLocalDegree returns the largest degree among d's local nodes.
+func maxLocalDegree(d *dgraph.DGraph) int32 {
+	maxDeg := int32(0)
+	for v := int32(0); v < d.NLocal(); v++ {
+		maxDeg = max(maxDeg, d.Degree(v))
+	}
+	return maxDeg
+}
+
 // countingSortByDegree reorders order — currently the identity permutation
 // over the local nodes — ascending by local degree with ties broken by node
 // ID, in O(n + maxDegree) time and without a comparator closure. Filling
 // the buckets by increasing node ID makes the sort stable, so the result is
 // exactly the permutation the old sort.Slice comparator produced.
 func countingSortByDegree(d *dgraph.DGraph, order []int32, ar *arena.Arena) {
-	maxDeg := int32(0)
-	for _, v := range order {
-		if dg := d.Degree(v); dg > maxDeg {
-			maxDeg = dg
-		}
-	}
-	counts := ar.Ints(int(maxDeg) + 2)
+	counts := ar.Ints(int(maxLocalDegree(d)) + 2)
 	for _, v := range order {
 		counts[d.Degree(v)+1]++
 	}

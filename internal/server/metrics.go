@@ -96,16 +96,16 @@ func (s *Server) buildMetrics(reg *obs.Registry) {
 		"Label-propagation supersteps executed across all core runs (rank 0's view).",
 		lockedGauge(func() float64 { return float64(m.par.Supersteps) }))
 	reg.CounterFunc("parhipd_sclp_propose_seconds_total",
-		"Wall seconds spent in the parallel propose half of supersteps.",
+		"Wall seconds spent in the parallel propose half of refinement supersteps.",
 		lockedGauge(func() float64 { return float64(m.par.ProposeNS) / 1e9 }))
 	reg.CounterFunc("parhipd_sclp_commit_seconds_total",
-		"Wall seconds spent in the sequential commit half of supersteps.",
+		"Wall seconds spent in the sequential passes of supersteps: clustering sweeps and refinement commits.",
 		lockedGauge(func() float64 { return float64(m.par.CommitNS) / 1e9 }))
 	reg.CounterFunc("parhipd_sclp_worker_busy_seconds_total",
-		"Summed per-lane busy seconds inside propose passes.",
+		"Summed per-lane busy seconds inside refinement propose passes.",
 		lockedGauge(func() float64 { return float64(m.par.BusyNS) / 1e9 }))
 	reg.CounterFunc("parhipd_sclp_evaluated_total",
-		"Node evaluations by the propose and commit passes (exact; rank 0's view).",
+		"Node evaluations by the clustering sweeps and the refinement propose and commit passes (exact; rank 0's view).",
 		lockedGauge(func() float64 { return float64(m.par.Evaluated) }))
 	reg.CounterFunc("parhipd_sclp_interior_total",
 		"Node evaluations settled by the neighbour scan alone, before any rating was accumulated.",
@@ -114,7 +114,7 @@ func (s *Server) buildMetrics(reg *obs.Registry) {
 		"Intra-rank worker threads per simulated rank (last core run).",
 		lockedGauge(func() float64 { return float64(m.par.Workers) }))
 	reg.GaugeFunc("parhipd_sclp_propose_utilization",
-		"Mean fraction of propose wall time the worker lanes were busy.",
+		"Mean fraction of refinement propose wall time the worker lanes were busy (clustering does not use the pool).",
 		lockedGauge(func() float64 { return m.par.Utilization() }))
 
 	reg.GaugeFunc("parhipd_cache_entries",

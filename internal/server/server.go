@@ -77,7 +77,7 @@ type Config struct {
 	// MaxGraphs bounds the in-memory graph store (default 256).
 	MaxGraphs int
 	// CoreWorkers is the intra-rank worker-thread count every core run uses
-	// for superstep compute (parhip.WithWorkers). 0 keeps the library
+	// for refinement and contraction (parhip.WithWorkers). 0 keeps the library
 	// default. It is deliberately a server setting, not a job option:
 	// results are bit-identical for any value, so it must never enter the
 	// result cache key.

@@ -130,7 +130,7 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithWorkers sets the number of OS threads each simulated rank uses for
-// the compute half of its supersteps. Must be positive; omit the option
+// refinement and contraction. Must be positive; omit the option
 // for the default (NumCPU divided by the ranks hosted in this process, so
 // in-process worlds don't oversubscribe the machine). The partition is
 // bit-identical for every worker count — this is purely a wall-clock knob.
