@@ -56,14 +56,13 @@ import (
 // settingsFlags are the flags that decide the partition; every other flag
 // only decides what is reported or where it is written.
 type settingsFlags struct {
-	k       int
-	pes     int      // -pes: world size of the inproc transport
-	peers   []string // -peers: the tcp world; its length replaces pes
-	mode    string
-	class   string // social, mesh or auto
-	eps     float64
-	seed    uint64
-	workers int // 0 = library default
+	k     int
+	pes   int      // -pes: world size of the inproc transport
+	peers []string // -peers: the tcp world; its length replaces pes
+	mode  string
+	class string // social, mesh or auto
+	eps   float64
+	seed  uint64
 }
 
 var (
@@ -96,9 +95,6 @@ func (f settingsFlags) options(auto parhip.GraphClass) ([]parhip.Option, error) 
 	opts := []parhip.Option{parhip.WithK(int32(f.k)), parhip.WithPEs(pes),
 		parhip.WithMode(mode), parhip.WithClass(class),
 		parhip.WithEps(f.eps), parhip.WithSeed(f.seed)}
-	if f.workers != 0 {
-		opts = append(opts, parhip.WithWorkers(f.workers))
-	}
 	return opts, nil
 }
 
@@ -119,7 +115,6 @@ func main() {
 		prevFile  = flag.String("prev", "", "previous partition file: run a migration-aware repartition seeded with it")
 		out       = flag.String("out", "", "write the partition to this file (text format; binary when the name ends in .bpart)")
 		traceFile = flag.String("trace", "", "record per-rank spans and write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
-		workers   = flag.Int("workers", 0, "OS threads per rank for refinement and contraction (0 = NumCPU / ranks in this process; results bit-identical for any value)")
 		backend   = flag.String("transport", "inproc", "rank communication: inproc (all ranks in this process) or tcp (this process hosts one rank of a multi-process world)")
 		rank      = flag.Int("rank", 0, "tcp: rank this process hosts, in [0, world size)")
 		peersList = flag.String("peers", "", "tcp: rank-ordered comma-separated host:port list; its length is the world size")
@@ -138,7 +133,7 @@ func main() {
 		fail(err)
 	}
 	sf := settingsFlags{k: *k, pes: *pes, mode: *mode, class: *class,
-		eps: *eps, seed: *seed, workers: *workers}
+		eps: *eps, seed: *seed}
 	switch *backend {
 	case "inproc":
 		if *peersList != "" {

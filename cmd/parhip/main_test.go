@@ -37,11 +37,11 @@ func TestSettingsFlagsOptions(t *testing.T) {
 		{name: "explicit class beats auto", auto: parhip.Mesh,
 			flags: with(func(f *settingsFlags) { f.class = "social" }),
 			want:  core.FastConfig(4, core.ClassSocial)},
-		{name: "eco eps seed workers",
-			flags: with(func(f *settingsFlags) { f.mode, f.eps, f.seed, f.workers = "eco", 0.1, 7, 3 }),
+		{name: "eco eps seed",
+			flags: with(func(f *settingsFlags) { f.mode, f.eps, f.seed = "eco", 0.1, 7 }),
 			want: func() core.Config {
 				c := core.EcoConfig(4, core.ClassSocial)
-				c.Eps, c.Seed, c.Workers = 0.1, 7, 3
+				c.Eps, c.Seed = 0.1, 7
 				return c
 			}()},
 		{name: "minimal", flags: with(func(f *settingsFlags) { f.mode = "minimal" }),
@@ -51,7 +51,6 @@ func TestSettingsFlagsOptions(t *testing.T) {
 		{name: "seed 0", flags: with(func(f *settingsFlags) { f.seed = 0 }), wantErr: "seed = 0"},
 		{name: "eps 0", flags: with(func(f *settingsFlags) { f.eps = 0 }), wantErr: "eps = 0"},
 		{name: "pes 0", flags: with(func(f *settingsFlags) { f.pes = 0 }), wantErr: "PEs = 0"},
-		{name: "negative workers", flags: with(func(f *settingsFlags) { f.workers = -1 }), wantErr: "Workers = -1"},
 		{name: "k 0", flags: with(func(f *settingsFlags) { f.k = 0 }), wantErr: "k = 0"},
 		{name: "unknown mode", flags: with(func(f *settingsFlags) { f.mode = "turbo" }), wantErr: `unknown mode "turbo"`},
 		{name: "unknown class", flags: with(func(f *settingsFlags) { f.class = "torus" }), wantErr: `unknown class "torus"`},

@@ -38,7 +38,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8090", "listen address")
 		workers   = flag.Int("workers", runtime.NumCPU(), "worker pool size")
-		coreWkrs  = flag.Int("core-workers", 0, "intra-rank threads per core run for refinement and contraction (0 = library default; results bit-identical for any value)")
 		queueSize = flag.Int("queue", 0, "job queue capacity (0 = 4*workers, min 16)")
 		cacheSize = flag.Int("cache", 128, "result cache capacity (entries)")
 		maxGraphs = flag.Int("max-graphs", 256, "graph store capacity")
@@ -62,12 +61,11 @@ func main() {
 	logger := slog.New(logHandler)
 
 	srv := server.New(server.Config{
-		Workers:     *workers,
-		QueueSize:   *queueSize,
-		CacheSize:   *cacheSize,
-		MaxGraphs:   *maxGraphs,
-		CoreWorkers: *coreWkrs,
-		Logger:      logger,
+		Workers:   *workers,
+		QueueSize: *queueSize,
+		CacheSize: *cacheSize,
+		MaxGraphs: *maxGraphs,
+		Logger:    logger,
 	})
 
 	handler := srv.Handler()

@@ -20,9 +20,9 @@ import (
 //     passed directly as call arguments are commonly inlined and are not
 //     flagged) and go statements;
 //   - sync.Mutex / sync.RWMutex lock operations (Lock, Unlock, RLock,
-//     RUnlock, TryLock, TryRLock): a contended lock parks the goroutine —
-//     the worksharing kernels (PR 9) keep their inner loops lock-free by
-//     design, with disjoint writes and a sequential commit pass;
+//     RUnlock, TryLock, TryRLock): a contended lock parks the goroutine,
+//     and a kernel runs on its rank's goroutine alone, so it has nothing
+//     to lock;
 //   - channel sends: a send synchronizes (and parks when the buffer is
 //     full), which belongs at superstep boundaries, not inside kernels.
 //

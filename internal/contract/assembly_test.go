@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/rng"
-	"repro/internal/workpool"
 )
 
 // sparseWeightedGraph returns a random graph with weighted nodes and edges
@@ -84,7 +83,9 @@ func sameGraph(a, b *graph.Graph) error {
 // arbitrary labels — clusters that span ranks, the all-singleton and the
 // one-cluster extremes — on a weighted graph that is mostly isolated nodes,
 // the gathered coarse graph equals the sequential contraction node for node
-// and arc for arc, for any rank and worker count.
+// and arc for arc, for any rank count P. W is the number of contractions run
+// back to back in one arena, reset after each as the V-cycle resets it from
+// level to level: recycled scratch must give the same graph every time.
 func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
 	const n = 6000
 	g := sparseWeightedGraph(n, 24, 5)
@@ -118,39 +119,46 @@ func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
 			}
 		}
 		for _, P := range []int{1, 2, 3, 4} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/P=%d/W=%d", name, P, workers), func(t *testing.T) {
-					var got *graph.Graph
+			for _, W := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/P=%d/W=%d", name, P, W), func(t *testing.T) {
+					var gots []*graph.Graph
 					mpi.NewWorld(P).Run(func(c *mpi.Comm) {
 						d := dgraph.FromGraph(c, g)
 						labels := make([]int64, d.NTotal())
 						for v := int32(0); v < d.NTotal(); v++ {
 							labels[v] = int64(labels32[d.ToGlobal(v)])
 						}
-						pool := workpool.New(workers)
-						defer pool.Close()
-						res := ParContractWith(d, labels, ContractOptions{Pool: pool, Arena: arena.New()})
-						if err := res.Coarse.Validate(); err != nil {
-							t.Errorf("rank %d: %v", c.Rank(), err)
-						}
-						for v := int32(0); v < d.NLocal(); v++ {
-							if want := coarseID[labels32[d.ToGlobal(v)]]; res.FineToCoarse[v] != want {
-								t.Errorf("rank %d: FineToCoarse[%d] = %d, want %d", c.Rank(), v, res.FineToCoarse[v], want)
-								break
+						ar := arena.New()
+						for run := 0; run < W; run++ {
+							res := ParContractWith(d, labels, ContractOptions{Arena: ar})
+							if err := res.Coarse.Validate(); err != nil {
+								t.Errorf("rank %d run %d: %v", c.Rank(), run, err)
 							}
-						}
-						if gathered := res.Coarse.Gather(); c.Rank() == 0 {
-							got = gathered
+							for v := int32(0); v < d.NLocal(); v++ {
+								if want := coarseID[labels32[d.ToGlobal(v)]]; res.FineToCoarse[v] != want {
+									t.Errorf("rank %d run %d: FineToCoarse[%d] = %d, want %d", c.Rank(), run, v, res.FineToCoarse[v], want)
+									break
+								}
+							}
+							if gathered := res.Coarse.Gather(); c.Rank() == 0 {
+								gots = append(gots, gathered)
+							}
+							ar.Reset()
 						}
 					})
-					if err := sameGraph(got, want); err != nil {
-						t.Fatal(err)
+					if len(gots) != W {
+						t.Fatalf("%d coarse graphs gathered, want %d", len(gots), W)
 					}
-					if got.TotalNodeWeight() != g.TotalNodeWeight() {
-						t.Errorf("node weight %d, fine graph has %d", got.TotalNodeWeight(), g.TotalNodeWeight())
-					}
-					if got.TotalEdgeWeight() != g.TotalEdgeWeight()-intra {
-						t.Errorf("edge weight %d, want %d - %d intra-cluster", got.TotalEdgeWeight(), g.TotalEdgeWeight(), intra)
+					for run, got := range gots {
+						if err := sameGraph(got, want); err != nil {
+							t.Fatalf("run %d: %v", run, err)
+						}
+						if got.TotalNodeWeight() != g.TotalNodeWeight() {
+							t.Errorf("run %d: node weight %d, fine graph has %d", run, got.TotalNodeWeight(), g.TotalNodeWeight())
+						}
+						if got.TotalEdgeWeight() != g.TotalEdgeWeight()-intra {
+							t.Errorf("run %d: edge weight %d, want %d - %d intra-cluster", run, got.TotalEdgeWeight(), g.TotalEdgeWeight(), intra)
+						}
 					}
 				})
 			}

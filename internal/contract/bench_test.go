@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/sclp"
-	"repro/internal/workpool"
 )
 
 func BenchmarkContractSeq(b *testing.B) {
@@ -66,17 +65,15 @@ func BenchmarkParContract(b *testing.B) {
 // contractAllocs returns the heap allocations of one ParContractWith call,
 // summed over the P ranks of an in-process world, with blocks of eight
 // consecutive nodes as clusters.
-func contractAllocs(g *graph.Graph, P, workers int) (allocs uint64, chunks int) {
+func contractAllocs(g *graph.Graph, P int) (allocs uint64) {
 	mpi.NewWorld(P).Run(func(c *mpi.Comm) {
 		d := dgraph.FromGraph(c, g)
 		labels := make([]int64, d.NTotal())
 		for v := range labels {
 			labels[v] = d.ToGlobal(int32(v)) / 8 * 8
 		}
-		pool := workpool.New(workers)
-		defer pool.Close()
 		ar := arena.New()
-		ParContractWith(d, labels, ContractOptions{Pool: pool, Arena: ar}) // warm the world's buffer pool
+		ParContractWith(d, labels, ContractOptions{Arena: ar}) // warm the world's buffer pool
 		ar.Reset()
 		var before, after runtime.MemStats
 		c.Barrier()
@@ -84,33 +81,29 @@ func contractAllocs(g *graph.Graph, P, workers int) (allocs uint64, chunks int) 
 			runtime.ReadMemStats(&before)
 		}
 		c.Barrier()
-		ParContractWith(d, labels, ContractOptions{Pool: pool, Arena: ar})
+		ParContractWith(d, labels, ContractOptions{Arena: ar})
 		c.Barrier()
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&after)
 			allocs = after.Mallocs - before.Mallocs
-			chunks = P * workpool.Chunks((int(d.NLocal())+7)/8, quotientChunk)
 		}
 	})
-	return allocs, chunks
+	return allocs
 }
 
 // TestParContractAllocCeiling is the allocation guard of the group-by-cluster
-// assembly: one call allocates a bounded number of objects per rank and per
-// chunk — buffers sized once, never one per arc or per cluster — so eight
-// times the arcs on the same clustering stays under the same ceiling.
+// assembly: one call allocates a bounded number of objects per rank — buffers
+// sized once or grown by doubling, never one per arc or per cluster — so
+// eight times the arcs on the same clustering stays under the same ceiling.
 func TestParContractAllocCeiling(t *testing.T) {
 	const n, P = 20000, 2
-	for _, workers := range []int{1, 4} {
-		for _, avgDeg := range []int{8, 64} {
-			g := sparseWeightedGraph(n, avgDeg, 3)
-			allocs, chunks := contractAllocs(g, P, workers)
-			ceiling := uint64(150 * (P + chunks))
-			t.Logf("workers=%d m=%d: %d allocs, %d chunks, ceiling %d", workers, g.NumEdges(), allocs, chunks, ceiling)
-			if allocs > ceiling {
-				t.Errorf("workers=%d m=%d: %d allocations > %d = 150 x (%d ranks + %d chunks)",
-					workers, g.NumEdges(), allocs, ceiling, P, chunks)
-			}
+	for _, avgDeg := range []int{8, 64} {
+		g := sparseWeightedGraph(n, avgDeg, 3)
+		allocs := contractAllocs(g, P)
+		ceiling := uint64(400 * P)
+		t.Logf("m=%d: %d allocs, ceiling %d", g.NumEdges(), allocs, ceiling)
+		if allocs > ceiling {
+			t.Errorf("m=%d: %d allocations > %d = 400 x %d ranks", g.NumEdges(), allocs, ceiling, P)
 		}
 	}
 }

@@ -44,22 +44,17 @@ func ParContract(fine *dgraph.DGraph, labels []int64) *ParResult {
 	return ParContractWith(fine, labels, ContractOptions{})
 }
 
-// ContractOptions configures the intra-rank worksharing of ParContract.
-// The zero value runs everything on the calling goroutine with heap
-// scratch; results are bit-identical for any option combination.
+// ContractOptions configures the scratch of ParContract. The zero value
+// uses heap scratch; the result is the same either way.
 type ContractOptions struct {
-	// Pool, when non-nil, builds the quotient rows of step 4 in parallel.
+	// Pool is not read. It stays only because benchmark/adapter.go, which
+	// changes only in a benchmark PR, sets it; that PR deletes it.
 	Pool *workpool.Pool
-	// Arena, when non-nil, backs the grouping scratch and the lane
-	// accumulators; the caller resets it after the contraction's scratch
-	// is dead.
+	// Arena, when non-nil, backs the grouping scratch and the row
+	// accumulator; the caller resets it after the contraction's scratch is
+	// dead.
 	Arena *arena.Arena
 }
-
-// quotientChunk is the number of local clusters one quotient chunk covers.
-// Like the sclp propose chunks, the chunk grid is a function of the cluster
-// count alone, never of the worker count.
-const quotientChunk = 512
 
 // quotientHeader is the number of header words of a quotient record:
 //
@@ -99,7 +94,7 @@ func walkQuotientRecords(src int, buf []int64, lo, hi int64, fn func(rec []int64
 // coarseArc is one received quotient arc while its row is being assembled.
 type coarseArc struct{ dst, w int64 }
 
-// ParContractWith is ParContract with explicit worksharing options.
+// ParContractWith is ParContract with explicit scratch options.
 // Collective.
 //
 //parhip:collective
@@ -221,51 +216,10 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		fill[ci]++
 	}
 
-	// Chunks of clusters are work-shared over the pool. Each lane owns one
-	// single-key accumulator (the key is just cv, so no composite-key
-	// overflow can arise) and one growing record buffer; a finished chunk
-	// keeps an exactly-sized copy. The accumulators keep their capacity from
-	// chunk to chunk, so the order of the arcs inside a record depends on
-	// which lane built it — harmless HERE ONLY because the receiving owner
-	// sorts every row: emission order must never reach anything but the wire.
-	nchunks := workpool.Chunks(nLocalClusters, quotientChunk)
-	chunkRecords := make([][]int64, nchunks)
-	laneAcc := make([]*hashtab.AccumulatorI64, opt.Pool.Size())
-	laneBuf := make([][]int64, opt.Pool.Size())
-	for w := range laneAcc {
-		laneAcc[w] = hashtab.NewAccumulatorI64In(ar, 1024)
-	}
-	tracer := c.Tracer()
-	qsp := tracer.Begin(c.Rank(), "contract.quotient")
-	busy := opt.Pool.Run(nchunks, func(w, ch int) {
-		acc, buf := laneAcc[w], laneBuf[w][:0]
-		emit := func(cv, weight int64) { buf = append(buf, cv, weight) }
-		clo, chi := workpool.Bounds(nLocalClusters, nchunks, ch)
-		for ci := clo; ci < chi; ci++ {
-			ms := members[clusterStart[ci]:clusterStart[ci+1]]
-			cu := clusterCoarse[ci]
-			var nodeWeight int64
-			for _, v := range ms {
-				nodeWeight += fine.NW[v]
-				ws := fine.EdgeWeights(v)
-				for i, u := range fine.Neighbors(v) {
-					if cv := coarseOf[u]; cv != cu {
-						acc.Add(cv, ws[i])
-					}
-				}
-			}
-			buf = slices.Grow(buf, quotientHeader+2*acc.Len())
-			buf = append(buf, cu, nodeWeight, int64(acc.Len()))
-			acc.ForEach(emit)
-			acc.Reset()
-		}
-		laneBuf[w] = buf
-		chunkRecords[ch] = slices.Clone(buf)
-	})
-	tracer.End2(qsp, "busy_ns", int64(busy), "chunks", int64(nchunks))
-
-	// Whole records go to the owner of cu under the new uniform
-	// distribution, in exactly-sized send buffers.
+	// The records go to the owner of cu under the new uniform distribution.
+	// Group the local clusters by that owner (counting sort, cluster order
+	// kept within an owner), so that one owner's records are built in one
+	// go.
 	coarseVtx := dgraph.UniformVtxDist(coarseN, size)
 	ownerOfCoarse := func(id int64) int {
 		lo, hi := 0, size
@@ -279,30 +233,63 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		}
 		return lo
 	}
-	// walk is the one decoder of quotient records, for this rank's own
-	// chunks and for what peers send; a malformed buffer fails loudly on
-	// every rank instead of building a wrong graph.
+	ownerStart := make([]int, size+1)
+	for _, cu := range clusterCoarse[:nLocalClusters] {
+		ownerStart[ownerOfCoarse(cu)+1]++
+	}
+	for o := 0; o < size; o++ {
+		ownerStart[o+1] += ownerStart[o]
+	}
+	byOwner := ar.Int32s(nLocalClusters)
+	at := slices.Clone(ownerStart[:size])
+	for ci, cu := range clusterCoarse[:nLocalClusters] {
+		o := ownerOfCoarse(cu)
+		byOwner[at[o]] = int32(ci)
+		at[o]++
+	}
+
+	// One single-key accumulator (the key is just cv, so no composite-key
+	// overflow can arise) rates every cluster's arcs in turn. An owner's
+	// records are built in one reused buffer and sent as an exact copy:
+	// buffers that grow until sent would keep their slack and outgrown
+	// copies live through the exchange, the peak of a level's memory.
+	acc := hashtab.NewAccumulatorI64In(ar, 1024)
+	var buf []int64
+	emit := func(cv, weight int64) { buf = append(buf, cv, weight) }
+	send := make([][]int64, size)
+	tracer := c.Tracer()
+	qsp := tracer.Begin(c.Rank(), "contract.quotient")
+	for o := range send {
+		buf = buf[:0]
+		for _, ci := range byOwner[ownerStart[o]:ownerStart[o+1]] {
+			cu := clusterCoarse[ci]
+			var nodeWeight int64
+			for _, v := range members[clusterStart[ci]:clusterStart[ci+1]] {
+				nodeWeight += fine.NW[v]
+				ws := fine.EdgeWeights(v)
+				for i, u := range fine.Neighbors(v) {
+					if cv := coarseOf[u]; cv != cu {
+						acc.Add(cv, ws[i])
+					}
+				}
+			}
+			buf = slices.Grow(buf, quotientHeader+2*acc.Len())
+			buf = append(buf, cu, nodeWeight, int64(acc.Len()))
+			acc.ForEach(emit)
+			acc.Reset()
+		}
+		send[o] = slices.Clone(buf)
+	}
+	tracer.End1(qsp, "clusters", int64(nLocalClusters))
+
+	// walk is the one decoder of quotient records; a malformed buffer fails
+	// loudly on every rank instead of building a wrong graph.
 	walk := func(src int, buf []int64, lo, hi int64, fn func(rec []int64)) {
 		if err := walkQuotientRecords(src, buf, lo, hi, fn); err != nil {
 			c.PoisonPeers()
 			panic(fmt.Sprintf("rank %d: %v", c.Rank(), err))
 		}
 	}
-	sendWords := make([]int, size)
-	for _, recs := range chunkRecords {
-		walk(c.Rank(), recs, 0, coarseN, func(rec []int64) { sendWords[ownerOfCoarse(rec[0])] += len(rec) })
-	}
-	send := make([][]int64, size)
-	for r := range send {
-		send[r] = make([]int64, 0, sendWords[r])
-	}
-	for _, recs := range chunkRecords {
-		walk(c.Rank(), recs, 0, coarseN, func(rec []int64) {
-			o := ownerOfCoarse(rec[0])
-			send[o] = append(send[o], rec...)
-		})
-	}
-	chunkRecords = nil
 
 	// Step 5: the one exchange of the assembly. The payload is only valid
 	// during the callback, so remote payloads are kept as copies (this

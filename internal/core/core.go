@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -23,7 +22,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/sclp"
-	"repro/internal/workpool"
 )
 
 // Phase identifies what part of the multilevel pipeline a Progress event
@@ -121,35 +119,21 @@ type Config struct {
 	// refinement remains cut-driven.
 	Objective evo.Objective
 
-	// Prepartition, when non-nil (one block per global node), is fed into
-	// the first V-cycle exactly like the previous cycle's solution: cut
-	// edges survive coarsening and the evolutionary population is seeded
-	// with it, so the result is never worse (§VI: "This prepartition could
-	// be directly fed into the first V-cycle and consecutively be
-	// improved"). It must be a feasible k-way partition.
-	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	Prepartition []int32
-
-	// PrevPartition, when non-nil (one block per global node), is the
-	// previous partition of a repartitioning run and makes the whole
+	// Previous, when non-nil (one block per global node), makes the run a
+	// repartitioning run. It is fed into the first V-cycle exactly like the
+	// previous cycle's solution: cut edges survive coarsening and the
+	// evolutionary population is seeded with it, so the result is never
+	// worse (§VI: "This prepartition could be directly fed into the first
+	// V-cycle and consecutively be improved"). It must be a feasible k-way
+	// partition. It is also the migration reference that makes the whole
 	// pipeline migration-aware: it is lifted through the hierarchy
 	// alongside the solution, label propagation refinement keeps nodes on
 	// their previous block when a move is cut-neutral (sclp move penalty),
 	// the coarsest-level evolutionary selection breaks fitness ties in
 	// favour of fewer moves, and Stats reports MigratedNodes and
-	// MigrationVolume against it. Callers normally set it to the same
-	// slice as Prepartition.
+	// MigrationVolume against it.
 	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	PrevPartition []int32
-
-	// Workers sizes the per-rank worker pool behind refinement's parallel
-	// propose passes and contract's quotient accumulation.
-	// 0 (the default) resolves to runtime.NumCPU() divided by the number
-	// of ranks hosted in this process, so in-process worlds do not
-	// oversubscribe the machine while one-rank-per-process (TCP) worlds
-	// get the whole node; values below 1 after resolution are clamped to 1
-	// (serial). Partitions are bit-identical for every worker count.
-	Workers int
+	Previous []int32
 
 	// Seed drives all randomness (identical value on every rank).
 	Seed uint64
@@ -234,14 +218,14 @@ type Stats struct {
 	// RebalanceMoves counts nodes moved by the explicit rebalance stage.
 	RebalanceMoves int64
 	// MigratedNodes and MigrationVolume report, for runs with a
-	// Config.PrevPartition, how many nodes ended on a different block than
+	// Config.Previous, how many nodes ended on a different block than
 	// before and their total node weight. Zero otherwise.
 	MigratedNodes   int64
 	MigrationVolume int64
 	Feasible        bool
-	// Par reports this rank's superstep measurements: the resolved worker
-	// count, the propose/commit wall-clock split, summed worker busy time
-	// and the exact evaluation counts (see sclp.ParStats).
+	// Par reports this rank's superstep measurements: the superstep count,
+	// their wall-clock time and the exact evaluation counts (see
+	// sclp.ParStats).
 	Par  sclp.ParStats
 	Comm mpi.Stats // whole-world traffic (filled by Run)
 	// Transport is the transport-level counter snapshot of this process's
@@ -322,21 +306,9 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		st.TotalTime = time.Since(startAll) //lint:determinism-ok stats timing, never partition state
 		return part, st, nil
 	}
-	// Per-rank worker pool and scratch arena for the intra-rank parallel
-	// supersteps. The pool's helpers live for the whole run and are joined
-	// on return; the arena is reset between pipeline stages, so per-level
-	// scratch recycles instead of reallocating.
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.NumCPU() / c.LocalRankCount()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	pool := workpool.New(workers)
-	defer pool.Close()
+	// Scratch arena for the supersteps, reset between pipeline stages, so
+	// per-level scratch recycles instead of reallocating.
 	ar := arena.New()
-	st.Par.Workers = workers
 	// Shared stream: identical on every rank, used for cross-rank-consistent
 	// decisions (level seeds, the per-cycle size factor f).
 	shared := rng.New(cfg.Seed)
@@ -357,31 +329,24 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	coarsestLimit := max(coarsestPerBlock*int64(cfg.K), minCoarsest)
 	maxNW := d.MaxNodeWeightGlobal()
 
-	var part []int64 // current partition on the finest level (NTotal, synced)
-	if cfg.Prepartition != nil {
-		if int64(len(cfg.Prepartition)) != d.GlobalN {
-			return nil, Stats{}, fmt.Errorf("core: prepartition has %d entries for %d nodes",
-				len(cfg.Prepartition), d.GlobalN)
-		}
-		part = make([]int64, d.NTotal())
-		for v := int32(0); v < d.NTotal(); v++ {
-			part[v] = int64(cfg.Prepartition[d.ToGlobal(v)])
-		}
-	}
 	// prevFine is the migration reference on the finest level; when set it
 	// is lifted through every hierarchy alongside the solution so each
 	// refinement level can apply the move penalty against it.
 	var prevFine []int64
-	if cfg.PrevPartition != nil {
-		if int64(len(cfg.PrevPartition)) != d.GlobalN {
+	if cfg.Previous != nil {
+		if int64(len(cfg.Previous)) != d.GlobalN {
 			return nil, Stats{}, fmt.Errorf("core: previous partition has %d entries for %d nodes",
-				len(cfg.PrevPartition), d.GlobalN)
+				len(cfg.Previous), d.GlobalN)
 		}
 		prevFine = make([]int64, d.NTotal())
 		for v := int32(0); v < d.NTotal(); v++ {
-			prevFine[v] = int64(cfg.PrevPartition[d.ToGlobal(v)])
+			prevFine[v] = int64(cfg.Previous[d.ToGlobal(v)])
 		}
 	}
+	// part is the current partition on the finest level (NTotal, synced).
+	// The first V-cycle starts from the previous partition; every cycle
+	// replaces part instead of writing into it, so prevFine stays intact.
+	part := prevFine
 	for cycle := 0; cycle < cfg.VCycles; cycle++ {
 		if err := ctx.Err(); err != nil {
 			return nil, st, err
@@ -408,8 +373,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		// lifted in lockstep with the coarsening (rank-consistent: every
 		// rank agrees on whether the extra ParLift collective runs).
 		prevCur := prevFine
-		prevTracksConstraint := cycle == 0 && prevCur != nil && constraint != nil &&
-			len(cfg.Prepartition) > 0 && &cfg.Prepartition[0] == &cfg.PrevPartition[0]
+		prevTracksConstraint := cycle == 0 && prevCur != nil
 		var levels []levelRec
 		if cycle == 0 {
 			st.Levels = append(st.Levels, LevelStat{N: d.GlobalN, M: d.GlobalM})
@@ -429,7 +393,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				Arena:          ar,
 				Stats:          &st.Par,
 			})
-			res := contract.ParContractWith(cur, labels, contract.ContractOptions{Pool: pool, Arena: ar})
+			res := contract.ParContractWith(cur, labels, contract.ContractOptions{Arena: ar})
 			c.Tracer().End2(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN)
 			// The level's sclp/contract scratch is dead; recycle the slabs.
 			ar.Reset()
@@ -542,8 +506,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		sclp.ParRefine(cur, curPart, sclp.ParRefineConfig{
 			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
 			PhasesPerRound: cfg.PhasesPerRound, Seed: shared.Uint64(),
-			Prev: prevCur,
-			Pool: pool, Arena: ar, Stats: &st.Par,
+			Prev: prevCur, Arena: ar, Stats: &st.Par,
 		})
 		c.Tracer().End1(spRef, "level", int64(len(levels)))
 		ar.Reset()
@@ -558,8 +521,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			sclp.ParRefine(lv.fine, curPart, sclp.ParRefineConfig{
 				K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
 				PhasesPerRound: cfg.PhasesPerRound, Seed: shared.Uint64(),
-				Prev: lv.prevFine,
-				Pool: pool, Arena: ar, Stats: &st.Par,
+				Prev: lv.prevFine, Arena: ar, Stats: &st.Par,
 			})
 			c.Tracer().End1(spRef, "level", int64(i))
 			ar.Reset()

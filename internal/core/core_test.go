@@ -178,7 +178,7 @@ func TestPrepartitionNeverWorsened(t *testing.T) {
 	}
 	preCut := partition.EdgeCut(g, pre)
 	cfg := FastConfig(k, ClassSocial)
-	cfg.Prepartition = pre
+	cfg.Previous = pre
 	res, err := run(2, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestPrepartitionNeverWorsened(t *testing.T) {
 func TestPrepartitionWrongLength(t *testing.T) {
 	g := gen.RGG(100, 1)
 	cfg := FastConfig(2, ClassMesh)
-	cfg.Prepartition = make([]int32, 5)
+	cfg.Previous = make([]int32, 5)
 	if _, err := run(1, g, cfg); err == nil {
 		t.Fatal("expected error for wrong-length prepartition")
 	}
@@ -286,8 +286,7 @@ func TestPrevPartitionStats(t *testing.T) {
 	g, planted := gen.PlantedPartition(1200, 8, 8, 0.5, 3)
 	k := int32(8)
 	cfg := MinimalConfig(k, ClassSocial)
-	cfg.Prepartition = planted
-	cfg.PrevPartition = planted
+	cfg.Previous = planted
 	res, err := run(4, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +303,7 @@ func TestPrevPartitionStats(t *testing.T) {
 	if res.Stats.MigrationVolume != want { // unit node weights
 		t.Errorf("MigrationVolume = %d, want %d", res.Stats.MigrationVolume, want)
 	}
-	// A run without PrevPartition reports zero.
+	// A run without Previous reports zero.
 	res2, err := run(4, g, MinimalConfig(k, ClassSocial))
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@
 // allocation-free in steady state and support O(keys) reset via a key log.
 //
 // The *In constructors carve the backing arrays out of an arena instead of
-// the heap, so per-superstep tables (one per worker lane) recycle their
-// memory across V-cycle levels. Growth beyond the initial capacity falls
+// the heap, so per-call tables recycle their memory across V-cycle
+// levels. Growth beyond the initial capacity falls
 // back to plain heap slices — an arena is a bump allocator and cannot free
 // the outgrown arrays early.
 //
@@ -24,8 +24,8 @@
 // Order guarantee: ForEach on the accumulators visits the keys in the order
 // Add first saw them since the last Reset. That order is a function of the
 // Add sequence alone — not of the table's kind or capacity, nor of whether
-// or when it grew — so a table that is kept across uses (a worker lane's)
-// iterates exactly like a fresh one, and DenseAccumulator iterates exactly
+// or when it grew — so a table that is kept across uses (a sweep's, the
+// contraction's) iterates exactly like a fresh one, and DenseAccumulator iterates exactly
 // like AccumulatorI64. MapI64 and SetI64 iterate in unspecified order.
 //
 // AccumulatorPairI64 has no production caller since the contraction groups

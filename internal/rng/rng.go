@@ -30,9 +30,9 @@ func New(seed uint64) *RNG {
 }
 
 // Reseed resets r in place to the exact state New(seed) would construct,
-// without allocating. The worksharing propose passes reseed one per-worker
-// generator at every chunk boundary, so a chunk's tie-breaking stream is a
-// function of its seed alone — never of the worker that ran it.
+// without allocating. The label-propagation sweeps reseed their generator
+// at every phase boundary, so a phase's tie-breaking stream is a function
+// of its seed alone.
 func (r *RNG) Reseed(seed uint64) {
 	r.inc = 1442695040888963407
 	r.state = 0

@@ -12,12 +12,11 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/testutil"
-	"repro/internal/workpool"
 )
 
 // TestClusterEvaluatesOncePerRound: clustering is one sweep per phase, so a
-// rank evaluates each of its nodes exactly once per round it runs — for any
-// rank count and, the pool no longer being read, any worker count.
+// rank evaluates each of its nodes exactly once per round it runs, for any
+// rank count.
 func TestClusterEvaluatesOncePerRound(t *testing.T) {
 	const phases = 4
 	graphs := []struct {
@@ -30,25 +29,21 @@ func TestClusterEvaluatesOncePerRound(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		for _, P := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4} {
-				mpi.NewWorld(P).Run(func(c *mpi.Comm) {
-					d := dgraph.FromGraph(c, gc.g)
-					pool := workpool.New(workers)
-					defer pool.Close()
-					var st ParStats
-					ParCluster(d, ParClusterConfig{U: gc.u, Iterations: 3, DegreeOrder: true,
-						PhasesPerRound: phases, Seed: 3, Pool: pool, Stats: &st})
-					rounds := st.Supersteps / phases
-					if rounds < 1 || st.Supersteps%phases != 0 {
-						t.Errorf("%s P=%d W=%d rank %d: %d supersteps is not a whole number of %d-phase rounds",
-							gc.name, P, workers, c.Rank(), st.Supersteps, phases)
-					}
-					if want := rounds * int64(d.NLocal()); st.Evaluated != want {
-						t.Errorf("%s P=%d W=%d rank %d: %d evaluations in %d rounds over %d local nodes, want %d",
-							gc.name, P, workers, c.Rank(), st.Evaluated, rounds, d.NLocal(), want)
-					}
-				})
-			}
+			mpi.NewWorld(P).Run(func(c *mpi.Comm) {
+				d := dgraph.FromGraph(c, gc.g)
+				var st ParStats
+				ParCluster(d, ParClusterConfig{U: gc.u, Iterations: 3, DegreeOrder: true,
+					PhasesPerRound: phases, Seed: 3, Stats: &st})
+				rounds := st.Supersteps / phases
+				if rounds < 1 || st.Supersteps%phases != 0 {
+					t.Errorf("%s P=%d rank %d: %d supersteps is not a whole number of %d-phase rounds",
+						gc.name, P, c.Rank(), st.Supersteps, phases)
+				}
+				if want := rounds * int64(d.NLocal()); st.Evaluated != want {
+					t.Errorf("%s P=%d rank %d: %d evaluations in %d rounds over %d local nodes, want %d",
+						gc.name, P, c.Rank(), st.Evaluated, rounds, d.NLocal(), want)
+				}
+			})
 		}
 	}
 }
@@ -96,6 +91,7 @@ func TestRefineVisitsExactlyTheActiveSet(t *testing.T) {
 				label := fmt.Sprintf("%s P=%d prev=%v", start.name, P, withPrev)
 				seen := make([][]refineRound, P)
 				graphs := make([]*dgraph.DGraph, P)
+				stats := make([]ParStats, P)
 				refineRoundHook = func(d *dgraph.DGraph, round int, visit []int32, part []int64) {
 					contrib := make([]int64, k)
 					for v := int32(0); v < d.NLocal(); v++ {
@@ -122,7 +118,7 @@ func TestRefineVisitsExactlyTheActiveSet(t *testing.T) {
 						}
 					}
 					ParRefine(d, part, ParRefineConfig{K: k, Lmax: lmax, Iterations: 6,
-						PhasesPerRound: start.phases, Seed: 11, Prev: prev})
+						PhasesPerRound: start.phases, Seed: 11, Prev: prev, Stats: &stats[c.Rank()]})
 				})
 				refineRoundHook = nil
 
@@ -174,6 +170,17 @@ func TestRefineVisitsExactlyTheActiveSet(t *testing.T) {
 						if len(want) > 0 && len(want) < int(d.NLocal()) {
 							partial++
 						}
+					}
+				}
+				// The sweep evaluates every visited node once and nothing else.
+				for rank, rounds := range seen {
+					var visits int64
+					for _, rd := range rounds {
+						visits += int64(len(rd.visit))
+					}
+					if stats[rank].Evaluated != visits {
+						t.Errorf("%s rank %d: %d evaluations, the visit lists hold %d nodes",
+							label, rank, stats[rank].Evaluated, visits)
 					}
 				}
 			}
@@ -253,3 +260,7 @@ func TestRefineDrainsOverloadedBlockFarFromMoves(t *testing.T) {
 // was to leave unedited — knows the clustering selection by; clustering no
 // longer has a propose pass, so the kernel itself is evalClusterNode.
 var proposeClusterNode = evalClusterNode
+
+// proposeRefineNode is the same for TestKernelsMatchOracleRefine: refinement
+// has no propose pass either, and its kernel is evalRefineNode.
+var proposeRefineNode = evalRefineNode

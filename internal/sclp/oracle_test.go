@@ -331,7 +331,7 @@ func TestKernelsMatchOracleCluster(t *testing.T) {
 				}
 				oldConn := hashtab.NewAccumulatorI64(64)
 				oldRNG := rng.New(7 * trial)
-				ln := newLanes(nil, nil, 0)[0]
+				ln := lane{conn: hashtab.NewAccumulatorI64(64)}
 				ln.rng = *rng.New(7 * trial)
 				for v := int32(0); v < d.NLocal(); v++ {
 					want := oracleProposeClusterNode(d, v, labels, oldW, constraint, u, oldConn, oldRNG)
@@ -403,7 +403,7 @@ func TestKernelsMatchOracleRefine(t *testing.T) {
 						}
 						oldConn := hashtab.NewAccumulatorI64(64)
 						oldRNG := rng.New(9 * trial)
-						ln := newLanes(nil, nil, int32(k))[0]
+						ln := lane{blocks: hashtab.NewDenseAccumulator(k)}
 						ln.rng = *rng.New(9 * trial)
 						for v := int32(0); v < d.NLocal(); v++ {
 							want := oracleProposeRefineNode(d, v, part, prev, weights[regime], headroom, lmaxs[regime], oldConn, oldRNG)

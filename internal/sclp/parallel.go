@@ -37,13 +37,12 @@ type ParClusterConfig struct {
 	// Seed drives traversal order and tie breaking; each rank derives its
 	// own stream.
 	Seed uint64
-	// Pool is not read (clustering is one sequential sweep per phase). It
-	// stays only because benchmark/adapter.go, frozen outside benchmark
-	// PRs, sets it; it goes when that file stops (ROADMAP item 4).
+	// Pool is not read. It stays only because benchmark/adapter.go, which
+	// changes only in a benchmark PR, sets it; that PR deletes it.
 	Pool *workpool.Pool
 	// Arena, when non-nil, supplies the per-call scratch (traversal order,
-	// proposal buffer, bitsets, accumulator backing arrays). The caller
-	// resets it after the call returns; nil falls back to the heap.
+	// bitsets, accumulator backing arrays). The caller resets it after the
+	// call returns; nil falls back to the heap.
 	Arena *arena.Arena
 	// Stats, when non-nil, accumulates the superstep timings and the
 	// node-evaluation counts (see ParStats).
@@ -113,7 +112,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 					}
 				}
 			}
-			cfg.Stats.observe(0, 0, time.Since(ct0), 0) //lint:determinism-ok stats timing only, never feeds partition state
+			cfg.Stats.observe(time.Since(ct0)) //lint:determinism-ok stats timing only, never feeds partition state
 
 			exchangeLabels(d, labels, moveGhost, changedSet)
 			tracer.End2(sp, "moves", movedLocal-movedBefore, "phase", int64(iter*cfg.PhasesPerRound+ph))
@@ -122,7 +121,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			break
 		}
 	}
-	cfg.Stats.count(sweep)
+	cfg.Stats.count(&sweep)
 	return labels
 }
 
@@ -168,11 +167,6 @@ func (s *dirtySet) add(v int32) {
 		s.bits[w] |= b
 		s.stack = append(s.stack, v)
 	}
-}
-
-//parhip:hotpath
-func (s *dirtySet) has(v int32) bool {
-	return s.bits[v>>6]&(uint64(1)<<(uint(v)&63)) != 0
 }
 
 func (s *dirtySet) reset() {
@@ -242,7 +236,7 @@ type ParRefineConfig struct {
 	// the tie — so cut-neutral churn never migrates nodes. Nil leaves the
 	// behavior (including the RNG stream) exactly as before.
 	Prev []int64
-	// Pool, Arena, Stats: see ParClusterConfig.
+	// Pool (not read), Arena, Stats: see ParClusterConfig.
 	Pool  *workpool.Pool
 	Arena *arena.Arena
 	Stats *ParStats
@@ -279,11 +273,8 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 	P := int64(d.Comm.Size())
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
 	order := cfg.Arena.Int32s(int(nl))
-	props := cfg.Arena.Int64s(int(nl))
-	lanes := newLanes(cfg.Pool, cfg.Arena, k)
-	commit := &lanes[len(lanes)-1]
+	ln := &lane{blocks: hashtab.NewDenseAccumulator(int(k))}
 	changedSet := newDirtySetIn(nl, cfg.Arena)
-	casc := newDirtySetIn(nl, cfg.Arena)
 	next := activeSet(cfg.Arena.Uint64s((int(nl) + 63) / 64))
 	wakeGhost := func(ghost int32, _, _ int64) {
 		for _, v := range d.GhostNeighbors(ghost) {
@@ -316,10 +307,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			d.Comm.CheckAbort()
 			sp := tracer.Begin(rank, "sclp.refine_superstep")
 			movedBefore := movedLocal
-			start := ph * len(order) / cfg.PhasesPerRound
-			end := (ph + 1) * len(order) / cfg.PhasesPerRound
-			phase := order[start:end]
-			phaseProps := props[start:end]
+			phase := order[ph*len(order)/cfg.PhasesPerRound : (ph+1)*len(order)/cfg.PhasesPerRound]
 			// Fast path: when every block with headroom can take a uniform
 			// h/P share that still fits the heaviest node, the old local
 			// split is exact and costs no communication. Only tight blocks
@@ -335,7 +323,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 				}
 			}
 			if tight {
-				refineDemand(d, phase, part, blockWeight, cfg.Lmax, commit.blocks, demand)
+				refineDemand(d, phase, part, blockWeight, cfg.Lmax, ln.blocks, demand)
 				claimHeadroom(d.Comm, blockWeight, demand, cfg.Lmax,
 					iter*cfg.PhasesPerRound+ph, false, headroom)
 			} else {
@@ -349,34 +337,20 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			}
 			// Phase seed: drawn on every rank regardless of local node count
 			// (see ParCluster).
-			phaseSeed := r.Uint64()
+			ln.rng.Reseed(commitSeed(r.Uint64()))
 
-			// Parallel propose against the frozen phase-start part, block
-			// weights and headroom shares.
-			psp := tracer.Begin(rank, "sclp.propose")
-			pt0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
-			busy := proposeRefine(d, cfg.Pool, lanes, phaseSeed, phase, phaseProps,
-				part, cfg.Prev, blockWeight, headroom, cfg.Lmax)
-			proposeDur := time.Since(pt0) //lint:determinism-ok stats timing only, never feeds partition state
-			tracer.End2(psp, "busy_ns", int64(busy), "nodes", int64(len(phase)))
-
-			// Sequential commit in traversal order; headroom is consumed
-			// here, so the claimed shares still bound what this rank adds.
-			// A committed move dirties the moved node's local neighbours, so
-			// the Gauss-Seidel cascades (move one node, its neighbour becomes
-			// attractive, ...) survive the propose filter within the phase,
-			// and activates them and the mover for the next round.
-			csp := tracer.Begin(rank, "sclp.commit")
+			// One Gauss-Seidel sweep, as in ParCluster: every visited node is
+			// evaluated once, against the part, block weights and headroom
+			// its predecessors in the phase left. Headroom is consumed here,
+			// so the claimed shares bound what this rank adds. A move
+			// activates the mover and its local neighbours for the next round.
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
-			commit.rng.Reseed(commitSeed(phaseSeed))
-			for i, v := range phase {
-				if (phaseProps[i] >= 0 || casc.has(v)) &&
-					commitRefineMove(d, v, part, cfg.Prev, blockWeight, localContrib, headroom, cfg.Lmax, commit) {
+			for _, v := range phase {
+				if commitRefineMove(d, v, part, cfg.Prev, blockWeight, localContrib, headroom, cfg.Lmax, ln) {
 					movedLocal++
 					next.add(v)
 					for _, nb := range d.Neighbors(v) {
 						if nb < nl {
-							casc.add(nb)
 							next.add(nb)
 						}
 					}
@@ -385,10 +359,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 					}
 				}
 			}
-			casc.reset()
-			commitDur := time.Since(ct0) //lint:determinism-ok stats timing only, never feeds partition state
-			tracer.End1(csp, "moves", movedLocal-movedBefore)
-			cfg.Stats.observe(cfg.Pool.Size(), proposeDur, commitDur, busy)
+			cfg.Stats.observe(time.Since(ct0)) //lint:determinism-ok stats timing only, never feeds partition state
 
 			exchangeLabels(d, part, wakeGhost, changedSet)
 			// Restore exact block weights (one allreduce per phase).
@@ -401,7 +372,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			break
 		}
 	}
-	cfg.Stats.count(lanes...)
+	cfg.Stats.count(ln)
 	return totalMoves
 }
 

@@ -7,131 +7,66 @@ import (
 	"repro/internal/dgraph"
 	"repro/internal/hashtab"
 	"repro/internal/rng"
-	"repro/internal/workpool"
 )
 
-// proposeChunk is the number of traversal-order nodes one propose chunk
-// covers. A phase's chunk count is derived from its length alone — never
-// from the worker count — so the per-chunk RNG streams, and with them the
-// proposals, are bit-identical for any pool size.
-const proposeChunk = 256
-
-// ParStats aggregates one rank's superstep measurements. Clustering is one
-// sequential sweep per superstep and books its time to CommitNS;
-// refinement splits a superstep into a parallel propose pass and a
-// sequential commit pass, so ProposeNS and BusyNS (the summed busy time of
-// the worker lanes) cover refinement only, and BusyNS / (ProposeNS *
-// Workers) is the refinement propose-pass utilization. Evaluated and
-// Interior are exact work counts, not timings: identical for any worker
-// count and from run to run.
+// ParStats aggregates one rank's superstep measurements. A clustering or
+// refinement superstep is one sweep, and its time is booked to CommitNS.
+// Evaluated and Interior are exact work counts, not timings: identical from
+// run to run.
 type ParStats struct {
-	Workers    int
 	Supersteps int64
-	ProposeNS  int64 // wall time of refinement's parallel propose passes
-	CommitNS   int64 // wall time of the sequential passes: clustering sweeps, refinement commits
-	BusyNS     int64 // summed per-lane busy time inside propose passes
-	// Evaluated counts the node evaluations of the sweeps and of the
-	// propose and commit passes; Interior is how many of them returned
-	// "stay" from the neighbour scan alone, before any rating was
-	// accumulated.
+	// ProposeNS is always 0 and not written. It stays only because
+	// benchmark/adapter.go, which changes only in a benchmark PR, reads it;
+	// that PR deletes it.
+	ProposeNS int64
+	CommitNS  int64 // wall time of the sweeps
+	// Evaluated counts the node evaluations of the sweeps; Interior is how
+	// many of them returned "stay" from the neighbour scan alone, before
+	// any rating was accumulated.
 	Evaluated int64
 	Interior  int64
 }
 
-// Add accumulates o into s; Workers adopts o's value when set.
+// Add accumulates o into s.
 func (s *ParStats) Add(o ParStats) {
-	if o.Workers > 0 {
-		s.Workers = o.Workers
-	}
 	s.Supersteps += o.Supersteps
-	s.ProposeNS += o.ProposeNS
 	s.CommitNS += o.CommitNS
-	s.BusyNS += o.BusyNS
 	s.Evaluated += o.Evaluated
 	s.Interior += o.Interior
 }
 
-// Utilization returns the mean fraction of propose wall time the worker
-// lanes spent busy, in [0, 1]; 0 when nothing was measured.
-func (s *ParStats) Utilization() float64 {
-	if s == nil || s.Workers <= 0 || s.ProposeNS <= 0 {
-		return 0
-	}
-	u := float64(s.BusyNS) / (float64(s.ProposeNS) * float64(s.Workers))
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// observe folds one superstep's measurements into s; like Add, it adopts
-// workers only when set (a clustering sweep has none to report). Nil-safe.
-func (s *ParStats) observe(workers int, propose, commit, busy time.Duration) {
+// observe folds one superstep's sweep time into s. Nil-safe.
+func (s *ParStats) observe(sweep time.Duration) {
 	if s == nil {
 		return
-	}
-	if workers > 0 {
-		s.Workers = workers
 	}
 	s.Supersteps++
-	s.ProposeNS += int64(propose)
-	s.CommitNS += int64(commit)
-	s.BusyNS += int64(busy)
+	s.CommitNS += int64(sweep)
 }
 
-// count folds the lanes' work counters into s. Called once per kernel run,
-// after the last pool.Run: a sum over lanes does not depend on which lane
-// evaluated which chunk. Nil-safe.
-func (s *ParStats) count(lanes ...lane) {
+// count folds a lane's work counters into s. Nil-safe.
+func (s *ParStats) count(ln *lane) {
 	if s == nil {
 		return
 	}
-	for i := range lanes {
-		s.Evaluated += lanes[i].evaluated
-		s.Interior += lanes[i].interior
-	}
+	s.Evaluated += ln.evaluated
+	s.Interior += ln.interior
 }
 
-// lane is the scratch of one evaluating goroutine — the clustering sweep, a
-// refinement propose worker, or the refinement commit pass: a rating
-// accumulator (label-keyed for clustering, block-keyed for refinement), a
-// generator reseeded at every phase or chunk boundary, and the work
-// counters. Propose lanes are indexed by the workpool worker ID.
+// lane is the scratch of one kernel run: a rating accumulator (label-keyed
+// for clustering, block-keyed for refinement), a generator reseeded at
+// every phase boundary, and the work counters.
 type lane struct {
-	conn   *hashtab.AccumulatorI64   // clustering lane
-	blocks *hashtab.DenseAccumulator // refinement lanes
+	conn   *hashtab.AccumulatorI64   // clustering
+	blocks *hashtab.DenseAccumulator // refinement
 	rng    rng.RNG
 
 	evaluated, interior int64
 }
 
-// newLanes allocates one refinement lane over k blocks per pool worker plus,
-// last, the commit pass's lane. k == 0 makes the one clustering lane with a
-// default-sized table carved from ar (heap when ar is nil) — ParCluster
-// sizes its own from the rank's largest neighbourhood instead.
-func newLanes(pool *workpool.Pool, ar *arena.Arena, k int32) []lane {
-	if k == 0 {
-		return []lane{{conn: hashtab.NewAccumulatorI64In(ar, 64)}}
-	}
-	lanes := make([]lane, pool.Size()+1)
-	for i := range lanes {
-		lanes[i].blocks = hashtab.NewDenseAccumulator(int(k))
-	}
-	return lanes
-}
-
-// chunkSeed derives the tie-breaking RNG seed of one propose chunk. A pure
-// function of (phaseSeed, chunk): the streams are identical no matter which
-// worker runs the chunk or how many workers exist.
-func chunkSeed(phaseSeed uint64, chunk int) uint64 {
-	return phaseSeed ^ (uint64(chunk)+1)*0x9e3779b97f4a7c15
-}
-
-// commitSeed derives the seed of a phase's sequential RNG stream — the
-// clustering sweep's, the refinement commit pass's. A different mixing
-// constant than chunkSeed keeps it uncorrelated with every propose chunk
-// stream; since the pass runs in traversal order on one goroutine, a single
-// per-phase stream is deterministic and independent of the worker count.
+// commitSeed derives the seed of a phase's RNG stream — the clustering
+// sweep's and the refinement sweep's — from the phase seed drawn from the
+// rank stream.
 func commitSeed(phaseSeed uint64) uint64 {
 	return phaseSeed ^ 0xbf58476d1ce4e5b9
 }
@@ -184,13 +119,12 @@ func (w *labelWeights) Add(label, delta int64) {
 }
 
 // The move selections below are shared by the parallel kernels (the
-// clustering sweep; refinement in both roles: propose against frozen
-// phase-start state, commit against current state), the sequential kernels
-// of seq.go and kaffpa's FM. Each is a gather — scan
-// the neighbourhood, and only if it can matter accumulate the ratings —
-// followed by a select over the accumulated ratings. What they skip cannot
-// change the returned target or the number of RNG draws (DESIGN.md §13);
-// TestKernelsMatchOracle holds them to the full-accumulate originals.
+// clustering and refinement sweeps), the sequential kernels of seq.go and
+// kaffpa's FM. Each is a gather — scan the neighbourhood, and only if it can
+// matter accumulate the ratings — followed by a select over the accumulated
+// ratings. What they skip cannot change the returned target or the number
+// of RNG draws (DESIGN.md §13); TestKernelsMatchOracle holds them to the
+// full-accumulate originals.
 
 // gatherLabels accumulates the edge weight from v towards each admissible
 // neighbouring cluster into conn — admissible meaning the same constraint
@@ -392,38 +326,12 @@ func commitClusterMove(d *dgraph.DGraph, v int32, labels []int64,
 	return true
 }
 
-// proposeRefine is the parallel half of one refinement superstep: every
-// chunk of the phase's traversal order evaluates its nodes against the
-// phase-start part, block weights and headroom shares (all frozen during
-// the pass) and records the winning target block — or -1 for "stay" — in
-// props. props is indexed by traversal position, so chunk writes are
-// disjoint. Returns the summed lane busy time.
-func proposeRefine(d *dgraph.DGraph, pool *workpool.Pool, lanes []lane, phaseSeed uint64,
-	phase []int32, props []int64, part, prev []int64,
-	blockWeight, headroom []int64, lmax int64) time.Duration {
-
-	nchunks := workpool.Chunks(len(phase), proposeChunk)
-	return pool.Run(nchunks, func(worker, chunk int) {
-		ln := &lanes[worker]
-		ln.rng.Reseed(chunkSeed(phaseSeed, chunk))
-		lo, hi := workpool.Bounds(len(phase), nchunks, chunk)
-		for i := lo; i < hi; i++ {
-			props[i] = proposeRefineNode(d, phase[i], part, prev, blockWeight, headroom, lmax, ln)
-		}
-	})
-}
-
-// proposeRefineNode evaluates one node and returns the block it selects,
-// or -1 to stay. It mutates nothing shared: part and the weight vectors are
-// only read. It runs in two roles: during the parallel propose pass it sees
-// phase-start state and its verdict only *flags* the node for
-// re-examination; during the sequential commit pass it re-runs against
-// current state and its verdict is final. Nodes whose stale verdict said
-// "stay" still get re-examined when a same-phase committed move dirtied
-// them (see the cascade dirty-set in ParRefine).
+// evalRefineNode evaluates one node against the current part, block weights
+// and headroom shares and returns the block it selects, or -1 to stay. It
+// mutates nothing shared.
 //
 //parhip:hotpath
-func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
+func evalRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
 	blockWeight, headroom []int64, lmax int64, ln *lane) int64 {
 
 	ln.evaluated++
@@ -439,20 +347,16 @@ func proposeRefineNode(d *dgraph.DGraph, v int32, part, prev []int64,
 	return selectRefine(ln.blocks, cur, d.NW[v], prevB, blockWeight, headroom, lmax, &ln.rng)
 }
 
-// commitRefineMove finalizes one refinement proposal during the sequential
-// commit pass: the full selection of proposeRefineNode re-runs against the
-// current part, block weights and remaining headroom, so a committed move
-// is exactly the one the sequential kernel would have made at this point
-// of the traversal (the stale proposal only decided that the node is worth
-// re-examining). headroom is decremented here and only here, so the union
-// of committed moves keeps every block within the rank's claimed share and
-// Lmax is never exceeded.
+// commitRefineMove is the refinement sweep's step: select for v and, if the
+// selection names another block, move v there. headroom is decremented here
+// and only here, so the moves of a phase keep every block within the rank's
+// claimed share and Lmax is never exceeded.
 //
 //parhip:hotpath
 func commitRefineMove(d *dgraph.DGraph, v int32, part, prev []int64,
 	blockWeight, localContrib, headroom []int64, lmax int64, ln *lane) bool {
 
-	b := proposeRefineNode(d, v, part, prev, blockWeight, headroom, lmax, ln)
+	b := evalRefineNode(d, v, part, prev, blockWeight, headroom, lmax, ln)
 	if b < 0 {
 		return false
 	}

@@ -149,7 +149,7 @@ type jobManager struct {
 	totalTime   time.Duration   // guarded by mu
 	comm        mpi.Stats       // guarded by mu
 	transport   transport.Stats // guarded by mu
-	par         sclp.ParStats   // guarded by mu: intra-rank worksharing totals
+	par         sclp.ParStats   // guarded by mu: label-propagation superstep totals
 	cutSum      int64           // guarded by mu
 
 	// queueWait/runDur are the /metrics latency histograms, observed by

@@ -95,27 +95,15 @@ func (s *Server) buildMetrics(reg *obs.Registry) {
 	reg.CounterFunc("parhipd_sclp_supersteps_total",
 		"Label-propagation supersteps executed across all core runs (rank 0's view).",
 		lockedGauge(func() float64 { return float64(m.par.Supersteps) }))
-	reg.CounterFunc("parhipd_sclp_propose_seconds_total",
-		"Wall seconds spent in the parallel propose half of refinement supersteps.",
-		lockedGauge(func() float64 { return float64(m.par.ProposeNS) / 1e9 }))
 	reg.CounterFunc("parhipd_sclp_commit_seconds_total",
-		"Wall seconds spent in the sequential passes of supersteps: clustering sweeps and refinement commits.",
+		"Wall seconds spent in the clustering and refinement sweeps of supersteps.",
 		lockedGauge(func() float64 { return float64(m.par.CommitNS) / 1e9 }))
-	reg.CounterFunc("parhipd_sclp_worker_busy_seconds_total",
-		"Summed per-lane busy seconds inside refinement propose passes.",
-		lockedGauge(func() float64 { return float64(m.par.BusyNS) / 1e9 }))
 	reg.CounterFunc("parhipd_sclp_evaluated_total",
-		"Node evaluations by the clustering sweeps and the refinement propose and commit passes (exact; rank 0's view).",
+		"Node evaluations by the clustering and refinement sweeps (exact; rank 0's view).",
 		lockedGauge(func() float64 { return float64(m.par.Evaluated) }))
 	reg.CounterFunc("parhipd_sclp_interior_total",
 		"Node evaluations settled by the neighbour scan alone, before any rating was accumulated.",
 		lockedGauge(func() float64 { return float64(m.par.Interior) }))
-	reg.GaugeFunc("parhipd_sclp_workers",
-		"Intra-rank worker threads per simulated rank (last core run).",
-		lockedGauge(func() float64 { return float64(m.par.Workers) }))
-	reg.GaugeFunc("parhipd_sclp_propose_utilization",
-		"Mean fraction of refinement propose wall time the worker lanes were busy (clustering does not use the pool).",
-		lockedGauge(func() float64 { return m.par.Utilization() }))
 
 	reg.GaugeFunc("parhipd_cache_entries",
 		"Result cache occupancy.",

@@ -71,6 +71,13 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}
+	// Ranks are the only parallelism: no intra-rank worker metrics remain.
+	for _, gone := range []string{"parhipd_sclp_workers", "parhipd_sclp_propose_utilization",
+		"parhipd_sclp_propose_seconds_total", "parhipd_sclp_worker_busy_seconds_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("/metrics still exports %q", gone)
+		}
+	}
 
 	if sclp := e.srv.Stats().Core.Sclp; sclp.Evaluated <= 0 || sclp.Interior < 0 || sclp.Interior > sclp.Evaluated ||
 		!strings.Contains(text, fmt.Sprintf("parhipd_sclp_evaluated_total %d\n", sclp.Evaluated)) {

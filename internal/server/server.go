@@ -76,12 +76,6 @@ type Config struct {
 	CacheSize int
 	// MaxGraphs bounds the in-memory graph store (default 256).
 	MaxGraphs int
-	// CoreWorkers is the intra-rank worker-thread count every core run uses
-	// for refinement and contraction (parhip.WithWorkers). 0 keeps the library
-	// default. It is deliberately a server setting, not a job option:
-	// results are bit-identical for any value, so it must never enter the
-	// result cache key.
-	CoreWorkers int
 	// PartitionFn overrides the partitioning implementation (tests); the
 	// default runs a parhip.Partitioner session.
 	PartitionFn PartitionFunc
@@ -111,15 +105,11 @@ func (c Config) withDefaults() Config {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if c.PartitionFn == nil {
-		coreWorkers := c.CoreWorkers
 		c.PartitionFn = func(ctx context.Context, g *graph.Graph, k int32, opts []parhip.Option,
 			prev *parhip.Partition, onProgress func(parhip.ProgressEvent)) (parhip.Result, error) {
 			opts = append(opts, parhip.WithK(k), parhip.WithProgressFunc(onProgress))
 			if prev != nil {
 				opts = append(opts, parhip.WithPrevious(prev))
-			}
-			if coreWorkers > 0 {
-				opts = append(opts, parhip.WithWorkers(coreWorkers))
 			}
 			p, err := parhip.New(g, opts...)
 			if err != nil {
@@ -798,20 +788,14 @@ type StatsView struct {
 		// transport, plus the failure-path counters (reconnects, heartbeat
 		// misses, peer failures — always zero on the in-process transport).
 		Transport transport.Stats `json:"transport"`
-		// Sclp is the intra-rank worksharing view of those runs (rank 0):
-		// the wall-time split between the parallel propose and sequential
-		// commit halves of the label-propagation supersteps, and the mean
-		// propose-pass worker utilization.
+		// Sclp is the label-propagation view of those runs (rank 0): the
+		// superstep count and the wall time of their sweeps.
 		Sclp struct {
-			Workers            int     `json:"workers"`
-			Supersteps         int64   `json:"supersteps"`
-			ProposeMS          float64 `json:"propose_ms"`
-			CommitMS           float64 `json:"commit_ms"`
-			WorkerBusyMS       float64 `json:"worker_busy_ms"`
-			ProposeUtilization float64 `json:"propose_utilization"`
+			Supersteps int64   `json:"supersteps"`
+			CommitMS   float64 `json:"commit_ms"`
 			// Evaluated and Interior are exact work counts: node
-			// evaluations by propose and commit, and how many of them
-			// were settled by the neighbour scan alone.
+			// evaluations, and how many of them were settled by the
+			// neighbour scan alone.
 			Evaluated int64 `json:"evaluated"`
 			Interior  int64 `json:"interior"`
 		} `json:"sclp"`
@@ -854,12 +838,8 @@ func (s *Server) Stats() StatsView {
 	v.Core.NeighborExchanges = m.comm.NeighborExchanges
 	v.Core.Transport = m.transport
 	v.Core.CumulativeCut = m.cutSum
-	v.Core.Sclp.Workers = m.par.Workers
 	v.Core.Sclp.Supersteps = m.par.Supersteps
-	v.Core.Sclp.ProposeMS = float64(m.par.ProposeNS) / 1e6
 	v.Core.Sclp.CommitMS = float64(m.par.CommitNS) / 1e6
-	v.Core.Sclp.WorkerBusyMS = float64(m.par.BusyNS) / 1e6
-	v.Core.Sclp.ProposeUtilization = m.par.Utilization()
 	v.Core.Sclp.Evaluated = m.par.Evaluated
 	v.Core.Sclp.Interior = m.par.Interior
 	v.RecentJobs = append([]JobTiming(nil), m.recent...)

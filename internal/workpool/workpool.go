@@ -1,153 +1,15 @@
-// Package workpool provides the per-rank worker pool behind the
-// intra-rank parallel supersteps: a fixed set of persistent goroutines
-// that execute the chunks of one parallel pass and then go back to sleep.
-//
-// Determinism contract: Run hands out chunk indices [0, n) exactly once
-// each, but in no particular assignment to workers — so everything a chunk
-// computes must be a function of the chunk index alone (per-chunk RNG
-// streams, disjoint output ranges), never of the worker that happened to
-// run it or of the worker count. Under that discipline a pool of any size
-// produces bit-identical results, which is what the sclp and contract
-// worksharing passes rely on.
-//
-// A nil *Pool (and a pool of size 1) executes chunks inline on the calling
-// goroutine, so serial fallbacks need no separate code path.
+// Package workpool is what is left of the per-rank worker pool: nothing.
+// Ranks are the only parallelism, and no kernel runs on a pool any more.
+// Pool, New and Close remain only because benchmark/adapter.go, which
+// changes only in a benchmark PR, still names them; that PR deletes this
+// package.
 package workpool
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+// Pool is an empty placeholder. It starts no goroutines.
+type Pool struct{}
 
-// Pool is a fixed-size set of persistent workers owned by one rank. It is
-// not safe to issue concurrent Run calls on one Pool; ranks own their pool
-// exclusively.
-type Pool struct {
-	size int
-	jobs chan *job
-	wg   sync.WaitGroup
-}
+// New returns an empty Pool; the size is ignored.
+func New(int) *Pool { return &Pool{} }
 
-// job is one Run invocation: a chunked task drained via an atomic cursor.
-type job struct {
-	fn   func(worker, chunk int)
-	n    int
-	next atomic.Int64
-	busy atomic.Int64 // summed nanoseconds workers spent on chunks
-	wg   sync.WaitGroup
-}
-
-// New returns a pool of the given size. Size s runs chunks on the caller
-// plus s-1 persistent helper goroutines; sizes below 1 are clamped to 1
-// (no helpers). Call Close when the pool's rank is done to join the
-// helpers.
-func New(size int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	p := &Pool{size: size}
-	if size > 1 {
-		p.jobs = make(chan *job)
-		for w := 1; w < size; w++ {
-			p.wg.Add(1)
-			go p.worker(w, p.jobs)
-		}
-	}
-	return p
-}
-
-func (p *Pool) worker(id int, jobs <-chan *job) {
-	defer p.wg.Done()
-	for j := range jobs {
-		j.run(id)
-		j.wg.Done()
-	}
-}
-
-func (j *job) run(worker int) {
-	start := time.Now()
-	for {
-		c := int(j.next.Add(1)) - 1
-		if c >= j.n {
-			break
-		}
-		j.fn(worker, c)
-	}
-	j.busy.Add(int64(time.Since(start)))
-}
-
-// Run executes fn(worker, chunk) for every chunk in [0, n), distributing
-// chunks across the pool, and returns once all chunks completed. The
-// worker argument is in [0, Size()) and identifies the executing lane —
-// use it to index per-worker scratch (accumulators, RNG state), never to
-// influence results. The returned duration is the summed busy time of all
-// participating lanes (for utilization: busy / (elapsed * Size())).
-//
-// On a nil pool, a size-1 pool, or n <= 1 the chunks run inline on the
-// caller.
-func (p *Pool) Run(n int, fn func(worker, chunk int)) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	if p == nil || p.size == 1 || n == 1 {
-		start := time.Now()
-		for c := 0; c < n; c++ {
-			fn(0, c)
-		}
-		return time.Since(start)
-	}
-	j := &job{fn: fn, n: n}
-	helpers := p.size - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	j.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		p.jobs <- j
-	}
-	j.run(0)
-	j.wg.Wait()
-	return time.Duration(j.busy.Load())
-}
-
-// Chunks returns how many chunks n items split into at the given target
-// chunk size. The count is a function of n and target alone — never of the
-// pool size — which is the first half of the bit-identity contract: the same
-// input yields the same chunk grid no matter how many workers drain it.
-func Chunks(n, target int) int {
-	if n <= 0 {
-		return 0
-	}
-	if target < 1 {
-		target = 1
-	}
-	return (n + target - 1) / target
-}
-
-// Bounds returns the half-open item range [lo, hi) of chunk c when n items
-// are split into nchunks balanced chunks (sizes differ by at most one).
-func Bounds(n, nchunks, c int) (lo, hi int) {
-	return c * n / nchunks, (c + 1) * n / nchunks
-}
-
-// Size returns the number of lanes (1 for a nil pool).
-func (p *Pool) Size() int {
-	if p == nil {
-		return 1
-	}
-	return p.size
-}
-
-// Close terminates the helper goroutines and waits for them to exit, so a
-// closed pool leaks nothing. Nil-safe; Close is idempotent only in the
-// sense that a size-1 pool has nothing to close — do not call it twice on
-// a pooled instance.
-func (p *Pool) Close() {
-	if p == nil || p.jobs == nil {
-		return
-	}
-	close(p.jobs)
-	p.jobs = nil
-	p.wg.Wait()
-}
+// Close does nothing.
+func (*Pool) Close() {}

@@ -40,8 +40,8 @@ const (
 )
 
 // settings is the resolved configuration of a Partitioner session. Every
-// option range-checks its own value when applied, so a zero in k, eps or
-// workers can only mean "not configured" and is filled in by resolve.
+// option range-checks its own value when applied, so a zero in k or eps
+// can only mean "not configured" and is filled in by resolve.
 type settings struct {
 	k          int32 // 0: required, or inherited from prev
 	pes        int
@@ -49,7 +49,6 @@ type settings struct {
 	class      GraphClass
 	eps        float64 // 0: prev's eps on a repartitioning run, else DefaultEps
 	seed       uint64
-	workers    int // 0: core derives NumCPU / ranks hosted in this process
 	evoBudget  time.Duration
 	objective  Objective
 	tracer     *Tracer
@@ -125,21 +124,6 @@ func WithSeed(seed uint64) Option {
 			return errors.New("parhip: seed = 0, must be >= 1")
 		}
 		s.seed = seed
-		return nil
-	}
-}
-
-// WithWorkers sets the number of OS threads each simulated rank uses for
-// refinement and contraction. Must be positive; omit the option
-// for the default (NumCPU divided by the ranks hosted in this process, so
-// in-process worlds don't oversubscribe the machine). The partition is
-// bit-identical for every worker count — this is purely a wall-clock knob.
-func WithWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 1 {
-			return fmt.Errorf("parhip: Workers = %d, must be >= 1", n)
-		}
-		s.workers = n
 		return nil
 	}
 }
@@ -273,7 +257,7 @@ type Partitioner struct {
 //
 // Every invalid setting is rejected here with a descriptive error instead
 // of being silently replaced by a default: k < 1 or k > n, eps outside
-// (0, MaxEps], PEs, seed or workers below 1, unknown Mode/Class/Objective
+// (0, MaxEps], PEs or seed below 1, unknown Mode/Class/Objective
 // values, a negative evolutionary time budget, and a previous partition
 // that does not match the graph or k.
 func New(g *Graph, opts ...Option) (*Partitioner, error) {
@@ -305,13 +289,11 @@ func (p *Partitioner) CoreConfig() core.Config {
 	cfg.EvoTimeBudget = s.evoBudget
 	cfg.Objective = s.objective
 	cfg.Tracer = s.tracer
-	cfg.Workers = s.workers
 	if s.prev != nil {
 		// Repartitioning: the previous assignment both seeds the first
-		// V-cycle (prepartition semantics: never worse than the input) and
-		// acts as the migration reference the pipeline stays close to.
-		cfg.Prepartition = s.prev.assign
-		cfg.PrevPartition = s.prev.assign
+		// V-cycle (never worse than the input) and acts as the migration
+		// reference the pipeline stays close to.
+		cfg.Previous = s.prev.assign
 	}
 	return cfg
 }

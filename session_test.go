@@ -234,13 +234,11 @@ func TestNewValidation(t *testing.T) {
 		{"bad class", g, []Option{WithK(2), WithClass(GraphClass(9))}, "class"},
 		{"bad objective", g, []Option{WithK(2), WithObjective(Objective(77))}, "objective"},
 		{"negative budget", g, []Option{WithK(2), WithEvoTimeBudget(-time.Second)}, "budget"},
-		{"workers negative", g, []Option{WithK(2), WithWorkers(-2)}, "Workers"},
 		// An explicit zero is out of range like any other bad value; it is
 		// never read as "use the default".
 		{"explicit eps 0", g, []Option{WithK(2), WithEps(0)}, "eps = 0"},
 		{"explicit seed 0", g, []Option{WithK(2), WithSeed(0)}, "seed = 0"},
 		{"explicit pes 0", g, []Option{WithK(2), WithPEs(0)}, "PEs = 0"},
-		{"explicit workers 0", g, []Option{WithK(2), WithWorkers(0)}, "Workers = 0"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.g, tc.opts...)
