@@ -82,5 +82,7 @@ func main() {
 			giant = s
 		}
 	}
-	fmt.Printf("components=%d giant=%d (%.1f%%)\n", cnt, giant, 100*float64(giant)/float64(nn))
+	isolated := sort.SearchInts(degs, 1) // degs is sorted
+	fmt.Printf("components=%d giant=%d (%.1f%%) isolated=%d (%.1f%%)\n", cnt, giant, 100*float64(giant)/float64(nn),
+		isolated, 100*float64(isolated)/float64(nn))
 }

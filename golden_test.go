@@ -34,7 +34,9 @@ import (
 // pass had evaluated it against phase-start state on per-chunk streams.
 // That re-rolls every run that refines a web, hub or rmat graph; the two
 // mesh rows came out unchanged. Old -> new cuts and the 24-96-seed means
-// are in CHANGES.md.
+// are in CHANGES.md. Packing the degree-0 nodes after clustering moved the
+// rmat row only: it is the one graph here with isolated nodes, and a graph
+// without them is clustered exactly as before.
 func TestGoldenChecksums(t *testing.T) {
 	ctx := context.Background()
 	web := func(n int32, seed uint64) *parhip.Graph {
@@ -76,7 +78,7 @@ func TestGoldenChecksums(t *testing.T) {
 		{"hub/k=8/P=4", session(hub, parhip.WithK(8), parhip.WithPEs(4), parhip.WithSeed(16)),
 			"69149e5d95846fbf", 9126},
 		{"rmat-16K/k=16/P=2", session(gen.RMAT(14, 8, 0.57, 0.19, 0.19, 6), parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(17)),
-			"dddf99f51b588607", 103633},
+			"5ce3a9da5dda75ae", 103593},
 		{"web/repartition/k=16/P=2", func() (parhip.Result, error) {
 			cold, err := session(webG, parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(13))()
 			if err != nil {

@@ -143,6 +143,24 @@ func TestRunSmallGraphNoCoarsening(t *testing.T) {
 	}
 }
 
+// TestCoarseningReachesLimitWithIsolatedNodes: about a third of an rmat
+// graph's nodes have degree 0, which label propagation cannot move. Unless
+// they are packed, the hierarchy stalls an order of magnitude above the
+// stop size and the initial partitioner gets a graph of mostly loose nodes.
+func TestCoarseningReachesLimitWithIsolatedNodes(t *testing.T) {
+	const k = 16
+	g := gen.RMAT(14, 8, 0.57, 0.19, 0.19, 6)
+	res, err := run(2, g, FastConfig(k, ClassSocial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := max(coarsestPerBlock*int64(k), minCoarsest)
+	lv := res.Stats.Levels
+	if last := lv[len(lv)-1].N; last > 2*limit {
+		t.Fatalf("coarsest graph has %d nodes, want <= 2 x %d: hierarchy %v", last, limit, lv)
+	}
+}
+
 func TestRunDeterministicWithRounds(t *testing.T) {
 	g, _ := gen.PlantedPartition(1500, 12, 9, 0.5, 8)
 	cfg := FastConfig(2, ClassSocial)

@@ -52,6 +52,7 @@ type ParClusterConfig struct {
 // ParCluster runs parallel size-constrained label propagation on the
 // distributed graph and returns a label per local+ghost node (ghost entries
 // synchronized). Labels are global node IDs of cluster representatives.
+// After the last round the rank's degree-0 nodes are packed (packIsolated).
 // Collective.
 //
 //parhip:collective
@@ -121,6 +122,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			break
 		}
 	}
+	packIsolated(d.XAdj, d.NW, labels, cfg.Constraint, weight, cfg.U)
 	cfg.Stats.count(&sweep)
 	return labels
 }

@@ -41,7 +41,8 @@ type ClusterConfig struct {
 
 // Cluster runs size-constrained label propagation and returns a cluster
 // label per node. Labels are drawn from the node ID space (a cluster's
-// label is the ID of one of its members); they are not contiguous.
+// label is the ID of one of its members); they are not contiguous. After
+// the last round the degree-0 nodes are packed (packIsolated).
 //
 //lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
 func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
@@ -56,7 +57,7 @@ func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
 	// Every label is a node ID, so the whole weight table is "own range".
 	weight := &labelWeights{own: slices.Clone(g.NW[:n])}
 	r := rng.New(cfg.Seed)
-	conn := hashtab.NewAccumulatorI64(64)
+	conn := hashtab.NewAccumulatorI64(int(g.MaxDegree()))
 	var order []int32
 	if cfg.DegreeOrder {
 		order = graph.DegreeOrder(g)
@@ -77,6 +78,7 @@ func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
 			break
 		}
 	}
+	packIsolated(g.XAdj, g.NW, labels, cfg.Constraint, weight, cfg.U)
 	return labels
 }
 

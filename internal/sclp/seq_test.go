@@ -130,13 +130,19 @@ func TestClusterZeroIterations(t *testing.T) {
 	}
 }
 
+// TestClusterIsolatedNodes: label propagation cannot move a node without
+// neighbours, the packing after the last round can. With U=1 no two nodes
+// fit together, so the isolated nodes keep their own labels; with U=4 they
+// share the first one's.
 func TestClusterIsolatedNodes(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	g := b.Build() // nodes 2, 3 isolated
-	labels := Cluster(g, ClusterConfig{U: 4, Iterations: 3, Seed: 1})
-	if labels[2] != 2 || labels[3] != 3 {
-		t.Fatal("isolated nodes must keep their own cluster")
+	if labels := Cluster(g, ClusterConfig{U: 1, Iterations: 3, Seed: 1}); labels[2] != 2 || labels[3] != 3 {
+		t.Fatalf("U=1: isolated nodes must keep their own cluster, got labels %v", labels)
+	}
+	if labels := Cluster(g, ClusterConfig{U: 4, Iterations: 3, Seed: 1}); labels[2] != 2 || labels[3] != 2 {
+		t.Fatalf("U=4: isolated nodes 2 and 3 must share label 2, got labels %v", labels)
 	}
 }
 

@@ -118,6 +118,35 @@ func (w *labelWeights) Add(label, delta int64) {
 	w.foreign.Put(label, lw+delta)
 }
 
+// packIsolated runs after the last clustering round and packs the nodes of
+// degree 0 among the len(xadj)-1 local ones into clusters of weight at most
+// u, in ID order (DESIGN.md §13). Label propagation cannot rate a node
+// without neighbours, so each still labels a singleton cluster with its own
+// ID, and a graph full of them would stop coarsening. Every constraint class
+// (one class when constraint is nil) has one open cluster, labelled by its
+// first member; a node that does not fit opens the next. A degree-0 node is
+// nobody's ghost, so no rank needs telling, and nothing is drawn.
+func packIsolated[L int32 | int64](xadj, nw []int64, labels, constraint []L, weight *labelWeights, u int64) {
+	open := hashtab.NewMapI64(16) // constraint class -> label of its open cluster
+	for v := range len(xadj) - 1 {
+		if xadj[v+1] != xadj[v] {
+			continue
+		}
+		var class int64
+		if constraint != nil {
+			class = int64(constraint[v])
+		}
+		own := int64(labels[v])
+		if to, ok := open.Get(class); ok && weight.Get(to)+nw[v] <= u {
+			weight.Add(own, -nw[v])
+			weight.Add(to, nw[v])
+			labels[v] = L(to)
+			continue
+		}
+		open.Put(class, own)
+	}
+}
+
 // The move selections below are shared by the parallel kernels (the
 // clustering and refinement sweeps), the sequential kernels of seq.go and
 // kaffpa's FM. Each is a gather — scan the neighbourhood, and only if it can
