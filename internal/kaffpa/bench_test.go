@@ -1,6 +1,7 @@
 package kaffpa
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -31,27 +32,32 @@ func BenchmarkRecursiveBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkFMRefine runs k-way FM on the shape the web-* workloads hand the
+// BenchmarkFMRefine runs FM on the shape the web-* workloads hand the
 // initial partitioner: a coarsest graph of ~700 heavy nodes with an average
-// degree around 130 and weighted edges, k=16, started from the planted
-// blocks with one node in six misplaced.
+// degree around 130 and weighted edges, started from planted blocks with
+// one node in six misplaced. k=16 is initialPartition's k-way FM (4
+// rounds), k=2 the FM that polishes each of recursive bisection's grown
+// bisections (8 rounds, bisectionBounds' per-side bounds).
 func BenchmarkFMRefine(b *testing.B) {
-	const n, k, deg = 700, 16, 130
+	const n, deg = 700, 130
 	r := rng.New(7)
 	bu := graph.NewBuilder(n)
-	start := make([]int32, n)
+	plant := func(v, k int32) int32 {
+		if r.Intn(6) == 0 {
+			return r.Int31n(k)
+		}
+		return v * k / n
+	}
+	start16, start2 := make([]int32, n), make([]int32, n)
 	for v := int32(0); v < n; v++ {
 		bu.SetNodeWeight(v, 100+r.Int64n(100))
-		start[v] = v * k / n
-		if r.Intn(6) == 0 {
-			start[v] = r.Int31n(k)
-		}
+		start16[v] = plant(v, 16)
 	}
 	for v := int32(0); v < n; v++ {
 		for i := 0; i < 3*deg/4; i++ {
 			u := r.Int31n(n)
-			if r.Intn(4) > 0 { // three draws in four stay in or next to v's block
-				u = (v + r.Int31n(3*n/k) - 3*n/k/2 + n) % n
+			if r.Intn(4) > 0 { // three draws in four stay within 3/32 of the ring
+				u = (v + r.Int31n(3*n/16) - 3*n/32 + n) % n
 			}
 			if u != v {
 				bu.AddEdgeW(v, u, 1+r.Int64n(20))
@@ -59,10 +65,25 @@ func BenchmarkFMRefine(b *testing.B) {
 		}
 	}
 	g := bu.Build()
-	lmax := g.TotalNodeWeight()/k + g.TotalNodeWeight()/k/33
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fmRefine(g, slices.Clone(start), k, lmax, 4, uint64(i)+1)
+	for v := range start2 {
+		start2[v] = plant(int32(v), 2)
+	}
+	total := g.TotalNodeWeight()
+	_, halves := bisectionBounds(total, 2, 0.03)
+	for _, c := range []struct {
+		k      int32
+		rounds int
+		lmax   []int64
+		start  []int32
+	}{
+		{16, 4, uniformBounds(16, total/16+total/16/33), start16},
+		{2, 8, halves, start2},
+	} {
+		b.Run(fmt.Sprintf("k=%d", c.k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fmRefine(g, slices.Clone(c.start), c.lmax, c.rounds, uint64(i)+1)
+			}
+		})
 	}
 }

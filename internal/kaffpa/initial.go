@@ -9,9 +9,8 @@ import (
 
 // growBisection grows block 0 from a random seed node by BFS until its
 // weight reaches target0; remaining nodes form block 1. Disconnected
-// leftovers restart from fresh seeds. The result is then polished with
-// two-way FM.
-func growBisection(g *graph.Graph, target0 int64, lmax int64, r *rng.RNG) []int32 {
+// leftovers restart from fresh seeds.
+func growBisection(g *graph.Graph, target0 int64, r *rng.RNG) []int32 {
 	n := g.NumNodes()
 	p := make([]int32, n)
 	for v := range p {
@@ -56,8 +55,17 @@ func growBisection(g *graph.Graph, target0 int64, lmax int64, r *rng.RNG) []int3
 			}
 		}
 	}
-	fmRefine(g, p, 2, lmax, 8, r.Uint64())
 	return p
+}
+
+// bisectionBounds returns, for a split of k blocks into k/2 and k-k/2, the
+// weight block 0 is grown to and each side's FM bound: 1+eps times the
+// side's share ⌊total·k_i/k⌋. Side 1 needs its own: at an odd split it is
+// the heavier, and side 0's bound would shut it to every move.
+func bisectionBounds(total int64, k int32, eps float64) (int64, []int64) {
+	target0 := intmath.MulDivFloor(total, int64(k/2), int64(k))
+	target1 := intmath.MulDivFloor(total, int64(k-k/2), int64(k))
+	return target0, []int64{partition.ScaledBound(target0, eps), partition.ScaledBound(target1, eps)}
 }
 
 // recursiveBisect partitions g into k blocks by recursive bisection with
@@ -79,18 +87,11 @@ func bisectInto(g *graph.Graph, k int32, eps float64, r *rng.RNG, out []int32, f
 		}
 		return
 	}
-	total := g.TotalNodeWeight()
 	k0 := k / 2
 	k1 := k - k0
-	target0 := intmath.MulDivFloor(total, int64(k0), int64(k))
-	// The side bound must leave room for the recursion: side i may weigh at
-	// most k_i * Lmax(total, k, eps), but we also keep it near the
-	// proportional target to help the deeper splits.
-	lmaxSide := partition.ScaledBound(target0, eps)
-	if lmaxSide < target0 {
-		lmaxSide = target0
-	}
-	p2 := growBisection(g, target0, lmaxSide, r)
+	target0, lmax := bisectionBounds(g.TotalNodeWeight(), k, eps)
+	p2 := growBisection(g, target0, r)
+	fmRefine(g, p2, lmax, 8, r.Uint64()) // polish the grown bisection
 	var n1 int
 	for _, b := range p2 {
 		n1 += int(b)
@@ -122,28 +123,16 @@ func bisectInto(g *graph.Graph, k int32, eps float64, r *rng.RNG, out []int32, f
 // tries independent recursive-bisection attempts and keeps the best by
 // (feasible, cut) lexicographic order.
 func initialPartition(g *graph.Graph, k int32, eps float64, tries int, r *rng.RNG) []int32 {
-	if tries < 1 {
-		tries = 1
-	}
-	lmax := partition.Lmax(g.TotalNodeWeight(), k, eps)
+	lmax := uniformBounds(k, partition.Lmax(g.TotalNodeWeight(), k, eps))
 	var best []int32
 	var bestCut int64
 	bestFeasible := false
 	for t := 0; t < tries; t++ {
 		p := recursiveBisect(g, k, eps, r)
-		fmRefine(g, p, k, lmax, 4, r.Uint64())
+		fmRefine(g, p, lmax, 4, r.Uint64())
 		cut := partition.EdgeCut(g, p)
 		feas := partition.IsFeasible(g, p, k, eps)
-		better := false
-		switch {
-		case best == nil:
-			better = true
-		case feas && !bestFeasible:
-			better = true
-		case feas == bestFeasible && cut < bestCut:
-			better = true
-		}
-		if better {
+		if best == nil || feas && !bestFeasible || feas == bestFeasible && cut < bestCut {
 			best, bestCut, bestFeasible = p, cut, feas
 		}
 	}

@@ -157,12 +157,13 @@ func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
 	}
 
 	// Initial partitioning of the coarsest graph.
+	bounds := uniformBounds(cfg.K, lmax)
 	var p []int32
 	if initPart != nil {
 		p = append([]int32(nil), initPart...)
 		// The inherited partition is already feasible on the coarsest graph
 		// (same cut and balance as on the finest level); refine it.
-		fmRefine(cur, p, cfg.K, lmax, fmRounds, r.Uint64())
+		fmRefine(cur, p, bounds, fmRounds, r.Uint64())
 	} else {
 		p = initialPartition(cur, cfg.K, cfg.Eps, initialTries, r)
 	}
@@ -172,7 +173,7 @@ func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
 	for i := len(levels) - 1; i >= 0; i-- {
 		p = contract.Project(p, levels[i].fineToCoarse)
 		sclp.Refine(levels[i].g, p, sclp.RefineConfig{K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: r.Uint64()})
-		fmRefine(levels[i].g, p, cfg.K, lmax, fmRounds, r.Uint64())
+		fmRefine(levels[i].g, p, bounds, fmRounds, r.Uint64())
 	}
 	return p, nil
 }

@@ -1,6 +1,7 @@
 package kaffpa
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,7 +20,7 @@ func TestFMRefineImprovesBadPartition(t *testing.T) {
 	}
 	lmax := partition.Lmax(g.TotalNodeWeight(), 2, 0.03)
 	before := partition.EdgeCut(g, p)
-	moves := fmRefine(g, p, 2, lmax, 10, 7)
+	moves := fmRefine(g, p, uniformBounds(2, lmax), 10, 7)
 	after := partition.EdgeCut(g, p)
 	if moves == 0 || after >= before {
 		t.Fatalf("fm: cut %d -> %d (%d moves)", before, after, moves)
@@ -41,7 +42,7 @@ func TestFMNeverWorsens(t *testing.T) {
 		}
 		lmax := partition.Lmax(g.TotalNodeWeight(), k, 0.10)
 		before := partition.EdgeCut(g, p)
-		fmRefine(g, p, k, lmax, 5, seed)
+		fmRefine(g, p, uniformBounds(k, lmax), 5, seed)
 		return partition.EdgeCut(g, p) <= before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -52,11 +53,11 @@ func TestFMNeverWorsens(t *testing.T) {
 func TestFMNoOpCases(t *testing.T) {
 	g := graph.Path(10)
 	p := make([]int32, 10)
-	if fmRefine(g, p, 1, 100, 3, 1) != 0 {
+	if fmRefine(g, p, []int64{100}, 3, 1) != 0 {
 		t.Fatal("k=1 should be a no-op")
 	}
 	empty := graph.NewBuilder(0).Build()
-	if fmRefine(empty, nil, 2, 100, 3, 1) != 0 {
+	if fmRefine(empty, nil, []int64{100, 100}, 3, 1) != 0 {
 		t.Fatal("empty graph should be a no-op")
 	}
 }
@@ -65,10 +66,40 @@ func TestGrowBisectionBalanced(t *testing.T) {
 	g := gen.DelaunayLike(400, 3)
 	total := g.TotalNodeWeight()
 	r := rng.New(5)
-	p := growBisection(g, total/2, partition.Lmax(total, 2, 0.03), r)
+	target0, lmax := bisectionBounds(total, 2, 0.03)
+	p := growBisection(g, target0, r)
+	fmRefine(g, p, lmax, 8, r.Uint64())
 	bw := partition.BlockWeights(g, p, 2)
 	if bw[0] < total*4/10 || bw[0] > total*6/10 {
 		t.Fatalf("grossly unbalanced bisection: %v", bw)
+	}
+}
+
+// TestOddBisectionFMMovesBothWays: at an odd split (k=3, one block against
+// two) the FM that polishes a grown bisection must move nodes into either
+// side without raising the cut. With one bound derived from side 0's
+// target, side 1 starts above it and never receives a node.
+func TestOddBisectionFMMovesBothWays(t *testing.T) {
+	g, err := gen.ByFamily(gen.FamilyWeb, 4000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target0, lmax := bisectionBounds(g.TotalNodeWeight(), 3, 0.03)
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := rng.New(seed)
+		p := growBisection(g, target0, r)
+		grown := slices.Clone(p)
+		before := partition.EdgeCut(g, p)
+		fmRefine(g, p, lmax, 8, r.Uint64())
+		var into [2]int
+		for v := range p {
+			if p[v] != grown[v] {
+				into[p[v]]++
+			}
+		}
+		if after := partition.EdgeCut(g, p); into[0] == 0 || into[1] == 0 || after > before {
+			t.Fatalf("seed %d: %d nodes moved into side 0, %d into side 1, cut %d -> %d", seed, into[0], into[1], before, after)
+		}
 	}
 }
 

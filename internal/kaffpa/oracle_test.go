@@ -6,6 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hashtab"
 	"repro/internal/rng"
+	"repro/internal/sclp"
 	"repro/internal/testutil"
 )
 
@@ -43,7 +44,9 @@ func oracleBestMove(g *graph.Graph, p []int32, weight []int64, lmax int64,
 // interior nodes; weighted edges and nodes, isolated nodes, a hub of degree
 // > 64) across balance bounds from "everything fits" to "nothing fits". bestMove
 // draws nothing from the RNG, so target, gain and found are the whole
-// contract.
+// contract. It reads a gainCache built for the partition, so both its
+// evaluations are held to the oracle: the row scan for nodes of degree >= k
+// (most nodes at k=2, the hub alone at k=16) and the neighbour walk.
 func TestBestMoveMatchesOracle(t *testing.T) {
 	for trial := uint64(0); trial < 12; trial++ {
 		r := rng.New(400 + trial)
@@ -64,12 +67,12 @@ func TestBestMoveMatchesOracle(t *testing.T) {
 		for _, w := range weight {
 			heaviest, lightest = max(heaviest, w), min(lightest, w)
 		}
-		oldConn, newConn := hashtab.NewAccumulatorI64(64), hashtab.NewDenseAccumulator(int(k))
+		oldConn, cache := hashtab.NewAccumulatorI64(64), newGainCache(g, p, int(k))
 		for _, lmax := range []int64{heaviest + 4, (heaviest + lightest) / 2, lightest} {
 			interior := int32(0)
 			for v := int32(0); v < n; v++ {
 				wt, wg, wok := oracleBestMove(g, p, weight, lmax, oldConn, v)
-				gt, gg, gok := bestMove(g, p, weight, lmax, newConn, v)
+				gt, gg, gok := bestMove(g, p, weight, uniformBounds(k, lmax), cache, v)
 				if gt != wt || gg != wg || gok != wok {
 					t.Fatalf("trial %d k=%d lmax=%d node %d: bestMove = (%d, %d, %v), oracle (%d, %d, %v)",
 						trial, k, lmax, v, gt, gg, gok, wt, wg, wok)
@@ -84,6 +87,51 @@ func TestBestMoveMatchesOracle(t *testing.T) {
 			}
 			if interior == 0 || interior == n {
 				t.Fatalf("trial %d: %d of %d nodes interior: want both paths taken", trial, interior, n)
+			}
+		}
+	}
+}
+
+// TestGainCacheMatchesRecount: random move sequences on testutil.KernelGraph
+// at k in {2, 5, 16}. After every move, each node's cached row must equal a
+// GatherBlocks recount of its neighbours' blocks. Every trial has both row
+// nodes (degree >= k) and walk nodes.
+func TestGainCacheMatchesRecount(t *testing.T) {
+	for trial := uint64(0); trial < 6; trial++ {
+		r := rng.New(500 + trial)
+		g := testutil.KernelGraph(r, 1+3*int64(trial%2))
+		n := g.NumNodes()
+		k := []int32{2, 5, 16}[trial%3]
+		p := make([]int32, n)
+		for v := range p {
+			p[v] = r.Int31n(k)
+		}
+		c := newGainCache(g, p, int(k))
+		rows := int32(0)
+		for v := int32(0); v < n; v++ {
+			if c.row(v) != nil {
+				rows++
+			}
+		}
+		if rows == 0 || rows == n {
+			t.Fatalf("trial %d k=%d: %d of %d nodes have a row: want rows and walks", trial, k, rows, n)
+		}
+		recount := hashtab.NewDenseAccumulator(int(k))
+		for move := 0; move < 300; move++ {
+			v, to := r.Int31n(n), r.Int31n(k)
+			c.move(g, v, p[v], to)
+			p[v] = to
+			for u := int32(0); u < n; u++ {
+				row := c.row(u)
+				if row == nil {
+					continue
+				}
+				sclp.GatherBlocks(recount, g.Neighbors(u), g.EdgeWeights(u), p, u, true)
+				for b, got := range row {
+					if want, _ := recount.Get(int64(b)); got != want {
+						t.Fatalf("trial %d k=%d move %d: node %d row[%d] = %d, recount %d", trial, k, move, u, b, got, want)
+					}
+				}
 			}
 		}
 	}
