@@ -15,10 +15,18 @@ import (
 // anyway), and any change to structure or weights changes the hash.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
-	var buf [8]byte
+	// Values are encoded into one buffer that is hashed whenever it is full:
+	// the same byte stream as one Write per value, without the per-call cost.
+	buf := make([]byte, 0, 64<<10)
+	room := func(n int) {
+		if len(buf)+n > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
 	writeU64 := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
+		room(8)
+		buf = binary.LittleEndian.AppendUint64(buf, x)
 	}
 	// Domain-separate the sections so (XAdj, Adj) boundaries are unambiguous
 	// even though slice lengths are implied by n and 2m.
@@ -28,8 +36,8 @@ func (g *Graph) Fingerprint() string {
 		writeU64(uint64(x))
 	}
 	for _, v := range g.Adj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		h.Write(buf[:4])
+		room(4)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
 	for _, w := range g.AdjW {
 		writeU64(uint64(w))
@@ -37,5 +45,6 @@ func (g *Graph) Fingerprint() string {
 	for _, w := range g.NW {
 		writeU64(uint64(w))
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -3,6 +3,7 @@ package sclp
 import (
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -48,6 +49,42 @@ func BenchmarkParClusterP4(b *testing.B) {
 		mpi.NewWorld(4).Run(func(c *mpi.Comm) {
 			d := dgraph.FromGraph(c, g)
 			ParCluster(d, ParClusterConfig{U: 600, Iterations: 3, DegreeOrder: true, Seed: uint64(i + 1)})
+		})
+	}
+}
+
+// BenchmarkParClusterLarge is one coarsening level's ParCluster call on one
+// rank, on graphs whose label, weight and CSR arrays do not fit in L2 (the
+// n=20000 benchmarks above do), so the cost of the visit order's memory
+// access pattern shows. U is what the V-cycle uses for the benchmark's
+// web (k=16, f=14) and mesh (k=2, f=20000) runs. Only ParCluster is timed.
+func BenchmarkParClusterLarge(b *testing.B) {
+	web, err := gen.ByFamily(gen.FamilyWeb, 131072, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+		k    int32
+		f    int64
+	}{
+		{"web-131072-P1", web, 16, 14},
+		{"delaunay-524288-P1", gen.DelaunayLike(524288, 1), 2, 20000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			u := max(partition.Lmax(bc.g.TotalNodeWeight(), bc.k, 0.03)/bc.f, 1)
+			mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+				d := dgraph.FromGraph(c, bc.g)
+				ar := arena.New()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ParCluster(d, ParClusterConfig{U: u, Iterations: 3, DegreeOrder: true, Seed: uint64(i + 1), Arena: ar})
+					b.StopTimer()
+					ar.Reset()
+					b.StartTimer()
+				}
+			})
 		})
 	}
 }

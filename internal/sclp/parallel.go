@@ -70,7 +70,12 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	weight := newLabelWeights(d)
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
 
-	order := localOrder(d, cfg.DegreeOrder, r, cfg.Arena)
+	nl := int(d.NLocal())
+	ids := cfg.Arena.Int32s(nl)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	order, runs := cfg.Arena.Int32s(nl), cfg.Arena.Int32s(numRuns(nl))
 	// One rating table, sized so that it never grows inside the sweep.
 	sweep := lane{conn: hashtab.NewAccumulatorI64In(cfg.Arena, int(maxLocalDegree(d)))}
 	changedSet := newDirtySetIn(d.NLocal(), cfg.Arena)
@@ -82,8 +87,13 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	rank := d.Comm.Rank()
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		if iter > 0 {
-			r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		// The paper's first round may go by ascending local degree (the
+		// degree ordering restricted to local nodes); every other round is
+		// chunk-random.
+		if iter == 0 && cfg.DegreeOrder {
+			countingSortByDegree(d, order, cfg.Arena)
+		} else {
+			order = chunkShuffle(order, runs, ids, r)
 		}
 		var movedLocal int64
 		// Every rank executes exactly PhasesPerRound phases regardless of
@@ -127,20 +137,35 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	return labels
 }
 
-// localOrder computes the traversal order of local nodes, with the order
-// slice (and the degree sort's scratch) carved from ar when non-nil.
-func localOrder(d *dgraph.DGraph, degreeOrder bool, r *rng.RNG, ar *arena.Arena) []int32 {
-	nl := int(d.NLocal())
-	order := ar.Int32s(nl)
-	for i := range order {
-		order[i] = int32(i)
+// visitChunk is the run length of the sweeps' visit order (chunkShuffle).
+const visitChunk = 1024
+
+// numRuns is the number of visitChunk runs a list of n entries is cut into.
+func numRuns(n int) int { return (n + visitChunk - 1) / visitChunk }
+
+// chunkShuffle writes the ascending visit list to out in chunk-random order
+// and returns out[:len(list)]. The list is cut into runs of visitChunk
+// consecutive entries, the runs are laid out in an order drawn from r, and
+// each run is then shuffled with r; runs is scratch for numRuns entries.
+// The order stays random at run granularity, while a run's nodes have
+// neighbouring IDs: the sweep reads its own CSR rows nearly sequentially,
+// and where IDs follow the geometry (meshes) a run's neighbour labels stay
+// in cache, which one full shuffle throws away (DESIGN §13).
+func chunkShuffle(out, runs, list []int32, r *rng.RNG) []int32 {
+	runs = runs[:numRuns(len(list))]
+	for i := range runs {
+		runs[i] = int32(i)
 	}
-	if degreeOrder {
-		countingSortByDegree(d, order, ar)
-	} else {
-		r.Shuffle(nl, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	r.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+	out = out[:0]
+	for _, c := range runs {
+		lo := int(c) * visitChunk
+		run := list[lo:min(lo+visitChunk, len(list))]
+		out = append(out, run...)
+		run = out[len(out)-len(run):]
+		r.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
 	}
-	return order
+	return out
 }
 
 // dirtySet tracks the interface nodes changed during one phase: a stack
@@ -192,7 +217,7 @@ func exchangeLabels(d *dgraph.DGraph, labels []int64, onUpdate func(ghost int32,
 }
 
 // refineRoundHook, nil outside tests, is shown every ParRefine round's visit
-// list (ascending, before the shuffle) and the partition the round starts from.
+// list (ascending, before chunkShuffle) and the partition the round starts from.
 var refineRoundHook func(d *dgraph.DGraph, round int, visit []int32, part []int64)
 
 // activeSet is the bitset of local nodes refinement visits in its next
@@ -274,7 +299,8 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 	maxNW := d.MaxNodeWeightGlobal()
 	P := int64(d.Comm.Size())
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
-	order := cfg.Arena.Int32s(int(nl))
+	active, order := cfg.Arena.Int32s(int(nl)), cfg.Arena.Int32s(int(nl))
+	runs := cfg.Arena.Int32s(numRuns(int(nl)))
 	ln := &lane{blocks: hashtab.NewDenseAccumulator(int(k))}
 	changedSet := newDirtySetIn(nl, cfg.Arena)
 	next := activeSet(cfg.Arena.Uint64s((int(nl) + 63) / 64))
@@ -296,11 +322,11 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 				next.add(v)
 			}
 		}
-		order = next.drain(order)
+		active = next.drain(active)
 		if refineRoundHook != nil {
-			refineRoundHook(d, iter, order, part)
+			refineRoundHook(d, iter, active, part)
 		}
-		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		order = chunkShuffle(order, runs, active, r)
 		var movedLocal int64
 		// Fixed phase count on every rank (see ParCluster): phases are
 		// collective synchronization points, however few nodes are active.

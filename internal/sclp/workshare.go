@@ -409,24 +409,23 @@ func maxLocalDegree(d *dgraph.DGraph) int32 {
 	return maxDeg
 }
 
-// countingSortByDegree reorders order — currently the identity permutation
-// over the local nodes — ascending by local degree with ties broken by node
-// ID, in O(n + maxDegree) time and without a comparator closure. Filling
-// the buckets by increasing node ID makes the sort stable, so the result is
+// countingSortByDegree fills order, one entry per local node, with the local
+// nodes ascending by local degree with ties broken by node ID, in
+// O(n + maxDegree) time and without a comparator closure. Filling the
+// buckets by increasing node ID makes the sort stable, so the result is
 // exactly the permutation the old sort.Slice comparator produced.
 func countingSortByDegree(d *dgraph.DGraph, order []int32, ar *arena.Arena) {
 	counts := ar.Ints(int(maxLocalDegree(d)) + 2)
-	for _, v := range order {
+	n := int32(len(order))
+	for v := int32(0); v < n; v++ {
 		counts[d.Degree(v)+1]++
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	out := ar.Int32s(len(order))
-	for v := int32(0); v < int32(len(order)); v++ {
+	for v := int32(0); v < n; v++ {
 		dg := d.Degree(v)
-		out[counts[dg]] = v
+		order[counts[dg]] = v
 		counts[dg]++
 	}
-	copy(order, out)
 }
