@@ -14,14 +14,16 @@
 //	go tool pprof http://localhost:8091/debug/pprof/profile?seconds=10
 //
 // See internal/server for the API and README.md for a curl walkthrough;
-// cmd/loadgen drives a running daemon with synthetic traffic.
+// main_test.go drives the daemon end to end over real HTTP.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -35,18 +37,39 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], nil)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "parhipd:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the daemon: it serves the API until ctx is cancelled (or the
+// listener fails), then shuts down in order. First the listener stops and
+// in-flight HTTP requests finish; then the debug listener closes; only then
+// is the job queue drained with the -drain-timeout deadline, past which the
+// remaining jobs are cancelled cooperatively. A drained or deadline-cut
+// shutdown is an orderly one and returns nil. ready, when non-nil, is
+// called with the bound API address once connections are accepted, so
+// -addr 127.0.0.1:0 is usable.
+func run(ctx context.Context, args []string, ready func(addr string)) error {
+	fs := flag.NewFlagSet("parhipd", flag.ContinueOnError)
 	var (
-		addr      = flag.String("addr", ":8090", "listen address")
-		workers   = flag.Int("workers", runtime.NumCPU(), "worker pool size")
-		queueSize = flag.Int("queue", 0, "job queue capacity (0 = 4*workers, min 16)")
-		cacheSize = flag.Int("cache", 128, "result cache capacity (entries)")
-		maxGraphs = flag.Int("max-graphs", 256, "graph store capacity")
-		quiet     = flag.Bool("quiet", false, "suppress per-request logging")
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		drain     = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, wait this long for accepted jobs before cancelling them")
+		addr      = fs.String("addr", ":8090", "listen address")
+		workers   = fs.Int("workers", runtime.NumCPU(), "worker pool size")
+		queueSize = fs.Int("queue", 0, "job queue capacity (0 = 4*workers, min 16)")
+		cacheSize = fs.Int("cache", 128, "result cache capacity (entries)")
+		maxGraphs = fs.Int("max-graphs", 256, "graph store capacity")
+		quiet     = fs.Bool("quiet", false, "suppress per-request logging")
+		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+		logFormat = fs.String("log-format", "text", "log output format: text or json")
+		drain     = fs.Duration("drain-timeout", 30*time.Second, "on SIGTERM, wait this long for accepted jobs before cancelling them")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var logHandler slog.Handler
 	switch *logFormat {
@@ -55,10 +78,26 @@ func main() {
 	case "json":
 		logHandler = slog.NewJSONHandler(os.Stderr, nil)
 	default:
-		slog.Error("unknown -log-format", "format", *logFormat)
-		os.Exit(2)
+		return fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat)
 	}
 	logger := slog.New(logHandler)
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	var dbg *http.Server
+	var dbgErr <-chan error
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		dbg = &http.Server{Handler: debugHandler(), ReadHeaderTimeout: 10 * time.Second}
+		dbgErr = serve(dbg, dln)
+		logger.Info("pprof debug server listening", "addr", dln.Addr().String())
+	}
 
 	srv := server.New(server.Config{
 		Workers:   *workers,
@@ -67,70 +106,73 @@ func main() {
 		MaxGraphs: *maxGraphs,
 		Logger:    logger,
 	})
-
 	handler := srv.Handler()
 	if !*quiet {
 		handler = logRequests(logger, handler)
 	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	if *debugAddr != "" {
-		go serveDebug(logger, *debugAddr)
-	}
-
-	// Graceful shutdown: SIGINT/SIGTERM first stops the listener (new
-	// connections refused, in-flight requests finish), then drains the job
-	// queue with the -drain-timeout deadline — past it the remaining jobs
-	// are cancelled cooperatively. Either way the daemon exits 0: a drained
-	// or deadline-cut shutdown is an orderly one.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		logger.Info("shutdown signal received; stopping listener")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-	}()
-
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	apiErr := serve(httpSrv, ln)
 	logger.Info("parhipd listening",
-		"addr", *addr, "workers", *workers, "cache", *cacheSize, "graph_store", *maxGraphs)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		srv.Close()
-		logger.Error("parhipd exiting", "err", err)
-		os.Exit(1)
+		"addr", ln.Addr().String(), "workers", *workers, "cache", *cacheSize, "graph_store", *maxGraphs)
+	if ready != nil {
+		ready(ln.Addr().String())
+	}
+
+	select {
+	case <-ctx.Done():
+		logger.Info("shutdown signal received; stopping listener")
+	case err = <-apiErr:
+		logger.Error("listener failed", "err", err)
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+		logger.Warn("in-flight requests cut off", "err", err)
+	}
+	if err == nil {
+		err = <-apiErr // Serve has returned http.ErrServerClosed
+	}
+	if dbg != nil {
+		dbg.Close()
+		if err := <-dbgErr; !errors.Is(err, http.ErrServerClosed) {
+			logger.Error("pprof debug server failed", "err", err)
+		}
 	}
 
 	logger.Info("draining jobs", "timeout", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drain)
+	defer cancelDrain()
+	if srv.Shutdown(drainCtx) != nil {
 		logger.Warn("drain deadline exceeded; remaining jobs cancelled")
 	} else {
 		logger.Info("all accepted jobs finished")
 	}
 	logger.Info("parhipd stopped")
+	if errors.Is(err, http.ErrServerClosed) {
+		return nil
+	}
+	return err
 }
 
-// serveDebug mounts the pprof handlers on their own mux and listener. A
-// fresh mux (not http.DefaultServeMux) keeps the debug surface explicit:
-// exactly the five pprof endpoints, nothing registered by side effect.
-func serveDebug(logger *slog.Logger, addr string) {
+// serve runs s on ln in its own goroutine. The channel yields Serve's
+// error once it returns: http.ErrServerClosed after Shutdown or Close.
+func serve(s *http.Server, ln net.Listener) <-chan error {
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve(ln) }()
+	return errc
+}
+
+// debugHandler mounts the pprof handlers on their own mux. A fresh mux
+// (not http.DefaultServeMux) keeps the debug surface explicit: exactly the
+// five pprof endpoints, nothing registered by side effect.
+func debugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	logger.Info("pprof debug server listening", "addr", addr)
-	dbg := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("pprof debug server exiting", "err", err)
-	}
+	return mux
 }
 
 // statusRecorder wraps a ResponseWriter to capture the status code a

@@ -35,7 +35,9 @@ type DGraph struct {
 	// are local nodes, values >= NLocal() index ghosts.
 	XAdj []int64
 	//lint:rawslice-ok CSR adjacency in local-index space, not a partition
-	Adj  []int32
+	Adj []int32
+	// AdjW may alias the input graph's weight array (FromGraphDist) and
+	// is never written.
 	AdjW []int64
 
 	// NW holds node weights for local nodes followed by ghosts.
@@ -108,12 +110,14 @@ func FromGraphDist(c *mpi.Comm, g *graph.Graph, vtxdist []int64) *DGraph {
 		nw[v] = g.NW[gv]
 	}
 	d.Adj = make([]int32, d.XAdj[nLocal])
-	d.AdjW = make([]int64, d.XAdj[nLocal])
+	// The rank's rows are one contiguous range of the input's weights, in
+	// the same order: alias it rather than copy.
+	a, b := g.XAdj[lo], g.XAdj[hi]
+	d.AdjW = g.AdjW[a:b:b]
 	pos := 0
 	for v := int32(0); v < nLocal; v++ {
 		gv := int32(lo + int64(v))
-		ws := g.EdgeWeights(gv)
-		for i, u := range g.Neighbors(gv) {
+		for _, u := range g.Neighbors(gv) {
 			gu := int64(u)
 			var lu int32
 			if gu >= lo && gu < hi {
@@ -122,7 +126,6 @@ func FromGraphDist(c *mpi.Comm, g *graph.Graph, vtxdist []int64) *DGraph {
 				lu = d.internGhost(gu)
 			}
 			d.Adj[pos] = lu
-			d.AdjW[pos] = ws[i]
 			pos++
 		}
 	}

@@ -299,6 +299,28 @@ func TestSingleRankNoGhosts(t *testing.T) {
 	})
 }
 
+// TestFromGraphAliasesAdjW: a rank's edge weights are its contiguous range
+// of the input's array, shared rather than copied, and capped so nothing
+// appended through the DGraph can reach a neighbouring rank's rows.
+func TestFromGraphAliasesAdjW(t *testing.T) {
+	g := gen.RGG(200, 3)
+	for _, P := range []int{1, 3} {
+		runP(t, P, func(c *mpi.Comm) {
+			d := FromGraph(c, g)
+			lo, hi := d.VtxDist[c.Rank()], d.VtxDist[c.Rank()+1]
+			if g.XAdj[lo] == g.XAdj[hi] {
+				return
+			}
+			if &d.AdjW[0] != &g.AdjW[g.XAdj[lo]] {
+				t.Errorf("P=%d rank %d: AdjW does not alias the input's weights", P, c.Rank())
+			}
+			if want := g.XAdj[hi] - g.XAdj[lo]; int64(len(d.AdjW)) != want || cap(d.AdjW) != len(d.AdjW) {
+				t.Errorf("P=%d rank %d: len/cap %d/%d, want %d/%d", P, c.Rank(), len(d.AdjW), cap(d.AdjW), want, want)
+			}
+		})
+	}
+}
+
 func TestEmptyRankRanges(t *testing.T) {
 	// More ranks than nodes: high ranks own nothing and must not crash.
 	g := graph.Path(3)

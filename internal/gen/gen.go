@@ -499,8 +499,8 @@ type EdgeDelta struct {
 // dropped edge a removal (in adjacency scan order), then one weight-1
 // insertion at uniform-random endpoints per removal. The stream is
 // deterministic under seed, and ApplyEdgeDeltas(g, PerturbDeltas(g, frac,
-// seed)) is identical to Perturb(g, frac, seed) — loadgen's stream mode
-// and the live-graph tests feed these deltas incrementally instead of
+// seed)) is identical to Perturb(g, frac, seed) — the live-graph tests and
+// the svc-live benchmark feed these deltas incrementally instead of
 // diffing whole graphs.
 func PerturbDeltas(g *graph.Graph, frac float64, seed uint64) []EdgeDelta {
 	n := g.NumNodes()

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -184,44 +183,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.total++
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Quantile returns an upper-bound estimate for the q-quantile (0 <= q <= 1)
-// from the bucket counts: the upper bound of the first bucket whose
-// cumulative count reaches q*total. Returns 0 with ok=false when empty;
-// observations landing in the +Inf bucket report the largest finite bound.
-func (h *Histogram) Quantile(q float64) (v float64, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0, false
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i], true
-			}
-			// +Inf bucket: best available bound is the largest finite one.
-			if len(h.bounds) > 0 {
-				return h.bounds[len(h.bounds)-1], true
-			}
-			return math.Inf(1), true
-		}
-	}
-	return math.Inf(1), true
 }
 
 func (h *Histogram) metricName() string { return h.name }

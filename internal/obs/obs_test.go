@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 )
@@ -177,50 +176,6 @@ parhipd_workers_busy 2
 `
 	if sb.String() != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
-	}
-}
-
-// TestHistogramQuantile checks quantile estimation against known bucket
-// placements.
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("h_seconds", "test", []float64{0.01, 0.1, 1, 10})
-	if _, ok := h.Quantile(0.5); ok {
-		t.Error("empty histogram reported a quantile")
-	}
-	// 90 fast observations, 9 medium, 1 slow.
-	for i := 0; i < 90; i++ {
-		h.Observe(0.005)
-	}
-	for i := 0; i < 9; i++ {
-		h.Observe(0.05)
-	}
-	h.Observe(5)
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if v, ok := h.Quantile(0.5); !ok || v != 0.01 {
-		t.Errorf("P50 = %v (%v), want 0.01", v, ok)
-	}
-	if v, ok := h.Quantile(0.95); !ok || v != 0.1 {
-		t.Errorf("P95 = %v (%v), want 0.1", v, ok)
-	}
-	if v, ok := h.Quantile(0.99); !ok || v != 0.1 {
-		t.Errorf("P99 = %v (%v), want 0.1", v, ok)
-	}
-	if v, ok := h.Quantile(1); !ok || v != 10 {
-		t.Errorf("P100 = %v (%v), want 10", v, ok)
-	}
-}
-
-// TestHistogramOverflowQuantile checks the +Inf bucket reports the largest
-// finite bound rather than Inf.
-func TestHistogramOverflowQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("h2_seconds", "test", []float64{1})
-	h.Observe(100)
-	if v, ok := h.Quantile(0.5); !ok || math.IsInf(v, 1) || v != 1 {
-		t.Errorf("overflow quantile = %v (%v), want 1", v, ok)
 	}
 }
 

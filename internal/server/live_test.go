@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -86,8 +89,8 @@ func deltaJSON(seq int64, ds []gen.EdgeDelta) string {
 // to live, stream ~5%% edge churn in batches, and verify the controller
 // auto-triggers repartitions whose final cut is within tolerance of a
 // cold run on the drifted graph with <5%% node migration per warm run,
-// while placement lookups answer correctly with a monotone epoch
-// throughout.
+// while placement lookups answer in-range blocks with a monotone epoch
+// throughout and the final partition is feasible.
 func TestLiveEndToEnd(t *testing.T) {
 	e := newEnv(t, Config{Workers: 2})
 	g, _ := gen.PlantedPartition(3000, 30, 10, 0.4, 1)
@@ -139,14 +142,19 @@ func TestLiveEndToEnd(t *testing.T) {
 		if ur.Applied != endIdx-i || ur.Replayed {
 			t.Fatalf("batch %d: applied %d of %d (replayed=%v)", seq, ur.Applied, endIdx-i, ur.Replayed)
 		}
-		var pv placementView
-		if code, raw := e.do("GET", "/v1/graphs/"+id+"/placement/42", nil, &pv); code != http.StatusOK {
-			t.Fatalf("interleaved placement: %d: %s", code, raw)
+		for _, v := range []int32{0, g.NumNodes() / 2, g.NumNodes() - 1} {
+			var pv placementView
+			if code, raw := e.do("GET", fmt.Sprintf("/v1/graphs/%s/placement/%d", id, v), nil, &pv); code != http.StatusOK {
+				t.Fatalf("interleaved placement of node %d: %d: %s", v, code, raw)
+			}
+			if pv.Block < 0 || pv.Block >= 8 {
+				t.Fatalf("node %d placed in block %d outside [0,8)", v, pv.Block)
+			}
+			if pv.Epoch < lastEpoch {
+				t.Fatalf("epoch went backwards: %d -> %d", lastEpoch, pv.Epoch)
+			}
+			lastEpoch = pv.Epoch
 		}
-		if pv.Epoch < lastEpoch {
-			t.Fatalf("epoch went backwards: %d -> %d", lastEpoch, pv.Epoch)
-		}
-		lastEpoch = pv.Epoch
 	}
 
 	// Idempotent replay: resending the last batch is a no-op.
@@ -168,6 +176,9 @@ func TestLiveEndToEnd(t *testing.T) {
 	}
 	if final.LastError != "" {
 		t.Fatalf("live graph reports error: %s", final.LastError)
+	}
+	if final.Feasible == nil || !*final.Feasible {
+		t.Fatalf("final partition infeasible: %+v", final)
 	}
 
 	// The fully drained live graph is exactly the perturbed graph; its cut
@@ -429,4 +440,78 @@ func TestLiveMetricsExposed(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// FuzzLiveUpdates posts arbitrary bytes to the delta-batch endpoint of a
+// fresh 8x8-grid live graph whose first batch (seq 1, empty) is already
+// applied, so seq 1 replays, 2 is next and anything higher is a gap. The
+// policy fires on any churn or imbalance, so an accepted batch is
+// materialized and repartitioned on the request path. No input may panic
+// the server, every answer must be a documented status, and the live
+// graph's seq must never go backwards. Requests go straight to the handler
+// (no sockets, so no per-input connection churn, and a handler panic fails
+// the input instead of being recovered by net/http).
+func FuzzLiveUpdates(f *testing.F) {
+	var grid bytes.Buffer
+	if err := graph.WriteMetis(&grid, graph.Grid2D(8, 8)); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":9,"w":3},{"op":"remove_edge","u":0,"v":1},{"op":"set_node_weight","u":5,"w":4}]}`,
+		`{"seq":1,"deltas":[{"op":"add_edge","u":0,"v":9}]}`,
+		`{"seq":7,"deltas":[{"op":"add_edge","u":0,"v":9}]}`,
+		`{"seq":2,"deltas":[{"op":"warp","u":1}]}`,
+		`{"seq":2,"deltas":[{"op":"add_edge","u":-1,"v":64}]}`,
+		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":9,"w":-5}]}`,
+		`{"seq":2,"deltas":[{"op":"add_node","w":2},{"op":"add_edge","u":64,"v":0}]}`,
+		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":1,"w":9223372036854775807},{"op":"add_edge","u":0,"v":1,"w":9223372036854775807}]}`,
+		`{"seq":2,"deltas":[{"op":"add_e`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var calls atomic.Int64
+		srv := New(Config{Workers: 1, PartitionFn: stubPartitionFn(&calls)})
+		defer srv.Close()
+		do := func(method, path string, body []byte) (int, []byte) {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			return rec.Code, rec.Body.Bytes()
+		}
+		status := func(id string) liveStatusView {
+			var st liveStatusView
+			code, raw := do("GET", "/v1/graphs/"+id+"/live", nil)
+			if code != http.StatusOK || json.Unmarshal(raw, &st) != nil {
+				t.Fatalf("live status: %d: %s", code, raw)
+			}
+			return st
+		}
+
+		var meta storedGraph
+		if code, raw := do("POST", "/v1/graphs", grid.Bytes()); code != http.StatusCreated || json.Unmarshal(raw, &meta) != nil {
+			t.Fatalf("upload: %d: %s", code, raw)
+		}
+		enable := `{"k":4,"options":{"pes":2},"policy":{"churn_fraction":1e-9,"max_imbalance":1e-9}}`
+		if code, raw := do("POST", "/v1/graphs/"+meta.ID+"/live", []byte(enable)); code != http.StatusCreated {
+			t.Fatalf("enable live: %d: %s", code, raw)
+		}
+		for deadline := time.Now().Add(10 * time.Second); status(meta.ID).Epoch < 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no initial partition")
+			}
+		}
+		if code, raw := do("POST", "/v1/graphs/"+meta.ID+"/updates", []byte(`{"seq":1,"deltas":[]}`)); code != http.StatusOK {
+			t.Fatalf("prelude batch: %d: %s", code, raw)
+		}
+
+		code, raw := do("POST", "/v1/graphs/"+meta.ID+"/updates", body)
+		switch code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d for %q: %s", code, body, raw)
+		}
+		if seq := status(meta.ID).Seq; seq < 1 {
+			t.Fatalf("seq went backwards: 1 -> %d", seq)
+		}
+	})
 }
