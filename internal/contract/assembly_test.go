@@ -86,22 +86,38 @@ func sameGraph(a, b *graph.Graph) error {
 // and arc for arc, for any rank count P. W is the number of contractions run
 // back to back in one arena, reset after each as the V-cycle resets it from
 // level to level: recycled scratch must give the same graph every time.
+// The "few" case puts a few hundred clusters on a dense graph, so every
+// sender contributes hundreds of arcs to each received row and the rows take
+// the canonicalizer's radix path, not its insertion sort.
 func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
-	const n = 6000
-	g := sparseWeightedGraph(n, 24, 5)
+	const n, nDense = 6000, 2000
+	sparse, dense := sparseWeightedGraph(n, 24, 5), sparseWeightedGraph(nDense, 200, 6)
 	r := rng.New(9)
-	random, singletons, one := make([]int32, n), make([]int32, n), make([]int32, n)
+	random, singletons, one, few := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, nDense)
 	for v := int32(0); v < n; v++ {
 		random[v] = r.Int31n(n/4) * 4 // ~1500 clusters, members anywhere
 		singletons[v] = v
 		one[v] = n / 2
 	}
+	for v := range few {
+		few[v] = r.Int31n(nDense/8) * 8 // ~250 clusters, members anywhere
+	}
 	for _, lab := range []struct {
 		name   string
+		g      *graph.Graph
 		labels []int32
-	}{{"random", random}, {"singletons", singletons}, {"one", one}} {
-		name, labels32 := lab.name, lab.labels
+		ranks  []int
+	}{
+		{"random", sparse, random, []int{1, 2, 3, 4}},
+		{"singletons", sparse, singletons, []int{1, 2, 3, 4}},
+		{"one", sparse, one, []int{1, 2, 3, 4}},
+		{"few", dense, few, []int{1, 2, 3}},
+	} {
+		name, g, labels32, n := lab.name, lab.g, lab.labels, lab.g.NumNodes()
 		want := sortedLabelContract(g, labels32)
+		if name == "few" && want.MaxDegree() < 200 {
+			t.Fatalf("few: longest coarse row has %d arcs, want hundreds", want.MaxDegree())
+		}
 		distinct := slices.Clone(labels32)
 		slices.Sort(distinct)
 		distinct = slices.Compact(distinct)
@@ -118,7 +134,7 @@ func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
 				}
 			}
 		}
-		for _, P := range []int{1, 2, 3, 4} {
+		for _, P := range lab.ranks {
 			for _, W := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/P=%d/W=%d", name, P, W), func(t *testing.T) {
 					var gots []*graph.Graph

@@ -1,12 +1,12 @@
 package contract
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/dgraph"
+	"repro/internal/graph"
 	"repro/internal/hashtab"
 	"repro/internal/mpi"
 	"repro/internal/workpool"
@@ -29,10 +29,10 @@ type ParResult struct {
 //     distribution, which counts its distinct IDs.
 //  2. A prefix sum over the distinct counts yields the mapping q from
 //     cluster IDs to the contiguous coarse ID space.
-//  3. Ranks query q once per cluster ID they reference and resolve
-//     C(v) = q(label(v)) for every local and ghost node into a flat array.
+//  3. Ranks query q once per cluster ID they reference, local or ghost, so
+//     C(v) = q(label(v)) is one array read per node.
 //  4. Local nodes are grouped by cluster; each cluster's outgoing arcs are
-//     hashed into one quotient row, which travels as one record to the rank
+//     summed into one quotient row, which travels as one record to the rank
 //     owning the coarse node in the new uniform distribution.
 //  5. Owners merge the rows they receive and assemble the coarse
 //     distributed graph.
@@ -91,9 +91,6 @@ func walkQuotientRecords(src int, buf []int64, lo, hi int64, fn func(rec []int64
 	return nil
 }
 
-// coarseArc is one received quotient arc while its row is being assembled.
-type coarseArc struct{ dst, w int64 }
-
 // ParContractWith is ParContract with explicit scratch options.
 // Collective.
 //
@@ -109,8 +106,7 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 	// Every referenced cluster ID gets a dense index in order of first
 	// occurrence, local nodes first — so the clusters with a local member
 	// are exactly the indices below nLocalClusters. This is the only hash
-	// lookup per node; nothing below hashes per arc except the row
-	// accumulator itself.
+	// lookup per node; nothing below hashes per arc.
 	clusterIdx := hashtab.NewMapI64(int(nt) + 16)
 	nodeCluster := ar.Int32s(int(nt))
 	var clusterLabel []int64
@@ -191,8 +187,8 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 			clusterCoarse[idx] = ans[i]
 		}
 	})
-	// C(v) for every local and ghost node; FineToCoarse is the local prefix.
-	coarseOf := make([]int64, nt)
+	// C(v) for every local node: FineToCoarse.
+	coarseOf := make([]int64, nl)
 	for v := range coarseOf {
 		coarseOf[v] = clusterCoarse[nodeCluster[v]]
 	}
@@ -248,14 +244,15 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		at[o]++
 	}
 
-	// One single-key accumulator (the key is just cv, so no composite-key
-	// overflow can arise) rates every cluster's arcs in turn. An owner's
-	// records are built in one reused buffer and sent as an exact copy:
-	// buffers that grow until sent would keep their slack and outgrown
-	// copies live through the exchange, the peak of a level's memory.
-	acc := hashtab.NewAccumulatorI64In(ar, 1024)
+	// One accumulator keyed by cluster index rates every cluster's arcs in
+	// turn: coarse IDs are distinct per index, so cj ≠ ci is C(u) ≠ cu, and
+	// the key is an array index, not a hash. An owner's records are built
+	// in one reused buffer and sent as an exact copy: buffers that grow
+	// until sent would keep their slack and outgrown copies live through
+	// the exchange, the peak of a level's memory.
+	acc := hashtab.NewDenseAccumulatorIn(ar, len(clusterLabel))
 	var buf []int64
-	emit := func(cv, weight int64) { buf = append(buf, cv, weight) }
+	emit := func(cj, weight int64) { buf = append(buf, clusterCoarse[cj], weight) }
 	send := make([][]int64, size)
 	tracer := c.Tracer()
 	qsp := tracer.Begin(c.Rank(), "contract.quotient")
@@ -268,8 +265,8 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 				nodeWeight += fine.NW[v]
 				ws := fine.EdgeWeights(v)
 				for i, u := range fine.Neighbors(v) {
-					if cv := coarseOf[u]; cv != cu {
-						acc.Add(cv, ws[i])
+					if cj := nodeCluster[u]; cj != ci {
+						acc.Add(int64(cj), ws[i])
 					}
 				}
 			}
@@ -315,45 +312,34 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 	for v := int32(0); v < cLocal; v++ {
 		rowStart[v+1] += rowStart[v]
 	}
-	// Bucket the arcs by row (counting sort, O(arcs)), then canonicalize
-	// each row: sorted by destination, contributions of different fine ranks
-	// to one coarse edge merged. The result is a function of the multiset of
-	// received arcs, not of the order they were emitted or arrived in.
-	arcs := make([]coarseArc, rowStart[cLocal])
+	// Bucket the arcs straight into the CSR arrays by row (counting sort,
+	// O(arcs)), then canonicalize each row in place — sorted by destination,
+	// contributions of different fine ranks to one coarse edge merged — and
+	// compact it, turning rowStart into xadj. The result is a function of
+	// the multiset of received arcs, not of the order they were emitted or
+	// arrived in.
+	adjG := make([]int64, rowStart[cLocal])
+	adjW := make([]int64, rowStart[cLocal])
 	next := slices.Clone(rowStart[:cLocal])
 	for rk, buf := range received {
 		walk(rk, buf, lo, hi, func(rec []int64) {
 			at := next[rec[0]-lo]
 			for i := quotientHeader; i < len(rec); i += 2 {
-				arcs[at] = coarseArc{rec[i], rec[i+1]}
+				adjG[at], adjW[at] = rec[i], rec[i+1]
 				at++
 			}
 			next[rec[0]-lo] = at
 		})
 	}
 	received, send = nil, nil
-	xadj := make([]int64, cLocal+1)
-	out := int64(0) // merged rows are compacted in place: out never passes a row's start
+	var longest int64
 	for v := int32(0); v < cLocal; v++ {
-		row := arcs[rowStart[v]:rowStart[v+1]]
-		slices.SortFunc(row, func(a, b coarseArc) int { return cmp.Compare(a.dst, b.dst) })
-		for _, a := range row {
-			if out > xadj[v] && arcs[out-1].dst == a.dst {
-				arcs[out-1].w += a.w
-			} else {
-				arcs[out] = a
-				out++
-			}
-		}
-		xadj[v+1] = out
+		longest = max(longest, rowStart[v+1]-rowStart[v])
 	}
-	adjG := make([]int64, out)
-	adjW := make([]int64, out)
-	for i, a := range arcs[:out] {
-		adjG[i], adjW[i] = a.dst, a.w
-	}
-	coarse := dgraph.Build(c, coarseVtx, nw, xadj, adjG, adjW)
-	return &ParResult{Coarse: coarse, FineToCoarse: coarseOf[:nl:nl]}
+	rs := graph.RowScratch[int64]{IDs: ar.Int64s(int(longest)), Ws: ar.Int64s(int(longest))}
+	out := graph.CanonicalizeCSR(rowStart, adjG, adjW, &rs)
+	coarse := dgraph.Build(c, coarseVtx, nw, rowStart, adjG[:out], adjW[:out])
+	return &ParResult{Coarse: coarse, FineToCoarse: coarseOf}
 }
 
 // ParLift transfers a partition of the fine graph up to the coarse graph.

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates an edge list and produces a validated CSR graph.
 // Edges may be added in either or both directions and in any order;
@@ -91,67 +88,13 @@ func (b *Builder) Build() *Graph {
 		pos[v]++
 	}
 	// Sort each adjacency list and merge duplicates, compacting in place.
-	xadj := make([]int64, n+1)
-	var sorter adjSorter
-	out := int64(0)
-	for v := int32(0); v < n; v++ {
-		lo, hi := deg[v], deg[v+1]
-		m := int64(sorter.canonicalize(adj[lo:hi], adjw[lo:hi]))
-		xadj[v] = out
-		copy(adj[out:], adj[lo:lo+m])
-		copy(adjw[out:], adjw[lo:lo+m])
-		out += m
-	}
-	xadj[n] = out
+	out := CanonicalizeCSR(deg, adj, adjw, &RowScratch[NodeID]{})
 	return &Graph{
-		XAdj: xadj,
+		XAdj: deg,
 		Adj:  adj[:out:out],
 		AdjW: adjw[:out:out],
 		NW:   b.nw,
 	}
-}
-
-// adjSorter sorts one adjacency row (ids with parallel weights) by
-// neighbour ID. One value is reused for every row of a graph and handed to
-// sort.Sort by pointer, so no row pays an interface boxing allocation.
-type adjSorter struct {
-	ids []NodeID
-	ws  []int64
-}
-
-func (s *adjSorter) Len() int           { return len(s.ids) }
-func (s *adjSorter) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
-}
-
-// canonicalize brings one row into canonical form in place — strictly
-// ascending neighbour IDs, duplicates merged by summing their weights — and
-// returns its new length. A row that is already canonical is left alone.
-func (s *adjSorter) canonicalize(ids []NodeID, ws []int64) int {
-	canonical := true
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			canonical = false
-			break
-		}
-	}
-	if canonical {
-		return len(ids)
-	}
-	s.ids, s.ws = ids, ws
-	sort.Sort(s)
-	out := 0
-	for i := range ids {
-		if out > 0 && ids[out-1] == ids[i] {
-			ws[out-1] += ws[i]
-		} else {
-			ids[out], ws[out] = ids[i], ws[i]
-			out++
-		}
-	}
-	return out
 }
 
 // FromCSR constructs a graph directly from CSR arrays without copying.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -35,7 +36,10 @@ func WriteMetis(w io.Writer, g *Graph) error {
 
 // ReadMetis parses a graph in METIS format. Supported fmt codes: 0 or
 // absent (no weights), 1 (edge weights), 10 (node weights), 11 (both).
-// Comment lines starting with '%' are skipped.
+// Comment lines starting with '%' are skipped. Memory grows with the lines
+// read, never with the header's claims, and the weights one line gives its
+// higher-numbered neighbours must sum to at most MaxInt64, so no merge of
+// duplicate edges overflows.
 func ReadMetis(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
@@ -48,8 +52,8 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: malformed METIS header %q", line)
 	}
 	n64, err := strconv.ParseInt(fields[0], 10, 32)
-	if err != nil {
-		return nil, fmt.Errorf("graph: bad node count: %w", err)
+	if err != nil || n64 < 0 {
+		return nil, fmt.Errorf("graph: bad node count %q", fields[0])
 	}
 	m64, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
@@ -70,25 +74,25 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 		}
 	}
 	n := int32(n64)
-	b := NewBuilder(n)
+	b := &Builder{n: n}
 	for v := int32(0); v < n; v++ {
 		line, err := nextDataLine(sc)
 		if err != nil {
 			return nil, fmt.Errorf("graph: missing line for node %d: %w", v+1, err)
 		}
 		toks := strings.Fields(line)
-		i := 0
+		i, nw, upSum := 0, int64(1), int64(0)
 		if hasNW {
 			if len(toks) == 0 {
 				return nil, fmt.Errorf("graph: node %d: missing node weight", v+1)
 			}
-			w, err := strconv.ParseInt(toks[0], 10, 64)
-			if err != nil || w <= 0 {
+			nw, err = strconv.ParseInt(toks[0], 10, 64)
+			if err != nil || nw <= 0 {
 				return nil, fmt.Errorf("graph: node %d: bad node weight %q", v+1, toks[0])
 			}
-			b.SetNodeWeight(v, w)
 			i = 1
 		}
+		b.nw = append(b.nw, nw)
 		for i < len(toks) {
 			u, err := strconv.ParseInt(toks[i], 10, 32)
 			if err != nil || u < 1 || u > n64 {
@@ -108,6 +112,10 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 			}
 			// Each undirected edge appears twice in the file; add it once.
 			if int32(u-1) > v {
+				if w > math.MaxInt64-upSum {
+					return nil, fmt.Errorf("graph: node %d: edge weights overflow int64", v+1)
+				}
+				upSum += w
 				b.AddEdgeW(v, int32(u-1), w)
 			}
 		}

@@ -83,3 +83,48 @@ func TestReadMetisTruncated(t *testing.T) {
 		t.Fatal("expected error for truncated file")
 	}
 }
+
+// FuzzReadMetis feeds arbitrary bytes to ReadMetis, the parser a client's
+// graph upload reaches. Every input must either fail with an error or give
+// a graph that validates and survives WriteMetis → ReadMetis with the same
+// fingerprint. Inputs that once broke it are in testdata/fuzz.
+func FuzzReadMetis(f *testing.F) {
+	var weighted bytes.Buffer
+	if err := WriteMetis(&weighted, randomGraph(25, 80, 9)); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		weighted.String(),
+		"% comment\n3 2\n2\n1 3\n2\n",
+		"2 1 10\n5 2\n7 1\n",
+		"4 3\n2\n1 3\n",
+		"2 1 99\n2\n1\n",
+		"3 2\n2\n1 9\n2\n",
+		"3 3\n3 2\n3 1\n2 1\n",                   // rows out of order
+		"3 3 1\n2 4 2 3 3 1\n1 7 3 1\n1 1 2 1\n", // a duplicate edge, merged
+		"3 1 11\n1 2 1 2 1 1 2\n1 1 2\n1\n",      // a duplicate and a self-loop
+		"2147483647 0\n1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		g, err := ReadMetis(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph is invalid: %v", err)
+		}
+		var out bytes.Buffer
+		if err := WriteMetis(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadMetis(&out)
+		if err != nil {
+			t.Fatalf("rereading the written graph: %v", err)
+		}
+		if a, b := g.Fingerprint(), g2.Fingerprint(); a != b {
+			t.Fatalf("fingerprint %s after the round trip, %s before", b, a)
+		}
+	})
+}

@@ -115,7 +115,7 @@ func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 	adjw := make([]int64, arcs)
 	nw := make([]int64, len(nodes))
 	back := make([]NodeID, len(nodes))
-	var sorter adjSorter
+	var rs RowScratch[NodeID]
 	out := int64(0)
 	for i, v := range nodes {
 		back[i] = v
@@ -128,7 +128,7 @@ func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 				out++
 			}
 		}
-		out = lo + int64(sorter.canonicalize(adj[lo:out], adjw[lo:out]))
+		out = lo + int64(CanonicalizeRow(adj[lo:out], adjw[lo:out], &rs))
 		xadj[i+1] = out
 	}
 	return &Graph{XAdj: xadj, Adj: adj[:out:out], AdjW: adjw[:out:out], NW: nw}, back

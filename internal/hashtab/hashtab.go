@@ -15,11 +15,12 @@
 // the outgrown arrays early.
 //
 // Which accumulator: AccumulatorI64 hashes, for keys drawn from the node ID
-// space (cluster labels: sclp's clustering kernels, the contraction's rows);
-// DenseAccumulator indexes, for keys in a small known range [0, k) (block
-// IDs: sclp's refinement, demand and rebalance kernels, kaffpa's FM). A
-// block-keyed caller must use the dense one — hashing a key that is already
-// an array index buys nothing — and a label-keyed caller cannot.
+// space (cluster labels: sclp's clustering kernels); DenseAccumulator
+// indexes, for keys in a known range [0, k) (block IDs: sclp's refinement,
+// demand and rebalance kernels, kaffpa's FM; the contraction's rows, keyed
+// by the dense cluster index it assigns). A caller whose key is already an
+// array index must use the dense one — hashing it buys nothing — and a
+// label-keyed caller cannot.
 //
 // Order guarantee: ForEach on the accumulators visits the keys in the order
 // Add first saw them since the last Reset. That order is a function of the
@@ -29,8 +30,8 @@
 // like AccumulatorI64. MapI64 and SetI64 iterate in unspecified order.
 //
 // AccumulatorPairI64 has no production caller since the contraction groups
-// by cluster and keys its rows by the destination alone; the benchmark's
-// hashtab.pair_add_mops substrate is what keeps it.
+// by cluster and keys its rows by the destination's cluster index; the
+// benchmark's hashtab.pair_add_mops substrate is what keeps it.
 package hashtab
 
 import "repro/internal/arena"
@@ -179,12 +180,12 @@ type DenseAccumulator struct {
 }
 
 // NewDenseAccumulator returns an accumulator for keys in [0, k).
-func NewDenseAccumulator(k int) *DenseAccumulator {
-	return &DenseAccumulator{
-		vals:    make([]int64, k),
-		seen:    make([]bool, k),
-		touched: make([]int64, 0, k),
-	}
+func NewDenseAccumulator(k int) *DenseAccumulator { return NewDenseAccumulatorIn(nil, k) }
+
+// NewDenseAccumulatorIn is NewDenseAccumulator with the backing arrays
+// carved from ar. A nil arena degrades to heap allocation.
+func NewDenseAccumulatorIn(ar *arena.Arena, k int) *DenseAccumulator {
+	return &DenseAccumulator{vals: ar.Int64s(k), seen: ar.Bools(k), touched: ar.Int64s(k)[:0]}
 }
 
 // Add accumulates delta into the value for key.
@@ -210,6 +211,9 @@ func (t *DenseAccumulator) Get(key int64) (int64, bool) {
 	}
 	return t.vals[key], true
 }
+
+// Len returns the number of distinct keys since the last Reset.
+func (t *DenseAccumulator) Len() int { return len(t.touched) }
 
 // ForEach calls fn for every (key, value) pair in the order Add first saw
 // the keys (see the package comment's order guarantee).

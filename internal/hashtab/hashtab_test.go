@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/arena"
 	"repro/internal/rng"
 )
 
@@ -350,11 +351,15 @@ func TestForEachOrderIndependentOfCapacity(t *testing.T) {
 // revisits, resets in between, keys never touched — to the dense and the
 // hash accumulator and requires the same ForEach sequence and the same Get
 // for every key of the range: a block-keyed kernel that swaps one for the
-// other sees the same candidates in the same order.
+// other sees the same candidates in the same order. Every other dense table
+// is carved from an arena, as the contraction's is.
 func TestDenseAccumulatorMatchesHash(t *testing.T) {
 	r := rng.New(23)
-	for _, k := range []int{1, 2, 16, 300} {
+	for i, k := range []int{1, 1, 2, 2, 16, 16, 300, 300} {
 		dense, hash := NewDenseAccumulator(k), NewAccumulatorI64(4)
+		if i%2 == 1 {
+			dense = NewDenseAccumulatorIn(arena.New(), k)
+		}
 		for round := 0; round < 50; round++ {
 			dense.Reset()
 			hash.Reset()
@@ -366,8 +371,8 @@ func TestDenseAccumulatorMatchesHash(t *testing.T) {
 			var got, want [][2]int64
 			dense.ForEach(func(key, v int64) { got = append(got, [2]int64{key, v}) })
 			hash.ForEach(func(key, v int64) { want = append(want, [2]int64{key, v}) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("k=%d round %d: ForEach gave %v, hash accumulator %v", k, round, got, want)
+			if !slices.Equal(got, want) || dense.Len() != hash.Len() {
+				t.Fatalf("k=%d round %d: ForEach gave %v (Len %d), hash accumulator %v (Len %d)", k, round, got, dense.Len(), want, hash.Len())
 			}
 			for key := int64(0); key < int64(k); key++ {
 				gv, gok := dense.Get(key)
