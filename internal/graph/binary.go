@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary graph format: a fixed little-endian layout that loads an order of
@@ -59,9 +60,10 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary reads a graph in the binary graph format and validates its
-// structure.
+// structure. The arrays grow with the payload that arrives, not with the
+// header's counts.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 1<<16)
 	var header [4]uint64
 	for i := range header {
 		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
@@ -74,31 +76,52 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if header[1] != binaryVersion {
 		return nil, fmt.Errorf("graph: unsupported binary version %d", header[1])
 	}
-	n := int64(header[2])
-	m2 := int64(header[3])
-	if n < 0 || n > 1<<31 || m2 < 0 || m2 > 1<<40 {
+	n, m2 := header[2], header[3]
+	if n > math.MaxInt32 || m2 > 1<<40 {
 		return nil, fmt.Errorf("graph: implausible binary sizes n=%d m2=%d", n, m2)
 	}
-	g := &Graph{
-		XAdj: make([]int64, n+1),
-		Adj:  make([]NodeID, m2),
-		AdjW: make([]int64, m2),
-		NW:   make([]int64, n),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.XAdj); err != nil {
+	g := &Graph{}
+	var err error
+	if g.XAdj, err = readWords[int64](br, n+1, 8); err != nil {
 		return nil, fmt.Errorf("graph: binary xadj: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Adj); err != nil {
+	if g.Adj, err = readWords[NodeID](br, m2, 4); err != nil {
 		return nil, fmt.Errorf("graph: binary adj: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.AdjW); err != nil {
+	if g.AdjW, err = readWords[int64](br, m2, 8); err != nil {
 		return nil, fmt.Errorf("graph: binary adjw: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.NW); err != nil {
+	if g.NW, err = readWords[int64](br, n, 8); err != nil {
 		return nil, fmt.Errorf("graph: binary nw: %w", err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: binary payload invalid: %w", err)
 	}
 	return g, nil
+}
+
+// readWords reads count little-endian words of width 4 or 8 bytes, a chunk
+// at a time. The slice starts at one chunk and doubles as the words arrive
+// (capped at count), so it never holds more than twice what was read.
+func readWords[T NodeID | int64](br *bufio.Reader, count uint64, width int) ([]T, error) {
+	const chunk = 1 << 12 // words
+	out := make([]T, 0, min(count, chunk))
+	buf := make([]byte, cap(out)*width)
+	for len(out) < int(count) {
+		b := buf[:min(int(count)-len(out), chunk)*width]
+		if _, err := io.ReadFull(br, b); err != nil {
+			return nil, err
+		}
+		if len(out)+len(b)/width > cap(out) {
+			out = append(make([]T, 0, min(int(count), 2*cap(out))), out...)
+		}
+		for i := 0; i < len(b); i += width {
+			if width == 4 {
+				out = append(out, T(int32(binary.LittleEndian.Uint32(b[i:]))))
+			} else {
+				out = append(out, T(binary.LittleEndian.Uint64(b[i:])))
+			}
+		}
+	}
+	return out, nil
 }

@@ -97,3 +97,38 @@ func TestBinaryRejectsCorruptedPayload(t *testing.T) {
 		t.Error("corrupted payload accepted")
 	}
 }
+
+// FuzzReadBinary feeds arbitrary bytes to ReadBinary, the parser a binary
+// graph upload reaches. Every input must either fail with an error or give
+// a graph that validates and survives WriteBinary → ReadBinary with the same
+// fingerprint. Inputs that once broke it are in testdata/fuzz.
+func FuzzReadBinary(f *testing.F) {
+	for _, g := range []*Graph{NewBuilder(0).Build(), randomGraph(1, 0, 1), randomGraph(12, 30, 4)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-3])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		g, err := ReadBinary(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph is invalid: %v", err)
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadBinary(&out)
+		if err != nil {
+			t.Fatalf("rereading the written graph: %v", err)
+		}
+		if a, b := g.Fingerprint(), g2.Fingerprint(); a != b {
+			t.Fatalf("fingerprint %s after the round trip, %s before", b, a)
+		}
+	})
+}

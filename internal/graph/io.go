@@ -36,14 +36,15 @@ func WriteMetis(w io.Writer, g *Graph) error {
 
 // ReadMetis parses a graph in METIS format. Supported fmt codes: 0 or
 // absent (no weights), 1 (edge weights), 10 (node weights), 11 (both).
-// Comment lines starting with '%' are skipped. Memory grows with the lines
-// read, never with the header's claims, and the weights one line gives its
-// higher-numbered neighbours must sum to at most MaxInt64, so no merge of
-// duplicate edges overflows.
+// Comment lines starting with '%' are skipped; an empty node line is a node
+// without neighbours (or, with node weights, lacks its weight). Memory grows
+// with the lines read, never with the header's claims, and the weights one
+// line gives its higher-numbered neighbours must sum to at most MaxInt64, so
+// no merge of duplicate edges overflows.
 func ReadMetis(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	line, err := nextDataLine(sc)
+	line, err := nextDataLine(sc, true)
 	if err != nil {
 		return nil, fmt.Errorf("graph: missing METIS header: %w", err)
 	}
@@ -76,7 +77,7 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 	n := int32(n64)
 	b := &Builder{n: n}
 	for v := int32(0); v < n; v++ {
-		line, err := nextDataLine(sc)
+		line, err := nextDataLine(sc, false)
 		if err != nil {
 			return nil, fmt.Errorf("graph: missing line for node %d: %w", v+1, err)
 		}
@@ -127,10 +128,13 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-func nextDataLine(sc *bufio.Scanner) (string, error) {
+// nextDataLine returns the next line that is not a '%' comment, trimmed,
+// skipping empty lines only with skipEmpty (the header): in the node section
+// one is a node without neighbours, as METIS writes it unweighted.
+func nextDataLine(sc *bufio.Scanner, skipEmpty bool) (string, error) {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		if line == "" && skipEmpty || strings.HasPrefix(line, "%") {
 			continue
 		}
 		return line, nil

@@ -49,6 +49,25 @@ func TestReadMetisUnweighted(t *testing.T) {
 	}
 }
 
+// TestReadMetisIsolatedNode: in the node section an empty line is a node
+// without neighbours, as METIS writes one in an unweighted file; with node
+// weights declared the line lacks its weight.
+func TestReadMetisIsolatedNode(t *testing.T) {
+	g, err := ReadMetis(strings.NewReader("3 1\n2\n1\n\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 3 || g.NumEdges() != 1 || g.Degree(2) != 0 {
+		t.Fatalf("got n=%d m=%d, degree of node 3 %d; want 3, 1, 0", g.NumNodes(), g.NumEdges(), g.Degree(2))
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMetis(strings.NewReader("3 1 10\n1 2\n1 1\n\n")); err == nil || !strings.Contains(err.Error(), "missing node weight") {
+		t.Fatalf("weighted file with an empty node line: err = %v, want a missing node weight", err)
+	}
+}
+
 func TestReadMetisNodeWeightsOnly(t *testing.T) {
 	in := "2 1 10\n5 2\n7 1\n"
 	g, err := ReadMetis(strings.NewReader(in))
@@ -104,6 +123,7 @@ func FuzzReadMetis(f *testing.F) {
 		"3 3 1\n2 4 2 3 3 1\n1 7 3 1\n1 1 2 1\n", // a duplicate edge, merged
 		"3 1 11\n1 2 1 2 1 1 2\n1 1 2\n1\n",      // a duplicate and a self-loop
 		"2147483647 0\n1\n",
+		"3 1\n2\n1\n\n", // node 3 isolated
 	} {
 		f.Add([]byte(seed))
 	}

@@ -28,6 +28,34 @@ func BenchmarkAccumulatorLP(b *testing.B) {
 	}
 }
 
+// BenchmarkAccumulatorSmallRows is the mesh's clustering shape: rows of
+// degree 6 whose labels repeat (drawn from 4 consecutive IDs), each row
+// accumulated, read back for the incumbent and walked once.
+func BenchmarkAccumulatorSmallRows(b *testing.B) {
+	r := rng.New(3)
+	rows := make([][6]int64, 256)
+	for i := range rows {
+		base := r.Int64n(1 << 30)
+		for j := range rows[i] {
+			rows[i][j] = base + r.Int64n(4)
+		}
+	}
+	acc := NewAccumulatorI64(64)
+	var sum int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		row := &rows[i%len(rows)]
+		acc.Reset()
+		for _, k := range row {
+			acc.Add(k, 1)
+		}
+		c, _ := acc.Get(row[0])
+		acc.ForEach(func(_, v int64) { sum += v - c })
+	}
+	sink = sum
+}
+
 // blockRows is the block-keyed shape of refinement and FM: rows of degree
 // 12 whose keys are block IDs below k=16.
 func blockRows() [][12]int64 {

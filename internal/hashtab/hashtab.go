@@ -6,7 +6,8 @@
 // aggregating the edge weight towards each neighbouring cluster, because the
 // number of distinct keys is bounded by the node degree and the table is
 // reused across nodes. These tables fill the same role here: they are
-// allocation-free in steady state and support O(keys) reset via a key log.
+// allocation-free in steady state, and the accumulators reset in O(keys)
+// or less.
 //
 // The *In constructors carve the backing arrays out of an arena instead of
 // the heap, so per-call tables recycle their memory across V-cycle
@@ -14,57 +15,63 @@
 // back to plain heap slices — an arena is a bump allocator and cannot free
 // the outgrown arrays early.
 //
-// Which accumulator: AccumulatorI64 hashes, for keys drawn from the node ID
-// space (cluster labels: sclp's clustering kernels); DenseAccumulator
-// indexes, for keys in a known range [0, k) (block IDs: sclp's refinement,
-// demand and rebalance kernels, kaffpa's FM; the contraction's rows, keyed
-// by the dense cluster index it assigns). A caller whose key is already an
-// array index must use the dense one — hashing it buys nothing — and a
-// label-keyed caller cannot.
+// Which accumulator: DenseAccumulator indexes, for keys in a small known
+// range [0, k) (block IDs: sclp's refinement, demand and rebalance kernels,
+// kaffpa's FM; the contraction's rows, keyed by the dense cluster index it
+// assigns). AccumulatorI64 is for keys from a range too large for a table
+// per row to stay in cache (cluster labels: sclp's clustering kernels, whose
+// label indices span a rank's nodes). It keeps a row's entries in a short
+// list, scanned while the row has at most scanKeys of them — the mesh's
+// whole neighbourhood — and hashed after. A caller whose key is already a
+// small array index must use the dense one; hashing it buys nothing.
 //
 // Order guarantee: ForEach on the accumulators visits the keys in the order
 // Add first saw them since the last Reset. That order is a function of the
 // Add sequence alone — not of the table's kind or capacity, nor of whether
-// or when it grew — so a table that is kept across uses (a sweep's, the
-// contraction's) iterates exactly like a fresh one, and DenseAccumulator iterates exactly
-// like AccumulatorI64. MapI64 and SetI64 iterate in unspecified order.
+// or when it grew or started hashing — so a table that is kept across uses
+// (a sweep's, the contraction's) iterates exactly like a fresh one, and
+// DenseAccumulator iterates exactly like AccumulatorI64. MapI64 and SetI64
+// iterate in unspecified order.
 //
 // AccumulatorPairI64 has no production caller since the contraction groups
 // by cluster and keys its rows by the destination's cluster index; the
 // benchmark's hashtab.pair_add_mops substrate is what keeps it.
 package hashtab
 
-import "repro/internal/arena"
+import (
+	"math/bits"
+
+	"repro/internal/arena"
+)
 
 // AccumulatorI64 maps int64 keys to accumulated int64 values. It is designed
 // for the aggregate-then-scan-then-reset pattern of label propagation: Add
-// accumulates into a slot, Keys exposes the occupied keys, and Reset clears
-// exactly the touched slots.
+// accumulates into an entry, ForEach walks the entries, and Reset empties
+// the table in O(1).
+//
+// The entries live in keys/vals in the order Add first saw them. A row of at
+// most scanKeys distinct keys — a low-degree node's neighbourhood — is
+// searched by a linear scan of that list and never hashed. The key after
+// that builds pos, a linear-probing index over all the entries, and from
+// then until Reset every lookup goes through it.
 type AccumulatorI64 struct {
-	keys    []int64
-	vals    []int64
-	used    []bool
-	touched []int
-	mask    uint64
-	size    int
+	keys, vals []int64
+	// pos maps a slot to an entry: the low 32 bits are the entry's index,
+	// the high 32 bits the generation that wrote it. A slot whose
+	// generation is not gen is empty, so Reset only advances gen.
+	pos   []uint64
+	gen   uint64 // current generation, pre-shifted into the high 32 bits
+	shift uint   // 64 - log2(len(pos)), for slot
 }
 
+// scanKeys is how many distinct keys AccumulatorI64 finds by a linear scan
+// before it indexes its entries.
+const scanKeys = 8
+
 // NewAccumulatorI64 returns a table with capacity for at least capacity keys
-// before growth. Capacity is rounded up to a power of two and doubled to
-// keep the load factor at most 1/2.
-func NewAccumulatorI64(capacity int) *AccumulatorI64 {
-	n := 16
-	for n < 2*capacity {
-		n *= 2
-	}
-	return &AccumulatorI64{
-		keys:    make([]int64, n),
-		vals:    make([]int64, n),
-		used:    make([]bool, n),
-		touched: make([]int, 0, capacity),
-		mask:    uint64(n - 1),
-	}
-}
+// before growth. The index has a power-of-two size at least twice capacity,
+// keeping the load factor at most 1/2.
+func NewAccumulatorI64(capacity int) *AccumulatorI64 { return NewAccumulatorI64In(nil, capacity) }
 
 // NewAccumulatorI64In is NewAccumulatorI64 with the backing arrays carved
 // from ar. A nil arena degrades to heap allocation.
@@ -74,12 +81,23 @@ func NewAccumulatorI64In(ar *arena.Arena, capacity int) *AccumulatorI64 {
 		n *= 2
 	}
 	return &AccumulatorI64{
-		keys:    ar.Int64s(n),
-		vals:    ar.Int64s(n),
-		used:    ar.Bools(n),
-		touched: ar.Ints(capacity)[:0],
-		mask:    uint64(n - 1),
+		keys:  ar.Int64s(n / 2)[:0],
+		vals:  ar.Int64s(n / 2)[:0],
+		pos:   ar.Uint64s(n),
+		gen:   1 << 32,
+		shift: uint(64 - bits.TrailingZeros(uint(n))),
 	}
+}
+
+// entryBits masks a pos word down to its entry index.
+const entryBits = 1<<32 - 1
+
+// slot is key's home slot in pos: Fibonacci hashing, one multiply whose top
+// bits are the slot. It spreads runs of consecutive labels evenly, at a
+// third of hash64's chain of multiplies, which an indexed row pays twice
+// for its first scanKeys keys.
+func (t *AccumulatorI64) slot(key int64) uint64 {
+	return (uint64(key) * 0x9e3779b97f4a7c15) >> t.shift
 }
 
 func hash64(x int64) uint64 {
@@ -94,24 +112,46 @@ func hash64(x int64) uint64 {
 //
 //parhip:hotpath
 func (t *AccumulatorI64) Add(key, delta int64) {
-	if 2*(t.size+1) > len(t.keys) {
-		t.grow()
+	if len(t.keys) <= scanKeys {
+		for i, k := range t.keys {
+			if k == key {
+				t.vals[i] += delta
+				return
+			}
+		}
+		t.keys = append(t.keys, key)
+		t.vals = append(t.vals, delta)
+		if len(t.keys) > scanKeys {
+			t.index()
+		}
+		return
 	}
-	i := hash64(key) & t.mask
-	for {
-		if !t.used[i] {
-			t.used[i] = true
-			t.keys[i] = key
-			t.vals[i] = delta
-			t.touched = append(t.touched, int(i))
-			t.size++
+	i := t.slot(key)
+	for ; t.pos[i]&^entryBits == t.gen; i = (i + 1) & uint64(len(t.pos)-1) {
+		if e := t.pos[i] & entryBits; t.keys[e] == key {
+			t.vals[e] += delta
 			return
 		}
-		if t.keys[i] == key {
-			t.vals[i] += delta
-			return
+	}
+	t.pos[i] = t.gen | uint64(len(t.keys))
+	t.keys = append(t.keys, key)
+	t.vals = append(t.vals, delta)
+	if 2*len(t.keys) > len(t.pos) {
+		t.pos = make([]uint64, 2*len(t.pos))
+		t.shift--
+		t.index()
+	}
+}
+
+// index places every entry in pos. It runs when a row outgrows the scan and
+// when pos doubles; either way no slot of pos holds the current generation.
+func (t *AccumulatorI64) index() {
+	for e, key := range t.keys {
+		i := t.slot(key)
+		for t.pos[i]&^entryBits == t.gen {
+			i = (i + 1) & uint64(len(t.pos)-1)
 		}
-		i = (i + 1) & t.mask
+		t.pos[i] = t.gen | uint64(e)
 	}
 }
 
@@ -119,54 +159,48 @@ func (t *AccumulatorI64) Add(key, delta int64) {
 //
 //parhip:hotpath
 func (t *AccumulatorI64) Get(key int64) (int64, bool) {
-	i := hash64(key) & t.mask
-	for t.used[i] {
-		if t.keys[i] == key {
-			return t.vals[i], true
+	if len(t.keys) <= scanKeys {
+		for i, k := range t.keys {
+			if k == key {
+				return t.vals[i], true
+			}
 		}
-		i = (i + 1) & t.mask
+		return 0, false
+	}
+	for i := t.slot(key); t.pos[i]&^entryBits == t.gen; i = (i + 1) & uint64(len(t.pos)-1) {
+		if e := t.pos[i] & entryBits; t.keys[e] == key {
+			return t.vals[e], true
+		}
 	}
 	return 0, false
 }
 
 // Len returns the number of distinct keys in the table.
-func (t *AccumulatorI64) Len() int { return t.size }
+func (t *AccumulatorI64) Len() int { return len(t.keys) }
 
 // ForEach calls fn for every (key, value) pair in the order Add first saw
 // the keys (see the package comment's order guarantee).
+//
+//parhip:hotpath
 func (t *AccumulatorI64) ForEach(fn func(key, val int64)) {
-	for _, i := range t.touched {
-		fn(t.keys[i], t.vals[i])
+	for i, k := range t.keys {
+		fn(k, t.vals[i])
 	}
 }
 
-// Reset removes all keys. Only slots touched since the previous Reset are
-// cleared, so a Reset after aggregating deg(v) keys costs O(deg(v)).
+// Reset removes all keys in O(1): a row that was indexed moves pos to the
+// next generation, which empties every slot at once.
+//
+//parhip:hotpath
 func (t *AccumulatorI64) Reset() {
-	for _, i := range t.touched {
-		t.used[i] = false
+	if len(t.keys) > scanKeys {
+		t.gen += 1 << 32
+		if t.gen == 0 { // the generation wrapped: slots of generation 1 would read as live
+			clear(t.pos)
+			t.gen = 1 << 32
+		}
 	}
-	t.touched = t.touched[:0]
-	t.size = 0
-}
-
-// grow doubles the table and re-inserts the entries in touched order, so
-// the rebuilt touched log lists the keys in the order Add first saw them —
-// re-inserting in slot order would make ForEach depend on when the table
-// grew. The log is rebuilt in place: entry k is read before the k-th
-// re-insert overwrites it.
-func (t *AccumulatorI64) grow() {
-	oldKeys, oldVals, oldTouched := t.keys, t.vals, t.touched
-	n := 2 * len(oldKeys)
-	t.keys = make([]int64, n)
-	t.vals = make([]int64, n)
-	t.used = make([]bool, n)
-	t.touched = oldTouched[:0]
-	t.mask = uint64(n - 1)
-	t.size = 0
-	for _, i := range oldTouched {
-		t.Add(oldKeys[i], oldVals[i])
-	}
+	t.keys, t.vals = t.keys[:0], t.vals[:0]
 }
 
 // DenseAccumulator is AccumulatorI64 for keys in [0, k): the same

@@ -1,6 +1,7 @@
 package hashtab
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -382,5 +383,116 @@ func TestDenseAccumulatorMatchesHash(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// accRow returns one of the rows TestAccumulatorI64MatchesOracle feeds the table:
+// 0–64 distinct keys each, drawn in one of several shapes and added three
+// times over on average, so duplicates land both before and after the row
+// crosses scanKeys distinct keys.
+func accRow(r *rng.RNG) []int64 {
+	distinct := r.Intn(65)
+	if r.Intn(3) == 0 {
+		distinct = scanKeys - 2 + r.Intn(5) // around the switch
+	}
+	pool := make([]int64, distinct)
+	shape := r.Intn(4)
+	base := r.Int64n(1<<40) - 1<<39
+	for i := range pool {
+		switch shape {
+		case 0: // consecutive node IDs
+			pool[i] = base + int64(i)
+		case 1: // the edges of the key space
+			pool[i] = []int64{0, -1, math.MaxInt64, math.MinInt64, 1, -base}[i%6] + int64(i/6)*(1<<32)
+		case 2: // one home slot: the multiplier's top bits cannot tell them apart
+			pool[i] = int64(i) << 58
+		default:
+			pool[i] = int64(r.Uint64())
+		}
+	}
+	row := slices.Clone(pool)
+	for n := r.Intn(2*distinct + 1); n > 0; n-- {
+		row = append(row, pool[r.Intn(distinct)])
+	}
+	r.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+	return row
+}
+
+// TestAccumulatorI64MatchesOracle holds AccumulatorI64 to a map plus a
+// first-seen list, after every Add of random rows: per-key sums, Get of keys
+// never added, Len and the ForEach order, while the row is still scanned and
+// after it is indexed. Tables are reused across Reset, start small enough to
+// grow, and come from the heap and from an arena.
+func TestAccumulatorI64MatchesOracle(t *testing.T) {
+	r := rng.New(41)
+	for ti, acc := range []*AccumulatorI64{
+		NewAccumulatorI64(4), NewAccumulatorI64In(arena.New(), 4),
+		NewAccumulatorI64(64), NewAccumulatorI64In(arena.New(), 64),
+	} {
+		for round := 0; round < 400; round++ {
+			acc.Reset()
+			row := accRow(r)
+			sum := map[int64]int64{}
+			var seen []int64
+			check := func(at int) {
+				t.Helper()
+				var gotK, gotV []int64
+				acc.ForEach(func(k, v int64) { gotK, gotV = append(gotK, k), append(gotV, v) })
+				wantV := make([]int64, len(seen))
+				for i, k := range seen {
+					wantV[i] = sum[k]
+					if v, ok := acc.Get(k); !ok || v != sum[k] {
+						t.Fatalf("table %d round %d after %d adds: Get(%d) = %d,%v, want %d,true", ti, round, at, k, v, ok, sum[k])
+					}
+				}
+				if !slices.Equal(gotK, seen) || !slices.Equal(gotV, wantV) || acc.Len() != len(seen) {
+					t.Fatalf("table %d round %d after %d adds: ForEach %v %v, Len %d; want %v %v", ti, round, at, gotK, gotV, acc.Len(), seen, wantV)
+				}
+				for _, k := range []int64{0, -1, math.MaxInt64, math.MinInt64, 3 << 58, int64(r.Uint64())} {
+					if _, in := sum[k]; in {
+						continue
+					}
+					if v, ok := acc.Get(k); ok {
+						t.Fatalf("table %d round %d after %d adds: Get(%d) of an absent key = %d,true", ti, round, at, k, v)
+					}
+				}
+			}
+			check(0)
+			for j, k := range row {
+				if _, in := sum[k]; !in {
+					seen = append(seen, k)
+				}
+				delta := r.Int64n(9) - 4
+				sum[k] += delta
+				acc.Add(k, delta)
+				check(j + 1)
+			}
+		}
+	}
+}
+
+// TestAccumulatorI64GenerationWrap: when Reset's generation counter wraps,
+// the slots written by the first generation must not read as live again.
+func TestAccumulatorI64GenerationWrap(t *testing.T) {
+	acc := NewAccumulatorI64(16)
+	for k := int64(0); k < 20; k++ {
+		acc.Add(k, 1) // indexed under generation 1
+	}
+	acc.Reset()
+	acc.gen = math.MaxUint64 &^ entryBits // the last generation
+	for k := int64(100); k < 120; k++ {
+		acc.Add(k, 1)
+	}
+	acc.Reset() // wraps to generation 1
+	for k := int64(200); k < 220; k++ {
+		acc.Add(k, 1)
+	}
+	for k := int64(0); k < 20; k++ {
+		if v, ok := acc.Get(k); ok {
+			t.Fatalf("key %d of a generation-1 row reads %d after the wrap", k, v)
+		}
+	}
+	if acc.Len() != 20 {
+		t.Fatalf("Len = %d, want 20", acc.Len())
 	}
 }

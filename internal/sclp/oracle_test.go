@@ -291,6 +291,36 @@ func regionValues(r *rng.RNG, globals []int64, n int64, regions int, value func(
 	return out
 }
 
+// labelIndices maps global cluster labels, one per local+ghost node, to
+// ParCluster's label indices: an ID that is local or a ghost gets its local
+// ID, any other the next index from NTotal on. It returns each node's index
+// and the global ID of every index.
+func labelIndices(d *dgraph.DGraph, labels []int64) (idx []int32, global []int64) {
+	global = globalIDs(d)
+	foreign := map[int64]int32{}
+	idx = make([]int32, len(labels))
+	for v, l := range labels {
+		i, ok := d.ToLocal(l)
+		if !ok {
+			if i, ok = foreign[l]; !ok {
+				i = int32(len(global))
+				foreign[l] = i
+				global = append(global, l)
+			}
+		}
+		idx[v] = i
+	}
+	return idx, global
+}
+
+func narrow32(xs []int64) []int32 {
+	out := make([]int32, len(xs))
+	for i, x := range xs {
+		out[i] = int32(x)
+	}
+	return out
+}
+
 func globalIDs(d *dgraph.DGraph) []int64 {
 	ids := make([]int64, d.NTotal())
 	for v := range ids {
@@ -320,13 +350,20 @@ func TestKernelsMatchOracleCluster(t *testing.T) {
 				if trial%2 == 1 {
 					constraint = regionValues(rr, ids, n, 3, func(region int64) int64 { return region })
 				}
+				// The kernel sees ParCluster's label indices and the
+				// constraint narrowed to int32.
+				idx, global := labelIndices(d, labels)
+				var newC []int32
+				if constraint != nil {
+					newC = narrow32(constraint)
+				}
 				oldW := hashtab.NewMapI64(16)
-				newW := &labelWeights{first: d.FirstGlobal(), own: make([]int64, d.NLocal()), foreign: hashtab.NewMapI64(16)}
-				for _, l := range labels {
+				newW := make([]int64, len(global))
+				for i, l := range labels {
 					if _, seen := oldW.Get(l); !seen && rr.Intn(5) > 0 {
 						w := rr.Int64n(u + 4)
 						oldW.Put(l, w)
-						newW.Add(l, w)
+						newW[idx[i]] = w
 					}
 				}
 				oldConn := hashtab.NewAccumulatorI64(64)
@@ -335,7 +372,10 @@ func TestKernelsMatchOracleCluster(t *testing.T) {
 				ln.rng = *rng.New(7 * trial)
 				for v := int32(0); v < d.NLocal(); v++ {
 					want := oracleProposeClusterNode(d, v, labels, oldW, constraint, u, oldConn, oldRNG)
-					got := proposeClusterNode(d, v, labels, newW, constraint, u, &ln)
+					got := proposeClusterNode(d, v, idx, newW, newC, u, &ln)
+					if got >= 0 {
+						got = global[got]
+					}
 					if got != want || ln.rng != *oldRNG {
 						t.Errorf("trial %d P=%d rank %d node %d: target %d (oracle %d), same RNG state: %v",
 							trial, P, c.Rank(), v, got, want, ln.rng == *oldRNG)
@@ -437,34 +477,27 @@ func TestKernelsMatchOracleSequential(t *testing.T) {
 		for v := range ids {
 			ids[v] = int64(v)
 		}
-		narrow := func(xs []int64) []int32 {
-			out := make([]int32, len(xs))
-			for i, x := range xs {
-				out[i] = int32(x)
-			}
-			return out
-		}
 
 		t.Run(fmt.Sprintf("cluster/%d", trial), func(t *testing.T) {
 			const u = 25
-			oldLabels := narrow(regionValues(r, ids, int64(n), 14, func(region int64) int64 { return (region*int64(n) + 13) / 14 }))
+			oldLabels := narrow32(regionValues(r, ids, int64(n), 14, func(region int64) int64 { return (region*int64(n) + 13) / 14 }))
 			var constraint []int32
 			if trial%2 == 1 {
-				constraint = narrow(regionValues(r, ids, int64(n), 3, func(region int64) int64 { return region }))
+				constraint = narrow32(regionValues(r, ids, int64(n), 3, func(region int64) int64 { return region }))
 			}
 			oldW := make([]int64, n)
 			for v, l := range oldLabels {
 				oldW[l] += g.NW[v]
 			}
 			newLabels := slices.Clone(oldLabels)
-			newW := &labelWeights{own: slices.Clone(oldW)}
+			newW := slices.Clone(oldW)
 			oldConn, newConn := hashtab.NewAccumulatorI64(64), hashtab.NewAccumulatorI64(64)
 			oldRNG, newRNG := rng.New(trial), rng.New(trial)
 			for sweep := 0; sweep < 3; sweep++ {
 				for v := int32(0); v < n; v++ {
 					want := oracleMoveNode(g, v, oldLabels, oldW, constraint, u, oldConn, oldRNG)
 					got := moveNode(g, v, newLabels, newW, constraint, u, newConn, newRNG)
-					if got != want || newLabels[v] != oldLabels[v] || *newRNG != *oldRNG || !slices.Equal(newW.own, oldW) {
+					if got != want || newLabels[v] != oldLabels[v] || *newRNG != *oldRNG || !slices.Equal(newW, oldW) {
 						t.Fatalf("sweep %d node %d: moved %v to %d (oracle %v to %d), same RNG state: %v",
 							sweep, v, got, newLabels[v], want, oldLabels[v], *newRNG == *oldRNG)
 					}
@@ -475,7 +508,7 @@ func TestKernelsMatchOracleSequential(t *testing.T) {
 		k := []int{2, 5, 16}[trial%3]
 		for regime, name := range []string{"none overloaded", "one overloaded", "others full"} {
 			t.Run(fmt.Sprintf("refine/%d/%s", trial, name), func(t *testing.T) {
-				oldP := narrow(regionValues(r, ids, int64(n), 2*k, func(region int64) int64 { return region % int64(k) }))
+				oldP := narrow32(regionValues(r, ids, int64(n), 2*k, func(region int64) int64 { return region % int64(k) }))
 				oldW := make([]int64, k)
 				for v, b := range oldP {
 					oldW[b] += g.NW[v]

@@ -55,6 +55,9 @@ type ParClusterConfig struct {
 // After the last round the rank's degree-0 nodes are packed (packIsolated).
 // Collective.
 //
+// The sweeps work on int32 label indices, not global IDs; the returned IDs
+// are the exchange buffer, filled for local nodes at the end (DESIGN §13).
+//
 //parhip:collective
 func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	if cfg.PhasesPerRound < 1 {
@@ -62,26 +65,49 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 	}
 	nt := d.NTotal()
 	labels := make([]int64, nt)
+	idx := make([]int32, nt) // heap, not arena: the arena would keep NTotal int32s per rank for the run
 	for v := int32(0); v < nt; v++ {
 		labels[v] = d.ToGlobal(v)
+		idx[v] = v
+	}
+	var constraint []int32 // block IDs, so they narrow like the labels
+	if cfg.Constraint != nil {
+		constraint = make([]int32, nt)
+		for v := range constraint {
+			constraint[v] = int32(cfg.Constraint[v])
+		}
 	}
 	// Locally maintained cluster weights (paper §IV-B, coarsening): each PE
 	// tracks the weights of clusters containing its local and ghost nodes.
-	weight := newLabelWeights(d)
+	weight := slices.Clone(d.NW[:nt])
+	var foreign []int64 // foreign[i] is the ID of label index nt+i
+	foreignIdx := hashtab.NewMapI64(16)
+	global := func(l int32) int64 {
+		if l < nt {
+			return d.ToGlobal(l)
+		}
+		return foreign[l-nt]
+	}
 	r := rng.New(cfg.Seed).Split(uint64(d.Comm.Rank()))
 
 	nl := int(d.NLocal())
-	ids := cfg.Arena.Int32s(nl)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
 	order, runs := cfg.Arena.Int32s(nl), cfg.Arena.Int32s(numRuns(nl))
 	// One rating table, sized so that it never grows inside the sweep.
 	sweep := lane{conn: hashtab.NewAccumulatorI64In(cfg.Arena, int(maxLocalDegree(d)))}
 	changedSet := newDirtySetIn(d.NLocal(), cfg.Arena)
-	moveGhost := func(ghost int32, old, new int64) {
-		weight.Add(old, -d.NW[ghost])
-		weight.Add(new, d.NW[ghost])
+	moveGhost := func(ghost int32, _, to int64) {
+		l, ok := d.ToLocal(to)
+		if !ok {
+			i, added := foreignIdx.PutIfAbsent(to, int64(len(weight)))
+			if added {
+				foreign = append(foreign, to)
+				weight = append(weight, 0) // no member of it was here before
+			}
+			l = int32(i)
+		}
+		weight[idx[ghost]] -= d.NW[ghost]
+		weight[l] += d.NW[ghost]
+		idx[ghost] = l
 	}
 	tracer := d.Comm.Tracer()
 	rank := d.Comm.Rank()
@@ -93,7 +119,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 		if iter == 0 && cfg.DegreeOrder {
 			countingSortByDegree(d, order, cfg.Arena)
 		} else {
-			order = chunkShuffle(order, runs, ids, r)
+			order = chunkShuffle(order, runs, nil, r) // every local node
 		}
 		var movedLocal int64
 		// Every rank executes exactly PhasesPerRound phases regardless of
@@ -116,7 +142,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			// the labels and weights its predecessors in the phase left.
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
 			for _, v := range phase {
-				if commitClusterMove(d, v, labels, weight, cfg.Constraint, cfg.U, &sweep) {
+				if commitClusterMove(d, v, idx, weight, constraint, cfg.U, &sweep) {
 					movedLocal++
 					if d.IsInterface(v) {
 						changedSet.add(v)
@@ -125,6 +151,9 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			}
 			cfg.Stats.observe(time.Since(ct0)) //lint:determinism-ok stats timing only, never feeds partition state
 
+			for _, v := range changedSet.stack {
+				labels[v] = global(idx[v])
+			}
 			exchangeLabels(d, labels, moveGhost, changedSet)
 			tracer.End2(sp, "moves", movedLocal-movedBefore, "phase", int64(iter*cfg.PhasesPerRound+ph))
 		}
@@ -132,7 +161,10 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			break
 		}
 	}
-	packIsolated(d.XAdj, d.NW, labels, cfg.Constraint, weight, cfg.U)
+	packIsolated(d.XAdj, d.NW, idx, constraint, weight, cfg.U)
+	for v := range int32(nl) {
+		labels[v] = global(idx[v])
+	}
 	cfg.Stats.count(&sweep)
 	return labels
 }
@@ -144,25 +176,35 @@ const visitChunk = 1024
 func numRuns(n int) int { return (n + visitChunk - 1) / visitChunk }
 
 // chunkShuffle writes the ascending visit list to out in chunk-random order
-// and returns out[:len(list)]. The list is cut into runs of visitChunk
-// consecutive entries, the runs are laid out in an order drawn from r, and
-// each run is then shuffled with r; runs is scratch for numRuns entries.
+// and returns out[:len(list)]; a nil list stands for 0..len(out)-1. The list
+// is cut into runs of visitChunk consecutive entries, the runs are laid out
+// in an order drawn from r, and each run is then shuffled with r; runs is
+// scratch for numRuns entries.
 // The order stays random at run granularity, while a run's nodes have
 // neighbouring IDs: the sweep reads its own CSR rows nearly sequentially,
 // and where IDs follow the geometry (meshes) a run's neighbour labels stay
 // in cache, which one full shuffle throws away (DESIGN §13).
 func chunkShuffle(out, runs, list []int32, r *rng.RNG) []int32 {
-	runs = runs[:numRuns(len(list))]
+	n := len(list)
+	if list == nil {
+		n = len(out)
+	}
+	runs = runs[:numRuns(n)]
 	for i := range runs {
 		runs[i] = int32(i)
 	}
 	r.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
 	out = out[:0]
 	for _, c := range runs {
-		lo := int(c) * visitChunk
-		run := list[lo:min(lo+visitChunk, len(list))]
-		out = append(out, run...)
-		run = out[len(out)-len(run):]
+		lo, hi := int(c)*visitChunk, min(int(c+1)*visitChunk, n)
+		for v := lo; v < hi; v++ {
+			if list == nil {
+				out = append(out, int32(v))
+			} else {
+				out = append(out, list[v])
+			}
+		}
+		run := out[len(out)-(hi-lo):]
 		r.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
 	}
 	return out

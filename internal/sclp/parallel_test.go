@@ -1,6 +1,7 @@
 package sclp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dgraph"
@@ -278,4 +279,52 @@ func TestParClusterEmptyRanks(t *testing.T) {
 			t.Errorf("rank %d: %d labels", c.Rank(), len(labels))
 		}
 	})
+}
+
+// TestParClusterLabelIndices checks the translation between ParCluster's
+// int32 label indices and the global IDs it returns and exchanges: every
+// label is a node ID, every ghost entry is its owner's label for the node,
+// and some rank saw a ghost join a cluster whose ID is neither local nor a
+// ghost there, so the foreign-label path ran.
+func TestParClusterLabelIndices(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		u    int64
+	}{
+		{"hub", gen.HubMesh(3800, 128, 80, 2), 60},
+		{"rmat-16K", gen.RMAT(14, 8, 0.57, 0.19, 0.19, 6), 40},
+	} {
+		for _, P := range []int{2, 3, 4} {
+			var foreign int64
+			mpi.NewWorld(P).Run(func(c *mpi.Comm) {
+				d := dgraph.FromGraph(c, tc.g)
+				labels := ParCluster(d, ParClusterConfig{U: tc.u, Iterations: 3, DegreeOrder: true, Seed: 7})
+				for v, l := range labels {
+					if l < 0 || l >= d.GlobalN {
+						t.Errorf("%s P=%d rank %d: node %d has label %d, not a node ID", tc.name, P, c.Rank(), v, l)
+						return
+					}
+				}
+				owners := slices.Clone(labels)
+				d.SyncGhosts(owners)
+				var n int64
+				for v := d.NLocal(); v < d.NTotal(); v++ {
+					if labels[v] != owners[v] {
+						t.Errorf("%s P=%d rank %d: ghost %d has label %d, its owner %d", tc.name, P, c.Rank(), v, labels[v], owners[v])
+						return
+					}
+					if _, known := d.ToLocal(labels[v]); !known {
+						n++
+					}
+				}
+				if total := c.AllreduceSum1(n); c.Rank() == 0 {
+					foreign = total
+				}
+			})
+			if foreign == 0 {
+				t.Errorf("%s P=%d: no ghost ended in a foreign cluster; the foreign-label path did not run", tc.name, P)
+			}
+		}
+	}
 }

@@ -54,8 +54,8 @@ func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
 	if n == 0 || cfg.Iterations <= 0 {
 		return labels
 	}
-	// Every label is a node ID, so the whole weight table is "own range".
-	weight := &labelWeights{own: slices.Clone(g.NW[:n])}
+	// Every label is a node ID, so cluster weights are indexed by it.
+	weight := slices.Clone(g.NW[:n])
 	r := rng.New(cfg.Seed)
 	conn := hashtab.NewAccumulatorI64(int(g.MaxDegree()))
 	var order []int32
@@ -86,7 +86,7 @@ func Cluster(g *graph.Graph, cfg ClusterConfig) []int32 {
 // It reports whether the label changed.
 //
 //parhip:hotpath
-func moveNode(g *graph.Graph, v int32, labels []int32, weight *labelWeights,
+func moveNode(g *graph.Graph, v int32, labels []int32, weight []int64,
 	constraint []int32, u int64, conn *hashtab.AccumulatorI64, r *rng.RNG) bool {
 
 	if !gatherLabels(conn, g.Neighbors(v), g.EdgeWeights(v), labels, constraint, v) {
@@ -96,8 +96,8 @@ func moveNode(g *graph.Graph, v int32, labels []int32, weight *labelWeights,
 	if best < 0 {
 		return false
 	}
-	weight.Add(int64(labels[v]), -g.NW[v])
-	weight.Add(best, g.NW[v])
+	weight[labels[v]] -= g.NW[v]
+	weight[best] += g.NW[v]
 	labels[v] = int32(best)
 	return true
 }

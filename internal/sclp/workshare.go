@@ -71,62 +71,16 @@ func commitSeed(phaseSeed uint64) uint64 {
 	return phaseSeed ^ 0xbf58476d1ce4e5b9
 }
 
-// labelWeights holds the cluster weights one rank maintains during
-// clustering (§IV-B), keyed by cluster label. Labels in the rank's own ID
-// range — most of what a node's neighbourhood shows — index a flat array;
-// only foreign labels (ghosts' clusters) go through the hash map. A label
-// never seen reads as weight 0, as it did when everything was in the map.
-// The sequential kernel uses it with the whole ID range as "own".
-type labelWeights struct {
-	first   int64   // label of own[0]
-	own     []int64 // weight of cluster first+i
-	foreign *hashtab.MapI64
-}
-
-// newLabelWeights starts every local and ghost node of d as a singleton
-// cluster labelled by its global ID.
-func newLabelWeights(d *dgraph.DGraph) *labelWeights {
-	nl, nt := d.NLocal(), d.NTotal()
-	w := &labelWeights{
-		first:   d.FirstGlobal(),
-		own:     make([]int64, nl),
-		foreign: hashtab.NewMapI64(int(nt-nl) + 16),
-	}
-	copy(w.own, d.NW[:nl])
-	for v := nl; v < nt; v++ {
-		w.foreign.Put(d.ToGlobal(v), d.NW[v])
-	}
-	return w
-}
-
-//parhip:hotpath
-func (w *labelWeights) Get(label int64) int64 {
-	if i := label - w.first; uint64(i) < uint64(len(w.own)) {
-		return w.own[i]
-	}
-	lw, _ := w.foreign.Get(label)
-	return lw
-}
-
-//parhip:hotpath
-func (w *labelWeights) Add(label, delta int64) {
-	if i := label - w.first; uint64(i) < uint64(len(w.own)) {
-		w.own[i] += delta
-		return
-	}
-	lw, _ := w.foreign.Get(label)
-	w.foreign.Put(label, lw+delta)
-}
-
 // packIsolated runs after the last clustering round and packs the nodes of
 // degree 0 among the len(xadj)-1 local ones into clusters of weight at most
-// u, in ID order (DESIGN.md §13). Label propagation cannot rate a node
+// u, in ID order (DESIGN.md §13). Labels are label indices and weight is
+// indexed by them (see ParCluster). Label propagation cannot rate a node
 // without neighbours, so each still labels a singleton cluster with its own
 // ID, and a graph full of them would stop coarsening. Every constraint class
 // (one class when constraint is nil) has one open cluster, labelled by its
 // first member; a node that does not fit opens the next. A degree-0 node is
 // nobody's ghost, so no rank needs telling, and nothing is drawn.
-func packIsolated[L int32 | int64](xadj, nw []int64, labels, constraint []L, weight *labelWeights, u int64) {
+func packIsolated(xadj, nw []int64, labels, constraint []int32, weight []int64, u int64) {
 	open := hashtab.NewMapI64(16) // constraint class -> label of its open cluster
 	for v := range len(xadj) - 1 {
 		if xadj[v+1] != xadj[v] {
@@ -136,14 +90,14 @@ func packIsolated[L int32 | int64](xadj, nw []int64, labels, constraint []L, wei
 		if constraint != nil {
 			class = int64(constraint[v])
 		}
-		own := int64(labels[v])
-		if to, ok := open.Get(class); ok && weight.Get(to)+nw[v] <= u {
-			weight.Add(own, -nw[v])
-			weight.Add(to, nw[v])
-			labels[v] = L(to)
+		own := labels[v]
+		if to, ok := open.Get(class); ok && weight[to]+nw[v] <= u {
+			weight[own] -= nw[v]
+			weight[to] += nw[v]
+			labels[v] = int32(to)
 			continue
 		}
-		open.Put(class, own)
+		open.Put(class, int64(own))
 	}
 }
 
@@ -164,8 +118,8 @@ func packIsolated[L int32 | int64](xadj, nw []int64, labels, constraint []L, wei
 // before conn is touched.
 //
 //parhip:hotpath
-func gatherLabels[L int32 | int64](conn *hashtab.AccumulatorI64, nbrs []int32, ws []int64,
-	labels, constraint []L, v int32) bool {
+func gatherLabels(conn *hashtab.AccumulatorI64, nbrs []int32, ws []int64,
+	labels, constraint []int32, v int32) bool {
 
 	i := 0
 	for i < len(nbrs) && (labels[nbrs[i]] == labels[v] ||
@@ -189,15 +143,15 @@ func gatherLabels[L int32 | int64](conn *hashtab.AccumulatorI64, nbrs []int32, w
 // one that stays within u after the move, ties broken by reservoir sampling
 // with the incumbent taking part. Returns -1 to stay. A candidate rated
 // below the best so far can neither win nor tie, so its weight is not even
-// looked up.
+// looked up. weight is indexed by label.
 //
 //parhip:hotpath
-func selectCluster(conn *hashtab.AccumulatorI64, cur, nw, u int64, weight *labelWeights, r *rng.RNG) int64 {
+func selectCluster(conn *hashtab.AccumulatorI64, cur, nw, u int64, weight []int64, r *rng.RNG) int64 {
 	best := cur
 	bestConn, _ := conn.Get(cur)
 	ties := 1
 	conn.ForEach(func(label, c int64) {
-		if label == cur || c < bestConn || weight.Get(label)+nw > u {
+		if label == cur || c < bestConn || weight[label]+nw > u {
 			return
 		}
 		if c > bestConn {
@@ -320,20 +274,20 @@ func selectRefine(conn *hashtab.DenseAccumulator, cur, nw, prevB int64,
 	return best
 }
 
-// evalClusterNode evaluates one node against the current labels and cluster
-// weights and returns the cluster label it selects, or -1 to stay. It
+// evalClusterNode evaluates one node against the current label indices and
+// cluster weights and returns the label index it selects, or -1 to stay. It
 // mutates nothing shared.
 //
 //parhip:hotpath
-func evalClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *labelWeights,
-	constraint []int64, u int64, ln *lane) int64 {
+func evalClusterNode(d *dgraph.DGraph, v int32, labels []int32, weight []int64,
+	constraint []int32, u int64, ln *lane) int64 {
 
 	ln.evaluated++
 	if !gatherLabels(ln.conn, d.Neighbors(v), d.EdgeWeights(v), labels, constraint, v) {
 		ln.interior++
 		return -1
 	}
-	return selectCluster(ln.conn, labels[v], d.NW[v], u, weight, &ln.rng)
+	return selectCluster(ln.conn, int64(labels[v]), d.NW[v], u, weight, &ln.rng)
 }
 
 // commitClusterMove is the clustering sweep's step: select for v and, if
@@ -341,17 +295,17 @@ func evalClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *labelWei
 // moveNode over the distributed graph view.
 //
 //parhip:hotpath
-func commitClusterMove(d *dgraph.DGraph, v int32, labels []int64,
-	weight *labelWeights, constraint []int64, u int64, ln *lane) bool {
+func commitClusterMove(d *dgraph.DGraph, v int32, labels []int32,
+	weight []int64, constraint []int32, u int64, ln *lane) bool {
 
 	b := evalClusterNode(d, v, labels, weight, constraint, u, ln)
 	if b < 0 {
 		return false
 	}
 	nw := d.NW[v]
-	weight.Add(labels[v], -nw)
-	weight.Add(b, nw) // fits: the selection enforced weight(b)+nw <= u
-	labels[v] = b
+	weight[labels[v]] -= nw
+	weight[b] += nw // fits: the selection enforced weight[b]+nw <= u
+	labels[v] = int32(b)
 	return true
 }
 
