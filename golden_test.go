@@ -41,7 +41,14 @@ import (
 // consecutive IDs in random order, shuffled inside) instead of one full
 // shuffle: every clustering round after the first and every refinement
 // round draws a different order from the same stream. Old -> new cuts and
-// the 20+-seed means are in CHANGES.md.
+// the 20+-seed means are in CHANGES.md. The floor on each coarsening
+// level's cluster bound (at least three of the level's average node
+// weights) moved the two mesh rows only, 346 -> 325 and 162 -> 155: the
+// mesh class's f = 20000 had left this graph's bound at one node, so its
+// first V-cycle did not coarsen at all. The social bound is always above
+// the floor, so the other seven rows are unedited. Mean cut on this
+// 5,929-node mesh over partition seeds 1-72, before -> after: k=4 P=1
+// 368.4 -> 360.0, k=2 P=4 162.9 -> 164.1, k=4 P=4 335.7 -> 341.8.
 func TestGoldenChecksums(t *testing.T) {
 	ctx := context.Background()
 	web := func(n int32, seed uint64) *parhip.Graph {
@@ -71,9 +78,9 @@ func TestGoldenChecksums(t *testing.T) {
 		cut      int64
 	}{
 		{"mesh/k=4/P=1", session(mesh, parhip.WithK(4), parhip.WithClass(parhip.Mesh), parhip.WithPEs(1), parhip.WithSeed(11)),
-			"8b66656a19c7a3df", 346},
+			"312bb0573db27601", 325},
 		{"mesh/k=2/P=4", session(mesh, parhip.WithK(2), parhip.WithClass(parhip.Mesh), parhip.WithPEs(4), parhip.WithSeed(12)),
-			"3d580e935d682067", 162},
+			"2c53dcf58c115362", 155},
 		{"web/k=16/P=2", session(webG, parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(13)),
 			"374f3da0d3b011d9", 12835},
 		{"web/k=8/P=1", session(webG, parhip.WithK(8), parhip.WithPEs(1), parhip.WithSeed(14)),

@@ -77,6 +77,10 @@ const (
 	// coarsenIters is the label propagation iteration count during
 	// coarsening (paper: 3; RefineIters, 6, is a Config field).
 	coarsenIters = 3
+	// coarsenAvgFloor: no level's cluster bound is below this many average
+	// node weights. At 3, two average nodes fit with room for a third, so
+	// a level shrinks ~2.3x, as matching does; 2 gives ~1.45x (DESIGN §13).
+	coarsenAvgFloor = 3
 	// coarsestPerBlock stops coarsening once GlobalN <= coarsestPerBlock*K
 	// (the paper uses 10000*k at web scale; this is the reduced-scale
 	// value). minCoarsest is an absolute floor.
@@ -384,7 +388,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			}
 			spLvl := c.Tracer().Begin(c.Rank(), "core.coarsen_level")
 			labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
-				U:              u,
+				U:              clusterBound(u, totalWeight, cur.GlobalN),
 				Iterations:     coarsenIters,
 				DegreeOrder:    true,
 				PhasesPerRound: cfg.PhasesPerRound,
@@ -629,6 +633,12 @@ func remapBlocks(p, ref []int32, k int32, nw []int64) {
 	for v := range p {
 		p[v] = mapping[p[v]]
 	}
+}
+
+// clusterBound is max(u, ⌊3w/n⌋) for a level of n nodes of total weight w,
+// both global; the product is split so that it cannot overflow.
+func clusterBound(u, w, n int64) int64 {
+	return max(u, coarsenAvgFloor*(w/n)+coarsenAvgFloor*(w%n)/n)
 }
 
 // gatherPart assembles the full global partition (one entry per global

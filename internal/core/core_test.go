@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -158,6 +159,48 @@ func TestCoarseningReachesLimitWithIsolatedNodes(t *testing.T) {
 	lv := res.Stats.Levels
 	if last := lv[len(lv)-1].N; last > 2*limit {
 		t.Fatalf("coarsest graph has %d nodes, want <= 2 x %d: hierarchy %v", last, limit, lv)
+	}
+}
+
+// TestMeshCoarseningReachesLimit: with the mesh class's f = 20000, Lmax/f
+// on this graph is below 1, so U = max_v c(v) = 1 and no two nodes could
+// merge; without a per-level floor of a few average node weights the
+// hierarchy stops at the input graph.
+func TestMeshCoarseningReachesLimit(t *testing.T) {
+	const k = 2
+	g := gen.DelaunayLike(20000, 4)
+	limit := max(coarsestPerBlock*int64(k), minCoarsest)
+	for _, P := range []int{1, 2} {
+		res, err := run(P, g, FastConfig(k, ClassMesh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv := res.Stats.Levels
+		if last := lv[len(lv)-1].N; last > 2*limit {
+			t.Errorf("P=%d: coarsest graph has %d nodes, want <= 2 x %d: hierarchy %v", P, last, limit, lv)
+		}
+	}
+}
+
+// TestClusterBoundFloorSparesSocial: while a level has more than
+// coarsestLimit >= 100k nodes of weight >= 1, 3W/n < 0.03 W/k <= Lmax/25,
+// so for every f <= 25 (the social default 14, and [10, 25] in later
+// V-cycles) the floor never raises u and a social run is unchanged.
+func TestClusterBoundFloorSparesSocial(t *testing.T) {
+	for k := int64(2); k <= 64; k++ {
+		limit := max(coarsestPerBlock*k, minCoarsest)
+		for _, n := range []int64{limit + 1, limit + 7, 2 * limit, 10*limit + 3, 1 << 20} {
+			for _, w := range []int64{n, n + 1, 2*n - 1, 3 * n, 7*n + 5, 1000 * n, 1 << 40, math.MaxInt64 / 2, math.MaxInt64} {
+				for f := int64(10); f <= 25; f++ {
+					for _, eps := range []float64{0, 0.03} {
+						u := int64(float64(partition.Lmax(w, int32(k), eps)) / float64(f))
+						if got := clusterBound(u, w, n); got != u {
+							t.Fatalf("k=%d n=%d W=%d f=%d eps=%v: bound %d, want u=%d", k, n, w, f, eps, got, u)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

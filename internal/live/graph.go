@@ -16,6 +16,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -30,7 +31,8 @@ type Op uint8
 // Mutation kinds accepted by ApplyBatch.
 const (
 	// OpAddEdge inserts the undirected edge {U, V} with weight W (0 means
-	// 1). Adding an edge that already exists merges by summing weights.
+	// 1). Adding an edge that already exists merges by summing weights; a
+	// merge that would pass MaxInt64 rejects the batch.
 	OpAddEdge Op = iota + 1
 	// OpRemoveEdge removes the undirected edge {U, V}. Removing an absent
 	// edge is a no-op, not an error (streams may race their own removals).
@@ -178,11 +180,12 @@ func (g *Graph) ApplyBatch(seq int64, deltas []Delta) (BatchResult, error) {
 }
 
 // validateLocked checks every delta against the state the batch would see,
-// including nodes added earlier in the same batch.
+// including nodes added and edge weights merged earlier in the same batch.
 //
 //parhip:holds mu
 func (g *Graph) validateLocked(deltas []Delta) error {
 	simN := g.n
+	eff := make(map[uint64]int64) // weight of each edge the batch touched
 	for i, d := range deltas {
 		switch d.Op {
 		case OpAddEdge, OpRemoveEdge:
@@ -194,6 +197,19 @@ func (g *Graph) validateLocked(deltas []Delta) error {
 			}
 			if d.Op == OpAddEdge && d.W < 0 {
 				return fmt.Errorf("live: delta %d (add_edge): negative weight %d", i, d.W)
+			}
+			key := graph.EdgeKey(d.U, d.V)
+			w, ok := eff[key]
+			if !ok {
+				w = g.edgeStateLocked(d.U, d.V).eff
+			}
+			switch add := max(d.W, 1); {
+			case d.Op == OpRemoveEdge:
+				eff[key] = 0
+			case w > math.MaxInt64-add:
+				return fmt.Errorf("live: delta %d (add_edge): weight %d onto edge (%d,%d) of weight %d overflows int64", i, add, d.U, d.V, w)
+			default:
+				eff[key] = w + add
 			}
 		case OpAddNode:
 			if d.W < 0 {

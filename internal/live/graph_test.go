@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -136,6 +137,46 @@ func TestApplyBatchAtomicValidation(t *testing.T) {
 	// Self-loops rejected.
 	if _, err := lg.ApplyBatch(2, []Delta{{Op: OpAddEdge, U: 2, V: 2}}); err == nil {
 		t.Fatal("self-loop accepted")
+	}
+}
+
+// TestApplyBatchRejectsWeightOverflow: a merge onto an existing edge that
+// would pass MaxInt64 fails the batch, whether the edge's weight comes from
+// the base or from earlier deltas of the same batch. Before the check, the
+// weight wrapped negative and Materialize dropped an edge Stats still
+// counted.
+func TestApplyBatchRejectsWeightOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		deltas []Delta
+	}{
+		{"onto base edge", []Delta{{Op: OpAddEdge, U: 0, V: 1, W: math.MaxInt64}}},
+		{"within batch", []Delta{
+			{Op: OpAddEdge, U: 0, V: 9, W: math.MaxInt64/2 + 1},
+			{Op: OpAddEdge, U: 0, V: 9, W: math.MaxInt64/2 + 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lg := NewGraph(graph.Grid2D(8, 8))
+			if _, err := lg.ApplyBatch(1, tc.deltas); err == nil {
+				t.Fatal("overflowing batch accepted")
+			}
+			if s, m := lg.Stats(), lg.Materialize().NumEdges(); s.Seq != 0 || s.M != m {
+				t.Fatalf("stats seq=%d m=%d, materialized m=%d", s.Seq, s.M, m)
+			}
+		})
+	}
+	// A removal resets the weight a later add merges onto, and the largest
+	// weight that fits is accepted.
+	lg := NewGraph(graph.Grid2D(8, 8))
+	applyAll(t, lg, 1,
+		Delta{Op: OpAddEdge, U: 0, V: 1, W: math.MaxInt64 - 1},
+		Delta{Op: OpRemoveEdge, U: 0, V: 1},
+		Delta{Op: OpAddEdge, U: 0, V: 1, W: math.MaxInt64},
+	)
+	mg := lg.Materialize()
+	if w, ok := mg.HasEdge(0, 1); !ok || w != math.MaxInt64 || lg.Stats().M != mg.NumEdges() {
+		t.Fatalf("edge {0,1} = (%d,%v), stats m=%d, materialized m=%d", w, ok, lg.Stats().M, mg.NumEdges())
 	}
 }
 

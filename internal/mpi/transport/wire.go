@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 )
 
 // Wire protocol of the TCP backend.
@@ -188,12 +189,20 @@ func readFrame(conn net.Conn, rbuf []byte, acquire func(n int) []int64) (wireFra
 	if acquire == nil {
 		acquire = func(n int) []int64 { return make([]int64, n) }
 	}
-	if cap(rbuf) < 8*n {
-		rbuf = make([]byte, 8*n)
-	}
-	rbuf = rbuf[:8*n]
-	if _, err := io.ReadFull(conn, rbuf); err != nil {
-		return wireFrame{}, rbuf, err
+	// Grow the buffer as the payload arrives (doubling from 64 KiB), so a
+	// corrupt length on a short stream cannot force a 2 GiB allocation.
+	need := 8 * n
+	rbuf = rbuf[:0]
+	for got := 0; got < need; {
+		step := need - got
+		if cap(rbuf) < need {
+			step = min(step, max(got, 64<<10))
+		}
+		rbuf = slices.Grow(rbuf, step)[:got+step]
+		if _, err := io.ReadFull(conn, rbuf[got:]); err != nil {
+			return wireFrame{}, rbuf, err
+		}
+		got += step
 	}
 	f.payload = acquire(n)
 	for i := range f.payload {

@@ -1,7 +1,12 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"net"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -128,4 +133,126 @@ func TestAppendFrameReusesBuffer(t *testing.T) {
 	if &buf[0] != &buf2[0] {
 		t.Fatal("appendFrame reallocated although the buffer was large enough")
 	}
+}
+
+// TestFrameLargePayloadAcrossGrowthSteps: a payload larger than the first
+// 64 KiB staging step arrives through several reads into a growing buffer
+// and decodes intact, and the grown buffer then takes the next frame whole.
+func TestFrameLargePayloadAcrossGrowthSteps(t *testing.T) {
+	a, b := pipeConns()
+	defer a.Close()
+	defer b.Close()
+	payload := make([]int64, 100_003)
+	for i := range payload {
+		payload[i] = int64(i)*-0x61c8864680b583eb + 1
+	}
+	go func() {
+		a.Write(appendFrame(nil, 2, opData, 5, payload))
+		a.Write(appendFrame(nil, 2, opData, 6, payload[:7]))
+	}()
+	f, rbuf, err := readFrame(b, nil, nil)
+	if err != nil {
+		t.Fatalf("readFrame: %v", err)
+	}
+	if !slices.Equal(f.payload, payload) {
+		t.Fatal("large payload changed in transit")
+	}
+	f, _, err = readFrame(b, rbuf, nil)
+	if err != nil || f.tag != 6 || !slices.Equal(f.payload, payload[:7]) {
+		t.Fatalf("second frame: tag %d, payload %v, err %v", f.tag, f.payload, err)
+	}
+}
+
+// TestFrameShortStreamAllocatesWhatArrives: a header announcing the
+// largest allowed frame, followed by a few bytes and EOF, fails without
+// allocating the 2 GiB the header claims.
+func TestFrameShortStreamAllocatesWhatArrives(t *testing.T) {
+	a, b := pipeConns()
+	defer b.Close()
+	go func() {
+		hdr := appendFrame(nil, 0, opData, 0, nil)
+		binary.LittleEndian.PutUint32(hdr, maxFrameWords)
+		a.Write(append(hdr, 1, 2, 3))
+		a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := readFrame(b, nil, nil); err == nil {
+		t.Fatal("readFrame accepted a truncated payload")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("readFrame allocated %d bytes for a 19-byte stream", grew)
+	}
+}
+
+// wireBytes returns what writePreamble and the frames put on the wire.
+func wireBytes(t testing.TB, p preamble, frames ...[]byte) []byte {
+	a, b := pipeConns()
+	go func() {
+		defer a.Close()
+		if writePreamble(a, p) != nil {
+			return
+		}
+		for _, fr := range frames {
+			if _, err := a.Write(fr); err != nil {
+				return
+			}
+		}
+	}()
+	defer b.Close()
+	out, err := io.ReadAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the receive side of a connection,
+// as tcp.go reads it: a preamble, then frames until the stream ends. A
+// peer, or anything else that reaches the port, controls these bytes. The
+// reader must end with an error, never a panic or an allocation the stream
+// does not pay for, and every frame it accepts must be the bytes it
+// consumed: re-encoding it gives the same words, kind, op, tag and payload.
+func FuzzReadFrame(f *testing.F) {
+	valid := wireBytes(f, preamble{version: wireVersion, worldSize: 4, src: 3, dst: 1, recvCount: 17},
+		appendFrame(nil, 2, opData, -7, []int64{0, -1, 1 << 40}),
+		appendFrame(nil, 0, opHeartbeat, 0, nil),
+		appendFrame(nil, 5, opData, 3, []int64{42}),
+		appendFrame(nil, 0, opAbort, 0, nil))
+	f.Add(valid)
+	for _, cut := range []int{0, 7, preambleLen, preambleLen + 5, preambleLen + headerLen, preambleLen + headerLen + 12, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	huge := appendFrame(nil, 0, opData, 0, nil)
+	binary.LittleEndian.PutUint32(huge, maxFrameWords)
+	f.Add(append(valid[:preambleLen:preambleLen], huge...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a, b := pipeConns()
+		defer b.Close()
+		go func() {
+			a.Write(in) // fails once the reader gives up and closes b
+			a.Close()
+		}()
+		if _, err := readPreamble(b); err != nil {
+			return
+		}
+		var rbuf []byte
+		for off := preambleLen; ; {
+			fr, rb, err := readFrame(b, rbuf, nil)
+			rbuf = rb
+			if err != nil {
+				return
+			}
+			enc := appendFrame(nil, fr.kind, fr.op, fr.tag, fr.payload)
+			if off+len(enc) > len(in) {
+				t.Fatalf("frame at %d decodes to %d bytes, only %d were sent", off, len(enc), len(in)-off)
+			}
+			got := in[off : off+len(enc)]
+			if !bytes.Equal(enc[:6], got[:6]) || !bytes.Equal(enc[8:12], got[8:12]) || !bytes.Equal(enc[headerLen:], got[headerLen:]) {
+				t.Fatalf("frame at %d re-encodes to %x, consumed %x", off, enc, got)
+			}
+			off += len(enc)
+		}
+	})
 }

@@ -511,7 +511,8 @@ func (s *Server) handleLiveTrace(w http.ResponseWriter, r *http.Request) {
 // handleLiveUpdates applies one sequence-numbered delta batch and then
 // lets the controller decide whether the accumulated drift warrants a
 // repartition. Batch replays (seq at or below the last applied) are
-// idempotent 200s; sequence gaps are 409s telling the client to resend.
+// idempotent 200s; sequence gaps are 409s telling the client to resend; an
+// invalid delta (an edge weight merged past MaxInt64 too) is a 400.
 func (s *Server) handleLiveUpdates(w http.ResponseWriter, r *http.Request) {
 	ls, ok := s.live.get(r.PathValue("id"))
 	if !ok {

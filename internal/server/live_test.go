@@ -283,6 +283,10 @@ func TestLiveUpdatesSequencingOverHTTP(t *testing.T) {
 	if code, _ := e.do("POST", "/v1/graphs/"+id+"/updates", []byte(`{"seq":2,"deltas":[{"op":"add_edge","u":1,"v":999}]}`), nil); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range delta: want 400")
 	}
+	overflow := `{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":1,"w":9223372036854775807}]}`
+	if code, _ := e.do("POST", "/v1/graphs/"+id+"/updates", []byte(overflow), nil); code != http.StatusBadRequest {
+		t.Fatalf("edge weight overflow: want 400")
+	}
 	st := e.awaitLive(id, "seq 1", func(v liveStatusView) bool { return v.Seq == 1 })
 	if st.PendingDeltas != 1 {
 		t.Fatalf("pending deltas = %d, want 1 (one applied edge add)", st.PendingDeltas)
@@ -465,6 +469,8 @@ func FuzzLiveUpdates(f *testing.F) {
 		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":9,"w":-5}]}`,
 		`{"seq":2,"deltas":[{"op":"add_node","w":2},{"op":"add_edge","u":64,"v":0}]}`,
 		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":1,"w":9223372036854775807},{"op":"add_edge","u":0,"v":1,"w":9223372036854775807}]}`,
+		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":1,"w":9223372036854775807}]}`,
+		`{"seq":2,"deltas":[{"op":"add_edge","u":0,"v":9,"w":4611686018427387904},{"op":"add_edge","u":0,"v":9,"w":4611686018427387904}]}`,
 		`{"seq":2,"deltas":[{"op":"add_e`,
 	} {
 		f.Add([]byte(seed))

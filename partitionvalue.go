@@ -220,12 +220,12 @@ func (p *Partition) Checksum() string {
 }
 
 // Validate checks p against g: the assignment must have one entry per node,
-// every block must lie in [0, k), and — when the partition carries a graph
-// fingerprint — the fingerprint must match g's. On success the partition is
-// (re)bound to g: cut, block weights, feasibility and boundary are
-// recomputed, so a partition read from disk becomes fully derived. To reuse
-// a partition on a *changed* graph, pass it to Repartition instead;
-// Validate is the strict same-graph check.
+// k must lie in [1, max(n, 1)], every block must lie in [0, k), and — when
+// the partition carries a graph fingerprint — the fingerprint must match
+// g's. On success the partition is (re)bound to g: cut, block weights,
+// feasibility and boundary are recomputed, so a partition read from disk
+// becomes fully derived. To reuse a partition on a *changed* graph, pass it
+// to Repartition instead; Validate is the strict same-graph check.
 func (p *Partition) Validate(g *Graph) error {
 	if g == nil {
 		return errors.New("parhip: Partition.Validate: nil graph")
@@ -233,6 +233,10 @@ func (p *Partition) Validate(g *Graph) error {
 	if int32(len(p.assign)) != g.NumNodes() {
 		return fmt.Errorf("parhip: partition has %d entries for %d nodes",
 			len(p.assign), g.NumNodes())
+	}
+	// bind allocates k block weights; a file may claim any k.
+	if p.k < 1 || p.k > max(g.NumNodes(), 1) {
+		return fmt.Errorf("parhip: partition has k = %d for %d nodes", p.k, g.NumNodes())
 	}
 	for v, b := range p.assign {
 		if b < 0 || b >= p.k {
@@ -533,7 +537,7 @@ func (p *Partition) decodeBinary(b []byte) error {
 	if n > uint64(len(b)-off)/4 {
 		return errors.New("parhip: truncated binary partition")
 	}
-	if k < 1 {
+	if k < 1 || k > math.MaxInt32 {
 		return fmt.Errorf("parhip: partition has k = %d", k)
 	}
 	assign := make([]int32, n)

@@ -2,7 +2,10 @@ package parhip_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,7 +14,7 @@ import (
 )
 
 // randomPartition builds a valid random Partition over g.
-func randomPartition(t *testing.T, g *parhip.Graph, k int32, eps float64, rnd *rand.Rand) *parhip.Partition {
+func randomPartition(t testing.TB, g *parhip.Graph, k int32, eps float64, rnd *rand.Rand) *parhip.Partition {
 	t.Helper()
 	assign := make([]int32, g.NumNodes())
 	for i := range assign {
@@ -168,6 +171,16 @@ func TestPartitionValidateRejections(t *testing.T) {
 	bad := textPartition(t, "%% parhip-partition v1\n% k 2\n0\n1\n5\n")
 	if bad != nil {
 		t.Error("decoder accepted a block outside [0, k)")
+	}
+
+	// A k beyond the node count would size the block-weight array Validate
+	// binds; a file can claim any k up to MaxInt32.
+	huge := textPartition(t, "%% parhip-partition v1\n% k 2147483647\n"+strings.Repeat("0\n", int(g.NumNodes())))
+	if huge == nil {
+		t.Fatal("decoder rejected a well-formed partition with a large k")
+	}
+	if err := huge.Validate(g); err == nil {
+		t.Error("Validate accepted k = MaxInt32 on a small graph")
 	}
 
 	// NewPartition boundary validation.
@@ -372,6 +385,17 @@ func TestPartitionDecoderHardening(t *testing.T) {
 		t.Error("text decoder accepted eps > MaxEps")
 	}
 
+	// k is a uint32 on the wire; above MaxInt32 it would read back negative.
+	var negK bytes.Buffer
+	negK.WriteString("PHPART1\n")
+	// version, k, eps, fingerprint length, no derived stats, no nodes
+	for _, x := range []any{uint32(1), uint32(1 << 31), uint64(0), uint32(0), uint8(0), uint64(0)} {
+		binary.Write(&negK, binary.LittleEndian, x)
+	}
+	if q, err := parhip.ReadPartition(&negK); err == nil {
+		t.Errorf("binary decoder accepted k = 2^31 as %d", q.K())
+	}
+
 	// An unbound (legacy) partition keeps Cut() == -1 through the binary
 	// format instead of resurfacing as a fake cut of 0.
 	legacy := textPartition(t, "0\n1\n0\n1\n")
@@ -390,4 +414,70 @@ func TestPartitionDecoderHardening(t *testing.T) {
 		t.Errorf("unbound partition gained fabricated derived stats: cut=%d feasible=%v",
 			back.Cut(), back.Feasible())
 	}
+}
+
+// FuzzReadPartition feeds arbitrary bytes to Partition.ReadFrom, the parser
+// behind `parhip -prev`, and validates what it accepts against the graph
+// the seeds were written for. A decoded partition must survive a binary
+// round trip unchanged; one that validates must carry the cut and block
+// weights NewPartition derives from its assignment, and survive a text
+// round trip too.
+func FuzzReadPartition(f *testing.F) {
+	g := gen.DelaunayLike(12, 1)
+	rnd := rand.New(rand.NewSource(5))
+	for _, k := range []int32{1, 3} {
+		var bin, text bytes.Buffer
+		p := randomPartition(f, g, k, 0.03, rnd)
+		if _, err := p.WriteTo(&bin); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := p.WriteTextTo(&text); err != nil {
+			f.Fatal(err)
+		}
+		for _, enc := range [][]byte{bin.Bytes(), text.Bytes()} {
+			f.Add(enc)
+			f.Add(enc[:len(enc)/2])
+			f.Add(enc[:len(enc)-1])
+		}
+	}
+	f.Add([]byte("0\n1\n0\n1\n"))
+	f.Add([]byte("%% parhip-partition v1\n% k 2147483647\n" + strings.Repeat("0\n", int(g.NumNodes()))))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var p parhip.Partition
+		if _, err := p.ReadFrom(bytes.NewReader(in)); err != nil {
+			return
+		}
+		roundTrip := func(write func(*parhip.Partition, io.Writer) (int64, error)) *parhip.Partition {
+			var buf bytes.Buffer
+			if _, err := write(&p, &buf); err != nil {
+				t.Fatal(err)
+			}
+			q, err := parhip.ReadPartition(&buf)
+			if err != nil {
+				t.Fatalf("rereading the written partition: %v", err)
+			}
+			if q.Checksum() != p.Checksum() || q.Eps() != p.Eps() || q.Cut() != p.Cut() {
+				t.Fatalf("round trip changed the partition: k %d -> %d, eps %v -> %v, cut %d -> %d",
+					p.K(), q.K(), p.Eps(), q.Eps(), p.Cut(), q.Cut())
+			}
+			return q
+		}
+		roundTrip((*parhip.Partition).WriteTo)
+		if err := p.Validate(g); err != nil {
+			return
+		}
+		assign := make([]int32, p.NumNodes())
+		for v := range assign {
+			assign[v] = p.Block(int32(v))
+		}
+		want, err := parhip.NewPartition(g, assign, p.K(), p.Eps())
+		if err != nil {
+			t.Fatalf("validated partition rejected by NewPartition: %v", err)
+		}
+		if p.Cut() != want.Cut() || !slices.Equal(p.BlockWeights(), want.BlockWeights()) {
+			t.Fatalf("validated cut %d, block weights %v; recount %d, %v",
+				p.Cut(), p.BlockWeights(), want.Cut(), want.BlockWeights())
+		}
+		roundTrip((*parhip.Partition).WriteTextTo)
+	})
 }
