@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dgraph"
 	"repro/internal/evo"
 	"repro/internal/exp"
 	"repro/internal/gen"
@@ -242,7 +243,7 @@ func BenchmarkCoarseningShrink(b *testing.B) {
 
 // BenchmarkAblationNodeOrder compares ascending-degree vs random traversal
 // in the coarsening label propagation (§III-A claims degree ordering
-// improves quality and speed).
+// improves quality and speed), on one rank as kaffpa clusters.
 func BenchmarkAblationNodeOrder(b *testing.B) {
 	g, _ := gen.PlantedPartition(10000, 60, 10, 0.5, 2)
 	for _, degree := range []bool{true, false} {
@@ -252,16 +253,20 @@ func BenchmarkAblationNodeOrder(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			var clusters int
-			for i := 0; i < b.N; i++ {
-				labels := sclp.Cluster(g, sclp.ClusterConfig{
-					U: 300, Iterations: 3, DegreeOrder: degree, Seed: uint64(i + 1),
-				})
-				distinct := make(map[int32]bool)
-				for _, l := range labels {
-					distinct[l] = true
+			mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+				d := dgraph.FromGraph(c, g)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					labels := sclp.ParCluster(d, sclp.ParClusterConfig{
+						U: 300, Iterations: 3, DegreeOrder: degree, PhasesPerRound: 1, Seed: uint64(i + 1),
+					})
+					distinct := make(map[int64]bool)
+					for _, l := range labels {
+						distinct[l] = true
+					}
+					clusters = len(distinct)
 				}
-				clusters = len(distinct)
-			}
+			})
 			b.ReportMetric(float64(clusters), "clusters")
 		})
 	}
@@ -389,15 +394,6 @@ func BenchmarkAblationObjective(b *testing.B) {
 }
 
 // --- Micro-benchmarks of the primitives ----------------------------------
-
-func BenchmarkSeqLabelPropagation(b *testing.B) {
-	g, _ := gen.PlantedPartition(20000, 100, 10, 0.5, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sclp.Cluster(g, sclp.ClusterConfig{U: 600, Iterations: 3, DegreeOrder: true, Seed: uint64(i + 1)})
-	}
-	b.ReportMetric(float64(g.NumEdges()), "edges")
-}
 
 func BenchmarkParLabelPropagation(b *testing.B) {
 	g, _ := gen.PlantedPartition(20000, 100, 10, 0.5, 7)

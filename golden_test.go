@@ -49,6 +49,16 @@ import (
 // the floor, so the other seven rows are unedited. Mean cut on this
 // 5,929-node mesh over partition seeds 1-72, before -> after: k=4 P=1
 // 368.4 -> 360.0, k=2 P=4 162.9 -> 164.1, k=4 P=4 335.7 -> 341.8.
+// All nine moved when kaffpa began to coarsen, contract and refine with
+// the parallel kernels on a one-rank world: every evo individual and
+// combine draws a different stream, and P=1 refinement lost its per-phase
+// headroom cap. Old -> new cuts are in CHANGES.md. Mean cuts over partition
+// seeds 1-20 (1-24 for the mesh rows, 1-40 for web/k=8/P=1), before ->
+// after: mesh k=4 P=1 356.5 -> 360.1, mesh k=2 P=4 163.2 -> 164.8, mesh
+// k=4 P=4 341.4 -> 342.7, web k=16 P=2 12,452.7 -> 12,582.0, web k=8 P=1
+// 7,962.1 -> 7,990.8, hub P=2 9,075.2 -> 9,061.2, hub P=4 9,058.8 -> 9,039.0, rmat
+// 103,551.8 -> 103,632.6, web repartition 14,011.4 -> 13,956.7, web
+// baseline 5,953.9 -> 6,010.8.
 func TestGoldenChecksums(t *testing.T) {
 	ctx := context.Background()
 	web := func(n int32, seed uint64) *parhip.Graph {
@@ -78,29 +88,29 @@ func TestGoldenChecksums(t *testing.T) {
 		cut      int64
 	}{
 		{"mesh/k=4/P=1", session(mesh, parhip.WithK(4), parhip.WithClass(parhip.Mesh), parhip.WithPEs(1), parhip.WithSeed(11)),
-			"312bb0573db27601", 325},
+			"6c68cffed5d55254", 375},
 		{"mesh/k=2/P=4", session(mesh, parhip.WithK(2), parhip.WithClass(parhip.Mesh), parhip.WithPEs(4), parhip.WithSeed(12)),
-			"2c53dcf58c115362", 155},
+			"1a9ffc3b0090ad9f", 164},
 		{"web/k=16/P=2", session(webG, parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(13)),
-			"374f3da0d3b011d9", 12835},
+			"d56b5773f628973e", 12717},
 		{"web/k=8/P=1", session(webG, parhip.WithK(8), parhip.WithPEs(1), parhip.WithSeed(14)),
-			"baa601c99cd12e31", 8057},
+			"3438c8968f7e3a86", 8201},
 		{"hub/k=8/P=2", session(hub, parhip.WithK(8), parhip.WithPEs(2), parhip.WithSeed(15)),
-			"3641f06cc5619d59", 9134},
+			"0fc31269d6e065b7", 9058},
 		{"hub/k=8/P=4", session(hub, parhip.WithK(8), parhip.WithPEs(4), parhip.WithSeed(16)),
-			"42125885953e2bd0", 9017},
+			"c1c4e85effe7d982", 8998},
 		{"rmat-16K/k=16/P=2", session(gen.RMAT(14, 8, 0.57, 0.19, 0.19, 6), parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(17)),
-			"66b7e20db5d7454b", 103675},
+			"78f29d489dc7145a", 103083},
 		{"web/repartition/k=16/P=2", func() (parhip.Result, error) {
 			cold, err := session(webG, parhip.WithK(16), parhip.WithPEs(2), parhip.WithSeed(13))()
 			if err != nil {
 				return cold, err
 			}
 			return parhip.Repartition(ctx, gen.Perturb(webG, 0.05, 7), cold.Partition, parhip.WithPEs(2), parhip.WithSeed(18))
-		}, "8457e8ae0e0dfb08", 14486},
+		}, "dbf42d6dfb0a1ef6", 14444},
 		{"web/baseline/k=8/P=2", func() (parhip.Result, error) {
 			return parhip.RunBaseline(ctx, web(4096, 8), 0, parhip.WithK(8), parhip.WithPEs(2), parhip.WithSeed(19))
-		}, "2c0e5f16f6a4126d", 4786},
+		}, "aa9dd19c58408a29", 4864},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

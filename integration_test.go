@@ -13,25 +13,33 @@ import (
 // End-to-end integration tests across module boundaries.
 
 // The parallel system and the sequential multilevel partitioner must land
-// in the same quality regime on the same input.
+// in the same quality regime on the same input. A single kaffpa cut on this
+// graph spreads over more than 3x from seed to seed (759 to 2,652 over seeds
+// 1–20), so the regimes are compared by their mean cuts over 20 seeds.
 func TestIntegrationParallelVsSequentialQuality(t *testing.T) {
 	g, _ := gen.PlantedPartition(3000, 20, 10, 0.6, 13)
 	k := int32(4)
-	seqCfg := kaffpa.DefaultConfig(k)
-	seqCfg.Seed = 2
-	seq, err := kaffpa.Partition(g, seqCfg)
-	if err != nil {
-		t.Fatal(err)
+	const seeds = 20
+	var sc, pc int64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		seqCfg := kaffpa.DefaultConfig(k)
+		seqCfg.Seed = seed
+		seq, err := kaffpa.Partition(g, seqCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := runSession(g, WithK(k), WithPEs(4), WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc += partition.EdgeCut(g, seq)
+		pc += par.Cut
 	}
-	par, err := runSession(g, WithK(k), WithPEs(4), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := partition.EdgeCut(g, seq)
-	pc := par.Cut
 	if pc > 2*sc || sc > 2*pc {
-		t.Fatalf("parallel cut %d and sequential cut %d differ by more than 2x", pc, sc)
+		t.Fatalf("mean cuts over %d seeds: parallel %.1f and sequential %.1f differ by more than 2x",
+			seeds, float64(pc)/seeds, float64(sc)/seeds)
 	}
+	t.Logf("mean cuts over %d seeds: parallel %.1f, sequential %.1f", seeds, float64(pc)/seeds, float64(sc)/seeds)
 }
 
 // Round trip a generated graph through METIS text and binary formats, then

@@ -9,6 +9,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/dgraph"
 	"repro/internal/graph"
+	"repro/internal/hashtab"
 	"repro/internal/mpi"
 	"repro/internal/rng"
 )
@@ -32,11 +33,46 @@ func sparseWeightedGraph(n int32, avgDeg int, seed uint64) *graph.Graph {
 	return b.Build()
 }
 
-// sortedLabelContract is the oracle: the sequential Contract of g with its
-// coarse IDs renumbered in ascending label order, which is the numbering
-// ParContract produces.
+// oracleContract is the sequential contraction: the coarse graph for the
+// given cluster labels (nodes with equal labels form one cluster) and the
+// fine-to-coarse node map, coarse IDs in order of each cluster's smallest
+// fine node ID.
+func oracleContract(g *graph.Graph, labels []int32) (*graph.Graph, []int32) {
+	n := g.NumNodes()
+	lmap := hashtab.NewMapI64(1024)
+	fineToCoarse := make([]int32, n)
+	var coarseN int32
+	for v := int32(0); v < n; v++ {
+		id, inserted := lmap.PutIfAbsent(int64(labels[v]), int64(coarseN))
+		if inserted {
+			coarseN++
+		}
+		fineToCoarse[v] = int32(id)
+	}
+	b := graph.NewBuilder(coarseN)
+	cw := make([]int64, coarseN)
+	for v := int32(0); v < n; v++ {
+		cw[fineToCoarse[v]] += g.NW[v]
+	}
+	for c := int32(0); c < coarseN; c++ {
+		b.SetNodeWeight(c, cw[c])
+	}
+	for v := int32(0); v < n; v++ {
+		cv := fineToCoarse[v]
+		ws := g.EdgeWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if cu := fineToCoarse[u]; cv < cu { // each coarse edge once; the builder sums duplicates
+				b.AddEdgeW(cv, cu, ws[i])
+			}
+		}
+	}
+	return b.Build(), fineToCoarse
+}
+
+// sortedLabelContract is oracleContract of g with its coarse IDs renumbered
+// in ascending label order, which is the numbering ParContract produces.
 func sortedLabelContract(g *graph.Graph, labels []int32) *graph.Graph {
-	seq, fineToCoarse := Contract(g, labels)
+	seq, fineToCoarse := oracleContract(g, labels)
 	labelOf := make([]int32, seq.NumNodes())
 	for v, c := range fineToCoarse {
 		labelOf[c] = labels[v]

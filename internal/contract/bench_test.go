@@ -13,15 +13,6 @@ import (
 	"repro/internal/sclp"
 )
 
-func BenchmarkContractSeq(b *testing.B) {
-	g, _ := gen.PlantedPartition(20000, 100, 10, 0.5, 1)
-	labels := sclp.Cluster(g, sclp.ClusterConfig{U: 600, Iterations: 3, DegreeOrder: true, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Contract(g, labels)
-	}
-}
-
 func BenchmarkParContractP4(b *testing.B) {
 	g, _ := gen.PlantedPartition(20000, 100, 10, 0.5, 2)
 	b.ResetTimer()

@@ -4,17 +4,43 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/sclp"
 )
 
+// contractOneRank runs ParContract over g and labels (node IDs of cluster
+// representatives) on a one-rank world, the contraction kaffpa runs, and
+// returns the coarse graph and each node's coarse ID. One rank has no
+// ghosts, so both are indexed by g's node IDs.
+func contractOneRank(g *graph.Graph, labels []int64) (*graph.Graph, []int64) {
+	var coarse *graph.Graph
+	var fineToCoarse []int64
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		res := ParContract(dgraph.FromGraph(c, g), labels)
+		coarse, fineToCoarse = res.Coarse.Gather(), res.FineToCoarse
+	})
+	return coarse, fineToCoarse
+}
+
+// clusterOneRank is kaffpa's clustering of g: ParCluster on a one-rank
+// world with one phase per round.
+func clusterOneRank(g *graph.Graph, u int64, seed uint64) []int64 {
+	var labels []int64
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		labels = sclp.ParCluster(dgraph.FromGraph(c, g), sclp.ParClusterConfig{U: u, Iterations: 3, PhasesPerRound: 1, Seed: seed})
+	})
+	return labels
+}
+
 func TestContractPath(t *testing.T) {
 	g := graph.Path(6)
-	labels := []int32{0, 0, 0, 1, 1, 1}
-	cg, f2c := Contract(g, labels)
+	labels := []int64{0, 0, 0, 3, 3, 3}
+	cg, f2c := contractOneRank(g, labels)
 	if cg.NumNodes() != 2 || cg.NumEdges() != 1 {
 		t.Fatalf("coarse %v", cg)
 	}
@@ -36,8 +62,8 @@ func TestContractParallelEdgesSum(t *testing.T) {
 	// 4-cycle contracted into two pairs: the two cut edges between the
 	// pairs merge into one coarse edge of weight 2.
 	g := graph.Cycle(4)
-	labels := []int32{7, 7, 9, 9}
-	cg, _ := Contract(g, labels)
+	labels := []int64{1, 1, 3, 3}
+	cg, _ := contractOneRank(g, labels)
 	if cg.NumNodes() != 2 || cg.NumEdges() != 1 {
 		t.Fatalf("coarse %v", cg)
 	}
@@ -48,16 +74,16 @@ func TestContractParallelEdgesSum(t *testing.T) {
 
 func TestContractSingletons(t *testing.T) {
 	g := gen.RGG(100, 1)
-	labels := make([]int32, 100)
+	labels := make([]int64, 100)
 	for v := range labels {
-		labels[v] = int32(v)
+		labels[v] = int64(v)
 	}
-	cg, f2c := Contract(g, labels)
+	cg, f2c := contractOneRank(g, labels)
 	if cg.NumNodes() != 100 || cg.NumEdges() != g.NumEdges() {
 		t.Fatalf("identity contraction changed the graph: %v vs %v", cg, g)
 	}
 	for v, c := range f2c {
-		if int32(v) != c {
+		if int64(v) != c {
 			t.Fatal("identity contraction should keep IDs")
 		}
 	}
@@ -65,8 +91,8 @@ func TestContractSingletons(t *testing.T) {
 
 func TestContractAllOneCluster(t *testing.T) {
 	g := gen.RGG(50, 2)
-	labels := make([]int32, 50)
-	cg, _ := Contract(g, labels)
+	labels := make([]int64, 50)
+	cg, _ := contractOneRank(g, labels)
 	if cg.NumNodes() != 1 || cg.NumEdges() != 0 {
 		t.Fatalf("coarse %v", cg)
 	}
@@ -81,8 +107,7 @@ func TestContractAllOneCluster(t *testing.T) {
 func TestContractPreservesCutAndBalance(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, _ := gen.PlantedPartition(500, 10, 8, 0.5, seed)
-		labels := sclp.Cluster(g, sclp.ClusterConfig{U: 40, Iterations: 3, Seed: seed})
-		cg, f2c := Contract(g, labels)
+		cg, f2c := contractOneRank(g, clusterOneRank(g, 40, seed))
 		if cg.Validate() != nil {
 			return false
 		}
@@ -98,7 +123,10 @@ func TestContractPreservesCutAndBalance(t *testing.T) {
 		for v := range cp {
 			cp[v] = r.Int31n(k)
 		}
-		fp := Project(cp, f2c)
+		fp := make([]int32, g.NumNodes())
+		for v, c := range f2c {
+			fp[v] = cp[c]
+		}
 		coarseCut := partition.EdgeCut(cg, partition.Partition(cp))
 		fineCut := partition.EdgeCut(g, partition.Partition(fp))
 		if coarseCut != fineCut {
@@ -122,8 +150,7 @@ func TestContractEdgeWeightConservation(t *testing.T) {
 	// Total coarse edge weight + internal (contracted) weight = total fine
 	// edge weight.
 	g := gen.RGG(400, 5)
-	labels := sclp.Cluster(g, sclp.ClusterConfig{U: 30, Iterations: 3, Seed: 5})
-	cg, f2c := Contract(g, labels)
+	cg, f2c := contractOneRank(g, clusterOneRank(g, 30, 5))
 	var internal int64
 	for v := int32(0); v < g.NumNodes(); v++ {
 		ws := g.EdgeWeights(v)
@@ -139,14 +166,20 @@ func TestContractEdgeWeightConservation(t *testing.T) {
 	}
 }
 
+// TestProject: on one rank ParProject gives every fine node its coarse
+// representative's block.
 func TestProject(t *testing.T) {
-	f2c := []int32{0, 0, 1, 1, 2}
-	cp := []int32{5, 6, 7}
-	fp := Project(cp, f2c)
-	want := []int32{5, 5, 6, 6, 7}
-	for i := range want {
-		if fp[i] != want[i] {
-			t.Fatalf("projected %v, want %v", fp, want)
+	g := graph.Path(5)
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		fine := dgraph.FromGraph(c, g)
+		res := ParContract(fine, []int64{0, 0, 2, 2, 4})
+		fp := ParProject(fine, res.Coarse, res.FineToCoarse, []int64{5, 6, 7})
+		want := []int64{5, 5, 6, 6, 7}
+		for i := range want {
+			if fp[i] != want[i] {
+				t.Errorf("projected %v, want %v", fp, want)
+				return
+			}
 		}
-	}
+	})
 }

@@ -1,3 +1,13 @@
+// Package contract implements cluster contraction and uncoarsening (§III
+// and §IV-C of the paper) over a distributed graph; kaffpa runs them on one
+// rank.
+//
+// Contracting a clustering replaces each cluster by a single coarse node
+// whose weight is the total weight of the cluster's members; coarse nodes
+// are connected iff their clusters are adjacent, with edge weight equal to
+// the total weight of the fine edges between them. By construction, a
+// partition of the coarse graph induces a partition of the fine graph with
+// the same cut and balance.
 package contract
 
 import (

@@ -64,7 +64,7 @@ func TestParContractMatchesSequentialOnSameLabels(t *testing.T) {
 	for v := int32(0); v < n; v++ {
 		labels32[v] = v / 7 * 7 // cluster = floor(v/7)*7, a valid node ID
 	}
-	seqCoarse, _ := Contract(g, labels32)
+	seqCoarse, _ := oracleContract(g, labels32)
 	mpi.NewWorld(4).Run(func(c *mpi.Comm) {
 		d := dgraph.FromGraph(c, g)
 		labels := make([]int64, d.NTotal())
@@ -80,7 +80,7 @@ func TestParContractMatchesSequentialOnSameLabels(t *testing.T) {
 			t.Errorf("parallel %v vs sequential %v", got, seqCoarse)
 			return
 		}
-		// Sequential Contract assigns coarse IDs by first occurrence, and
+		// The oracle assigns coarse IDs by first occurrence, and
 		// parallel by sorted label: with labels = floor(v/7)*7 both yield
 		// ascending order of cluster representative, so graphs match 1:1.
 		for v := int32(0); v < got.NumNodes(); v++ {
@@ -193,4 +193,44 @@ func TestParProjectThenRefineFeasible(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestParLiftTakesClusterLabel: lifting labels that are constant on every
+// cluster gives each coarse node its cluster's label, ghosts synced — how
+// the V-cycle and kaffpa carry a constraint and an initial partition up the
+// hierarchy.
+func TestParLiftTakesClusterLabel(t *testing.T) {
+	g := gen.RGG(300, 4)
+	for _, P := range []int{1, 3} {
+		mpi.NewWorld(P).Run(func(c *mpi.Comm) {
+			d := dgraph.FromGraph(c, g)
+			labels := make([]int64, d.NTotal())
+			block := make([]int64, d.NTotal())
+			for v := range labels {
+				gv := d.ToGlobal(int32(v))
+				labels[v] = gv / 6 * 6 // clusters of six consecutive IDs
+				block[v] = gv / 6 % 5
+			}
+			res := ParContract(d, labels)
+			lifted := ParLift(d, res.Coarse, res.FineToCoarse, block)
+			check := append([]int64(nil), lifted...)
+			res.Coarse.SyncGhosts(check)
+			for v := int32(0); v < d.NLocal(); v++ {
+				cu, ok := res.Coarse.ToLocal(res.FineToCoarse[v])
+				if !ok || res.Coarse.IsGhost(cu) {
+					continue // owned elsewhere; checked on its owner
+				}
+				if lifted[cu] != block[v] {
+					t.Errorf("P=%d rank %d: node %d in block %d, its coarse node lifted to %d", P, c.Rank(), v, block[v], lifted[cu])
+					return
+				}
+			}
+			for v := res.Coarse.NLocal(); v < res.Coarse.NTotal(); v++ {
+				if check[v] != lifted[v] {
+					t.Errorf("P=%d rank %d: coarse ghost %d stale", P, c.Rank(), v)
+					return
+				}
+			}
+		})
+	}
 }

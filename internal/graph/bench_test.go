@@ -54,14 +54,6 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 }
 
-func BenchmarkDegreeOrder(b *testing.B) {
-	g := benchGraph(20000, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DegreeOrder(g)
-	}
-}
-
 // BenchmarkInducedSubgraph splits a graph of the shape rmat-tcp hands the
 // initial partitioner (55K nodes, 12.5K edges: mostly isolated nodes) into
 // its two halves, as one level of kaffpa's recursive bisection does.

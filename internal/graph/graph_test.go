@@ -256,19 +256,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestDegreeOrder(t *testing.T) {
-	g := Star(6) // centre has degree 5, leaves degree 1
-	order := DegreeOrder(g)
-	if order[len(order)-1] != 0 {
-		t.Fatalf("hub should come last in degree order: %v", order)
-	}
-	for i := 1; i < len(order); i++ {
-		if g.Degree(order[i-1]) > g.Degree(order[i]) {
-			t.Fatalf("order not ascending by degree: %v", order)
-		}
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := Cycle(6)
 	sub, back := InducedSubgraph(g, []NodeID{0, 1, 2, 3})

@@ -71,29 +71,6 @@ func IsConnected(g *Graph) bool {
 	return cnt == 1
 }
 
-// DegreeOrder returns the node IDs sorted by ascending degree, with ties
-// broken by node ID. The paper (§III-A) uses this ordering in the first
-// label propagation round so that low-degree nodes settle before hubs.
-func DegreeOrder(g *Graph) []NodeID {
-	n := int(g.NumNodes())
-	// Counting sort by degree: degrees are bounded by n-1.
-	maxDeg := int(g.MaxDegree())
-	cnt := make([]int32, maxDeg+2)
-	for v := 0; v < n; v++ {
-		cnt[g.Degree(int32(v))+1]++
-	}
-	for d := 1; d <= maxDeg+1; d++ {
-		cnt[d] += cnt[d-1]
-	}
-	order := make([]NodeID, n)
-	for v := 0; v < n; v++ {
-		d := g.Degree(int32(v))
-		order[cnt[d]] = int32(v)
-		cnt[d]++
-	}
-	return order
-}
-
 // InducedSubgraph extracts the subgraph induced by the given nodes. It
 // returns the subgraph and the mapping from subgraph IDs back to ids in g.
 // Edges with exactly one endpoint in nodes are dropped.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
@@ -32,13 +33,11 @@ func BenchmarkRecursiveBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkFMRefine runs FM on the shape the web-* workloads hand the
-// initial partitioner: a coarsest graph of ~700 heavy nodes with an average
-// degree around 130 and weighted edges, started from planted blocks with
-// one node in six misplaced. k=16 is initialPartition's k-way FM (4
-// rounds), k=2 the FM that polishes each of recursive bisection's grown
-// bisections (8 rounds, bisectionBounds' per-side bounds).
-func BenchmarkFMRefine(b *testing.B) {
+// webCoarsest is the shape the web-* workloads hand the initial partitioner:
+// a coarsest graph of ~700 heavy nodes with an average degree around 130 and
+// weighted edges. It also returns planted 16- and 2-block starts with one
+// node in six misplaced.
+func webCoarsest() (g *graph.Graph, start16, start2 []int32) {
 	const n, deg = 700, 130
 	r := rng.New(7)
 	bu := graph.NewBuilder(n)
@@ -48,7 +47,7 @@ func BenchmarkFMRefine(b *testing.B) {
 		}
 		return v * k / n
 	}
-	start16, start2 := make([]int32, n), make([]int32, n)
+	start16, start2 = make([]int32, n), make([]int32, n)
 	for v := int32(0); v < n; v++ {
 		bu.SetNodeWeight(v, 100+r.Int64n(100))
 		start16[v] = plant(v, 16)
@@ -64,10 +63,19 @@ func BenchmarkFMRefine(b *testing.B) {
 			}
 		}
 	}
-	g := bu.Build()
+	g = bu.Build()
 	for v := range start2 {
 		start2[v] = plant(int32(v), 2)
 	}
+	return g, start16, start2
+}
+
+// BenchmarkFMRefine runs FM on webCoarsest from its planted starts. k=16 is
+// initialPartition's k-way FM (4 rounds), k=2 the FM that polishes each of
+// recursive bisection's grown bisections (8 rounds, bisectionBounds'
+// per-side bounds).
+func BenchmarkFMRefine(b *testing.B) {
+	g, start16, start2 := webCoarsest()
 	total := g.TotalNodeWeight()
 	_, halves := bisectionBounds(total, 2, 0.03)
 	for _, c := range []struct {
@@ -86,4 +94,50 @@ func BenchmarkFMRefine(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPartition is one whole kaffpa call on webCoarsest at k=16, as the
+// evolutionary algorithm makes it: fresh is an individual of the initial
+// population, combine the combine operator's call, with both parents' cut
+// edges kept out of contraction and the better parent as the start.
+func BenchmarkPartition(b *testing.B) {
+	g, _, _ := webCoarsest()
+	const k = 16
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cfg := DefaultConfig(k)
+			cfg.Seed = uint64(i) + 1
+			if _, err := Partition(g, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("combine", func(b *testing.B) {
+		parent := func(seed uint64) []int32 {
+			cfg := DefaultConfig(k)
+			cfg.Seed = seed
+			p, err := Partition(g, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
+		}
+		p1, p2 := parent(1), parent(2)
+		better := p1
+		if partition.EdgeCut(g, p2) < partition.EdgeCut(g, p1) {
+			better = p2
+		}
+		constraint := CompositeConstraint(p1, p2, k)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfg := DefaultConfig(k)
+			cfg.Seed = uint64(i) + 3
+			cfg.Constraint, cfg.InitialPartition = constraint, better
+			if _, err := Partition(g, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

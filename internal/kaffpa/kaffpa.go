@@ -2,7 +2,9 @@
 // plays the role of KaFFPa (§II-C) in the reproduction: cluster-contraction
 // coarsening via size-constrained label propagation, initial partitioning
 // by recursive bisection with greedy graph growing, and refinement by label
-// propagation plus FM-style local search.
+// propagation plus FM-style local search. Coarsening, contraction and label
+// propagation refinement are the distributed kernels of sclp and contract,
+// run on a one-rank world.
 //
 // It is used in three places: to create the individuals of the evolutionary
 // algorithm's initial population, as the engine of KaFFPaE's combine
@@ -14,7 +16,10 @@ import (
 	"fmt"
 
 	"repro/internal/contract"
+	"repro/internal/dgraph"
 	"repro/internal/graph"
+	"repro/internal/hashtab"
+	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/sclp"
@@ -94,14 +99,19 @@ func (c *Config) Normalize() {
 
 // level records one step of the multilevel hierarchy.
 type level struct {
-	g            *graph.Graph
-	fineToCoarse []int32 // maps this level's nodes to the next-coarser level
+	fine, coarse *dgraph.DGraph
+	fineToCoarse []int64 // maps fine's nodes to coarse's
 }
 
 // Partition computes a k-way partition of g. It returns an error for
 // invalid configurations; the partition is feasible whenever a feasible
 // partition is reachable by the refinement moves (on pathological inputs
 // with giant node weights the bound may be unattainable).
+//
+// The levels are distributed graphs over a one-rank world, and the parallel
+// kernels coarsen, contract and refine them. One rank has no ghosts, so a
+// level's local IDs are its node IDs, and initial partitioning and FM read
+// the level through a zero-copy view (levelView).
 //
 //lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
 func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
@@ -121,87 +131,122 @@ func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
 	if g.NumNodes() == 0 {
 		return []int32{}, nil
 	}
-	r := rng.New(cfg.Seed)
-	total := g.TotalNodeWeight()
-	lmax := partition.Lmax(total, cfg.K, cfg.Eps)
-
-	// Coarsening phase: size-constrained label propagation + contraction.
-	u := int64(float64(lmax) / cfg.SizeFactor)
-	if mw := g.MaxNodeWeight(); u < mw {
-		u = mw
-	}
-	cur := g
-	constraint := cfg.Constraint
-	initPart := cfg.InitialPartition
-	var levels []level
-	for cur.NumNodes() > cfg.CoarsestSize {
-		labels := sclp.Cluster(cur, sclp.ClusterConfig{
-			U:           u,
-			Iterations:  coarsenIters,
-			DegreeOrder: true,
-			Constraint:  constraint,
-			Seed:        r.Uint64(),
-		})
-		cg, f2c := contract.Contract(cur, labels)
-		if cg.NumNodes() >= cur.NumNodes()*19/20 {
-			break // coarsening stalled
-		}
-		levels = append(levels, level{g: cur, fineToCoarse: f2c})
-		if constraint != nil {
-			constraint = projectDown(constraint, f2c, cg.NumNodes())
-		}
-		if initPart != nil {
-			initPart = projectDown(initPart, f2c, cg.NumNodes())
-		}
-		cur = cg
-	}
-
-	// Initial partitioning of the coarsest graph.
-	bounds := uniformBounds(cfg.K, lmax)
-	var p []int32
-	if initPart != nil {
-		p = append([]int32(nil), initPart...)
-		// The inherited partition is already feasible on the coarsest graph
-		// (same cut and balance as on the finest level); refine it.
-		fmRefine(cur, p, bounds, fmRounds, r.Uint64())
-	} else {
-		p = initialPartition(cur, cfg.K, cfg.Eps, initialTries, r)
-	}
-	sclp.Refine(cur, p, sclp.RefineConfig{K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: r.Uint64()})
-
-	// Uncoarsening: project and locally improve at every level.
-	for i := len(levels) - 1; i >= 0; i-- {
-		p = contract.Project(p, levels[i].fineToCoarse)
-		sclp.Refine(levels[i].g, p, sclp.RefineConfig{K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: r.Uint64()})
-		fmRefine(levels[i].g, p, bounds, fmRounds, r.Uint64())
-	}
+	p := make([]int32, g.NumNodes())
+	world := mpi.NewWorld(1)
+	defer world.Close()
+	world.Run(func(c *mpi.Comm) { multilevel(dgraph.FromGraph(c, g), cfg, p) })
 	return p, nil
 }
 
-// projectDown maps per-fine-node labels to the coarse level. Each cluster
-// must be label-homogeneous (guaranteed when the labels were used as the
-// clustering constraint); the representative member's label is taken.
-func projectDown(labels []int32, fineToCoarse []int32, coarseN int32) []int32 {
-	out := make([]int32, coarseN)
-	seen := make([]bool, coarseN)
-	for v, c := range fineToCoarse {
-		if !seen[c] {
-			out[c] = labels[v]
-			seen[c] = true
+// multilevel runs the V-cycle on the one-rank level d and writes the
+// partition into out (one entry per node).
+func multilevel(d *dgraph.DGraph, cfg Config, out []int32) {
+	r := rng.New(cfg.Seed)
+	lmax := partition.Lmax(d.GlobalNodeWeight(), cfg.K, cfg.Eps)
+
+	// Coarsening phase: size-constrained label propagation + contraction.
+	u := max(int64(float64(lmax)/cfg.SizeFactor), d.MaxNodeWeightGlobal())
+	cur := d
+	constraint := widen(cfg.Constraint)
+	initPart := widen(cfg.InitialPartition)
+	var levels []level
+	for cur.GlobalN > int64(cfg.CoarsestSize) {
+		labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
+			U:              u,
+			Iterations:     coarsenIters,
+			DegreeOrder:    true,
+			PhasesPerRound: 1,
+			Constraint:     constraint,
+			Seed:           r.Uint64(),
+		})
+		res := contract.ParContract(cur, labels)
+		if res.Coarse.GlobalN >= cur.GlobalN*19/20 {
+			break // coarsening stalled
 		}
+		levels = append(levels, level{fine: cur, coarse: res.Coarse, fineToCoarse: res.FineToCoarse})
+		if constraint != nil {
+			constraint = contract.ParLift(cur, res.Coarse, res.FineToCoarse, constraint)
+		}
+		if initPart != nil {
+			initPart = contract.ParLift(cur, res.Coarse, res.FineToCoarse, initPart)
+		}
+		cur = res.Coarse
+	}
+
+	// p is the current level's partition. FM works on an int32 copy of it
+	// in a prefix of out: levels only grow towards the finest, whose copy
+	// is out itself.
+	var p []int64
+	bounds := uniformBounds(cfg.K, lmax)
+	fm := func(d *dgraph.DGraph) {
+		q := out[:d.NLocal()]
+		for v := range q {
+			q[v] = int32(p[v])
+		}
+		fmRefine(levelView(d), q, bounds, fmRounds, r.Uint64())
+		for v, b := range q {
+			p[v] = int64(b)
+		}
+	}
+	refine := func(d *dgraph.DGraph) {
+		sclp.ParRefine(d, p, sclp.ParRefineConfig{
+			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, PhasesPerRound: 1, Seed: r.Uint64(),
+		})
+	}
+
+	// Initial partitioning of the coarsest graph.
+	if initPart != nil {
+		// The inherited partition is already feasible on the coarsest graph
+		// (same cut and balance as on the finest level); refine it.
+		p = initPart
+		fm(cur)
+	} else {
+		p = widen(initialPartition(levelView(cur), cfg.K, cfg.Eps, initialTries, r))
+	}
+	refine(cur)
+
+	// Uncoarsening: project and locally improve at every level.
+	for i := len(levels) - 1; i >= 0; i-- {
+		lv := levels[i]
+		p = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, p)
+		refine(lv.fine)
+		fm(lv.fine)
+	}
+	for v := range out {
+		out[v] = int32(p[v])
+	}
+}
+
+// levelView is the one-rank level d as a graph, sharing d's arrays.
+func levelView(d *dgraph.DGraph) *graph.Graph {
+	return graph.FromCSR(d.XAdj, d.Adj, d.AdjW, d.NW[:d.NLocal()])
+}
+
+// widen returns labels as int64s, or nil for nil.
+func widen(labels []int32) []int64 {
+	if labels == nil {
+		return nil
+	}
+	out := make([]int64, len(labels))
+	for v, l := range labels {
+		out[v] = int64(l)
 	}
 	return out
 }
 
 // CompositeConstraint builds the constraint labels for a combine operation:
 // nodes get equal labels iff they share a block in both parents, so no cut
-// edge of either parent can be contracted (§II-C).
+// edge of either parent can be contracted (§II-C). The distinct (p1, p2)
+// pairs are numbered densely in first-seen order, so every label is below n
+// at any k.
 //
 //lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
 func CompositeConstraint(p1, p2 []int32, k int32) []int32 {
 	out := make([]int32, len(p1))
+	ids := hashtab.NewMapI64(64)
 	for v := range p1 {
-		out[v] = p1[v]*k + p2[v]
+		id, _ := ids.PutIfAbsent(int64(p1[v])*int64(k)+int64(p2[v]), int64(ids.Len()))
+		out[v] = int32(id)
 	}
 	return out
 }

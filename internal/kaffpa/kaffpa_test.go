@@ -234,6 +234,24 @@ func TestCompositeConstraint(t *testing.T) {
 	}
 }
 
+// TestCompositeConstraintLargeK: p1*k+p2 leaves int32 above k = 65,536; at
+// k = 70,000 the pairs (61357, 0) and (0, 22704) both came out as 22,704.
+// Distinct pairs must keep distinct labels, equal pairs share one, and every
+// label stays below n.
+func TestCompositeConstraintLargeK(t *testing.T) {
+	p1 := []int32{61357, 0, 61357, 5}
+	p2 := []int32{0, 22704, 0, 69999}
+	c := CompositeConstraint(p1, p2, 70000)
+	if c[0] == c[1] || c[0] != c[2] || c[3] == c[0] || c[3] == c[1] {
+		t.Fatalf("composite labels %v for pairs %v/%v", c, p1, p2)
+	}
+	for _, l := range c {
+		if l < 0 || int(l) >= len(c) {
+			t.Fatalf("label %d outside [0, %d): %v", l, len(c), c)
+		}
+	}
+}
+
 // The combine guarantee from §II-C: with the parents' cut edges forbidden
 // from contraction and the better parent applied at the coarsest level, the
 // offspring is at least as good as the better parent.
@@ -272,18 +290,6 @@ func TestCombineNeverWorseThanBetterParent(t *testing.T) {
 	}
 	if !partition.IsFeasible(g, child, k, 0.03) {
 		t.Fatal("offspring infeasible")
-	}
-}
-
-func TestProjectDown(t *testing.T) {
-	labels := []int32{5, 5, 7, 7, 9}
-	f2c := []int32{0, 0, 1, 1, 2}
-	got := projectDown(labels, f2c, 3)
-	want := []int32{5, 7, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("projectDown %v, want %v", got, want)
-		}
 	}
 }
 

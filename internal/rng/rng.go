@@ -121,15 +121,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Perm returns a pseudo-random permutation of [0, n) as int32 values.
-//
-//lint:rawslice-ok generic index permutation, not a partition
-func (r *RNG) Perm(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -123,38 +122,6 @@ func TestIntRangeInclusive(t *testing.T) {
 	}
 	if !seenLo || !seenHi {
 		t.Fatal("IntRange never hit one of its endpoints in 10000 draws")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || int(v) >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := New(seed).Perm(n)
-		var sum int64
-		for _, v := range p {
-			sum += int64(v)
-		}
-		return sum == int64(n)*int64(n-1)/2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

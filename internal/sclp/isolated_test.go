@@ -92,8 +92,7 @@ func packCheck(n int, first int64, degree0 func(v int) bool, nw []int64,
 	return nil
 }
 
-// TestIsolatedNodesPacked holds ParCluster at P=1,2,3 and the sequential
-// Cluster to the packing contract of packIsolated, with and without a
+// TestIsolatedNodesPacked holds ParCluster at P=1,2,3 to the packing contract of packIsolated, with and without a
 // constraint, on a graph where two in three nodes have degree 0.
 func TestIsolatedNodesPacked(t *testing.T) {
 	const u = 12
@@ -133,16 +132,6 @@ func TestIsolatedNodesPacked(t *testing.T) {
 				})
 			}
 
-			var constraint []int32
-			if constrained {
-				constraint = classOf
-			}
-			labels := Cluster(g, ClusterConfig{U: u, Iterations: 3, DegreeOrder: true, Constraint: constraint, Seed: trial + 1})
-			err := packCheck(int(n), 0, func(v int) bool { return g.Degree(int32(v)) == 0 }, g.NW,
-				func(v int) int64 { return int64(labels[v]) }, func(v int) int64 { return class(int64(v)) }, u)
-			if err != nil {
-				t.Errorf("%s sequential: %v", name, err)
-			}
 		}
 	}
 }

@@ -4,11 +4,38 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
+
+// clusterOneRank runs ParCluster over g on a one-rank world with one phase
+// per round, the clustering kaffpa runs. One rank has no ghosts, so the
+// returned labels are node IDs of g.
+func clusterOneRank(g *graph.Graph, cfg ParClusterConfig) []int32 {
+	cfg.PhasesPerRound = 1
+	var labels []int64
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) { labels = ParCluster(dgraph.FromGraph(c, g), cfg) })
+	return narrow32(labels)
+}
+
+// refineOneRank runs ParRefine over g and p on a one-rank world with one
+// phase per round, the refinement kaffpa runs, writes the result into p and
+// returns the number of moves.
+func refineOneRank(g *graph.Graph, p []int32, cfg ParRefineConfig) int64 {
+	cfg.PhasesPerRound = 1
+	part := make([]int64, len(p))
+	for v, b := range p {
+		part[v] = int64(b)
+	}
+	var moves int64
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) { moves = ParRefine(dgraph.FromGraph(c, g), part, cfg) })
+	copy(p, narrow32(part))
+	return moves
+}
 
 // clusterWeights returns the total node weight per label.
 func clusterWeights(g *graph.Graph, labels []int32) map[int32]int64 {
@@ -30,7 +57,7 @@ func TestClusterTwoCliques(t *testing.T) {
 	}
 	b.AddEdge(4, 5)
 	g := b.Build()
-	labels := Cluster(g, ClusterConfig{U: 5, Iterations: 10, Seed: 1})
+	labels := clusterOneRank(g, ParClusterConfig{U: 5, Iterations: 10, Seed: 1})
 	for v := int32(1); v < 5; v++ {
 		if labels[v] != labels[0] {
 			t.Fatalf("clique 1 split: %v", labels)
@@ -50,7 +77,7 @@ func TestClusterRespectsSizeConstraint(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.RGG(300, seed)
 		const U = 20
-		labels := Cluster(g, ClusterConfig{U: U, Iterations: 5, Seed: seed})
+		labels := clusterOneRank(g, ParClusterConfig{U: U, Iterations: 5, Seed: seed})
 		for _, w := range clusterWeights(g, labels) {
 			if w > U {
 				return false
@@ -67,7 +94,7 @@ func TestClusterUnitBound(t *testing.T) {
 	// U=1 on a unit-weight graph: the only feasible clustering is singletons
 	// (paper §II-A).
 	g := gen.RGG(100, 2)
-	labels := Cluster(g, ClusterConfig{U: 1, Iterations: 5, Seed: 3})
+	labels := clusterOneRank(g, ParClusterConfig{U: 1, Iterations: 5, Seed: 3})
 	for v := int32(0); v < g.NumNodes(); v++ {
 		if labels[v] != v {
 			t.Fatalf("node %d moved under U=1", v)
@@ -77,7 +104,7 @@ func TestClusterUnitBound(t *testing.T) {
 
 func TestClusterShrinksCommunityGraph(t *testing.T) {
 	g, _ := gen.PlantedPartition(2000, 20, 10, 0.2, 7)
-	labels := Cluster(g, ClusterConfig{U: 200, Iterations: 3, DegreeOrder: true, Seed: 1})
+	labels := clusterOneRank(g, ParClusterConfig{U: 200, Iterations: 3, DegreeOrder: true, Seed: 1})
 	distinct := make(map[int32]bool)
 	for _, l := range labels {
 		distinct[l] = true
@@ -91,13 +118,13 @@ func TestClusterShrinksCommunityGraph(t *testing.T) {
 
 func TestClusterConstraintRespected(t *testing.T) {
 	g := gen.RGG(200, 4)
-	constraint := make([]int32, 200)
+	constraint := make([]int64, 200)
 	for v := range constraint {
-		constraint[v] = int32(v % 2)
+		constraint[v] = int64(v % 2)
 	}
-	labels := Cluster(g, ClusterConfig{U: 50, Iterations: 5, Constraint: constraint, Seed: 5})
+	labels := clusterOneRank(g, ParClusterConfig{U: 50, Iterations: 5, Constraint: constraint, Seed: 5})
 	// Every cluster must be a subset of one constraint block.
-	repBlock := make(map[int32]int32)
+	repBlock := make(map[int32]int64)
 	for v := int32(0); v < 200; v++ {
 		if b, ok := repBlock[labels[v]]; ok {
 			if b != constraint[v] {
@@ -111,8 +138,8 @@ func TestClusterConstraintRespected(t *testing.T) {
 
 func TestClusterDeterminism(t *testing.T) {
 	g := gen.RGG(300, 9)
-	a := Cluster(g, ClusterConfig{U: 30, Iterations: 4, Seed: 42})
-	b := Cluster(g, ClusterConfig{U: 30, Iterations: 4, Seed: 42})
+	a := clusterOneRank(g, ParClusterConfig{U: 30, Iterations: 4, Seed: 42})
+	b := clusterOneRank(g, ParClusterConfig{U: 30, Iterations: 4, Seed: 42})
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatal("same seed produced different clusterings")
@@ -122,7 +149,7 @@ func TestClusterDeterminism(t *testing.T) {
 
 func TestClusterZeroIterations(t *testing.T) {
 	g := graph.Path(5)
-	labels := Cluster(g, ClusterConfig{U: 10, Iterations: 0, Seed: 1})
+	labels := clusterOneRank(g, ParClusterConfig{U: 10, Iterations: 0, Seed: 1})
 	for v := int32(0); v < 5; v++ {
 		if labels[v] != v {
 			t.Fatal("zero iterations should leave singletons")
@@ -138,10 +165,10 @@ func TestClusterIsolatedNodes(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	g := b.Build() // nodes 2, 3 isolated
-	if labels := Cluster(g, ClusterConfig{U: 1, Iterations: 3, Seed: 1}); labels[2] != 2 || labels[3] != 3 {
+	if labels := clusterOneRank(g, ParClusterConfig{U: 1, Iterations: 3, Seed: 1}); labels[2] != 2 || labels[3] != 3 {
 		t.Fatalf("U=1: isolated nodes must keep their own cluster, got labels %v", labels)
 	}
-	if labels := Cluster(g, ClusterConfig{U: 4, Iterations: 3, Seed: 1}); labels[2] != 2 || labels[3] != 2 {
+	if labels := clusterOneRank(g, ParClusterConfig{U: 4, Iterations: 3, Seed: 1}); labels[2] != 2 || labels[3] != 2 {
 		t.Fatalf("U=4: isolated nodes 2 and 3 must share label 2, got labels %v", labels)
 	}
 }
@@ -157,7 +184,7 @@ func TestRefineImprovesCut(t *testing.T) {
 		p[v] = v % 2
 	}
 	before := partition.EdgeCut(g, partition.Partition(p))
-	moves := Refine(g, p, RefineConfig{K: k, Lmax: lmax, Iterations: 6, Seed: 1})
+	moves := refineOneRank(g, p, ParRefineConfig{K: k, Lmax: lmax, Iterations: 6, Seed: 1})
 	after := partition.EdgeCut(g, partition.Partition(p))
 	if moves == 0 {
 		t.Fatal("refinement made no moves on an odd/even partition")
@@ -185,7 +212,7 @@ func TestRefineNeverWorsensFromGoodStart(t *testing.T) {
 		}
 		before := partition.EdgeCut(g, partition.Partition(p))
 		lmax := partition.Lmax(g.TotalNodeWeight(), k, 0.03)
-		Refine(g, p, RefineConfig{K: k, Lmax: lmax, Iterations: 4, Seed: seed})
+		refineOneRank(g, p, ParRefineConfig{K: k, Lmax: lmax, Iterations: 4, Seed: seed})
 		after := partition.EdgeCut(g, partition.Partition(p))
 		return after <= before
 	}
@@ -201,7 +228,7 @@ func TestRefineRepairsOverload(t *testing.T) {
 	n := g.NumNodes()
 	p := make([]int32, n)
 	lmax := partition.Lmax(g.TotalNodeWeight(), 2, 0.03)
-	Refine(g, p, RefineConfig{K: 2, Lmax: lmax, Iterations: 20, Seed: 2})
+	refineOneRank(g, p, ParRefineConfig{K: 2, Lmax: lmax, Iterations: 20, Seed: 2})
 	bw := partition.BlockWeights(g, partition.Partition(p), 2)
 	if bw[0] > lmax {
 		t.Fatalf("block 0 still overloaded: %v (lmax %d)", bw, lmax)
@@ -226,7 +253,7 @@ func TestRefineRespectsLmax(t *testing.T) {
 				maxBefore = w
 			}
 		}
-		Refine(g, p, RefineConfig{K: k, Lmax: lmax, Iterations: 6, Seed: seed})
+		refineOneRank(g, p, ParRefineConfig{K: k, Lmax: lmax, Iterations: 6, Seed: seed})
 		for _, w := range partition.BlockWeights(g, partition.Partition(p), k) {
 			// Blocks within the bound stay within; pre-overloaded blocks
 			// must not grow.

@@ -465,14 +465,27 @@ func TestKernelsMatchOracleRefine(t *testing.T) {
 	}
 }
 
-// TestKernelsMatchOracleSequential sweeps the sequential kernels and the
-// parent's over the same evolving state: after every node the labels (or
-// blocks), the weights and the RNG state must agree.
+// oneRankGraph distributes g over a one-rank world. The sweep steps read
+// only the level's arrays, never its communicator, so the result may be
+// used after the world's run returns.
+func oneRankGraph(g *graph.Graph) *dgraph.DGraph {
+	var d *dgraph.DGraph
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) { d = dgraph.FromGraph(c, g) })
+	return d
+}
+
+// TestKernelsMatchOracleSequential sweeps the one-rank sweep steps — what
+// kaffpa runs — and the parent's sequential kernels over the same evolving
+// state: after every node the labels (or blocks), the weights and the RNG
+// state must agree. One rank has no ghosts and no foreign labels, so label
+// indices are node IDs, and refinement's headroom is unlimited, as ParRefine
+// sets it at P=1.
 func TestKernelsMatchOracleSequential(t *testing.T) {
 	for trial := uint64(0); trial < 12; trial++ {
 		r := rng.New(300 + trial)
 		g := testutil.KernelGraph(r, 1+3*int64(trial/2%2)) // unit and weighted edges by turns
 		n := g.NumNodes()
+		d := oneRankGraph(g)
 		ids := make([]int64, n)
 		for v := range ids {
 			ids[v] = int64(v)
@@ -491,15 +504,17 @@ func TestKernelsMatchOracleSequential(t *testing.T) {
 			}
 			newLabels := slices.Clone(oldLabels)
 			newW := slices.Clone(oldW)
-			oldConn, newConn := hashtab.NewAccumulatorI64(64), hashtab.NewAccumulatorI64(64)
-			oldRNG, newRNG := rng.New(trial), rng.New(trial)
+			oldConn := hashtab.NewAccumulatorI64(64)
+			oldRNG := rng.New(trial)
+			ln := lane{conn: hashtab.NewAccumulatorI64(64)}
+			ln.rng = *rng.New(trial)
 			for sweep := 0; sweep < 3; sweep++ {
 				for v := int32(0); v < n; v++ {
 					want := oracleMoveNode(g, v, oldLabels, oldW, constraint, u, oldConn, oldRNG)
-					got := moveNode(g, v, newLabels, newW, constraint, u, newConn, newRNG)
-					if got != want || newLabels[v] != oldLabels[v] || *newRNG != *oldRNG || !slices.Equal(newW, oldW) {
+					got := commitClusterMove(d, v, newLabels, newW, constraint, u, &ln)
+					if got != want || newLabels[v] != oldLabels[v] || ln.rng != *oldRNG || !slices.Equal(newW, oldW) {
 						t.Fatalf("sweep %d node %d: moved %v to %d (oracle %v to %d), same RNG state: %v",
-							sweep, v, got, newLabels[v], want, oldLabels[v], *newRNG == *oldRNG)
+							sweep, v, got, newLabels[v], want, oldLabels[v], ln.rng == *oldRNG)
 					}
 				}
 			}
@@ -518,20 +533,26 @@ func TestKernelsMatchOracleSequential(t *testing.T) {
 				// Lmax from the actual weights: above every block; below the
 				// heaviest only; at the lightest, so that nothing fits anywhere.
 				lmax := []int64{sorted[k-1] + 4, sorted[k-1] - 1, sorted[0]}[regime]
-				newP, newW := slices.Clone(oldP), slices.Clone(oldW)
+				newP := make([]int64, n)
+				for v, b := range oldP {
+					newP[v] = int64(b)
+				}
+				newW, contrib := slices.Clone(oldW), slices.Clone(oldW)
 				headroom := make([]int64, k)
 				for b := range headroom {
 					headroom[b] = math.MaxInt64
 				}
-				oldConn, newConn := hashtab.NewAccumulatorI64(64), hashtab.NewDenseAccumulator(k)
-				oldRNG, newRNG := rng.New(trial), rng.New(trial)
+				oldConn := hashtab.NewAccumulatorI64(64)
+				oldRNG := rng.New(trial)
+				ln := lane{blocks: hashtab.NewDenseAccumulator(k)}
+				ln.rng = *rng.New(trial)
 				for sweep := 0; sweep < 3; sweep++ {
 					for v := int32(0); v < n; v++ {
 						want := oracleRefineNode(g, v, oldP, oldW, lmax, oldConn, oldRNG)
-						got := refineNode(g, v, newP, newW, headroom, lmax, newConn, newRNG)
-						if got != want || newP[v] != oldP[v] || *newRNG != *oldRNG || !slices.Equal(newW, oldW) {
+						got := commitRefineMove(d, v, newP, nil, newW, contrib, headroom, lmax, &ln)
+						if got != want || newP[v] != int64(oldP[v]) || ln.rng != *oldRNG || !slices.Equal(newW, oldW) {
 							t.Fatalf("sweep %d node %d: moved %v to %d (oracle %v to %d), same RNG state: %v",
-								sweep, v, got, newP[v], want, oldP[v], *newRNG == *oldRNG)
+								sweep, v, got, newP[v], want, oldP[v], ln.rng == *oldRNG)
 						}
 					}
 				}

@@ -1,6 +1,17 @@
+// Package sclp implements size-constrained label propagation (§III-A of
+// the paper) over a distributed graph; kaffpa runs it on one rank.
+//
+// Label propagation starts with every node in its own cluster and
+// repeatedly moves each node to the eligible neighbouring cluster with the
+// strongest edge connection, breaking ties randomly. A cluster is eligible
+// when moving the node keeps its weight within the upper bound U. With
+// U = Lmax/f the algorithm computes the clusterings contracted during
+// coarsening; with U = Lmax it doubles as the local search used during
+// uncoarsening, where nodes of overloaded blocks are forced to move out.
 package sclp
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -378,31 +389,28 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			sp := tracer.Begin(rank, "sclp.refine_superstep")
 			movedBefore := movedLocal
 			phase := order[ph*len(order)/cfg.PhasesPerRound : (ph+1)*len(order)/cfg.PhasesPerRound]
-			// Fast path: when every block with headroom can take a uniform
-			// h/P share that still fits the heaviest node, the old local
-			// split is exact and costs no communication. Only tight blocks
-			// (0 < h, h/P < maxNW — the starvation regime) need the
-			// demand-proportional claim. The choice is made from
+			// Headroom shares. On one rank blockWeight is exact and live
+			// through the sweep, so Lmax alone bounds a move and no block's
+			// headroom is limited: the sequential refinement (DESIGN §13).
+			// On more, the fast path: when every block with headroom can
+			// take a uniform h/P share that still fits the heaviest node,
+			// the local split is exact and costs no communication. Only
+			// tight blocks (0 < h, h/P < maxNW — the starvation regime)
+			// need the demand-proportional claim. The choice is made from
 			// rank-consistent data, so all ranks agree on whether the
 			// claimHeadroom collective runs.
-			tight := false
-			for b := int32(0); b < k; b++ {
-				if h := cfg.Lmax - blockWeight[b]; h > 0 && h/P < maxNW {
-					tight = true
-					break
+			switch {
+			case P == 1:
+				for b := range headroom {
+					headroom[b] = math.MaxInt64
 				}
-			}
-			if tight {
+			case tightHeadroom(blockWeight, cfg.Lmax, P, maxNW):
 				refineDemand(d, phase, part, blockWeight, cfg.Lmax, ln.blocks, demand)
 				claimHeadroom(d.Comm, blockWeight, demand, cfg.Lmax,
 					iter*cfg.PhasesPerRound+ph, false, headroom)
-			} else {
+			default:
 				for b := int32(0); b < k; b++ {
-					h := cfg.Lmax - blockWeight[b]
-					if h < 0 {
-						h = 0
-					}
-					headroom[b] = h / P
+					headroom[b] = max(cfg.Lmax-blockWeight[b], 0) / P
 				}
 			}
 			// Phase seed: drawn on every rank regardless of local node count
@@ -444,6 +452,17 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 	}
 	cfg.Stats.count(ln)
 	return totalMoves
+}
+
+// tightHeadroom reports whether some block has headroom h > 0 whose uniform
+// share h/P cannot take the heaviest node.
+func tightHeadroom(blockWeight []int64, lmax, P, maxNW int64) bool {
+	for _, w := range blockWeight {
+		if h := lmax - w; h > 0 && h/P < maxNW {
+			return true
+		}
+	}
+	return false
 }
 
 // refineDemand fills demand[b] with the weight of this phase's nodes that

@@ -101,9 +101,8 @@ func packIsolated(xadj, nw []int64, labels, constraint []int32, weight []int64, 
 	}
 }
 
-// The move selections below are shared by the parallel kernels (the
-// clustering and refinement sweeps), the sequential kernels of seq.go and
-// kaffpa's FM. Each is a gather — scan the neighbourhood, and only if it can
+// The move selections below are shared by the clustering and refinement
+// sweeps, which kaffpa runs on one rank, and kaffpa's FM. Each is a gather — scan the neighbourhood, and only if it can
 // matter accumulate the ratings — followed by a select over the accumulated
 // ratings. What they skip cannot change the returned target or the number
 // of RNG draws (DESIGN.md §13); TestKernelsMatchOracle holds them to the
@@ -291,8 +290,7 @@ func evalClusterNode(d *dgraph.DGraph, v int32, labels []int32, weight []int64,
 }
 
 // commitClusterMove is the clustering sweep's step: select for v and, if
-// the selection names another cluster, move v there. It is seq.go's
-// moveNode over the distributed graph view.
+// the selection names another cluster, move v there.
 //
 //parhip:hotpath
 func commitClusterMove(d *dgraph.DGraph, v int32, labels []int32,
