@@ -135,26 +135,30 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPrometheusExposition is a golden test for the text format: counter,
-// gauge, func collectors, and histogram with cumulative buckets, all
-// sorted by name.
+// TestPrometheusExposition is a golden test for the text format: a
+// histogram with cumulative buckets followed by counter and gauge samples.
 func TestPrometheusExposition(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("parhipd_jobs_submitted_total", "Jobs accepted.")
-	g := r.NewGauge("parhipd_queue_depth", "Jobs waiting to run.")
-	r.GaugeFunc("parhipd_workers_busy", "Workers currently running a job.", func() float64 { return 2 })
-	h := r.NewHistogram("parhipd_job_run_seconds", "Wall time of job execution.", []float64{0.1, 1, 10})
-	c.Add(5)
-	c.Inc()
-	g.Set(3)
+	h := NewHistogram("parhipd_job_run_seconds", "Wall time of job execution.", []float64{0.1, 1, 10})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(0.7)
 	h.Observe(42)
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := h.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range []struct {
+		name, help, typ string
+		v               float64
+	}{
+		{"parhipd_jobs_submitted_total", "Jobs accepted.", "counter", 6},
+		{"parhipd_queue_depth", "Jobs waiting to run.", "gauge", 3},
+		{"parhipd_workers_busy", "Workers currently running a job.", "gauge", 2},
+	} {
+		if err := WriteSample(&sb, s.name, s.help, s.typ, s.v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := `# HELP parhipd_job_run_seconds Wall time of job execution.
 # TYPE parhipd_job_run_seconds histogram
@@ -177,18 +181,6 @@ parhipd_workers_busy 2
 	if sb.String() != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
 	}
-}
-
-// TestDuplicateMetricPanics guards metric-name collisions at registration.
-func TestDuplicateMetricPanics(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("dup_total", "x")
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	r.NewCounter("dup_total", "y")
 }
 
 // BenchmarkDisabledTracerSuperstep measures the per-superstep cost of the

@@ -1,8 +1,8 @@
 // Package obs is the observability substrate of the repro: a low-overhead
 // span tracer that serializes runs as Chrome trace-event JSON (openable in
-// Perfetto / chrome://tracing, one track per simulated rank), and a small
-// metrics registry (counters, gauges, fixed-bucket histograms) rendered in
-// Prometheus text exposition format.
+// Perfetto / chrome://tracing, one track per simulated rank), and the
+// Prometheus text exposition writers: fixed-bucket histograms and single
+// gauge or counter samples.
 //
 // The package is dependency-free (stdlib only) so every layer — mpi, dgraph,
 // sclp, matchbase, core, server — can import it without cycles. Both halves

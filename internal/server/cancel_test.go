@@ -223,6 +223,26 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestDoneJobDisarmsExpiry: a job that finishes well inside its timeout_ms
+// stops its queued-expiry timer, so the timer does not keep the finished
+// job and its result reachable for the rest of the hour.
+func TestDoneJobDisarmsExpiry(t *testing.T) {
+	var calls atomic.Int64
+	e := newEnv(t, Config{Workers: 1, PartitionFn: stubPartitionFn(&calls)})
+	id := e.uploadMetis(testGraph(29))
+	v, _ := e.submit(fmt.Sprintf(`{"graph_id":%q,"k":2,"timeout_ms":3600000,"options":{"pes":2}}`, id))
+	if v = e.await(v.ID); v.State != StateDone {
+		t.Fatalf("job ended %s: %s", v.State, v.Error)
+	}
+	j, _ := e.srv.jobs.get(v.ID)
+	e.srv.jobs.mu.Lock()
+	armed := j.expiry.Stop()
+	e.srv.jobs.mu.Unlock()
+	if armed {
+		t.Error("done job still has an armed queued-expiry timer")
+	}
+}
+
 // TestQueuedJobTimeoutExpiresEagerly: a timeout firing while the job still
 // waits in the queue cancels it on the spot — state flips to cancelled and
 // the queue slot frees up — even though no worker ever touches it.

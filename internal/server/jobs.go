@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,7 +73,8 @@ type job struct {
 	ctx       context.Context
 	cancel    context.CancelFunc
 	timeoutMS int64
-	cancelReq bool // DELETE seen (distinguishes cancel from timeout)
+	expiry    *time.Timer // queued-expiry timer; stopped once terminal
+	cancelReq bool        // DELETE seen (distinguishes cancel from timeout)
 	progress  *parhip.ProgressEvent
 
 	// tracer records per-rank spans when the job was submitted with
@@ -82,7 +84,7 @@ type job struct {
 
 	// done is closed exactly once when the job reaches a terminal state
 	// (done, failed or cancelled — every transition funnels through
-	// pushTimingLocked). The live manager blocks on it to swap results in
+	// terminateLocked). The live manager blocks on it to swap results in
 	// without polling.
 	done chan struct{}
 }
@@ -161,16 +163,16 @@ type jobManager struct {
 	recent []JobTiming // ring, newest last; guarded by mu
 }
 
-func newJobManager(workers, queueSize, cacheSize int, fn PartitionFunc, reg *obs.Registry) *jobManager {
+func newJobManager(workers, queueSize, cacheSize int, fn PartitionFunc) *jobManager {
 	m := &jobManager{
 		partition: fn,
 		queueCap:  queueSize,
 		cache:     newResultCache(cacheSize),
 		jobs:      make(map[string]*job),
 		workers:   workers,
-		queueWait: reg.NewHistogram("parhipd_job_queue_wait_seconds",
+		queueWait: obs.NewHistogram("parhipd_job_queue_wait_seconds",
 			"Time jobs spent queued before a worker picked them up.", obs.DurationBuckets),
-		runDur: reg.NewHistogram("parhipd_job_run_seconds",
+		runDur: obs.NewHistogram("parhipd_job_run_seconds",
 			"Wall-clock partitioner run time per job (cache hits excluded).", obs.DurationBuckets),
 	}
 	m.qcond = sync.NewCond(&m.mu)
@@ -287,7 +289,8 @@ func (m *jobManager) submit(sg *storedGraph, k int32, opts jobOptions,
 		m.order = append(m.order, j.id)
 		m.submitted++
 		m.cacheHits++
-		m.finishLocked(j, res, true, now)
+		j.cached = true
+		m.terminateLocked(j, StateDone, res, "", now)
 		return j, nil
 	}
 
@@ -322,9 +325,9 @@ func (m *jobManager) submit(sg *storedGraph, k int32, opts jobOptions,
 	if timeoutMS > 0 {
 		// Realize a queue-time expiry eagerly: without this, a timed-out
 		// job would keep reporting "queued" and holding its queue slot
-		// until a worker happened to pop it. Firing after the job left the
-		// queued state is a no-op.
-		time.AfterFunc(time.Duration(timeoutMS)*time.Millisecond, func() { m.expireQueued(j) })
+		// until a worker happened to pop it. terminateLocked stops the
+		// timer, so it never outlives the job's queue and run.
+		j.expiry = time.AfterFunc(time.Duration(timeoutMS)*time.Millisecond, func() { m.expireQueued(j) })
 	}
 	return j, nil
 }
@@ -337,13 +340,19 @@ func (m *jobManager) expireQueued(j *job) {
 	if j.state != StateQueued {
 		return
 	}
-	for i, q := range m.queue {
-		if q == j {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			break
-		}
+	m.unqueueLocked(j)
+	m.terminateLocked(j, StateCancelled, nil, fmt.Sprintf("timeout after %dms while queued", j.timeoutMS), time.Now())
+}
+
+// unqueueLocked frees j's queue slot. The job may already be out of the
+// slice if a worker popped it a moment ago; the dequeue-side state check
+// drops it then. Callers hold m.mu.
+//
+//parhip:holds mu
+func (m *jobManager) unqueueLocked(j *job) {
+	if i := slices.Index(m.queue, j); i >= 0 {
+		m.queue = slices.Delete(m.queue, i, i+1)
 	}
-	m.cancelLocked(j, fmt.Sprintf("timeout after %dms while queued", j.timeoutMS), time.Now())
 }
 
 // cancelJob implements DELETE /v1/jobs/{id}. Queued jobs transition to
@@ -360,18 +369,8 @@ func (m *jobManager) cancelJob(id string) (*job, bool, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.cancelReq = true
-		j.cancel()
-		// Free the queue slot on the spot (the job may already be out of
-		// the slice if a worker popped it a moment ago — the dequeue-side
-		// state check drops it then).
-		for i, q := range m.queue {
-			if q == j {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				break
-			}
-		}
-		m.cancelLocked(j, "cancelled while queued", time.Now())
+		m.unqueueLocked(j)
+		m.terminateLocked(j, StateCancelled, nil, "cancelled while queued", time.Now())
 	case StateRunning:
 		j.cancelReq = true
 		j.cancel() // the worker observes ctx and finishes the transition
@@ -381,25 +380,6 @@ func (m *jobManager) cancelJob(id string) (*job, bool, error) {
 		return j, true, fmt.Errorf("job %s already %s", id, j.state)
 	}
 	return j, true, nil
-}
-
-// cancelLocked moves j to the cancelled terminal state. Callers hold m.mu.
-//
-//parhip:holds mu
-func (m *jobManager) cancelLocked(j *job, msg string, now time.Time) {
-	j.state = StateCancelled
-	j.errMsg = msg
-	if j.started.IsZero() {
-		j.started = now
-	}
-	j.finished = now
-	j.g = nil
-	j.prev = nil
-	if j.cancel != nil {
-		j.cancel() // release the timeout timer
-	}
-	m.cancelled++
-	m.pushTimingLocked(j)
 }
 
 func (m *jobManager) worker() {
@@ -436,7 +416,7 @@ func (m *jobManager) runJob(j *job) {
 		if m.draining && !j.cancelReq {
 			msg = "cancelled: server shutdown drained the queue"
 		}
-		m.cancelLocked(j, msg, time.Now())
+		m.terminateLocked(j, StateCancelled, nil, msg, time.Now())
 		m.mu.Unlock()
 		return
 	}
@@ -450,7 +430,8 @@ func (m *jobManager) runJob(j *job) {
 	if res, ok := m.cache.get(j.key); ok {
 		m.cacheHits++
 		m.running--
-		m.finishLocked(j, res, true, time.Now())
+		j.cached = true
+		m.terminateLocked(j, StateDone, res, "", time.Now())
 		m.mu.Unlock()
 		return
 	}
@@ -487,18 +468,11 @@ func (m *jobManager) runJob(j *job) {
 		if err != nil {
 			msg += ": " + err.Error()
 		}
-		m.cancelLocked(j, msg, end)
+		m.terminateLocked(j, StateCancelled, nil, msg, end)
 		return
 	}
-	j.cancel() // release the timeout timer
 	if err != nil {
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.finished = end
-		j.g = nil
-		j.prev = nil
-		m.failed++
-		m.pushTimingLocked(j)
+		m.terminateLocked(j, StateFailed, nil, err.Error(), end)
 		return
 	}
 	// Feasibility gate: the balance constraint is hard (§II-A), so a result
@@ -506,16 +480,10 @@ func (m *jobManager) runJob(j *job) {
 	// job, not a silently degraded done one. It is also never cached — a
 	// later identical submission must not be served the bad partition.
 	if !res.Feasible {
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf(
-			"result infeasible: heaviest block %d exceeds Lmax %d by %d (imbalance %.4f)",
-			res.Stats.MaxBlockWeight, res.Stats.Lmax, res.Stats.WorstOverload(), res.Imbalance)
-		j.finished = end
-		j.g = nil
-		j.prev = nil
-		m.failed++
 		m.infeasible++
-		m.pushTimingLocked(j)
+		m.terminateLocked(j, StateFailed, nil, fmt.Sprintf(
+			"result infeasible: heaviest block %d exceeds Lmax %d by %d (imbalance %.4f)",
+			res.Stats.MaxBlockWeight, res.Stats.Lmax, res.Stats.WorstOverload(), res.Imbalance), end)
 		return
 	}
 	m.cache.put(j.key, &res)
@@ -528,28 +496,37 @@ func (m *jobManager) runJob(j *job) {
 	m.transport.Add(res.Stats.Transport)
 	m.par.Add(res.Stats.Par)
 	m.cutSum += res.Cut
-	m.finishLocked(j, &res, false, end)
+	m.terminateLocked(j, StateDone, &res, "", end)
 }
 
-// finishLocked marks j done with res. The graph reference is dropped so a
-// finished job no longer pins its (possibly deleted) graph in memory.
-// Callers hold m.mu.
+// terminateLocked is the one way a job ends: it moves j to state (done
+// with res, failed or cancelled with msg) at now. The graph and previous
+// partition are dropped so a finished job no longer pins a (possibly
+// deleted) graph in memory, and the job's context and queued-expiry timer
+// are released. Callers hold m.mu.
 //
 //parhip:holds mu
-func (m *jobManager) finishLocked(j *job, res *parhip.Result, cached bool, now time.Time) {
-	j.state = StateDone
-	j.cached = cached
-	j.result = res
-	j.g = nil
-	j.prev = nil
+func (m *jobManager) terminateLocked(j *job, state JobState, res *parhip.Result, msg string, now time.Time) {
+	j.state, j.result, j.errMsg = state, res, msg
+	j.g, j.prev = nil, nil
 	if j.cancel != nil {
-		j.cancel() // release the timeout timer
+		j.cancel()
+	}
+	if j.expiry != nil {
+		j.expiry.Stop()
 	}
 	if j.started.IsZero() {
 		j.started = now
 	}
 	j.finished = now
-	m.completed++
+	switch state {
+	case StateDone:
+		m.completed++
+	case StateFailed:
+		m.failed++
+	case StateCancelled:
+		m.cancelled++
+	}
 	m.pushTimingLocked(j)
 }
 

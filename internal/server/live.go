@@ -103,16 +103,21 @@ func (lm *liveManager) sweep() {
 			return
 		case <-t.C:
 		}
-		lm.mu.RLock()
-		graphs := make([]*liveGraph, 0, len(lm.byID))
-		for _, ls := range lm.byID {
-			graphs = append(graphs, ls)
-		}
-		lm.mu.RUnlock()
-		for _, ls := range graphs {
+		for _, ls := range lm.graphs() {
 			lm.evaluate(ls)
 		}
 	}
+}
+
+// graphs snapshots the registered live graphs.
+func (lm *liveManager) graphs() []*liveGraph {
+	lm.mu.RLock()
+	defer lm.mu.RUnlock()
+	graphs := make([]*liveGraph, 0, len(lm.byID))
+	for _, ls := range lm.byID {
+		graphs = append(graphs, ls)
+	}
+	return graphs
 }
 
 func (lm *liveManager) get(id string) (*liveGraph, bool) {
@@ -127,30 +132,6 @@ func (lm *liveManager) get(id string) (*liveGraph, bool) {
 func (lm *liveManager) isLive(id string) bool {
 	_, ok := lm.get(id)
 	return ok
-}
-
-// maxChurnFraction is the /metrics churn gauge: the largest churn
-// fraction currently pending across live graphs.
-func (lm *liveManager) maxChurnFraction() float64 {
-	lm.mu.RLock()
-	graphs := make([]*liveGraph, 0, len(lm.byID))
-	for _, ls := range lm.byID {
-		graphs = append(graphs, ls)
-	}
-	lm.mu.RUnlock()
-	mx := 0.0
-	for _, ls := range graphs {
-		if c := ls.lg.Stats().ChurnFraction; c > mx {
-			mx = c
-		}
-	}
-	return mx
-}
-
-func (lm *liveManager) count() int {
-	lm.mu.RLock()
-	defer lm.mu.RUnlock()
-	return len(lm.byID)
 }
 
 // enable promotes sg into a live graph and schedules the initial cold
@@ -298,8 +279,11 @@ type livePolicyView struct {
 }
 
 func (v livePolicyView) toPolicy() (live.Policy, error) {
-	if v.MinIntervalMS < 0 || v.MaxStalenessMS < 0 {
-		return live.Policy{}, fmt.Errorf("policy intervals must be >= 0")
+	if err := checkMS("min_interval_ms", v.MinIntervalMS); err != nil {
+		return live.Policy{}, err
+	}
+	if err := checkMS("max_staleness_ms", v.MaxStalenessMS); err != nil {
+		return live.Policy{}, err
 	}
 	if v.MaxImbalance < 0 {
 		return live.Policy{}, fmt.Errorf("max_imbalance must be >= 0")
@@ -451,22 +435,8 @@ func (s *Server) handleLiveEnable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode live request: %v", err)
 		return
 	}
-	sg, ok := s.store.get(r.PathValue("id"))
+	sg, opts, ok := s.resolveTarget(w, r.PathValue("id"), req.K, req.Options)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no graph %q", r.PathValue("id"))
-		return
-	}
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
-	}
-	if req.K > sg.N {
-		writeError(w, http.StatusBadRequest, "k = %d exceeds graph %s's %d nodes", req.K, sg.ID, sg.N)
-		return
-	}
-	opts, err := canonOptions(req.Options)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
 		return
 	}
 	policy, err := req.Policy.toPolicy()

@@ -239,8 +239,11 @@ func TestLiveEnableValidation(t *testing.T) {
 	if code, _ := e.do("POST", "/v1/graphs/"+id+"/live", []byte(`{"k":2,"options":{"mode":"bogus"}}`), nil); code != http.StatusBadRequest {
 		t.Fatalf("bad mode: %d, want 400", code)
 	}
-	if code, _ := e.do("POST", "/v1/graphs/"+id+"/live", []byte(`{"k":2,"policy":{"min_interval_ms":-1}}`), nil); code != http.StatusBadRequest {
-		t.Fatalf("bad policy: %d, want 400", code)
+	for _, policy := range []string{`{"min_interval_ms":-1}`, `{"min_interval_ms":9300000000000}`, `{"max_staleness_ms":9300000000000}`} {
+		body := `{"k":2,"policy":` + policy + `}`
+		if code, _ := e.do("POST", "/v1/graphs/"+id+"/live", []byte(body), nil); code != http.StatusBadRequest {
+			t.Fatalf("bad policy %s: %d, want 400", policy, code)
+		}
 	}
 	e.enableLive(id, `{"k":2,"options":{"pes":2}}`)
 	if code, _ := e.do("POST", "/v1/graphs/"+id+"/live", []byte(`{"k":2}`), nil); code != http.StatusConflict {
@@ -443,6 +446,12 @@ func TestLiveMetricsExposed(t *testing.T) {
 		if !strings.Contains(raw, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	var st StatsView
+	e.do("GET", "/v1/stats", nil, &st)
+	if l := st.Live; l.Graphs != 1 || l.DeltasApplied != 1 || l.Batches != 1 || l.BatchesReplayed != 0 ||
+		l.RepartitionsTriggered != 1 || l.Swaps != 1 || l.PlacementLookups != 1 {
+		t.Errorf("/v1/stats live = %+v, want one graph, delta, batch, trigger, swap and lookup", l)
 	}
 }
 

@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"time"
@@ -58,7 +59,6 @@ import (
 	"repro"
 	"repro/internal/graph"
 	"repro/internal/mpi/transport"
-	"repro/internal/obs"
 )
 
 // maxUploadBytes bounds an uploaded graph body (64 MiB covers every graph
@@ -129,24 +129,20 @@ type Server struct {
 	jobs  *jobManager
 	live  *liveManager
 	mux   *http.ServeMux
-	reg   *obs.Registry
 	start time.Time
 }
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:   cfg,
 		store: newGraphStore(cfg.MaxGraphs),
-		jobs:  newJobManager(cfg.Workers, cfg.QueueSize, cfg.CacheSize, cfg.PartitionFn, reg),
+		jobs:  newJobManager(cfg.Workers, cfg.QueueSize, cfg.CacheSize, cfg.PartitionFn),
 		mux:   http.NewServeMux(),
-		reg:   reg,
 		start: time.Now(),
 	}
 	s.live = newLiveManager(s.jobs, cfg.Logger)
-	s.buildMetrics(reg)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleUpload)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleListGraphs)
 	s.mux.HandleFunc("GET /v1/graphs/{id}", s.handleGetGraph)
@@ -366,10 +362,25 @@ func canonOptions(o jobOptions) (jobOptions, error) {
 	if o.PEs == 0 {
 		o.PEs = parhip.DefaultPEs
 	}
-	if o.EvoBudgetMS < 0 {
-		return o, fmt.Errorf("evo_budget_ms must be >= 0, got %d", o.EvoBudgetMS)
+	if err := checkMS("evo_budget_ms", o.EvoBudgetMS); err != nil {
+		return o, err
 	}
 	return o, nil
+}
+
+// maxMS is the largest millisecond count a time.Duration holds.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
+// checkMS validates a millisecond field of a request: negative values and
+// values past maxMS (which would wrap time.Duration negative) are errors.
+func checkMS(field string, ms int64) error {
+	if ms < 0 {
+		return fmt.Errorf("%s must be >= 0, got %d", field, ms)
+	}
+	if ms > maxMS {
+		return fmt.Errorf("%s must be <= %d, got %d", field, maxMS, ms)
+	}
+	return nil
 }
 
 // sessionOptions maps canonical job options onto the library's.
@@ -474,6 +485,32 @@ func viewLocked(j *job) jobView {
 	return v
 }
 
+// resolveTarget is the validation POST /v1/jobs and POST
+// /v1/graphs/{id}/live share: k >= 1, the graph exists, k <= its node count
+// and the options are valid. It returns the graph and the canonical
+// options, or writes the error response and returns false.
+func (s *Server) resolveTarget(w http.ResponseWriter, graphID string, k int32, o jobOptions) (*storedGraph, jobOptions, bool) {
+	if k < 1 {
+		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", k)
+		return nil, o, false
+	}
+	sg, ok := s.store.get(graphID)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no graph %q", graphID)
+		return nil, o, false
+	}
+	if k > sg.N {
+		writeError(w, http.StatusBadRequest, "k = %d exceeds graph %s's %d nodes", k, sg.ID, sg.N)
+		return nil, o, false
+	}
+	opts, err := canonOptions(o)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
+		return nil, o, false
+	}
+	return sg, opts, true
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -482,26 +519,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode job request: %v", err)
 		return
 	}
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
-	}
-	sg, ok := s.store.get(req.GraphID)
+	sg, opts, ok := s.resolveTarget(w, req.GraphID, req.K, req.Options)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no graph %q", req.GraphID)
 		return
 	}
-	if req.K > sg.N {
-		writeError(w, http.StatusBadRequest, "k = %d exceeds graph %s's %d nodes", req.K, sg.ID, sg.N)
-		return
-	}
-	if req.TimeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "timeout_ms must be >= 0, got %d", req.TimeoutMS)
-		return
-	}
-	opts, err := canonOptions(req.Options)
+	err := checkMS("timeout_ms", req.TimeoutMS)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var prev *parhip.Partition
@@ -801,12 +825,26 @@ type StatsView struct {
 		} `json:"sclp"`
 	} `json:"core"`
 
+	// Live aggregates the live-graph subsystem: streamed deltas, controller
+	// triggers, epoch swaps and the placement read path.
+	Live struct {
+		Graphs                int     `json:"graphs"`
+		DeltasApplied         int64   `json:"deltas_applied"`
+		Batches               int64   `json:"batches"`
+		BatchesReplayed       int64   `json:"batches_replayed"`
+		RepartitionsTriggered int64   `json:"repartitions_triggered"`
+		Swaps                 int64   `json:"swaps"`
+		PlacementLookups      int64   `json:"placement_lookups"`
+		MaxChurnFraction      float64 `json:"max_churn_fraction"`
+	} `json:"live"`
+
 	// RecentJobs holds per-job timings for the last completed jobs,
 	// newest last.
 	RecentJobs []JobTiming `json:"recent_jobs"`
 }
 
-// Stats snapshots the service counters (also served at /v1/stats).
+// Stats snapshots the service counters, served at /v1/stats and rendered
+// by /metrics.
 func (s *Server) Stats() StatsView {
 	m := s.jobs
 	var v StatsView
@@ -852,6 +890,19 @@ func (s *Server) Stats() StatsView {
 	v.Cache.Capacity = m.cache.capacity()
 	v.Graphs.Count = s.store.len()
 	v.Graphs.Capacity = s.store.capacity()
+
+	lv := s.live
+	graphs := lv.graphs()
+	v.Live.Graphs = len(graphs)
+	for _, ls := range graphs {
+		v.Live.MaxChurnFraction = max(v.Live.MaxChurnFraction, ls.lg.Stats().ChurnFraction)
+	}
+	v.Live.DeltasApplied = lv.deltasApplied.Load()
+	v.Live.Batches = lv.batches.Load()
+	v.Live.BatchesReplayed = lv.batchesReplayed.Load()
+	v.Live.RepartitionsTriggered = lv.triggered.Load()
+	v.Live.Swaps = lv.swaps.Load()
+	v.Live.PlacementLookups = lv.lookups.Load()
 	return v
 }
 

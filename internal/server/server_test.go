@@ -350,6 +350,9 @@ func TestValidationErrors(t *testing.T) {
 		{"bad objective", fmt.Sprintf(`{"graph_id":%q,"k":2,"options":{"objective":"vibes"}}`, id), http.StatusBadRequest},
 		{"unknown field", fmt.Sprintf(`{"graph_id":%q,"k":2,"blocks":9}`, id), http.StatusBadRequest},
 		{"garbage body", `{"graph_id"`, http.StatusBadRequest},
+		// Past math.MaxInt64/1e6 ms a time.Duration wraps negative.
+		{"timeout overflow", fmt.Sprintf(`{"graph_id":%q,"k":2,"timeout_ms":9300000000000}`, id), http.StatusBadRequest},
+		{"evo budget overflow", fmt.Sprintf(`{"graph_id":%q,"k":2,"options":{"evo_budget_ms":9300000000000}}`, id), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if code, raw := e.do("POST", "/v1/jobs", []byte(tc.body), nil); code != tc.want {
