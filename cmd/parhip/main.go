@@ -47,9 +47,10 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
 )
 
@@ -143,18 +144,19 @@ func main() {
 		if *baseline || *prevFile != "" || *traceFile != "" || *progress {
 			fail(errors.New("-baseline, -prev, -trace and -progress are not supported with -transport tcp (use the inproc transport, or -v for transport logs)"))
 		}
-		if sf.peers, err = cluster.ParsePeers(*peersList); err != nil {
+		if sf.peers, err = parsePeers(*peersList); err != nil {
 			fail(err)
 		}
 	default:
 		fail(fmt.Errorf("unknown transport %q (want inproc or tcp)", *backend))
 	}
 
+	// The baseline has no previous-partition input and emits no checkpoints.
+	if *baseline && (*prevFile != "" || *progress) {
+		fail(errors.New("-prev and -progress are not supported with -baseline"))
+	}
 	var prev *parhip.Partition
 	if *prevFile != "" {
-		if *baseline {
-			fail(errors.New("-prev is not supported with -baseline"))
-		}
 		f, err := os.Open(*prevFile)
 		if err != nil {
 			fail(err)
@@ -226,14 +228,14 @@ func main() {
 	var ts transport.Stats // tcp only
 	switch {
 	case tcp:
-		cfg := cluster.Config{Rank: *rank, Peers: sf.peers, Graph: g,
+		tcfg := transport.TCPConfig{Self: *rank, Addrs: sf.peers,
 			HeartbeatTimeout: *hbTimeout, BootstrapTimeout: *bootWait}
 		if *verbose {
-			cfg.Logf = func(format string, args ...any) {
+			tcfg.Logf = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
 		}
-		res, ts, err = runTCP(ctx, cfg, opts)
+		res, ts, err = runTCP(ctx, g, tcfg, opts)
 	case *baseline:
 		res, err = parhip.RunBaseline(ctx, g, 0, opts...)
 	default:
@@ -259,7 +261,7 @@ func main() {
 					fmt.Fprintf(os.Stderr, ", cut=%d imbalance=%.4f", last.Cut, last.Imbalance)
 				}
 				fmt.Fprintln(os.Stderr)
-			} else if !tcp {
+			} else if !tcp && !*baseline {
 				fmt.Fprintln(os.Stderr, "parhip: cancelled before the first checkpoint")
 			}
 			mu.Unlock()
@@ -314,29 +316,63 @@ func main() {
 }
 
 // runTCP is the multi-process launcher path: this process hosts exactly
-// one rank of a real networked world instead of simulating every PE
-// in-process. Every process of the run must be started with identical
-// graph, seed, k, mode and peer-table arguments; the result — returned
-// only in the rank-0 process, the others get a zero Result — is
-// bit-identical to the in-process run with the same seed and
-// configuration, because both run the configuration a session resolves
-// from opts.
-func runTCP(ctx context.Context, cfg cluster.Config, opts []parhip.Option) (parhip.Result, transport.Stats, error) {
-	p, err := parhip.New(cfg.Graph, opts...)
+// one rank, tcfg.Self, of a real networked world instead of simulating
+// every PE in-process. It blocks in the rendezvous until every peer process
+// is up; a peer that dies mid-run aborts the whole world, and cancelling
+// ctx aborts it cooperatively across all processes. Every process of the
+// run must be started with identical graph, seed, k, mode and peer-table
+// arguments; the result — returned only in the rank-0 process, the others
+// get a zero Result — is bit-identical to the in-process run with the same
+// seed and configuration, because both run the configuration a session
+// resolves from opts.
+func runTCP(ctx context.Context, g *parhip.Graph, tcfg transport.TCPConfig, opts []parhip.Option) (parhip.Result, transport.Stats, error) {
+	p, err := parhip.New(g, opts...)
 	if err != nil {
 		return parhip.Result{}, transport.Stats{}, err
 	}
-	cfg.Core = p.CoreConfig()
-	rep, err := cluster.Run(ctx, cfg)
-	if err != nil || cfg.Rank != 0 {
-		return parhip.Result{}, rep.Transport, err
+	tcp, err := transport.NewTCP(tcfg)
+	if err != nil {
+		return parhip.Result{}, transport.Stats{}, err
+	}
+	world, err := mpi.NewWorldOn(tcp)
+	if err != nil {
+		tcp.Close()
+		return parhip.Result{}, transport.Stats{}, fmt.Errorf("rendezvous failed: %w", err)
+	}
+	defer world.Close()
+	cfg := p.CoreConfig()
+	res, err := core.RunOn(ctx, world, g, cfg)
+	ts := world.TransportStats()
+	if err != nil || tcfg.Self != 0 {
+		return parhip.Result{}, ts, err
 	}
 	// Rebuild the first-class Partition value so the report carries the
 	// same fields (including commvol) as the in-process path.
-	st := rep.Result.Stats
-	part, err := parhip.NewPartition(cfg.Graph, rep.Result.Part, cfg.Core.K, cfg.Core.Eps)
+	st := res.Stats
+	part, err := parhip.NewPartition(g, res.Part, cfg.K, cfg.Eps)
 	return parhip.Result{Partition: part, Cut: st.Cut, Imbalance: st.Imbalance,
-		Feasible: st.Feasible, Stats: st}, rep.Transport, err
+		Feasible: st.Feasible, Stats: st}, ts, err
+}
+
+// parsePeers splits -peers, a comma-separated rank-ordered address list
+// ("host0:port0,host1:port1,...").
+func parsePeers(list string) ([]string, error) {
+	parts := strings.Split(list, ",")
+	peers := make([]string, 0, len(parts))
+	for _, p := range parts {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		if !strings.Contains(p, ":") {
+			return nil, fmt.Errorf("peer %q has no port", p)
+		}
+		peers = append(peers, p)
+	}
+	if len(peers) == 0 {
+		return nil, errors.New("empty peer list")
+	}
+	return peers, nil
 }
 
 // writeTrace serializes the recorded spans as Chrome trace-event JSON.

@@ -231,9 +231,9 @@ type Stats struct {
 	// their wall-clock time and the exact evaluation counts (see
 	// sclp.ParStats).
 	Par  sclp.ParStats
-	Comm mpi.Stats // whole-world traffic (filled by Run)
+	Comm mpi.Stats // whole-world traffic (filled by RunWith)
 	// Transport is the transport-level counter snapshot of this process's
-	// world (filled by Run alongside Comm). On the in-process backend it
+	// world (filled by RunWith alongside Comm). On the in-process backend it
 	// mirrors Comm; on TCP it additionally reports reconnects and
 	// heartbeat misses.
 	Transport transport.Stats
@@ -665,19 +665,30 @@ type Result struct {
 }
 
 // RunOn partitions g on the ranks of world and returns the full partition
-// and the statistics observed on rank 0 — the one entry point. In-process
-// callers pass mpi.NewWorld(P). With a networked transport the world hosts
-// a subset of the ranks (for TCP, one per process); every process calls
-// RunOn with the same graph and config, and only the process hosting rank
-// 0 receives the populated Result (the others get a zero Result and a nil
-// error). When ctx is cancelled or its deadline passes, every rank unwinds
-// cooperatively (no goroutine outlives the call) and RunOn returns
-// ctx.Err(); a run that completed before the cancellation was observed
-// still returns its result. A transport failure — a peer process dying
-// mid-run — aborts the world and surfaces as an error on every surviving
-// process. The caller keeps ownership of the world and closes it after
-// RunOn returns.
+// and the statistics observed on rank 0. In-process callers pass
+// mpi.NewWorld(P). With a networked transport the world hosts a subset of
+// the ranks (for TCP, one per process); every process calls RunOn with the
+// same graph and config. The run, cancellation and failure contract is
+// RunWith's.
 func RunOn(ctx context.Context, world *mpi.World, g *graph.Graph, cfg Config) (Result, error) {
+	return RunWith(ctx, world, g, cfg.Tracer, func(ctx context.Context, d *dgraph.DGraph) ([]int64, Stats, error) {
+		return PartitionDistributed(ctx, d, cfg)
+	})
+}
+
+// RunWith is the one runner between the ranks of world and a caller. Every
+// rank distributes the replicated g, runs the collective fn on its share
+// and takes part in gathering the partition; the process hosting rank 0
+// receives the full partition, rank 0's statistics and the world's traffic
+// counters (the others get a zero Result and a nil error). When ctx is
+// cancelled or its deadline passes, every rank unwinds cooperatively (no
+// goroutine outlives the call) and RunWith returns ctx.Err(); a run that
+// completed before the cancellation was observed still returns its result.
+// A transport failure — a peer process dying mid-run — aborts the world and
+// surfaces as an error on every surviving process. The caller keeps
+// ownership of the world and closes it after RunWith returns.
+func RunWith(ctx context.Context, world *mpi.World, g *graph.Graph, tracer *obs.Tracer,
+	fn func(context.Context, *dgraph.DGraph) ([]int64, Stats, error)) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -686,12 +697,12 @@ func RunOn(ctx context.Context, world *mpi.World, g *graph.Graph, cfg Config) (R
 	}
 	var res Result
 	var runErr error
-	world.SetTracer(cfg.Tracer)
+	world.SetTracer(tracer)
 	stop := world.WatchContext(ctx)
 	defer stop()
 	world.Run(func(c *mpi.Comm) {
 		d := dgraph.FromGraph(c, g)
-		part, st, err := PartitionDistributed(ctx, d, cfg)
+		part, st, err := fn(ctx, d)
 		if err != nil {
 			if c.Rank() == 0 {
 				runErr = err

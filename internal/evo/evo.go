@@ -177,7 +177,7 @@ func evaluate(g *graph.Graph, p []int32, cfg Config) individual {
 // multilevel partition, so this is the natural granularity) and proceeds
 // straight to the collective selection of the best individual found so far.
 // When the surrounding world is additionally aborted (mpi.World.Abort /
-// WatchContext, as core.RunCtx arranges), the selection collectives unwind
+// WatchContext, as core.RunOn arranges), the selection collectives unwind
 // instead of completing — ctx alone degrades gracefully, ctx + abort
 // cancels hard.
 //

@@ -228,7 +228,9 @@ func RunShrink(name string, g *graph.Graph, P int, u int64, seed uint64) ShrinkR
 	cfg := matchbase.DefaultConfig(2)
 	cfg.Seed = seed
 	if res, err := matchbase.RunCtx(context.Background(), P, g, cfg); err == nil {
-		rep.MatchLevels = res.Stats.Levels
+		for _, lv := range res.Stats.Levels {
+			rep.MatchLevels = append(rep.MatchLevels, lv.N)
+		}
 	}
 	return rep
 }

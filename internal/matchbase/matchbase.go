@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/contract"
+	"repro/internal/core"
 	"repro/internal/dgraph"
 	"repro/internal/graph"
 	"repro/internal/kaffpa"
@@ -87,29 +88,6 @@ func (c *Config) normalize() {
 	if c.RefineIters <= 0 {
 		c.RefineIters = 6
 	}
-}
-
-// Stats reports a baseline run.
-type Stats struct {
-	Levels    []int64 // global node count per level, fine to coarse
-	LevelsM   []int64 // global edge count per level, parallel to Levels
-	CoarsestN int64
-	CoarsestM int64
-	Stalled   bool // coarsening stopped by the stall detector
-	Cut       int64
-	Imbalance float64
-	// Lmax is the balance bound the run enforced; MaxBlockWeight the
-	// heaviest block of the result (Feasible iff MaxBlockWeight <= Lmax).
-	Lmax           int64
-	MaxBlockWeight int64
-	Feasible       bool
-	// Phase timings, mirroring core.Stats so baseline results compare
-	// apples-to-apples in benches.
-	CoarsenTime time.Duration
-	InitTime    time.Duration
-	RefineTime  time.Duration
-	TotalTime   time.Duration
-	Comm        mpi.Stats // whole-world traffic (filled by Run)
 }
 
 // parallelHeavyEdgeMatching computes a heavy-edge matching in two stages,
@@ -247,23 +225,25 @@ func parallelHeavyEdgeMatching(d *dgraph.DGraph, maxWeight int64, r *rng.RNG) []
 // proposal is one cross-rank matching request.
 type proposal struct{ proposer, target int64 }
 
-// PartitionDistributed runs the baseline on a distributed graph. Collective.
-// ctx is honored with the same contract as core.PartitionDistributed:
+// PartitionDistributed runs the baseline on a distributed graph and reports
+// it in the main partitioner's Stats: Levels are the matching hierarchy
+// down to the coarsest graph that was replicated. Collective. ctx is
+// honored with the same contract as core.PartitionDistributed:
 // checked between levels, backed by the world's cooperative abort inside
 // them.
 //
 //parhip:collective
-func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]int64, Stats, error) {
+func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if cfg.K < 1 {
-		return nil, Stats{}, fmt.Errorf("matchbase: k = %d", cfg.K)
+		return nil, core.Stats{}, fmt.Errorf("matchbase: k = %d", cfg.K)
 	}
 	cfg.normalize()
 	c := d.Comm
 	start := time.Now()
-	var st Stats
+	var st core.Stats
 	shared := rng.New(cfg.Seed)
 	local := rng.New(cfg.Seed).Split(uint64(c.Rank() + 1))
 	totalWeight := d.GlobalNodeWeight()
@@ -282,8 +262,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	}
 	cur := d
 	var levels []levelRec
-	st.Levels = append(st.Levels, cur.GlobalN)
-	st.LevelsM = append(st.LevelsM, cur.GlobalM)
+	st.Levels = append(st.Levels, core.LevelStat{N: cur.GlobalN, M: cur.GlobalM})
 	tCoarsen := time.Now()
 	for lvl := 0; lvl < maxLevels && cur.GlobalN > coarsestLimit; lvl++ {
 		if err := ctx.Err(); err != nil {
@@ -297,17 +276,13 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		res := contract.ParContract(cur, labels)
 		c.Tracer().End2(sp, "level", int64(lvl), "coarse_n", res.Coarse.GlobalN)
 		if float64(res.Coarse.GlobalN) >= stallFactor*float64(cur.GlobalN) {
-			st.Stalled = true
 			break
 		}
 		levels = append(levels, levelRec{fine: cur, coarse: res.Coarse, fineToCoarse: res.FineToCoarse})
 		cur = res.Coarse
-		st.Levels = append(st.Levels, cur.GlobalN)
-		st.LevelsM = append(st.LevelsM, cur.GlobalM)
+		st.Levels = append(st.Levels, core.LevelStat{N: cur.GlobalN, M: cur.GlobalM})
 	}
 	st.CoarsenTime = time.Since(tCoarsen)
-	st.CoarsestN = cur.GlobalN
-	st.CoarsestM = cur.GlobalM
 
 	// Replicating the coarsest graph is where memory blows up when
 	// coarsening stalled.
@@ -341,7 +316,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	}
 	refine := func(dg *dgraph.DGraph, part []int64) {
 		sclp.ParRefine(dg, part, sclp.ParRefineConfig{
-			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: shared.Uint64(),
+			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: shared.Uint64(), Stats: &st.Par,
 		})
 	}
 	refine(cur, curPart)
@@ -374,60 +349,12 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	return curPart, st, nil
 }
 
-// Result is the outcome of a replicated-input run.
-type Result struct {
-	Part  partition.Partition
-	Stats Stats
-}
-
-// RunCtx partitions g with P simulated PEs using the baseline. It returns
-// ErrMemoryBudget (wrapped) when the memory model aborts the run;
-// cancelling ctx unwinds every simulated rank cooperatively and returns
-// ctx.Err().
-func RunCtx(ctx context.Context, P int, g *graph.Graph, cfg Config) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	var res Result
-	var runErr error
-	world := mpi.NewWorld(P)
-	world.SetTracer(cfg.Tracer)
-	stop := world.WatchContext(ctx)
-	defer stop()
-	world.Run(func(c *mpi.Comm) {
-		d := dgraph.FromGraph(c, g)
-		part, st, err := PartitionDistributed(ctx, d, cfg)
-		if err != nil {
-			if c.Rank() == 0 {
-				runErr = err
-				res.Stats = st
-			}
-			return
-		}
-		// The gather is issued on every rank before any rank-dependent
-		// branching: a collective inside the rank-0 arm would deadlock the
-		// other ranks (caught by parhiplint's collective analyzer).
-		parts := d.Comm.Allgatherv(part[:d.NLocal()])
-		if c.Rank() == 0 {
-			full := make(partition.Partition, d.GlobalN)
-			var gv int64
-			for _, p := range parts {
-				for _, b := range p {
-					full[gv] = int32(b)
-					gv++
-				}
-			}
-			st.Comm = world.TotalStats()
-			res = Result{Part: full, Stats: st}
-		}
+// RunCtx partitions g with P simulated PEs using the baseline, through
+// the main partitioner's runner. It returns ErrMemoryBudget (wrapped) when
+// the memory model aborts the run; cancelling ctx unwinds every simulated
+// rank cooperatively and returns ctx.Err().
+func RunCtx(ctx context.Context, P int, g *graph.Graph, cfg Config) (core.Result, error) {
+	return core.RunWith(ctx, mpi.NewWorld(P), g, cfg.Tracer, func(ctx context.Context, d *dgraph.DGraph) ([]int64, core.Stats, error) {
+		return PartitionDistributed(ctx, d, cfg)
 	})
-	if runErr == nil && res.Part == nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-	}
-	return res, runErr
 }

@@ -31,6 +31,7 @@ package parhip
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/core"
@@ -138,6 +139,27 @@ type Result struct {
 	Stats core.Stats
 }
 
+// resultOf turns a finished run on g into the public Result: the
+// Partition value is built without re-deriving what the run already
+// computed, and takes ownership of res.Part. Run and RunBaseline both
+// return through it.
+func resultOf(g *Graph, k int32, eps float64, res core.Result) Result {
+	st := res.Stats
+	p := &Partition{
+		assign:       res.Part,
+		k:            k,
+		eps:          eps,
+		fp:           g.Fingerprint(),
+		hasDerived:   true,
+		cut:          st.Cut,
+		feasible:     st.Feasible,
+		blockWeights: partition.BlockWeights(g, res.Part, k),
+		boundary:     partition.BoundaryNodes(g, res.Part),
+		nw:           g.NW,
+	}
+	return Result{Partition: p, Cut: st.Cut, Imbalance: st.Imbalance, Feasible: st.Feasible, Stats: st}
+}
+
 // RunBaseline computes a k-way partition with the ParMETIS-style
 // matching-based baseline the paper compares against. memoryBudgetNodes
 // bounds the size of the coarsest graph a PE may replicate (0 = unlimited);
@@ -150,6 +172,9 @@ type Result struct {
 // communication) as the main partitioner's, so bench comparisons against
 // the baseline are apples-to-apples.
 func RunBaseline(ctx context.Context, g *Graph, memoryBudgetNodes int64, opts ...Option) (Result, error) {
+	if memoryBudgetNodes < 0 {
+		return Result{}, fmt.Errorf("parhip: memoryBudgetNodes = %d, must be >= 0 (0 = unlimited)", memoryBudgetNodes)
+	}
 	s, err := resolve(g, opts)
 	if err != nil {
 		return Result{}, err
@@ -163,33 +188,7 @@ func RunBaseline(ctx context.Context, g *Graph, memoryBudgetNodes int64, opts ..
 	if err != nil {
 		return Result{}, err
 	}
-	st := res.Stats
-	levels := make([]core.LevelStat, len(st.Levels))
-	for i, n := range st.Levels {
-		levels[i] = core.LevelStat{N: n}
-		if i < len(st.LevelsM) {
-			levels[i].M = st.LevelsM[i]
-		}
-	}
-	return Result{
-		Partition: newPartitionFromRun(g, res.Part, s.k, cfg.Eps, st.Cut, st.Feasible),
-		Cut:       st.Cut,
-		Imbalance: st.Imbalance,
-		Feasible:  st.Feasible,
-		Stats: core.Stats{
-			Levels:         levels,
-			CoarsenTime:    st.CoarsenTime,
-			InitTime:       st.InitTime,
-			RefineTime:     st.RefineTime,
-			TotalTime:      st.TotalTime,
-			Cut:            st.Cut,
-			Imbalance:      st.Imbalance,
-			Lmax:           st.Lmax,
-			MaxBlockWeight: st.MaxBlockWeight,
-			Feasible:       st.Feasible,
-			Comm:           st.Comm,
-		},
-	}, nil
+	return resultOf(g, s.k, cfg.Eps, res), nil
 }
 
 // Fingerprint returns a stable content hash of g: a SHA-256 (hex-encoded)

@@ -91,8 +91,9 @@ func TestBaselinePublicAPI(t *testing.T) {
 
 // TestBaselineStatsDetail locks in that the baseline's Result carries the
 // same Stats detail as the main partitioner — hierarchy levels with node
-// AND edge counts, phase timings, the balance bound — so bench comparisons
-// are apples-to-apples (not just Cut/Imbalance/Feasible).
+// AND edge counts, phase timings, the balance bound, the world's message
+// and transport counters — so bench comparisons are apples-to-apples (not
+// just Cut/Imbalance/Feasible).
 func TestBaselineStatsDetail(t *testing.T) {
 	g := gen.DelaunayLike(3000, 5)
 	res, err := RunBaseline(context.Background(), g, 0, WithK(4), WithPEs(2), WithClass(Mesh), WithSeed(1))
@@ -106,10 +107,14 @@ func TestBaselineStatsDetail(t *testing.T) {
 	if st.Levels[0].N != int64(g.NumNodes()) || st.Levels[0].M != g.NumEdges() {
 		t.Errorf("finest level = %+v, want n=%d m=%d", st.Levels[0], g.NumNodes(), g.NumEdges())
 	}
-	for i := 1; i < len(st.Levels); i++ {
-		if st.Levels[i].N >= st.Levels[i-1].N || st.Levels[i].M <= 0 {
+	for i, lv := range st.Levels {
+		if lv.M <= 0 || i > 0 && lv.N >= st.Levels[i-1].N {
 			t.Errorf("level %d not coarser or missing edges: %+v", i, st.Levels)
 		}
+	}
+	if st.Comm.MessagesSent <= 0 || st.Transport.FramesSent <= 0 {
+		t.Errorf("2-rank baseline reports no traffic: %d messages, %d frames",
+			st.Comm.MessagesSent, st.Transport.FramesSent)
 	}
 	if st.TotalTime <= 0 || st.CoarsenTime <= 0 || st.InitTime <= 0 || st.RefineTime <= 0 {
 		t.Errorf("missing phase timings: %+v", st)

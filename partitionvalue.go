@@ -90,25 +90,6 @@ func NewPartition(g *Graph, assignment []int32, k int32, eps float64) (*Partitio
 	return p, nil
 }
 
-// newPartitionFromRun builds the Partition value for a finished session run
-// without re-deriving what the run already computed. It takes ownership of
-// part.
-func newPartitionFromRun(g *Graph, part []int32, k int32, eps float64, cut int64, feasible bool) *Partition {
-	p := &Partition{
-		assign:       part,
-		k:            k,
-		eps:          eps,
-		fp:           g.Fingerprint(),
-		hasDerived:   true,
-		cut:          cut,
-		feasible:     feasible,
-		blockWeights: partition.BlockWeights(g, part, k),
-		nw:           g.NW,
-	}
-	p.boundary = partition.BoundaryNodes(g, part)
-	return p
-}
-
 // bind (re)computes every graph-derived field of p from g.
 func (p *Partition) bind(g *Graph) {
 	p.fp = g.Fingerprint()

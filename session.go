@@ -370,13 +370,7 @@ func (p *Partitioner) Run(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Partition: newPartitionFromRun(p.g, res.Part, p.s.k, cfg.Eps, res.Stats.Cut, res.Stats.Feasible),
-		Cut:       res.Stats.Cut,
-		Imbalance: res.Stats.Imbalance,
-		Feasible:  res.Stats.Feasible,
-		Stats:     res.Stats,
-	}, nil
+	return resultOf(p.g, p.s.k, cfg.Eps, res), nil
 }
 
 // Repartition partitions g starting from a previous partition, minimizing

@@ -262,6 +262,11 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("RunBaseline %s: error %v does not mention %q", tc.name, err, tc.want)
 		}
 	}
+	// A negative memory budget is out of range too, not "unlimited".
+	if _, err := RunBaseline(context.Background(), g, -5, WithK(2)); err == nil ||
+		!strings.Contains(err.Error(), "memoryBudgetNodes") {
+		t.Errorf("RunBaseline with memoryBudgetNodes -5: error %v does not name it", err)
+	}
 }
 
 // TestBaselineCtxCancel: the matching-based baseline honors contexts too.

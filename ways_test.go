@@ -13,19 +13,20 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/mpi"
+	"repro/internal/mpi/transport"
 	"repro/internal/server"
 )
 
 // TestEveryWayInSamePartition is the regression guard for "defaults written
 // once": the library session, a bare core.RunOn with the config the session
 // resolves, an HTTP job (options omitted, then every default spelled out —
-// which must hit the first job's cache entry) and a multi-process-style
-// cluster.Run over loopback TCP all yield the identical partition of the
-// same graph. A default that drifted between the library, the daemon's
+// which must hit the first job's cache entry) and one TCP world per rank
+// over loopback, each started the way `parhip -transport tcp` starts its
+// rank (NewTCP, NewWorldOn, RunOn), all yield the identical partition of
+// the same graph. A default that drifted between the library, the daemon's
 // canonicalization and the TCP launcher shows up here as a checksum
 // mismatch or a cache miss.
 func TestEveryWayInSamePartition(t *testing.T) {
@@ -111,16 +112,28 @@ func TestEveryWayInSamePartition(t *testing.T) {
 			}
 			return checksum(part)
 		}},
-		{"cluster.Run over loopback tcp", func(t *testing.T) string {
+		{"tcp world per rank over loopback", func(t *testing.T) string {
 			peers := freeLoopbackAddrs(t, parhip.DefaultPEs)
-			reps := make([]cluster.Report, len(peers))
+			results := make([]core.Result, len(peers))
 			errs := make([]error, len(peers))
 			var wg sync.WaitGroup
 			for r := range peers {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					reps[r], errs[r] = cluster.Run(ctx, cluster.Config{Rank: r, Peers: peers, Graph: g, Core: cfg})
+					tcp, err := transport.NewTCP(transport.TCPConfig{Self: r, Addrs: peers})
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					world, err := mpi.NewWorldOn(tcp)
+					if err != nil {
+						tcp.Close()
+						errs[r] = err
+						return
+					}
+					defer world.Close()
+					results[r], errs[r] = core.RunOn(ctx, world, g, cfg)
 				}(r)
 			}
 			wg.Wait()
@@ -129,7 +142,7 @@ func TestEveryWayInSamePartition(t *testing.T) {
 					t.Fatalf("rank %d: %v", r, err)
 				}
 			}
-			return checksum(reps[0].Result.Part)
+			return checksum(results[0].Part)
 		}},
 	}
 	var want string
