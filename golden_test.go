@@ -59,6 +59,9 @@ import (
 // 7,962.1 -> 7,990.8, hub P=2 9,075.2 -> 9,061.2, hub P=4 9,058.8 -> 9,039.0, rmat
 // 103,551.8 -> 103,632.6, web repartition 14,011.4 -> 13,956.7, web
 // baseline 5,953.9 -> 6,010.8.
+// The eco row was added when the evolutionary search began to exchange
+// migrants on a fixed schedule instead of whenever they arrived, which made
+// eco at P > 1 one partition per seed and so pinnable.
 func TestGoldenChecksums(t *testing.T) {
 	ctx := context.Background()
 	web := func(n int32, seed uint64) *parhip.Graph {
@@ -111,6 +114,8 @@ func TestGoldenChecksums(t *testing.T) {
 		{"web/baseline/k=8/P=2", func() (parhip.Result, error) {
 			return parhip.RunBaseline(ctx, web(4096, 8), 0, parhip.WithK(8), parhip.WithPEs(2), parhip.WithSeed(19))
 		}, "aa9dd19c58408a29", 4864},
+		{"web/k=8/P=4/eco", session(webG, parhip.WithK(8), parhip.WithMode(parhip.Eco), parhip.WithPEs(4), parhip.WithSeed(20)),
+			"e355872d71c00ff7", 7103},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

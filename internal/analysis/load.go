@@ -36,7 +36,7 @@ type Module struct {
 // mpiCollectives names the communication primitives of internal/mpi that
 // are collective: every rank of the world (or, for NeighborAlltoallv, the
 // plan topology) must call them in the same order. Point-to-point
-// Send/Recv/TryRecvAny are deliberately absent.
+// Send/Recv are deliberately absent.
 var mpiCollectives = map[string]bool{
 	"Barrier":           true,
 	"Bcast":             true,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -204,28 +205,40 @@ func TestClusterBoundFloorSparesSocial(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicWithRounds requires one partition per seed at P > 1,
+// in fast mode and in eco mode, whose evolutionary search exchanges
+// migrants between the ranks on a fixed schedule.
 func TestRunDeterministicWithRounds(t *testing.T) {
-	g, _ := gen.PlantedPartition(1500, 12, 9, 0.5, 8)
-	cfg := FastConfig(2, ClassSocial)
-	cfg.Seed = 99
-	a, err := run(2, g, cfg)
+	g, err := gen.ByFamily(gen.FamilyRMAT, 2048, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := run(2, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The evolutionary exchange makes strict determinism across runs hard
-	// (TryRecvAny timing), but with EvoRounds=0 and fixed seeds the
-	// pipeline is deterministic.
-	ca := partition.EdgeCut(g, a.Part)
-	cb := partition.EdgeCut(g, b.Part)
-	if ca != cb {
-		t.Logf("cut %d vs %d: nondeterminism from migrant timing", ca, cb)
-	}
-	if !partition.IsFeasible(g, a.Part, 2, 0.03) || !partition.IsFeasible(g, b.Part, 2, 0.03) {
-		t.Fatal("infeasible result")
+	const k = 16
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fast", FastConfig(k, ClassSocial)},
+		{"eco", EcoConfig(k, ClassSocial)},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			var first []int32
+			for i := 0; i < 5; i++ {
+				res, err := run(4, g, mode.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !partition.IsFeasible(g, res.Part, k, 0.03) {
+					t.Fatal("infeasible result")
+				}
+				if first == nil {
+					first = res.Part
+				} else if !slices.Equal(res.Part, first) {
+					t.Fatalf("run %d: cut %d, partition differs from run 0 (cut %d)",
+						i, partition.EdgeCut(g, res.Part), partition.EdgeCut(g, first))
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,7 @@
 // partitioner with their cut edges forbidden from contraction and the
 // better parent applied at the coarsest level, which guarantees offspring
 // at least as good as the better parent. Ranks exchange their best
-// individual with randomly chosen peers (randomized rumor spreading); the
+// individual with random peers on a fixed schedule (rumor spreading); the
 // globally best individual is selected collectively at the end.
 package evo
 
@@ -76,13 +76,15 @@ type Config struct {
 	Rounds int
 	// TimeBudget optionally bounds the evolution by wall-clock time; when
 	// positive it overrides Rounds (the paper's eco setting uses
-	// t_p = t_1/p). Results under a time budget are not deterministic.
+	// t_p = t_1/p). It is the only input that makes the result depend on
+	// timing: the ranks stop at the first step any of them is past it.
 	TimeBudget time.Duration
 	// MutationProb is the probability that a step runs a fresh multilevel
 	// partition instead of a combine.
 	MutationProb float64
-	// MigrateEvery controls rumor spreading: the local best is sent to one
-	// random peer every MigrateEvery steps (0 disables).
+	// MigrateEvery controls rumor spreading: every MigrateEvery steps each
+	// rank sends its best s ranks ahead and takes one from s ranks behind,
+	// s in [1, P) drawn from a stream all ranks share (0 disables).
 	MigrateEvery int
 	// Seed drives all randomness; each rank derives an independent stream.
 	Seed uint64
@@ -173,9 +175,9 @@ func evaluate(g *graph.Graph, p []int32, cfg Config) individual {
 // partition, identical on every rank. Collective.
 //
 // Evolve honors ctx deadlines cooperatively: the search loop stops starting
-// new combine/mutation steps once ctx is done (each step runs a full
-// multilevel partition, so this is the natural granularity) and proceeds
-// straight to the collective selection of the best individual found so far.
+// new combine/mutation steps once ctx is done on any rank (a collective vote
+// per step; each step is a full multilevel partition) and proceeds straight
+// to the collective selection of the best individual found so far.
 // When the surrounding world is additionally aborted (mpi.World.Abort /
 // WatchContext, as core.RunOn arranges), the selection collectives unwind
 // instead of completing — ctx alone degrades gracefully, ctx + abort
@@ -243,37 +245,23 @@ func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) []int3
 		}
 	}
 
+	// shared is identical on every rank, so all draw the same shifts.
+	shared := rng.New(cfg.Seed)
 	start := time.Now() //lint:determinism-ok wall-clock search budget is part of the Evolve contract
-	step := 0
-	for {
-		if ctx.Err() != nil {
-			break // deadline/cancel: select among what we have
-		}
-		if cfg.TimeBudget > 0 {
-			if time.Since(start) >= cfg.TimeBudget { //lint:determinism-ok wall-clock search budget is part of the Evolve contract; selection stays collective
-				break
-			}
-		} else if step >= cfg.Rounds {
-			break
-		}
-		step++
-
-		// Pick up migrants pushed by peers.
-		for {
-			_, data, ok := c.TryRecvAny(migrantTag)
-			if !ok {
-				break
-			}
-			insert(evaluate(g, fromWire(data), cfg))
+	for step := 1; cfg.TimeBudget > 0 || step <= cfg.Rounds; step++ {
+		// One stop vote per step keeps every rank on the same step count, so
+		// the blocking migrant receive below never waits on a stopped rank.
+		stop := ctx.Err() != nil || (cfg.TimeBudget > 0 && time.Since(start) >= cfg.TimeBudget) //lint:determinism-ok wall-clock search budget is part of the Evolve contract; the vote is collective
+		if c.AllreduceMax1(boolTo64(stop)) != 0 {
+			break // deadline/cancel/budget: select among what we have
 		}
 
-		if c.Size() > 1 && cfg.MigrateEvery > 0 && step%cfg.MigrateEvery == 0 {
-			// Randomized rumor spreading: best individual to a random peer.
-			dst := r.Intn(c.Size() - 1)
-			if dst >= c.Rank() {
-				dst++
-			}
-			c.Send(dst, migrantTag, toWire(pop[bestIdx()].p))
+		if size := c.Size(); size > 1 && cfg.MigrateEvery > 0 && step%cfg.MigrateEvery == 0 {
+			// Rumor spreading on a fixed schedule: the best goes s ranks
+			// ahead, and the migrant from s ranks behind joins this step.
+			s := 1 + shared.Intn(size-1)
+			c.Send((c.Rank()+s)%size, migrantTag, toWire(pop[bestIdx()].p))
+			insert(evaluate(g, fromWire(c.Recv((c.Rank()-s+size)%size, migrantTag)), cfg))
 		}
 
 		if r.Float64() < cfg.MutationProb {
@@ -306,15 +294,6 @@ func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) []int3
 		insert(evaluate(g, child, cfg))
 	}
 
-	// Drain any remaining migrants, then choose the global winner.
-	c.Barrier()
-	for {
-		_, data, ok := c.TryRecvAny(migrantTag)
-		if !ok {
-			break
-		}
-		insert(evaluate(g, fromWire(data), cfg))
-	}
 	best := pop[bestIdx()]
 	// Rank the local champions: (infeasible flag, primary, secondary, rank)
 	// ascending — the same order better uses locally.

@@ -2,6 +2,7 @@ package evo
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,19 +28,26 @@ func TestEvolveSingleRank(t *testing.T) {
 	})
 }
 
+// TestEvolveAllRanksAgree runs a fixed step count and a time budget with a
+// migrant exchange every step. Under the budget the ranks reach it at
+// different times; the stop vote must end them on the same step, or a rank
+// blocks on a migrant from a rank that has stopped.
 func TestEvolveAllRanksAgree(t *testing.T) {
 	g, _ := gen.PlantedPartition(600, 6, 8, 0.6, 2)
 	const P = 4
-	results := make([][]int32, P)
-	mpi.NewWorld(P).Run(func(c *mpi.Comm) {
-		cfg := DefaultConfig(2)
-		cfg.Rounds = 2
-		results[c.Rank()] = Evolve(context.Background(), c, g, cfg)
-	})
-	for r := 1; r < P; r++ {
-		for v := range results[0] {
-			if results[r][v] != results[0][v] {
-				t.Fatalf("ranks 0 and %d disagree at node %d", r, v)
+	rounds := DefaultConfig(2)
+	rounds.Rounds = 2
+	budget := DefaultConfig(2)
+	budget.MigrateEvery = 1
+	budget.TimeBudget = 30 * time.Millisecond
+	for name, cfg := range map[string]Config{"rounds": rounds, "budget": budget} {
+		results := make([][]int32, P)
+		mpi.NewWorld(P).Run(func(c *mpi.Comm) {
+			results[c.Rank()] = Evolve(context.Background(), c, g, cfg)
+		})
+		for r := 1; r < P; r++ {
+			if !slices.Equal(results[r], results[0]) {
+				t.Fatalf("%s: ranks 0 and %d disagree", name, r)
 			}
 		}
 	}

@@ -272,10 +272,10 @@ func WriteTable(w io.Writer, title string, rows []TableRow) {
 	}
 }
 
-// shapeTolerance is the slack CheckShape grants the two cut orderings. All
-// sixteen Table II/III rows hold both at factor 1.0 (tightest at one
-// repetition: ba-social k=32, fast 21304 vs baseline 21334); the margin
-// absorbs eco's arrival-order migrant pickup.
+// shapeTolerance is the slack CheckShape grants the two cut orderings. Not
+// every Table II/III row holds at 1.0 (rmat-social k=32: eco 55,147, fast
+// 54,044; early V-cycles run infeasible and no cycle's best is kept). Runs
+// are functions of their seed, so the margin covers that gap, not noise.
 const shapeTolerance = 1.05
 
 // CheckShape reports whether Table II/III rows show the paper's shape:

@@ -111,12 +111,3 @@ func TestPoisonUnblocksReceiver(t *testing.T) {
 		c.Recv(0, 99) // would block forever without the poison
 	})
 }
-
-func TestTryRecvDoesNotBlock(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if _, _, ok := c.TryRecvAny(42); ok {
-			t.Error("TryRecvAny found a message that was never sent")
-		}
-	})
-}

@@ -140,25 +140,6 @@ func (mb *mailbox) pop(kind msgKind, tag int) []int64 {
 	}
 }
 
-// tryPop removes and returns the first queued message with the given kind
-// and tag without blocking.
-func (mb *mailbox) tryPop(kind msgKind, tag int) ([]int64, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	k := popKey{kind, tag}
-	q := mb.queues[k]
-	if len(q) == 0 {
-		return nil, false
-	}
-	data := q[0]
-	if len(q) == 1 {
-		delete(mb.queues, k)
-	} else {
-		mb.queues[k] = q[1:]
-	}
-	return data, true
-}
-
 // Stats counts traffic originating at one rank (or, after summing, a whole
 // world). MessagesSent/WordsSent are totals; the per-class fields break the
 // same traffic down by collective class, and the *Exchanges fields count
@@ -581,19 +562,6 @@ func (c *Comm) Send(dst, tag int, data []int64) { c.send(dst, kindUser, tag, dat
 // Recv blocks until a user message with the given tag arrives from src and
 // returns its payload.
 func (c *Comm) Recv(src, tag int) []int64 { return c.recv(src, kindUser, tag) }
-
-// TryRecvAny returns a queued user message with the given tag from any
-// rank, or ok=false without blocking. It models MPI_Iprobe + MPI_Recv,
-// which the evolutionary algorithm uses to pick up migrants
-// opportunistically.
-func (c *Comm) TryRecvAny(tag int) (src int, data []int64, ok bool) {
-	for s := 0; s < c.world.size; s++ {
-		if data, found := c.world.boxes[c.rank][s].tryPop(kindUser, tag); found {
-			return s, data, true
-		}
-	}
-	return -1, nil, false
-}
 
 func (c *Comm) nextSeq() int {
 	c.seq++

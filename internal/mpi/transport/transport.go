@@ -35,9 +35,6 @@ type Frame struct {
 	Payload  []int64
 }
 
-// Words returns the payload length in 8-byte words.
-func (f Frame) Words() int { return len(f.Payload) }
-
 // ErrPeerAborted is the Down error reported when a remote rank propagated
 // a cooperative world abort (as opposed to dying). Use errors.Is.
 var ErrPeerAborted = errors.New("transport: peer rank aborted the world")

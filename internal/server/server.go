@@ -359,6 +359,9 @@ func canonOptions(o jobOptions) (jobOptions, error) {
 	if o.PEs < 0 {
 		return o, fmt.Errorf("pes must be >= 0, got %d", o.PEs)
 	}
+	if o.PEs > maxPEs {
+		return o, fmt.Errorf("pes must be <= %d, got %d", maxPEs, o.PEs)
+	}
 	if o.PEs == 0 {
 		o.PEs = parhip.DefaultPEs
 	}
@@ -367,6 +370,10 @@ func canonOptions(o jobOptions) (jobOptions, error) {
 	}
 	return o, nil
 }
+
+// maxPEs caps a job's ranks at the paper's largest run: a world of P ranks
+// allocates P² mailboxes before any rank starts.
+const maxPEs = 512
 
 // maxMS is the largest millisecond count a time.Duration holds.
 const maxMS = math.MaxInt64 / int64(time.Millisecond)

@@ -371,6 +371,20 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestCanonOptionsBoundsPEs checks the rank cap on the options alone: a job
+// that got past it would allocate its world before any check could stop it,
+// so this test never submits one.
+func TestCanonOptionsBoundsPEs(t *testing.T) {
+	if o, err := canonOptions(jobOptions{PEs: 512}); err != nil || o.PEs != 512 {
+		t.Fatalf("pes 512: %+v, %v", o, err)
+	}
+	for _, pes := range []int{513, 100000} {
+		if _, err := canonOptions(jobOptions{PEs: pes}); err == nil || !strings.Contains(err.Error(), "pes") {
+			t.Errorf("pes %d: err = %v, want one naming pes", pes, err)
+		}
+	}
+}
+
 func TestResultBeforeDone(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once

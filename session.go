@@ -129,7 +129,8 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithEvoTimeBudget bounds the evolutionary search by wall-clock time,
-// divided among the PEs as in the paper's eco setting.
+// divided among the PEs as in the paper's eco setting. It is the one option
+// under which the partition depends on timing, not only on the seed.
 func WithEvoTimeBudget(d time.Duration) Option {
 	return func(s *settings) error {
 		if d < 0 {
