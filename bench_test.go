@@ -230,7 +230,7 @@ func BenchmarkCoarseningShrink(b *testing.B) {
 	b.Run("cluster-contraction", func(b *testing.B) {
 		var shrink float64
 		for i := 0; i < b.N; i++ {
-			rep := exp.RunShrink("web", web, benchPEs, 300, uint64(i+1))
+			rep := exp.RunShrink("web", web, benchPEs, core.ClassSocial, uint64(i+1))
 			if len(rep.ClusterLevels) >= 2 {
 				shrink = float64(rep.ClusterLevels[0]) / float64(rep.ClusterLevels[1])
 			}
@@ -399,7 +399,7 @@ func BenchmarkParLabelPropagation(b *testing.B) {
 	g, _ := gen.PlantedPartition(20000, 100, 10, 0.5, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := exp.RunShrink("bench", g, benchPEs, 600, uint64(i+1))
+		rep := exp.RunShrink("bench", g, benchPEs, core.ClassSocial, uint64(i+1))
 		_ = rep
 	}
 }

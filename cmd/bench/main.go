@@ -21,6 +21,7 @@ import (
 	"os"
 	"runtime"
 
+	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/gen"
 )
@@ -83,8 +84,8 @@ func main() {
 		web, _ := gen.PlantedPartition(int32(20000**scale), 100, 10, 0.4, 1)
 		mesh := gen.DelaunayLike(int32(16000**scale), 1)
 		exp.WriteShrink(w, []exp.ShrinkReport{
-			exp.RunShrink("web-comm", web, *pes, 300, 1),
-			exp.RunShrink("delaunay", mesh, *pes, 300, 1),
+			exp.RunShrink("web-comm", web, *pes, core.ClassSocial, 1),
+			exp.RunShrink("delaunay", mesh, *pes, core.ClassMesh, 1),
 		})
 	}
 	if !shapeOK {

@@ -89,6 +89,8 @@ const (
 	// evoPopulation is KaFFPaE's population size per rank on the coarsest
 	// graph.
 	evoPopulation = 3
+	// phasesPerRound is the label propagation communication granularity.
+	phasesPerRound = 8
 )
 
 // Config parameterizes a ParHIP run.
@@ -107,9 +109,6 @@ type Config struct {
 	// VCycles is the number of multilevel iterations (fast 2, eco 5,
 	// minimal 1).
 	VCycles int
-
-	// PhasesPerRound is the label propagation communication granularity.
-	PhasesPerRound int
 
 	// EvoRounds controls KaFFPaE on the coarsest graph; 0 computes only
 	// the initial population (fast/minimal). EvoTimeBudget, when positive,
@@ -173,9 +172,6 @@ func (c *Config) normalize() {
 	}
 	if c.VCycles <= 0 {
 		c.VCycles = 1
-	}
-	if c.PhasesPerRound <= 0 {
-		c.PhasesPerRound = 8
 	}
 }
 
@@ -391,7 +387,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				U:              clusterBound(u, totalWeight, cur.GlobalN),
 				Iterations:     coarsenIters,
 				DegreeOrder:    true,
-				PhasesPerRound: cfg.PhasesPerRound,
+				PhasesPerRound: phasesPerRound,
 				Constraint:     constraint,
 				Seed:           shared.Uint64(),
 				Arena:          ar,
@@ -509,7 +505,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		spRef := c.Tracer().Begin(c.Rank(), "core.refine_level")
 		sclp.ParRefine(cur, curPart, sclp.ParRefineConfig{
 			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
-			PhasesPerRound: cfg.PhasesPerRound, Seed: shared.Uint64(),
+			PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
 			Prev: prevCur, Arena: ar, Stats: &st.Par,
 		})
 		c.Tracer().End1(spRef, "level", int64(len(levels)))
@@ -524,7 +520,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
 			sclp.ParRefine(lv.fine, curPart, sclp.ParRefineConfig{
 				K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
-				PhasesPerRound: cfg.PhasesPerRound, Seed: shared.Uint64(),
+				PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
 				Prev: lv.prevFine, Arena: ar, Stats: &st.Par,
 			})
 			c.Tracer().End1(spRef, "level", int64(i))

@@ -50,15 +50,8 @@ func Build(c *mpi.Comm, vtxdist []int64, nw []int64, xadj []int64, adjGlobal []i
 		answers := d.LookupI64(d.NW[:d.nLocal], d.ghostGlobal)
 		copy(d.NW[d.nLocal:], answers)
 	}
-	var localEdges int64
-	for i, u := range d.Adj {
-		_ = i
-		if u < d.nLocal {
-			localEdges++ // counted twice (both endpoints local)
-		} else {
-			localEdges += 1 // ghost edge: counted once here, once on the other owner
-		}
-	}
-	d.GlobalM = c.AllreduceSum1(localEdges) / 2
+	// Every edge is stored as one arc at each endpoint: twice here when
+	// both are local, once here and once at the other owner when not.
+	d.GlobalM = c.AllreduceSum1(int64(len(d.Adj))) / 2
 	return d
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -142,7 +143,7 @@ func TestWriteTableRendersFailures(t *testing.T) {
 
 func TestRunShrinkOnCommunityGraph(t *testing.T) {
 	g, _ := gen.PlantedPartition(3000, 30, 10, 0.3, 1)
-	rep := RunShrink("web", g, 2, 200, 1)
+	rep := RunShrink("web", g, 2, core.ClassSocial, 1)
 	if len(rep.ClusterLevels) < 2 {
 		t.Fatalf("no cluster levels: %v", rep.ClusterLevels)
 	}

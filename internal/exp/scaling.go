@@ -6,21 +6,12 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchbase"
 	"repro/internal/mpi"
-	"repro/internal/sclp"
 )
-
-// contractStep performs one parallel contraction and returns the coarse
-// graph.
-func contractStep(d *dgraph.DGraph, labels []int64) *dgraph.DGraph {
-	return contract.ParContract(d, labels).Coarse
-}
 
 // WeakPoint is one data point of the Figure 5 weak-scaling experiment.
 type WeakPoint struct {
@@ -201,36 +192,27 @@ type ShrinkReport struct {
 	MatchLevels   []int64
 }
 
-// RunShrink measures per-level graph sizes of both coarsening schemes.
-func RunShrink(name string, g *graph.Graph, P int, u int64, seed uint64) ShrinkReport {
+// RunShrink measures per-level graph sizes of both coarsening schemes: the
+// first V-cycle's hierarchy of the fast configuration for class, and the
+// matching baseline's, both as the partitioners build them for k = 2.
+func RunShrink(name string, g *graph.Graph, P int, class core.GraphClass, seed uint64) ShrinkReport {
 	rep := ShrinkReport{Name: name, N: int64(g.NumNodes())}
-	// Cluster contraction levels.
-	mpi.NewWorld(P).Run(func(c *mpi.Comm) {
-		d := dgraph.FromGraph(c, g)
-		sizes := []int64{d.GlobalN}
-		cur := d
-		for i := 0; i < 8 && cur.GlobalN > 200; i++ {
-			labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
-				U: u, Iterations: 3, DegreeOrder: true, Seed: seed,
-			})
-			res := contractStep(cur, labels)
-			if res.GlobalN >= cur.GlobalN*19/20 {
-				break
-			}
-			cur = res
-			sizes = append(sizes, cur.GlobalN)
+	levels := func(st core.Stats) []int64 {
+		var ns []int64
+		for _, lv := range st.Levels {
+			ns = append(ns, lv.N)
 		}
-		if c.Rank() == 0 {
-			rep.ClusterLevels = sizes
-		}
-	})
-	// Matching levels via the baseline's stats.
-	cfg := matchbase.DefaultConfig(2)
-	cfg.Seed = seed
-	if res, err := matchbase.RunCtx(context.Background(), P, g, cfg); err == nil {
-		for _, lv := range res.Stats.Levels {
-			rep.MatchLevels = append(rep.MatchLevels, lv.N)
-		}
+		return ns
+	}
+	ccfg := core.FastConfig(2, class)
+	ccfg.Seed = seed
+	if res, err := core.RunOn(context.Background(), mpi.NewWorld(P), g, ccfg); err == nil {
+		rep.ClusterLevels = levels(res.Stats)
+	}
+	mcfg := matchbase.DefaultConfig(2)
+	mcfg.Seed = seed
+	if res, err := matchbase.RunCtx(context.Background(), P, g, mcfg); err == nil {
+		rep.MatchLevels = levels(res.Stats)
 	}
 	return rep
 }

@@ -34,6 +34,11 @@ const (
 	// initialTries is the number of independent initial partitioning
 	// attempts on the coarsest graph.
 	initialTries = 4
+	// sizeFactor is f in U = max(max_v c(v), Lmax/f) during coarsening.
+	sizeFactor = 14
+	// refineIters is the label propagation iteration count during
+	// uncoarsening (paper default: 6).
+	refineIters = 6
 )
 
 // Config holds the parameters of a multilevel run. The zero value is not
@@ -42,11 +47,6 @@ type Config struct {
 	K   int32   // number of blocks
 	Eps float64 // imbalance parameter (paper default 0.03)
 
-	// SizeFactor is f in U = max(max_v c(v), Lmax/f) during coarsening.
-	SizeFactor float64
-	// RefineIters is the label propagation iteration count during
-	// uncoarsening (paper default: 6).
-	RefineIters int
 	// CoarsestSize stops coarsening once n <= max(CoarsestSize, 2K).
 	CoarsestSize int32
 	// Seed drives all randomness in the run.
@@ -71,8 +71,6 @@ func DefaultConfig(k int32) Config {
 	return Config{
 		K:            k,
 		Eps:          0.03,
-		SizeFactor:   14,
-		RefineIters:  6,
 		CoarsestSize: 0, // derived from K in Normalize
 		Seed:         1,
 	}
@@ -82,12 +80,6 @@ func DefaultConfig(k int32) Config {
 func (c *Config) Normalize() {
 	if c.Eps <= 0 {
 		c.Eps = 0.03
-	}
-	if c.SizeFactor <= 0 {
-		c.SizeFactor = 14
-	}
-	if c.RefineIters <= 0 {
-		c.RefineIters = 6
 	}
 	if c.CoarsestSize <= 0 {
 		c.CoarsestSize = 20 * c.K
@@ -145,7 +137,7 @@ func multilevel(d *dgraph.DGraph, cfg Config, out []int32) {
 	lmax := partition.Lmax(d.GlobalNodeWeight(), cfg.K, cfg.Eps)
 
 	// Coarsening phase: size-constrained label propagation + contraction.
-	u := max(int64(float64(lmax)/cfg.SizeFactor), d.MaxNodeWeightGlobal())
+	u := max(int64(float64(lmax)/sizeFactor), d.MaxNodeWeightGlobal())
 	cur := d
 	constraint := widen(cfg.Constraint)
 	initPart := widen(cfg.InitialPartition)
@@ -190,7 +182,7 @@ func multilevel(d *dgraph.DGraph, cfg Config, out []int32) {
 	}
 	refine := func(d *dgraph.DGraph) {
 		sclp.ParRefine(d, p, sclp.ParRefineConfig{
-			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, PhasesPerRound: 1, Seed: r.Uint64(),
+			K: cfg.K, Lmax: lmax, Iterations: refineIters, PhasesPerRound: 1, Seed: r.Uint64(),
 		})
 	}
 

@@ -51,6 +51,8 @@ const (
 	// node count by less than this factor (ParMETIS stops "too early" on
 	// complex networks because matchings cannot shrink them).
 	stallFactor = 0.95
+	// refineIters bounds the boundary refinement rounds per level.
+	refineIters = 6
 )
 
 // Config parameterizes a baseline run.
@@ -62,8 +64,6 @@ type Config struct {
 	// replicate; 0 means unlimited. The run fails with ErrMemoryBudget
 	// beyond it.
 	MemoryBudgetNodes int64
-	// RefineIters bounds the boundary refinement rounds per level.
-	RefineIters int
 	// Seed drives randomness.
 	Seed uint64
 	// Tracer, when non-nil, records per-rank spans (matching rounds,
@@ -74,19 +74,15 @@ type Config struct {
 // DefaultConfig returns the baseline defaults.
 func DefaultConfig(k int32) Config {
 	return Config{
-		K:           k,
-		Eps:         0.03,
-		RefineIters: 6,
-		Seed:        1,
+		K:    k,
+		Eps:  0.03,
+		Seed: 1,
 	}
 }
 
 func (c *Config) normalize() {
 	if c.Eps <= 0 {
 		c.Eps = 0.03
-	}
-	if c.RefineIters <= 0 {
-		c.RefineIters = 6
 	}
 }
 
@@ -316,7 +312,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	}
 	refine := func(dg *dgraph.DGraph, part []int64) {
 		sclp.ParRefine(dg, part, sclp.ParRefineConfig{
-			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters, Seed: shared.Uint64(), Stats: &st.Par,
+			K: cfg.K, Lmax: lmax, Iterations: refineIters, Seed: shared.Uint64(), Stats: &st.Par,
 		})
 	}
 	refine(cur, curPart)

@@ -19,14 +19,15 @@
 //	b.AddEdge(2, 3)
 //	p, err := parhip.New(b.Build(), parhip.WithK(2))
 //	if err != nil { ... }
-//	res, err := p.Run(ctx) // cancellable; see also p.Progress()
+//	res, err := p.Run(ctx) // cancellable
 //
-// A session is bound to a context.Context: cancelling it (or letting its
+// A run is bound to a context.Context: cancelling it (or letting its
 // deadline pass) unwinds every simulated rank cooperatively and Run
-// returns ctx.Err(). Progress() streams per-level checkpoint events while
-// the run is in flight.
+// returns ctx.Err(). WithProgressFunc receives per-level checkpoint
+// events while the run is in flight. A Partitioner holds only the graph
+// and its settings, so Run may be called again, or concurrently.
 //
-// See the examples directory for realistic scenarios.
+// The package's Example functions show realistic scenarios.
 package parhip
 
 import (
@@ -154,7 +155,6 @@ func resultOf(g *Graph, k int32, eps float64, res core.Result) Result {
 		cut:          st.Cut,
 		feasible:     st.Feasible,
 		blockWeights: partition.BlockWeights(g, res.Part, k),
-		boundary:     partition.BoundaryNodes(g, res.Part),
 		nw:           g.NW,
 	}
 	return Result{Partition: p, Cut: st.Cut, Imbalance: st.Imbalance, Feasible: st.Feasible, Stats: st}

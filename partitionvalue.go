@@ -46,11 +46,10 @@ type Partition struct {
 	feasible     bool
 	blockWeights []int64
 
-	// Bound-graph state, never serialized: node weights and boundary nodes
-	// of the graph the partition was computed on (or last Validated
-	// against). Nil for deserialized, unvalidated partitions.
-	nw       []int64
-	boundary []NodeID
+	// Node weights of the graph the partition was computed on (or last
+	// Validated against), never serialized. Nil for deserialized,
+	// unvalidated partitions.
+	nw []int64
 }
 
 // NewPartition wraps a raw block assignment into a Partition value bound to
@@ -63,8 +62,9 @@ func NewPartition(g *Graph, assignment []int32, k int32, eps float64) (*Partitio
 	if g == nil {
 		return nil, errors.New("parhip: NewPartition: nil graph")
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("parhip: NewPartition: k = %d, need k >= 1", k)
+	// bind allocates k block weights, so k is bounded like in Validate.
+	if k < 1 || k > max(g.NumNodes(), 1) {
+		return nil, fmt.Errorf("parhip: NewPartition: partition has k = %d for %d nodes", k, g.NumNodes())
 	}
 	if eps < 0 || eps > MaxEps {
 		return nil, fmt.Errorf("parhip: NewPartition: eps = %g outside [0, %g]", eps, MaxEps)
@@ -86,17 +86,17 @@ func NewPartition(g *Graph, assignment []int32, k int32, eps float64) (*Partitio
 		k:      k,
 		eps:    eps,
 	}
-	p.bind(g)
+	p.bind(g, g.Fingerprint())
 	return p, nil
 }
 
-// bind (re)computes every graph-derived field of p from g.
-func (p *Partition) bind(g *Graph) {
-	p.fp = g.Fingerprint()
+// bind (re)computes every graph-derived field of p from g, whose
+// fingerprint the caller has already computed as fp.
+func (p *Partition) bind(g *Graph, fp string) {
+	p.fp = fp
 	p.cut = partition.EdgeCut(g, p.assign)
 	p.blockWeights = partition.BlockWeights(g, p.assign, p.k)
 	p.feasible = partition.IsFeasible(g, p.assign, p.k, p.eps)
-	p.boundary = partition.BoundaryNodes(g, p.assign)
 	p.nw = g.NW
 	p.hasDerived = true
 }
@@ -161,27 +161,12 @@ func (p *Partition) Imbalance() float64 {
 // the presented graph.
 func (p *Partition) GraphFingerprint() string { return p.fp }
 
-// Boundary returns a copy of the boundary nodes — nodes with at least one
-// neighbour in a different block. It is nil for partitions deserialized
-// from disk until Validate binds them to a graph.
-func (p *Partition) Boundary() []NodeID {
-	if p.boundary == nil {
-		return nil
-	}
-	return append([]NodeID(nil), p.boundary...)
-}
-
-// Clone returns a deep copy of p.
-func (p *Partition) Clone() *Partition {
-	c := *p
-	c.assign = append([]int32(nil), p.assign...)
-	if p.blockWeights != nil {
-		c.blockWeights = append([]int64(nil), p.blockWeights...)
-	}
-	if p.boundary != nil {
-		c.boundary = append([]NodeID(nil), p.boundary...)
-	}
-	return &c
+// Boundary returns the boundary nodes of the partition on g — nodes with
+// at least one neighbour in a different block — in node order. Like
+// CommunicationVolume it is computed on demand; g must be the graph the
+// partition assigns.
+func (p *Partition) Boundary(g *Graph) []NodeID {
+	return partition.BoundaryNodes(g, p.assign)
 }
 
 // Checksum returns a short stable content hash over the assignment and
@@ -203,10 +188,10 @@ func (p *Partition) Checksum() string {
 // Validate checks p against g: the assignment must have one entry per node,
 // k must lie in [1, max(n, 1)], every block must lie in [0, k), and — when
 // the partition carries a graph fingerprint — the fingerprint must match
-// g's. On success the partition is (re)bound to g: cut, block weights,
-// feasibility and boundary are recomputed, so a partition read from disk
-// becomes fully derived. To reuse a partition on a *changed* graph, pass it
-// to Repartition instead; Validate is the strict same-graph check.
+// g's. On success the partition is (re)bound to g: cut, block weights and
+// feasibility are recomputed, so a partition read from disk becomes fully
+// derived. To reuse a partition on a *changed* graph, pass it to
+// Repartition instead; Validate is the strict same-graph check.
 func (p *Partition) Validate(g *Graph) error {
 	if g == nil {
 		return errors.New("parhip: Partition.Validate: nil graph")
@@ -224,13 +209,12 @@ func (p *Partition) Validate(g *Graph) error {
 			return fmt.Errorf("parhip: node %d has block %d outside [0,%d)", v, b, p.k)
 		}
 	}
-	if p.fp != "" {
-		if got := g.Fingerprint(); got != p.fp {
-			return fmt.Errorf("parhip: partition was computed on a different graph (fingerprint %.12s… != %.12s…)",
-				p.fp, got)
-		}
+	fp := g.Fingerprint()
+	if p.fp != "" && fp != p.fp {
+		return fmt.Errorf("parhip: partition was computed on a different graph (fingerprint %.12s… != %.12s…)",
+			p.fp, fp)
 	}
-	p.bind(g)
+	p.bind(g, fp)
 	return nil
 }
 

@@ -84,7 +84,7 @@ func TestPartitionSerializationRoundTrip(t *testing.T) {
 			if err := q.Validate(g); err != nil {
 				t.Fatalf("%s: Validate after read: %v", format, err)
 			}
-			if q.Boundary() == nil && p.Cut() > 0 {
+			if q.Boundary(g) == nil && p.Cut() > 0 {
 				t.Fatalf("%s: no boundary after Validate despite positive cut", format)
 			}
 		}
@@ -194,6 +194,30 @@ func TestPartitionValidateRejections(t *testing.T) {
 	}
 	if _, err := parhip.NewPartition(nil, assign, 4, 0.03); err == nil {
 		t.Error("NewPartition accepted a nil graph")
+	}
+}
+
+// TestNewPartitionKBound: NewPartition accepts exactly the k range that
+// Validate accepts, [1, max(n, 1)], so no partition it builds fails its own
+// Validate on the same graph.
+func TestNewPartitionKBound(t *testing.T) {
+	b := parhip.NewBuilder(10)
+	for v := int32(0); v+1 < 10; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.Build()
+	zeros := make([]int32, g.NumNodes())
+	if p, err := parhip.NewPartition(g, zeros, 11, 0); err == nil {
+		t.Errorf("NewPartition accepted k = 11 for 10 nodes (Validate then says: %v)", p.Validate(g))
+	} else if !strings.Contains(err.Error(), "k = 11 for 10 nodes") {
+		t.Errorf("error %q does not name k and n", err)
+	}
+	p, err := parhip.NewPartition(g, zeros, 10, 0)
+	if err != nil {
+		t.Fatalf("NewPartition rejected k = n: %v", err)
+	}
+	if err := p.Validate(g); err != nil {
+		t.Fatalf("Validate rejected what NewPartition built: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -15,20 +14,15 @@ import (
 // functional options, run under a context.Context with live progress
 // reporting.
 
-// ErrAlreadyRun is returned by Partitioner.Run when the session has
-// already been started: a Partitioner is single-use, like an http.Request.
-var ErrAlreadyRun = errors.New("parhip: session already run; create a new Partitioner with New")
-
 // MaxEps bounds the allowed imbalance parameter. An eps beyond it (the
 // heaviest block allowed 100x the average) is always a caller bug, not a
 // balance setting, and is rejected at the API boundary.
 const MaxEps = 99.0
 
-// ProgressEvent is one checkpoint of a running partition, delivered on the
-// Partitioner's Progress channel (and to WithProgressFunc callbacks). Phase
-// is one of "coarsen", "init", "refine", "rebalance" or "done"; Cut and
-// Imbalance are -1 when the phase has not computed them (coarsening tracks
-// shrinkage only).
+// ProgressEvent is one checkpoint of a running partition, delivered to the
+// session's WithProgressFunc callback. Phase is one of "coarsen", "init",
+// "refine", "rebalance" or "done"; Cut and Imbalance are -1 when the phase
+// has not computed them (coarsening tracks shrinkage only).
 type ProgressEvent = core.Progress
 
 // Defaults of a session. This is the one declaration of them: the CLIs'
@@ -53,13 +47,8 @@ type settings struct {
 	objective  Objective
 	tracer     *Tracer
 	prev       *Partition // previous partition for migration-aware runs
-	onProgress []func(ProgressEvent)
+	onProgress func(ProgressEvent)
 }
-
-// progressBuffer is the capacity of the Progress channel. When the
-// consumer falls behind, newer events are dropped rather than stalling the
-// partitioner.
-const progressBuffer = 64
 
 // Option configures a Partitioner session (see New). An option whose value
 // is out of range makes New fail with a descriptive error.
@@ -180,15 +169,12 @@ func WithTracer(t *Tracer) Option { return func(s *settings) error { s.tracer = 
 
 // WithProgressFunc registers a callback invoked synchronously for every
 // progress event (on the coordinating rank's goroutine — it must not block
-// for long). Unlike the Progress channel, callbacks never drop events. A
-// nil fn is ignored.
+// for long). Concurrent Runs of one session call it concurrently, each
+// from its own run's goroutine. Like every option, the last one given
+// wins; a nil fn turns progress reporting off. A session without a
+// callback skips the per-level checkpoint collectives altogether.
 func WithProgressFunc(fn func(ProgressEvent)) Option {
-	return func(s *settings) error {
-		if fn != nil {
-			s.onProgress = append(s.onProgress, fn)
-		}
-		return nil
-	}
+	return func(s *settings) error { s.onProgress = fn; return nil }
 }
 
 // resolve applies opts over the defaults and validates the result against
@@ -237,17 +223,13 @@ func resolve(g *Graph, opts []Option) (settings, error) {
 	return s, nil
 }
 
-// Partitioner is a single-use partitioning session: configure it with New,
-// optionally subscribe to Progress, then call Run. All methods are safe
-// for concurrent use.
+// Partitioner is a configured partitioning session: build it with New,
+// then call Run. It holds only the graph and the resolved settings, so Run
+// may be called any number of times, also concurrently; each call is an
+// independent run of the same settings.
 type Partitioner struct {
 	g *Graph
 	s settings
-
-	mu       sync.Mutex
-	started  bool
-	finished bool               // Run has returned
-	progress chan ProgressEvent // nil until Progress() is called
 }
 
 // New validates the configuration and returns a ready-to-run session.
@@ -299,74 +281,13 @@ func (p *Partitioner) CoreConfig() core.Config {
 	return cfg
 }
 
-// Progress returns the session's progress channel. Subscribe before
-// calling Run; events arriving while the buffer is full are dropped, and
-// the channel is closed when Run returns (on success, error and
-// cancellation alike), so ranging over it terminates.
-func (p *Partitioner) Progress() <-chan ProgressEvent {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.progress == nil {
-		p.progress = make(chan ProgressEvent, progressBuffer)
-		if p.finished {
-			// First subscription after Run already returned: hand back a
-			// closed (empty) channel so ranging over it still terminates.
-			close(p.progress)
-		}
-	}
-	return p.progress
-}
-
-// emitsProgress reports whether Run must wire the core progress callback.
-// Progress checkpoints add one cut/block-weight allreduce per refinement
-// level, so sessions nobody observes skip them entirely.
-func (p *Partitioner) emitsProgress() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.progress != nil || len(p.s.onProgress) > 0
-}
-
-func (p *Partitioner) emit(ev ProgressEvent) {
-	p.mu.Lock()
-	ch := p.progress
-	p.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- ev:
-		default: // consumer is behind: drop rather than stall the ranks
-		}
-	}
-	for _, fn := range p.s.onProgress {
-		fn(ev)
-	}
-}
-
 // Run executes the session. It blocks until the partition is complete, the
 // context is cancelled, or its deadline passes; in the latter two cases it
 // returns ctx.Err() promptly (every simulated rank unwinds cooperatively
-// at the next superstep boundary — no goroutine outlives the call). Run
-// may be called once per Partitioner; later calls return ErrAlreadyRun.
+// at the next superstep boundary — no goroutine outlives the call).
 func (p *Partitioner) Run(ctx context.Context) (Result, error) {
-	p.mu.Lock()
-	if p.started {
-		p.mu.Unlock()
-		return Result{}, ErrAlreadyRun
-	}
-	p.started = true
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.finished = true
-		if p.progress != nil {
-			close(p.progress)
-		}
-		p.mu.Unlock()
-	}()
-
 	cfg := p.CoreConfig()
-	if p.emitsProgress() {
-		cfg.OnProgress = p.emit
-	}
+	cfg.OnProgress = p.s.onProgress
 	res, err := core.RunOn(ctx, mpi.NewWorld(p.s.pes), p.g, cfg)
 	if err != nil {
 		return Result{}, err

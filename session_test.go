@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +13,8 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestSessionRun: the happy path, and sessions are single-use.
+// TestSessionRun: the happy path, and a session runs again to the same
+// partition.
 func TestSessionRun(t *testing.T) {
 	g, _ := gen.PlantedPartition(3000, 20, 10, 0.5, 1)
 	p, err := New(g, WithK(4), WithPEs(2), WithSeed(2))
@@ -30,37 +32,64 @@ func TestSessionRun(t *testing.T) {
 	if res.Cut != EdgeCut(g, part) {
 		t.Fatalf("cut %d != recomputed %d", res.Cut, EdgeCut(g, part))
 	}
-	// Sessions are single-use.
-	if _, err := p.Run(context.Background()); !errors.Is(err, ErrAlreadyRun) {
-		t.Fatalf("second Run returned %v, want ErrAlreadyRun", err)
+	again, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if again.Partition.Checksum() != res.Partition.Checksum() {
+		t.Fatalf("second Run gave partition %s, first gave %s",
+			again.Partition.Checksum(), res.Partition.Checksum())
 	}
 }
 
-// TestSessionProgress: subscribing before Run yields ordered phase events
-// ending in a "done" checkpoint consistent with the result, and closes the
-// channel afterwards.
-func TestSessionProgress(t *testing.T) {
-	g, _ := gen.PlantedPartition(4000, 20, 10, 0.5, 3)
-	var cbEvents int
-	p, err := New(g, WithK(4), WithPEs(2),
-		WithProgressFunc(func(ProgressEvent) { cbEvents++ }))
+// TestSessionConcurrentRuns: two goroutines running one Partitioner get
+// independent runs of the same settings, hence the same partition.
+func TestSessionConcurrentRuns(t *testing.T) {
+	g, _ := gen.PlantedPartition(3000, 20, 10, 0.5, 2)
+	p, err := New(g, WithK(4), WithPEs(2), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := p.Progress()
-	done := make(chan []ProgressEvent)
-	go func() {
-		var evs []ProgressEvent
-		for ev := range ch {
-			evs = append(evs, ev)
+	var sums [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Run(context.Background())
+			if errs[i] = err; err == nil {
+				sums[i] = res.Partition.Checksum()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
 		}
-		done <- evs
-	}()
+	}
+	if sums[0] != sums[1] {
+		t.Fatalf("concurrent runs gave partitions %s and %s", sums[0], sums[1])
+	}
+}
+
+// TestSessionProgress: a WithProgressFunc callback receives ordered phase
+// events ending in a "done" checkpoint consistent with the result. The
+// last WithProgressFunc wins, like every other option.
+func TestSessionProgress(t *testing.T) {
+	g, _ := gen.PlantedPartition(4000, 20, 10, 0.5, 3)
+	var evs []ProgressEvent
+	p, err := New(g, WithK(4), WithPEs(2),
+		WithProgressFunc(func(ProgressEvent) { t.Error("replaced callback called") }),
+		WithProgressFunc(func(ev ProgressEvent) { evs = append(evs, ev) }))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := <-done // channel closed by Run
 	if len(evs) == 0 {
 		t.Fatal("no progress events")
 	}
@@ -84,34 +113,6 @@ func TestSessionProgress(t *testing.T) {
 		if ev.Cycles == 0 || ev.Elapsed < 0 {
 			t.Fatalf("malformed event: %+v", ev)
 		}
-	}
-	if cbEvents == 0 {
-		t.Fatal("WithProgressFunc callback never invoked")
-	}
-}
-
-// TestProgressAfterRunTerminates: a first Progress() subscription after
-// Run has returned yields a closed channel, so ranging over it still
-// terminates instead of blocking forever.
-func TestProgressAfterRunTerminates(t *testing.T) {
-	g, _ := gen.PlantedPartition(800, 8, 8, 0.5, 4)
-	p, err := New(g, WithK(2), WithPEs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range p.Progress() {
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("ranging over post-Run Progress() never terminated")
 	}
 }
 
