@@ -6,6 +6,7 @@ import (
 
 	"repro"
 	"repro/internal/gen"
+	"repro/internal/testutil"
 )
 
 // TestGoldenChecksums pins the partition itself — Checksum() and cut — for a
@@ -81,7 +82,7 @@ func TestGoldenChecksums(t *testing.T) {
 		}
 	}
 	mesh := gen.DelaunayLike(6000, 3)
-	hub := gen.HubMesh(3800, 128, 80, 2)
+	hub := testutil.HubMesh(3800, 128, 80, 2)
 	webG := web(8192, 5)
 
 	cases := []struct {

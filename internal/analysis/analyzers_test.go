@@ -1,6 +1,11 @@
 package analysis
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/mpi"
+)
 
 func TestCollectiveFixtures(t *testing.T) {
 	runFixture(t, []*Analyzer{CollectiveAnalyzer}, "collective/dirty", "collective/clean")
@@ -36,5 +41,19 @@ func TestModuleIsLintClean(t *testing.T) {
 	diags := RunAnalyzers(mod, All())
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestMPICollectivesAreMethods: every name in the collective table is a
+// method of *mpi.Comm or *mpi.Topology, so a primitive that is renamed or
+// deleted cannot leave a stale entry behind.
+func TestMPICollectivesAreMethods(t *testing.T) {
+	comm, topo := reflect.TypeOf((*mpi.Comm)(nil)), reflect.TypeOf((*mpi.Topology)(nil))
+	for name := range mpiCollectives {
+		_, onComm := comm.MethodByName(name)
+		_, onTopo := topo.MethodByName(name)
+		if !onComm && !onTopo {
+			t.Errorf("mpiCollectives names %q, which is no method of *mpi.Comm or *mpi.Topology", name)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"fmt"
+	"go/token"
+	"os"
+	"path/filepath"
 	"regexp"
 	"testing"
 )
@@ -75,4 +79,42 @@ outer:
 			t.Errorf("%s:%d: expected a finding matching %q, got none", w.file, w.line, w.re)
 		}
 	}
+}
+
+// LoadPackages parses and type-checks the packages found under the given
+// gopath-style source root (dir/<importpath>/*.go), resolving imports
+// between them. It is the fixture loader used by analysistest.
+func LoadPackages(srcRoot string, importPaths ...string) (*Module, error) {
+	fset := token.NewFileSet()
+	parsed := make(map[string]*parsedPkg)
+	var add func(path string) error
+	add = func(path string) error {
+		if _, ok := parsed[path]; ok {
+			return nil
+		}
+		dir := filepath.Join(srcRoot, filepath.FromSlash(path))
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			return nil // not local: resolved as stdlib at check time
+		}
+		pp, err := parseDir(fset, dir, path)
+		if err != nil {
+			return err
+		}
+		if pp == nil {
+			return fmt.Errorf("analysis: no Go files in %s", dir)
+		}
+		parsed[path] = pp
+		for _, imp := range pp.imports {
+			if err := add(imp); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, p := range importPaths {
+		if err := add(p); err != nil {
+			return nil, err
+		}
+	}
+	return check(fset, parsed)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/testutil"
 )
 
 // run partitions g on a fresh in-process world of P ranks.
@@ -23,7 +24,7 @@ func TestRunFastSocial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := partition.Evaluate(g, res.Part, 2, 0.03)
+	rep := testutil.Evaluate(g, res.Part, 2, 0.03)
 	if !rep.Feasible {
 		t.Fatalf("infeasible: %v", rep)
 	}
@@ -44,7 +45,7 @@ func TestRunMeshK4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := partition.Evaluate(g, res.Part, 4, 0.03)
+	rep := testutil.Evaluate(g, res.Part, 4, 0.03)
 	if !rep.Feasible {
 		t.Fatalf("infeasible: %v", rep)
 	}
@@ -98,7 +99,7 @@ func TestRunVariousPEcounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
-		if err := partition.Validate(g, res.Part, 2); err != nil {
+		if err := testutil.ValidatePartition(g, res.Part, 2); err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
 		if !partition.IsFeasible(g, res.Part, 2, 0.03) {
@@ -136,7 +137,7 @@ func TestRunSmallGraphNoCoarsening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := partition.Evaluate(g, res.Part, 2, 0.03)
+	rep := testutil.Evaluate(g, res.Part, 2, 0.03)
 	if !rep.Feasible {
 		t.Fatalf("infeasible: %v", rep)
 	}

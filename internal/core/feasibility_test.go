@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 )
 
 // TestRunFeasibilityFuzz asserts the PR's central postcondition: core.Run
@@ -70,7 +71,7 @@ func TestRunFeasibilityFuzz(t *testing.T) {
 		if !partition.IsFeasible(g, res.Part, k, eps) {
 			t.Fatalf("%s: stats say feasible but the partition vector is not", name)
 		}
-		if err := partition.Validate(g, res.Part, k); err != nil {
+		if err := testutil.ValidatePartition(g, res.Part, k); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

@@ -12,11 +12,13 @@ import (
 // nw[i] is the weight of global node vtxdist[rank]+i, and that node's
 // neighbours are adjGlobal[xadj[i]:xadj[i+1]] with weights adjw. Ghost
 // weights are fetched from the owners, and the global edge count is
-// computed collectively. The parallel contraction algorithm uses this to
-// assemble each coarse level. Collective.
+// computed collectively. It is the one constructor: FromGraph feeds it a
+// range of the input graph (int32 IDs), and the parallel contraction
+// algorithm feeds it each coarse level (int64 IDs). xadj and adjw are kept,
+// nw is copied. Collective.
 //
 //parhip:collective
-func Build(c *mpi.Comm, vtxdist []int64, nw []int64, xadj []int64, adjGlobal []int64, adjw []int64) *DGraph {
+func Build[ID int32 | int64](c *mpi.Comm, vtxdist []int64, nw []int64, xadj []int64, adjGlobal []ID, adjw []int64) *DGraph {
 	if len(vtxdist) != c.Size()+1 {
 		panic(fmt.Sprintf("dgraph: vtxdist has %d entries for %d ranks", len(vtxdist), c.Size()))
 	}
@@ -36,8 +38,8 @@ func Build(c *mpi.Comm, vtxdist []int64, nw []int64, xadj []int64, adjGlobal []i
 	}
 	d.Adj = make([]int32, len(adjGlobal))
 	d.AdjW = adjw
-	for i, gu := range adjGlobal {
-		if gu >= lo && gu < hi {
+	for i, id := range adjGlobal {
+		if gu := int64(id); gu >= lo && gu < hi {
 			d.Adj[i] = int32(gu - lo)
 		} else {
 			d.Adj[i] = d.internGhost(gu)

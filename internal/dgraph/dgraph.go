@@ -36,8 +36,8 @@ type DGraph struct {
 	XAdj []int64
 	//lint:rawslice-ok CSR adjacency in local-index space, not a partition
 	Adj []int32
-	// AdjW may alias the input graph's weight array (FromGraphDist) and
-	// is never written.
+	// AdjW may alias the input graph's weight array (FromGraph) and is
+	// never written.
 	AdjW []int64
 
 	// NW holds node weights for local nodes followed by ghosts.
@@ -81,60 +81,20 @@ func UniformVtxDist(n int64, size int) []int64 {
 }
 
 // FromGraph builds this rank's share of g using a uniform contiguous node
-// distribution. Every rank must pass an identical g (SPMD); only the local
-// slice and halo are retained.
+// distribution. Every rank must pass an identical g (SPMD). The rank's rows
+// are one contiguous range of g's arrays, so they go to Build without a
+// copy of the adjacency, and AdjW aliases g.AdjW. Collective.
+//
+//parhip:collective
 func FromGraph(c *mpi.Comm, g *graph.Graph) *DGraph {
-	n := int64(g.NumNodes())
-	vd := UniformVtxDist(n, c.Size())
-	return FromGraphDist(c, g, vd)
-}
-
-// FromGraphDist is FromGraph with an explicit node distribution.
-func FromGraphDist(c *mpi.Comm, g *graph.Graph, vtxdist []int64) *DGraph {
-	lo := vtxdist[c.Rank()]
-	hi := vtxdist[c.Rank()+1]
-	nLocal := int32(hi - lo)
-	d := &DGraph{
-		Comm:    c,
-		GlobalN: int64(g.NumNodes()),
-		GlobalM: g.NumEdges(),
-		VtxDist: vtxdist,
-		nLocal:  nLocal,
-		g2l:     hashtab.NewMapI64(16),
-	}
-	d.XAdj = make([]int64, nLocal+1)
-	nw := make([]int64, nLocal)
-	for v := int32(0); v < nLocal; v++ {
-		gv := lo + int64(v)
-		d.XAdj[v+1] = d.XAdj[v] + int64(g.Degree(int32(gv)))
-		nw[v] = g.NW[gv]
-	}
-	d.Adj = make([]int32, d.XAdj[nLocal])
-	// The rank's rows are one contiguous range of the input's weights, in
-	// the same order: alias it rather than copy.
+	vd := UniformVtxDist(int64(g.NumNodes()), c.Size())
+	lo, hi := vd[c.Rank()], vd[c.Rank()+1]
 	a, b := g.XAdj[lo], g.XAdj[hi]
-	d.AdjW = g.AdjW[a:b:b]
-	pos := 0
-	for v := int32(0); v < nLocal; v++ {
-		gv := int32(lo + int64(v))
-		for _, u := range g.Neighbors(gv) {
-			gu := int64(u)
-			var lu int32
-			if gu >= lo && gu < hi {
-				lu = int32(gu - lo)
-			} else {
-				lu = d.internGhost(gu)
-			}
-			d.Adj[pos] = lu
-			pos++
-		}
+	xadj := make([]int64, hi-lo+1)
+	for i := range xadj {
+		xadj[i] = g.XAdj[lo+int64(i)] - a
 	}
-	d.NW = append(nw, make([]int64, len(d.ghostGlobal))...)
-	for i, gu := range d.ghostGlobal {
-		d.NW[int(nLocal)+i] = g.NW[gu]
-	}
-	d.finalize()
-	return d
+	return Build(c, vd, g.NW[lo:hi], xadj, g.Adj[a:b], g.AdjW[a:b:b])
 }
 
 // internGhost returns the local ID for global node gu, creating a ghost

@@ -135,17 +135,6 @@ func (d *DGraph) buildPlan() {
 // Plan returns the level's halo-exchange plan.
 func (d *DGraph) Plan() *ExchangePlan { return d.plan }
 
-// Topology returns the sparse rank topology the plan exchanges over.
-func (p *ExchangePlan) Topology() *mpi.Topology { return p.topo }
-
-// SendList returns the interface vertices shipped to the i-th neighbor on a
-// full sync, in wire order. The slice must not be modified.
-//
-//lint:rawslice-ok plan send list of local node IDs, not a partition
-func (p *ExchangePlan) SendList(i int) []int32 {
-	return p.sendVtx[p.sendOff[i]:p.sendOff[i+1]]
-}
-
 // resetStaging truncates every staging buffer (keeping capacity).
 func (p *ExchangePlan) resetStaging() {
 	for i := range p.sendBuf {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 )
 
 // Property tests over random graphs and rank counts: the distributed view
@@ -20,6 +21,9 @@ func TestPropertyDistributedMatchesSequential(t *testing.T) {
 		r := rng.New(seed)
 		n := r.Int31n(120) + 5
 		b := graph.NewBuilder(n)
+		for v := int32(0); v < n; v++ {
+			b.SetNodeWeight(v, r.Int64n(9)+1)
+		}
 		for i := 0; i < int(n)*3; i++ {
 			u, v := r.Int31n(n), r.Int31n(n)
 			if u != v {
@@ -34,6 +38,23 @@ func TestPropertyDistributedMatchesSequential(t *testing.T) {
 				ok = false
 				return
 			}
+			// Ghost weights are checked against g itself: Validate's check
+			// asks the owners, which is how Build filled them in.
+			for gh := d.NLocal(); gh < d.NTotal(); gh++ {
+				if want := g.NW[d.ToGlobal(gh)]; d.NW[gh] != want {
+					t.Errorf("seed %d P=%d rank %d ghost %d: weight %d, g has %d",
+						seed, P, c.Rank(), gh, d.NW[gh], want)
+					ok = false
+					return
+				}
+			}
+			// The rank's edge weights are g's own range, not a copy.
+			a := g.XAdj[d.FirstGlobal()]
+			if len(d.AdjW) > 0 && &d.AdjW[0] != &g.AdjW[a] {
+				t.Errorf("seed %d P=%d rank %d: AdjW does not alias g.AdjW[%d:]", seed, P, c.Rank(), a)
+				ok = false
+				return
+			}
 			// Per-node degree and weighted degree agree with g.
 			for v := int32(0); v < d.NLocal(); v++ {
 				gv := int32(d.ToGlobal(v))
@@ -45,7 +66,7 @@ func TestPropertyDistributedMatchesSequential(t *testing.T) {
 				for _, w := range d.EdgeWeights(v) {
 					wd += w
 				}
-				if wd != g.WeightedDegree(gv) {
+				if wd != testutil.WeightedDegree(g, gv) {
 					ok = false
 					return
 				}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kaffpa"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/testutil"
 )
 
 func TestEvolveSingleRank(t *testing.T) {
@@ -19,7 +20,7 @@ func TestEvolveSingleRank(t *testing.T) {
 		cfg := DefaultConfig(4)
 		cfg.Rounds = 2
 		p := Evolve(context.Background(), c, g, cfg)
-		if err := partition.Validate(g, p, 4); err != nil {
+		if err := testutil.ValidatePartition(g, p, 4); err != nil {
 			t.Error(err)
 		}
 		if !partition.IsFeasible(g, p, 4, 0.03) {
@@ -108,7 +109,7 @@ func TestEvolveZeroRounds(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.Rounds = 0
 		p := Evolve(context.Background(), c, g, cfg)
-		if err := partition.Validate(g, p, 2); err != nil {
+		if err := testutil.ValidatePartition(g, p, 2); err != nil {
 			t.Error(err)
 		}
 	})
@@ -139,7 +140,7 @@ func TestEvolveAlternativeObjectives(t *testing.T) {
 			cfg.Rounds = 1
 			cfg.Objective = obj
 			p := Evolve(context.Background(), c, g, cfg)
-			if err := partition.Validate(g, p, k); err != nil {
+			if err := testutil.ValidatePartition(g, p, k); err != nil {
 				t.Errorf("objective %d: %v", obj, err)
 			}
 			if !partition.IsFeasible(g, p, k, 0.03) {
@@ -189,7 +190,7 @@ func TestEvolveHonorsCancelledContext(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.TimeBudget = time.Minute // would otherwise search for a minute
 		p := Evolve(ctx, c, g, cfg)
-		if err := partition.Validate(g, p, 2); err != nil {
+		if err := testutil.ValidatePartition(g, p, 2); err != nil {
 			t.Error(err)
 		}
 	})

@@ -61,24 +61,6 @@ func TestRGGTiny(t *testing.T) {
 	}
 }
 
-func TestDelaunayLike(t *testing.T) {
-	g := DelaunayLike(1024, 3)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !graph.IsConnected(g) {
-		t.Fatal("mesh not connected")
-	}
-	// Triangulated grid: m = 2*side*(side-1) + (side-1)^2; avg degree < 6.
-	avg := float64(2*g.NumEdges()) / float64(g.NumNodes())
-	if avg < 4 || avg > 6 {
-		t.Fatalf("average degree %v, want ~5.9", avg)
-	}
-	if md := g.MaxDegree(); md > 8 {
-		t.Fatalf("max degree %d too large for a planar mesh", md)
-	}
-}
-
 func TestRMATPowerLaw(t *testing.T) {
 	g := RMAT(12, 8, 0.57, 0.19, 0.19, 5)
 	if err := g.Validate(); err != nil {
@@ -101,21 +83,6 @@ func TestRMATPowerLaw(t *testing.T) {
 	}
 	if maxDeg < 50 {
 		t.Fatalf("max degree %d too small for RMAT scale 12", maxDeg)
-	}
-}
-
-func TestBarabasiAlbert(t *testing.T) {
-	g := BarabasiAlbert(3000, 4, 2)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !graph.IsConnected(g) {
-		t.Fatal("BA graph should be connected")
-	}
-	// Preferential attachment: maximum degree grows like sqrt(n), far above
-	// the mean of ~2*mAttach.
-	if md := g.MaxDegree(); md < 30 {
-		t.Fatalf("max degree %d; BA graph should have hubs", md)
 	}
 }
 
@@ -167,22 +134,6 @@ func TestMesh3D(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStarOfCliques(t *testing.T) {
-	g := StarOfCliques(10, 8, 1)
-	if g.NumNodes() != 81 {
-		t.Fatalf("n = %d", g.NumNodes())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !graph.IsConnected(g) {
-		t.Fatal("star of cliques should be connected")
-	}
-	if g.Degree(0) != 10 {
-		t.Fatalf("hub degree %d", g.Degree(0))
 	}
 }
 

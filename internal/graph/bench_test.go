@@ -38,14 +38,6 @@ func BenchmarkBuilderBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkBFS(b *testing.B) {
-	g := benchGraph(20000, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BFS(g, 0)
-	}
-}
-
 func BenchmarkConnectedComponents(b *testing.B) {
 	g := benchGraph(20000, 60000)
 	b.ResetTimer()

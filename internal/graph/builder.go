@@ -122,26 +122,6 @@ func Cycle(n int32) *Graph {
 	return b.Build()
 }
 
-// Complete returns the complete graph on n unit-weight nodes.
-func Complete(n int32) *Graph {
-	b := NewBuilder(n)
-	for u := int32(0); u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.Build()
-}
-
-// Star returns a star with one centre (node 0) and n-1 leaves.
-func Star(n int32) *Graph {
-	b := NewBuilder(n)
-	for v := int32(1); v < n; v++ {
-		b.AddEdge(0, v)
-	}
-	return b.Build()
-}
-
 // Grid2D returns the rows x cols grid graph with 4-neighbour connectivity.
 func Grid2D(rows, cols int32) *Graph {
 	b := NewBuilder(rows * cols)

@@ -69,17 +69,6 @@ func (g *Graph) TotalEdgeWeight() int64 {
 	return s / 2
 }
 
-// MaxNodeWeight returns the largest node weight, or 0 for an empty graph.
-func (g *Graph) MaxNodeWeight() int64 {
-	var mw int64
-	for _, w := range g.NW {
-		if w > mw {
-			mw = w
-		}
-	}
-	return mw
-}
-
 // MaxDegree returns the largest degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int32 {
 	var md int32
@@ -89,30 +78,6 @@ func (g *Graph) MaxDegree() int32 {
 		}
 	}
 	return md
-}
-
-// WeightedDegree returns the sum of edge weights incident to v.
-func (g *Graph) WeightedDegree(v NodeID) int64 {
-	var s int64
-	for _, w := range g.EdgeWeights(v) {
-		s += w
-	}
-	return s
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		XAdj: make([]int64, len(g.XAdj)),
-		Adj:  make([]NodeID, len(g.Adj)),
-		AdjW: make([]int64, len(g.AdjW)),
-		NW:   make([]int64, len(g.NW)),
-	}
-	copy(c.XAdj, g.XAdj)
-	copy(c.Adj, g.Adj)
-	copy(c.AdjW, g.AdjW)
-	copy(c.NW, g.NW)
-	return c
 }
 
 // Validate checks structural invariants: monotone XAdj, in-range neighbour

@@ -1,34 +1,5 @@
 package graph
 
-// BFS performs a breadth-first search from source and returns the order in
-// which nodes were discovered together with a distance array (-1 for
-// unreachable nodes).
-//
-//lint:rawslice-ok BFS distance vector, not a partition
-func BFS(g *Graph, source NodeID) (order []NodeID, dist []int32) {
-	n := g.NumNodes()
-	dist = make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	order = make([]NodeID, 0, n)
-	queue := make([]NodeID, 0, n)
-	dist[source] = 0
-	queue = append(queue, source)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, u := range g.Neighbors(v) {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return order, dist
-}
-
 // ConnectedComponents labels every node with a component ID in [0, count)
 // and returns the labels and the component count.
 //
@@ -59,16 +30,6 @@ func ConnectedComponents(g *Graph) (comp []int32, count int32) {
 		count++
 	}
 	return comp, count
-}
-
-// IsConnected reports whether the graph has exactly one connected component
-// (the empty graph is considered connected).
-func IsConnected(g *Graph) bool {
-	if g.NumNodes() == 0 {
-		return true
-	}
-	_, cnt := ConnectedComponents(g)
-	return cnt == 1
 }
 
 // InducedSubgraph extracts the subgraph induced by the given nodes. It

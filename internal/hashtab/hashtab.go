@@ -478,39 +478,6 @@ func (t *AccumulatorPairI64) Add(a, b, delta int64) {
 	}
 }
 
-// Get returns the accumulated value for (a, b) and whether the pair is
-// present.
-func (t *AccumulatorPairI64) Get(a, b int64) (int64, bool) {
-	i := hashPair64(a, b) & t.mask
-	for t.used[i] {
-		if t.keysA[i] == a && t.keysB[i] == b {
-			return t.vals[i], true
-		}
-		i = (i + 1) & t.mask
-	}
-	return 0, false
-}
-
-// Len returns the number of distinct pairs in the table.
-func (t *AccumulatorPairI64) Len() int { return t.size }
-
-// ForEach calls fn for every (a, b, value) triple in the order Add first saw
-// the pairs.
-func (t *AccumulatorPairI64) ForEach(fn func(a, b, val int64)) {
-	for _, i := range t.touched {
-		fn(t.keysA[i], t.keysB[i], t.vals[i])
-	}
-}
-
-// Reset removes all pairs, clearing only the touched slots.
-func (t *AccumulatorPairI64) Reset() {
-	for _, i := range t.touched {
-		t.used[i] = false
-	}
-	t.touched = t.touched[:0]
-	t.size = 0
-}
-
 // grow re-inserts in touched order, like AccumulatorI64.grow.
 func (t *AccumulatorPairI64) grow() {
 	oldA, oldB, oldVals, oldTouched := t.keysA, t.keysB, t.vals, t.touched

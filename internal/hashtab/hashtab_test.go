@@ -10,6 +10,43 @@ import (
 	"repro/internal/rng"
 )
 
+// AccumulatorPairI64's production surface is what the benchmark's
+// pair_add_mops substrate calls (New and Add); the tests read it back
+// through these.
+
+// Get returns the accumulated value for (a, b) and whether the pair is
+// present.
+func (t *AccumulatorPairI64) Get(a, b int64) (int64, bool) {
+	i := hashPair64(a, b) & t.mask
+	for t.used[i] {
+		if t.keysA[i] == a && t.keysB[i] == b {
+			return t.vals[i], true
+		}
+		i = (i + 1) & t.mask
+	}
+	return 0, false
+}
+
+// Len returns the number of distinct pairs in the table.
+func (t *AccumulatorPairI64) Len() int { return t.size }
+
+// ForEach calls fn for every (a, b, value) triple in the order Add first saw
+// the pairs.
+func (t *AccumulatorPairI64) ForEach(fn func(a, b, val int64)) {
+	for _, i := range t.touched {
+		fn(t.keysA[i], t.keysB[i], t.vals[i])
+	}
+}
+
+// Reset removes all pairs, clearing only the touched slots.
+func (t *AccumulatorPairI64) Reset() {
+	for _, i := range t.touched {
+		t.used[i] = false
+	}
+	t.touched = t.touched[:0]
+	t.size = 0
+}
+
 func TestAccumulatorBasic(t *testing.T) {
 	a := NewAccumulatorI64(4)
 	a.Add(10, 5)

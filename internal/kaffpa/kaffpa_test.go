@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 )
 
 func TestFMRefineImprovesBadPartition(t *testing.T) {
@@ -127,7 +128,7 @@ func TestPartitionPathK2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := partition.Evaluate(g, p, 2, 0.03)
+	rep := testutil.Evaluate(g, p, 2, 0.03)
 	if !rep.Feasible {
 		t.Fatalf("infeasible: %v", rep)
 	}
@@ -175,7 +176,7 @@ func TestPartitionFeasibleAcrossFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", fam, k, err)
 			}
-			if err := partition.Validate(g, p, k); err != nil {
+			if err := testutil.ValidatePartition(g, p, k); err != nil {
 				t.Fatalf("%s k=%d: %v", fam, k, err)
 			}
 			if !partition.IsFeasible(g, p, k, 0.03) {

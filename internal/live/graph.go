@@ -536,9 +536,6 @@ func (p *Placement) Provisional(v graph.NodeID) bool {
 	return v >= p.part.NumNodes() && v < p.NumNodes()
 }
 
-// Partition returns the underlying solver partition (immutable).
-func (p *Placement) Partition() *parhip.Partition { return p.part }
-
 // Cut returns the partition's edge cut on its snapshot graph.
 func (p *Placement) Cut() int64 { return p.part.Cut() }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/testutil"
 )
 
 // applyAll wraps deltas into one batch at the next sequence number.
@@ -360,7 +361,7 @@ func TestLiveTracerSpans(t *testing.T) {
 	lg.SetTracer(tr)
 	applyAll(t, lg, 1, Delta{Op: OpAddEdge, U: 0, V: 7})
 	completeWith(t, lg, 2)
-	names := tr.SpanNames(0)
+	names := testutil.SpanNames(t, tr, 0)
 	for _, want := range []string{"live.apply_batch", "live.materialize", "live.swap"} {
 		found := false
 		for _, n := range names {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/testutil"
 )
 
 func run(P int, g *graph.Graph, cfg Config) (core.Result, error) {
@@ -21,7 +22,7 @@ func TestRunMeshFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := partition.Evaluate(g, res.Part, 2, 0.03)
+	rep := testutil.Evaluate(g, res.Part, 2, 0.03)
 	if !rep.Feasible {
 		t.Fatalf("infeasible: %v", rep)
 	}
@@ -52,7 +53,7 @@ func TestMatchingStallsOnStarOfCliques(t *testing.T) {
 	// observation is the contrast in shrink factor per level vs cluster
 	// contraction. Verify matching needs many more levels than cluster
 	// contraction to reach the same size.
-	g := gen.StarOfCliques(200, 20, 3) // 4001 nodes
+	g := testutil.StarOfCliques(200, 20, 3) // 4001 nodes
 	res, err := run(2, g, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestMemoryBudgetAbort(t *testing.T) {
 	// A star graph is nearly unmatchable (one matched edge per hub):
 	// coarsening stalls and the replicated coarsest graph exceeds a small
 	// budget, reproducing the paper's "*" failures.
-	g := graph.Star(5000)
+	g := testutil.Star(5000)
 	cfg := DefaultConfig(2)
 	cfg.MemoryBudgetNodes = 1000
 	_, err := run(2, g, cfg)
@@ -124,7 +125,7 @@ func TestRunSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := partition.Validate(g, res.Part, 4); err != nil {
+	if err := testutil.ValidatePartition(g, res.Part, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !partition.IsFeasible(g, res.Part, 4, 0.03) {

@@ -10,6 +10,12 @@ import (
 	"repro/internal/testutil"
 )
 
+// Aborted reports whether Abort has been called.
+func (w *World) Aborted() bool { return w.aborted.Load() }
+
+// Aborted reports whether the world has been aborted.
+func (c *Comm) Aborted() bool { return c.world.aborted.Load() }
+
 // TestAbortWakesBlockedReceiver: a rank blocked in Recv with no sender must
 // unwind when the world is aborted, and Run must return without re-raising.
 func TestAbortWakesBlockedReceiver(t *testing.T) {

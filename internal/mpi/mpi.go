@@ -381,9 +381,6 @@ func (w *World) Abort() {
 	}
 }
 
-// Aborted reports whether Abort has been called.
-func (w *World) Aborted() bool { return w.aborted.Load() }
-
 // WatchContext aborts the world as soon as ctx is cancelled. The returned
 // stop function releases the watcher goroutine (and must be called to avoid
 // leaking it); it blocks until the watcher has exited.
@@ -422,7 +419,8 @@ func (c *Comm) Tracer() *obs.Tracer { return c.world.tracer }
 // caller's goroutine after the others complete or block permanently; Run
 // must therefore only be used with SPMD functions that terminate. Abort
 // unwindings (ranks cut short by World.Abort / a cancelled WatchContext)
-// are not crashes and are swallowed; callers detect them via Aborted().
+// are not crashes and are swallowed; callers detect them via Err() and
+// their context.
 func (w *World) Run(fn func(c *Comm)) {
 	var wg sync.WaitGroup
 	panics := make([]any, len(w.local))
@@ -487,10 +485,6 @@ type Comm struct {
 
 // Rank returns this rank's ID in [0, Size()).
 func (c *Comm) Rank() int { return c.rank }
-
-// Aborted reports whether the world has been aborted. Long compute loops
-// between communication calls may poll it to bail out early.
-func (c *Comm) Aborted() bool { return c.world.aborted.Load() }
 
 // CheckAbort unwinds the calling rank (with the internal abort panic that
 // Run swallows) if the world has been aborted. Collective phase loops call
@@ -806,12 +800,4 @@ func (c *Comm) AlltoallvFunc(out [][]int64, recv func(src int, data []int64)) {
 		c.world.putBuf(data)
 	}
 	c.world.tracer.End2(sp, "words_sent", words, "msgs", int64(c.Size()-1))
-}
-
-// BcastI64 broadcasts a single value from root.
-func (c *Comm) BcastI64(root int, v int64) int64 {
-	if c.rank == root {
-		return c.Bcast(root, []int64{v})[0]
-	}
-	return c.Bcast(root, nil)[0]
 }

@@ -222,7 +222,7 @@ func TestCollectiveSequenceIndependence(t *testing.T) {
 				return
 			}
 			c.Barrier()
-			b := c.BcastI64(int(round)%4, round*7)
+			b := c.Bcast(int(round)%4, []int64{round * 7})[0]
 			if b != round*7 {
 				t.Errorf("round %d: bcast %d", round, b)
 				return

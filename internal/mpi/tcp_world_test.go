@@ -51,7 +51,7 @@ func TestTCPWorldCollectives(t *testing.T) {
 		sum := c.AllreduceSum1(r + 1)
 		max := c.AllreduceMax1(r)
 		scan := c.ExScanSum(r + 1)
-		bcast := c.BcastI64(1, 77)
+		bcast := c.Bcast(1, []int64{77})[0]
 		c.Barrier()
 		// Point-to-point ring: send to the next rank, receive from the
 		// previous one.
@@ -85,7 +85,7 @@ func TestTCPWorldCollectives(t *testing.T) {
 		sum := c.AllreduceSum1(r + 1)
 		max := c.AllreduceMax1(r)
 		scan := c.ExScanSum(r + 1)
-		bcast := c.BcastI64(1, 77)
+		bcast := c.Bcast(1, []int64{77})[0]
 		c.Barrier()
 		c.Send((c.Rank()+1)%P, 5, []int64{r * 10})
 		ring := c.Recv((c.Rank()+P-1)%P, 5)[0]

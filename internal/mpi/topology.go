@@ -136,10 +136,6 @@ func (s *Sharder) Add(dst int, vals ...int64) {
 	s.out[dst] = append(s.out[dst], vals...)
 }
 
-// Pending returns the values currently staged for rank dst (aliases the
-// internal buffer; valid until the next Exchange).
-func (s *Sharder) Pending(dst int) []int64 { return s.out[dst] }
-
 // Exchange performs the all-to-all (see AlltoallvFunc for the callback
 // contract) and resets the staged buffers for reuse. Collective.
 //

@@ -152,7 +152,7 @@ func TestSharderExchange(t *testing.T) {
 				t.Errorf("round %d: got %d sources, want %d", round, seen, P)
 			}
 			for dst := 0; dst < P; dst++ {
-				if len(s.Pending(dst)) != 0 {
+				if len(s.out[dst]) != 0 {
 					t.Errorf("round %d: buffer for %d not reset", round, dst)
 				}
 			}

@@ -2,9 +2,180 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// ChaosAction is what an armed chaos rule does to a matching frame.
+type ChaosAction int
+
+const (
+	// ChaosDrop silently discards the frame (the payload is released back
+	// to the pool). On TCP this surfaces as lost data at the next
+	// reconnect handshake; in tests it models a lossy link.
+	ChaosDrop ChaosAction = iota
+	// ChaosDelay sleeps the sending goroutine before forwarding,
+	// preserving per-pair frame order while modelling a slow link.
+	ChaosDelay
+	// ChaosSever cuts the link permanently: the frame is discarded and,
+	// when the inner transport supports it (TCP does), the connection is
+	// torn down and refused forever, so liveness machinery must abort the
+	// world.
+	ChaosSever
+)
+
+// ChaosRule matches outbound frames and applies an action. Zero-valued
+// fields Src/Dst of -1 act as wildcards; Epoch -1 matches every epoch.
+type ChaosRule struct {
+	// Src and Dst select the rank pair; -1 matches any rank.
+	Src, Dst int
+	// Epoch, when >= 0, arms the rule only while the harness-controlled
+	// epoch counter (see Chaos.SetEpoch — tests bump it at superstep
+	// boundaries) equals it.
+	Epoch int
+	// AfterFrames arms the rule only from the Nth matching frame of the
+	// pair onward (0 = immediately).
+	AfterFrames int
+	// Action is what to do with a matching frame.
+	Action ChaosAction
+	// Delay is the sleep for ChaosDelay.
+	Delay time.Duration
+	// Once disarms the rule after its first strike.
+	Once bool
+}
+
+// severer is the optional chaos hook of a transport that can cut a peer
+// link for real (TCP implements it).
+type severer interface {
+	Sever(rank int)
+}
+
+// Chaos wraps a transport with deterministic fault injection on the
+// outbound path. Rules are matched in order on the sending goroutine, so
+// with a deterministic program the Nth frame of a pair is always the same
+// frame — drops and severs are reproducible. The inbound path is passed
+// through untouched (injecting on one side is enough: every link has a
+// wrapped end in the tests).
+type Chaos struct {
+	inner Transport
+	h     Handlers // kept to release the payloads of discarded frames
+
+	mu    sync.Mutex // guards rules and the per-pair frame counts
+	rules []ChaosRule
+	seen  map[[2]int]int // frames observed per (src,dst) pair
+
+	epoch   atomic.Int64
+	dropped atomic.Int64
+	delayed atomic.Int64
+}
+
+// NewChaos wraps inner. Rules can be added before or during the run.
+func NewChaos(inner Transport) *Chaos {
+	return &Chaos{inner: inner, seen: make(map[[2]int]int)}
+}
+
+// AddRule installs a fault-injection rule.
+func (c *Chaos) AddRule(r ChaosRule) {
+	c.mu.Lock()
+	c.rules = append(c.rules, r)
+	c.mu.Unlock()
+}
+
+// SetEpoch publishes the harness-controlled epoch counter that
+// Epoch-scoped rules match against; tests bump it at superstep
+// boundaries.
+func (c *Chaos) SetEpoch(e int) { c.epoch.Store(int64(e)) }
+
+// Dropped returns how many frames the wrapper discarded (drops + severs).
+func (c *Chaos) Dropped() int64 { return c.dropped.Load() }
+
+// Delayed returns how many frames the wrapper delayed.
+func (c *Chaos) Delayed() int64 { return c.delayed.Load() }
+
+// Size returns the world size.
+func (c *Chaos) Size() int { return c.inner.Size() }
+
+// LocalRanks returns the inner transport's local ranks.
+func (c *Chaos) LocalRanks() []int { return c.inner.LocalRanks() }
+
+// Start brings up the inner transport.
+func (c *Chaos) Start(h Handlers) error {
+	c.h = h
+	return c.inner.Start(h)
+}
+
+// Send applies the first matching armed rule, then forwards.
+func (c *Chaos) Send(f Frame) {
+	act, delay, strike := c.match(f)
+	if !strike {
+		c.inner.Send(f)
+		return
+	}
+	switch act {
+	case ChaosDelay:
+		c.delayed.Add(1)
+		time.Sleep(delay)
+		c.inner.Send(f)
+	case ChaosSever:
+		c.dropped.Add(1)
+		c.h.release(f.Payload)
+		if s, ok := c.inner.(severer); ok {
+			s.Sever(f.Dst)
+		}
+	default: // ChaosDrop
+		c.dropped.Add(1)
+		c.h.release(f.Payload)
+	}
+}
+
+// match finds the first armed rule for f and records the pair's frame
+// count.
+func (c *Chaos) match(f Frame) (ChaosAction, time.Duration, bool) {
+	epoch := int(c.epoch.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pair := [2]int{f.Src, f.Dst}
+	n := c.seen[pair]
+	c.seen[pair] = n + 1
+	for i := range c.rules {
+		r := &c.rules[i]
+		if r.Src >= 0 && r.Src != f.Src {
+			continue
+		}
+		if r.Dst >= 0 && r.Dst != f.Dst {
+			continue
+		}
+		if r.Epoch >= 0 && r.Epoch != epoch {
+			continue
+		}
+		if n < r.AfterFrames {
+			continue
+		}
+		act, delay := r.Action, r.Delay
+		if r.Once {
+			c.rules = append(c.rules[:i], c.rules[i+1:]...)
+		}
+		return act, delay, true
+	}
+	return 0, 0, false
+}
+
+// Abort forwards to the inner transport.
+func (c *Chaos) Abort() { c.inner.Abort() }
+
+// Close forwards to the inner transport.
+func (c *Chaos) Close() error { return c.inner.Close() }
+
+// Stats returns the inner transport's counters.
+func (c *Chaos) Stats() Stats { return c.inner.Stats() }
+
+// Sever forwards the chaos hook to the inner transport when supported.
+func (c *Chaos) Sever(rank int) {
+	if s, ok := c.inner.(severer); ok {
+		s.Sever(rank)
+	}
+}
 
 // fakeTransport records sends and severs for chaos wrapper tests.
 type fakeTransport struct {

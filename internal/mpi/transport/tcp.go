@@ -728,8 +728,8 @@ func (t *TCP) Abort() {
 }
 
 // Sever cuts the link to a peer rank and refuses its re-establishment —
-// the chaos hook simulating a network partition. The liveness machinery
-// then aborts the world within the heartbeat timeout.
+// the fault hook the tests use to simulate a network partition. The
+// liveness machinery then aborts the world within the heartbeat timeout.
 func (t *TCP) Sever(rank int) {
 	validRank(rank, t.size, "sever")
 	p := t.peers[rank]

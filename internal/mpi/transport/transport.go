@@ -9,8 +9,6 @@
 //   - TCP moves frames as length-prefixed binary over persistent per-peer
 //     connections, with a bootstrap handshake, heartbeat-based liveness,
 //     per-op deadlines and bounded reconnect. Exactly one rank is local.
-//   - Chaos wraps any transport with deterministic fault injection
-//     (drop/delay/sever by rank pair) for failure testing.
 //
 // A transport knows nothing about tags, collectives or mailboxes: it
 // ships opaque (src, dst, kind, tag, payload) frames and reports peers

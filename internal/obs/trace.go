@@ -15,7 +15,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -67,14 +66,6 @@ func NewTracer(ranks int) *Tracer {
 		ranks = 1
 	}
 	return &Tracer{epoch: time.Now(), tracks: make([]rankTrack, ranks)}
-}
-
-// Ranks returns the number of rank tracks (0 for a nil tracer).
-func (t *Tracer) Ranks() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.tracks)
 }
 
 // Span is an in-flight span handle returned by Begin. The zero Span (from a
@@ -237,25 +228,4 @@ func (e *errWriter) printf(format string, args ...any) {
 		return
 	}
 	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
-
-// SpanNames returns the distinct span names recorded on the given rank's
-// track, sorted. Test helper.
-func (t *Tracer) SpanNames(rank int) []string {
-	if t == nil || rank < 0 || rank >= len(t.tracks) {
-		return nil
-	}
-	tr := &t.tracks[rank]
-	tr.mu.Lock()
-	seen := make(map[string]bool, 8)
-	for _, ev := range tr.events {
-		seen[ev.name] = true
-	}
-	tr.mu.Unlock()
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

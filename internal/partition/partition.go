@@ -4,7 +4,6 @@
 package partition
 
 import (
-	"fmt"
 	"math"
 	"math/big"
 	"strconv"
@@ -17,16 +16,6 @@ import (
 // Partition assigns every node a block ID in [0, k). It is stored as a
 // plain slice indexed by node ID.
 type Partition []int32
-
-// New returns a partition of n nodes, all assigned to block 0.
-func New(n int32) Partition { return make(Partition, n) }
-
-// Clone returns a copy of p.
-func (p Partition) Clone() Partition {
-	c := make(Partition, len(p))
-	copy(c, p)
-	return c
-}
 
 // EdgeCut returns the total weight of edges whose endpoints lie in
 // different blocks.
@@ -276,46 +265,4 @@ func MaxCommVolume(g *graph.Graph, p Partition, k int32) int64 {
 		}
 	}
 	return mx
-}
-
-// Validate checks that p has one entry per node of g and block IDs in
-// [0, k).
-func Validate(g *graph.Graph, p Partition, k int32) error {
-	if int32(len(p)) != g.NumNodes() {
-		return fmt.Errorf("partition: %d entries for %d nodes", len(p), g.NumNodes())
-	}
-	for v, b := range p {
-		if b < 0 || b >= k {
-			return fmt.Errorf("partition: node %d has block %d outside [0,%d)", v, b, k)
-		}
-	}
-	return nil
-}
-
-// Report summarizes a partition's quality.
-type Report struct {
-	K         int32
-	Cut       int64
-	Imbalance float64
-	Boundary  int
-	CommVol   int64
-	Feasible  bool
-}
-
-// Evaluate computes a full quality report for p with imbalance bound eps.
-func Evaluate(g *graph.Graph, p Partition, k int32, eps float64) Report {
-	return Report{
-		K:         k,
-		Cut:       EdgeCut(g, p),
-		Imbalance: Imbalance(g, p, k),
-		Boundary:  len(BoundaryNodes(g, p)),
-		CommVol:   CommunicationVolume(g, p, k),
-		Feasible:  IsFeasible(g, p, k, eps),
-	}
-}
-
-// String renders the report on one line.
-func (r Report) String() string {
-	return fmt.Sprintf("k=%d cut=%d imbalance=%.4f boundary=%d commvol=%d feasible=%v",
-		r.K, r.Cut, r.Imbalance, r.Boundary, r.CommVol, r.Feasible)
 }

@@ -25,7 +25,7 @@ func TestClusterEvaluatesOncePerRound(t *testing.T) {
 		u    int64
 	}{
 		{"kernel", testutil.KernelGraph(rng.New(1), 1), 40},
-		{"hub", gen.HubMesh(3800, 128, 80, 2), 300},
+		{"hub", testutil.HubMesh(3800, 128, 80, 2), 300},
 	}
 	for _, gc := range graphs {
 		for _, P := range []int{1, 2, 4} {

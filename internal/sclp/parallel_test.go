@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/partition"
+	"repro/internal/testutil"
 )
 
 func TestParClusterGhostsSynced(t *testing.T) {
@@ -292,7 +293,7 @@ func TestParClusterLabelIndices(t *testing.T) {
 		g    *graph.Graph
 		u    int64
 	}{
-		{"hub", gen.HubMesh(3800, 128, 80, 2), 60},
+		{"hub", testutil.HubMesh(3800, 128, 80, 2), 60},
 		{"rmat-16K", gen.RMAT(14, 8, 0.57, 0.19, 0.19, 6), 40},
 	} {
 		for _, P := range []int{2, 3, 4} {

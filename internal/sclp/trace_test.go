@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/testutil"
 )
 
 // TestParClusterTraced runs clustering under an enabled tracer and checks
@@ -26,7 +27,7 @@ func TestParClusterTraced(t *testing.T) {
 		ParCluster(d, ParClusterConfig{U: 600, Iterations: 2, PhasesPerRound: 4, Seed: 5})
 	})
 	for rank := 0; rank < P; rank++ {
-		names := strings.Join(tr.SpanNames(rank), ",")
+		names := strings.Join(testutil.SpanNames(t, tr, rank), ",")
 		for _, want := range []string{"sclp.cluster_superstep", "dgraph.push_ghosts", "mpi.neighbor_alltoallv"} {
 			if !strings.Contains(names, want) {
 				t.Errorf("rank %d track lacks %q spans (has: %s)", rank, want, names)

@@ -201,20 +201,33 @@ func Fingerprint(g *Graph) string { return g.Fingerprint() }
 // EdgeCut returns the weight of edges crossing between blocks of p. With
 // IsFeasible it is the checker for an assignment that arrives as a raw
 // slice (a wire payload, another tool's output); library results carry
-// both precomputed in their Partition.
+// both precomputed in their Partition. It panics unless p has one entry
+// per node of g.
 func EdgeCut(g *Graph, p []int32) int64 {
+	mustAssign("EdgeCut", g, len(p))
 	return partition.EdgeCut(g, p)
 }
 
 // IsFeasible reports whether the raw assignment p respects the balance
-// bound (1+eps)*ceil(W/k) for every block.
+// bound (1+eps)*ceil(W/k) for every block. An assignment that does not
+// have one entry per node of g is not a feasible partition of g.
 func IsFeasible(g *Graph, p []int32, k int32, eps float64) bool {
-	return partition.IsFeasible(g, p, k, eps)
+	return len(p) == int(g.NumNodes()) && partition.IsFeasible(g, p, k, eps)
 }
 
 // CommunicationVolume returns the total communication volume of the
 // partition on g — for every node, the number of distinct foreign blocks
-// among its neighbours.
+// among its neighbours. It panics unless g has one node per entry of the
+// assignment.
 func (p *Partition) CommunicationVolume(g *Graph) int64 {
+	mustAssign("CommunicationVolume", g, len(p.assign))
 	return partition.CommunicationVolume(g, p.assign, p.k)
+}
+
+// mustAssign panics unless an assignment of n entries covers g's nodes: the
+// checkers index it by g's node IDs, so any other size is a caller's bug.
+func mustAssign(method string, g *Graph, n int) {
+	if int(g.NumNodes()) != n {
+		panic(fmt.Sprintf("parhip: %s: assignment has %d entries, graph has %d nodes", method, n, g.NumNodes()))
+	}
 }

@@ -3,9 +3,14 @@ package parhip
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 // runSession is the tests' one-call form of New + Run.
@@ -64,18 +69,9 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := RunBaseline(ctx, nil, 0, WithK(2)); err == nil {
 		t.Fatal("nil graph accepted by baseline")
 	}
-	if _, err := RunBaseline(ctx, Star(5), 0, WithK(0)); err == nil {
+	if _, err := RunBaseline(ctx, testutil.Star(5), 0, WithK(0)); err == nil {
 		t.Fatal("k=0 accepted by baseline")
 	}
-}
-
-// Star builds a small star graph for the error tests.
-func Star(n int32) *Graph {
-	b := NewBuilder(n)
-	for v := int32(1); v < n; v++ {
-		b.AddEdge(0, v)
-	}
-	return b.Build()
 }
 
 func TestBaselinePublicAPI(t *testing.T) {
@@ -167,6 +163,42 @@ func TestMetricsExports(t *testing.T) {
 	}
 }
 
+// TestCheckersRejectOtherGraphSizes: the public checkers that take a
+// caller's graph index the assignment by its node IDs, so a graph of any
+// other size must be refused, whether it is smaller (a silently wrong
+// answer) or larger (an index panic deep inside).
+func TestCheckersRejectOtherGraphSizes(t *testing.T) {
+	raw := []int32{0, 0, 1, 1}
+	p, err := NewPartition(graph.Path(4), raw, 2, DefaultEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int32{3, 6} {
+		g := graph.Path(n)
+		want := fmt.Sprintf("assignment has 4 entries, graph has %d nodes", n)
+		for name, call := range map[string]func(){
+			"Boundary":            func() { p.Boundary(g) },
+			"CommunicationVolume": func() { p.CommunicationVolume(g) },
+			"EdgeCut":             func() { EdgeCut(g, raw) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Errorf("%s on a %d-node graph: panic %q, want one containing %q", name, n, msg, want)
+					}
+				}()
+				call()
+			}()
+		}
+		if IsFeasible(g, raw, 2, 0.03) {
+			t.Errorf("IsFeasible accepted 4 entries for a %d-node graph", n)
+		}
+	}
+	if IsFeasible(graph.Path(3), []int32{0, 1, 0, 1, 0, 1}, 2, 0.03) {
+		t.Error("IsFeasible accepted 6 entries for a 3-node graph")
+	}
+}
+
 func TestPartitionWithObjective(t *testing.T) {
 	g, _ := gen.PlantedPartition(1200, 10, 9, 0.5, 7)
 	res, err := runSession(g, WithK(4), WithPEs(2), WithSeed(3), WithObjective(MinimizeCommVolume))
@@ -179,7 +211,7 @@ func TestPartitionWithObjective(t *testing.T) {
 }
 
 func TestSettingsDefaults(t *testing.T) {
-	g := Star(5)
+	g := testutil.Star(5)
 	p, err := New(g, WithK(2))
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +242,7 @@ func TestFingerprintReexport(t *testing.T) {
 	if len(fp) != 64 {
 		t.Fatalf("fingerprint %q not 64 hex chars", fp)
 	}
-	if fp != Fingerprint(g.Clone()) {
+	if fp != Fingerprint(graph.FromCSR(slices.Clone(g.XAdj), slices.Clone(g.Adj), slices.Clone(g.AdjW), slices.Clone(g.NW))) {
 		t.Fatal("clone fingerprint differs")
 	}
 	b2 := NewBuilder(3)

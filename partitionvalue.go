@@ -163,9 +163,10 @@ func (p *Partition) GraphFingerprint() string { return p.fp }
 
 // Boundary returns the boundary nodes of the partition on g — nodes with
 // at least one neighbour in a different block — in node order. Like
-// CommunicationVolume it is computed on demand; g must be the graph the
-// partition assigns.
+// CommunicationVolume it is computed on demand, and it panics unless g has
+// one node per entry of the assignment.
 func (p *Partition) Boundary(g *Graph) []NodeID {
+	mustAssign("Boundary", g, len(p.assign))
 	return partition.BoundaryNodes(g, p.assign)
 }
 
