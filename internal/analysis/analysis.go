@@ -23,7 +23,7 @@
 // reviewed like code. Two positive annotations drive analyzers:
 // //parhip:hotpath (function doc) opts a function into the hotpath checks,
 // and //parhip:collective (function doc) marks a function as an SPMD
-// collective so calls to it are checked like mpi primitives.
+// collective so calls to it are checked; the mpi primitives carry it too.
 package analysis
 
 import (
@@ -61,8 +61,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// IsCollective reports whether fn is an SPMD collective: an mpi
-	// primitive or a module function annotated //parhip:collective. Set by
+	// IsCollective reports whether fn is an SPMD collective: a function
+	// annotated //parhip:collective, the mpi primitives included. Set by
 	// the driver from the whole-module index; never nil.
 	IsCollective func(fn *types.Func) bool
 

@@ -33,36 +33,11 @@ type Module struct {
 	collective map[*types.Func]bool
 }
 
-// mpiCollectives names the communication primitives of internal/mpi that
-// are collective: every rank of the world (or, for NeighborAlltoallv, the
-// plan topology) must call them in the same order. Point-to-point
-// Send/Recv are deliberately absent.
-var mpiCollectives = map[string]bool{
-	"Barrier":           true,
-	"Bcast":             true,
-	"Gather":            true,
-	"Allgatherv":        true,
-	"Alltoallv":         true,
-	"AlltoallvFunc":     true,
-	"AllreduceSum":      true,
-	"AllreduceMax":      true,
-	"AllreduceSum1":     true,
-	"AllreduceMax1":     true,
-	"ExScanSum":         true,
-	"NeighborAlltoallv": true,
-}
-
 // IsCollective reports whether fn must be issued in the same order on every
-// rank: an mpi primitive from the table above, or any module function whose
-// doc comment carries the //parhip:collective directive.
+// rank: its doc comment carries the //parhip:collective directive. The mpi
+// primitives carry it like every other collective; there is no name table.
 func (m *Module) IsCollective(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	if pkg := fn.Pkg(); pkg != nil && pkg.Name() == "mpi" && mpiCollectives[fn.Name()] {
-		return true
-	}
-	return m.collective[fn]
+	return fn != nil && m.collective[fn]
 }
 
 // buildCollectiveIndex scans every package's function docs for the

@@ -40,7 +40,7 @@ func BenchmarkParContract(b *testing.B) {
 				d := dgraph.FromGraph(c, g)
 				labels := sclp.ParCluster(d, sclp.ParClusterConfig{U: 600, Iterations: 3, DegreeOrder: true, Seed: 1})
 				ar := arena.New()
-				c.Barrier()
+				c.AllreduceSum1(0) // barrier
 				if c.Rank() == 0 {
 					b.ResetTimer()
 				}
@@ -67,13 +67,13 @@ func contractAllocs(g *graph.Graph, P int) (allocs uint64) {
 		ParContractWith(d, labels, ContractOptions{Arena: ar}) // warm the world's buffer pool
 		ar.Reset()
 		var before, after runtime.MemStats
-		c.Barrier()
+		c.AllreduceSum1(0) // barrier
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&before)
 		}
-		c.Barrier()
+		c.AllreduceSum1(0) // barrier
 		ParContractWith(d, labels, ContractOptions{Arena: ar})
-		c.Barrier()
+		c.AllreduceSum1(0) // barrier
 		if c.Rank() == 0 {
 			runtime.ReadMemStats(&after)
 			allocs = after.Mallocs - before.Mallocs

@@ -36,11 +36,13 @@ type ParResult struct {
 // ghosts in sync; label values are global fine node IDs) following §IV-C:
 //
 //  1. Each cluster ID is sent to the rank owning that ID in the fine
-//     distribution, which counts its distinct IDs.
-//  2. A prefix sum over the distinct counts yields the mapping q from
-//     cluster IDs to the contiguous coarse ID space.
-//  3. Ranks query q once per cluster ID they reference, local or ghost, so
-//     C(v) = q(label(v)) is one array read per node.
+//     distribution, which marks it in a dense array over its own range.
+//  2. A prefix sum over the distinct counts, then an ascending scan of that
+//     array, yields the mapping q from cluster IDs to the contiguous coarse
+//     ID space.
+//  3. Ranks look q up at the owners (DGraph.LookupI64) once per cluster ID
+//     they reference, local or ghost, so C(v) = q(label(v)) is one array
+//     read per node.
 //  4. Local nodes are grouped by cluster; each cluster's outgoing arcs are
 //     summed into one quotient row, which travels as one record to the rank
 //     owning the coarse node in the new uniform distribution.
@@ -130,73 +132,54 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		}
 	}
 
-	// Step 1: route distinct local cluster IDs to their responsible ranks.
+	// Step 1: every distinct local cluster ID goes to its responsible rank.
+	// A cluster ID is a fine node ID, so that is the ID's owner, which marks
+	// it in a dense array over its own range.
 	index(0, nl)
 	nLocalClusters := len(clusterLabel)
 	for _, l := range clusterLabel {
 		sh.Add(fine.Owner(l), l)
 	}
-	distinct := hashtab.NewSetI64(64)
-	var respLabels []int64
+	first := fine.FirstGlobal()
+	// q(first+i), once step 2 has numbered the marks. Heap, not arena: it
+	// is dead after step 3, before the quotient exchange peaks.
+	q := make([]int64, nl)
+	var myCount int64
 	sh.Exchange(func(_ int, buf []int64) {
 		for _, l := range buf {
-			if distinct.Insert(l) {
-				respLabels = append(respLabels, l)
+			if q[l-first] == 0 {
+				q[l-first] = 1
+				myCount++
 			}
 		}
 	})
-	// Deterministic coarse IDs: sort the responsible labels.
-	slices.Sort(respLabels)
 
-	// Step 2: contiguous coarse ID space via an exclusive prefix sum.
-	myCount := int64(len(respLabels))
+	// Step 2: contiguous coarse ID space via an exclusive prefix sum; an
+	// ascending scan numbers this rank's marked IDs in ID order, and an
+	// unmarked ID maps to -1.
 	offset := c.ExScanSum(myCount)
 	coarseN := c.AllreduceSum1(myCount)
-	q := hashtab.NewMapI64(len(respLabels) + 16)
-	for i, l := range respLabels {
-		q.Put(l, offset+int64(i))
+	for i, marked := range q {
+		q[i] = -1
+		if marked != 0 {
+			q[i] = offset
+			offset++
+		}
 	}
 
-	// Step 3: query q once per referenced cluster ID (local and ghost). The
-	// query lists must survive until the answers return (positions correlate
-	// them), so this exchange keeps explicit per-rank buffers.
+	// Step 3: query q at the owner once per referenced cluster ID (local
+	// and ghost).
 	index(nl, nt)
-	queryByResp := make([][]int64, size)
-	queryCluster := make([][]int32, size) // cluster index of each query, parallel to queryByResp
-	for idx, l := range clusterLabel {
-		o := fine.Owner(l)
-		queryByResp[o] = append(queryByResp[o], l)
-		queryCluster[o] = append(queryCluster[o], int32(idx))
-	}
-	replies := make([][]int64, size)
-	c.AlltoallvFunc(queryByResp, func(rk int, buf []int64) {
-		if len(buf) == 0 {
-			return
-		}
-		ans := make([]int64, len(buf))
-		for i, l := range buf {
-			id, ok := q.Get(l)
-			if !ok {
-				// A ghost-only cluster ID never observed by a local node of
-				// any rank cannot occur: every cluster has at least one
-				// member, and that member's rank reported the label.
-				panic("contract: unknown cluster ID queried")
-			}
-			ans[i] = id
-		}
-		replies[rk] = ans
-	})
-	clusterCoarse := make([]int64, len(clusterLabel))
-	c.AlltoallvFunc(replies, func(rk int, ans []int64) {
-		if len(ans) != len(queryByResp[rk]) {
+	clusterCoarse := fine.LookupI64(q, clusterLabel)
+	for idx, cu := range clusterCoarse {
+		if cu < 0 {
+			// Cannot occur: every cluster has at least one member, and that
+			// member's rank reported the label in step 1.
 			c.PoisonPeers()
-			panic(fmt.Sprintf("contract: rank %d answered %d of %d cluster queries",
-				rk, len(ans), len(queryByResp[rk])))
+			panic(fmt.Sprintf("contract: rank %d: cluster ID %d unknown to its owner",
+				c.Rank(), clusterLabel[idx]))
 		}
-		for i, idx := range queryCluster[rk] {
-			clusterCoarse[idx] = ans[i]
-		}
-	})
+	}
 	// C(v) for every local node: FineToCoarse.
 	coarseOf := make([]int64, nl)
 	for v := range coarseOf {
@@ -364,10 +347,10 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 func ParLift(fine *dgraph.DGraph, coarse *dgraph.DGraph, fineToCoarse []int64, finePart []int64) []int64 {
 	c := fine.Comm
 	sh := mpi.NewSharder(c)
-	seen := hashtab.NewSetI64(int(fine.NLocal()) + 16)
+	seen := hashtab.NewMapI64(int(fine.NLocal()) + 16)
 	for v := int32(0); v < fine.NLocal(); v++ {
 		cu := fineToCoarse[v]
-		if seen.Insert(cu) {
+		if _, inserted := seen.PutIfAbsent(cu, 0); inserted {
 			sh.Add(coarse.Owner(cu), cu, finePart[v])
 		}
 	}

@@ -377,7 +377,7 @@ func (d *DGraph) SyncGhosts(vals []int64) {
 		}
 		p.sendBuf[i] = buf
 	}
-	p.topo.NeighborAlltoallv(p.sendBuf, func(i int, data []int64) {
+	d.Comm.NeighborAlltoallv(p.nbrs, p.sendBuf, func(i int, data []int64) {
 		ghosts := p.recvGhost[p.recvOff[i]:p.recvOff[i+1]]
 		if len(data) != len(ghosts) {
 			d.Comm.PoisonPeers()
@@ -422,7 +422,7 @@ func (d *DGraph) PushGhostsFunc(vals []int64, changed []int32, onUpdate func(gho
 			p.sendBuf[slot] = append(p.sendBuf[slot], pos, vals[v])
 		}
 	}
-	p.topo.NeighborAlltoallv(p.sendBuf, func(i int, data []int64) {
+	d.Comm.NeighborAlltoallv(p.nbrs, p.sendBuf, func(i int, data []int64) {
 		if len(data)%2 != 0 {
 			d.Comm.PoisonPeers()
 			panic(fmt.Sprintf("dgraph: ghost push from rank %d carried %d words (odd, not (pos, value) pairs)",

@@ -2,6 +2,7 @@ package dgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mpi"
@@ -25,8 +26,8 @@ import (
 // carry (position-in-send-list, value) pairs that the receiver resolves
 // with one array index instead of a hash lookup.
 type ExchangePlan struct {
-	topo *mpi.Topology
-	nbrs []int32 // adjacent ranks, ascending
+	c    *mpi.Comm
+	nbrs []int // adjacent ranks, ascending
 
 	// Send side: for neighbor slot i, sendVtx[sendOff[i]:sendOff[i+1]]
 	// lists this rank's interface vertices whose values neighbor i needs,
@@ -52,14 +53,15 @@ type ExchangePlan struct {
 }
 
 // buildPlan derives the exchange plan from the finalized adjacency
-// metadata. Collective (topology construction verifies symmetry with one
-// dense exchange).
+// metadata. Collective (one dense exchange verifies that the neighbor
+// relation is symmetric).
 func (d *DGraph) buildPlan() {
-	p := &ExchangePlan{}
+	c := d.Comm
+	p := &ExchangePlan{c: c}
 
-	// Neighbor set: distinct ghost-owner ranks, ascending. slotOf maps a
-	// rank to its neighbor slot.
-	slotOf := make([]int32, d.Comm.Size())
+	// Neighbor set: distinct ghost-owner ranks, ascending; never this rank,
+	// which owns no ghost. slotOf maps a rank to its neighbor slot.
+	slotOf := make([]int32, c.Size())
 	for i := range slotOf {
 		slotOf[i] = -1
 	}
@@ -69,7 +71,25 @@ func (d *DGraph) buildPlan() {
 	for r, s := range slotOf {
 		if s == 0 {
 			slotOf[r] = int32(len(p.nbrs))
-			p.nbrs = append(p.nbrs, int32(r))
+			p.nbrs = append(p.nbrs, r)
+		}
+	}
+
+	// Symmetry check: every rank tells every other rank whether it lists it
+	// as a neighbor. An edge stored at one endpoint only makes the lists
+	// disagree, and a neighborhood exchange would then leave one side
+	// blocked forever; one dense exchange per level buys a loud, immediate
+	// failure instead.
+	mark := make([][]int64, c.Size())
+	for _, r := range p.nbrs {
+		mark[r] = []int64{1}
+	}
+	for r, in := range c.Alltoallv(mark) {
+		theirs, mine := len(in) > 0, slotOf[r] >= 0
+		if r != c.Rank() && theirs != mine {
+			c.PoisonPeers()
+			panic(fmt.Sprintf("dgraph: asymmetric adjacency: rank %d lists rank %d as neighbor=%v, reverse=%v",
+				c.Rank(), r, mine, theirs))
 		}
 	}
 
@@ -123,11 +143,6 @@ func (d *DGraph) buildPlan() {
 		})
 	}
 
-	nbrInts := make([]int, len(p.nbrs))
-	for i, r := range p.nbrs {
-		nbrInts[i] = int(r)
-	}
-	p.topo = mpi.NewTopology(d.Comm, nbrInts)
 	p.sendBuf = make([][]int64, len(p.nbrs))
 	d.plan = p
 }
@@ -147,8 +162,8 @@ func (p *ExchangePlan) resetStaging() {
 // handshake through this; proposal targets are ghost owners, so adjacency
 // holds by construction).
 func (p *ExchangePlan) AddToRank(r int32, vals ...int64) {
-	i := sort.Search(len(p.nbrs), func(i int) bool { return p.nbrs[i] >= r })
-	if i == len(p.nbrs) || p.nbrs[i] != r {
+	i, ok := slices.BinarySearch(p.nbrs, int(r))
+	if !ok {
 		panic(fmt.Sprintf("dgraph: AddToRank(%d): not an adjacent rank", r))
 	}
 	p.sendBuf[i] = append(p.sendBuf[i], vals...)
@@ -158,11 +173,10 @@ func (p *ExchangePlan) AddToRank(r int32, vals ...int64) {
 // hands each neighbor's payload to recv (data is only valid during the
 // callback), then resets the staging for reuse. Collective (SPMD order).
 func (p *ExchangePlan) Exchange(recv func(src int32, data []int64)) {
-	c := p.topo.Comm()
-	sp := c.Tracer().Begin(c.Rank(), "dgraph.plan_exchange")
-	p.topo.NeighborAlltoallv(p.sendBuf, func(i int, data []int64) {
-		recv(p.nbrs[i], data)
+	sp := p.c.Tracer().Begin(p.c.Rank(), "dgraph.plan_exchange")
+	p.c.NeighborAlltoallv(p.nbrs, p.sendBuf, func(i int, data []int64) {
+		recv(int32(p.nbrs[i]), data)
 	})
 	p.resetStaging()
-	c.Tracer().End(sp)
+	p.c.Tracer().End(sp)
 }

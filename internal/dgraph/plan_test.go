@@ -3,10 +3,13 @@ package dgraph
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/mpi/transport"
 	"repro/internal/rng"
 )
 
@@ -38,9 +41,9 @@ func TestPlanStructureConsistent(t *testing.T) {
 		d := FromGraph(c, g)
 		p := d.Plan()
 		// Every ghost owner appears as a neighbor and vice versa.
-		owners := map[int32]bool{}
+		owners := map[int]bool{}
 		for gi := range d.ghostGlobal {
-			owners[d.ghostOwner[gi]] = true
+			owners[int(d.ghostOwner[gi])] = true
 		}
 		if len(owners) != len(p.nbrs) {
 			t.Errorf("rank %d: %d ghost owners but %d plan neighbors", c.Rank(), len(owners), len(p.nbrs))
@@ -60,7 +63,7 @@ func TestPlanStructureConsistent(t *testing.T) {
 				}
 				found := false
 				for _, r := range d.AdjacentRanks(v) {
-					if r == p.nbrs[i] {
+					if int(r) == p.nbrs[i] {
 						found = true
 					}
 				}
@@ -76,7 +79,7 @@ func TestPlanStructureConsistent(t *testing.T) {
 		for i := range p.nbrs {
 			out[i] = []int64{int64(p.sendOff[i+1] - p.sendOff[i])}
 		}
-		p.topo.NeighborAlltoallv(out, func(i int, data []int64) {
+		c.NeighborAlltoallv(p.nbrs, out, func(i int, data []int64) {
 			want := int64(p.recvOff[i+1] - p.recvOff[i])
 			if data[0] != want {
 				t.Errorf("rank %d: neighbor %d sends %d values, I expect %d ghosts",
@@ -143,6 +146,24 @@ func TestPropertyPlanExchangeMatchesDenseOracle(t *testing.T) {
 	}
 }
 
+// pairCounter is an in-process transport that counts the frames sent from
+// each rank to each other rank.
+type pairCounter struct {
+	transport.Transport
+	frames []atomic.Int64 // at [src*size+dst]
+}
+
+func newPairCounter(size int) *pairCounter {
+	return &pairCounter{Transport: transport.NewInproc(size), frames: make([]atomic.Int64, size*size)}
+}
+
+func (p *pairCounter) Send(f transport.Frame) {
+	p.frames[f.Src*p.Size()+f.Dst].Add(1)
+	p.Transport.Send(f)
+}
+
+func (p *pairCounter) count(src, dst int) int64 { return p.frames[src*p.Size()+dst].Load() }
+
 // TestSyncGhostsSendsNothingToNonAdjacentRanks is the comm-volume
 // regression guard of the sparse plan: on a path graph split into
 // contiguous chunks, only consecutive ranks share interface edges, and a
@@ -150,8 +171,13 @@ func TestPropertyPlanExchangeMatchesDenseOracle(t *testing.T) {
 func TestSyncGhostsSendsNothingToNonAdjacentRanks(t *testing.T) {
 	const P = 4
 	g := graph.Path(400) // rank r only adjacent to r-1 and r+1
-	w := mpi.NewWorld(P)
-	// Construction (plan handshake included) in a first Run; the traffic
+	tr := newPairCounter(P)
+	w, err := mpi.NewWorldOn(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// Construction (symmetry check included) in a first Run; the traffic
 	// snapshot in between then isolates the steady-state syncs.
 	ds := make([]*DGraph, P)
 	vals := make([][]int64, P)
@@ -167,7 +193,7 @@ func TestSyncGhostsSendsNothingToNonAdjacentRanks(t *testing.T) {
 	var before [P][P]int64
 	for s := 0; s < P; s++ {
 		for dst := 0; dst < P; dst++ {
-			before[s][dst] = w.PairMessages(s, dst)
+			before[s][dst] = tr.count(s, dst)
 		}
 	}
 	w.Run(func(c *mpi.Comm) {
@@ -178,17 +204,50 @@ func TestSyncGhostsSendsNothingToNonAdjacentRanks(t *testing.T) {
 	})
 	for s := 0; s < P; s++ {
 		for dst := 0; dst < P; dst++ {
-			delta := w.PairMessages(s, dst) - before[s][dst]
+			delta := tr.count(s, dst) - before[s][dst]
 			adjacent := dst == s-1 || dst == s+1
 			if s == dst {
 				continue
 			}
 			if !adjacent && delta > 0 {
-				t.Errorf("non-adjacent pair %d->%d exchanged %d messages during SyncGhosts", s, dst, delta)
+				t.Errorf("non-adjacent pair %d->%d exchanged %d frames during SyncGhosts", s, dst, delta)
 			}
 			if adjacent && delta == 0 {
 				t.Errorf("adjacent pair %d->%d exchanged nothing", s, dst)
 			}
+		}
+	}
+}
+
+// TestBuildAsymmetricAdjacencyPanics hands Build an edge between two ranks
+// that only one endpoint lists. The neighbor lists then disagree, and a
+// neighborhood exchange would leave one side blocked forever; instead every
+// rank must unwind with a panic that names the fault or the poisoning.
+func TestBuildAsymmetricAdjacencyPanics(t *testing.T) {
+	const P = 3
+	vd := UniformVtxDist(6, P) // rank r owns nodes 2r and 2r+1
+	panics := make([]string, P)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mpi.NewWorld(P).Run(func(c *mpi.Comm) {
+			defer func() { panics[c.Rank()] = fmt.Sprint(recover()) }()
+			xadj, adj := []int64{0, 0, 0}, []int64(nil)
+			if c.Rank() == 0 {
+				// Node 0 lists node 2 (rank 1); node 2 does not list node 0.
+				xadj, adj = []int64{0, 1, 1}, []int64{2}
+			}
+			Build(c, vd, []int64{1, 1}, xadj, adj, make([]int64, len(adj)))
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Build on an asymmetric adjacency hung instead of panicking")
+	}
+	for r, p := range panics {
+		if !strings.Contains(p, "asymmetric") && !strings.Contains(p, "poisoned") {
+			t.Errorf("rank %d: want a panic naming the asymmetry or the poisoning, got %q", r, p)
 		}
 	}
 }

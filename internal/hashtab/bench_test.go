@@ -134,11 +134,3 @@ func BenchmarkMapPutGet(b *testing.B) {
 		m.Get(k)
 	}
 }
-
-func BenchmarkSetInsert(b *testing.B) {
-	s := NewSetI64(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Insert(int64(i % 8192))
-	}
-}

@@ -30,8 +30,9 @@
 // Add sequence alone — not of the table's kind or capacity, nor of whether
 // or when it grew or started hashing — so a table that is kept across uses
 // (a sweep's, the contraction's) iterates exactly like a fresh one, and
-// DenseAccumulator iterates exactly like AccumulatorI64. MapI64 and SetI64
-// iterate in unspecified order.
+// DenseAccumulator iterates exactly like AccumulatorI64. MapI64 iterates in
+// unspecified order; a caller that needs a set uses PutIfAbsent and ignores
+// the value.
 //
 // AccumulatorPairI64 has no production caller since the contraction groups
 // by cluster and keys its rows by the destination's cluster index; the
@@ -382,37 +383,6 @@ func (m *MapI64) grow() {
 			m.Put(oldKeys[i], oldVals[i])
 		}
 	}
-}
-
-// SetI64 is a set of int64 keys built on the same probing scheme.
-type SetI64 struct {
-	m MapI64
-}
-
-// NewSetI64 returns a set with capacity for at least capacity keys before
-// growth.
-func NewSetI64(capacity int) *SetI64 {
-	return &SetI64{m: *NewMapI64(capacity)}
-}
-
-// Insert adds key to the set and reports whether it was newly inserted.
-func (s *SetI64) Insert(key int64) bool {
-	_, inserted := s.m.PutIfAbsent(key, 0)
-	return inserted
-}
-
-// Contains reports whether key is in the set.
-func (s *SetI64) Contains(key int64) bool {
-	_, ok := s.m.Get(key)
-	return ok
-}
-
-// Len returns the number of keys in the set.
-func (s *SetI64) Len() int { return s.m.size }
-
-// ForEach calls fn for every key in unspecified order.
-func (s *SetI64) ForEach(fn func(key int64)) {
-	s.m.ForEach(func(k, _ int64) { fn(k) })
 }
 
 // AccumulatorPairI64 maps (int64, int64) key pairs to accumulated int64

@@ -219,42 +219,6 @@ func TestMapNegativeKeys(t *testing.T) {
 	}
 }
 
-func TestSetBasic(t *testing.T) {
-	s := NewSetI64(4)
-	if !s.Insert(3) {
-		t.Fatal("first insert reported duplicate")
-	}
-	if s.Insert(3) {
-		t.Fatal("second insert reported new")
-	}
-	if !s.Contains(3) || s.Contains(4) {
-		t.Fatal("Contains wrong")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestSetManyKeys(t *testing.T) {
-	s := NewSetI64(1)
-	for i := int64(0); i < 5000; i++ {
-		s.Insert(i * 31)
-	}
-	if s.Len() != 5000 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	seen := 0
-	s.ForEach(func(k int64) {
-		if k%31 != 0 {
-			t.Fatalf("unexpected key %d", k)
-		}
-		seen++
-	})
-	if seen != 5000 {
-		t.Fatalf("ForEach visited %d", seen)
-	}
-}
-
 func TestAccumulatorPairI64Basic(t *testing.T) {
 	acc := NewAccumulatorPairI64(4)
 	acc.Add(1, 2, 10)

@@ -17,16 +17,6 @@ func BenchmarkSendRecv(b *testing.B) {
 	})
 }
 
-func BenchmarkBarrier8(b *testing.B) {
-	w := NewWorld(8)
-	b.ResetTimer()
-	w.Run(func(c *Comm) {
-		for i := 0; i < b.N; i++ {
-			c.Barrier()
-		}
-	})
-}
-
 func BenchmarkAllreduce8x64(b *testing.B) {
 	w := NewWorld(8)
 	vals := make([]int64, 64)

@@ -1,13 +1,15 @@
 package mpi
 
 import (
-	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/mpi/transport"
 )
 
-// ringTopology returns each rank's neighbors on a ring of size P (P >= 3:
+// ringNeighbors returns each rank's neighbors on a ring of size P (P >= 3:
 // distinct predecessor and successor).
-func ringTopology(rank, size int) []int {
+func ringNeighbors(rank, size int) []int {
 	a := (rank + size - 1) % size
 	b := (rank + 1) % size
 	if a > b {
@@ -23,20 +25,20 @@ func TestNeighborAlltoallvRing(t *testing.T) {
 	const P = 5
 	w := NewWorld(P)
 	w.Run(func(c *Comm) {
-		topo := NewTopology(c, ringTopology(c.Rank(), P))
-		out := make([][]int64, topo.Degree())
-		for i, r := range topo.Neighbors() {
+		nbrs := ringNeighbors(c.Rank(), P)
+		out := make([][]int64, len(nbrs))
+		for i, r := range nbrs {
 			out[i] = []int64{int64(c.Rank()*100 + r)}
 		}
 		got := map[int]int64{}
-		topo.NeighborAlltoallv(out, func(i int, data []int64) {
+		c.NeighborAlltoallv(nbrs, out, func(i int, data []int64) {
 			if len(data) != 1 {
-				t.Errorf("rank %d: neighbor %d sent %d words", c.Rank(), topo.Neighbors()[i], len(data))
+				t.Errorf("rank %d: neighbor %d sent %d words", c.Rank(), nbrs[i], len(data))
 				return
 			}
-			got[topo.Neighbors()[i]] = data[0]
+			got[nbrs[i]] = data[0]
 		})
-		for _, r := range topo.Neighbors() {
+		for _, r := range nbrs {
 			want := int64(r*100 + c.Rank())
 			if got[r] != want {
 				t.Errorf("rank %d: from %d got %d, want %d", c.Rank(), r, got[r], want)
@@ -45,57 +47,57 @@ func TestNeighborAlltoallvRing(t *testing.T) {
 	})
 }
 
+// pairCounter is an in-process transport that counts the frames sent from
+// each rank to each other rank.
+type pairCounter struct {
+	transport.Transport
+	frames []atomic.Int64 // at [src*size+dst]
+}
+
+func newPairCounter(size int) *pairCounter {
+	return &pairCounter{Transport: transport.NewInproc(size), frames: make([]atomic.Int64, size*size)}
+}
+
+func (p *pairCounter) Send(f transport.Frame) {
+	p.frames[f.Src*p.Size()+f.Dst].Add(1)
+	p.Transport.Send(f)
+}
+
+func (p *pairCounter) count(src, dst int) int64 { return p.frames[src*p.Size()+dst].Load() }
+
 func TestNeighborAlltoallvSendsNothingToNonAdjacent(t *testing.T) {
 	const P = 6
-	w := NewWorld(P)
+	tr := newPairCounter(P)
+	w, err := NewWorldOn(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 	w.Run(func(c *Comm) {
-		topo := NewTopology(c, ringTopology(c.Rank(), P))
-		out := make([][]int64, topo.Degree())
+		nbrs := ringNeighbors(c.Rank(), P)
+		out := make([][]int64, len(nbrs))
 		for i := range out {
 			out[i] = []int64{1, 2, 3}
 		}
 		for s := 0; s < 4; s++ {
-			topo.NeighborAlltoallv(out, func(int, []int64) {})
+			c.NeighborAlltoallv(nbrs, out, func(int, []int64) {})
 		}
 	})
 	for src := 0; src < P; src++ {
 		adjacent := map[int]bool{}
-		for _, r := range ringTopology(src, P) {
+		for _, r := range ringNeighbors(src, P) {
 			adjacent[r] = true
 		}
 		for dst := 0; dst < P; dst++ {
-			if dst == src || adjacent[dst] {
-				continue
+			n := tr.count(src, dst)
+			if dst != src && !adjacent[dst] && n != 0 {
+				t.Errorf("non-adjacent pair %d->%d saw %d frames, want 0", src, dst, n)
 			}
-			// The topology handshake inside NewTopology is a dense exchange;
-			// everything after it must stay on the ring. 1 message = the
-			// handshake itself.
-			if n := w.PairMessages(src, dst); n > 1 {
-				t.Errorf("non-adjacent pair %d->%d saw %d messages (want only the 1 handshake)", src, dst, n)
+			if adjacent[dst] && n != 4 {
+				t.Errorf("adjacent pair %d->%d saw %d frames, want 4", src, dst, n)
 			}
 		}
 	}
-}
-
-func TestNewTopologyAsymmetricPanics(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected panic for asymmetric topology")
-		}
-		if !strings.Contains(p.(string), "asymmetric") && !strings.Contains(p.(string), "poisoned") {
-			t.Fatalf("unhelpful panic: %v", p)
-		}
-	}()
-	w := NewWorld(3)
-	w.Run(func(c *Comm) {
-		// Rank 0 lists 1; rank 1 lists nobody: asymmetric.
-		var nbrs []int
-		if c.Rank() == 0 {
-			nbrs = []int{1}
-		}
-		NewTopology(c, nbrs)
-	})
 }
 
 func TestAlltoallvFuncMatchesAlltoallv(t *testing.T) {
@@ -171,12 +173,12 @@ func TestStatsClassBreakdown(t *testing.T) {
 			c.Recv(0, 7)
 		}
 		c.AllreduceSum1(1)
-		topo := NewTopology(c, ringTopology(c.Rank(), P))
-		out := make([][]int64, topo.Degree())
+		nbrs := ringNeighbors(c.Rank(), P)
+		out := make([][]int64, len(nbrs))
 		for i := range out {
 			out[i] = []int64{9}
 		}
-		topo.NeighborAlltoallv(out, func(int, []int64) {})
+		c.NeighborAlltoallv(nbrs, out, func(int, []int64) {})
 	})
 	s := w.TotalStats()
 	if s.P2PMessages != 1 || s.P2PWords != 3 {

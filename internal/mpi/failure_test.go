@@ -3,6 +3,7 @@ package mpi
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // Failure-injection tests: misuse of the substrate must fail loudly and
@@ -110,4 +111,34 @@ func TestPoisonUnblocksReceiver(t *testing.T) {
 		}
 		c.Recv(0, 99) // would block forever without the poison
 	})
+}
+
+// TestPoisonUnblocksReceiveFromAnotherRank: poison from one rank must also
+// fail a receive that waits on a different rank. Rank 1 poisons and dies;
+// rank 0 unwinds on that poison without poisoning anyone, so rank 2's
+// receive from rank 0 would otherwise block forever.
+func TestPoisonUnblocksReceiveFromAnotherRank(t *testing.T) {
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		NewWorld(3).Run(func(c *Comm) {
+			switch c.Rank() {
+			case 0:
+				c.Recv(1, 99)
+			case 1:
+				c.PoisonPeers()
+				panic("rank 1 dies")
+			case 2:
+				c.Recv(0, 99)
+			}
+		})
+	}()
+	select {
+	case p := <-done:
+		if p == nil {
+			t.Fatal("expected propagated panic")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("receive from a rank that unwound on poison hung")
+	}
 }

@@ -10,13 +10,13 @@
 //     per-pair mailboxes, like buffered MPI_Isend), Recv blocks until a
 //     matching message arrives. Messages between a fixed (src, dst) pair
 //     are delivered in order.
-//   - Collectives: Barrier, Bcast, Gather, Allgatherv, Reduce variants,
+//   - Collectives: Bcast, Gather, Allgatherv, Reduce variants,
 //     Allreduce variants, exclusive prefix sum (ExScan) and sparse
 //     Alltoallv, all built on point-to-point messages.
-//   - Neighborhood collectives: a Topology fixes a sparse, symmetric
-//     communication graph over the ranks once, and NeighborAlltoallv then
-//     exchanges data with adjacent ranks only (the analogue of
-//     MPI_Neighbor_alltoallv). Halo exchanges run on these.
+//   - Neighborhood collectives: NeighborAlltoallv exchanges data with a
+//     caller-given, symmetric list of adjacent ranks only (the analogue of
+//     MPI_Neighbor_alltoallv). Halo exchanges run on it; the distributed
+//     graph derives and checks the list once per level.
 //
 // Every payload is a []int64; senders' slices are copied, modelling
 // serialization. Staging copies come from a world-level buffer pool, and
@@ -62,7 +62,7 @@ type commClass uint8
 const (
 	classP2P  commClass = iota // user point-to-point sends
 	classColl                  // dense collectives (barrier, reduce, alltoallv, ...)
-	classNbr                   // sparse neighborhood collectives (Topology)
+	classNbr                   // sparse neighborhood collectives (NeighborAlltoallv)
 	numClasses
 )
 
@@ -158,7 +158,7 @@ type Stats struct {
 
 	// Superstep counters: completed exchange invocations per class.
 	DenseExchanges    int64 // Alltoallv / AlltoallvFunc calls
-	NeighborExchanges int64 // Topology.NeighborAlltoallv calls
+	NeighborExchanges int64 // NeighborAlltoallv calls
 }
 
 // BytesSent converts the word counter to bytes (every payload word is 8
@@ -198,7 +198,6 @@ type World struct {
 	local    []int        // global ranks hosted here, ascending
 	boxes    [][]*mailbox // boxes[dst][src]; nil row when dst is remote
 	counters []rankCounters
-	pairMsgs []atomic.Int64 // messages sent src->dst, at [src*size+dst]
 	aborted  atomic.Bool
 
 	errMu sync.Mutex
@@ -206,7 +205,7 @@ type World struct {
 
 	// bufMu/bufFree is a free list of payload buffers. Sends draw staging
 	// copies from it; only the pooled receive paths (AlltoallvFunc,
-	// Topology.NeighborAlltoallv) return buffers, so a buffer handed to a
+	// NeighborAlltoallv) return buffers, so a buffer handed to a
 	// plain Recv caller simply leaves the pool for good.
 	bufMu   sync.Mutex
 	bufFree [][]int64
@@ -282,7 +281,6 @@ func NewWorldOn(tr transport.Transport) (*World, error) {
 		local:    tr.LocalRanks(),
 		boxes:    make([][]*mailbox, size),
 		counters: make([]rankCounters, size),
-		pairMsgs: make([]atomic.Int64, size*size),
 	}
 	for _, d := range w.local {
 		row := make([]*mailbox, size)
@@ -311,6 +309,15 @@ func (w *World) deliver(f transport.Frame) {
 		// Misrouted frame for a rank this process does not host; a correct
 		// transport never does this, and dropping beats crashing a reader.
 		w.putBuf(f.Payload)
+		return
+	}
+	if msgKind(f.Kind) == kindPoison {
+		// Poison fails every receive of the rank, not only those from the
+		// poisoner: a rank that unwinds on poison does not pass it on, so a
+		// receive waiting on that rank would otherwise hang.
+		for _, mb := range row {
+			mb.push(kindPoison, 0, nil)
+		}
 		return
 	}
 	row[f.Src].push(msgKind(f.Kind), int(f.Tag), f.Payload)
@@ -348,13 +355,6 @@ func (w *World) LocalRanks() []int { return w.local }
 // TransportStats returns a snapshot of the transport-level counters
 // (frames, bytes, reconnects, heartbeat misses, peer failures).
 func (w *World) TransportStats() transport.Stats { return w.tr.Stats() }
-
-// PairMessages returns the number of messages sent from src to dst so far.
-// Tests use it to assert sparse collectives keep non-adjacent rank pairs
-// silent.
-func (w *World) PairMessages(src, dst int) int64 {
-	return w.pairMsgs[src*w.size+dst].Load()
-}
 
 // Abort requests a cooperative shutdown of the whole world: every rank
 // currently blocked in a receive (point-to-point or inside a collective)
@@ -526,7 +526,6 @@ func (c *Comm) sendClass(dst int, kind msgKind, tag int, data []int64, class com
 	ctr := &c.world.counters[c.rank]
 	ctr.msgs[class].Add(1)
 	ctr.words[class].Add(int64(len(data)))
-	c.world.pairMsgs[c.rank*c.world.size+dst].Add(1)
 	c.world.tr.Send(transport.Frame{
 		Src: c.rank, Dst: dst,
 		Kind: uint8(kind), Tag: int32(tag),
@@ -562,24 +561,10 @@ func (c *Comm) nextSeq() int {
 	return c.seq
 }
 
-// Barrier blocks until every rank has entered the barrier.
-func (c *Comm) Barrier() {
-	tag := c.nextSeq()
-	if c.rank == 0 {
-		for r := 1; r < c.Size(); r++ {
-			c.recv(r, kindCollective, tag)
-		}
-		for r := 1; r < c.Size(); r++ {
-			c.send(r, kindCollective, tag, nil)
-		}
-	} else {
-		c.send(0, kindCollective, tag, nil)
-		c.recv(0, kindCollective, tag)
-	}
-}
-
 // Bcast distributes root's data to all ranks; every rank returns a copy of
 // root's slice. Non-root callers may pass nil.
+//
+//parhip:collective
 func (c *Comm) Bcast(root int, data []int64) []int64 {
 	tag := c.nextSeq()
 	if c.rank == root {
@@ -597,6 +582,8 @@ func (c *Comm) Bcast(root int, data []int64) []int64 {
 
 // Gather collects each rank's data at root. At root the result has one
 // entry per rank, in rank order; elsewhere it is nil.
+//
+//parhip:collective
 func (c *Comm) Gather(root int, data []int64) [][]int64 {
 	tag := c.nextSeq()
 	if c.rank == root {
@@ -617,6 +604,8 @@ func (c *Comm) Gather(root int, data []int64) [][]int64 {
 
 // Allgatherv collects every rank's (variable-length) data on every rank,
 // returned in rank order.
+//
+//parhip:collective
 func (c *Comm) Allgatherv(data []int64) [][]int64 {
 	parts := c.Gather(0, data)
 	// Flatten with a length prefix so one Bcast suffices.
@@ -699,20 +688,30 @@ func (c *Comm) allreduce(vals []int64, op reduceOp) []int64 {
 
 // AllreduceSum returns the element-wise sum of vals across all ranks.
 // All ranks must pass slices of equal length.
+//
+//parhip:collective
 func (c *Comm) AllreduceSum(vals []int64) []int64 { return c.allreduce(vals, opSum) }
 
 // AllreduceMax returns the element-wise maximum of vals across all ranks.
+//
+//parhip:collective
 func (c *Comm) AllreduceMax(vals []int64) []int64 { return c.allreduce(vals, opMax) }
 
 // AllreduceSum1 is AllreduceSum for a single value.
+//
+//parhip:collective
 func (c *Comm) AllreduceSum1(v int64) int64 { return c.AllreduceSum([]int64{v})[0] }
 
 // AllreduceMax1 is AllreduceMax for a single value.
+//
+//parhip:collective
 func (c *Comm) AllreduceMax1(v int64) int64 { return c.AllreduceMax([]int64{v})[0] }
 
 // ExScanSum returns the exclusive prefix sum of v over ranks: rank r gets
 // sum of the values passed by ranks 0..r-1 (0 at rank 0). The paper uses
 // this to map distinct cluster IDs to a contiguous coarse ID space (§IV-C).
+//
+//parhip:collective
 func (c *Comm) ExScanSum(v int64) int64 {
 	tag := c.nextSeq()
 	if c.rank == 0 {
@@ -740,6 +739,8 @@ func (c *Comm) ExScanSum(v int64) int64 {
 // rank p (nil and empty slices allowed; out must have Size() entries), and
 // the result's entry r holds the slice received from rank r. Alltoallv is a
 // synchronization point between all ranks.
+//
+//parhip:collective
 func (c *Comm) Alltoallv(out [][]int64) [][]int64 {
 	if len(out) != c.Size() {
 		panic(fmt.Sprintf("mpi: Alltoallv with %d buffers for %d ranks", len(out), c.Size()))
@@ -775,6 +776,8 @@ func (c *Comm) Alltoallv(out [][]int64) [][]int64 {
 // only valid during the callback — it is returned to the world's buffer
 // pool afterwards (for the self-delivery, data aliases out[rank] directly).
 // Steady-state callers therefore allocate no receive buffers at all.
+//
+//parhip:collective
 func (c *Comm) AlltoallvFunc(out [][]int64, recv func(src int, data []int64)) {
 	if len(out) != c.Size() {
 		panic(fmt.Sprintf("mpi: AlltoallvFunc with %d buffers for %d ranks", len(out), c.Size()))
@@ -800,4 +803,40 @@ func (c *Comm) AlltoallvFunc(out [][]int64, recv func(src int, data []int64)) {
 		c.world.putBuf(data)
 	}
 	c.world.tracer.End2(sp, "words_sent", words, "msgs", int64(c.Size()-1))
+}
+
+// NeighborAlltoallv is the sparse counterpart of AlltoallvFunc, the
+// analogue of MPI_Neighbor_alltoallv: out[i] is sent to rank nbrs[i] (nil
+// entries send an empty message) and recv is invoked once per neighbor, in
+// list order, with the payload received from it. No message reaches a rank
+// outside nbrs, so a rank with few neighbors sends few messages however
+// large the world. The data slice is only valid during the callback; it is
+// recycled through the world's buffer pool afterwards.
+//
+// The neighbor relation must be symmetric (rank a lists b iff b lists a),
+// or one side blocks forever; the caller that derives the lists checks
+// that once. Every rank of the world calls in the same order (SPMD, ranks
+// with no neighbors included, for which the call is free), but the call
+// synchronizes neighbors only.
+//
+//parhip:collective
+func (c *Comm) NeighborAlltoallv(nbrs []int, out [][]int64, recv func(i int, data []int64)) {
+	if len(out) != len(nbrs) {
+		panic(fmt.Sprintf("mpi: NeighborAlltoallv with %d buffers for %d neighbors",
+			len(out), len(nbrs)))
+	}
+	sp := c.world.tracer.Begin(c.rank, "mpi.neighbor_alltoallv")
+	tag := c.nextSeq()
+	c.world.counters[c.rank].nbrExch.Add(1)
+	var words int64
+	for i, r := range nbrs {
+		words += int64(len(out[i]))
+		c.sendClass(r, kindCollective, tag, out[i], classNbr)
+	}
+	for i, r := range nbrs {
+		data := c.recv(r, kindCollective, tag)
+		recv(i, data)
+		c.world.putBuf(data)
+	}
+	c.world.tracer.End2(sp, "words_sent", words, "msgs", int64(len(nbrs)))
 }

@@ -72,6 +72,24 @@ func TestFIFOPerPair(t *testing.T) {
 	})
 }
 
+// Barrier blocks until every rank has entered the barrier. Production code
+// synchronizes through the collectives that carry its data, so only the
+// tests here need a bare barrier.
+func (c *Comm) Barrier() {
+	tag := c.nextSeq()
+	if c.rank == 0 {
+		for r := 1; r < c.Size(); r++ {
+			c.recv(r, kindCollective, tag)
+		}
+		for r := 1; r < c.Size(); r++ {
+			c.send(r, kindCollective, tag, nil)
+		}
+	} else {
+		c.send(0, kindCollective, tag, nil)
+		c.recv(0, kindCollective, tag)
+	}
+}
+
 func TestBarrier(t *testing.T) {
 	const P = 8
 	w := NewWorld(P)
