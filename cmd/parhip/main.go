@@ -296,8 +296,8 @@ func main() {
 			p.Supersteps, p.Evaluated, p.Interior, 100*float64(p.Interior)/float64(p.Evaluated))
 	}
 	if tcp {
-		fmt.Printf("transport: %d frames / %d bytes sent, %d reconnects, %d heartbeat misses\n",
-			ts.FramesSent, ts.BytesSent, ts.Reconnects, ts.HeartbeatMisses)
+		fmt.Printf("transport: %d frames / %d bytes sent, %d heartbeat misses\n",
+			ts.FramesSent, ts.BytesSent, ts.HeartbeatMisses)
 	}
 	if len(res.Stats.Levels) > 0 {
 		fmt.Print("hierarchy:")

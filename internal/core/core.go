@@ -7,8 +7,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arena"
@@ -230,8 +232,8 @@ type Stats struct {
 	Comm mpi.Stats // whole-world traffic (filled by RunWith)
 	// Transport is the transport-level counter snapshot of this process's
 	// world (filled by RunWith alongside Comm). On the in-process backend it
-	// mirrors Comm; on TCP it additionally reports reconnects and
-	// heartbeat misses.
+	// mirrors Comm; on TCP it additionally reports heartbeat misses and
+	// peer failures.
 	Transport transport.Stats
 }
 
@@ -638,12 +640,17 @@ func clusterBound(u, w, n int64) int64 {
 }
 
 // gatherPart assembles the full global partition (one entry per global
-// node) from a distributed NTotal-length assignment. Collective.
+// node) on every rank from a distributed NTotal-length assignment.
+// Collective.
 //
 //parhip:collective
 func gatherPart(d *dgraph.DGraph, part []int64) []int32 {
-	parts := d.Comm.Allgatherv(part[:d.NLocal()])
-	out := make([]int32, d.GlobalN)
+	return joinParts(d.Comm.Allgatherv(part[:d.NLocal()]), d.GlobalN)
+}
+
+// joinParts concatenates the ranks' shares of a partition, in rank order.
+func joinParts(parts [][]int64, n int64) []int32 {
+	out := make([]int32, n)
 	var gv int64
 	for _, p := range parts {
 		for _, b := range p {
@@ -674,15 +681,18 @@ func RunOn(ctx context.Context, world *mpi.World, g *graph.Graph, cfg Config) (R
 
 // RunWith is the one runner between the ranks of world and a caller. Every
 // rank distributes the replicated g, runs the collective fn on its share
-// and takes part in gathering the partition; the process hosting rank 0
-// receives the full partition, rank 0's statistics and the world's traffic
-// counters (the others get a zero Result and a nil error). When ctx is
+// and sends its share of the partition to rank 0; the process hosting
+// rank 0 receives the full partition, rank 0's statistics and the world's
+// traffic counters (the others get a zero Result and a nil error). A
+// process succeeds when every rank it hosts got that far. When ctx is
 // cancelled or its deadline passes, every rank unwinds cooperatively (no
 // goroutine outlives the call) and RunWith returns ctx.Err(); a run that
 // completed before the cancellation was observed still returns its result.
 // A transport failure — a peer process dying mid-run — aborts the world and
 // surfaces as an error on every surviving process. The caller keeps
-// ownership of the world and closes it after RunWith returns.
+// ownership of the world and closes it after RunWith returns; on TCP a
+// peer's close breaks the link, which is harmless once RunWith has
+// returned there.
 func RunWith(ctx context.Context, world *mpi.World, g *graph.Graph, tracer *obs.Tracer,
 	fn func(context.Context, *dgraph.DGraph) ([]int64, Stats, error)) (Result, error) {
 	if ctx == nil {
@@ -693,6 +703,7 @@ func RunWith(ctx context.Context, world *mpi.World, g *graph.Graph, tracer *obs.
 	}
 	var res Result
 	var runErr error
+	var finished atomic.Int64
 	world.SetTracer(tracer)
 	stop := world.WatchContext(ctx)
 	defer stop()
@@ -700,32 +711,39 @@ func RunWith(ctx context.Context, world *mpi.World, g *graph.Graph, tracer *obs.
 		d := dgraph.FromGraph(c, g)
 		part, st, err := fn(ctx, d)
 		if err != nil {
-			if c.Rank() == 0 {
+			if c.Rank() == world.LocalRanks()[0] {
 				runErr = err
 			}
 			return
 		}
-		// gatherPart is collective: it completes only if every rank got
-		// here, so res is set iff the whole pipeline finished.
-		full := gatherPart(d, part)
+		parts := c.Gather(0, part[:d.NLocal()])
+		finished.Add(1)
 		if c.Rank() == 0 {
 			st.Comm = world.TotalStats()
 			st.Transport = world.TransportStats()
-			res = Result{Part: full, Stats: st}
+			res = Result{Part: joinParts(parts, d.GlobalN), Stats: st}
 		}
+		// Rank 0 holding every share means every rank is past its last
+		// receive. Waiting for its release keeps each process's links
+		// open until then, so closing a world after RunWith cannot abort
+		// a rank elsewhere that still waits for data. The release itself
+		// may be cut short by such a close: this rank has finished.
+		c.Bcast(0, nil)
 	})
 	if runErr != nil {
 		return Result{}, runErr
 	}
+	if finished.Load() == int64(len(world.LocalRanks())) {
+		return res, nil
+	}
 	// Ranks cut short inside a collective unwind via the abort panic
 	// without setting runErr; surface the transport failure or the
-	// cancellation explicitly. A fully assembled result beats a late
-	// cancellation, though.
-	if err := world.Err(); err != nil && res.Part == nil {
+	// cancellation that stopped them.
+	if err := world.Err(); err != nil {
 		return Result{}, err
 	}
-	if err := ctx.Err(); err != nil && res.Part == nil {
+	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return res, nil
+	return Result{}, errors.New("core: the world was aborted before the run finished")
 }

@@ -108,3 +108,59 @@ func TestPartitionCrossBackendIdentical(t *testing.T) {
 	}
 	testutil.WaitNoLeak(t, base, 2)
 }
+
+// TestRunOnSurvivesPeerExitAfterFinish closes each world of a loopback TCP
+// run the moment its own RunOn returns, as a rank process exits when its
+// run is done. A broken link aborts a TCP world at once, so a process that
+// finishes first must not fail the others: every RunOn returns nil, and
+// rank 0's partition is the in-process one.
+func TestRunOnSurvivesPeerExitAfterFinish(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g, err := gen.ByFamily(gen.FamilyRMAT, 2048, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const P = 3
+	cfg := FastConfig(4, ClassSocial)
+	cfg.Seed = 11
+	inproc, err := run(P, g, cfg)
+	if err != nil {
+		t.Fatalf("inproc run: %v", err)
+	}
+	want := partChecksum(cfg.K, inproc.Part)
+	for trial := 0; trial < 20; trial++ {
+		ts, err := transport.Loopback(P, transport.TCPConfig{})
+		if err != nil {
+			t.Fatalf("trial %d: Loopback: %v", trial, err)
+		}
+		trs := make([]transport.Transport, P)
+		for i, tr := range ts {
+			trs[i] = tr
+		}
+		ws, err := mpi.JoinWorlds(trs...)
+		if err != nil {
+			t.Fatalf("trial %d: JoinWorlds: %v", trial, err)
+		}
+		results := make([]Result, P)
+		errs := make([]error, P)
+		var wg sync.WaitGroup
+		for i, w := range ws {
+			wg.Add(1)
+			go func(i int, w *mpi.World) {
+				defer wg.Done()
+				defer w.Close()
+				results[i], errs[i] = RunOn(context.Background(), w, g, cfg)
+			}(i, w)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("trial %d: world %d: %v", trial, i, err)
+			}
+		}
+		if got := partChecksum(cfg.K, results[0].Part); got != want {
+			t.Fatalf("trial %d: partition checksum %s, in-process %s", trial, got, want)
+		}
+	}
+	testutil.WaitNoLeak(t, base, 2)
+}

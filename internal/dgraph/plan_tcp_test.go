@@ -79,10 +79,14 @@ func TestPropertyPlanExchangeMatchesDenseOracleTCP(t *testing.T) {
 				}
 			}
 		})
+		// Check every world before closing any: a closed world breaks its
+		// links, which the others report as a lost peer.
 		for i, w := range ws {
 			if err := w.Err(); err != nil {
 				t.Fatalf("trial %d: world %d transport error: %v", trial, i, err)
 			}
+		}
+		for _, w := range ws {
 			w.Close()
 		}
 		if failed {

@@ -29,10 +29,10 @@
 // NewWorld hosts all ranks in-process (the zero-cost default), while
 // NewWorldOn accepts any Transport — with the TCP backend a world hosts
 // only the ranks local to this OS process and the same SPMD code runs
-// across machines. A transport-reported peer failure (heartbeat timeout,
-// exhausted reconnect) is mapped onto the cooperative world abort, so a
-// dead rank aborts the whole world instead of hanging it; Err reports the
-// failure after the fact.
+// across machines. A transport-reported peer failure (a broken connection
+// or a heartbeat timeout) is mapped onto the cooperative world abort, as
+// MPI aborts the job, so a dead rank aborts the whole world instead of
+// hanging it; Err reports the failure after the fact.
 package mpi
 
 import (
@@ -353,7 +353,7 @@ func (w *World) Close() error { return w.tr.Close() }
 func (w *World) LocalRanks() []int { return w.local }
 
 // TransportStats returns a snapshot of the transport-level counters
-// (frames, bytes, reconnects, heartbeat misses, peer failures).
+// (frames, bytes, heartbeat misses, peer failures).
 func (w *World) TransportStats() transport.Stats { return w.tr.Stats() }
 
 // Abort requests a cooperative shutdown of the whole world: every rank
@@ -509,7 +509,7 @@ func (c *Comm) Stats() Stats { return c.world.statsOf(c.rank) }
 func (c *Comm) WorldStats() Stats { return c.world.TotalStats() }
 
 // TransportStats returns the world's transport-level counters (frames,
-// bytes, reconnects, heartbeat misses). Atomics only, like WorldStats.
+// bytes, heartbeat misses, peer failures). Atomics only, like WorldStats.
 func (c *Comm) TransportStats() transport.Stats { return c.world.tr.Stats() }
 
 // LocalRankCount returns how many of the world's ranks run in this process

@@ -124,7 +124,6 @@ func TestTCPWorldSeverAbortsAllRanks(t *testing.T) {
 	cfg := transport.TCPConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  300 * time.Millisecond,
-		ReconnectBackoff:  10 * time.Millisecond,
 	}
 	ts, err := transport.Loopback(P, cfg)
 	if err != nil {

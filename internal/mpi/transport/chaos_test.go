@@ -12,16 +12,16 @@ type ChaosAction int
 
 const (
 	// ChaosDrop silently discards the frame (the payload is released back
-	// to the pool). On TCP this surfaces as lost data at the next
-	// reconnect handshake; in tests it models a lossy link.
+	// to the pool), modelling a lossy link. TCP itself never loses a
+	// frame on a live connection, so the receiver just waits for it until
+	// the world aborts.
 	ChaosDrop ChaosAction = iota
 	// ChaosDelay sleeps the sending goroutine before forwarding,
 	// preserving per-pair frame order while modelling a slow link.
 	ChaosDelay
-	// ChaosSever cuts the link permanently: the frame is discarded and,
-	// when the inner transport supports it (TCP does), the connection is
-	// torn down and refused forever, so liveness machinery must abort the
-	// world.
+	// ChaosSever cuts the link: the frame is discarded and, when the inner
+	// transport supports it (TCP does), the connection is closed and the
+	// peer declared down, so the world must abort.
 	ChaosSever
 )
 

@@ -32,20 +32,16 @@ type TCPConfig struct {
 	HeartbeatTimeout  time.Duration
 	// DialTimeout bounds one dial + handshake attempt (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame send deadline, covering any reconnect
-	// wait (default 10s).
+	// WriteTimeout is the per-frame send deadline (default 10s). A write
+	// that misses it, like any other error on an established connection,
+	// declares the peer down.
 	WriteTimeout time.Duration
 	// BootstrapTimeout bounds Start's wait for the full peer mesh
 	// (default 30s).
 	BootstrapTimeout time.Duration
-	// ReconnectAttempts and ReconnectBackoff bound the repair of a broken
-	// established connection: attempts dials with exponentially growing
-	// backoff, then the peer is declared dead (defaults 3 and 50ms).
-	ReconnectAttempts int
-	ReconnectBackoff  time.Duration
 
 	// Logf, when non-nil, receives debug lines (connection lifecycle,
-	// reconnects, faults).
+	// faults).
 	Logf func(format string, args ...any)
 }
 
@@ -65,45 +61,30 @@ func (c *TCPConfig) applyDefaults() {
 	if c.BootstrapTimeout <= 0 {
 		c.BootstrapTimeout = 30 * time.Second
 	}
-	if c.ReconnectAttempts <= 0 {
-		c.ReconnectAttempts = 3
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 50 * time.Millisecond
-	}
 }
 
+// bootstrapRetry is the pause between dials to a lower-ranked peer that
+// is not up yet.
+const bootstrapRetry = 50 * time.Millisecond
+
 // tcpPeer is the state of one remote rank: a single persistent full-duplex
-// connection (established by the higher rank dialing the lower one),
-// replaced in place on reconnect.
+// connection, established once by the higher rank dialing the lower one.
 type tcpPeer struct {
 	rank   int
 	addr   string
 	dialer bool // this process dials (peer rank < self)
 
-	mu   sync.Mutex // guards conn, gen, wbuf, counters and flags below
-	conn net.Conn   // nil while down
-	gen  uint64     // bumped on every replacement; stale-generation faults are ignored
+	mu   sync.Mutex // guards conn and wbuf; held across a frame's write
+	conn net.Conn   // set once by the handshake, nil before it
 	wbuf []byte     // frame encode staging, reused
 
-	// dataSent counts data frames successfully written; dataRecv counts
-	// data frames delivered. Exchanged in the reconnect handshake to
-	// detect frames lost in flight (control frames are excluded: their
-	// number is scheduling-dependent).
-	dataSent uint64
-	dataRecv uint64
-	// resumeSkip is 1 when the handshake proved that the frame whose
-	// write errored actually reached the peer: the retrying Send must
-	// not resend it.
-	resumeSkip uint64
-	redialing  bool
-
-	severed  atomic.Bool  // fault injection: refuse this link forever
 	lastRecv atomic.Int64 // unix nanos of the last inbound frame
 }
 
 // TCP is the networked transport: one process hosts exactly one rank and
-// exchanges frames with every peer over persistent connections.
+// exchanges frames with every peer over persistent connections. As in
+// MPI, a connection that breaks is not repaired: the first read or write
+// error on it declares the peer down, and the world aborts.
 type TCP struct {
 	cfg  TCPConfig
 	self int
@@ -249,114 +230,76 @@ func (t *TCP) allConnected() bool {
 	return true
 }
 
-// bootstrapDial establishes the initial connection to a lower-ranked
-// peer, retrying while it comes up.
+// bootstrapDial establishes the connection to a lower-ranked peer,
+// retrying while it comes up.
 func (t *TCP) bootstrapDial(p *tcpPeer, deadline time.Time) error {
-	backoff := t.cfg.ReconnectBackoff
 	for {
 		if t.closed.Load() {
 			return ErrClosed
 		}
-		conn, resume, err := t.dialPeer(p)
+		conn, err := t.dialPeer(p)
 		if err == nil {
-			t.installConn(p, conn, resume, false)
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			if t.closed.Load() {
+				conn.Close()
+				return ErrClosed
+			}
+			t.install(p, conn)
 			return nil
 		}
-		if errors.Is(err, errResumeFatal) {
+		if errors.Is(err, errRejected) {
 			return err
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("transport: rank %d could not reach rank %d at %s within the bootstrap timeout: %w",
 				t.self, p.rank, p.addr, err)
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 500*time.Millisecond {
-			backoff = 500 * time.Millisecond
-		}
+		time.Sleep(bootstrapRetry)
 	}
 }
 
-// errResumeFatal marks handshake failures that retrying cannot fix
-// (frames lost, severed link, protocol mismatch).
-var errResumeFatal = errors.New("transport: unrecoverable handshake failure")
+// errRejected marks a handshake the peer refused: retrying cannot fix it.
+var errRejected = errors.New("transport: handshake rejected")
 
 // dialPeer performs one dial + handshake attempt and returns the live
-// connection plus the peer's delivered-frame count for resume arithmetic.
-func (t *TCP) dialPeer(p *tcpPeer) (net.Conn, uint64, error) {
-	if p.severed.Load() {
-		return nil, 0, fmt.Errorf("link to rank %d severed: %w", p.rank, errResumeFatal)
-	}
+// connection.
+func (t *TCP) dialPeer(p *tcpPeer) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	hsDeadline := time.Now().Add(t.cfg.DialTimeout)
-	_ = conn.SetDeadline(hsDeadline)
-	p.mu.Lock()
-	myRecv := p.dataRecv
-	p.mu.Unlock()
-	if err := writePreamble(conn, preamble{
+	_ = conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	err = writePreamble(conn, preamble{
 		version:   wireVersion,
 		worldSize: uint32(t.size),
 		src:       uint32(t.self),
 		dst:       uint32(p.rank),
-		recvCount: myRecv,
-	}); err != nil {
-		conn.Close()
-		return nil, 0, fmt.Errorf("preamble to rank %d: %w", p.rank, err)
+	})
+	var status uint32
+	if err == nil {
+		status, err = readAck(conn)
 	}
-	theirRecv, status, err := readAck(conn)
-	if err != nil {
+	switch {
+	case err != nil:
 		conn.Close()
-		return nil, 0, fmt.Errorf("ack from rank %d: %w", p.rank, err)
-	}
-	if status != ackOK {
+		return nil, fmt.Errorf("handshake with rank %d: %w", p.rank, err)
+	case status != ackOK:
 		conn.Close()
-		return nil, 0, fmt.Errorf("rank %d rejected the connection: %s: %w",
-			p.rank, ackStatusString(status), errResumeFatal)
+		return nil, fmt.Errorf("rank %d rejected the connection: %s: %w",
+			p.rank, ackStatusString(status), errRejected)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return conn, theirRecv, nil
+	return conn, nil
 }
 
-// installConn makes conn the live connection of p and spawns its reader.
-// theirRecv is the peer's delivered count from the handshake; comparing
-// it to our sent count detects in-flight loss: equal means clean resume,
-// one extra means the frame whose write errored actually arrived (the
-// retrying Send skips the resend), anything else means frames were lost
-// and the world must abort.
-func (t *TCP) installConn(p *tcpPeer, conn net.Conn, theirRecv uint64, reconnect bool) {
-	p.mu.Lock()
-	if t.closed.Load() {
-		p.mu.Unlock()
-		conn.Close()
-		return
-	}
-	sent := p.dataSent
-	if theirRecv != sent && theirRecv != sent+1 {
-		p.mu.Unlock()
-		conn.Close()
-		t.fatal(p.rank, fmt.Errorf("transport: rank %d delivered %d of our %d frames — data lost across reconnect",
-			p.rank, theirRecv, sent))
-		return
-	}
-	old := p.conn
+// install makes conn the link to p for the rest of the transport's life
+// and spawns its reader. p.mu must be held.
+func (t *TCP) install(p *tcpPeer, conn net.Conn) {
 	p.conn = conn
-	p.gen++
-	gen := p.gen
-	p.resumeSkip = theirRecv - sent
-	p.redialing = false
-	p.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
 	p.lastRecv.Store(time.Now().UnixNano())
-	if reconnect {
-		t.ctr.reconnects.Add(1)
-		t.logf("transport: rank %d reconnected to rank %d", t.self, p.rank)
-	}
 	t.wg.Add(1)
-	go t.reader(p, conn, gen)
+	go t.reader(p, conn)
 }
 
 // acceptLoop admits inbound connections (from higher-ranked peers) for
@@ -384,7 +327,8 @@ func (t *TCP) acceptLoop() {
 }
 
 // handleAccept validates an inbound handshake and installs the connection
-// for its rank.
+// for its rank. Each rank pair gets one connection: a dial for a rank
+// whose link is already up is refused, never swapped in.
 func (t *TCP) handleAccept(conn net.Conn) {
 	defer t.wg.Done()
 	_ = conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
@@ -393,66 +337,47 @@ func (t *TCP) handleAccept(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	reject := func(status uint32) {
-		_ = writeAck(conn, 0, status)
-		conn.Close()
-	}
+	status := ackOK
+	var p *tcpPeer
 	switch {
 	case pre.version != wireVersion:
-		reject(ackBadVersion)
-		return
+		status = ackBadVersion
 	case int(pre.worldSize) != t.size:
-		reject(ackBadSize)
-		return
+		status = ackBadSize
 	case int(pre.dst) != t.self, int(pre.src) >= t.size, int(pre.src) <= t.self:
 		// We only accept from higher ranks (they dial down).
-		reject(ackBadRank)
-		return
+		status = ackBadRank
+	default:
+		// Held through the ack and install, so two dials for one rank
+		// cannot both be accepted.
+		p = t.peers[pre.src]
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if t.closed.Load() {
+			status = ackShuttingRun
+		} else if p.conn != nil {
+			status = ackBadRank
+		}
 	}
-	p := t.peers[pre.src]
-	if p.severed.Load() {
-		reject(ackSevered)
-		return
-	}
-	if t.closed.Load() {
-		reject(ackShuttingRun)
-		return
-	}
-	p.mu.Lock()
-	sent := p.dataSent
-	myRecv := p.dataRecv
-	p.mu.Unlock()
-	if pre.recvCount != sent && pre.recvCount != sent+1 {
-		reject(ackLostFrames)
-		t.fatal(p.rank, fmt.Errorf("transport: rank %d delivered %d of our %d frames — data lost across reconnect",
-			p.rank, pre.recvCount, sent))
-		return
-	}
-	if err := writeAck(conn, myRecv, ackOK); err != nil {
+	if err := writeAck(conn, status); err != nil || status != ackOK {
 		conn.Close()
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	reconnect := false
-	p.mu.Lock()
-	reconnect = p.gen > 0
-	p.mu.Unlock()
-	t.installConn(p, conn, pre.recvCount, reconnect)
+	t.install(p, conn)
 }
 
 // reader drains one connection, delivering data frames and handling
-// control frames, until the connection faults or the transport stops.
-func (t *TCP) reader(p *tcpPeer, conn net.Conn, gen uint64) {
+// control frames. A read error or a malformed frame declares the peer
+// down.
+func (t *TCP) reader(p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	var rbuf []byte
 	for {
 		f, rb, err := readFrame(conn, rbuf, t.h.acquire)
 		rbuf = rb
 		if err != nil {
-			if t.closed.Load() || t.aborting.Load() {
-				return
-			}
-			t.connFault(p, conn, gen, err)
+			t.fatal(p.rank, fmt.Errorf("transport: link to rank %d: %w", p.rank, err))
 			return
 		}
 		p.lastRecv.Store(time.Now().UnixNano())
@@ -465,83 +390,31 @@ func (t *TCP) reader(p *tcpPeer, conn net.Conn, gen uint64) {
 		case opData:
 			t.ctr.framesRecv.Add(1)
 			t.ctr.bytesRecv.Add(int64(headerLen + 8*len(f.payload)))
-			p.mu.Lock()
-			p.dataRecv++
-			p.mu.Unlock()
 			t.h.Deliver(Frame{Src: p.rank, Dst: t.self, Kind: f.kind, Tag: f.tag, Payload: f.payload})
 		default:
-			t.connFault(p, conn, gen, fmt.Errorf("transport: unknown frame op %d from rank %d", f.op, p.rank))
+			t.fatal(p.rank, fmt.Errorf("transport: unknown frame op %d from rank %d", f.op, p.rank))
 			return
 		}
 	}
 }
 
-// connFault retires a broken connection (once per generation) and, on the
-// dialing side, kicks off the bounded reconnect.
-func (t *TCP) connFault(p *tcpPeer, conn net.Conn, gen uint64, err error) {
+// write puts one frame on p's connection within timeout and returns the
+// bytes written. Before the handshake (an abort during bootstrap) there is
+// no connection, and nothing is written.
+func (p *tcpPeer) write(kind, op uint8, tag int32, payload []int64, timeout time.Duration) (int, error) {
 	p.mu.Lock()
-	if p.gen != gen {
-		// A replacement already landed; this fault is stale.
-		p.mu.Unlock()
-		return
+	defer p.mu.Unlock()
+	if p.conn == nil {
+		return 0, nil
 	}
-	p.conn = nil
-	p.gen++
-	conn.Close()
-	startRedial := p.dialer && !p.redialing && !p.severed.Load() &&
-		!t.closed.Load() && !t.aborting.Load()
-	if startRedial {
-		p.redialing = true
-	}
-	p.mu.Unlock()
-	t.logf("transport: rank %d link to rank %d faulted: %v", t.self, p.rank, err)
-	if startRedial {
-		t.wg.Add(1)
-		go t.redial(p, err)
-	}
-	// On the accepting side the peer redials us; the heartbeat monitor
-	// aborts the world if it never does.
+	p.wbuf = appendFrame(p.wbuf, kind, op, tag, payload)
+	_ = p.conn.SetWriteDeadline(time.Now().Add(timeout))
+	return p.conn.Write(p.wbuf)
 }
 
-// redial repairs a broken established connection: ReconnectAttempts dials
-// with exponential backoff, then the peer is declared dead.
-func (t *TCP) redial(p *tcpPeer, cause error) {
-	defer t.wg.Done()
-	backoff := t.cfg.ReconnectBackoff
-	var lastErr error = cause
-	for attempt := 1; attempt <= t.cfg.ReconnectAttempts; attempt++ {
-		if t.closed.Load() || t.aborting.Load() || t.dead.Load() || p.severed.Load() {
-			p.mu.Lock()
-			p.redialing = false
-			p.mu.Unlock()
-			return
-		}
-		conn, resume, err := t.dialPeer(p)
-		if err == nil {
-			t.installConn(p, conn, resume, true)
-			return
-		}
-		lastErr = err
-		if errors.Is(err, errResumeFatal) {
-			break
-		}
-		select {
-		case <-t.stopc:
-			return
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
-	p.mu.Lock()
-	p.redialing = false
-	p.mu.Unlock()
-	t.fatal(p.rank, fmt.Errorf("transport: reconnect to rank %d failed after %d attempts: %w",
-		p.rank, t.cfg.ReconnectAttempts, lastErr))
-}
-
-// Send ships a data frame to f.Dst, waiting out a reconnect within the
-// per-op WriteTimeout. An unreachable peer is reported via Handlers.Down
-// and the frame dropped — the world is aborting anyway.
+// Send ships a data frame to f.Dst within WriteTimeout. A failed write
+// declares the peer down via Handlers.Down; from then on frames are
+// dropped — the world is aborting.
 func (t *TCP) Send(f Frame) {
 	validRank(f.Dst, t.size, "send to")
 	if f.Dst == t.self {
@@ -552,98 +425,24 @@ func (t *TCP) Send(f Frame) {
 		t.h.Deliver(f)
 		return
 	}
-	p := t.peers[f.Dst]
-	deadline := time.Now().Add(t.cfg.WriteTimeout)
-	for {
-		if t.closed.Load() || t.aborting.Load() || t.dead.Load() {
-			return
-		}
-		p.mu.Lock()
-		if p.resumeSkip > 0 {
-			// The handshake proved the frame whose write errored reached
-			// the peer after all: count it sent, don't duplicate it.
-			p.resumeSkip = 0
-			p.dataSent++
-			p.mu.Unlock()
-			t.ctr.framesSent.Add(1)
-			t.ctr.bytesSent.Add(int64(headerLen + 8*len(f.Payload)))
-			t.h.release(f.Payload)
-			return
-		}
-		conn := p.conn
-		gen := p.gen
-		if conn == nil {
-			p.mu.Unlock()
-			if !t.waitConn(p, gen, deadline) {
-				t.fatal(p.rank, fmt.Errorf("transport: send to rank %d: peer unreachable within %v",
-					p.rank, t.cfg.WriteTimeout))
-				return
-			}
-			continue
-		}
-		p.wbuf = appendFrame(p.wbuf, f.Kind, opData, f.Tag, f.Payload)
-		_ = conn.SetWriteDeadline(deadline)
-		_, err := conn.Write(p.wbuf)
-		if err == nil {
-			p.dataSent++
-			n := int64(len(p.wbuf))
-			p.mu.Unlock()
-			t.ctr.framesSent.Add(1)
-			t.ctr.bytesSent.Add(n)
-			t.h.release(f.Payload)
-			return
-		}
-		p.mu.Unlock()
-		t.connFault(p, conn, gen, err)
-		// Loop: wait for the replacement (or the deadline) and retry.
-	}
-}
-
-// waitConn blocks until p has a connection newer than gen, the deadline
-// passes, or the transport stops. Polling keeps the state machine simple;
-// the 1ms period is far below every protocol timeout.
-func (t *TCP) waitConn(p *tcpPeer, gen uint64, deadline time.Time) bool {
-	for {
-		if t.closed.Load() || t.aborting.Load() || t.dead.Load() || p.severed.Load() {
-			return false
-		}
-		p.mu.Lock()
-		ok := p.conn != nil && p.gen != gen
-		p.mu.Unlock()
-		if ok {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// sendControl writes a control frame (heartbeat/abort) on the live
-// connection, if any. Best-effort: a write error faults the connection
-// and the regular repair/liveness machinery takes over.
-func (t *TCP) sendControl(p *tcpPeer, op uint8, timeout time.Duration) {
-	p.mu.Lock()
-	conn := p.conn
-	gen := p.gen
-	if conn == nil {
-		p.mu.Unlock()
+	if t.closed.Load() || t.aborting.Load() || t.dead.Load() {
 		return
 	}
-	p.wbuf = appendFrame(p.wbuf, 0, op, 0, nil)
-	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := conn.Write(p.wbuf)
-	p.mu.Unlock()
-	if err != nil && !t.closed.Load() && !t.aborting.Load() {
-		t.connFault(p, conn, gen, err)
+	n, err := t.peers[f.Dst].write(f.Kind, opData, f.Tag, f.Payload, t.cfg.WriteTimeout)
+	if err != nil {
+		t.fatal(f.Dst, fmt.Errorf("transport: send to rank %d: %w", f.Dst, err))
+		return
 	}
+	t.ctr.framesSent.Add(1)
+	t.ctr.bytesSent.Add(int64(n))
+	t.h.release(f.Payload)
 }
 
 // monitor is the liveness loop: every HeartbeatInterval it beacons every
 // peer and checks how long each has been silent. Silence beyond the
 // interval counts a miss; beyond HeartbeatTimeout the peer is declared
-// dead and the world aborts.
+// dead and the world aborts. A beacon may wait out the timeout too before
+// its failed write declares the peer down.
 func (t *TCP) monitor() {
 	defer t.wg.Done()
 	tick := time.NewTicker(t.cfg.HeartbeatInterval)
@@ -672,7 +471,10 @@ func (t *TCP) monitor() {
 			if silent > t.cfg.HeartbeatInterval*3/2 {
 				t.ctr.hbMisses.Add(1)
 			}
-			t.sendControl(p, opHeartbeat, t.cfg.HeartbeatInterval)
+			if _, err := p.write(0, opHeartbeat, 0, nil, t.cfg.HeartbeatTimeout); err != nil {
+				t.fatal(p.rank, fmt.Errorf("transport: heartbeat to rank %d: %w", p.rank, err))
+				return
+			}
 		}
 	}
 }
@@ -688,13 +490,11 @@ func (t *TCP) remoteAbort(rank int) {
 }
 
 // fatal declares a peer permanently down, exactly once per transport.
-// From then on Send drops frames immediately instead of waiting out
-// deadlines: the world is lost and the rank layer is aborting it.
+// From then on Send drops frames: the world is lost and the rank layer is
+// aborting it. Errors after Close or Abort are expected teardown, not
+// faults.
 func (t *TCP) fatal(rank int, err error) {
-	if t.closed.Load() || t.aborting.Load() {
-		return
-	}
-	if t.dead.Swap(true) {
+	if t.closed.Load() || t.aborting.Load() || t.dead.Swap(true) {
 		return
 	}
 	t.ctr.peerDown.Add(1)
@@ -713,38 +513,28 @@ func (t *TCP) Abort() {
 	t.abortOnce.Do(func() {
 		t.aborting.Store(true)
 		for _, p := range t.peers {
-			if p == nil {
-				continue
+			if p != nil {
+				_, _ = p.write(0, opAbort, 0, nil, time.Second)
 			}
-			p.mu.Lock()
-			if conn := p.conn; conn != nil {
-				p.wbuf = appendFrame(p.wbuf, 0, opAbort, 0, nil)
-				_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-				_, _ = conn.Write(p.wbuf)
-			}
-			p.mu.Unlock()
 		}
 	})
 }
 
-// Sever cuts the link to a peer rank and refuses its re-establishment —
-// the fault hook the tests use to simulate a network partition. The
-// liveness machinery then aborts the world within the heartbeat timeout.
+// Sever closes the link to a peer rank and declares the peer down — the
+// fault hook the tests use to simulate a network partition. The peer's
+// end of the link fails its next read and declares this rank down too.
 func (t *TCP) Sever(rank int) {
 	validRank(rank, t.size, "sever")
 	p := t.peers[rank]
 	if p == nil {
 		return
 	}
-	p.severed.Store(true)
 	p.mu.Lock()
-	if conn := p.conn; conn != nil {
-		p.conn = nil
-		p.gen++
-		conn.Close()
+	if p.conn != nil {
+		p.conn.Close()
 	}
 	p.mu.Unlock()
-	t.logf("transport: rank %d severed link to rank %d", t.self, rank)
+	t.fatal(rank, fmt.Errorf("transport: link to rank %d severed", rank))
 }
 
 // Close tears down the listener and every connection and joins all
@@ -759,10 +549,8 @@ func (t *TCP) Close() error {
 				continue
 			}
 			p.mu.Lock()
-			if conn := p.conn; conn != nil {
-				p.conn = nil
-				p.gen++
-				conn.Close()
+			if p.conn != nil {
+				p.conn.Close()
 			}
 			p.mu.Unlock()
 		}

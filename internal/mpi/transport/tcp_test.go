@@ -3,7 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,63 +170,88 @@ func TestSelfSendDeliversLocally(t *testing.T) {
 	cols[0].waitFrames(t, 1)
 }
 
-func TestReconnectResumesCleanly(t *testing.T) {
+// TestConnectionLossAbortsWorld: an established connection that breaks is
+// not repaired. Both ends declare the other rank down at once, well inside
+// the heartbeat timeout, and the transports close without leaking.
+func TestConnectionLossAbortsWorld(t *testing.T) {
 	base := runtime.NumGoroutine()
-	ts, cols := startMesh(t, 2, TCPConfig{})
-	for i := 0; i < 5; i++ {
-		ts[0].Send(Frame{Src: 0, Dst: 1, Payload: []int64{int64(i)}})
-		ts[1].Send(Frame{Src: 1, Dst: 0, Payload: []int64{int64(100 + i)}})
-	}
-	cols[0].waitFrames(t, 5)
-	cols[1].waitFrames(t, 5)
+	cfg := TCPConfig{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Second}
+	ts, cols := startMesh(t, 2, cfg)
+	ts[0].Send(Frame{Src: 0, Dst: 1, Payload: []int64{1}})
+	cols[1].waitFrames(t, 1)
 
-	// With traffic quiesced (all 5 frames delivered each way), kill the
-	// established connection out from under both sides. The dialer
-	// (rank 1) must repair it; the resume handshake must find the clean
-	// counts and traffic must then continue without loss or duplication.
-	// (Killing the connection with writes in flight is the *unrecoverable*
-	// case — frames buffered in the kernel die with the socket and the
-	// handshake correctly declares the world lost.)
 	p := ts[1].peers[0]
 	p.mu.Lock()
 	conn := p.conn
 	p.mu.Unlock()
 	conn.Close()
-	waitRepair := time.Now().Add(5 * time.Second)
-	for ts[1].Stats().Reconnects == 0 {
-		if time.Now().After(waitRepair) {
-			t.Fatalf("connection never repaired (down: %v / %v)", cols[0].firstDown(), cols[1].firstDown())
+	for rank, col := range cols {
+		select {
+		case <-col.downc:
+		case <-time.After(cfg.HeartbeatTimeout):
+			t.Fatalf("rank %d did not declare its peer down within the %v heartbeat timeout", rank, cfg.HeartbeatTimeout)
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	for i := 5; i < 10; i++ {
-		ts[0].Send(Frame{Src: 0, Dst: 1, Payload: []int64{int64(i)}})
-		ts[1].Send(Frame{Src: 1, Dst: 0, Payload: []int64{int64(100 + i)}})
-	}
-	cols[0].waitFrames(t, 10)
-	cols[1].waitFrames(t, 10)
-	for _, col := range cols {
-		if err := col.firstDown(); err != nil {
-			t.Fatalf("peer declared down despite successful reconnect: %v", err)
+		if err := col.firstDown(); strings.Contains(err.Error(), "heartbeat") {
+			t.Errorf("rank %d: peer declared down by the heartbeat, not the broken link: %v", rank, err)
 		}
 	}
-	// Exactly 10 data frames must have arrived per side — the resume
-	// arithmetic may not duplicate or drop across the reconnect.
-	seen := map[int64]bool{}
-	cols[1].mu.Lock()
-	for _, f := range cols[1].frames {
-		if seen[f.Payload[0]] {
-			t.Errorf("duplicate frame %d after reconnect", f.Payload[0])
-		}
-		seen[f.Payload[0]] = true
-	}
-	cols[1].mu.Unlock()
-	if ts[1].Stats().Reconnects == 0 {
-		t.Error("reconnect not counted in stats")
+	// The world is lost: sends are dropped instead of waiting out deadlines.
+	ts[1].Send(Frame{Src: 1, Dst: 0, Payload: []int64{2}})
+	if s := ts[1].Stats(); s.FramesSent != 0 || s.PeerFailures != 1 {
+		t.Errorf("rank 1 stats after the loss: %+v, want no frames sent and one peer failure", s)
 	}
 	closeMesh(ts)
 	testutil.WaitNoLeak(t, base, 2)
+}
+
+// TestHandshakeRejections dials rank 0 of a running mesh with handshakes
+// it must refuse, each with its own status, and checks that none of them
+// disturbs the established links.
+func TestHandshakeRejections(t *testing.T) {
+	ts, cols := startMesh(t, 3, TCPConfig{})
+	defer closeMesh(ts)
+	addr := ts[0].ln.Addr().String()
+	for _, tc := range []struct {
+		name string
+		pre  preamble
+		want uint32
+	}{
+		{"old protocol version", preamble{version: 1, worldSize: 3, src: 2, dst: 0}, ackBadVersion},
+		{"wrong world size", preamble{version: wireVersion, worldSize: 4, src: 2, dst: 0}, ackBadSize},
+		{"src not above dst", preamble{version: wireVersion, worldSize: 3, src: 0, dst: 0}, ackBadRank},
+		{"dst is another rank", preamble{version: wireVersion, worldSize: 3, src: 2, dst: 1}, ackBadRank},
+		{"rank already connected", preamble{version: wireVersion, worldSize: 3, src: 2, dst: 0}, ackBadRank},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", tc.name, err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writePreamble(conn, tc.pre); err != nil {
+			t.Fatalf("%s: preamble: %v", tc.name, err)
+		}
+		status, err := readAck(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: ack: %v", tc.name, err)
+		}
+		if status != tc.want {
+			t.Errorf("%s: status %q, want %q", tc.name, ackStatusString(status), ackStatusString(tc.want))
+		}
+	}
+	for src, tr := range ts {
+		for dst := range ts {
+			if dst != src {
+				tr.Send(Frame{Src: src, Dst: dst, Payload: []int64{int64(src)}})
+			}
+		}
+	}
+	for rank, col := range cols {
+		col.waitFrames(t, 2)
+		if err := col.firstDown(); err != nil {
+			t.Errorf("rank %d lost a peer to a rejected handshake: %v", rank, err)
+		}
+	}
 }
 
 func TestSeverAbortsWithinHeartbeatTimeout(t *testing.T) {
@@ -232,13 +259,12 @@ func TestSeverAbortsWithinHeartbeatTimeout(t *testing.T) {
 	cfg := TCPConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  300 * time.Millisecond,
-		ReconnectBackoff:  10 * time.Millisecond,
 	}
 	ts, cols := startMesh(t, 3, cfg)
 	start := time.Now()
 	ts[0].Sever(1)
-	// Both ends of the severed link must declare the peer dead: rank 0 via
-	// heartbeat silence, rank 1 via the refused reconnect (or silence).
+	// Both ends of the severed link must declare the peer dead: rank 0 as
+	// it severs, rank 1 through the read error on its end of the link.
 	for _, rank := range []int{0, 1} {
 		select {
 		case <-cols[rank].downc:

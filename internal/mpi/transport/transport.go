@@ -7,13 +7,14 @@
 //     the zero-cost default extracted from the original per-pair mailbox
 //     world. All ranks are local.
 //   - TCP moves frames as length-prefixed binary over persistent per-peer
-//     connections, with a bootstrap handshake, heartbeat-based liveness,
-//     per-op deadlines and bounded reconnect. Exactly one rank is local.
+//     connections, with a bootstrap handshake, heartbeat-based liveness
+//     and per-op deadlines. Exactly one rank is local. A broken
+//     connection is never repaired: as in MPI, it aborts the world.
 //
 // A transport knows nothing about tags, collectives or mailboxes: it
 // ships opaque (src, dst, kind, tag, payload) frames and reports peers
-// that died. The world maps peer death onto its cooperative abort, so a
-// dead rank aborts the whole world instead of hanging it.
+// that died or whose link broke. The world maps that onto its cooperative
+// abort, so a lost rank aborts the whole world instead of hanging it.
 package transport
 
 import (
@@ -47,10 +48,10 @@ type Handlers struct {
 	// Deliver hands an inbound frame to the local rank layer. Required.
 	Deliver func(f Frame)
 	// Down reports that communication with a peer rank is permanently
-	// broken (heartbeat timeout, reconnect exhausted, frames lost, or a
-	// remote abort — err wraps ErrPeerAborted then). The rank layer maps
-	// it onto a world abort. Required for remote transports; Inproc never
-	// calls it.
+	// broken (a read or write error on its connection, a heartbeat
+	// timeout, or a remote abort — err wraps ErrPeerAborted then). The
+	// rank layer maps it onto a world abort. Required for remote
+	// transports; Inproc never calls it.
 	Down func(rank int, err error)
 	// Acquire, when non-nil, sources payload buffers for received frames
 	// (the world's buffer pool); a nil Acquire falls back to make.
@@ -100,15 +101,12 @@ type Transport interface {
 }
 
 // Stats counts transport-level traffic and failures. For Inproc,
-// frames==messages and reconnect/heartbeat counters stay zero.
+// frames==messages and the heartbeat and failure counters stay zero.
 type Stats struct {
 	FramesSent int64 `json:"frames_sent"`
 	FramesRecv int64 `json:"frames_recv"`
 	BytesSent  int64 `json:"bytes_sent"`
 	BytesRecv  int64 `json:"bytes_recv"`
-	// Reconnects counts successful re-establishments of a broken peer
-	// connection.
-	Reconnects int64 `json:"reconnects"`
 	// HeartbeatMisses counts liveness checks that found a peer silent for
 	// longer than the heartbeat interval (the world aborts once the
 	// silence exceeds the timeout).
@@ -123,7 +121,6 @@ func (s *Stats) Add(o Stats) {
 	s.FramesRecv += o.FramesRecv
 	s.BytesSent += o.BytesSent
 	s.BytesRecv += o.BytesRecv
-	s.Reconnects += o.Reconnects
 	s.HeartbeatMisses += o.HeartbeatMisses
 	s.PeerFailures += o.PeerFailures
 }
@@ -134,7 +131,6 @@ type counters struct {
 	framesRecv atomic.Int64
 	bytesSent  atomic.Int64
 	bytesRecv  atomic.Int64
-	reconnects atomic.Int64
 	hbMisses   atomic.Int64
 	peerDown   atomic.Int64
 }
@@ -145,7 +141,6 @@ func (c *counters) snapshot() Stats {
 		FramesRecv:      c.framesRecv.Load(),
 		BytesSent:       c.bytesSent.Load(),
 		BytesRecv:       c.bytesRecv.Load(),
-		Reconnects:      c.reconnects.Load(),
 		HeartbeatMisses: c.hbMisses.Load(),
 		PeerFailures:    c.peerDown.Load(),
 	}

@@ -16,24 +16,22 @@ import (
 // preamble from the dialer and an ack from the acceptor; after that both
 // directions carry a stream of frames:
 //
-//	preamble (40 B): magic | version | world size | src rank | dst rank | recvCount
-//	ack      (24 B): magic | recvCount | status
+//	preamble (24 B): magic | version | world size | src rank | dst rank
+//	ack      (12 B): magic | status
 //	frame  (16 B + payload): words | kind | op | tag | seq-less payload of words×8 B
 //
-// recvCount is the number of DATA frames the sender of the preamble/ack
-// has delivered from its peer so far; on a reconnect both sides compare it
-// against their own sent count to detect frames lost in flight (§ tcp.go,
-// resume arithmetic). Control frames (heartbeat, abort) are never counted:
-// their number is scheduling-dependent, data-frame counts are not.
+// A connection lives as long as the world: the handshake runs once per
+// rank pair, and an error on the stream aborts the world instead of
+// reopening the link.
 //
 // All integers are little-endian. Payload words are int64.
 
 const (
 	wireMagic   uint64 = 0x50484950_54435031 // "PHIPTCP1"
-	wireVersion uint32 = 1
+	wireVersion uint32 = 2
 
-	preambleLen = 40
-	ackLen      = 24
+	preambleLen = 24
+	ackLen      = 12
 	headerLen   = 16
 
 	// maxFrameWords bounds a frame payload (2 GiB) so a corrupt length
@@ -54,9 +52,7 @@ const (
 	ackBadVersion  uint32 = 1
 	ackBadSize     uint32 = 2
 	ackBadRank     uint32 = 3
-	ackLostFrames  uint32 = 4
-	ackSevered     uint32 = 5
-	ackShuttingRun uint32 = 6
+	ackShuttingRun uint32 = 4
 )
 
 func ackStatusString(s uint32) string {
@@ -69,10 +65,6 @@ func ackStatusString(s uint32) string {
 		return "world size mismatch"
 	case ackBadRank:
 		return "unexpected rank"
-	case ackLostFrames:
-		return "frames lost across reconnect"
-	case ackSevered:
-		return "link severed (fault injection)"
 	case ackShuttingRun:
 		return "peer shutting down"
 	default:
@@ -85,7 +77,6 @@ type preamble struct {
 	version   uint32
 	worldSize uint32
 	src, dst  uint32
-	recvCount uint64
 }
 
 func writePreamble(conn net.Conn, p preamble) error {
@@ -95,8 +86,6 @@ func writePreamble(conn net.Conn, p preamble) error {
 	binary.LittleEndian.PutUint32(buf[12:], p.worldSize)
 	binary.LittleEndian.PutUint32(buf[16:], p.src)
 	binary.LittleEndian.PutUint32(buf[20:], p.dst)
-	binary.LittleEndian.PutUint64(buf[24:], p.recvCount)
-	// buf[32:40] reserved, zero.
 	_, err := conn.Write(buf[:])
 	return err
 }
@@ -114,28 +103,26 @@ func readPreamble(conn net.Conn) (preamble, error) {
 		worldSize: binary.LittleEndian.Uint32(buf[12:]),
 		src:       binary.LittleEndian.Uint32(buf[16:]),
 		dst:       binary.LittleEndian.Uint32(buf[20:]),
-		recvCount: binary.LittleEndian.Uint64(buf[24:]),
 	}, nil
 }
 
-func writeAck(conn net.Conn, recvCount uint64, status uint32) error {
+func writeAck(conn net.Conn, status uint32) error {
 	var buf [ackLen]byte
 	binary.LittleEndian.PutUint64(buf[0:], wireMagic)
-	binary.LittleEndian.PutUint64(buf[8:], recvCount)
-	binary.LittleEndian.PutUint32(buf[16:], status)
+	binary.LittleEndian.PutUint32(buf[8:], status)
 	_, err := conn.Write(buf[:])
 	return err
 }
 
-func readAck(conn net.Conn) (recvCount uint64, status uint32, err error) {
+func readAck(conn net.Conn) (status uint32, err error) {
 	var buf [ackLen]byte
 	if _, err = io.ReadFull(conn, buf[:]); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if m := binary.LittleEndian.Uint64(buf[0:]); m != wireMagic {
-		return 0, 0, fmt.Errorf("transport: bad ack magic %#x", m)
+		return 0, fmt.Errorf("transport: bad ack magic %#x", m)
 	}
-	return binary.LittleEndian.Uint64(buf[8:]), binary.LittleEndian.Uint32(buf[16:]), nil
+	return binary.LittleEndian.Uint32(buf[8:]), nil
 }
 
 // appendFrame encodes a frame header + payload into buf (reused across

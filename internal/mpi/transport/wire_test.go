@@ -17,7 +17,7 @@ func TestPreambleRoundtrip(t *testing.T) {
 	a, b := pipeConns()
 	defer a.Close()
 	defer b.Close()
-	want := preamble{version: wireVersion, worldSize: 7, src: 5, dst: 2, recvCount: 123456789}
+	want := preamble{version: wireVersion, worldSize: 7, src: 5, dst: 2}
 	done := make(chan error, 1)
 	go func() { done <- writePreamble(a, want) }()
 	got, err := readPreamble(b)
@@ -37,16 +37,16 @@ func TestAckRoundtrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	done := make(chan error, 1)
-	go func() { done <- writeAck(a, 42, ackLostFrames) }()
-	recv, status, err := readAck(b)
+	go func() { done <- writeAck(a, ackShuttingRun) }()
+	status, err := readAck(b)
 	if err != nil {
 		t.Fatalf("readAck: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("writeAck: %v", err)
 	}
-	if recv != 42 || status != ackLostFrames {
-		t.Fatalf("ack roundtrip: got (%d, %d) want (42, %d)", recv, status, ackLostFrames)
+	if status != ackShuttingRun {
+		t.Fatalf("ack roundtrip: got status %d want %d", status, ackShuttingRun)
 	}
 }
 
@@ -215,7 +215,7 @@ func wireBytes(t testing.TB, p preamble, frames ...[]byte) []byte {
 // does not pay for, and every frame it accepts must be the bytes it
 // consumed: re-encoding it gives the same words, kind, op, tag and payload.
 func FuzzReadFrame(f *testing.F) {
-	valid := wireBytes(f, preamble{version: wireVersion, worldSize: 4, src: 3, dst: 1, recvCount: 17},
+	valid := wireBytes(f, preamble{version: wireVersion, worldSize: 4, src: 3, dst: 1},
 		appendFrame(nil, 2, opData, -7, []int64{0, -1, 1 << 40}),
 		appendFrame(nil, 0, opHeartbeat, 0, nil),
 		appendFrame(nil, 5, opData, 3, []int64{42}),
@@ -253,6 +253,54 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame at %d re-encodes to %x, consumed %x", off, enc, got)
 			}
 			off += len(enc)
+		}
+	})
+}
+
+// ackBytes returns what writeAck puts on the wire.
+func ackBytes(t testing.TB, status uint32) []byte {
+	a, b := pipeConns()
+	go func() {
+		defer a.Close()
+		writeAck(a, status)
+	}()
+	defer b.Close()
+	out, err := io.ReadAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// FuzzReadAck feeds arbitrary bytes to the dialer's side of the
+// handshake. The acceptor controls these bytes, so readAck must end with
+// an error or with the status the bytes carry after a valid magic, never
+// a panic.
+func FuzzReadAck(f *testing.F) {
+	for _, st := range []uint32{ackOK, ackBadVersion, ackBadSize, ackBadRank, ackShuttingRun, 1 << 31} {
+		f.Add(ackBytes(f, st))
+	}
+	valid := ackBytes(f, ackOK)
+	for _, cut := range []int{0, 7, 8, ackLen - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add(append(valid[:4:4], 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a, b := pipeConns()
+		defer b.Close()
+		go func() {
+			a.Write(in) // fails once the reader gives up and closes b
+			a.Close()
+		}()
+		status, err := readAck(b)
+		if err != nil {
+			return
+		}
+		if len(in) < ackLen || binary.LittleEndian.Uint64(in) != wireMagic {
+			t.Fatalf("readAck accepted %x: it is short or lacks the magic", in)
+		}
+		if want := binary.LittleEndian.Uint32(in[8:]); status != want {
+			t.Fatalf("readAck returned status %d, the bytes carry %d", status, want)
 		}
 	})
 }

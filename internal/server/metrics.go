@@ -80,8 +80,6 @@ var metrics = []metric{
 		func(v *StatsView) float64 { return float64(v.Core.Transport.FramesSent) }},
 	{"parhipd_transport_peer_failures_total", "Peers declared dead by the transport across all core runs (zero in-process).", "counter",
 		func(v *StatsView) float64 { return float64(v.Core.Transport.PeerFailures) }},
-	{"parhipd_transport_reconnects_total", "Transport reconnect attempts across all core runs (zero in-process).", "counter",
-		func(v *StatsView) float64 { return float64(v.Core.Transport.Reconnects) }},
 	{"parhipd_worker_utilization", "Fraction of the worker pool busy right now (running/workers).", "gauge",
 		func(v *StatsView) float64 { return float64(v.Running) / float64(v.Workers) }},
 	{"parhipd_workers", "Worker pool size.", "gauge",

@@ -61,7 +61,6 @@ var metricFamilies = []string{
 	"parhipd_transport_bytes_total counter",
 	"parhipd_transport_frames_total counter",
 	"parhipd_transport_peer_failures_total counter",
-	"parhipd_transport_reconnects_total counter",
 	"parhipd_worker_utilization gauge",
 	"parhipd_workers gauge",
 }

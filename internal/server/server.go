@@ -816,8 +816,8 @@ type StatsView struct {
 		CumulativeCut     int64 `json:"cumulative_cut"`
 		// Transport is the transport-level view of the same traffic,
 		// aggregated over those runs: frames/bytes actually handed to the
-		// transport, plus the failure-path counters (reconnects, heartbeat
-		// misses, peer failures — always zero on the in-process transport).
+		// transport, plus the failure-path counters (heartbeat misses, peer
+		// failures — always zero on the in-process transport).
 		Transport transport.Stats `json:"transport"`
 		// Sclp is the label-propagation view of those runs (rank 0): the
 		// superstep count and the wall time of their sweeps.
