@@ -175,7 +175,7 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		if cu < 0 {
 			// Cannot occur: every cluster has at least one member, and that
 			// member's rank reported the label in step 1.
-			c.PoisonPeers()
+			c.Abort()
 			panic(fmt.Sprintf("contract: rank %d: cluster ID %d unknown to its owner",
 				c.Rank(), clusterLabel[idx]))
 		}
@@ -276,7 +276,7 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 	// loudly on every rank instead of building a wrong graph.
 	walk := func(src int, buf []int64, lo, hi int64, fn func(rec []int64)) {
 		if err := walkQuotientRecords(src, buf, lo, hi, fn); err != nil {
-			c.PoisonPeers()
+			c.Abort()
 			panic(fmt.Sprintf("rank %d: %v", c.Rank(), err))
 		}
 	}
@@ -357,7 +357,7 @@ func ParLift(fine *dgraph.DGraph, coarse *dgraph.DGraph, fineToCoarse []int64, f
 	coarsePart := make([]int64, coarse.NTotal())
 	sh.Exchange(func(rk int, buf []int64) {
 		if len(buf)%2 != 0 {
-			c.PoisonPeers()
+			c.Abort()
 			panic(fmt.Sprintf("contract: rank %d sent %d words of block assignments (not pairs)", rk, len(buf)))
 		}
 		for i := 0; i < len(buf); i += 2 {

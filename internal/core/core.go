@@ -262,15 +262,15 @@ type levelRec struct {
 // together with run statistics. Collective; cfg must be identical on every
 // rank.
 //
-// Cancellation contract: ctx is checked between pipeline stages (each
-// coarsening level, before and after initial partitioning, each refinement
-// level, before rebalancing); inside a stage the mpi world's cooperative
-// abort takes over (see mpi.World.Abort), so a rank never runs more than
-// roughly one superstep past cancellation. A cancelled rank returns
-// ctx.Err(); ranks cut short inside a collective unwind through the abort
-// panic that mpi.World.Run swallows. Callers running their own world must
-// pair a non-background ctx with mpi.World.WatchContext, as RunOn does —
-// otherwise ranks still blocked in collectives are never woken.
+// Cancellation contract: a run stops only through the mpi world's abort
+// (see mpi.World.Abort). Callers running their own world must pair a
+// non-background ctx with mpi.World.WatchContext, as RunWith does: the
+// cancellation then aborts the world, every collective wakes on the abort
+// and every sclp superstep checks it, so a rank never runs more than
+// roughly one superstep past cancellation and unwinds through the abort
+// panic that mpi.World.Run swallows. Only the evolutionary search, whose
+// local loop has no collective to unwind, reads ctx itself (a collective
+// stop vote). RunWith turns the unwinding into ctx.Err().
 func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]int64, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -350,9 +350,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	// replaces part instead of writing into it, so prevFine stays intact.
 	part := prevFine
 	for cycle := 0; cycle < cfg.VCycles; cycle++ {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
 		f := cfg.SizeFactor
 		if cycle > 0 {
 			// Later V-cycles diversify with a random factor f in [10, 25]
@@ -381,9 +378,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			st.Levels = append(st.Levels, LevelStat{N: d.GlobalN, M: d.GlobalM})
 		}
 		for cur.GlobalN > coarsestLimit {
-			if err := ctx.Err(); err != nil {
-				return nil, st, err
-			}
 			spLvl := c.Tracer().Begin(c.Rank(), "core.coarsen_level")
 			labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
 				U:              clusterBound(u, totalWeight, cur.GlobalN),
@@ -426,9 +420,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				N: cur.GlobalN, M: cur.GlobalM, Cut: -1, Imbalance: -1})
 		}
 		st.CoarsenTime += time.Since(tCoarsen) //lint:determinism-ok stats timing, never partition state
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
 
 		// --- Initial partitioning: replicate coarsest graph, run KaFFPaE ---
 		tInit := time.Now() //lint:determinism-ok stats timing, never partition state
@@ -474,9 +465,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		}
 		c.Tracer().End2(spInit, "cycle", int64(cycle), "coarsest_n", int64(coarsest.NumNodes()))
 		st.InitTime += time.Since(tInit) //lint:determinism-ok stats timing, never partition state
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
 		// The coarsest graph is replicated, so rank 0 can score the initial
 		// partition locally — no collective needed.
 		if cfg.OnProgress != nil && c.Rank() == 0 {
@@ -514,9 +502,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		ar.Reset()
 		reportRefine(cur, curPart, len(levels))
 		for i := len(levels) - 1; i >= 0; i-- {
-			if err := ctx.Err(); err != nil {
-				return nil, st, err
-			}
 			lv := levels[i]
 			spRef = c.Tracer().Begin(c.Rank(), "core.refine_level")
 			curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
@@ -531,9 +516,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		}
 		st.RefineTime += time.Since(tRefine) //lint:determinism-ok stats timing, never partition state
 		part = curPart
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
 	}
 
 	mx := maxBlock(d.BlockWeights(part, cfg.K))

@@ -350,7 +350,7 @@ func (d *DGraph) LookupI64(vals []int64, queries []int64) []int64 {
 	out := make([]int64, len(queries))
 	d.Comm.AlltoallvFunc(replies, func(r int, ans []int64) {
 		if len(ans) != len(posByOwner[r]) {
-			d.Comm.PoisonPeers()
+			d.Comm.Abort()
 			panic(fmt.Sprintf("dgraph: rank %d answered %d of %d queries",
 				r, len(ans), len(posByOwner[r])))
 		}
@@ -380,7 +380,7 @@ func (d *DGraph) SyncGhosts(vals []int64) {
 	d.Comm.NeighborAlltoallv(p.nbrs, p.sendBuf, func(i int, data []int64) {
 		ghosts := p.recvGhost[p.recvOff[i]:p.recvOff[i+1]]
 		if len(data) != len(ghosts) {
-			d.Comm.PoisonPeers()
+			d.Comm.Abort()
 			panic(fmt.Sprintf("dgraph: ghost sync from rank %d carried %d values for %d ghosts",
 				p.nbrs[i], len(data), len(ghosts)))
 		}
@@ -404,7 +404,7 @@ func (d *DGraph) SyncGhosts(vals []int64) {
 // Wire protocol: for each changed vertex v and each adjacent rank, the
 // plan's staging receives the pair (position of v in that neighbor's send
 // list, vals[v]). A malformed incoming buffer — odd length or an
-// out-of-range position — poisons the peers and panics loudly instead of
+// out-of-range position — aborts the world and panics loudly instead of
 // being silently truncated. Collective.
 //
 //parhip:collective
@@ -424,7 +424,7 @@ func (d *DGraph) PushGhostsFunc(vals []int64, changed []int32, onUpdate func(gho
 	}
 	d.Comm.NeighborAlltoallv(p.nbrs, p.sendBuf, func(i int, data []int64) {
 		if len(data)%2 != 0 {
-			d.Comm.PoisonPeers()
+			d.Comm.Abort()
 			panic(fmt.Sprintf("dgraph: ghost push from rank %d carried %d words (odd, not (pos, value) pairs)",
 				p.nbrs[i], len(data)))
 		}
@@ -432,7 +432,7 @@ func (d *DGraph) PushGhostsFunc(vals []int64, changed []int32, onUpdate func(gho
 		for j := 0; j < len(data); j += 2 {
 			pos := data[j]
 			if pos < 0 || pos >= int64(len(ghosts)) {
-				d.Comm.PoisonPeers()
+				d.Comm.Abort()
 				panic(fmt.Sprintf("dgraph: ghost push from rank %d names position %d of %d",
 					p.nbrs[i], pos, len(ghosts)))
 			}

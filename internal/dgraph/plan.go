@@ -87,7 +87,7 @@ func (d *DGraph) buildPlan() {
 	for r, in := range c.Alltoallv(mark) {
 		theirs, mine := len(in) > 0, slotOf[r] >= 0
 		if r != c.Rank() && theirs != mine {
-			c.PoisonPeers()
+			c.Abort()
 			panic(fmt.Sprintf("dgraph: asymmetric adjacency: rank %d lists rank %d as neighbor=%v, reverse=%v",
 				c.Rank(), r, mine, theirs))
 		}

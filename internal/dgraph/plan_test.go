@@ -221,17 +221,16 @@ func TestSyncGhostsSendsNothingToNonAdjacentRanks(t *testing.T) {
 
 // TestBuildAsymmetricAdjacencyPanics hands Build an edge between two ranks
 // that only one endpoint lists. The neighbor lists then disagree, and a
-// neighborhood exchange would leave one side blocked forever; instead every
-// rank must unwind with a panic that names the fault or the poisoning.
+// neighborhood exchange would leave one side blocked forever; instead the
+// detecting rank aborts the world, the others unwind, and Run re-raises a
+// panic that names the fault.
 func TestBuildAsymmetricAdjacencyPanics(t *testing.T) {
 	const P = 3
 	vd := UniformVtxDist(6, P) // rank r owns nodes 2r and 2r+1
-	panics := make([]string, P)
-	done := make(chan struct{})
+	done := make(chan any)
 	go func() {
-		defer close(done)
+		defer func() { done <- recover() }()
 		mpi.NewWorld(P).Run(func(c *mpi.Comm) {
-			defer func() { panics[c.Rank()] = fmt.Sprint(recover()) }()
 			xadj, adj := []int64{0, 0, 0}, []int64(nil)
 			if c.Rank() == 0 {
 				// Node 0 lists node 2 (rank 1); node 2 does not list node 0.
@@ -241,19 +240,17 @@ func TestBuildAsymmetricAdjacencyPanics(t *testing.T) {
 		})
 	}()
 	select {
-	case <-done:
+	case p := <-done:
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "asymmetric") {
+			t.Errorf("want a panic naming the asymmetry, got %q", msg)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Build on an asymmetric adjacency hung instead of panicking")
-	}
-	for r, p := range panics {
-		if !strings.Contains(p, "asymmetric") && !strings.Contains(p, "poisoned") {
-			t.Errorf("rank %d: want a panic naming the asymmetry or the poisoning, got %q", r, p)
-		}
 	}
 }
 
 // TestPushGhostsMalformedBuffersPanicLoudly verifies the decode hardening:
-// an odd-length pair buffer or an out-of-range position must poison the
+// an odd-length pair buffer or an out-of-range position must abort the
 // world and panic with a diagnosable message, never silently truncate.
 func TestPushGhostsMalformedBuffersPanicLoudly(t *testing.T) {
 	for _, tc := range []struct {
@@ -271,7 +268,7 @@ func TestPushGhostsMalformedBuffersPanicLoudly(t *testing.T) {
 					t.Fatal("expected a loud panic for a malformed pair buffer")
 				}
 				msg := fmt.Sprint(p)
-				if !strings.Contains(msg, tc.want) && !strings.Contains(msg, "poisoned") {
+				if !strings.Contains(msg, tc.want) {
 					t.Fatalf("unhelpful panic: %v", msg)
 				}
 			}()

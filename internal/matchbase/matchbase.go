@@ -176,7 +176,7 @@ func parallelHeavyEdgeMatching(d *dgraph.DGraph, maxWeight int64, r *rng.RNG) []
 	var all []proposal
 	plan.Exchange(func(src int32, buf []int64) {
 		if len(buf)%2 != 0 {
-			d.Comm.PoisonPeers()
+			d.Comm.Abort()
 			panic(fmt.Sprintf("matchbase: rank %d sent %d words of proposals (not pairs)", src, len(buf)))
 		}
 		for i := 0; i < len(buf); i += 2 {
@@ -204,7 +204,7 @@ func parallelHeavyEdgeMatching(d *dgraph.DGraph, maxWeight int64, r *rng.RNG) []
 	}
 	plan.Exchange(func(src int32, buf []int64) {
 		if len(buf)%2 != 0 {
-			d.Comm.PoisonPeers()
+			d.Comm.Abort()
 			panic(fmt.Sprintf("matchbase: rank %d sent %d words of acceptances (not pairs)", src, len(buf)))
 		}
 		for i := 0; i < len(buf); i += 2 {
@@ -223,16 +223,12 @@ type proposal struct{ proposer, target int64 }
 
 // PartitionDistributed runs the baseline on a distributed graph and reports
 // it in the main partitioner's Stats: Levels are the matching hierarchy
-// down to the coarsest graph that was replicated. Collective. ctx is
-// honored with the same contract as core.PartitionDistributed:
-// checked between levels, backed by the world's cooperative abort inside
-// them.
+// down to the coarsest graph that was replicated. Collective. It stops
+// only through the world's abort, with the cancellation contract of
+// core.PartitionDistributed.
 //
 //parhip:collective
-func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, error) {
 	if cfg.K < 1 {
 		return nil, core.Stats{}, fmt.Errorf("matchbase: k = %d", cfg.K)
 	}
@@ -261,9 +257,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	st.Levels = append(st.Levels, core.LevelStat{N: cur.GlobalN, M: cur.GlobalM})
 	tCoarsen := time.Now()
 	for lvl := 0; lvl < maxLevels && cur.GlobalN > coarsestLimit; lvl++ {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
 		sp := c.Tracer().Begin(c.Rank(), "matchbase.match_round")
 		labels := parallelHeavyEdgeMatching(cur, maxPair, local)
 		// Owners may have matched nodes other ranks hold as ghosts; bring
@@ -288,9 +281,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			ErrMemoryBudget, cur.GlobalN, cfg.MemoryBudgetNodes)
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
 	tInit := time.Now()
 	coarsest := cur.Gather()
 	// Initial partitioning: recursive bisection (PT-Scotch/ParMETIS style),
@@ -317,9 +307,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	}
 	refine(cur, curPart)
 	for i := len(levels) - 1; i >= 0; i-- {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
 		lv := levels[i]
 		curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
 		refine(lv.fine, curPart)
@@ -350,7 +337,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 // the memory model aborts the run; cancelling ctx unwinds every simulated
 // rank cooperatively and returns ctx.Err().
 func RunCtx(ctx context.Context, P int, g *graph.Graph, cfg Config) (core.Result, error) {
-	return core.RunWith(ctx, mpi.NewWorld(P), g, cfg.Tracer, func(ctx context.Context, d *dgraph.DGraph) ([]int64, core.Stats, error) {
-		return PartitionDistributed(ctx, d, cfg)
+	return core.RunWith(ctx, mpi.NewWorld(P), g, cfg.Tracer, func(_ context.Context, d *dgraph.DGraph) ([]int64, core.Stats, error) {
+		return PartitionDistributed(d, cfg)
 	})
 }

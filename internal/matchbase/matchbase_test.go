@@ -3,11 +3,15 @@ package matchbase
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 	"repro/internal/partition"
 	"repro/internal/testutil"
 )
@@ -131,4 +135,29 @@ func TestRunSingleRank(t *testing.T) {
 	if !partition.IsFeasible(g, res.Part, 4, 0.03) {
 		t.Errorf("infeasible (imbalance %.4f)", partition.Imbalance(g, res.Part, 4))
 	}
+}
+
+// TestCancelMidRun: a context cancelled while the baseline runs (on rank 0,
+// after distribution) stops every rank through the world's abort, and
+// RunWith returns the cancellation promptly without leaking goroutines.
+func TestCancelMidRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := gen.DelaunayLike(20000, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := DefaultConfig(2)
+	start := time.Now()
+	_, err := core.RunWith(ctx, mpi.NewWorld(2), g, nil, func(_ context.Context, d *dgraph.DGraph) ([]int64, core.Stats, error) {
+		if d.Comm.Rank() == 0 {
+			cancel()
+		}
+		return PartitionDistributed(d, cfg)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunWith returned %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
+	}
+	testutil.WaitNoLeak(t, base, 2)
 }

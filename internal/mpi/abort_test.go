@@ -87,6 +87,22 @@ func TestCheckAbortUnwinds(t *testing.T) {
 	}
 }
 
+// TestCollectiveIsAbortPoint: entering a collective unwinds an aborted
+// rank even where the collective receives nothing — a one-rank world —
+// so a cancelled pipeline stops at its next collective at any P.
+func TestCollectiveIsAbortPoint(t *testing.T) {
+	w := NewWorld(1)
+	w.Abort()
+	reached := false
+	w.Run(func(c *Comm) {
+		c.AllreduceSum1(1)
+		reached = true
+	})
+	if reached {
+		t.Fatal("a collective ran to completion on an aborted world")
+	}
+}
+
 // TestWatchContextAbortsOnCancel: cancelling the watched context aborts the
 // world; stop() releases the watcher without leaking it.
 func TestWatchContextAbortsOnCancel(t *testing.T) {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -94,51 +95,73 @@ func TestPanicIdentifiesRank(t *testing.T) {
 	})
 }
 
-func TestPoisonUnblocksReceiver(t *testing.T) {
-	// A rank blocked in Recv must panic (not hang) when a peer poisons the
-	// world before dying.
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected propagated panic")
-		}
-	}()
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.PoisonPeers()
-			panic("rank 0 dies")
-		}
-		c.Recv(0, 99) // would block forever without the poison
-	})
-}
-
-// TestPoisonUnblocksReceiveFromAnotherRank: poison from one rank must also
-// fail a receive that waits on a different rank. Rank 1 poisons and dies;
-// rank 0 unwinds on that poison without poisoning anyone, so rank 2's
-// receive from rank 0 would otherwise block forever.
-func TestPoisonUnblocksReceiveFromAnotherRank(t *testing.T) {
+// runBounded runs fn on a fresh world of size p and returns the panic that
+// Run re-raises, failing the test if the run hangs for 10s instead.
+func runBounded(t *testing.T, p int, fn func(c *Comm)) any {
+	t.Helper()
 	done := make(chan any)
 	go func() {
 		defer func() { done <- recover() }()
-		NewWorld(3).Run(func(c *Comm) {
-			switch c.Rank() {
-			case 0:
-				c.Recv(1, 99)
-			case 1:
-				c.PoisonPeers()
-				panic("rank 1 dies")
-			case 2:
-				c.Recv(0, 99)
-			}
-		})
+		NewWorld(p).Run(fn)
 	}()
 	select {
-	case p := <-done:
-		if p == nil {
-			t.Fatal("expected propagated panic")
-		}
+	case r := <-done:
+		return r
 	case <-time.After(10 * time.Second):
-		t.Fatal("receive from a rank that unwound on poison hung")
+		t.Fatal("a receive hung after a peer aborted the world")
+		return nil
+	}
+}
+
+// TestAbortUnblocksReceiver: a rank blocked in Recv must unwind (not hang)
+// when a peer aborts the world before dying, and Run re-raises the dying
+// rank's panic.
+func TestAbortUnblocksReceiver(t *testing.T) {
+	p := runBounded(t, 2, func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Abort()
+			panic("rank 0 dies")
+		}
+		c.Recv(0, 99) // would block forever without the abort
+	})
+	if !strings.Contains(fmt.Sprint(p), "rank 0 dies") {
+		t.Fatalf("propagated panic %v, want rank 0's", p)
+	}
+}
+
+// TestAbortUnblocksReceiveFromAnotherRank: an abort from one rank must
+// also end a receive that waits on a different rank. Rank 1 aborts and
+// dies while rank 0 waits on rank 1 and rank 2 waits on rank 0.
+func TestAbortUnblocksReceiveFromAnotherRank(t *testing.T) {
+	p := runBounded(t, 3, func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Recv(1, 99)
+		case 1:
+			c.Abort()
+			panic("rank 1 dies")
+		case 2:
+			c.Recv(0, 99)
+		}
+	})
+	if !strings.Contains(fmt.Sprint(p), "rank 1 dies") {
+		t.Fatalf("propagated panic %v, want rank 1's", p)
+	}
+}
+
+// TestAbortReraisesDetectingRanksPanic: the rank that detects a fault
+// aborts and panics while a lower rank waits on it. The waiting rank
+// unwinds silently, so the panic Run re-raises is the fault itself, not
+// a secondary failure of the waiter.
+func TestAbortReraisesDetectingRanksPanic(t *testing.T) {
+	p := runBounded(t, 2, func(c *Comm) {
+		if c.Rank() == 1 {
+			c.Abort()
+			panic("injected fault")
+		}
+		c.Recv(1, 99)
+	})
+	if msg := fmt.Sprint(p); !strings.Contains(msg, "injected fault") || !strings.Contains(msg, "rank 1") {
+		t.Fatalf("propagated panic %q, want rank 1's injected fault", msg)
 	}
 }

@@ -29,10 +29,14 @@
 // NewWorld hosts all ranks in-process (the zero-cost default), while
 // NewWorldOn accepts any Transport — with the TCP backend a world hosts
 // only the ranks local to this OS process and the same SPMD code runs
-// across machines. A transport-reported peer failure (a broken connection
-// or a heartbeat timeout) is mapped onto the cooperative world abort, as
-// MPI aborts the job, so a dead rank aborts the whole world instead of
-// hanging it; Err reports the failure after the fact.
+// across machines.
+//
+// A run stops one way, through the world abort (World.Abort), as MPI
+// aborts the job: a cancelled context (WatchContext), a transport-reported
+// peer failure (a broken connection or a heartbeat timeout) and a rank
+// that detects a protocol violation (Comm.Abort, then a panic naming the
+// fault) all end in it, so no rank is left waiting for data that never
+// comes. Err reports a transport failure after the fact.
 package mpi
 
 import (
@@ -50,10 +54,6 @@ type msgKind uint8
 const (
 	kindUser msgKind = iota
 	kindCollective
-	// kindPoison marks a fatal-error notification: a rank that detects an
-	// unrecoverable protocol violation poisons its peers before panicking,
-	// so blocked receivers fail fast instead of hanging the world.
-	kindPoison
 )
 
 // commClass buckets traffic for the per-class Stats counters.
@@ -83,11 +83,10 @@ type popKey struct {
 // keep their arrival order, which preserves the substrate's in-order
 // delivery guarantee per (src, dst, tag).
 type mailbox struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queues   map[popKey][][]int64
-	poisoned bool
-	aborted  *atomic.Bool // the owning world's abort flag
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queues  map[popKey][][]int64
+	aborted *atomic.Bool // the owning world's abort flag
 }
 
 func newMailbox(aborted *atomic.Bool) *mailbox {
@@ -98,12 +97,8 @@ func newMailbox(aborted *atomic.Bool) *mailbox {
 
 func (mb *mailbox) push(kind msgKind, tag int, data []int64) {
 	mb.mu.Lock()
-	if kind == kindPoison {
-		mb.poisoned = true
-	} else {
-		k := popKey{kind, tag}
-		mb.queues[k] = append(mb.queues[k], data)
-	}
+	k := popKey{kind, tag}
+	mb.queues[k] = append(mb.queues[k], data)
 	// Each mailbox has a single consumer (the owning rank's goroutine), so
 	// Signal suffices; Abort broadcasts separately.
 	mb.cond.Signal()
@@ -111,7 +106,7 @@ func (mb *mailbox) push(kind msgKind, tag int, data []int64) {
 }
 
 // pop removes and returns the first queued message with the given kind and
-// tag, blocking until one arrives. A poisoned mailbox panics the receiver.
+// tag, blocking until one arrives. An aborted world unwinds the receiver.
 func (mb *mailbox) pop(kind msgKind, tag int) []int64 {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -120,10 +115,6 @@ func (mb *mailbox) pop(kind msgKind, tag int) []int64 {
 		if mb.aborted.Load() {
 			// The deferred Unlock releases the mutex during panic.
 			panic(abortSignal{})
-		}
-		if mb.poisoned {
-			// The deferred Unlock releases the mutex during panic.
-			panic("mpi: peer rank reported a fatal error (poisoned)")
 		}
 		if q := mb.queues[k]; len(q) > 0 {
 			data := q[0]
@@ -311,22 +302,18 @@ func (w *World) deliver(f transport.Frame) {
 		w.putBuf(f.Payload)
 		return
 	}
-	if msgKind(f.Kind) == kindPoison {
-		// Poison fails every receive of the rank, not only those from the
-		// poisoner: a rank that unwinds on poison does not pass it on, so a
-		// receive waiting on that rank would otherwise hang.
-		for _, mb := range row {
-			mb.push(kindPoison, 0, nil)
-		}
-		return
-	}
 	row[f.Src].push(msgKind(f.Kind), int(f.Tag), f.Payload)
 }
 
 // peerDown is the transport's failure callback: communication with a rank
 // is permanently broken, so the whole world aborts (a dead rank must not
-// hang the others). The first failure is retained for Err.
+// hang the others). The first failure is retained for Err, unless the
+// world had already aborted: then the failure is the peers' echo of that
+// abort, and the local cause stands.
 func (w *World) peerDown(rank int, err error) {
+	if w.aborted.Load() {
+		return
+	}
 	w.errMu.Lock()
 	if w.err == nil {
 		w.err = fmt.Errorf("mpi: rank %d unreachable: %w", rank, err)
@@ -335,9 +322,9 @@ func (w *World) peerDown(rank int, err error) {
 	w.Abort()
 }
 
-// Err returns the first transport failure that aborted the world, or nil.
-// A world aborted by a remote rank's cooperative abort reports an error
-// wrapping transport.ErrPeerAborted.
+// Err returns the transport failure that aborted the world, or nil (also
+// when the world aborted itself). A world aborted by a remote rank's abort
+// reports an error wrapping transport.ErrPeerAborted.
 func (w *World) Err() error {
 	w.errMu.Lock()
 	defer w.errMu.Unlock()
@@ -556,7 +543,10 @@ func (c *Comm) Send(dst, tag int, data []int64) { c.send(dst, kindUser, tag, dat
 // returns its payload.
 func (c *Comm) Recv(src, tag int) []int64 { return c.recv(src, kindUser, tag) }
 
+// nextSeq opens a collective. Every collective is an abort point, also on
+// a rank that only sends in it or, in a one-rank world, never receives.
 func (c *Comm) nextSeq() int {
+	c.CheckAbort()
 	c.seq++
 	return c.seq
 }
@@ -648,20 +638,11 @@ func opMax(a, b []int64) {
 	}
 }
 
-// PoisonPeers notifies every other rank of a fatal local error so that
-// ranks blocked in Recv or collectives panic instead of hanging. It is
-// called before panicking on protocol violations; tests injecting faults
-// can call it directly. Poison travels as ordinary transport frames, so
-// it reaches remote ranks too.
-func (c *Comm) PoisonPeers() {
-	for r := 0; r < c.world.size; r++ {
-		if r != c.rank {
-			c.world.tr.Send(transport.Frame{
-				Src: c.rank, Dst: r, Kind: uint8(kindPoison),
-			})
-		}
-	}
-}
+// Abort aborts the world (World.Abort) from inside a rank, the analogue of
+// MPI_Abort. A rank that detects a protocol violation calls it and then
+// panics with the fault: Run re-raises that panic, while every other rank,
+// local or remote, unwinds instead of waiting for data that never comes.
+func (c *Comm) Abort() { c.world.Abort() }
 
 func (c *Comm) allreduce(vals []int64, op reduceOp) []int64 {
 	tag := c.nextSeq()
@@ -671,7 +652,7 @@ func (c *Comm) allreduce(vals []int64, op reduceOp) []int64 {
 		for r := 1; r < c.Size(); r++ {
 			part := c.recv(r, kindCollective, tag)
 			if len(part) != len(acc) {
-				c.PoisonPeers()
+				c.Abort()
 				panic(fmt.Sprintf("mpi: allreduce length mismatch: rank 0 has %d, rank %d has %d",
 					len(acc), r, len(part)))
 			}

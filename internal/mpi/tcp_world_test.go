@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,10 +123,7 @@ func TestTCPWorldCollectives(t *testing.T) {
 func TestTCPWorldSeverAbortsAllRanks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const P = 3
-	cfg := transport.TCPConfig{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  300 * time.Millisecond,
-	}
+	cfg := transport.TCPConfig{HeartbeatTimeout: 300 * time.Millisecond}
 	ts, err := transport.Loopback(P, cfg)
 	if err != nil {
 		t.Fatalf("Loopback: %v", err)
@@ -207,13 +206,13 @@ func TestTCPWorldRemoteAbort(t *testing.T) {
 	testutil.WaitNoLeak(t, base, 2)
 }
 
-// TestTCPWorldPoisonCrossesProcesses checks PoisonPeers travels as
-// transport frames: a fatal error on one rank fails receivers on other
-// worlds fast instead of hanging them.
-func TestTCPWorldPoisonCrossesProcesses(t *testing.T) {
+// TestTCPWorldAbortCrossesProcesses: a rank that detects a fault aborts
+// and panics. Its own world re-raises the fault; the other process's
+// receiver unwinds without a panic and reports the remote abort.
+func TestTCPWorldAbortCrossesProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
 	const P = 2
 	ws := tcpWorlds(t, P, transport.TCPConfig{})
-	defer closeWorlds(ws)
 	panics := make([]any, P)
 	var wg sync.WaitGroup
 	for i, w := range ws {
@@ -223,17 +222,48 @@ func TestTCPWorldPoisonCrossesProcesses(t *testing.T) {
 			defer func() { panics[i] = recover() }()
 			w.Run(func(c *Comm) {
 				if c.Rank() == 0 {
-					c.PoisonPeers()
-					return
+					c.Abort()
+					panic("injected fault")
 				}
-				c.Recv(0, 99) // never sent: must fail via poison, not hang
+				c.Recv(0, 99) // never sent: must unwind via the abort, not hang
 			})
 		}(i, w)
 	}
 	wg.Wait()
-	if panics[1] == nil {
-		t.Fatal("poisoned receiver did not panic")
+	if !strings.Contains(fmt.Sprint(panics[0]), "injected fault") {
+		t.Errorf("world 0 re-raised %v, want the injected fault", panics[0])
 	}
+	if panics[1] != nil {
+		t.Errorf("world 1's Run panicked: %v", panics[1])
+	}
+	if err := ws[1].Err(); !errors.Is(err, transport.ErrPeerAborted) {
+		t.Errorf("world 1 error = %v, want ErrPeerAborted", err)
+	}
+	closeWorlds(ws)
+	testutil.WaitNoLeak(t, base, 2)
+}
+
+// TestTCPWorldAbortKeepsLocalCause: a world that aborts itself keeps the
+// local cause. The peer's abort comes back as an echo, which must not be
+// recorded as a transport failure of the world that started it.
+func TestTCPWorldAbortKeepsLocalCause(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ws := tcpWorlds(t, 2, transport.TCPConfig{})
+	ws[0].Abort()
+	deadline := time.Now().Add(5 * time.Second)
+	for !errors.Is(ws[1].Err(), transport.ErrPeerAborted) {
+		if time.Now().After(deadline) {
+			t.Fatalf("world 1 error = %v after 5s, want ErrPeerAborted", ws[1].Err())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if err := ws[0].Err(); err != nil {
+			t.Fatalf("world 0 aborted itself but reports %v", err)
+		}
+	}
+	closeWorlds(ws)
+	testutil.WaitNoLeak(t, base, 2)
 }
 
 // TestTCPWorldStats spot-checks the transport counter plumbing at the

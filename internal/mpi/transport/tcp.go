@@ -25,17 +25,10 @@ type TCPConfig struct {
 	// nil.
 	Listener net.Listener
 
-	// HeartbeatInterval is the liveness beacon period (default 250ms);
 	// HeartbeatTimeout is the silence after which a peer is declared dead
-	// and the world aborts (default 5s).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// DialTimeout bounds one dial + handshake attempt (default 5s).
-	DialTimeout time.Duration
-	// WriteTimeout is the per-frame send deadline (default 10s). A write
-	// that misses it, like any other error on an established connection,
-	// declares the peer down.
-	WriteTimeout time.Duration
+	// and the world aborts (default 5s). Liveness beacons go out 20 times
+	// per timeout.
+	HeartbeatTimeout time.Duration
 	// BootstrapTimeout bounds Start's wait for the full peer mesh
 	// (default 30s).
 	BootstrapTimeout time.Duration
@@ -46,26 +39,25 @@ type TCPConfig struct {
 }
 
 func (c *TCPConfig) applyDefaults() {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 250 * time.Millisecond
-	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 5 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.BootstrapTimeout <= 0 {
 		c.BootstrapTimeout = 30 * time.Second
 	}
 }
 
-// bootstrapRetry is the pause between dials to a lower-ranked peer that
-// is not up yet.
-const bootstrapRetry = 50 * time.Millisecond
+const (
+	// bootstrapRetry is the pause between dials to a lower-ranked peer
+	// that is not up yet.
+	bootstrapRetry = 50 * time.Millisecond
+	// dialTimeout bounds one dial + handshake attempt.
+	dialTimeout = 5 * time.Second
+	// writeTimeout is the per-frame send deadline. A write that misses it,
+	// like any other error on an established connection, declares the
+	// peer down.
+	writeTimeout = 10 * time.Second
+)
 
 // tcpPeer is the state of one remote rank: a single persistent full-duplex
 // connection, established once by the higher rank dialing the lower one.
@@ -265,11 +257,11 @@ var errRejected = errors.New("transport: handshake rejected")
 // dialPeer performs one dial + handshake attempt and returns the live
 // connection.
 func (t *TCP) dialPeer(p *tcpPeer) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	err = writePreamble(conn, preamble{
 		version:   wireVersion,
 		worldSize: uint32(t.size),
@@ -331,7 +323,7 @@ func (t *TCP) acceptLoop() {
 // whose link is already up is refused, never swapped in.
 func (t *TCP) handleAccept(conn net.Conn) {
 	defer t.wg.Done()
-	_ = conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	pre, err := readPreamble(conn)
 	if err != nil {
 		conn.Close()
@@ -412,7 +404,7 @@ func (p *tcpPeer) write(kind, op uint8, tag int32, payload []int64, timeout time
 	return p.conn.Write(p.wbuf)
 }
 
-// Send ships a data frame to f.Dst within WriteTimeout. A failed write
+// Send ships a data frame to f.Dst within writeTimeout. A failed write
 // declares the peer down via Handlers.Down; from then on frames are
 // dropped — the world is aborting.
 func (t *TCP) Send(f Frame) {
@@ -428,7 +420,7 @@ func (t *TCP) Send(f Frame) {
 	if t.closed.Load() || t.aborting.Load() || t.dead.Load() {
 		return
 	}
-	n, err := t.peers[f.Dst].write(f.Kind, opData, f.Tag, f.Payload, t.cfg.WriteTimeout)
+	n, err := t.peers[f.Dst].write(f.Kind, opData, f.Tag, f.Payload, writeTimeout)
 	if err != nil {
 		t.fatal(f.Dst, fmt.Errorf("transport: send to rank %d: %w", f.Dst, err))
 		return
@@ -438,14 +430,17 @@ func (t *TCP) Send(f Frame) {
 	t.h.release(f.Payload)
 }
 
-// monitor is the liveness loop: every HeartbeatInterval it beacons every
+// monitor is the liveness loop: every heartbeat interval it beacons every
 // peer and checks how long each has been silent. Silence beyond the
 // interval counts a miss; beyond HeartbeatTimeout the peer is declared
 // dead and the world aborts. A beacon may wait out the timeout too before
 // its failed write declares the peer down.
 func (t *TCP) monitor() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.HeartbeatInterval)
+	// The beacon period is a twentieth of the timeout (250ms at the 5s
+	// default).
+	interval := t.cfg.HeartbeatTimeout / 20
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
@@ -468,7 +463,7 @@ func (t *TCP) monitor() {
 					p.rank, silent.Round(time.Millisecond), t.cfg.HeartbeatTimeout))
 				return
 			}
-			if silent > t.cfg.HeartbeatInterval*3/2 {
+			if silent > interval*3/2 {
 				t.ctr.hbMisses.Add(1)
 			}
 			if _, err := p.write(0, opHeartbeat, 0, nil, t.cfg.HeartbeatTimeout); err != nil {

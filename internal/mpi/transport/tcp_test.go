@@ -175,7 +175,7 @@ func TestSelfSendDeliversLocally(t *testing.T) {
 // the heartbeat timeout, and the transports close without leaking.
 func TestConnectionLossAbortsWorld(t *testing.T) {
 	base := runtime.NumGoroutine()
-	cfg := TCPConfig{HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Second}
+	cfg := TCPConfig{HeartbeatTimeout: time.Second}
 	ts, cols := startMesh(t, 2, cfg)
 	ts[0].Send(Frame{Src: 0, Dst: 1, Payload: []int64{1}})
 	cols[1].waitFrames(t, 1)
@@ -256,10 +256,7 @@ func TestHandshakeRejections(t *testing.T) {
 
 func TestSeverAbortsWithinHeartbeatTimeout(t *testing.T) {
 	base := runtime.NumGoroutine()
-	cfg := TCPConfig{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  300 * time.Millisecond,
-	}
+	cfg := TCPConfig{HeartbeatTimeout: 300 * time.Millisecond}
 	ts, cols := startMesh(t, 3, cfg)
 	start := time.Now()
 	ts[0].Sever(1)
