@@ -118,8 +118,9 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 	// Every referenced cluster ID gets a dense index in order of first
 	// occurrence, local nodes first — so the clusters with a local member
 	// are exactly the indices below nLocalClusters. This is the only hash
-	// lookup per node; nothing below hashes per arc.
-	clusterIdx := hashtab.NewMapI64(int(nt) + 16)
+	// lookup per node; nothing below hashes per arc. The table starts small
+	// and grows with the distinct labels, which are far fewer than nodes.
+	clusterIdx := hashtab.NewMapI64(0)
 	nodeCluster := ar.Int32s(int(nt))
 	var clusterLabel []int64
 	index := func(lo, hi int32) {
@@ -330,7 +331,7 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		longest = max(longest, rowStart[v+1]-rowStart[v])
 	}
 	rs := graph.RowScratch[int64]{IDs: ar.Int64s(int(longest)), Ws: ar.Int64s(int(longest))}
-	out := graph.CanonicalizeCSR(rowStart, adjG, adjW, &rs)
+	out, _ := graph.CanonicalizeCSR(rowStart, adjG, adjW, &rs)
 	coarse := dgraph.Build(c, coarseVtx, nw, rowStart, adjG[:out], adjW[:out])
 	return &ParResult{Coarse: coarse, FineToCoarse: coarseOf}
 }
@@ -347,7 +348,9 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 func ParLift(fine *dgraph.DGraph, coarse *dgraph.DGraph, fineToCoarse []int64, finePart []int64) []int64 {
 	c := fine.Comm
 	sh := mpi.NewSharder(c)
-	seen := hashtab.NewMapI64(int(fine.NLocal()) + 16)
+	// The distinct coarse nodes of the local fine nodes: about the coarse
+	// level's share of a rank, not the fine level's.
+	seen := hashtab.NewMapI64(int(coarse.NLocal()))
 	for v := int32(0); v < fine.NLocal(); v++ {
 		cu := fineToCoarse[v]
 		if _, inserted := seen.PutIfAbsent(cu, 0); inserted {

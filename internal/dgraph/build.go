@@ -3,6 +3,7 @@ package dgraph
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/hashtab"
 	"repro/internal/mpi"
 )
@@ -10,7 +11,8 @@ import (
 // Build constructs a distributed graph when each rank already holds the CSR
 // rows of its own contiguous range with neighbours given as global IDs:
 // nw[i] is the weight of global node vtxdist[rank]+i, and that node's
-// neighbours are adjGlobal[xadj[i]:xadj[i+1]] with weights adjw. Ghost
+// neighbours are adjGlobal[xadj[i]:xadj[i+1]] with weights adjw, or with
+// weight 1 each when adjw is nil. Ghost
 // weights are fetched from the owners, and the global edge count is
 // computed collectively. It is the one constructor: FromGraph feeds it a
 // range of the input graph (int32 IDs), and the parallel contraction
@@ -38,6 +40,13 @@ func Build[ID int32 | int64](c *mpi.Comm, vtxdist []int64, nw []int64, xadj []in
 	}
 	d.Adj = make([]int32, len(adjGlobal))
 	d.AdjW = adjw
+	if adjw == nil {
+		var longest int64
+		for v := range nLocal {
+			longest = max(longest, xadj[v+1]-xadj[v])
+		}
+		d.unitW = graph.UnitWeights(int(longest))
+	}
 	for i, id := range adjGlobal {
 		if gu := int64(id); gu >= lo && gu < hi {
 			d.Adj[i] = int32(gu - lo)

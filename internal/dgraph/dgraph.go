@@ -37,8 +37,12 @@ type DGraph struct {
 	//lint:rawslice-ok CSR adjacency in local-index space, not a partition
 	Adj []int32
 	// AdjW may alias the input graph's weight array (FromGraph) and is
-	// never written.
+	// never written. It is nil when every edge weight is 1, as in
+	// graph.Graph; EdgeWeights handles both.
 	AdjW []int64
+	// unitW is nil, or for a graph without stored weights one
+	// graph.UnitWeights row as long as the longest local row.
+	unitW []int64
 
 	// NW holds node weights for local nodes followed by ghosts.
 	NW []int64
@@ -83,7 +87,8 @@ func UniformVtxDist(n int64, size int) []int64 {
 // FromGraph builds this rank's share of g using a uniform contiguous node
 // distribution. Every rank must pass an identical g (SPMD). The rank's rows
 // are one contiguous range of g's arrays, so they go to Build without a
-// copy of the adjacency, and AdjW aliases g.AdjW. Collective.
+// copy of the adjacency, and AdjW aliases g.AdjW (nil for a graph without
+// stored weights). Collective.
 //
 //parhip:collective
 func FromGraph(c *mpi.Comm, g *graph.Graph) *DGraph {
@@ -94,7 +99,11 @@ func FromGraph(c *mpi.Comm, g *graph.Graph) *DGraph {
 	for i := range xadj {
 		xadj[i] = g.XAdj[lo+int64(i)] - a
 	}
-	return Build(c, vd, g.NW[lo:hi], xadj, g.Adj[a:b], g.AdjW[a:b:b])
+	var adjw []int64
+	if g.AdjW != nil {
+		adjw = g.AdjW[a:b:b]
+	}
+	return Build(c, vd, g.NW[lo:hi], xadj, g.Adj[a:b], adjw)
 }
 
 // internGhost returns the local ID for global node gu, creating a ghost
@@ -247,8 +256,16 @@ func (d *DGraph) Degree(v int32) int32 { return int32(d.XAdj[v+1] - d.XAdj[v]) }
 //lint:rawslice-ok local node IDs in CSR order, not a partition
 func (d *DGraph) Neighbors(v int32) []int32 { return d.Adj[d.XAdj[v]:d.XAdj[v+1]] }
 
-// EdgeWeights returns edge weights parallel to Neighbors(v).
-func (d *DGraph) EdgeWeights(v int32) []int64 { return d.AdjW[d.XAdj[v]:d.XAdj[v+1]] }
+// EdgeWeights returns edge weights parallel to Neighbors(v). The slice
+// aliases internal storage, or the shared ones of graph.UnitWeights, and
+// must not be modified.
+func (d *DGraph) EdgeWeights(v int32) []int64 {
+	if d.AdjW == nil {
+		n := d.XAdj[v+1] - d.XAdj[v]
+		return d.unitW[:n:n]
+	}
+	return d.AdjW[d.XAdj[v]:d.XAdj[v+1]]
+}
 
 // LocalNodeWeight returns the total weight of this rank's local nodes.
 func (d *DGraph) LocalNodeWeight() int64 {
@@ -288,12 +305,15 @@ func (d *DGraph) Validate() error {
 			return fmt.Errorf("dgraph: XAdj not monotone at %d", v)
 		}
 	}
+	if d.AdjW != nil && len(d.AdjW) != len(d.Adj) {
+		return fmt.Errorf("dgraph: %d edge weights for %d arcs", len(d.AdjW), len(d.Adj))
+	}
 	nt := d.NTotal()
 	for i, u := range d.Adj {
 		if u < 0 || u >= nt {
 			return fmt.Errorf("dgraph: adjacency entry %d out of range", i)
 		}
-		if d.AdjW[i] <= 0 {
+		if d.AdjW != nil && d.AdjW[i] <= 0 {
 			return fmt.Errorf("dgraph: non-positive edge weight at slot %d", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package dgraph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -301,11 +302,35 @@ func TestSingleRankNoGhosts(t *testing.T) {
 
 // TestFromGraphAliasesAdjW: a rank's edge weights are its contiguous range
 // of the input's array, shared rather than copied, and capped so nothing
-// appended through the DGraph can reach a neighbouring rank's rows.
+// appended through the DGraph can reach a neighbouring rank's rows. A graph
+// without stored weights gives ranks without stored weights, whose rows are
+// whole, capped rows of ones.
 func TestFromGraphAliasesAdjW(t *testing.T) {
-	g := gen.RGG(200, 3)
+	unit := gen.RGG(200, 3)
+	if unit.AdjW != nil {
+		t.Fatal("RGG stored unit weights")
+	}
+	adjw := make([]int64, len(unit.Adj))
+	for v := int32(0); v < unit.NumNodes(); v++ {
+		for i, u := range unit.Neighbors(v) {
+			adjw[unit.XAdj[v]+int64(i)] = 1 + int64(u+v)%3
+		}
+	}
+	g := graph.FromCSR(unit.XAdj, unit.Adj, adjw, unit.NW)
 	for _, P := range []int{1, 3} {
 		runP(t, P, func(c *mpi.Comm) {
+			u := FromGraph(c, unit)
+			if u.AdjW != nil {
+				t.Errorf("P=%d rank %d: %d stored weights for a unit-weight graph", P, c.Rank(), len(u.AdjW))
+			}
+			for v := int32(0); v < u.NLocal(); v++ {
+				ws := u.EdgeWeights(v)
+				if len(ws) != int(u.Degree(v)) || cap(ws) != len(ws) || slices.ContainsFunc(ws, func(w int64) bool { return w != 1 }) {
+					t.Errorf("P=%d rank %d node %d: weights %v (cap %d), want %d capped ones", P, c.Rank(), v, ws, cap(ws), u.Degree(v))
+					break
+				}
+			}
+
 			d := FromGraph(c, g)
 			lo, hi := d.VtxDist[c.Rank()], d.VtxDist[c.Rank()+1]
 			if g.XAdj[lo] == g.XAdj[hi] {

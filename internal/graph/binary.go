@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary graph format: a fixed little-endian layout that loads an order of
@@ -50,7 +51,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.AdjW); err != nil {
+	if err := writeEdgeWeights(bw, g); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, g.NW); err != nil {
@@ -59,9 +60,25 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// writeEdgeWeights writes the adjw section. A graph without stored weights
+// writes its ones, so the file does not tell the two apart.
+func writeEdgeWeights(w io.Writer, g *Graph) error {
+	if g.AdjW != nil {
+		return binary.Write(w, binary.LittleEndian, g.AdjW)
+	}
+	const chunk = 1 << 12
+	for left := len(g.Adj); left > 0; left -= chunk {
+		if err := binary.Write(w, binary.LittleEndian, UnitWeights(min(left, chunk))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReadBinary reads a graph in the binary graph format and validates its
 // structure. The arrays grow with the payload that arrives, not with the
-// header's counts.
+// header's counts. An adjw section of ones is dropped: the graph keeps no
+// weights, like one built from unit-weight edges.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var header [4]uint64
@@ -90,6 +107,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	if g.AdjW, err = readWords[int64](br, m2, 8); err != nil {
 		return nil, fmt.Errorf("graph: binary adjw: %w", err)
+	}
+	if !slices.ContainsFunc(g.AdjW, func(w int64) bool { return w != 1 }) {
+		g.AdjW = nil
 	}
 	if g.NW, err = readWords[int64](br, n, 8); err != nil {
 		return nil, fmt.Errorf("graph: binary nw: %w", err)

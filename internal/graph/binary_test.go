@@ -100,10 +100,19 @@ func TestBinaryRejectsCorruptedPayload(t *testing.T) {
 
 // FuzzReadBinary feeds arbitrary bytes to ReadBinary, the parser a binary
 // graph upload reaches. Every input must either fail with an error or give
-// a graph that validates and survives WriteBinary → ReadBinary with the same
-// fingerprint. Inputs that once broke it are in testdata/fuzz.
+// a graph that validates, that WriteBinary writes back as the bytes it was
+// read from, and that survives WriteBinary → ReadBinary with the same
+// fingerprint. The all-ones seed is written from explicit ones and read
+// back without stored weights, so a writer that skipped their section
+// would fail on it. Inputs that once broke it are in testdata/fuzz.
 func FuzzReadBinary(f *testing.F) {
-	for _, g := range []*Graph{NewBuilder(0).Build(), randomGraph(1, 0, 1), randomGraph(12, 30, 4)} {
+	grid := Grid2D(3, 4)
+	ones := make([]int64, len(grid.Adj))
+	for i := range ones {
+		ones[i] = 1
+	}
+	allOnes := FromCSR(grid.XAdj, grid.Adj, ones, grid.NW)
+	for _, g := range []*Graph{NewBuilder(0).Build(), randomGraph(1, 0, 1), randomGraph(12, 30, 4), allOnes} {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, g); err != nil {
 			f.Fatal(err)
@@ -122,6 +131,12 @@ func FuzzReadBinary(f *testing.F) {
 		var out bytes.Buffer
 		if err := WriteBinary(&out, g); err != nil {
 			t.Fatal(err)
+		}
+		// The bytes read: the header, n+1 xadj words, 2m adj and adjw words
+		// and n node weights; anything after them is not part of the graph.
+		n, m2 := len(g.NW), len(g.Adj)
+		if read := in[:32+8*(n+1)+12*m2+8*n]; !bytes.Equal(out.Bytes(), read) {
+			t.Fatalf("WriteBinary wrote %d bytes that are not the %d read", out.Len(), len(read))
 		}
 		g2, err := ReadBinary(&out)
 		if err != nil {

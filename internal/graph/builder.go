@@ -9,11 +9,16 @@ import "fmt"
 // simple and undirected (Validate enforces the same invariant), and
 // silently dropping them — the old behavior — hid generator bugs. Node
 // weights default to 1.
+//
+// A graph whose edge weights are all 1 after duplicates merge is built
+// without stored weights (Graph.AdjW nil), and the builder stores none
+// while every added weight is 1.
 type Builder struct {
-	n       int32
-	nw      []int64
-	srcs    []NodeID
-	dsts    []NodeID
+	n    int32
+	nw   []int64
+	srcs []NodeID
+	dsts []NodeID
+	// weights is parallel to srcs, or nil while every added weight is 1.
 	weights []int64
 }
 
@@ -56,9 +61,14 @@ func (b *Builder) AddEdgeW(u, v NodeID, w int64) {
 	if u == v {
 		panic(fmt.Sprintf("graph: AddEdgeW self-loop at node %d (self-loops are not representable; skip or resample)", u))
 	}
+	if w != 1 && b.weights == nil {
+		b.weights = fillOnes(make([]int64, len(b.srcs), cap(b.srcs)))
+	}
 	b.srcs = append(b.srcs, u)
 	b.dsts = append(b.dsts, v)
-	b.weights = append(b.weights, w)
+	if b.weights != nil {
+		b.weights = append(b.weights, w)
+	}
 }
 
 // Build produces the CSR graph. Duplicate edges (recorded in the same or
@@ -76,30 +86,34 @@ func (b *Builder) Build() *Graph {
 		deg[v+1] += deg[v]
 	}
 	adj := make([]NodeID, total)
-	adjw := make([]int64, total)
+	var adjw []int64
+	if b.weights != nil {
+		adjw = make([]int64, total)
+	}
 	pos := make([]int64, n)
 	for i := range b.srcs {
-		u, v, w := b.srcs[i], b.dsts[i], b.weights[i]
-		p := deg[u] + pos[u]
-		adj[p], adjw[p] = v, w
+		u, v := b.srcs[i], b.dsts[i]
+		pu, pv := deg[u]+pos[u], deg[v]+pos[v]
+		adj[pu], adj[pv] = v, u
 		pos[u]++
-		p = deg[v] + pos[v]
-		adj[p], adjw[p] = u, w
 		pos[v]++
+		if adjw != nil {
+			adjw[pu], adjw[pv] = b.weights[i], b.weights[i]
+		}
 	}
-	// Sort each adjacency list and merge duplicates, compacting in place.
-	out := CanonicalizeCSR(deg, adj, adjw, &RowScratch[NodeID]{})
-	return &Graph{
-		XAdj: deg,
-		Adj:  adj[:out:out],
-		AdjW: adjw[:out:out],
-		NW:   b.nw,
+	// Sort each adjacency list and merge duplicates, compacting in place;
+	// the first merged duplicate of a unit-weight list stores its weights.
+	out, adjw := CanonicalizeCSR(deg, adj, adjw, &RowScratch[NodeID]{})
+	g := &Graph{XAdj: deg, Adj: adj[:out:out], NW: b.nw}
+	if adjw != nil {
+		g.AdjW = adjw[:out:out]
 	}
+	return g
 }
 
 // FromCSR constructs a graph directly from CSR arrays without copying.
 // The caller asserts the arrays already satisfy the Graph invariants;
-// Validate can be used to check.
+// Validate can be used to check. A nil adjw means every edge weight is 1.
 func FromCSR(xadj []int64, adj []NodeID, adjw, nw []int64) *Graph {
 	return &Graph{XAdj: xadj, Adj: adj, AdjW: adjw, NW: nw}
 }

@@ -39,6 +39,13 @@ func (g *Graph) Fingerprint() string {
 		room(4)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
+	// A graph without stored weights hashes a 1 per arc, so it fingerprints
+	// like the same graph with explicit unit weights.
+	if g.AdjW == nil {
+		for range g.Adj {
+			writeU64(1)
+		}
+	}
 	for _, w := range g.AdjW {
 		writeU64(uint64(w))
 	}

@@ -13,6 +13,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are dense in [0, n).
@@ -21,10 +22,14 @@ type NodeID = int32
 // Graph is an undirected graph in CSR form. The neighbours of node v are
 // Adj[XAdj[v]:XAdj[v+1]] with parallel edge weights in AdjW. NW holds node
 // weights. All fields may be read directly; mutate only through Builder.
+//
+// AdjW is nil when every edge weight is 1: a unit-weight graph stores no
+// weights, and EdgeWeights serves its rows from one shared slice of ones.
+// Readers of AdjW must handle nil; EdgeWeights does it for them.
 type Graph struct {
 	XAdj []int64  // length n+1; XAdj[0] == 0
 	Adj  []NodeID // length 2m; neighbour lists
-	AdjW []int64  // length 2m; edge weights, parallel to Adj
+	AdjW []int64  // length 2m or nil (all weights 1); parallel to Adj
 	NW   []int64  // length n; node weights
 }
 
@@ -46,8 +51,44 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 }
 
 // EdgeWeights returns the edge-weight slice of v, parallel to Neighbors(v).
+// The slice aliases the graph's storage, or for a graph without stored
+// weights the shared slice of UnitWeights; either way it must not be
+// modified.
 func (g *Graph) EdgeWeights(v NodeID) []int64 {
-	return g.AdjW[g.XAdj[v]:g.XAdj[v+1]]
+	lo, hi := g.XAdj[v], g.XAdj[v+1]
+	if g.AdjW == nil {
+		return UnitWeights(int(hi - lo))
+	}
+	return g.AdjW[lo:hi]
+}
+
+// ones backs UnitWeights. A caller that needs more ones than it holds
+// stores a longer slice; slices handed out earlier keep their array, and
+// two callers that grow it at once each return their own ones.
+var ones atomic.Pointer[[]int64]
+
+// UnitWeights returns n ones: the edge weights of a row of n arcs in a
+// graph without stored weights. The slice is a capacity-limited prefix of
+// an array that every caller shares, so it must not be written. A caller
+// that reads many rows takes the longest once and reslices it.
+func UnitWeights(n int) []int64 {
+	var s []int64
+	if p := ones.Load(); p != nil {
+		s = *p
+	}
+	if len(s) < n {
+		s = fillOnes(make([]int64, max(n, 2*len(s), 1024)))
+		ones.Store(&s)
+	}
+	return s[:n:n]
+}
+
+// fillOnes sets every element of s to 1 and returns s.
+func fillOnes(s []int64) []int64 {
+	for i := range s {
+		s[i] = 1
+	}
+	return s
 }
 
 // TotalNodeWeight returns the sum of all node weights.
@@ -62,6 +103,9 @@ func (g *Graph) TotalNodeWeight() int64 {
 // TotalEdgeWeight returns the sum of weights over undirected edges (each
 // edge counted once).
 func (g *Graph) TotalEdgeWeight() int64 {
+	if g.AdjW == nil {
+		return int64(len(g.Adj)) / 2
+	}
 	var s int64
 	for _, w := range g.AdjW {
 		s += w
@@ -92,7 +136,7 @@ func (g *Graph) Validate() error {
 	if g.XAdj[0] != 0 {
 		return errors.New("graph: XAdj[0] != 0")
 	}
-	if len(g.Adj) != len(g.AdjW) {
+	if g.AdjW != nil && len(g.Adj) != len(g.AdjW) {
 		return fmt.Errorf("graph: len(Adj)=%d != len(AdjW)=%d", len(g.Adj), len(g.AdjW))
 	}
 	if g.XAdj[n] != int64(len(g.Adj)) {
@@ -115,7 +159,7 @@ func (g *Graph) Validate() error {
 			if u == v {
 				return fmt.Errorf("graph: self-loop at node %d", v)
 			}
-			if g.AdjW[i] <= 0 {
+			if g.AdjW != nil && g.AdjW[i] <= 0 {
 				return fmt.Errorf("graph: non-positive edge weight %d on (%d,%d)", g.AdjW[i], v, u)
 			}
 		}
@@ -128,16 +172,15 @@ func (g *Graph) validateSymmetry() error {
 	for v := int32(0); v < n; v++ {
 		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
 			u := g.Adj[i]
-			w := g.AdjW[i]
 			found := false
 			for j := g.XAdj[u]; j < g.XAdj[u+1]; j++ {
-				if g.Adj[j] == v && g.AdjW[j] == w {
+				if g.Adj[j] == v && (g.AdjW == nil || g.AdjW[j] == g.AdjW[i]) {
 					found = true
 					break
 				}
 			}
 			if !found {
-				return fmt.Errorf("graph: edge (%d,%d,w=%d) has no symmetric twin", v, u, w)
+				return fmt.Errorf("graph: edge (%d,%d,w=%d) has no symmetric twin", v, u, g.EdgeWeights(v)[i-g.XAdj[v]])
 			}
 		}
 	}
@@ -162,9 +205,9 @@ func EdgeKeyEndpoints(k uint64) (NodeID, NodeID) {
 
 // HasEdge reports whether {u, v} is an edge and returns its weight.
 func (g *Graph) HasEdge(u, v NodeID) (int64, bool) {
-	for i := g.XAdj[u]; i < g.XAdj[u+1]; i++ {
-		if g.Adj[i] == v {
-			return g.AdjW[i], true
+	for i, x := range g.Neighbors(u) {
+		if x == v {
+			return g.EdgeWeights(u)[i], true
 		}
 	}
 	return 0, false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,67 @@ func TestBuilderMergesDuplicates(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuilderUnitWeights: unit-weight edges build a graph without stored
+// weights, and the first merged duplicate or non-unit weight gives exactly
+// the CSR and weights of a builder that always stores them: a count per
+// edge, sorted rows. The duplicates land in every row position, so the
+// rows before the first merge, the merging row and the compacted rows
+// after it are all checked.
+func TestBuilderUnitWeights(t *testing.T) {
+	b := NewBuilder(5)
+	for _, e := range [][2]NodeID{{0, 1}, {0, 2}, {3, 4}, {4, 3}, {2, 3}, {1, 2}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build()
+	if !slices.Equal(g.XAdj, []int64{0, 2, 4, 7, 9, 10}) || !slices.Equal(g.Adj, []NodeID{1, 2, 0, 2, 0, 1, 3, 2, 4, 3}) ||
+		!slices.Equal(g.AdjW, []int64{1, 1, 1, 1, 1, 1, 1, 1, 2, 2}) {
+		t.Fatalf("one duplicate: got %v %v %v", g.XAdj, g.Adj, g.AdjW)
+	}
+
+	r := rng.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Int31n(40)
+		count := map[[2]NodeID]int64{}
+		b := NewBuilder(n)
+		nonUnit := trial%4 == 0
+		for i := r.Intn(120); n > 1 && i > 0; i-- {
+			u, v := r.Int31n(n), r.Int31n(n)
+			if u == v {
+				continue
+			}
+			if _, dup := count[[2]NodeID{u, v}]; dup && trial%2 == 0 {
+				continue // half the trials have no duplicates
+			}
+			w := int64(1)
+			if nonUnit && i == 1 {
+				w = 3
+			}
+			b.AddEdgeW(u, v, w)
+			count[[2]NodeID{u, v}] += w
+			count[[2]NodeID{v, u}] += w
+		}
+		g := b.Build()
+		xadj, adj, adjw, unit := []int64{0}, []NodeID{}, []int64{}, true
+		for v := NodeID(0); v < n; v++ {
+			for u := NodeID(0); u < n; u++ {
+				if w := count[[2]NodeID{v, u}]; w > 0 {
+					adj, adjw, unit = append(adj, u), append(adjw, w), unit && w == 1
+				}
+			}
+			xadj = append(xadj, int64(len(adj)))
+		}
+		if unit {
+			adjw = nil
+		}
+		if !slices.Equal(g.XAdj, xadj) || !slices.Equal(g.Adj, adj) || (g.AdjW == nil) != unit || !slices.Equal(g.AdjW, adjw) {
+			t.Fatalf("trial %d: got %v %v %v, want %v %v %v", trial, g.XAdj, g.Adj, g.AdjW, xadj, adj, adjw)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 
@@ -301,4 +363,24 @@ func TestEmptyGraph(t *testing.T) {
 	if g.MaxDegree() != 0 {
 		t.Fatal("empty graph max degree wrong")
 	}
+}
+
+// TestUnitWeightsConcurrent: goroutines that grow the shared ones at the
+// same time each get n ones, capped at n, and never see a write.
+func TestUnitWeightsConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := g; n < 5000; n += 97 {
+				ws := UnitWeights(n)
+				if len(ws) != n || cap(ws) != n || slices.ContainsFunc(ws, func(w int64) bool { return w != 1 }) {
+					t.Errorf("UnitWeights(%d): len %d cap %d, not all ones", n, len(ws), cap(ws))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -44,6 +44,9 @@ func TestReadMetisUnweighted(t *testing.T) {
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("got %v", g)
 	}
+	if g.AdjW != nil {
+		t.Fatalf("unit weights stored: %v", g.AdjW)
+	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,8 @@ func TestReadMetisTruncated(t *testing.T) {
 // FuzzReadMetis feeds arbitrary bytes to ReadMetis, the parser a client's
 // graph upload reaches. Every input must either fail with an error or give
 // a graph that validates and survives WriteMetis → ReadMetis with the same
-// fingerprint. Inputs that once broke it are in testdata/fuzz.
+// fingerprint and, for a graph without stored weights, again without them.
+// Inputs that once broke it are in testdata/fuzz.
 func FuzzReadMetis(f *testing.F) {
 	var weighted bytes.Buffer
 	if err := WriteMetis(&weighted, randomGraph(25, 80, 9)); err != nil {
@@ -123,7 +127,8 @@ func FuzzReadMetis(f *testing.F) {
 		"3 3 1\n2 4 2 3 3 1\n1 7 3 1\n1 1 2 1\n", // a duplicate edge, merged
 		"3 1 11\n1 2 1 2 1 1 2\n1 1 2\n1\n",      // a duplicate and a self-loop
 		"2147483647 0\n1\n",
-		"3 1\n2\n1\n\n", // node 3 isolated
+		"3 1\n2\n1\n\n",             // node 3 isolated
+		"4 4\n2 4\n1 3\n2 4\n1 3\n", // unweighted: no stored weights
 	} {
 		f.Add([]byte(seed))
 	}
@@ -145,6 +150,9 @@ func FuzzReadMetis(f *testing.F) {
 		}
 		if a, b := g.Fingerprint(), g2.Fingerprint(); a != b {
 			t.Fatalf("fingerprint %s after the round trip, %s before", b, a)
+		}
+		if (g.AdjW == nil) != (g2.AdjW == nil) {
+			t.Fatalf("stored weights: %v before the round trip, %v after", g.AdjW != nil, g2.AdjW != nil)
 		}
 	})
 }

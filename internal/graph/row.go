@@ -11,22 +11,48 @@ const rowSortCutoff = 48
 type RowScratch[ID int32 | int64] struct {
 	IDs []ID
 	Ws  []int64
+	// ones is the weight row CanonicalizeCSR sorts a row of a unit-weight
+	// CSR with; it holds only ones between rows.
+	ones []int64
 }
 
 // CanonicalizeCSR canonicalizes every row of the CSR arrays (xadj, ids, ws)
 // with CanonicalizeRow, moves the rows together at the front of ids and ws,
-// rewrites xadj to match and returns the new arc count. xadj[0] must be 0.
-func CanonicalizeCSR[ID int32 | int64](xadj []int64, ids []ID, ws []int64, s *RowScratch[ID]) int64 {
+// rewrites xadj to match and returns the new arc count and ws. xadj[0] must
+// be 0.
+//
+// ws nil means that every weight is 1. Each row is then sorted with a
+// scratch row of ones and nothing is stored, until a row merges a
+// duplicate: that row allocates ws, ones but for its merged weights, and
+// the pass goes on with stored weights. So one pass canonicalizes either
+// way, and ws comes back nil exactly when no duplicate was merged.
+func CanonicalizeCSR[ID int32 | int64](xadj []int64, ids []ID, ws []int64, s *RowScratch[ID]) (int64, []int64) {
 	out, start := int64(0), int64(0) // out never passes a row's start
 	for v := 1; v < len(xadj); v++ {
 		end := xadj[v]
-		m := int64(CanonicalizeRow(ids[start:end], ws[start:end], s))
-		copy(ids[out:], ids[start:start+m])
-		copy(ws[out:], ws[start:start+m])
-		out, start = out+m, end
+		row := ids[start:end]
+		var m int
+		if ws != nil {
+			m = CanonicalizeRow(row, ws[start:end], s)
+			copy(ws[out:], ws[start:start+int64(m)])
+		} else if m = CanonicalizeRow(row, s.unitRow(len(row)), s); m < len(row) {
+			ws = fillOnes(make([]int64, len(ids)))
+			copy(ws[out:], s.ones[:m])
+			s.ones = nil
+		}
+		copy(ids[out:], row[:m])
+		out, start = out+int64(m), end
 		xadj[v] = out
 	}
-	return out
+	return out, ws
+}
+
+// unitRow returns n ones from s's own scratch.
+func (s *RowScratch[ID]) unitRow(n int) []int64 {
+	if len(s.ones) < n {
+		s.ones = fillOnes(make([]int64, max(n, 2*len(s.ones))))
+	}
+	return s.ones[:n]
 }
 
 // CanonicalizeRow brings one adjacency row into canonical form in place —

@@ -41,6 +41,7 @@ func ConnectedComponents(g *Graph) (comp []int32, count int32) {
 // rows (every Builder-built graph) the filtered rows are already canonical
 // and nothing is sorted; any other row is sorted and merged like Builder
 // would, so the result does not depend on the order nodes are given in.
+// The subgraph of a graph without stored weights stores none either.
 func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 	newID := make([]int32, g.NumNodes()) // new ID + 1; 0 = not selected
 	var arcs int64
@@ -50,24 +51,31 @@ func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 	}
 	xadj := make([]int64, len(nodes)+1)
 	adj := make([]NodeID, arcs)
-	adjw := make([]int64, arcs)
+	var adjw []int64
+	if g.AdjW != nil {
+		adjw = make([]int64, arcs)
+	}
 	nw := make([]int64, len(nodes))
 	back := make([]NodeID, len(nodes))
-	var rs RowScratch[NodeID]
 	out := int64(0)
 	for i, v := range nodes {
 		back[i] = v
 		nw[i] = g.NW[v]
-		lo := out
-		ws := g.EdgeWeights(v)
-		for j, u := range g.Neighbors(v) {
-			if lu := newID[u]; lu != 0 {
-				adj[out], adjw[out] = lu-1, ws[j]
+		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
+			if lu := newID[g.Adj[i]]; lu != 0 {
+				adj[out] = lu - 1
+				if adjw != nil {
+					adjw[out] = g.AdjW[i]
+				}
 				out++
 			}
 		}
-		out = lo + int64(CanonicalizeRow(adj[lo:out], adjw[lo:out], &rs))
 		xadj[i+1] = out
 	}
-	return &Graph{XAdj: xadj, Adj: adj[:out:out], AdjW: adjw[:out:out], NW: nw}, back
+	out, adjw = CanonicalizeCSR(xadj, adj, adjw, &RowScratch[NodeID]{})
+	sub := &Graph{XAdj: xadj, Adj: adj[:out:out], NW: nw}
+	if adjw != nil {
+		sub.AdjW = adjw[:out:out]
+	}
+	return sub, back
 }

@@ -513,7 +513,16 @@ func (s *Server) handleLiveUpdates(w http.ResponseWriter, r *http.Request) {
 		}
 		deltas[i] = d
 	}
+	// The batch and the decision on it are one step under ls.mu: a policy
+	// sweep between the two would start the repartition this batch crossed
+	// the threshold for, and the batch would report "in_flight".
+	ls.mu.Lock()
 	res, err := ls.lg.ApplyBatch(req.Seq, deltas)
+	var d live.Decision
+	if err == nil {
+		d = s.live.evaluateLocked(ls)
+	}
+	ls.mu.Unlock()
 	if err != nil {
 		if errors.Is(err, live.ErrSequenceGap) {
 			writeError(w, http.StatusConflict, "%v", err)
@@ -528,7 +537,6 @@ func (s *Server) handleLiveUpdates(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.live.deltasApplied.Add(int64(res.Applied))
 	}
-	d := s.live.evaluate(ls)
 	resp := updateResponse{
 		GraphID:  ls.id,
 		Seq:      res.Seq,

@@ -530,3 +530,46 @@ func FuzzLiveUpdates(f *testing.F) {
 		}
 	})
 }
+
+// TestLiveTriggerBatchReportsItsTrigger: the batch that crosses the churn
+// threshold reports the trigger it caused, even while the policy sweep
+// evaluates the same graph (here in a tight loop). A sweep that ran
+// between the batch and its decision would start that repartition itself,
+// and the batch would report "in_flight".
+func TestLiveTriggerBatchReportsItsTrigger(t *testing.T) {
+	var calls atomic.Int64
+	e := newEnv(t, Config{Workers: 1, PartitionFn: stubPartitionFn(&calls)})
+	g := gen.DelaunayLike(4096, 1)
+	id := e.uploadMetis(g)
+	e.enableLive(id, `{"k":4,"options":{"pes":2},"policy":{"churn_fraction":0.1}}`)
+	epoch := e.awaitLive(id, "epoch 1", func(v liveStatusView) bool { return v.Epoch >= 1 }).Epoch
+	ls, _ := e.srv.live.get(id)
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.srv.live.evaluate(ls)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-swept
+	}()
+	for seq := int64(1); seq <= 3; seq++ {
+		deltas := gen.PerturbDeltas(g, 0.1, uint64(seq))
+		var ur updateResponse
+		if code, raw := e.do("POST", "/v1/graphs/"+id+"/updates", []byte(deltaJSON(seq, deltas)), &ur); code != http.StatusOK {
+			t.Fatalf("batch %d: %d: %s", seq, code, raw)
+		}
+		if !ur.Decision.Trigger {
+			t.Fatalf("batch %d crossed the threshold but reported %q: %s", seq, ur.Decision.Reason, ur.Decision.Detail)
+		}
+		epoch = e.awaitLive(id, "the swap", func(v liveStatusView) bool { return v.Epoch > epoch && !v.InFlight }).Epoch
+		g = gen.ApplyEdgeDeltas(g, deltas)
+	}
+}

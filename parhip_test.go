@@ -251,3 +251,65 @@ func TestFingerprintReexport(t *testing.T) {
 		t.Fatal("different graphs share a fingerprint")
 	}
 }
+
+// TestUnitWeightsMatchExplicitOnes: a graph without stored edge weights is
+// the same graph as its CSR with an explicit all-ones AdjW. Both hash and
+// serialize alike, and partition alike in fast mode at P = 1, 2, 3 and in
+// eco mode at P = 2, so every reader of the unit rows sees whole rows of
+// ones.
+func TestUnitWeightsMatchExplicitOnes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"delaunay", gen.DelaunayLike(4096, 7)},
+		{"grid", graph.Grid2D(40, 50)},
+	} {
+		unit := tc.g
+		ones := make([]int64, len(unit.Adj))
+		for i := range ones {
+			ones[i] = 1
+		}
+		explicit := graph.FromCSR(unit.XAdj, unit.Adj, ones, unit.NW)
+		if unit.AdjW != nil {
+			t.Fatalf("%s: the generator stored unit weights", tc.name)
+		}
+		if unit.Fingerprint() != explicit.Fingerprint() {
+			t.Errorf("%s: fingerprints differ", tc.name)
+		}
+		var a, b bytes.Buffer
+		if err := WriteBinary(&a, unit); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(&b, explicit); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: WriteBinary bytes differ", tc.name)
+		}
+		runs := []struct {
+			mode Mode
+			pes  int
+		}{{Fast, 1}, {Fast, 2}, {Fast, 3}, {Eco, 2}}
+		for _, r := range runs {
+			var res [2]Result
+			for i, g := range []*Graph{unit, explicit} {
+				var err error
+				if res[i], err = runSession(g, WithK(4), WithMode(r.mode), WithPEs(r.pes), WithSeed(3)); err != nil {
+					t.Fatalf("%s mode %d P=%d: %v", tc.name, r.mode, r.pes, err)
+				}
+			}
+			name := fmt.Sprintf("%s mode %d P=%d", tc.name, r.mode, r.pes)
+			if res[0].Cut != res[1].Cut {
+				t.Errorf("%s: cut %d without stored weights, %d with ones", name, res[0].Cut, res[1].Cut)
+			}
+			for v := NodeID(0); v < unit.NumNodes(); v++ {
+				if res[0].Partition.Block(v) != res[1].Partition.Block(v) {
+					t.Errorf("%s: node %d in block %d without stored weights, %d with ones",
+						name, v, res[0].Partition.Block(v), res[1].Partition.Block(v))
+					break
+				}
+			}
+		}
+	}
+}
