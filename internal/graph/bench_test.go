@@ -1,14 +1,17 @@
-package graph
+package graph_test
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-func benchGraph(n int32, m int) *Graph {
+func benchGraph(n int32, m int) *graph.Graph {
 	r := rng.New(42)
-	b := NewBuilder(n)
+	b := graph.NewBuilder(n)
 	for i := 0; i < m; i++ {
 		u, v := r.Int31n(n), r.Int31n(n)
 		if u != v {
@@ -28,7 +31,7 @@ func BenchmarkBuilderBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bu := NewBuilder(n)
+		bu := graph.NewBuilder(n)
 		for _, e := range edges {
 			if e.u != e.v {
 				bu.AddEdge(e.u, e.v)
@@ -42,7 +45,7 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	g := benchGraph(20000, 60000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ConnectedComponents(g)
+		graph.ConnectedComponents(g)
 	}
 }
 
@@ -51,14 +54,73 @@ func BenchmarkConnectedComponents(b *testing.B) {
 // its two halves, as one level of kaffpa's recursive bisection does.
 func BenchmarkInducedSubgraph(b *testing.B) {
 	g := benchGraph(55000, 12500)
-	var half [2][]NodeID
+	var half [2][]graph.NodeID
 	for v := int32(0); v < g.NumNodes(); v++ {
 		half[v%2] = append(half[v%2], v)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		InducedSubgraph(g, half[0])
-		InducedSubgraph(g, half[1])
+		graph.InducedSubgraph(g, half[0])
+		graph.InducedSubgraph(g, half[1])
+	}
+}
+
+// webInput is the graph of the svc-live benchmark workload, web n = 65536,
+// the size of a graph a client uploads to parhipd.
+func webInput(b *testing.B) *graph.Graph {
+	g, err := gen.ByFamily(gen.FamilyWeb, 65536, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkReadMetis parses the METIS text of webInput; with SetBytes the
+// result line reads in MB/s of text.
+func BenchmarkReadMetis(b *testing.B) {
+	var buf bytes.Buffer
+	if err := graph.WriteMetis(&buf, webInput(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.ReadMetis(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteMetis writes webInput as METIS text, in MB/s of text.
+func BenchmarkWriteMetis(b *testing.B) {
+	g := webInput(b)
+	var buf bytes.Buffer
+	if err := graph.WriteMetis(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := graph.WriteMetis(&buf, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadBinary reads webInput in the binary format, validation
+// included, in MB/s of file.
+func BenchmarkReadBinary(b *testing.B) {
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, webInput(b)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

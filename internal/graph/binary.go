@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
-// Binary graph format: a fixed little-endian layout that loads an order of
-// magnitude faster than the METIS text format for large graphs (KaHIP ships
-// a comparable "parhip binary" format for the same reason).
+// Binary graph format: a fixed little-endian layout that needs no text
+// parsing (KaHIP ships a comparable "parhip binary" format for the same
+// reason). It loads faster than METIS text, though not by an order of
+// magnitude: the web graph of n = 65,536 and 415,198 edges reads in about
+// 25 ms from its 11.0 MB binary file and in about 39 ms from its 6.6 MB of
+// METIS text (go test -bench 'Metis|Binary' ./internal/graph/, 2-vCPU
+// box; validation included). Per byte, binary reads at about 2.6 times
+// the METIS rate.
 //
 // Layout (all little-endian):
 //
@@ -80,6 +84,18 @@ func writeEdgeWeights(w io.Writer, g *Graph) error {
 // header's counts. An adjw section of ones is dropped: the graph keeps no
 // weights, like one built from unit-weight edges.
 func ReadBinary(r io.Reader) (*Graph, error) {
+	g, err := decodeBinary(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: binary payload invalid: %w", err)
+	}
+	return reserveUnitRows(g), nil
+}
+
+// decodeBinary is ReadBinary without the validation.
+func decodeBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var header [4]uint64
 	for i := range header {
@@ -99,49 +115,67 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	g := &Graph{}
 	var err error
-	if g.XAdj, err = readWords[int64](br, n+1, 8); err != nil {
+	if g.XAdj, err = readWords(br, n+1, 8, decodeI64); err != nil {
 		return nil, fmt.Errorf("graph: binary xadj: %w", err)
 	}
-	if g.Adj, err = readWords[NodeID](br, m2, 4); err != nil {
+	if g.Adj, err = readWords(br, m2, 4, decodeI32); err != nil {
 		return nil, fmt.Errorf("graph: binary adj: %w", err)
 	}
-	if g.AdjW, err = readWords[int64](br, m2, 8); err != nil {
+	if g.AdjW, err = readWords(br, m2, 8, decodeI64); err != nil {
 		return nil, fmt.Errorf("graph: binary adjw: %w", err)
 	}
-	if !slices.ContainsFunc(g.AdjW, func(w int64) bool { return w != 1 }) {
+	if allOnes(g.AdjW) {
 		g.AdjW = nil
 	}
-	if g.NW, err = readWords[int64](br, n, 8); err != nil {
+	if g.NW, err = readWords(br, n, 8, decodeI64); err != nil {
 		return nil, fmt.Errorf("graph: binary nw: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: binary payload invalid: %w", err)
 	}
 	return g, nil
 }
 
-// readWords reads count little-endian words of width 4 or 8 bytes, a chunk
-// at a time. The slice starts at one chunk and doubles as the words arrive
-// (capped at count), so it never holds more than twice what was read.
-func readWords[T NodeID | int64](br *bufio.Reader, count uint64, width int) ([]T, error) {
-	const chunk = 1 << 12 // words
+// allOnes reports whether every element of s is 1.
+func allOnes(s []int64) bool {
+	for _, w := range s {
+		if w != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeI32 and decodeI64 decode the little-endian words of b into dst,
+// which holds len(b)/4 or len(b)/8 of them.
+func decodeI32(dst []NodeID, b []byte) {
+	for i := range dst {
+		dst[i] = NodeID(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+}
+
+func decodeI64(dst []int64, b []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// readWords reads count little-endian words of width bytes a chunk at a
+// time and decodes each chunk with one call of decode. The slice starts at
+// one chunk and doubles as the words arrive (capped at count), so it never
+// holds more than twice what was read.
+func readWords[T NodeID | int64](br *bufio.Reader, count uint64, width int, decode func([]T, []byte)) ([]T, error) {
+	const chunk = 1 << 13 // words
 	out := make([]T, 0, min(count, chunk))
 	buf := make([]byte, cap(out)*width)
 	for len(out) < int(count) {
-		b := buf[:min(int(count)-len(out), chunk)*width]
+		k := min(int(count)-len(out), chunk)
+		b := buf[:k*width]
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, err
 		}
-		if len(out)+len(b)/width > cap(out) {
+		if len(out)+k > cap(out) {
 			out = append(make([]T, 0, min(int(count), 2*cap(out))), out...)
 		}
-		for i := 0; i < len(b); i += width {
-			if width == 4 {
-				out = append(out, T(int32(binary.LittleEndian.Uint32(b[i:]))))
-			} else {
-				out = append(out, T(binary.LittleEndian.Uint64(b[i:])))
-			}
-		}
+		out = out[:len(out)+k]
+		decode(out[len(out)-k:], b)
 	}
 	return out, nil
 }

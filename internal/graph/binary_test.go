@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -98,9 +100,37 @@ func TestBinaryRejectsCorruptedPayload(t *testing.T) {
 	}
 }
 
+// TestReadBinaryStarIsLinear: a star with 200 000 leaves reads back in well
+// under 2 s. A symmetry check that scans the neighbour's row for each arc
+// takes the centre's row 200 000 times, about 17 s.
+func TestReadBinaryStarIsLinear(t *testing.T) {
+	const leaves = 200_000
+	b := NewBuilder(leaves + 1)
+	for v := int32(1); v <= leaves; v++ {
+		b.AddEdge(0, v)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	g, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("reading a star with %d leaves took %v, want under 2s", leaves, took)
+	}
+	if g.Degree(0) != leaves {
+		t.Fatalf("centre degree %d, want %d", g.Degree(0), leaves)
+	}
+}
+
 // FuzzReadBinary feeds arbitrary bytes to ReadBinary, the parser a binary
-// graph upload reaches. Every input must either fail with an error or give
-// a graph that validates, that WriteBinary writes back as the bytes it was
+// graph upload reaches. A payload that decodes must be accepted or rejected
+// by Validate as by the quadratic validateOracle, with the same error.
+// Every input must either fail with an error or give a graph that
+// validates, that WriteBinary writes back as the bytes it was
 // read from, and that survives WriteBinary → ReadBinary with the same
 // fingerprint. The all-ones seed is written from explicit ones and read
 // back without stored weights, so a writer that skipped their section
@@ -121,6 +151,11 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()-3])
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
+		if raw, err := decodeBinary(bytes.NewReader(in)); err == nil {
+			if got, want := raw.Validate(), validateOracle(raw); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Validate: %v; the quadratic check: %v", got, want)
+			}
+		}
 		g, err := ReadBinary(bytes.NewReader(in))
 		if err != nil {
 			return

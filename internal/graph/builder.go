@@ -108,14 +108,14 @@ func (b *Builder) Build() *Graph {
 	if adjw != nil {
 		g.AdjW = adjw[:out:out]
 	}
-	return g
+	return reserveUnitRows(g)
 }
 
 // FromCSR constructs a graph directly from CSR arrays without copying.
 // The caller asserts the arrays already satisfy the Graph invariants;
 // Validate can be used to check. A nil adjw means every edge weight is 1.
 func FromCSR(xadj []int64, adj []NodeID, adjw, nw []int64) *Graph {
-	return &Graph{XAdj: xadj, Adj: adj, AdjW: adjw, NW: nw}
+	return reserveUnitRows(&Graph{XAdj: xadj, Adj: adj, AdjW: adjw, NW: nw})
 }
 
 // Path returns a path graph with n unit-weight nodes.

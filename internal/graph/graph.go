@@ -11,8 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -23,6 +25,12 @@ type NodeID = int32
 // Adj[XAdj[v]:XAdj[v+1]] with parallel edge weights in AdjW. NW holds node
 // weights. All fields may be read directly; mutate only through Builder.
 //
+// A built graph does not change. What is derived from it assumes so: a
+// fingerprint noted on the graph with NoteFingerprint stands for the
+// graph's own, and a partition computed on the graph takes it instead of
+// hashing the graph. Writing to the arrays of a noted graph makes the note
+// wrong; build a new graph instead.
+//
 // AdjW is nil when every edge weight is 1: a unit-weight graph stores no
 // weights, and EdgeWeights serves its rows from one shared slice of ones.
 // Readers of AdjW must handle nil; EdgeWeights does it for them.
@@ -31,7 +39,17 @@ type Graph struct {
 	Adj  []NodeID // length 2m; neighbour lists
 	AdjW []int64  // length 2m or nil (all weights 1); parallel to Adj
 	NW   []int64  // length n; node weights
+
+	fp string // Fingerprint(), when noted with NoteFingerprint; else ""
 }
+
+// NoteFingerprint records fp, which must be g.Fingerprint(), on g, so that
+// a partition computed on g takes it instead of hashing g again. The
+// holder of a new graph calls it once, before it shares the graph.
+func NoteFingerprint(g *Graph, fp string) { g.fp = fp }
+
+// NotedFingerprint returns the fingerprint noted on g, or "".
+func NotedFingerprint(g *Graph) string { return g.fp }
 
 // NumNodes returns n, the number of nodes.
 func (g *Graph) NumNodes() int32 { return int32(len(g.NW)) }
@@ -53,34 +71,52 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 // EdgeWeights returns the edge-weight slice of v, parallel to Neighbors(v).
 // The slice aliases the graph's storage, or for a graph without stored
 // weights the shared slice of UnitWeights; either way it must not be
-// modified.
+// modified. It makes no call, so it inlines into the loops over rows.
 func (g *Graph) EdgeWeights(v NodeID) []int64 {
 	lo, hi := g.XAdj[v], g.XAdj[v+1]
 	if g.AdjW == nil {
-		return UnitWeights(int(hi - lo))
+		return (*ones.Load())[: hi-lo : hi-lo]
 	}
 	return g.AdjW[lo:hi]
 }
 
-// ones backs UnitWeights. A caller that needs more ones than it holds
-// stores a longer slice; slices handed out earlier keep their array, and
-// two callers that grow it at once each return their own ones.
+// ones backs UnitWeights and EdgeWeights. It only ever grows: a caller that
+// needs more ones than it holds swaps in a longer slice, and slices handed
+// out earlier keep their array. Every constructor of a graph without stored
+// weights grows it to the graph's longest row (reserveUnitRows), so
+// EdgeWeights slices it unchecked.
 var ones atomic.Pointer[[]int64]
+
+func init() {
+	s := fillOnes(make([]int64, 1024))
+	ones.Store(&s)
+}
 
 // UnitWeights returns n ones: the edge weights of a row of n arcs in a
 // graph without stored weights. The slice is a capacity-limited prefix of
 // an array that every caller shares, so it must not be written. A caller
 // that reads many rows takes the longest once and reslices it.
 func UnitWeights(n int) []int64 {
-	var s []int64
-	if p := ones.Load(); p != nil {
-		s = *p
+	for {
+		p := ones.Load()
+		if len(*p) >= n {
+			return (*p)[:n:n]
+		}
+		s := fillOnes(make([]int64, max(n, 2*len(*p))))
+		if ones.CompareAndSwap(p, &s) {
+			return s[:n:n]
+		}
 	}
-	if len(s) < n {
-		s = fillOnes(make([]int64, max(n, 2*len(s), 1024)))
-		ones.Store(&s)
+}
+
+// reserveUnitRows grows the shared ones to g's longest row when g stores no
+// weights, and returns g. A row longer than Adj is not valid, and is not
+// reserved for.
+func reserveUnitRows(g *Graph) *Graph {
+	if g.AdjW == nil {
+		UnitWeights(min(int(g.MaxDegree()), len(g.Adj)))
 	}
-	return s[:n:n]
+	return g
 }
 
 // fillOnes sets every element of s to 1 and returns s.
@@ -127,7 +163,9 @@ func (g *Graph) MaxDegree() int32 {
 // Validate checks structural invariants: monotone XAdj, in-range neighbour
 // IDs, positive weights, no self-loops and symmetric adjacency (every edge
 // (u,v,w) has a matching (v,u,w)). It returns a descriptive error for the
-// first violation found.
+// first violation found. The symmetry check takes O(m) time when every row
+// is strictly ascending, as every writer in this module leaves it, and
+// O(m log d) otherwise.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
 	if len(g.XAdj) != int(n)+1 {
@@ -150,6 +188,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: non-positive weight %d at node %d", g.NW[v], v)
 		}
 	}
+	ascending := true
 	for v := int32(0); v < n; v++ {
 		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
 			u := g.Adj[i]
@@ -162,25 +201,79 @@ func (g *Graph) Validate() error {
 			if g.AdjW != nil && g.AdjW[i] <= 0 {
 				return fmt.Errorf("graph: non-positive edge weight %d on (%d,%d)", g.AdjW[i], v, u)
 			}
+			ascending = ascending && (i == g.XAdj[v] || g.Adj[i-1] < u)
 		}
 	}
-	return g.validateSymmetry()
+	if ascending && g.twinsInOrder() {
+		return nil
+	}
+	return g.searchTwins()
 }
 
-func (g *Graph) validateSymmetry() error {
-	n := g.NumNodes()
-	for v := int32(0); v < n; v++ {
+// twinsInOrder reports whether every arc (v,u,w) of a graph with strictly
+// ascending rows has its twin (u,v,w). It matches each arc to a higher
+// neighbour, v < u, with an entry of row u below u: taken by ascending v,
+// these arcs must meet those entries in order, so one cursor per row
+// matches each arc to its twin. Each cursor must end at its row's first
+// entry above u, or its end, so every entry below u was matched once and
+// is the twin of an arc to a higher neighbour; every arc is one or the
+// other.
+func (g *Graph) twinsInOrder() bool {
+	next := make([]int64, g.NumNodes())
+	copy(next, g.XAdj)
+	for v := int32(0); v < g.NumNodes(); v++ {
 		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
 			u := g.Adj[i]
-			found := false
-			for j := g.XAdj[u]; j < g.XAdj[u+1]; j++ {
-				if g.Adj[j] == v && (g.AdjW == nil || g.AdjW[j] == g.AdjW[i]) {
-					found = true
-					break
-				}
+			if u < v {
+				continue
 			}
-			if !found {
-				return fmt.Errorf("graph: edge (%d,%d,w=%d) has no symmetric twin", v, u, g.EdgeWeights(v)[i-g.XAdj[v]])
+			j := next[u]
+			if j >= int64(len(g.Adj)) || g.Adj[j] != v || g.AdjW != nil && g.AdjW[j] != g.AdjW[i] {
+				return false
+			}
+			next[u] = j + 1
+		}
+	}
+	for u, j := range next {
+		if end := g.XAdj[u+1]; j > end || j < end && g.Adj[j] < NodeID(u) {
+			return false
+		}
+	}
+	return true
+}
+
+// searchTwins checks, arc by arc in row order, that each arc (v,u,w) has an
+// equal-weight twin (u,v,w), binary-searching a copy of row u sorted by
+// neighbour and weight, and reports the first arc without one.
+func (g *Graph) searchTwins() error {
+	type arc struct {
+		to NodeID
+		w  int64
+	}
+	byArc := func(a, b arc) int {
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	}
+	sorted := make([]arc, len(g.Adj))
+	for i, u := range g.Adj {
+		sorted[i] = arc{u, 1}
+		if g.AdjW != nil {
+			sorted[i].w = g.AdjW[i]
+		}
+	}
+	for v := int32(0); v < g.NumNodes(); v++ {
+		slices.SortFunc(sorted[g.XAdj[v]:g.XAdj[v+1]], byArc)
+	}
+	for v := int32(0); v < g.NumNodes(); v++ {
+		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
+			u, w := g.Adj[i], int64(1)
+			if g.AdjW != nil {
+				w = g.AdjW[i]
+			}
+			if _, ok := slices.BinarySearchFunc(sorted[g.XAdj[u]:g.XAdj[u+1]], arc{v, w}, byArc); !ok {
+				return fmt.Errorf("graph: edge (%d,%d,w=%d) has no symmetric twin", v, u, w)
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -216,6 +218,142 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 	}
 }
 
+// validateOracle is Validate as it was with its quadratic symmetry check:
+// for each arc, a scan of the neighbour's whole row for an equal-weight
+// twin. Validate must accept and reject the same graphs with the same
+// error.
+func validateOracle(g *Graph) error {
+	n := g.NumNodes()
+	if len(g.XAdj) != int(n)+1 {
+		return fmt.Errorf("graph: len(XAdj)=%d, want n+1=%d", len(g.XAdj), n+1)
+	}
+	if g.XAdj[0] != 0 {
+		return errors.New("graph: XAdj[0] != 0")
+	}
+	if g.AdjW != nil && len(g.Adj) != len(g.AdjW) {
+		return fmt.Errorf("graph: len(Adj)=%d != len(AdjW)=%d", len(g.Adj), len(g.AdjW))
+	}
+	if g.XAdj[n] != int64(len(g.Adj)) {
+		return fmt.Errorf("graph: XAdj[n]=%d, want len(Adj)=%d", g.XAdj[n], len(g.Adj))
+	}
+	for v := int32(0); v < n; v++ {
+		if g.XAdj[v+1] < g.XAdj[v] {
+			return fmt.Errorf("graph: XAdj not monotone at node %d", v)
+		}
+		if g.NW[v] <= 0 {
+			return fmt.Errorf("graph: non-positive weight %d at node %d", g.NW[v], v)
+		}
+	}
+	for v := int32(0); v < n; v++ {
+		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
+			u := g.Adj[i]
+			if u < 0 || u >= n {
+				return fmt.Errorf("graph: neighbour %d of node %d out of range", u, v)
+			}
+			if u == v {
+				return fmt.Errorf("graph: self-loop at node %d", v)
+			}
+			if g.AdjW != nil && g.AdjW[i] <= 0 {
+				return fmt.Errorf("graph: non-positive edge weight %d on (%d,%d)", g.AdjW[i], v, u)
+			}
+		}
+	}
+	for v := int32(0); v < n; v++ {
+		for i := g.XAdj[v]; i < g.XAdj[v+1]; i++ {
+			u := g.Adj[i]
+			found := false
+			for j := g.XAdj[u]; j < g.XAdj[u+1]; j++ {
+				if g.Adj[j] == v && (g.AdjW == nil || g.AdjW[j] == g.AdjW[i]) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				w := int64(1)
+				if g.AdjW != nil {
+					w = g.AdjW[i]
+				}
+				return fmt.Errorf("graph: edge (%d,%d,w=%d) has no symmetric twin", v, u, w)
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesOracle: on canonical graphs and on copies with rows
+// out of order, duplicated, unmatched or deleted arcs and one-sided weight
+// changes, Validate returns what validateOracle returns.
+func TestValidateMatchesOracle(t *testing.T) {
+	one := []int64{1, 1, 1, 1}
+	for _, g := range []*Graph{
+		// Node 1 lists 0, node 0 lists nothing: a twin missing below.
+		FromCSR([]int64{0, 0, 1}, []NodeID{0}, nil, one[:2]),
+		// Nodes 0 and 1 list 2, node 2 lists only 0; node 3's row, next
+		// after it, starts with 1, where node 2's cursor runs on to.
+		FromCSR([]int64{0, 1, 3, 4, 5}, []NodeID{2, 2, 3, 0, 1}, nil, one),
+	} {
+		if got, want := g.Validate(), validateOracle(g); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v: Validate: %v; the quadratic check: %v", g.Adj, got, want)
+		}
+	}
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rng.New(seed)
+		g := randomGraph(int32(2+r.Int31n(30)), int(r.Int31n(120)), seed)
+		if seed%3 == 0 {
+			g = FromCSR(g.XAdj, g.Adj, nil, g.NW)
+		}
+		if len(g.Adj) == 0 {
+			continue
+		}
+		adj, adjw := slices.Clone(g.Adj), slices.Clone(g.AdjW)
+		i := r.Int31n(int32(len(adj)))
+		xadj := g.XAdj
+		switch seed % 7 {
+		case 0: // one arc deleted: its twin is left unmatched
+			xadj = slices.Clone(g.XAdj)
+			adj = slices.Delete(adj, int(i), int(i)+1)
+			if adjw != nil {
+				adjw = slices.Delete(adjw, int(i), int(i)+1)
+			}
+			for v := range xadj {
+				if xadj[v] > int64(i) {
+					xadj[v]--
+				}
+			}
+		case 1: // a row reversed: not ascending, still symmetric
+			v := r.Int31n(g.NumNodes())
+			slices.Reverse(adj[g.XAdj[v]:g.XAdj[v+1]])
+			if adjw != nil {
+				slices.Reverse(adjw[g.XAdj[v]:g.XAdj[v+1]])
+			}
+		case 2: // one arc's weight changed, its twin's not
+			if adjw != nil {
+				adjw[i]++
+			}
+		case 3: // one arc pointed elsewhere: a duplicate or a missing twin
+			adj[i] = (adj[i] + 1) % g.NumNodes()
+		case 4: // two arcs of a row swapped, weights left
+			v := r.Int31n(g.NumNodes())
+			if lo, hi := g.XAdj[v], g.XAdj[v+1]; hi-lo >= 2 {
+				adj[lo], adj[hi-1] = adj[hi-1], adj[lo]
+			}
+		case 5: // one arc made a copy of its row's previous arc
+			if i > 0 {
+				adj[i] = adj[i-1]
+				if adjw != nil {
+					adjw[i] = adjw[i-1]
+				}
+			}
+		}
+		for _, h := range []*Graph{g, FromCSR(xadj, adj, adjw, g.NW)} {
+			got, want := h.Validate(), validateOracle(h)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d: Validate: %v; the quadratic check: %v", seed, got, want)
+			}
+		}
+	}
+}
+
 func TestValidateCatchesSelfLoop(t *testing.T) {
 	g := &Graph{
 		XAdj: []int64{0, 1},
@@ -367,6 +505,86 @@ func TestEmptyGraph(t *testing.T) {
 
 // TestUnitWeightsConcurrent: goroutines that grow the shared ones at the
 // same time each get n ones, capped at n, and never see a write.
+// TestConstructorsReserveUnitRows: every way to build a graph without
+// stored weights grows the shared ones to its longest row, which
+// EdgeWeights slices unchecked. Each case starts from shorter ones and a
+// star longer than they are, built as bare arrays that no constructor has
+// seen. The package's tests do not run in parallel, so none sees the
+// shorter ones; the longest are put back at the end.
+func TestConstructorsReserveUnitRows(t *testing.T) {
+	longest := ones.Load()
+	defer ones.Store(longest)
+	star := func(weights bool) *Graph {
+		short := fillOnes(make([]int64, 1024))
+		ones.Store(&short)
+		leaves := len(short) + 1000
+		g := &Graph{XAdj: []int64{0, int64(leaves)}, NW: []int64{1}}
+		for v := 1; v <= leaves; v++ {
+			g.Adj = append(g.Adj, NodeID(v))
+			g.XAdj = append(g.XAdj, int64(leaves+v))
+			g.NW = append(g.NW, 1)
+		}
+		g.Adj = append(g.Adj, make([]NodeID, leaves)...) // each leaf's arc to 0
+		if weights {
+			g.AdjW = fillOnes(make([]int64, len(g.Adj)))
+		}
+		return g
+	}
+	for name, build := range map[string]func() *Graph{
+		"Build": func() *Graph {
+			g := star(false)
+			b := NewBuilder(g.NumNodes())
+			for _, v := range g.Neighbors(0) {
+				b.AddEdge(0, v)
+			}
+			return b.Build()
+		},
+		"FromCSR": func() *Graph {
+			g := star(false)
+			return FromCSR(g.XAdj, g.Adj, nil, g.NW)
+		},
+		"InducedSubgraph": func() *Graph {
+			g := star(false)
+			all := make([]NodeID, g.NumNodes())
+			for v := range all {
+				all[v] = NodeID(v)
+			}
+			sub, _ := InducedSubgraph(g, all)
+			return sub
+		},
+		"ReadMetis": func() *Graph {
+			var buf bytes.Buffer
+			if err := WriteMetis(&buf, star(true)); err != nil {
+				t.Fatal(err)
+			}
+			g, err := ReadMetis(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+		"ReadBinary": func() *Graph {
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, star(true)); err != nil {
+				t.Fatal(err)
+			}
+			g, err := ReadBinary(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+	} {
+		g := build()
+		if g.AdjW != nil {
+			t.Fatalf("%s: a unit star stores weights", name)
+		}
+		if have, want := len(*ones.Load()), int(g.MaxDegree()); have < want {
+			t.Fatalf("%s: %d shared ones for a row of %d", name, have, want)
+		}
+	}
+}
+
 func TestUnitWeightsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -77,5 +77,5 @@ func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 	if adjw != nil {
 		sub.AdjW = adjw[:out:out]
 	}
-	return sub, back
+	return reserveUnitRows(sub), back
 }

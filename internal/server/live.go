@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/live"
 	"repro/internal/obs"
 )
@@ -180,10 +181,13 @@ func (lm *liveManager) startRepartitionLocked(ls *liveGraph, reason string) erro
 	// carrying the materialized snapshot: the cache key is built from the
 	// snapshot's own fingerprint (plus the lifted previous partition), so
 	// per-epoch results cache correctly and the job is visible in /v1/jobs
-	// under the live graph's id.
+	// under the live graph's id. The snapshot is new, so its fingerprint
+	// is noted on it here, as the store notes an upload's.
+	fp := snap.G.Fingerprint()
+	graph.NoteFingerprint(snap.G, fp)
 	syn := &storedGraph{
 		ID:          ls.id,
-		Fingerprint: snap.G.Fingerprint(),
+		Fingerprint: fp,
 		N:           snap.G.NumNodes(),
 		M:           snap.G.NumEdges(),
 		g:           snap.G,

@@ -43,9 +43,11 @@ var errStoreFull = fmt.Errorf("graph store full")
 
 // add registers g and returns its metadata. Re-uploading a byte-identical
 // graph returns the existing entry instead of storing a copy, so clients
-// can idempotently re-upload without growing the store.
+// can idempotently re-upload without growing the store. The fingerprint is
+// noted on g, so a job's result takes it instead of hashing g again.
 func (s *graphStore) add(g *graph.Graph, now time.Time) (*storedGraph, error) {
 	fp := g.Fingerprint()
+	graph.NoteFingerprint(g, fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sg := range s.byID {

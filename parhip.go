@@ -150,7 +150,7 @@ func resultOf(g *Graph, k int32, eps float64, res core.Result) Result {
 		assign:       res.Part,
 		k:            k,
 		eps:          eps,
-		fp:           g.Fingerprint(),
+		fp:           fingerprintOf(g),
 		hasDerived:   true,
 		cut:          st.Cut,
 		feasible:     st.Feasible,

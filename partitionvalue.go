@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
@@ -86,8 +87,17 @@ func NewPartition(g *Graph, assignment []int32, k int32, eps float64) (*Partitio
 		k:      k,
 		eps:    eps,
 	}
-	p.bind(g, g.Fingerprint())
+	p.bind(g, fingerprintOf(g))
 	return p, nil
+}
+
+// fingerprintOf returns the fingerprint noted on g (graph.NoteFingerprint)
+// or, when there is none, hashes g.
+func fingerprintOf(g *Graph) string {
+	if fp := graph.NotedFingerprint(g); fp != "" {
+		return fp
+	}
+	return g.Fingerprint()
 }
 
 // bind (re)computes every graph-derived field of p from g, whose

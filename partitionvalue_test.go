@@ -2,6 +2,7 @@ package parhip_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"math/rand"
@@ -11,7 +12,46 @@ import (
 
 	"repro"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
+
+// TestPartitionFingerprintOnce: a run's partition carries the fingerprint
+// of the graph it was computed on, and takes a fingerprint noted on the
+// graph instead of hashing it, as parhipd's jobs do; so does NewPartition.
+func TestPartitionFingerprintOnce(t *testing.T) {
+	g := gen.DelaunayLike(500, 1)
+	run := func(g *parhip.Graph) *parhip.Partition {
+		p, err := parhip.New(g, parhip.WithK(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Partition
+	}
+	p := run(g)
+	if got, want := p.GraphFingerprint(), parhip.Fingerprint(g); got != want {
+		t.Fatalf("GraphFingerprint %s, want the graph's %s", got, want)
+	}
+	noted := gen.DelaunayLike(500, 1)
+	graph.NoteFingerprint(noted, "noted")
+	if got := run(noted).GraphFingerprint(); got != "noted" {
+		t.Fatalf("GraphFingerprint %q after a run on a noted graph, want the note", got)
+	}
+	assign := make([]int32, p.NumNodes())
+	for v := range assign {
+		assign[v] = p.Block(int32(v))
+	}
+	q, err := parhip.NewPartition(noted, assign, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.GraphFingerprint(); got != "noted" {
+		t.Fatalf("NewPartition: GraphFingerprint %q, want the note", got)
+	}
+}
 
 // randomPartition builds a valid random Partition over g.
 func randomPartition(t testing.TB, g *parhip.Graph, k int32, eps float64, rnd *rand.Rand) *parhip.Partition {
