@@ -399,6 +399,14 @@ func writeTrace(path string, tracer *parhip.Tracer) {
 		return
 	}
 	fmt.Printf("wrote %s (%d spans; open in https://ui.perfetto.dev)\n", path, tracer.SpanCount())
+	if sp, ok := tracer.MaxArg("heap_mb"); ok {
+		args := make([]string, len(sp.Args))
+		for i, a := range sp.Args {
+			args[i] = fmt.Sprintf("%s=%d", a.Key, a.Val)
+		}
+		fmt.Printf("heap peak: %s on rank %d, ending %.3fs into the run (%s; the process's heap, shared by its ranks)\n",
+			sp.Name, sp.Rank, sp.End.Seconds(), strings.Join(args, " "))
+	}
 }
 
 func loadGraph(file, family string, n int32, seed uint64) (*parhip.Graph, parhip.GraphClass, error) {

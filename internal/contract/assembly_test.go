@@ -124,9 +124,12 @@ func sameGraph(a, b *graph.Graph) error {
 // level to level: recycled scratch must give the same graph every time.
 // The "few" case puts a few hundred clusters on a dense graph, so every
 // sender contributes hundreds of arcs to each received row and the rows take
-// the canonicalizer's radix path, not its insertion sort.
+// the canonicalizer's radix path, not its insertion sort. The "star" case
+// gives the hub, a singleton whose coarse node the last rank owns, a record
+// longer than a record chunk, built after rank 0 has filled chunks for
+// another owner (its leaves' labels are shuffled over every rank).
 func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
-	const n, nDense = 6000, 2000
+	const n, nDense, nStar = 6000, 2000, 40001
 	sparse, dense := sparseWeightedGraph(n, 24, 5), sparseWeightedGraph(nDense, 200, 6)
 	r := rng.New(9)
 	random, singletons, one, few := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, nDense)
@@ -138,6 +141,20 @@ func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
 	for v := range few {
 		few[v] = r.Int31n(nDense/8) * 8 // ~250 clusters, members anywhere
 	}
+	sb := graph.NewBuilder(nStar)
+	for v := int32(1); v < nStar; v++ {
+		sb.AddEdgeW(0, v, int64(1+v%3))
+	}
+	star := sb.Build()
+	shuffled := make([]int32, nStar)
+	for v := range shuffled {
+		shuffled[v] = int32(v)
+	}
+	for i := nStar - 2; i > 1; i-- { // leaves only: the hub keeps label nStar-1
+		j := 1 + r.Int31n(int32(i))
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	shuffled[0], shuffled[nStar-1] = nStar-1, shuffled[0]
 	for _, lab := range []struct {
 		name   string
 		g      *graph.Graph
@@ -148,11 +165,15 @@ func TestParContractMatchesSequentialOnRandomLabels(t *testing.T) {
 		{"singletons", sparse, singletons, []int{1, 2, 3, 4}},
 		{"one", sparse, one, []int{1, 2, 3, 4}},
 		{"few", dense, few, []int{1, 2, 3}},
+		{"star", star, shuffled, []int{1, 2, 3}},
 	} {
 		name, g, labels32, n := lab.name, lab.g, lab.labels, lab.g.NumNodes()
 		want := sortedLabelContract(g, labels32)
 		if name == "few" && want.MaxDegree() < 200 {
 			t.Fatalf("few: longest coarse row has %d arcs, want hundreds", want.MaxDegree())
+		}
+		if name == "star" && quotientHeader+2*int(want.MaxDegree()) <= recordChunk {
+			t.Fatalf("star: the hub's record of %d arcs fits a record chunk", want.MaxDegree())
 		}
 		distinct := slices.Clone(labels32)
 		slices.Sort(distinct)

@@ -76,6 +76,10 @@ type ContractOptions struct {
 // weight of its local members and its merged arcs to other coarse nodes.
 const quotientHeader = 3
 
+// recordChunk is the size, in words, of the chunks the quotient records are
+// built in (a longer record gets a chunk of its own size).
+const recordChunk = 1 << 16
+
 // walkQuotientRecords checks that buf, built by rank src, is a sequence of
 // well-formed quotient records for coarse nodes in [lo, hi) and calls fn
 // with each whole record (header included; rec aliases buf). The error
@@ -241,17 +245,33 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 	// One accumulator keyed by cluster index rates every cluster's arcs in
 	// turn: coarse IDs are distinct per index, so cj ≠ ci is C(u) ≠ cu, and
 	// the key is an array index, not a hash. An owner's records are built
-	// in one reused buffer and sent as an exact copy: buffers that grow
-	// until sent would keep their slack and outgrown copies live through
-	// the exchange, the peak of a level's memory.
+	// into chunks of at least recordChunk words, reused from owner to
+	// owner, and a record never straddles two; the whole set is then copied
+	// once into the exchange's scratch, sized exactly, which the exchange
+	// copies onto the wire before the next owner's. A buffer that grows
+	// record by record would leave each outgrown copy as garbage at the
+	// level's memory peak. This rank's own records are built last and kept
+	// as the scratch holds them.
 	acc := hashtab.NewDenseAccumulatorIn(ar, len(clusterLabel))
-	var buf []int64
+	var chunks [][]int64
+	var buf []int64 // the chunk being filled
 	emit := func(cj, weight int64) { buf = append(buf, clusterCoarse[cj], weight) }
-	send := make([][]int64, size)
-	tracer := c.Tracer()
-	qsp := tracer.Begin(c.Rank(), "contract.quotient")
-	for o := range send {
-		buf = buf[:0]
+	build := func(o int, scratch []int64) []int64 {
+		used := 0 // chunks holding this owner's records
+		next := func(need int) {
+			if used > 0 {
+				chunks[used-1] = buf
+			}
+			if used == len(chunks) {
+				chunks = append(chunks, nil)
+			}
+			if cap(chunks[used]) < need {
+				chunks[used] = make([]int64, 0, max(recordChunk, need))
+			}
+			buf = chunks[used][:0]
+			used++
+		}
+		buf = nil
 		for _, ci := range byOwner[ownerStart[o]:ownerStart[o+1]] {
 			cu := clusterCoarse[ci]
 			var nodeWeight int64
@@ -264,14 +284,29 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 					}
 				}
 			}
-			buf = slices.Grow(buf, quotientHeader+2*acc.Len())
+			if need := quotientHeader + 2*acc.Len(); len(buf)+need > cap(buf) {
+				next(need)
+			}
 			buf = append(buf, cu, nodeWeight, int64(acc.Len()))
 			acc.ForEach(emit)
 			acc.Reset()
 		}
-		send[o] = slices.Clone(buf)
+		if used == 0 {
+			return scratch
+		}
+		chunks[used-1] = buf
+		total := 0
+		for _, ch := range chunks[:used] {
+			total += len(ch)
+		}
+		if cap(scratch) < total {
+			scratch = make([]int64, 0, total)
+		}
+		for _, ch := range chunks[:used] {
+			scratch = append(scratch, ch...)
+		}
+		return scratch
 	}
-	tracer.End1(qsp, "clusters", int64(nLocalClusters))
 
 	// walk is the one decoder of quotient records; a malformed buffer fails
 	// loudly on every rank instead of building a wrong graph.
@@ -282,27 +317,26 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 		}
 	}
 
-	// Step 5: the one exchange of the assembly. The payload is only valid
-	// during the callback, so remote payloads are kept as copies (this
-	// rank's own is its send buffer); the callback validates every record,
-	// sums node weights and counts row degrees.
+	// Step 5: the one exchange of the assembly. The received payloads are
+	// this rank's to keep, so each remote record is held once; the callback
+	// validates every record, sums node weights and counts row degrees.
 	lo := coarseVtx[c.Rank()]
 	hi := coarseVtx[c.Rank()+1]
 	cLocal := int32(hi - lo)
 	nw := make([]int64, cLocal)
 	rowStart := make([]int64, cLocal+1)
 	received := make([][]int64, size)
-	c.AlltoallvFunc(send, func(rk int, buf []int64) {
-		walk(rk, buf, lo, hi, func(rec []int64) {
+	tracer := c.Tracer()
+	qsp := tracer.Begin(c.Rank(), "contract.quotient")
+	c.AlltoallvFunc(build, func(rk int, data []int64) {
+		walk(rk, data, lo, hi, func(rec []int64) {
 			row := rec[0] - lo
 			nw[row] += rec[1]
 			rowStart[row+1] += rec[2]
 		})
-		if rk != c.Rank() {
-			buf = slices.Clone(buf)
-		}
-		received[rk] = buf
+		received[rk] = data
 	})
+	tracer.End2(qsp, "clusters", int64(nLocalClusters), "heap_mb", tracer.HeapMB())
 	for v := int32(0); v < cLocal; v++ {
 		rowStart[v+1] += rowStart[v]
 	}
@@ -325,7 +359,7 @@ func ParContractWith(fine *dgraph.DGraph, labels []int64, opt ContractOptions) *
 			next[rec[0]-lo] = at
 		})
 	}
-	received, send = nil, nil
+	received = nil
 	var longest int64
 	for v := int32(0); v < cLocal; v++ {
 		longest = max(longest, rowStart[v+1]-rowStart[v])

@@ -390,7 +390,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				Stats:          &st.Par,
 			})
 			res := contract.ParContractWith(cur, labels, contract.ContractOptions{Arena: ar})
-			c.Tracer().End2(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN)
+			c.Tracer().End3(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN, "heap_mb", c.Tracer().HeapMB())
 			// The level's sclp/contract scratch is dead; recycle the slabs.
 			ar.Reset()
 			if res.Coarse.GlobalN >= cur.GlobalN*19/20 {
@@ -463,7 +463,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			// measure real movement, not label permutation.
 			remapBlocks(best, evoCfg.MigrationRef, cfg.K, coarsest.NW)
 		}
-		c.Tracer().End2(spInit, "cycle", int64(cycle), "coarsest_n", int64(coarsest.NumNodes()))
+		c.Tracer().End3(spInit, "cycle", int64(cycle), "coarsest_n", int64(coarsest.NumNodes()), "heap_mb", c.Tracer().HeapMB())
 		st.InitTime += time.Since(tInit) //lint:determinism-ok stats timing, never partition state
 		// The coarsest graph is replicated, so rank 0 can score the initial
 		// partition locally — no collective needed.
@@ -498,7 +498,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
 			Prev: prevCur, Arena: ar, Stats: &st.Par,
 		})
-		c.Tracer().End1(spRef, "level", int64(len(levels)))
+		c.Tracer().End2(spRef, "level", int64(len(levels)), "heap_mb", c.Tracer().HeapMB())
 		ar.Reset()
 		reportRefine(cur, curPart, len(levels))
 		for i := len(levels) - 1; i >= 0; i-- {
@@ -510,7 +510,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
 				Prev: lv.prevFine, Arena: ar, Stats: &st.Par,
 			})
-			c.Tracer().End1(spRef, "level", int64(i))
+			c.Tracer().End2(spRef, "level", int64(i), "heap_mb", c.Tracer().HeapMB())
 			ar.Reset()
 			reportRefine(lv.fine, curPart, i)
 		}

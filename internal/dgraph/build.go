@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/hashtab"
 	"repro/internal/mpi"
 )
 
@@ -35,7 +34,6 @@ func Build[ID int32 | int64](c *mpi.Comm, vtxdist []int64, nw []int64, xadj []in
 		GlobalN: vtxdist[c.Size()],
 		VtxDist: vtxdist,
 		nLocal:  nLocal,
-		g2l:     hashtab.NewMapI64(16),
 		XAdj:    xadj,
 	}
 	d.Adj = make([]int32, len(adjGlobal))

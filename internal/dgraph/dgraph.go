@@ -6,16 +6,17 @@
 // ghost (halo) nodes, appended after the local nodes in local ID space.
 // Global IDs of local nodes translate to local IDs by subtracting the range
 // start; ghost nodes are translated through a hash table, exactly as the
-// paper describes. For each ghost node the owning rank is stored for O(1)
-// lookup.
+// paper describes (ghostIndex: 4 bytes per slot, the keys read back from
+// the ghosts' global IDs). For each ghost node the owning rank is stored
+// for O(1) lookup.
 package dgraph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/hashtab"
 	"repro/internal/mpi"
 )
 
@@ -50,7 +51,7 @@ type DGraph struct {
 	nLocal      int32
 	ghostGlobal []int64 // global ID per ghost, in local-ID order
 	ghostOwner  []int32 // owning rank per ghost
-	g2l         *hashtab.MapI64
+	g2l         ghostIndex
 
 	// Adjacent-rank lists in CSR form: the distinct ranks owning ghost
 	// neighbours of local node v are adjRankDat[adjRankOff[v]:adjRankOff[v+1]]
@@ -109,14 +110,69 @@ func FromGraph(c *mpi.Comm, g *graph.Graph) *DGraph {
 // internGhost returns the local ID for global node gu, creating a ghost
 // entry if needed. Only valid during construction.
 func (d *DGraph) internGhost(gu int64) int32 {
-	if lu, ok := d.g2l.Get(gu); ok {
-		return int32(lu)
+	if gi, ok := d.g2l.get(d.ghostGlobal, gu); ok {
+		return d.nLocal + gi
 	}
-	lu := d.nLocal + int32(len(d.ghostGlobal))
+	gi := int32(len(d.ghostGlobal))
 	d.ghostGlobal = append(d.ghostGlobal, gu)
 	d.ghostOwner = append(d.ghostOwner, int32(d.Owner(gu)))
-	d.g2l.Put(gu, int64(lu))
-	return lu
+	d.g2l.add(d.ghostGlobal)
+	return d.nLocal + gi
+}
+
+// ghostIndex translates a ghost's global ID to its ghost index, its
+// position in ghostGlobal: an open-addressing table with linear probing
+// whose slots hold index+1 (0 is empty) and whose keys are read back from
+// ghostGlobal. A slot costs 4 bytes, where a table that stores its keys
+// and values costs 17; the load stays at most 1/2. A lookup is one probe
+// sequence plus one read of ghostGlobal per occupied slot it passes.
+type ghostIndex struct {
+	slots []int32
+	shift uint // 64 - log2(len(slots))
+}
+
+// minGhostSlots is the table's size before its first growth.
+const minGhostSlots = 16
+
+// home is g's first slot: Fibonacci hashing, whose top bits spread runs of
+// consecutive IDs evenly.
+func (x *ghostIndex) home(g int64) uint64 {
+	return (uint64(g) * 0x9e3779b97f4a7c15) >> x.shift
+}
+
+// find returns the slot holding g, or the empty slot that ends g's probe
+// sequence. keys is ghostGlobal.
+func (x *ghostIndex) find(keys []int64, g int64) uint64 {
+	mask := uint64(len(x.slots) - 1)
+	i := x.home(g)
+	for x.slots[i] != 0 && keys[x.slots[i]-1] != g {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns g's ghost index and whether g is a ghost.
+func (x *ghostIndex) get(keys []int64, g int64) (int32, bool) {
+	if len(x.slots) == 0 {
+		return 0, false
+	}
+	s := x.slots[x.find(keys, g)]
+	return s - 1, s != 0
+}
+
+// add indexes keys' last entry, which get reported absent, doubling the
+// table (and rehashing keys) when it would pass half full.
+func (x *ghostIndex) add(keys []int64) {
+	if 2*len(keys) > len(x.slots) {
+		n := max(minGhostSlots, 2*len(x.slots))
+		x.slots = make([]int32, n)
+		x.shift = uint(64 - bits.TrailingZeros(uint(n)))
+		for i, g := range keys {
+			x.slots[x.find(keys, g)] = int32(i + 1)
+		}
+		return
+	}
+	x.slots[x.find(keys, keys[len(keys)-1])] = int32(len(keys))
 }
 
 // finalize computes the per-node adjacent-rank lists and derives the
@@ -192,8 +248,10 @@ func (d *DGraph) ToLocal(g int64) (int32, bool) {
 	if g >= lo && g < d.VtxDist[d.Comm.Rank()+1] {
 		return int32(g - lo), true
 	}
-	lu, ok := d.g2l.Get(g)
-	return int32(lu), ok
+	if gi, ok := d.g2l.get(d.ghostGlobal, g); ok {
+		return d.nLocal + gi, true
+	}
+	return 0, false
 }
 
 // Owner returns the rank owning global node g.
@@ -341,34 +399,34 @@ func (d *DGraph) Validate() error {
 // array: queries are global node IDs, and the result holds, for each query,
 // vals[q - ownerFirst] read on q's owner. Queries may target any rank (not
 // just plan neighbors — uncoarsening projection asks arbitrary coarse
-// owners), so the exchange is a dense all-to-all, but it runs on the
-// pooled-buffer collective so received payloads are recycled. Collective:
-// all ranks must call.
+// owners), so the exchange is a dense all-to-all. The owner overwrites the
+// queries it received with their answers and sends that buffer back.
+// Collective: all ranks must call.
 func (d *DGraph) LookupI64(vals []int64, queries []int64) []int64 {
 	size := d.Comm.Size()
-	// Group queries by owner, remembering the original position.
-	byOwner := make([][]int64, size)
+	// Group query positions by owner; each owner's queries are built from
+	// them straight into the exchange's scratch.
 	posByOwner := make([][]int32, size)
 	for qi, q := range queries {
 		o := d.Owner(q)
-		byOwner[o] = append(byOwner[o], q)
 		posByOwner[o] = append(posByOwner[o], int32(qi))
 	}
-	// Answer what we own.
+	// Answer what we own, in the received buffers.
 	replies := make([][]int64, size)
 	lo := d.FirstGlobal()
-	d.Comm.AlltoallvFunc(byOwner, func(r int, qs []int64) {
-		if len(qs) == 0 {
-			return
+	d.Comm.AlltoallvFunc(func(dst int, buf []int64) []int64 {
+		for _, pos := range posByOwner[dst] {
+			buf = append(buf, queries[pos])
 		}
-		ans := make([]int64, len(qs))
+		return buf
+	}, func(r int, qs []int64) {
 		for i, q := range qs {
-			ans[i] = vals[q-lo]
+			qs[i] = vals[q-lo]
 		}
-		replies[r] = ans
+		replies[r] = qs
 	})
 	out := make([]int64, len(queries))
-	d.Comm.AlltoallvFunc(replies, func(r int, ans []int64) {
+	d.Comm.AlltoallvFunc(func(dst int, _ []int64) []int64 { return replies[dst] }, func(r int, ans []int64) {
 		if len(ans) != len(posByOwner[r]) {
 			d.Comm.Abort()
 			panic(fmt.Sprintf("dgraph: rank %d answered %d of %d queries",

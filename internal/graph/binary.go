@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary graph format: a fixed little-endian layout that needs no text
@@ -160,7 +161,10 @@ func decodeI64(dst []int64, b []byte) {
 // readWords reads count little-endian words of width bytes a chunk at a
 // time and decodes each chunk with one call of decode. The slice starts at
 // one chunk and doubles as the words arrive (capped at count), so it never
-// holds more than twice what was read.
+// holds more than twice what was read. A doubling below count goes through
+// slices.Grow, which clears only the tail past the copied words; the last
+// growth allocates exactly count words, because append's size classes
+// would leave up to a quarter of slack for the graph's lifetime.
 func readWords[T NodeID | int64](br *bufio.Reader, count uint64, width int, decode func([]T, []byte)) ([]T, error) {
 	const chunk = 1 << 13 // words
 	out := make([]T, 0, min(count, chunk))
@@ -172,7 +176,11 @@ func readWords[T NodeID | int64](br *bufio.Reader, count uint64, width int, deco
 			return nil, err
 		}
 		if len(out)+k > cap(out) {
-			out = append(make([]T, 0, min(int(count), 2*cap(out))), out...)
+			if n := 2 * cap(out); n < int(count) {
+				out = slices.Grow(out, n-len(out))
+			} else {
+				out = append(make([]T, 0, count), out...)
+			}
 		}
 		out = out[:len(out)+k]
 		decode(out[len(out)-k:], b)

@@ -32,7 +32,8 @@
 // (a sweep's, the contraction's) iterates exactly like a fresh one, and
 // DenseAccumulator iterates exactly like AccumulatorI64. MapI64 iterates in
 // unspecified order; a caller that needs a set uses PutIfAbsent and ignores
-// the value.
+// the value. MapI64 numbers and deduplicates keys; it does not translate
+// ghost IDs, which dgraph does with a smaller table of its own.
 //
 // AccumulatorPairI64 has no production caller since the contraction groups
 // by cluster and keys its rows by the destination's cluster index; the
@@ -271,8 +272,12 @@ func (t *DenseAccumulator) Reset() {
 }
 
 // MapI64 maps int64 keys to int64 values with last-write-wins semantics.
-// It is used for global-to-local ID translation of ghost nodes and for
-// cluster-ID deduplication during contraction.
+// It numbers distinct keys densely in first-seen order (the contraction's
+// cluster index, kaffpa's composite constraint, sclp's foreign labels) and
+// keeps small sets (ParLift's coarse nodes, sclp's open clusters). Ghost
+// translation does not use it: dgraph's ghost index stores 4-byte indices
+// and reads the keys back from the ghost list, where a MapI64 slot costs
+// 17 bytes.
 type MapI64 struct {
 	keys []int64
 	vals []int64

@@ -112,9 +112,9 @@ func TestAlltoallvFuncMatchesAlltoallv(t *testing.T) {
 		}
 		want := c.Alltoallv(out)
 		got := make([][]int64, P)
-		c.AlltoallvFunc(out, func(src int, data []int64) {
-			got[src] = append([]int64(nil), data...) // copy: data is pooled
-		})
+		c.AlltoallvFunc(func(dst int, buf []int64) []int64 {
+			return append(buf, out[dst]...)
+		}, func(src int, data []int64) { got[src] = data })
 		for r := 0; r < P; r++ {
 			if len(got[r]) != len(want[r]) {
 				t.Fatalf("rank %d: src %d length %d vs %d", c.Rank(), r, len(got[r]), len(want[r]))
@@ -123,6 +123,89 @@ func TestAlltoallvFuncMatchesAlltoallv(t *testing.T) {
 				if got[r][i] != want[r][i] {
 					t.Fatalf("rank %d: src %d slot %d: %d vs %d", c.Rank(), r, i, got[r][i], want[r][i])
 				}
+			}
+		}
+	})
+}
+
+// alltoallvOwnership runs AlltoallvFunc on every rank of ws and checks the
+// ownership contract: each payload is built into the one reused scratch and
+// still arrives intact, the own payload is the builder's slice itself, and
+// a payload that recv keeps survives two later exchanges that draw their
+// wire copies from the world's pool.
+func alltoallvOwnership(t *testing.T, ws []*World) {
+	t.Helper()
+	RunAll(ws, func(c *Comm) {
+		P, me := c.Size(), c.Rank()
+		word := func(src, dst, round, i int) int64 {
+			return int64(src*1_000_000 + dst*10_000 + round*1_000 + i)
+		}
+		exchange := func(round int) [][]int64 {
+			kept := make([][]int64, P)
+			var prev []int64
+			var own *int64
+			c.AlltoallvFunc(func(dst int, scratch []int64) []int64 {
+				if len(scratch) != 0 {
+					t.Errorf("rank %d: scratch for %d holds %d words", me, dst, len(scratch))
+				}
+				if prev != nil && (cap(scratch) == 0 || &scratch[:1][0] != &prev[0]) {
+					t.Errorf("rank %d: scratch for %d is not the previous payload's buffer", me, dst)
+				}
+				// Payload lengths differ per destination, so a later build
+				// overwrites an earlier one's words if it was not copied.
+				for i := 0; i < 3+dst; i++ {
+					scratch = append(scratch, word(me, dst, round, i))
+				}
+				prev = scratch
+				if dst == me {
+					own = &scratch[0]
+				}
+				return scratch
+			}, func(src int, data []int64) {
+				if src == me && &data[0] != own {
+					t.Errorf("rank %d: own payload was copied", me)
+				}
+				kept[src] = data
+			})
+			return kept
+		}
+		check := func(kept [][]int64, round int, when string) {
+			for src, data := range kept {
+				if len(data) != 3+me {
+					t.Errorf("rank %d %s: round %d payload from %d has %d words, want %d",
+						me, when, round, src, len(data), 3+me)
+					continue
+				}
+				for i, v := range data {
+					if want := word(src, me, round, i); v != want {
+						t.Errorf("rank %d %s: round %d payload from %d word %d = %d, want %d",
+							me, when, round, src, i, v, want)
+						break
+					}
+				}
+			}
+		}
+		first := exchange(0)
+		check(first, 0, "on arrival")
+		for round := 1; round <= 2; round++ {
+			check(exchange(round), round, "on arrival")
+		}
+		check(first, 0, "after two more exchanges")
+	})
+}
+
+func TestAlltoallvFuncOwnership(t *testing.T) {
+	const P = 3
+	t.Run("inproc", func(t *testing.T) {
+		alltoallvOwnership(t, []*World{NewWorld(P)})
+	})
+	t.Run("tcp", func(t *testing.T) {
+		ws := tcpWorlds(t, P, transport.TCPConfig{})
+		defer closeWorlds(ws)
+		alltoallvOwnership(t, ws)
+		for _, w := range ws {
+			if err := w.Err(); err != nil {
+				t.Fatalf("world error: %v", err)
 			}
 		}
 	})

@@ -20,10 +20,11 @@
 //
 // Every payload is a []int64; senders' slices are copied, modelling
 // serialization. Staging copies come from a world-level buffer pool, and
-// the callback-style collectives (AlltoallvFunc, NeighborAlltoallv) recycle
-// received buffers back into it, keeping steady-state exchanges
-// allocation-free. Per-rank counters record message and word volume by
-// traffic class so experiments can report communication cost.
+// NeighborAlltoallv recycles received buffers back into it, keeping
+// steady-state halo exchanges allocation-free; AlltoallvFunc hands its
+// received buffers to the caller for good. Per-rank counters record
+// message and word volume by traffic class so experiments can report
+// communication cost.
 //
 // How frames move between ranks is delegated to internal/mpi/transport:
 // NewWorld hosts all ranks in-process (the zero-cost default), while
@@ -195,9 +196,9 @@ type World struct {
 	err   error // first transport failure; guarded by errMu
 
 	// bufMu/bufFree is a free list of payload buffers. Sends draw staging
-	// copies from it; only the pooled receive paths (AlltoallvFunc,
-	// NeighborAlltoallv) return buffers, so a buffer handed to a
-	// plain Recv caller simply leaves the pool for good.
+	// copies from it; only NeighborAlltoallv's receive path returns
+	// buffers, so a buffer handed to a Recv or AlltoallvFunc caller simply
+	// leaves the pool for good.
 	bufMu   sync.Mutex
 	bufFree [][]int64
 
@@ -751,37 +752,43 @@ func (c *Comm) Alltoallv(out [][]int64) [][]int64 {
 	return in
 }
 
-// AlltoallvFunc is the buffer-reusing variant of Alltoallv: out[p] is sent
-// to rank p, and recv is invoked once per source rank (ascending rank order,
-// this rank included) with the payload received from it. The data slice is
-// only valid during the callback — it is returned to the world's buffer
-// pool afterwards (for the self-delivery, data aliases out[rank] directly).
-// Steady-state callers therefore allocate no receive buffers at all.
+// AlltoallvFunc is the personalized all-to-all whose payloads are built one
+// destination at a time. build(dst, scratch) returns the payload for rank
+// dst, usually by appending to scratch: it is called for every other rank
+// in ascending order and then for this rank, and scratch is the slice the
+// previous call returned, truncated to length 0 (nil on the first call). A
+// remote payload is copied once, onto the wire, as soon as it is built, so
+// one scratch buffer serves every destination; this rank's own payload is
+// built last and handed to recv as built, with no copy.
+//
+// recv is invoked once per source rank (ascending rank order, this rank
+// included) with the payload received from it, and owns every payload it
+// is handed: it may keep it or write to it, and the world never reuses it.
+// A caller that keeps the received payloads therefore holds each remote
+// record once.
 //
 //parhip:collective
-func (c *Comm) AlltoallvFunc(out [][]int64, recv func(src int, data []int64)) {
-	if len(out) != c.Size() {
-		panic(fmt.Sprintf("mpi: AlltoallvFunc with %d buffers for %d ranks", len(out), c.Size()))
-	}
+func (c *Comm) AlltoallvFunc(build func(dst int, scratch []int64) []int64, recv func(src int, data []int64)) {
 	sp := c.world.tracer.Begin(c.rank, "mpi.alltoallv")
 	tag := c.nextSeq()
 	c.world.counters[c.rank].denseExch.Add(1)
 	var words int64
+	var scratch []int64
 	for r := 0; r < c.Size(); r++ {
 		if r == c.rank {
 			continue
 		}
-		words += int64(len(out[r]))
-		c.send(r, kindCollective, tag, out[r])
+		scratch = build(r, scratch[:0])
+		words += int64(len(scratch))
+		c.send(r, kindCollective, tag, scratch)
 	}
+	own := build(c.rank, scratch[:0])
 	for r := 0; r < c.Size(); r++ {
 		if r == c.rank {
-			recv(r, out[r])
+			recv(r, own)
 			continue
 		}
-		data := c.recv(r, kindCollective, tag)
-		recv(r, data)
-		c.world.putBuf(data)
+		recv(r, c.recv(r, kindCollective, tag))
 	}
 	c.world.tracer.End2(sp, "words_sent", words, "msgs", int64(c.Size()-1))
 }

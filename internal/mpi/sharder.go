@@ -5,10 +5,11 @@ package mpi
 //
 //	out := make([][]int64, size); out[dst] = append(out[dst], ...)
 //
-// pattern. The per-destination buffers live in the Sharder and are reused
-// across Exchange calls (capacity is retained), so repeated exchanges
-// allocate nothing once warm. A Sharder belongs to one rank's Comm and is
-// not safe for concurrent use.
+// pattern. The buffers bound for other ranks live in the Sharder and are
+// reused across Exchange calls (capacity is retained); the buffer bound for
+// this rank is handed to recv, which owns it, so the next Exchange starts
+// that one afresh. A Sharder belongs to one rank's Comm and is not safe for
+// concurrent use.
 type Sharder struct {
 	c   *Comm
 	out [][]int64
@@ -25,12 +26,14 @@ func (s *Sharder) Add(dst int, vals ...int64) {
 }
 
 // Exchange performs the all-to-all (see AlltoallvFunc for the callback
-// contract) and resets the staged buffers for reuse. Collective.
+// contract: recv owns what it is handed) and resets the staged buffers for
+// reuse. Collective.
 //
 //parhip:collective
 func (s *Sharder) Exchange(recv func(src int, data []int64)) {
-	s.c.AlltoallvFunc(s.out, recv)
+	s.c.AlltoallvFunc(func(dst int, _ []int64) []int64 { return s.out[dst] }, recv)
 	for i := range s.out {
 		s.out[i] = s.out[i][:0]
 	}
+	s.out[s.c.Rank()] = nil
 }

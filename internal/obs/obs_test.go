@@ -2,8 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestTraceJSONWellFormed records spans on several ranks and checks the
@@ -135,6 +137,50 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestHeapMB checks the span heap sample: a nil tracer reads nothing and
+// allocates nothing, and an enabled one sees a live 8 MiB slice.
+func TestHeapMB(t *testing.T) {
+	var off *Tracer
+	if allocs := testing.AllocsPerRun(100, func() {
+		if off.HeapMB() != 0 {
+			t.Fatal("nil tracer sampled the heap")
+		}
+	}); allocs != 0 {
+		t.Errorf("nil tracer's HeapMB allocates %.1f allocs/op, want 0", allocs)
+	}
+	live := make([]byte, 8<<20)
+	if mb := NewTracer(1).HeapMB(); mb < 8 {
+		t.Errorf("HeapMB = %d with an 8 MiB slice live", mb)
+	}
+	runtime.KeepAlive(live)
+}
+
+// TestMaxArg checks that MaxArg finds the span with the largest value of
+// one argument across ranks, the earliest-ending on a tie, and reports
+// nothing for an argument no span carries.
+func TestMaxArg(t *testing.T) {
+	tr := NewTracer(2)
+	tr.End2(tr.Begin(0, "a"), "level", 0, "heap_mb", 40)
+	tr.End2(tr.Begin(1, "b"), "level", 1, "heap_mb", 70)
+	time.Sleep(time.Millisecond) // c ends strictly after b
+	tr.End1(tr.Begin(0, "c"), "heap_mb", 70)
+	tr.End1(tr.Begin(1, "d"), "moves", 99)
+	sp, ok := tr.MaxArg("heap_mb")
+	if !ok || sp.Name != "b" || sp.Rank != 1 || sp.End <= 0 {
+		t.Fatalf("MaxArg(heap_mb) = %+v, %v; want span b on rank 1", sp, ok)
+	}
+	if len(sp.Args) != 2 || sp.Args[0] != (Arg{"level", 1}) || sp.Args[1] != (Arg{"heap_mb", 70}) {
+		t.Errorf("MaxArg args = %v", sp.Args)
+	}
+	if _, ok := tr.MaxArg("cut"); ok {
+		t.Error("MaxArg found an argument no span carries")
+	}
+	var off *Tracer
+	if _, ok := off.MaxArg("heap_mb"); ok {
+		t.Error("nil tracer reported a span")
 	}
 }
 

@@ -15,6 +15,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
+	"slices"
 	"sync"
 	"time"
 )
@@ -148,6 +150,60 @@ func (t *Tracer) End3(sp Span, k1 string, v1 int64, k2 string, v2 int64, k3 stri
 		return
 	}
 	sp.t.record(sp, Arg{k1, v1}, Arg{k2, v2}, Arg{k3, v3}, 3)
+}
+
+// heapObjects is the runtime metric HeapMB reads: the bytes held by heap
+// objects, live or not yet swept.
+const heapObjects = "/memory/classes/heap/objects:bytes"
+
+// HeapMB samples the heap for a span argument: one runtime/metrics read of
+// the bytes held by heap objects, in whole MiB. Ranks in one process share
+// one heap, so the sample is the process's, not the calling rank's. On a
+// nil tracer it reads nothing and returns 0, so an untraced run pays no
+// sample.
+func (t *Tracer) HeapMB() int64 {
+	if t == nil {
+		return 0
+	}
+	s := []metrics.Sample{{Name: heapObjects}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64() >> 20)
+}
+
+// SpanInfo is one recorded span as MaxArg reports it.
+type SpanInfo struct {
+	Rank int
+	Name string
+	End  time.Duration // since the tracer was created
+	Args []Arg
+}
+
+// MaxArg returns the recorded span whose argument key holds the largest
+// value, the earliest-ending one on a tie; ok is false when no span
+// carries key (always on a nil tracer).
+func (t *Tracer) MaxArg(key string) (best SpanInfo, ok bool) {
+	if t == nil {
+		return SpanInfo{}, false
+	}
+	var bestVal int64
+	for r := range t.tracks {
+		tr := &t.tracks[r]
+		tr.mu.Lock()
+		for _, ev := range tr.events {
+			for _, a := range ev.args[:ev.nargs] {
+				if a.Key != key {
+					continue
+				}
+				end := time.Duration(ev.start + ev.dur)
+				if !ok || a.Val > bestVal || (a.Val == bestVal && end < best.End) {
+					best = SpanInfo{Rank: r, Name: ev.name, End: end, Args: slices.Clone(ev.args[:ev.nargs])}
+					bestVal, ok = a.Val, true
+				}
+			}
+		}
+		tr.mu.Unlock()
+	}
+	return best, ok
 }
 
 // SpanCount returns the total number of recorded spans across all tracks

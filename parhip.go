@@ -92,7 +92,8 @@ const (
 // as Chrome trace-event JSON (WriteJSON), openable in Perfetto or
 // chrome://tracing with one track per simulated rank. Create one with
 // NewTracer and attach it via WithTracer; a nil *Tracer is a valid,
-// disabled tracer.
+// disabled tracer. The level and phase spans carry a heap_mb sample of
+// the process's heap, and MaxArg("heap_mb") names the span of its peak.
 type Tracer = obs.Tracer
 
 // NewTracer returns an enabled tracer with one track per rank. Size it to
