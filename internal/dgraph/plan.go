@@ -3,7 +3,6 @@ package dgraph
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/mpi"
 )
@@ -120,27 +119,22 @@ func (d *DGraph) buildPlan() {
 	}
 
 	// Recv lists: ghosts grouped by owner slot, each group ascending by
-	// global ID — the sender's order.
-	gcounts := make([]int32, len(p.nbrs))
-	for _, o := range d.ghostOwner {
-		gcounts[slotOf[o]]++
-	}
+	// global ID — the sender's order. Owners hold contiguous, ascending ID
+	// ranges, so the ghosts' global IDs sorted once are already grouped by
+	// owner, in slot order; the ghost index maps each back.
 	p.recvOff = make([]int32, len(p.nbrs)+1)
-	for i, c := range gcounts {
-		p.recvOff[i+1] = p.recvOff[i] + c
-	}
-	p.recvGhost = make([]int32, p.recvOff[len(p.nbrs)])
-	gnext := append([]int32(nil), p.recvOff[:len(p.nbrs)]...)
-	for gi, o := range d.ghostOwner {
-		slot := slotOf[o]
-		p.recvGhost[gnext[slot]] = d.nLocal + int32(gi)
-		gnext[slot]++
+	for _, o := range d.ghostOwner {
+		p.recvOff[slotOf[o]+1]++
 	}
 	for i := range p.nbrs {
-		grp := p.recvGhost[p.recvOff[i]:p.recvOff[i+1]]
-		sort.Slice(grp, func(a, b int) bool {
-			return d.ToGlobal(grp[a]) < d.ToGlobal(grp[b])
-		})
+		p.recvOff[i+1] += p.recvOff[i]
+	}
+	sorted := slices.Clone(d.ghostGlobal)
+	slices.Sort(sorted)
+	p.recvGhost = make([]int32, len(sorted))
+	for i, g := range sorted {
+		gi, _ := d.g2l.get(d.ghostGlobal, g)
+		p.recvGhost[i] = d.nLocal + gi
 	}
 
 	p.sendBuf = make([][]int64, len(p.nbrs))

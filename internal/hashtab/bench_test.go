@@ -28,7 +28,7 @@ func BenchmarkAccumulatorLP(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulatorSmallRows is the mesh's clustering shape: rows of
+// BenchmarkAccumulatorSmallRows is a mesh node's rating shape: rows of
 // degree 6 whose labels repeat (drawn from 4 consecutive IDs), each row
 // accumulated, read back for the incumbent and walked once.
 func BenchmarkAccumulatorSmallRows(b *testing.B) {

@@ -18,18 +18,19 @@
 // Which accumulator: DenseAccumulator indexes, for keys in a small known
 // range [0, k) (block IDs: sclp's refinement, demand and rebalance kernels,
 // kaffpa's FM; the contraction's rows, keyed by the dense cluster index it
-// assigns). AccumulatorI64 is for keys from a range too large for a table
-// per row to stay in cache (cluster labels: sclp's clustering kernels, whose
-// label indices span a rank's nodes). It keeps a row's entries in a short
-// list, scanned while the row has at most scanKeys of them — the mesh's
-// whole neighbourhood — and hashed after. A caller whose key is already a
-// small array index must use the dense one; hashing it buys nothing.
+// assigns). A caller whose key is already a small array index must use the
+// dense one; hashing it buys nothing. sclp's clustering sweep rates cluster
+// labels in neither: its label indices span a rank's nodes, and it keeps a
+// rating next to each index's cluster weight (DESIGN §13 rule 6).
+// AccumulatorI64 is for keys from a range too large for an array. It has
+// no production caller; the benchmark's hashtab.add_mops substrate and the
+// test oracles keep it.
 //
 // Order guarantee: ForEach on the accumulators visits the keys in the order
 // Add first saw them since the last Reset. That order is a function of the
 // Add sequence alone — not of the table's kind or capacity, nor of whether
-// or when it grew or started hashing — so a table that is kept across uses
-// (a sweep's, the contraction's) iterates exactly like a fresh one, and
+// or when it grew — so a table that is kept across uses (a sweep's, the
+// contraction's) iterates exactly like a fresh one, and
 // DenseAccumulator iterates exactly like AccumulatorI64. MapI64 iterates in
 // unspecified order; a caller that needs a set uses PutIfAbsent and ignores
 // the value. MapI64 numbers and deduplicates keys; it does not translate
@@ -51,11 +52,8 @@ import (
 // accumulates into an entry, ForEach walks the entries, and Reset empties
 // the table in O(1).
 //
-// The entries live in keys/vals in the order Add first saw them. A row of at
-// most scanKeys distinct keys — a low-degree node's neighbourhood — is
-// searched by a linear scan of that list and never hashed. The key after
-// that builds pos, a linear-probing index over all the entries, and from
-// then until Reset every lookup goes through it.
+// The entries live in keys/vals in the order Add first saw them; pos is a
+// linear-probing index over them.
 type AccumulatorI64 struct {
 	keys, vals []int64
 	// pos maps a slot to an entry: the low 32 bits are the entry's index,
@@ -66,26 +64,18 @@ type AccumulatorI64 struct {
 	shift uint   // 64 - log2(len(pos)), for slot
 }
 
-// scanKeys is how many distinct keys AccumulatorI64 finds by a linear scan
-// before it indexes its entries.
-const scanKeys = 8
-
 // NewAccumulatorI64 returns a table with capacity for at least capacity keys
 // before growth. The index has a power-of-two size at least twice capacity,
 // keeping the load factor at most 1/2.
-func NewAccumulatorI64(capacity int) *AccumulatorI64 { return NewAccumulatorI64In(nil, capacity) }
-
-// NewAccumulatorI64In is NewAccumulatorI64 with the backing arrays carved
-// from ar. A nil arena degrades to heap allocation.
-func NewAccumulatorI64In(ar *arena.Arena, capacity int) *AccumulatorI64 {
+func NewAccumulatorI64(capacity int) *AccumulatorI64 {
 	n := 16
 	for n < 2*capacity {
 		n *= 2
 	}
 	return &AccumulatorI64{
-		keys:  ar.Int64s(n / 2)[:0],
-		vals:  ar.Int64s(n / 2)[:0],
-		pos:   ar.Uint64s(n),
+		keys:  make([]int64, 0, n/2),
+		vals:  make([]int64, 0, n/2),
+		pos:   make([]uint64, n),
 		gen:   1 << 32,
 		shift: uint(64 - bits.TrailingZeros(uint(n))),
 	}
@@ -96,8 +86,7 @@ const entryBits = 1<<32 - 1
 
 // slot is key's home slot in pos: Fibonacci hashing, one multiply whose top
 // bits are the slot. It spreads runs of consecutive labels evenly, at a
-// third of hash64's chain of multiplies, which an indexed row pays twice
-// for its first scanKeys keys.
+// third of hash64's chain of multiplies.
 func (t *AccumulatorI64) slot(key int64) uint64 {
 	return (uint64(key) * 0x9e3779b97f4a7c15) >> t.shift
 }
@@ -114,20 +103,6 @@ func hash64(x int64) uint64 {
 //
 //parhip:hotpath
 func (t *AccumulatorI64) Add(key, delta int64) {
-	if len(t.keys) <= scanKeys {
-		for i, k := range t.keys {
-			if k == key {
-				t.vals[i] += delta
-				return
-			}
-		}
-		t.keys = append(t.keys, key)
-		t.vals = append(t.vals, delta)
-		if len(t.keys) > scanKeys {
-			t.index()
-		}
-		return
-	}
 	i := t.slot(key)
 	for ; t.pos[i]&^entryBits == t.gen; i = (i + 1) & uint64(len(t.pos)-1) {
 		if e := t.pos[i] & entryBits; t.keys[e] == key {
@@ -145,8 +120,7 @@ func (t *AccumulatorI64) Add(key, delta int64) {
 	}
 }
 
-// index places every entry in pos. It runs when a row outgrows the scan and
-// when pos doubles; either way no slot of pos holds the current generation.
+// index places every entry in the fresh pos that Add doubled it into.
 func (t *AccumulatorI64) index() {
 	for e, key := range t.keys {
 		i := t.slot(key)
@@ -161,14 +135,6 @@ func (t *AccumulatorI64) index() {
 //
 //parhip:hotpath
 func (t *AccumulatorI64) Get(key int64) (int64, bool) {
-	if len(t.keys) <= scanKeys {
-		for i, k := range t.keys {
-			if k == key {
-				return t.vals[i], true
-			}
-		}
-		return 0, false
-	}
 	for i := t.slot(key); t.pos[i]&^entryBits == t.gen; i = (i + 1) & uint64(len(t.pos)-1) {
 		if e := t.pos[i] & entryBits; t.keys[e] == key {
 			return t.vals[e], true
@@ -176,9 +142,6 @@ func (t *AccumulatorI64) Get(key int64) (int64, bool) {
 	}
 	return 0, false
 }
-
-// Len returns the number of distinct keys in the table.
-func (t *AccumulatorI64) Len() int { return len(t.keys) }
 
 // ForEach calls fn for every (key, value) pair in the order Add first saw
 // the keys (see the package comment's order guarantee).
@@ -190,17 +153,15 @@ func (t *AccumulatorI64) ForEach(fn func(key, val int64)) {
 	}
 }
 
-// Reset removes all keys in O(1): a row that was indexed moves pos to the
-// next generation, which empties every slot at once.
+// Reset removes all keys in O(1): pos moves to the next generation, which
+// empties every slot at once.
 //
 //parhip:hotpath
 func (t *AccumulatorI64) Reset() {
-	if len(t.keys) > scanKeys {
-		t.gen += 1 << 32
-		if t.gen == 0 { // the generation wrapped: slots of generation 1 would read as live
-			clear(t.pos)
-			t.gen = 1 << 32
-		}
+	t.gen += 1 << 32
+	if t.gen == 0 { // the generation wrapped: slots of generation 1 would read as live
+		clear(t.pos)
+		t.gen = 1 << 32
 	}
 	t.keys, t.vals = t.keys[:0], t.vals[:0]
 }

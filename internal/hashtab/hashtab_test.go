@@ -10,6 +10,10 @@ import (
 	"repro/internal/rng"
 )
 
+// Len returns the number of distinct keys in the table. No production
+// code needs it.
+func (t *AccumulatorI64) Len() int { return len(t.keys) }
+
 // AccumulatorPairI64's production surface is what the benchmark's
 // pair_add_mops substrate calls (New and Add); the tests read it back
 // through these.
@@ -389,12 +393,12 @@ func TestDenseAccumulatorMatchesHash(t *testing.T) {
 
 // accRow returns one of the rows TestAccumulatorI64MatchesOracle feeds the table:
 // 0–64 distinct keys each, drawn in one of several shapes and added three
-// times over on average, so duplicates land both before and after the row
-// crosses scanKeys distinct keys.
+// times over on average. One row in three has 6–10 distinct keys, a
+// low-degree node's neighbourhood.
 func accRow(r *rng.RNG) []int64 {
 	distinct := r.Intn(65)
 	if r.Intn(3) == 0 {
-		distinct = scanKeys - 2 + r.Intn(5) // around the switch
+		distinct = 6 + r.Intn(5)
 	}
 	pool := make([]int64, distinct)
 	shape := r.Intn(4)
@@ -421,14 +425,13 @@ func accRow(r *rng.RNG) []int64 {
 
 // TestAccumulatorI64MatchesOracle holds AccumulatorI64 to a map plus a
 // first-seen list, after every Add of random rows: per-key sums, Get of keys
-// never added, Len and the ForEach order, while the row is still scanned and
-// after it is indexed. Tables are reused across Reset, start small enough to
-// grow, and come from the heap and from an arena.
+// never added, Len and the ForEach order. Tables are reused across Reset,
+// so rows meet slots an earlier generation wrote, and start small enough
+// to grow.
 func TestAccumulatorI64MatchesOracle(t *testing.T) {
 	r := rng.New(41)
 	for ti, acc := range []*AccumulatorI64{
-		NewAccumulatorI64(4), NewAccumulatorI64In(arena.New(), 4),
-		NewAccumulatorI64(64), NewAccumulatorI64In(arena.New(), 64),
+		NewAccumulatorI64(4), NewAccumulatorI64(64),
 	} {
 		for round := 0; round < 400; round++ {
 			acc.Reset()

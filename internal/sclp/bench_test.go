@@ -61,11 +61,13 @@ func BenchmarkParClusterP4(b *testing.B) {
 	}
 }
 
-// BenchmarkParClusterLarge is one coarsening level's ParCluster call on one
-// rank, on graphs whose label, weight and CSR arrays do not fit in L2 (the
-// n=20000 benchmarks above do), so the cost of the visit order's memory
-// access pattern shows. U is what the V-cycle uses for the benchmark's
-// web (k=16, f=14) and mesh (k=2, f=20000) runs. Only ParCluster is timed.
+// BenchmarkParClusterLarge is one coarsening level's ParCluster call on
+// graphs whose label, weight and CSR arrays do not fit in L2 (the n=20000
+// benchmarks above do), so the cost of the visit order's memory access
+// pattern shows: on one rank, and for web also on two in-process ranks,
+// the web-p2 workload's shape. U is what the V-cycle uses for the
+// benchmark's web (k=16, f=14) and mesh (k=2, f=20000) runs. Only
+// ParCluster is timed, on rank 0.
 func BenchmarkParClusterLarge(b *testing.B) {
 	web, err := gen.ByFamily(gen.FamilyWeb, 131072, 1)
 	if err != nil {
@@ -76,21 +78,32 @@ func BenchmarkParClusterLarge(b *testing.B) {
 		g    *graph.Graph
 		k    int32
 		f    int64
+		P    int
 	}{
-		{"web-131072-P1", web, 16, 14},
-		{"delaunay-524288-P1", gen.DelaunayLike(524288, 1), 2, 20000},
+		{"web-131072-P1", web, 16, 14, 1},
+		{"web-131072-P2", web, 16, 14, 2},
+		{"delaunay-524288-P1", gen.DelaunayLike(524288, 1), 2, 20000, 1},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			u := max(partition.Lmax(bc.g.TotalNodeWeight(), bc.k, 0.03)/bc.f, 1)
-			mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+			mpi.NewWorld(bc.P).Run(func(c *mpi.Comm) {
 				d := dgraph.FromGraph(c, bc.g)
 				ar := arena.New()
-				b.ResetTimer()
+				rank0 := c.Rank() == 0
+				c.AllreduceSum1(0) // barrier
+				if rank0 {
+					b.ResetTimer()
+				}
 				for i := 0; i < b.N; i++ {
 					ParCluster(d, ParClusterConfig{U: u, Iterations: 3, DegreeOrder: true, Seed: uint64(i + 1), Arena: ar})
-					b.StopTimer()
+					if rank0 {
+						b.StopTimer()
+					}
 					ar.Reset()
-					b.StartTimer()
+					c.AllreduceSum1(0) // barrier
+					if rank0 {
+						b.StartTimer()
+					}
 				}
 			})
 		})
@@ -114,7 +127,6 @@ func benchExchangeGraph() *graph.Graph {
 func BenchmarkExchangeLabels(b *testing.B) {
 	g := benchExchangeGraph()
 	b.ReportAllocs()
-	b.ResetTimer()
 	mpi.NewWorld(4).Run(func(c *mpi.Comm) {
 		d := dgraph.FromGraph(c, g)
 		labels := make([]int64, d.NTotal())
@@ -123,13 +135,29 @@ func BenchmarkExchangeLabels(b *testing.B) {
 		}
 		iface := interfaceNodes(d)
 		ds := newDirtySet(d.NLocal())
-		for i := 0; i < b.N; i++ {
+		superstep := func() {
 			for _, v := range iface {
 				ds.add(v)
 			}
 			exchangeLabels(d, labels, nil, ds)
 		}
+		startSupersteps(b, c, superstep)
+		for i := 0; i < b.N; i++ {
+			superstep()
+		}
 	})
+}
+
+// startSupersteps runs one warm-up superstep, which fills the world's
+// buffer pool, waits for every rank and then resets b's timer and counters
+// on rank 0, so that a superstep benchmark counts the steady supersteps
+// alone: allocs/op does not move with b.N.
+func startSupersteps(b *testing.B, c *mpi.Comm, superstep func()) {
+	superstep()
+	c.AllreduceSum1(0) // barrier
+	if c.Rank() == 0 {
+		b.ResetTimer()
+	}
 }
 
 // BenchmarkExchangeLabelsDense is the pre-plan baseline: freshly allocated
@@ -207,7 +235,6 @@ func TestExchangeLabelsAllocRatio(t *testing.T) {
 func BenchmarkSuperstepTracerDisabled(b *testing.B) {
 	g := benchExchangeGraph()
 	b.ReportAllocs()
-	b.ResetTimer()
 	mpi.NewWorld(4).Run(func(c *mpi.Comm) {
 		d := dgraph.FromGraph(c, g)
 		tracer := c.Tracer() // nil: no SetTracer call
@@ -217,13 +244,19 @@ func BenchmarkSuperstepTracerDisabled(b *testing.B) {
 		}
 		iface := interfaceNodes(d)
 		ds := newDirtySet(d.NLocal())
-		for i := 0; i < b.N; i++ {
+		phase := int64(0)
+		superstep := func() {
 			sp := tracer.Begin(c.Rank(), "sclp.cluster_superstep")
 			for _, v := range iface {
 				ds.add(v)
 			}
 			exchangeLabels(d, labels, nil, ds)
-			tracer.End2(sp, "moves", int64(len(iface)), "phase", int64(i))
+			tracer.End2(sp, "moves", int64(len(iface)), "phase", phase)
+			phase++
+		}
+		startSupersteps(b, c, superstep)
+		for i := 0; i < b.N; i++ {
+			superstep()
 		}
 	})
 }

@@ -20,7 +20,8 @@ import (
 // every candidate's eligibility is looked up, whether or not it can change
 // the answer. The TestKernelsMatchOracle tests after them hold the production
 // kernels to the same returned target and the same number of RNG draws, node
-// by node.
+// by node. The clustering kernels rate in dense slots, so this also holds
+// them to the hash table the slots replaced.
 
 func oracleProposeClusterNode(d *dgraph.DGraph, v int32, labels []int64, weight *hashtab.MapI64,
 	constraint []int64, u int64, conn *hashtab.AccumulatorI64, r *rng.RNG) int64 {
@@ -313,6 +314,23 @@ func labelIndices(d *dgraph.DGraph, labels []int64) (idx []int32, global []int64
 	return idx, global
 }
 
+// weightSlots is ParCluster's slot array for the cluster weights w, with
+// every rating 0.
+func weightSlots(w []int64) []clusterSlot {
+	slots := make([]clusterSlot, len(w))
+	for l := range slots {
+		slots[l].weight = w[l]
+	}
+	return slots
+}
+
+// slotWeights copies the cluster weights out of slots into w.
+func slotWeights(w []int64, slots []clusterSlot) {
+	for l := range slots {
+		w[l] = slots[l].weight
+	}
+}
+
 func narrow32(xs []int64) []int32 {
 	out := make([]int32, len(xs))
 	for i, x := range xs {
@@ -366,13 +384,14 @@ func TestKernelsMatchOracleCluster(t *testing.T) {
 						newW[idx[i]] = w
 					}
 				}
+				slots := weightSlots(newW)
 				oldConn := hashtab.NewAccumulatorI64(64)
 				oldRNG := rng.New(7 * trial)
-				ln := lane{conn: hashtab.NewAccumulatorI64(64)}
+				ln := lane{touched: make([]int32, maxLocalDegree(d))}
 				ln.rng = *rng.New(7 * trial)
 				for v := int32(0); v < d.NLocal(); v++ {
 					want := oracleProposeClusterNode(d, v, labels, oldW, constraint, u, oldConn, oldRNG)
-					got := proposeClusterNode(d, v, idx, newW, newC, u, &ln)
+					got := proposeClusterNode(d, v, idx, slots, newC, u, &ln)
 					if got >= 0 {
 						got = global[got]
 					}
@@ -504,14 +523,16 @@ func TestKernelsMatchOracleSequential(t *testing.T) {
 			}
 			newLabels := slices.Clone(oldLabels)
 			newW := slices.Clone(oldW)
+			slots := weightSlots(newW)
 			oldConn := hashtab.NewAccumulatorI64(64)
 			oldRNG := rng.New(trial)
-			ln := lane{conn: hashtab.NewAccumulatorI64(64)}
+			ln := lane{touched: make([]int32, maxLocalDegree(d))}
 			ln.rng = *rng.New(trial)
 			for sweep := 0; sweep < 3; sweep++ {
 				for v := int32(0); v < n; v++ {
 					want := oracleMoveNode(g, v, oldLabels, oldW, constraint, u, oldConn, oldRNG)
-					got := commitClusterMove(d, v, newLabels, newW, constraint, u, &ln)
+					got := commitClusterMove(d, v, newLabels, slots, constraint, u, &ln)
+					slotWeights(newW, slots)
 					if got != want || newLabels[v] != oldLabels[v] || ln.rng != *oldRNG || !slices.Equal(newW, oldW) {
 						t.Fatalf("sweep %d node %d: moved %v to %d (oracle %v to %d), same RNG state: %v",
 							sweep, v, got, newLabels[v], want, oldLabels[v], ln.rng == *oldRNG)

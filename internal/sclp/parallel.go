@@ -52,8 +52,8 @@ type ParClusterConfig struct {
 	// changes only in a benchmark PR, sets it; that PR deletes it.
 	Pool *workpool.Pool
 	// Arena, when non-nil, supplies the per-call scratch (traversal order,
-	// bitsets, accumulator backing arrays). The caller resets it after the
-	// call returns; nil falls back to the heap.
+	// bitsets, the touched list). The caller resets it after the call
+	// returns; nil falls back to the heap.
 	Arena *arena.Arena
 	// Stats, when non-nil, accumulates the superstep timings and the
 	// node-evaluation counts (see ParStats).
@@ -89,8 +89,13 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 		}
 	}
 	// Locally maintained cluster weights (paper §IV-B, coarsening): each PE
-	// tracks the weights of clusters containing its local and ghost nodes.
-	weight := slices.Clone(d.NW[:nt])
+	// tracks the weights of clusters containing its local and ghost nodes,
+	// each next to the rating slot of its label index (DESIGN §13 rule 6).
+	// Heap, not arena, like idx.
+	slots := make([]clusterSlot, nt)
+	for v := range slots {
+		slots[v].weight = d.NW[v]
+	}
 	var foreign []int64 // foreign[i] is the ID of label index nt+i
 	foreignIdx := hashtab.NewMapI64(16)
 	global := func(l int32) int64 {
@@ -103,21 +108,22 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 
 	nl := int(d.NLocal())
 	order, runs := cfg.Arena.Int32s(nl), cfg.Arena.Int32s(numRuns(nl))
-	// One rating table, sized so that it never grows inside the sweep.
-	sweep := lane{conn: hashtab.NewAccumulatorI64In(cfg.Arena, int(maxLocalDegree(d)))}
+	// A node rates at most its degree of labels, so the touched list never
+	// grows inside the sweep.
+	sweep := lane{touched: cfg.Arena.Int32s(int(maxLocalDegree(d)))}
 	changedSet := newDirtySetIn(d.NLocal(), cfg.Arena)
 	moveGhost := func(ghost int32, _, to int64) {
 		l, ok := d.ToLocal(to)
 		if !ok {
-			i, added := foreignIdx.PutIfAbsent(to, int64(len(weight)))
+			i, added := foreignIdx.PutIfAbsent(to, int64(len(slots)))
 			if added {
 				foreign = append(foreign, to)
-				weight = append(weight, 0) // no member of it was here before
+				slots = append(slots, clusterSlot{}) // no member of it was here before
 			}
 			l = int32(i)
 		}
-		weight[idx[ghost]] -= d.NW[ghost]
-		weight[l] += d.NW[ghost]
+		slots[idx[ghost]].weight -= d.NW[ghost]
+		slots[l].weight += d.NW[ghost]
 		idx[ghost] = l
 	}
 	tracer := d.Comm.Tracer()
@@ -153,7 +159,10 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			// the labels and weights its predecessors in the phase left.
 			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
 			for _, v := range phase {
-				if commitClusterMove(d, v, idx, weight, constraint, cfg.U, &sweep) {
+				if clusterStepHook != nil {
+					clusterStepHook(d, v, idx, slots, &sweep)
+				}
+				if commitClusterMove(d, v, idx, slots, constraint, cfg.U, &sweep) {
 					movedLocal++
 					if d.IsInterface(v) {
 						changedSet.add(v)
@@ -172,13 +181,18 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			break
 		}
 	}
-	packIsolated(d.XAdj, d.NW, idx, constraint, weight, cfg.U)
+	packIsolated(d.XAdj, d.NW, idx, constraint, slots, cfg.U)
 	for v := range int32(nl) {
 		labels[v] = global(idx[v])
 	}
 	cfg.Stats.count(&sweep)
 	return labels
 }
+
+// clusterStepHook, nil outside tests, is shown the state every clustering
+// sweep step starts from: the node, the label indices and the slots it is
+// about to be evaluated against, and the sweep's lane.
+var clusterStepHook func(d *dgraph.DGraph, v int32, labels []int32, slots []clusterSlot, ln *lane)
 
 // visitChunk is the run length of the sweeps' visit order (chunkShuffle).
 const visitChunk = 1024

@@ -53,16 +53,22 @@ func (s *ParStats) count(ln *lane) {
 	s.Interior += ln.interior
 }
 
-// lane is the scratch of one kernel run: a rating accumulator (label-keyed
-// for clustering, block-keyed for refinement), a generator reseeded at
-// every phase boundary, and the work counters.
+// lane is the scratch of one kernel run: the clustering sweep's touched
+// list or refinement's block accumulator, a generator reseeded at every
+// phase boundary, and the work counters.
 type lane struct {
-	conn   *hashtab.AccumulatorI64   // clustering
-	blocks *hashtab.DenseAccumulator // refinement
-	rng    rng.RNG
+	touched []int32                   // clustering: label indices rated for the node under evaluation
+	blocks  *hashtab.DenseAccumulator // refinement
+	rng     rng.RNG
 
 	evaluated, interior int64
 }
+
+// clusterSlot is the clustering sweep's state of one label index: the
+// locally maintained weight of its cluster and, while one node is being
+// evaluated, the edge weight from that node towards it. Between evaluations
+// every rating is 0 (DESIGN §13 rule 6).
+type clusterSlot struct{ weight, rating int64 }
 
 // commitSeed derives the seed of a phase's RNG stream — the clustering
 // sweep's and the refinement sweep's — from the phase seed drawn from the
@@ -73,14 +79,14 @@ func commitSeed(phaseSeed uint64) uint64 {
 
 // packIsolated runs after the last clustering round and packs the nodes of
 // degree 0 among the len(xadj)-1 local ones into clusters of weight at most
-// u, in ID order (DESIGN.md §13). Labels are label indices and weight is
+// u, in ID order (DESIGN.md §13). Labels are label indices and slots is
 // indexed by them (see ParCluster). Label propagation cannot rate a node
 // without neighbours, so each still labels a singleton cluster with its own
 // ID, and a graph full of them would stop coarsening. Every constraint class
 // (one class when constraint is nil) has one open cluster, labelled by its
 // first member; a node that does not fit opens the next. A degree-0 node is
 // nobody's ghost, so no rank needs telling, and nothing is drawn.
-func packIsolated(xadj, nw []int64, labels, constraint []int32, weight []int64, u int64) {
+func packIsolated(xadj, nw []int64, labels, constraint []int32, slots []clusterSlot, u int64) {
 	open := hashtab.NewMapI64(16) // constraint class -> label of its open cluster
 	for v := range len(xadj) - 1 {
 		if xadj[v+1] != xadj[v] {
@@ -91,9 +97,9 @@ func packIsolated(xadj, nw []int64, labels, constraint []int32, weight []int64, 
 			class = int64(constraint[v])
 		}
 		own := labels[v]
-		if to, ok := open.Get(class); ok && weight[to]+nw[v] <= u {
-			weight[own] -= nw[v]
-			weight[to] += nw[v]
+		if to, ok := open.Get(class); ok && slots[to].weight+nw[v] <= u {
+			slots[own].weight -= nw[v]
+			slots[to].weight += nw[v]
 			labels[v] = int32(to)
 			continue
 		}
@@ -108,17 +114,20 @@ func packIsolated(xadj, nw []int64, labels, constraint []int32, weight []int64, 
 // of RNG draws (DESIGN.md §13); TestKernelsMatchOracle holds them to the
 // full-accumulate originals.
 
-// gatherLabels accumulates the edge weight from v towards each admissible
-// neighbouring cluster into conn — admissible meaning the same constraint
-// label as v, when constraint is set — and reports whether a selection is
-// needed at all. It is not when every admissible neighbour (possibly none)
-// already carries v's label: with only the incumbent rated, the selection
-// keeps it without drawing. That case returns false from the plain scan,
-// before conn is touched.
+// gatherLabels adds the edge weight from v towards each admissible
+// neighbouring cluster into its slot's rating — admissible meaning the same
+// constraint label as v, when constraint is set — and lists each rated label
+// index in touched, reused from its start, the first time it is rated, which
+// is when its rating still reads 0: edge weights are positive. touched must
+// have room for every neighbour. It returns the touched list and whether a
+// selection is needed at all. It is not when every
+// admissible neighbour (possibly none) already carries v's label: with only
+// the incumbent rated, the selection keeps it without drawing. That case
+// returns false from the plain scan, before any rating is written.
 //
 //parhip:hotpath
-func gatherLabels(conn *hashtab.AccumulatorI64, nbrs []int32, ws []int64,
-	labels, constraint []int32, v int32) bool {
+func gatherLabels(slots []clusterSlot, touched, nbrs []int32, ws []int64,
+	labels, constraint []int32, v int32) ([]int32, bool) {
 
 	i := 0
 	for i < len(nbrs) && (labels[nbrs[i]] == labels[v] ||
@@ -126,46 +135,61 @@ func gatherLabels(conn *hashtab.AccumulatorI64, nbrs []int32, ws []int64,
 		i++
 	}
 	if i == len(nbrs) {
-		return false
+		return touched[:0], false
 	}
-	conn.Reset()
+	touched = touched[:len(nbrs)]
+	ws = ws[:len(nbrs)]
+	n := 0
 	for i, nb := range nbrs {
 		if constraint == nil || constraint[nb] == constraint[v] {
-			conn.Add(int64(labels[nb]), ws[i])
+			l := labels[nb]
+			s := &slots[l]
+			// Written always and kept only on l's first rating: a
+			// conditional move, not a branch the data decides.
+			touched[n] = l
+			if s.rating == 0 {
+				n++
+			}
+			s.rating += ws[i]
 		}
 	}
-	return true
+	return touched[:n], true
 }
 
-// selectCluster picks, from the ratings gatherLabels accumulated, the
-// cluster a node of weight nw in cluster cur joins: the strongest-connected
-// one that stays within u after the move, ties broken by reservoir sampling
-// with the incumbent taking part. Returns -1 to stay. A candidate rated
-// below the best so far can neither win nor tie, so its weight is not even
-// looked up. weight is indexed by label.
+// selectCluster picks, from the ratings gatherLabels left in the slots of
+// the touched label indices, the cluster a node of weight nw in cluster cur
+// joins: the strongest-connected one that stays within u after the move,
+// ties broken by reservoir sampling with the incumbent taking part, the
+// candidates offered in first-seen order. Returns -1 to stay. Every touched
+// rating is read once and zeroed, so the slots are clean for the next node.
+// A candidate rated below the best so far can neither win nor tie, so its
+// weight is not even compared.
 //
 //parhip:hotpath
-func selectCluster(conn *hashtab.AccumulatorI64, cur, nw, u int64, weight []int64, r *rng.RNG) int64 {
+func selectCluster(slots []clusterSlot, touched []int32, cur int32, nw, u int64, r *rng.RNG) int64 {
 	best := cur
-	bestConn, _ := conn.Get(cur)
+	bestConn := slots[cur].rating
 	ties := 1
-	conn.ForEach(func(label, c int64) {
-		if label == cur || c < bestConn || weight[label]+nw > u {
-			return
+	for _, l := range touched {
+		s := &slots[l]
+		c := s.rating
+		s.rating = 0
+		if l == cur || c < bestConn || s.weight+nw > u {
+			continue
 		}
 		if c > bestConn {
-			best, bestConn, ties = label, c, 1
-			return
+			best, bestConn, ties = l, c, 1
+			continue
 		}
 		ties++
 		if r.Intn(ties) == 0 {
-			best = label
+			best = l
 		}
-	})
+	}
 	if best == cur {
 		return -1
 	}
-	return best
+	return int64(best)
 }
 
 // GatherBlocks is gatherLabels for block-keyed selections: it accumulates
@@ -275,18 +299,20 @@ func selectRefine(conn *hashtab.DenseAccumulator, cur, nw, prevB int64,
 
 // evalClusterNode evaluates one node against the current label indices and
 // cluster weights and returns the label index it selects, or -1 to stay. It
-// mutates nothing shared.
+// mutates nothing shared: the ratings it writes into slots it zeroes again.
 //
 //parhip:hotpath
-func evalClusterNode(d *dgraph.DGraph, v int32, labels []int32, weight []int64,
+func evalClusterNode(d *dgraph.DGraph, v int32, labels []int32, slots []clusterSlot,
 	constraint []int32, u int64, ln *lane) int64 {
 
 	ln.evaluated++
-	if !gatherLabels(ln.conn, d.Neighbors(v), d.EdgeWeights(v), labels, constraint, v) {
+	var rated bool
+	ln.touched, rated = gatherLabels(slots, ln.touched, d.Neighbors(v), d.EdgeWeights(v), labels, constraint, v)
+	if !rated {
 		ln.interior++
 		return -1
 	}
-	return selectCluster(ln.conn, int64(labels[v]), d.NW[v], u, weight, &ln.rng)
+	return selectCluster(slots, ln.touched, labels[v], d.NW[v], u, &ln.rng)
 }
 
 // commitClusterMove is the clustering sweep's step: select for v and, if
@@ -294,15 +320,15 @@ func evalClusterNode(d *dgraph.DGraph, v int32, labels []int32, weight []int64,
 //
 //parhip:hotpath
 func commitClusterMove(d *dgraph.DGraph, v int32, labels []int32,
-	weight []int64, constraint []int32, u int64, ln *lane) bool {
+	slots []clusterSlot, constraint []int32, u int64, ln *lane) bool {
 
-	b := evalClusterNode(d, v, labels, weight, constraint, u, ln)
+	b := evalClusterNode(d, v, labels, slots, constraint, u, ln)
 	if b < 0 {
 		return false
 	}
 	nw := d.NW[v]
-	weight[labels[v]] -= nw
-	weight[b] += nw // fits: the selection enforced weight[b]+nw <= u
+	slots[labels[v]].weight -= nw
+	slots[b].weight += nw // fits: the selection enforced weight+nw <= u
 	labels[v] = int32(b)
 	return true
 }
