@@ -6,11 +6,10 @@
 // caller calls Reset when the stage's scratch is dead — the slabs are kept
 // and recycled, so the steady state allocates nothing.
 //
-// An Arena is NOT safe for concurrent use: allocate during the sequential
-// setup of a superstep (before worker goroutines start), never from inside
-// a worker kernel. Returned slices are zeroed — scratch contents must be a
-// deterministic function of the run, never of what a recycled slab held
-// before.
+// An Arena is NOT safe for concurrent use: each rank owns one and
+// allocates from it on that rank's goroutine only. Returned slices are
+// zeroed — scratch contents must be a deterministic function of the run,
+// never of what a recycled slab held before.
 package arena
 
 // slabMin is the smallest slab an arena allocates, in elements. Larger

@@ -64,7 +64,7 @@ func contractAllocs(g *graph.Graph, P int) (allocs, bytes uint64) {
 			labels[v] = d.ToGlobal(int32(v)) / 8 * 8
 		}
 		ar := arena.New()
-		ParContractWith(d, labels, ContractOptions{Arena: ar}) // warm the world's buffer pool
+		ParContractWith(d, labels, ContractOptions{Arena: ar}) // warm-up: fills the arena's slabs
 		ar.Reset()
 		var before, after runtime.MemStats
 		c.AllreduceSum1(0) // barrier

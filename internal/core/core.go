@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -316,15 +317,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	shared := rng.New(cfg.Seed)
 	totalWeight := d.GlobalNodeWeight()
 	lmax := partition.Lmax(totalWeight, cfg.K, cfg.Eps)
-	maxBlock := func(bw []int64) int64 {
-		var mx int64
-		for _, w := range bw {
-			if w > mx {
-				mx = w
-			}
-		}
-		return mx
-	}
 	imbalanceOf := func(mx int64) float64 {
 		return float64(mx)/(float64(totalWeight)/float64(cfg.K)) - 1
 	}
@@ -488,7 +480,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				return
 			}
 			cut := dg.EdgeCut(p)
-			mx := maxBlock(dg.BlockWeights(p, cfg.K))
+			mx := slices.Max(dg.BlockWeights(p, cfg.K))
 			report(Progress{Phase: PhaseRefine, Cycle: cycle, Level: level,
 				N: dg.GlobalN, M: dg.GlobalM, Cut: cut, Imbalance: imbalanceOf(mx)})
 		}
@@ -518,7 +510,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		part = curPart
 	}
 
-	mx := maxBlock(d.BlockWeights(part, cfg.K))
+	mx := slices.Max(d.BlockWeights(part, cfg.K))
 
 	// Feasibility is a postcondition, not a report: when refinement left a
 	// block over Lmax, run the dedicated distributed rebalancing stage.
@@ -531,7 +523,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		})
 		c.Tracer().End1(spReb, "moves", st.RebalanceMoves)
 		st.RebalanceTime = time.Since(tReb) //lint:determinism-ok stats timing, never partition state
-		mx = maxBlock(d.BlockWeights(part, cfg.K))
+		mx = slices.Max(d.BlockWeights(part, cfg.K))
 		report(Progress{Phase: PhaseRebalance, Cycle: cfg.VCycles - 1, Level: 0,
 			N: d.GlobalN, M: d.GlobalM, Cut: -1, Imbalance: imbalanceOf(mx)})
 	}
@@ -666,7 +658,8 @@ func RunOn(ctx context.Context, world *mpi.World, g *graph.Graph, cfg Config) (R
 // and sends its share of the partition to rank 0; the process hosting
 // rank 0 receives the full partition, rank 0's statistics and the world's
 // traffic counters (the others get a zero Result and a nil error). A
-// process succeeds when every rank it hosts got that far. When ctx is
+// process succeeds when rank 0 has released every rank it hosts, which it
+// does once it holds every share. When ctx is
 // cancelled or its deadline passes, every rank unwinds cooperatively (no
 // goroutine outlives the call) and RunWith returns ctx.Err(); a run that
 // completed before the cancellation was observed still returns its result.
@@ -699,18 +692,20 @@ func RunWith(ctx context.Context, world *mpi.World, g *graph.Graph, tracer *obs.
 			return
 		}
 		parts := c.Gather(0, part[:d.NLocal()])
-		finished.Add(1)
 		if c.Rank() == 0 {
 			st.Comm = world.TotalStats()
 			st.Transport = world.TransportStats()
 			res = Result{Part: joinParts(parts, d.GlobalN), Stats: st}
 		}
-		// Rank 0 holding every share means every rank is past its last
-		// receive. Waiting for its release keeps each process's links
-		// open until then, so closing a world after RunWith cannot abort
-		// a rank elsewhere that still waits for data. The release itself
-		// may be cut short by such a close: this rank has finished.
+		// Rank 0's release says it holds every share, so a share lost on
+		// the wire fails its sender too.
 		c.Bcast(0, nil)
+		finished.Add(1)
+		// On TCP a process that closes its world breaks its links, which
+		// aborts every peer. This barrier keeps each process's links open
+		// until every rank holds its release; its own last messages may be
+		// cut short by a close, after every rank has finished.
+		c.AllreduceSum1(0)
 	})
 	if runErr != nil {
 		return Result{}, runErr

@@ -4,11 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/dgraph"
 	"repro/internal/gen"
 	"repro/internal/mpi"
 	"repro/internal/mpi/transport"
@@ -160,6 +163,69 @@ func TestRunOnSurvivesPeerExitAfterFinish(t *testing.T) {
 		}
 		if got := partChecksum(cfg.K, results[0].Part); got != want {
 			t.Fatalf("trial %d: partition checksum %s, in-process %s", trial, got, want)
+		}
+	}
+	testutil.WaitNoLeak(t, base, 2)
+}
+
+// lossyTCP is one rank's TCP transport that, once armed, loses the next
+// frame to rank 0 the way TCP.Send loses a frame whose write fails: the
+// frame is dropped and rank 0 is reported down.
+type lossyTCP struct {
+	*transport.TCP
+	h     transport.Handlers
+	armed atomic.Bool
+}
+
+func (l *lossyTCP) Start(h transport.Handlers) error {
+	l.h = h
+	return l.TCP.Start(h)
+}
+
+func (l *lossyTCP) Send(f transport.Frame) {
+	if f.Dst == 0 && l.armed.CompareAndSwap(true, false) {
+		l.h.Down(0, errors.New("write to rank 0 failed"))
+		return
+	}
+	l.TCP.Send(f)
+}
+
+// TestRunWithFailsWhenFinalShareLost loses rank 1's share of the partition
+// on its way to rank 0. No process may report success then: rank 0 lacks a
+// share, and ranks 1 and 2 never hear that rank 0 holds theirs.
+func TestRunWithFailsWhenFinalShareLost(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g, _ := gen.PlantedPartition(600, 6, 8, 0.5, 3)
+	const P = 3
+	ts, err := transport.Loopback(P, transport.TCPConfig{})
+	if err != nil {
+		t.Fatalf("Loopback: %v", err)
+	}
+	lossy := &lossyTCP{TCP: ts[1]}
+	ws, err := mpi.JoinWorlds(ts[0], lossy, ts[2])
+	if err != nil {
+		t.Fatalf("JoinWorlds: %v", err)
+	}
+	fn := func(_ context.Context, d *dgraph.DGraph) ([]int64, Stats, error) {
+		if d.Comm.Rank() == 1 {
+			lossy.armed.Store(true)
+		}
+		return make([]int64, d.NTotal()), Stats{}, nil
+	}
+	errs := make([]error, P)
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		wg.Add(1)
+		go func(i int, w *mpi.World) {
+			defer wg.Done()
+			_, errs[i] = RunWith(context.Background(), w, g, nil, fn)
+		}(i, w)
+	}
+	wg.Wait()
+	for i, w := range ws {
+		w.Close()
+		if errs[i] == nil {
+			t.Errorf("world %d: RunWith succeeded though rank 1's share was lost", i)
 		}
 	}
 	testutil.WaitNoLeak(t, base, 2)

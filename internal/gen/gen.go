@@ -26,7 +26,7 @@ import (
 // graph is almost certainly connected.
 func RGG(n int32, seed uint64) *graph.Graph {
 	if n <= 1 {
-		return graph.NewBuilder(max32(n, 0)).Build()
+		return graph.NewBuilder(max(n, 0)).Build()
 	}
 	r := rng.New(seed)
 	xs := make([]float64, n)
@@ -354,13 +354,6 @@ func Mesh3D(x, y, z int32) *graph.Graph {
 	return b.Build()
 }
 
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Family identifies a named generator for the experiment harness.
 type Family string
 
@@ -392,7 +385,7 @@ func ByFamily(f Family, n int32, seed uint64) (*graph.Graph, error) {
 	case FamilyBA:
 		return BarabasiAlbert(n, 5, seed), nil
 	case FamilyWeb:
-		g, _ := PlantedPartition(n, maxI32(n/256, 4), 12, 1.0, seed)
+		g, _ := PlantedPartition(n, max(n/256, 4), 12, 1.0, seed)
 		return g, nil
 	case FamilyMesh3D:
 		side := int32(math.Cbrt(float64(n)))
@@ -408,13 +401,6 @@ func ByFamily(f Family, n int32, seed uint64) (*graph.Graph, error) {
 		return graph.Grid2D(side, side), nil
 	}
 	return nil, fmt.Errorf("gen: unknown family %q", f)
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Perturb returns a copy of g with roughly frac of its undirected edges

@@ -129,17 +129,14 @@ func TestAlltoallvFuncMatchesAlltoallv(t *testing.T) {
 }
 
 // alltoallvOwnership runs AlltoallvFunc on every rank of ws and checks the
-// ownership contract: each payload is built into the one reused scratch and
+// ownership rule: each payload is built into the one reused scratch and
 // still arrives intact, the own payload is the builder's slice itself, and
-// a payload that recv keeps survives two later exchanges that draw their
-// wire copies from the world's pool.
+// a payload that recv keeps is its own: two later exchanges, built in the
+// same scratch, leave it intact.
 func alltoallvOwnership(t *testing.T, ws []*World) {
 	t.Helper()
 	RunAll(ws, func(c *Comm) {
 		P, me := c.Size(), c.Rank()
-		word := func(src, dst, round, i int) int64 {
-			return int64(src*1_000_000 + dst*10_000 + round*1_000 + i)
-		}
 		exchange := func(round int) [][]int64 {
 			kept := make([][]int64, P)
 			var prev []int64
@@ -154,7 +151,7 @@ func alltoallvOwnership(t *testing.T, ws []*World) {
 				// Payload lengths differ per destination, so a later build
 				// overwrites an earlier one's words if it was not copied.
 				for i := 0; i < 3+dst; i++ {
-					scratch = append(scratch, word(me, dst, round, i))
+					scratch = append(scratch, payloadWord(me, dst, round, i))
 				}
 				prev = scratch
 				if dst == me {
@@ -177,7 +174,7 @@ func alltoallvOwnership(t *testing.T, ws []*World) {
 					continue
 				}
 				for i, v := range data {
-					if want := word(src, me, round, i); v != want {
+					if want := payloadWord(src, me, round, i); v != want {
 						t.Errorf("rank %d %s: round %d payload from %d word %d = %d, want %d",
 							me, when, round, src, i, v, want)
 						break
@@ -208,6 +205,94 @@ func TestAlltoallvFuncOwnership(t *testing.T) {
 				t.Fatalf("world error: %v", err)
 			}
 		}
+	})
+}
+
+// neighborRound runs one ring NeighborAlltoallv in which rank src sends
+// dst the words payloadWord(src, dst, round, 0..1+round), built in the
+// reused buffers out. Right after the call the sender overwrites out, as
+// the halo plan refills its staging buffers every superstep; a barrier
+// then makes every overwrite happen before any receiver reads. It returns
+// what each neighbour sent, as handed to recv.
+func neighborRound(c *Comm, out [][]int64, round int) [][]int64 {
+	nbrs := ringNeighbors(c.Rank(), c.Size())
+	for i, r := range nbrs {
+		out[i] = out[i][:0]
+		for j := 0; j < 2+round; j++ {
+			out[i] = append(out[i], payloadWord(c.Rank(), r, round, j))
+		}
+	}
+	kept := make([][]int64, len(nbrs))
+	c.NeighborAlltoallv(nbrs, out, func(i int, data []int64) { kept[i] = data })
+	for i := range out {
+		for j := range out[i] {
+			out[i][j] = -1
+		}
+	}
+	c.Barrier()
+	return kept
+}
+
+// payloadWord is word i of what rank src sends rank dst in exchange round.
+func payloadWord(src, dst, round, i int) int64 {
+	return int64(src*1_000_000 + dst*10_000 + round*1_000 + i)
+}
+
+// checkNeighborRound reports a payload in kept that is not what round sent.
+func checkNeighborRound(t *testing.T, c *Comm, kept [][]int64, round int, when string) {
+	t.Helper()
+	for i, r := range ringNeighbors(c.Rank(), c.Size()) {
+		data := kept[i]
+		if len(data) != 2+round {
+			t.Errorf("rank %d %s: round %d payload from %d has %d words, want %d",
+				c.Rank(), when, round, r, len(data), 2+round)
+			continue
+		}
+		for j, v := range data {
+			if want := payloadWord(r, c.Rank(), round, j); v != want {
+				t.Errorf("rank %d %s: round %d payload from %d word %d = %d, want %d",
+					c.Rank(), when, round, r, j, v, want)
+				break
+			}
+		}
+	}
+}
+
+// TestSenderReusesPayloadAtOnce: on the in-process transport a sender may
+// overwrite its slice as soon as Send or NeighborAlltoallv returns, and
+// the receiver still gets what was sent.
+func TestSenderReusesPayloadAtOnce(t *testing.T) {
+	const P = 3
+	NewWorld(P).Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			buf := []int64{7, 8, 9}
+			c.Send(1, 5, buf)
+			buf[0], buf[1], buf[2] = -1, -1, -1
+		}
+		c.Barrier()
+		if c.Rank() == 1 {
+			if got := c.Recv(0, 5); len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
+				t.Errorf("Send: receiver got %v after the sender overwrote its slice, want [7 8 9]", got)
+			}
+		}
+		out := make([][]int64, len(ringNeighbors(c.Rank(), P)))
+		for round := 0; round < 3; round++ {
+			checkNeighborRound(t, c, neighborRound(c, out, round), round, "on arrival")
+		}
+	})
+}
+
+// TestNeighborAlltoallvReceiverKeepsData: a NeighborAlltoallv receiver owns
+// the data it is handed, so data kept past the callback reads intact after
+// two more exchanges.
+func TestNeighborAlltoallvReceiverKeepsData(t *testing.T) {
+	const P = 3
+	NewWorld(P).Run(func(c *Comm) {
+		out := make([][]int64, len(ringNeighbors(c.Rank(), P)))
+		first := neighborRound(c, out, 0)
+		neighborRound(c, out, 1)
+		neighborRound(c, out, 2)
+		checkNeighborRound(t, c, first, 0, "after two more exchanges")
 	})
 }
 

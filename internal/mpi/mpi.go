@@ -18,17 +18,15 @@
 //     MPI_Neighbor_alltoallv). Halo exchanges run on it; the distributed
 //     graph derives and checks the list once per level.
 //
-// Every payload is a []int64; senders' slices are copied, modelling
-// serialization. Staging copies come from a world-level buffer pool, and
-// NeighborAlltoallv recycles received buffers back into it, keeping
-// steady-state halo exchanges allocation-free; AlltoallvFunc hands its
-// received buffers to the caller for good. Per-rank counters record
-// message and word volume by traffic class so experiments can report
-// communication cost.
+// Every payload is a []int64, and one rule governs it: a sender may reuse
+// its slice as soon as the send returns, and a receiver owns every payload
+// it is handed. The transport makes the one copy in between (Inproc
+// copies, TCP serializes). Per-rank counters record message and word
+// volume by traffic class so experiments can report communication cost.
 //
 // How frames move between ranks is delegated to internal/mpi/transport:
-// NewWorld hosts all ranks in-process (the zero-cost default), while
-// NewWorldOn accepts any Transport — with the TCP backend a world hosts
+// NewWorld hosts all ranks in-process (the default), while NewWorldOn
+// accepts any Transport — with the TCP backend a world hosts
 // only the ranks local to this OS process and the same SPMD code runs
 // across machines.
 //
@@ -195,51 +193,9 @@ type World struct {
 	errMu sync.Mutex
 	err   error // first transport failure; guarded by errMu
 
-	// bufMu/bufFree is a free list of payload buffers. Sends draw staging
-	// copies from it; only NeighborAlltoallv's receive path returns
-	// buffers, so a buffer handed to a Recv or AlltoallvFunc caller simply
-	// leaves the pool for good.
-	bufMu   sync.Mutex
-	bufFree [][]int64
-
 	// tracer records per-rank exchange spans; nil (the default) disables
 	// tracing at zero cost. Set before Run via SetTracer.
 	tracer *obs.Tracer
-}
-
-// maxPooledBuffers bounds the free list; maxPooledCap keeps pathologically
-// large one-off payloads from being retained forever.
-const (
-	maxPooledBuffers = 1024
-	maxPooledCap     = 1 << 20
-)
-
-// getBuf returns a length-n buffer, reusing a pooled one when possible.
-func (w *World) getBuf(n int) []int64 {
-	w.bufMu.Lock()
-	for len(w.bufFree) > 0 {
-		b := w.bufFree[len(w.bufFree)-1]
-		w.bufFree = w.bufFree[:len(w.bufFree)-1]
-		if cap(b) >= n {
-			w.bufMu.Unlock()
-			return b[:n]
-		}
-		// Too small for this request; drop it and try the next.
-	}
-	w.bufMu.Unlock()
-	return make([]int64, n)
-}
-
-// putBuf returns a buffer to the pool. Callers must not retain b afterwards.
-func (w *World) putBuf(b []int64) {
-	if cap(b) == 0 || cap(b) > maxPooledCap {
-		return
-	}
-	w.bufMu.Lock()
-	if len(w.bufFree) < maxPooledBuffers {
-		w.bufFree = append(w.bufFree, b[:0])
-	}
-	w.bufMu.Unlock()
 }
 
 // NewWorld creates an in-process world with the given number of ranks
@@ -284,8 +240,6 @@ func NewWorldOn(tr transport.Transport) (*World, error) {
 	if err := tr.Start(transport.Handlers{
 		Deliver: w.deliver,
 		Down:    w.peerDown,
-		Acquire: w.getBuf,
-		Release: w.putBuf,
 	}); err != nil {
 		return nil, err
 	}
@@ -300,7 +254,6 @@ func (w *World) deliver(f transport.Frame) {
 	if row == nil {
 		// Misrouted frame for a rank this process does not host; a correct
 		// transport never does this, and dropping beats crashing a reader.
-		w.putBuf(f.Payload)
 		return
 	}
 	row[f.Src].push(msgKind(f.Kind), int(f.Tag), f.Payload)
@@ -388,9 +341,6 @@ func (w *World) WatchContext(ctx context.Context) (stop func()) {
 		<-exited
 	}
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
 
 // SetTracer attaches a span tracer to the world. Pass nil to disable (the
 // default). Call before Run: the field is read without synchronization by
@@ -487,9 +437,6 @@ func (c *Comm) CheckAbort() {
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
-// Stats returns the traffic counters for this rank.
-func (c *Comm) Stats() Stats { return c.world.statsOf(c.rank) }
-
 // WorldStats sums the traffic counters of every rank hosted in this
 // process (all ranks on the in-process transport). Unlike a collective it
 // reads atomics only, so any rank (or an outside observer goroutine) may
@@ -509,15 +456,13 @@ func (c *Comm) sendClass(dst int, kind msgKind, tag int, data []int64, class com
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: send to rank %d outside world of size %d", dst, c.world.size))
 	}
-	cp := c.world.getBuf(len(data))
-	copy(cp, data)
 	ctr := &c.world.counters[c.rank]
 	ctr.msgs[class].Add(1)
 	ctr.words[class].Add(int64(len(data)))
 	c.world.tr.Send(transport.Frame{
 		Src: c.rank, Dst: dst,
 		Kind: uint8(kind), Tag: int32(tag),
-		Payload: cp,
+		Payload: data,
 	})
 }
 
@@ -536,8 +481,8 @@ func (c *Comm) recv(src int, kind msgKind, tag int) []int64 {
 	return c.world.boxes[c.rank][src].pop(kind, tag)
 }
 
-// Send delivers data to dst with a user tag. It never blocks. The slice is
-// copied.
+// Send delivers data to dst with a user tag. It never blocks, and the
+// caller may reuse data as soon as it returns.
 func (c *Comm) Send(dst, tag int, data []int64) { c.send(dst, kindUser, tag, data) }
 
 // Recv blocks until a user message with the given tag arrives from src and
@@ -695,60 +640,26 @@ func (c *Comm) AllreduceMax1(v int64) int64 { return c.AllreduceMax([]int64{v})[
 //
 //parhip:collective
 func (c *Comm) ExScanSum(v int64) int64 {
-	tag := c.nextSeq()
-	if c.rank == 0 {
-		vals := make([]int64, c.Size())
-		vals[0] = v
-		for r := 1; r < c.Size(); r++ {
-			vals[r] = c.recv(r, kindCollective, tag)[0]
-		}
-		prefix := int64(0)
-		for r := 0; r < c.Size(); r++ {
-			cur := vals[r]
-			if r != 0 {
-				c.send(r, kindCollective, tag, []int64{prefix})
-			}
-			vals[r] = prefix
-			prefix += cur
-		}
-		return 0
+	var sum int64
+	for _, p := range c.Allgatherv([]int64{v})[:c.rank] {
+		sum += p[0]
 	}
-	c.send(0, kindCollective, tag, []int64{v})
-	return c.recv(0, kindCollective, tag)[0]
+	return sum
 }
 
 // Alltoallv performs a personalized all-to-all exchange: out[p] is sent to
 // rank p (nil and empty slices allowed; out must have Size() entries), and
-// the result's entry r holds the slice received from rank r. Alltoallv is a
-// synchronization point between all ranks.
+// the result's entry r holds the slice received from rank r; entry Rank()
+// is out[Rank()] itself. It is AlltoallvFunc over prebuilt buffers.
 //
 //parhip:collective
 func (c *Comm) Alltoallv(out [][]int64) [][]int64 {
 	if len(out) != c.Size() {
 		panic(fmt.Sprintf("mpi: Alltoallv with %d buffers for %d ranks", len(out), c.Size()))
 	}
-	sp := c.world.tracer.Begin(c.rank, "mpi.alltoallv")
-	tag := c.nextSeq()
-	c.world.counters[c.rank].denseExch.Add(1)
-	var words int64
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		words += int64(len(out[r]))
-		c.send(r, kindCollective, tag, out[r])
-	}
 	in := make([][]int64, c.Size())
-	cp := make([]int64, len(out[c.rank]))
-	copy(cp, out[c.rank])
-	in[c.rank] = cp
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		in[r] = c.recv(r, kindCollective, tag)
-	}
-	c.world.tracer.End2(sp, "words_sent", words, "msgs", int64(c.Size()-1))
+	c.AlltoallvFunc(func(dst int, _ []int64) []int64 { return out[dst] },
+		func(src int, data []int64) { in[src] = data })
 	return in
 }
 
@@ -757,15 +668,14 @@ func (c *Comm) Alltoallv(out [][]int64) [][]int64 {
 // dst, usually by appending to scratch: it is called for every other rank
 // in ascending order and then for this rank, and scratch is the slice the
 // previous call returned, truncated to length 0 (nil on the first call). A
-// remote payload is copied once, onto the wire, as soon as it is built, so
-// one scratch buffer serves every destination; this rank's own payload is
-// built last and handed to recv as built, with no copy.
+// remote payload is sent as soon as it is built, so one scratch buffer
+// serves every destination; this rank's own payload is built last and
+// handed to recv as built, with no copy.
 //
 // recv is invoked once per source rank (ascending rank order, this rank
-// included) with the payload received from it, and owns every payload it
-// is handed: it may keep it or write to it, and the world never reuses it.
-// A caller that keeps the received payloads therefore holds each remote
-// record once.
+// included) with the payload received from it, and owns it, as every
+// receiver does. A caller that keeps the received payloads therefore holds
+// each remote record once.
 //
 //parhip:collective
 func (c *Comm) AlltoallvFunc(build func(dst int, scratch []int64) []int64, recv func(src int, data []int64)) {
@@ -798,8 +708,8 @@ func (c *Comm) AlltoallvFunc(build func(dst int, scratch []int64) []int64, recv 
 // entries send an empty message) and recv is invoked once per neighbor, in
 // list order, with the payload received from it. No message reaches a rank
 // outside nbrs, so a rank with few neighbors sends few messages however
-// large the world. The data slice is only valid during the callback; it is
-// recycled through the world's buffer pool afterwards.
+// large the world. Like every receiver, recv owns the data it is handed,
+// and the caller may refill out as soon as the call returns.
 //
 // The neighbor relation must be symmetric (rank a lists b iff b lists a),
 // or one side blocks forever; the caller that derives the lists checks
@@ -822,9 +732,7 @@ func (c *Comm) NeighborAlltoallv(nbrs []int, out [][]int64, recv func(i int, dat
 		c.sendClass(r, kindCollective, tag, out[i], classNbr)
 	}
 	for i, r := range nbrs {
-		data := c.recv(r, kindCollective, tag)
-		recv(i, data)
-		c.world.putBuf(data)
+		recv(i, c.recv(r, kindCollective, tag))
 	}
 	c.world.tracer.End2(sp, "words_sent", words, "msgs", int64(len(nbrs)))
 }

@@ -11,8 +11,7 @@ import (
 type ChaosAction int
 
 const (
-	// ChaosDrop silently discards the frame (the payload is released back
-	// to the pool), modelling a lossy link. TCP itself never loses a
+	// ChaosDrop silently discards the frame, modelling a lossy link. TCP itself never loses a
 	// frame on a live connection, so the receiver just waits for it until
 	// the world aborts.
 	ChaosDrop ChaosAction = iota
@@ -59,7 +58,6 @@ type severer interface {
 // wrapped end in the tests).
 type Chaos struct {
 	inner Transport
-	h     Handlers // kept to release the payloads of discarded frames
 
 	mu    sync.Mutex // guards rules and the per-pair frame counts
 	rules []ChaosRule
@@ -100,10 +98,7 @@ func (c *Chaos) Size() int { return c.inner.Size() }
 func (c *Chaos) LocalRanks() []int { return c.inner.LocalRanks() }
 
 // Start brings up the inner transport.
-func (c *Chaos) Start(h Handlers) error {
-	c.h = h
-	return c.inner.Start(h)
-}
+func (c *Chaos) Start(h Handlers) error { return c.inner.Start(h) }
 
 // Send applies the first matching armed rule, then forwards.
 func (c *Chaos) Send(f Frame) {
@@ -119,13 +114,11 @@ func (c *Chaos) Send(f Frame) {
 		c.inner.Send(f)
 	case ChaosSever:
 		c.dropped.Add(1)
-		c.h.release(f.Payload)
 		if s, ok := c.inner.(severer); ok {
 			s.Sever(f.Dst)
 		}
 	default: // ChaosDrop
 		c.dropped.Add(1)
-		c.h.release(f.Payload)
 	}
 }
 
@@ -289,11 +282,7 @@ func TestChaosSeverDelegates(t *testing.T) {
 	inner := &fakeTransport{size: 2}
 	c := NewChaos(inner)
 	c.AddRule(ChaosRule{Src: 0, Dst: 1, Epoch: -1, Action: ChaosSever})
-	released := 0
-	c.Start(Handlers{
-		Deliver: func(Frame) {},
-		Release: func([]int64) { released++ },
-	})
+	c.Start(Handlers{Deliver: func(Frame) {}})
 	c.Send(Frame{Src: 0, Dst: 1, Payload: []int64{1, 2}})
 	inner.mu.Lock()
 	defer inner.mu.Unlock()
@@ -302,9 +291,6 @@ func TestChaosSeverDelegates(t *testing.T) {
 	}
 	if len(inner.sent) != 0 {
 		t.Fatal("severed frame was forwarded")
-	}
-	if released != 1 {
-		t.Fatalf("discarded payload not released to the pool (released=%d)", released)
 	}
 }
 

@@ -6,8 +6,8 @@ import "fmt"
 // delivers synchronously on the sender's goroutine, straight into the
 // receiving rank's mailbox via Handlers.Deliver. It is the extraction of
 // the original shared-memory world's delivery path and remains the
-// zero-cost default — no goroutines, no serialization, no extra
-// allocations on the hot path (two atomic adds for the frame counters).
+// default — no goroutines, no serialization, one payload copy per frame
+// and two atomic adds for the frame counters.
 type Inproc struct {
 	size  int
 	local []int
@@ -43,13 +43,13 @@ func (t *Inproc) Start(h Handlers) error {
 	return nil
 }
 
-// Send delivers f synchronously. The payload buffer is handed to the
-// receiver as-is (no copy: the rank layer already staged it).
+// Send delivers a copy of f synchronously: the receiver owns the copy,
+// and the sender may reuse its payload at once.
 func (t *Inproc) Send(f Frame) {
 	validRank(f.Dst, t.size, "send to")
 	t.ctr.framesSent.Add(1)
 	t.ctr.bytesSent.Add(int64(len(f.Payload)) * 8)
-	t.h.Deliver(f)
+	t.h.Deliver(copyPayload(f))
 }
 
 // Abort is a no-op: every rank is local, and the world wakes its own

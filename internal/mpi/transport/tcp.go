@@ -366,7 +366,7 @@ func (t *TCP) reader(p *tcpPeer, conn net.Conn) {
 	defer t.wg.Done()
 	var rbuf []byte
 	for {
-		f, rb, err := readFrame(conn, rbuf, t.h.acquire)
+		f, rb, err := readFrame(conn, rbuf)
 		rbuf = rb
 		if err != nil {
 			t.fatal(p.rank, fmt.Errorf("transport: link to rank %d: %w", p.rank, err))
@@ -404,9 +404,10 @@ func (p *tcpPeer) write(kind, op uint8, tag int32, payload []int64, timeout time
 	return p.conn.Write(p.wbuf)
 }
 
-// Send ships a data frame to f.Dst within writeTimeout. A failed write
-// declares the peer down via Handlers.Down; from then on frames are
-// dropped — the world is aborting.
+// Send ships a data frame to f.Dst within writeTimeout, serializing it
+// into the peer's write buffer (a frame to this rank itself is delivered
+// as a copy). A failed write declares the peer down via Handlers.Down;
+// from then on frames are dropped — the world is aborting.
 func (t *TCP) Send(f Frame) {
 	validRank(f.Dst, t.size, "send to")
 	if f.Dst == t.self {
@@ -414,7 +415,7 @@ func (t *TCP) Send(f Frame) {
 		t.ctr.bytesSent.Add(int64(8 * len(f.Payload)))
 		t.ctr.framesRecv.Add(1)
 		t.ctr.bytesRecv.Add(int64(8 * len(f.Payload)))
-		t.h.Deliver(f)
+		t.h.Deliver(copyPayload(f))
 		return
 	}
 	if t.closed.Load() || t.aborting.Load() || t.dead.Load() {
@@ -427,7 +428,6 @@ func (t *TCP) Send(f Frame) {
 	}
 	t.ctr.framesSent.Add(1)
 	t.ctr.bytesSent.Add(int64(n))
-	t.h.release(f.Payload)
 }
 
 // monitor is the liveness loop: every heartbeat interval it beacons every

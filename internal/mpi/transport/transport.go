@@ -3,9 +3,9 @@
 // either as P goroutines in one process or as P OS processes across
 // machines without the collective code noticing:
 //
-//   - Inproc delivers frames synchronously on the sender's goroutine —
-//     the zero-cost default extracted from the original per-pair mailbox
-//     world. All ranks are local.
+//   - Inproc delivers a copy of each frame synchronously on the sender's
+//     goroutine — the default, extracted from the original per-pair
+//     mailbox world. All ranks are local.
 //   - TCP moves frames as length-prefixed binary over persistent per-peer
 //     connections, with a bootstrap handshake, heartbeat-based liveness
 //     and per-op deadlines. Exactly one rank is local. A broken
@@ -15,6 +15,10 @@
 // ships opaque (src, dst, kind, tag, payload) frames and reports peers
 // that died or whose link broke. The world maps that onto its cooperative
 // abort, so a lost rank aborts the whole world instead of hanging it.
+// One ownership rule holds on every backend: a sender may reuse its
+// payload once Send returns, and a receiver owns the payload it is handed.
+// Inproc copies each payload once; TCP serializes it once and decodes it
+// once into a fresh slice.
 package transport
 
 import (
@@ -25,8 +29,8 @@ import (
 
 // Frame is one message between two ranks. Kind and Tag are opaque to the
 // transport (the rank layer uses them to route frames into per-queue
-// mailboxes); Payload ownership transfers to the transport on Send and to
-// the receiver on Deliver.
+// mailboxes). The sender keeps its Payload: Send copies or serializes it
+// before it returns. The receiver owns the Payload it is handed by Deliver.
 type Frame struct {
 	Src, Dst int
 	Kind     uint8
@@ -53,26 +57,6 @@ type Handlers struct {
 	// rank layer maps it onto a world abort. Required for remote
 	// transports; Inproc never calls it.
 	Down func(rank int, err error)
-	// Acquire, when non-nil, sources payload buffers for received frames
-	// (the world's buffer pool); a nil Acquire falls back to make.
-	Acquire func(n int) []int64
-	// Release, when non-nil, receives payload buffers the transport has
-	// finished serializing (remote sends only — Inproc hands the buffer
-	// itself to the receiver).
-	Release func(b []int64)
-}
-
-func (h Handlers) acquire(n int) []int64 {
-	if h.Acquire != nil {
-		return h.Acquire(n)
-	}
-	return make([]int64, n)
-}
-
-func (h Handlers) release(b []int64) {
-	if h.Release != nil {
-		h.Release(b)
-	}
 }
 
 // Transport moves frames between the ranks of one world.
@@ -88,6 +72,7 @@ type Transport interface {
 	// Send ships f to f.Dst. It never blocks indefinitely: remote
 	// backends enforce per-op deadlines and report unreachable peers via
 	// Handlers.Down (the frame is then dropped — the world is aborting).
+	// The caller may reuse f.Payload once Send returns.
 	Send(f Frame)
 	// Abort propagates a cooperative world abort to remote peers
 	// (best-effort, idempotent). Inproc is a no-op: the world wakes its
@@ -144,6 +129,15 @@ func (c *counters) snapshot() Stats {
 		HeartbeatMisses: c.hbMisses.Load(),
 		PeerFailures:    c.peerDown.Load(),
 	}
+}
+
+// copyPayload returns f with a copy of its payload: the copy a transport
+// makes when it hands a frame to a receiver in this process.
+func copyPayload(f Frame) Frame {
+	cp := make([]int64, len(f.Payload))
+	copy(cp, f.Payload)
+	f.Payload = cp
+	return f
 }
 
 // validRank panics unless r is a rank of a size-P world.

@@ -150,12 +150,12 @@ func appendFrame(buf []byte, kind, op uint8, tag int32, payload []int64) []byte 
 type wireFrame struct {
 	kind, op uint8
 	tag      int32
-	payload  []int64 // from Handlers.Acquire; nil for empty payloads
+	payload  []int64 // nil for empty payloads
 }
 
 // readFrame reads one frame. rbuf is the reusable byte staging buffer
-// (returned possibly grown); the payload slice comes from acquire.
-func readFrame(conn net.Conn, rbuf []byte, acquire func(n int) []int64) (wireFrame, []byte, error) {
+// (returned possibly grown); the payload is a new slice the receiver owns.
+func readFrame(conn net.Conn, rbuf []byte) (wireFrame, []byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return wireFrame{}, rbuf, err
@@ -173,9 +173,6 @@ func readFrame(conn net.Conn, rbuf []byte, acquire func(n int) []int64) (wireFra
 	if n == 0 {
 		return f, rbuf, nil
 	}
-	if acquire == nil {
-		acquire = func(n int) []int64 { return make([]int64, n) }
-	}
 	// Grow the buffer as the payload arrives (doubling from 64 KiB), so a
 	// corrupt length on a short stream cannot force a 2 GiB allocation.
 	need := 8 * n
@@ -191,7 +188,7 @@ func readFrame(conn net.Conn, rbuf []byte, acquire func(n int) []int64) (wireFra
 		}
 		got += step
 	}
-	f.payload = acquire(n)
+	f.payload = make([]int64, n)
 	for i := range f.payload {
 		f.payload[i] = int64(binary.LittleEndian.Uint64(rbuf[8*i:]))
 	}

@@ -75,7 +75,7 @@ func TestFrameRoundtrip(t *testing.T) {
 		_, err := a.Write(buf)
 		done <- err
 	}()
-	f, _, err := readFrame(b, nil, nil)
+	f, _, err := readFrame(b, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -100,10 +100,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go a.Write(appendFrame(nil, 0, opHeartbeat, 0, nil))
-	f, _, err := readFrame(b, nil, func(n int) []int64 {
-		t.Fatalf("acquire called for an empty payload")
-		return nil
-	})
+	f, _, err := readFrame(b, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -122,7 +119,7 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 		buf[0], buf[1], buf[2], buf[3] = 0xff, 0xff, 0xff, 0xff
 		a.Write(buf)
 	}()
-	if _, _, err := readFrame(b, nil, nil); err == nil {
+	if _, _, err := readFrame(b, nil); err == nil {
 		t.Fatal("readFrame accepted an oversized length prefix")
 	}
 }
@@ -150,14 +147,14 @@ func TestFrameLargePayloadAcrossGrowthSteps(t *testing.T) {
 		a.Write(appendFrame(nil, 2, opData, 5, payload))
 		a.Write(appendFrame(nil, 2, opData, 6, payload[:7]))
 	}()
-	f, rbuf, err := readFrame(b, nil, nil)
+	f, rbuf, err := readFrame(b, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
 	if !slices.Equal(f.payload, payload) {
 		t.Fatal("large payload changed in transit")
 	}
-	f, _, err = readFrame(b, rbuf, nil)
+	f, _, err = readFrame(b, rbuf)
 	if err != nil || f.tag != 6 || !slices.Equal(f.payload, payload[:7]) {
 		t.Fatalf("second frame: tag %d, payload %v, err %v", f.tag, f.payload, err)
 	}
@@ -177,7 +174,7 @@ func TestFrameShortStreamAllocatesWhatArrives(t *testing.T) {
 	}()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := readFrame(b, nil, nil); err == nil {
+	if _, _, err := readFrame(b, nil); err == nil {
 		t.Fatal("readFrame accepted a truncated payload")
 	}
 	runtime.ReadMemStats(&after)
@@ -239,7 +236,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		var rbuf []byte
 		for off := preambleLen; ; {
-			fr, rb, err := readFrame(b, rbuf, nil)
+			fr, rb, err := readFrame(b, rbuf)
 			rbuf = rb
 			if err != nil {
 				return

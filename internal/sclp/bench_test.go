@@ -121,9 +121,9 @@ func benchExchangeGraph() *graph.Graph {
 // BenchmarkExchangeLabels measures one plan-based label-exchange superstep
 // (every interface node dirty — the worst case). Compare allocs/op against
 // BenchmarkExchangeLabelsDense: the steady path stages into reusable
-// buffers and recycles message payloads through the world's pool, so it
-// must report a small fraction of the dense baseline's allocations
-// (TestExchangeLabelsAllocRatio enforces >= 5x).
+// buffers and allocates only the one copy of each message that its
+// receiver owns, so it must report a small fraction of the dense
+// baseline's allocations (TestExchangeLabelsAllocRatio enforces >= 5x).
 func BenchmarkExchangeLabels(b *testing.B) {
 	g := benchExchangeGraph()
 	b.ReportAllocs()
@@ -148,8 +148,8 @@ func BenchmarkExchangeLabels(b *testing.B) {
 	})
 }
 
-// startSupersteps runs one warm-up superstep, which fills the world's
-// buffer pool, waits for every rank and then resets b's timer and counters
+// startSupersteps runs one warm-up superstep, which sizes the staging
+// buffers, waits for every rank and then resets b's timer and counters
 // on rank 0, so that a superstep benchmark counts the steady supersteps
 // alone: allocs/op does not move with b.N.
 func startSupersteps(b *testing.B, c *mpi.Comm, superstep func()) {
