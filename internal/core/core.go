@@ -51,18 +51,13 @@ type Progress struct {
 	N, M      int64
 	Cut       int64
 	Imbalance float64
-	Elapsed   time.Duration
+	// Elapsed is the time so far of the run's core.partition span.
+	Elapsed time.Duration
 	// CommMsgs and CommBytes are the whole-world traffic accumulated since
 	// the run started (a monotone counter snapshot, not a per-phase delta),
 	// so live observers can watch communication volume grow phase by phase.
 	CommMsgs  int64
 	CommBytes int64
-	// TransportFrames and TransportBytes are the transport-level view of
-	// the same traffic (frames sent by the ranks hosted in this process);
-	// on a networked backend they include wire framing overhead and track
-	// only this process's share of the world.
-	TransportFrames int64
-	TransportBytes  int64
 }
 
 // GraphClass selects the coarsening size-constraint factor f (§V-A: 14 on
@@ -154,8 +149,9 @@ type Config struct {
 
 	// Tracer, when non-nil, records per-rank spans across the whole run:
 	// pipeline phases and levels here, sclp supersteps, and mpi exchanges
-	// (RunOn attaches it to the world). Nil — the default —
-	// disables tracing at zero cost. Must be identical on every rank.
+	// (RunOn attaches it to the world). Nil — the default — records
+	// nothing; the spans still time the run for Stats. Must be identical
+	// on every rank.
 	Tracer *obs.Tracer
 }
 
@@ -201,7 +197,10 @@ type LevelStat struct {
 	M int64
 }
 
-// Stats reports what a run did.
+// Stats reports what a run did. Its times are rank 0's span durations
+// (obs.Tracer.End returns them whether or not the run is traced): the sums
+// of the core.coarsen, core.initial_partition, core.refine and
+// core.rebalance spans, and the core.partition span for TotalTime.
 type Stats struct {
 	Levels      []LevelStat // fine-to-coarse, first V-cycle, incl. input
 	CoarsenTime time.Duration
@@ -231,10 +230,11 @@ type Stats struct {
 	// sclp.ParStats).
 	Par  sclp.ParStats
 	Comm mpi.Stats // whole-world traffic (filled by RunWith)
-	// Transport is the transport-level counter snapshot of this process's
-	// world (filled by RunWith alongside Comm). On the in-process backend it
-	// mirrors Comm; on TCP it additionally reports heartbeat misses and
-	// peer failures.
+	// Transport is the transport-level counter snapshot of the ranks this
+	// process hosts (filled by RunWith alongside Comm). On the in-process
+	// backend its frames and bytes equal Comm's messages and bytes, one
+	// frame per message; on TCP it counts this process's frames and the
+	// wire bytes they took, framing included.
 	Transport transport.Stats
 }
 
@@ -281,32 +281,40 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	}
 	cfg.normalize()
 	c := d.Comm
-	startAll := time.Now() //lint:determinism-ok stats timing, never partition state
+	tr, rank := c.Tracer(), c.Rank()
+	// Every time the run reports comes from a span: the span times itself
+	// on a nil tracer too.
+	spRun := tr.Begin(rank, "core.partition")
 	// report emits a progress checkpoint on rank 0. Callers must compute
 	// any collective quantities (cut, block weights) on every rank before
 	// calling it.
 	report := func(p Progress) {
-		if cfg.OnProgress == nil || c.Rank() != 0 {
+		if cfg.OnProgress == nil || rank != 0 {
 			return
 		}
 		p.Cycles = cfg.VCycles
-		p.Elapsed = time.Since(startAll) //lint:determinism-ok stats timing, never partition state
+		p.Elapsed = spRun.Elapsed()
 		// WorldStats reads atomics only — no collective, safe on rank 0 alone.
 		ws := c.WorldStats()
 		p.CommMsgs = ws.MessagesSent
 		p.CommBytes = ws.BytesSent()
-		ts := c.TransportStats()
-		p.TransportFrames = ts.FramesSent
-		p.TransportBytes = ts.BytesSent
 		cfg.OnProgress(p)
 	}
 	var st Stats
+	totalWeight := d.GlobalNodeWeight()
+	lmax := partition.Lmax(totalWeight, cfg.K, cfg.Eps)
+	imbalanceOf := func(mx int64) float64 {
+		return float64(mx)/(float64(totalWeight)/float64(cfg.K)) - 1
+	}
 	if cfg.K == 1 {
 		part := make([]int64, d.NTotal())
 		st.Feasible = true
-		st.MaxBlockWeight = d.GlobalNodeWeight()
-		st.Lmax = partition.Lmax(st.MaxBlockWeight, 1, cfg.Eps)
-		st.TotalTime = time.Since(startAll) //lint:determinism-ok stats timing, never partition state
+		st.MaxBlockWeight = totalWeight
+		st.Lmax = lmax
+		st.Imbalance = imbalanceOf(totalWeight)
+		st.TotalTime = tr.End1(spRun, "cut", 0)
+		report(Progress{Phase: PhaseDone, Cycle: cfg.VCycles - 1, Level: 0,
+			N: d.GlobalN, M: d.GlobalM, Cut: 0, Imbalance: st.Imbalance})
 		return part, st, nil
 	}
 	// Scratch arena for the supersteps, reset between pipeline stages, so
@@ -315,11 +323,6 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	// Shared stream: identical on every rank, used for cross-rank-consistent
 	// decisions (level seeds, the per-cycle size factor f).
 	shared := rng.New(cfg.Seed)
-	totalWeight := d.GlobalNodeWeight()
-	lmax := partition.Lmax(totalWeight, cfg.K, cfg.Eps)
-	imbalanceOf := func(mx int64) float64 {
-		return float64(mx)/(float64(totalWeight)/float64(cfg.K)) - 1
-	}
 	coarsestLimit := max(coarsestPerBlock*int64(cfg.K), minCoarsest)
 	maxNW := d.MaxNodeWeightGlobal()
 
@@ -354,7 +357,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		}
 
 		// --- Parallel coarsening ---
-		tCoarsen := time.Now() //lint:determinism-ok stats timing, never partition state
+		spCoarsen := tr.Begin(rank, "core.coarsen")
 		cur := d
 		var constraint []int64
 		if part != nil {
@@ -370,7 +373,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			st.Levels = append(st.Levels, LevelStat{N: d.GlobalN, M: d.GlobalM})
 		}
 		for cur.GlobalN > coarsestLimit {
-			spLvl := c.Tracer().Begin(c.Rank(), "core.coarsen_level")
+			spLvl := tr.Begin(rank, "core.coarsen_level")
 			labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
 				U:              clusterBound(u, totalWeight, cur.GlobalN),
 				Iterations:     coarsenIters,
@@ -382,7 +385,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 				Stats:          &st.Par,
 			})
 			res := contract.ParContractWith(cur, labels, contract.ContractOptions{Arena: ar})
-			c.Tracer().End3(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN, "heap_mb", c.Tracer().HeapMB())
+			tr.End3(spLvl, "level", int64(len(levels)), "coarse_n", res.Coarse.GlobalN, "heap_mb", tr.HeapMB())
 			// The level's sclp/contract scratch is dead; recycle the slabs.
 			ar.Reset()
 			if res.Coarse.GlobalN >= cur.GlobalN*19/20 {
@@ -411,11 +414,10 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			report(Progress{Phase: PhaseCoarsen, Cycle: cycle, Level: len(levels),
 				N: cur.GlobalN, M: cur.GlobalM, Cut: -1, Imbalance: -1})
 		}
-		st.CoarsenTime += time.Since(tCoarsen) //lint:determinism-ok stats timing, never partition state
+		st.CoarsenTime += tr.End1(spCoarsen, "cycle", int64(cycle))
 
 		// --- Initial partitioning: replicate coarsest graph, run KaFFPaE ---
-		tInit := time.Now() //lint:determinism-ok stats timing, never partition state
-		spInit := c.Tracer().Begin(c.Rank(), "core.initial_partition")
+		spInit := tr.Begin(rank, "core.initial_partition")
 		coarsest := cur.Gather()
 		var initial []int32
 		if constraint != nil {
@@ -455,8 +457,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			// measure real movement, not label permutation.
 			remapBlocks(best, evoCfg.MigrationRef, cfg.K, coarsest.NW)
 		}
-		c.Tracer().End3(spInit, "cycle", int64(cycle), "coarsest_n", int64(coarsest.NumNodes()), "heap_mb", c.Tracer().HeapMB())
-		st.InitTime += time.Since(tInit) //lint:determinism-ok stats timing, never partition state
+		st.InitTime += tr.End3(spInit, "cycle", int64(cycle), "coarsest_n", int64(coarsest.NumNodes()), "heap_mb", tr.HeapMB())
 		// The coarsest graph is replicated, so rank 0 can score the initial
 		// partition locally — no collective needed.
 		if cfg.OnProgress != nil && c.Rank() == 0 {
@@ -467,7 +468,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		}
 
 		// --- Parallel uncoarsening with label propagation local search ---
-		tRefine := time.Now() //lint:determinism-ok stats timing, never partition state
+		spRefine := tr.Begin(rank, "core.refine")
 		curPart := make([]int64, cur.NTotal())
 		for v := int32(0); v < cur.NTotal(); v++ {
 			curPart[v] = int64(best[cur.ToGlobal(v)])
@@ -484,29 +485,29 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			report(Progress{Phase: PhaseRefine, Cycle: cycle, Level: level,
 				N: dg.GlobalN, M: dg.GlobalM, Cut: cut, Imbalance: imbalanceOf(mx)})
 		}
-		spRef := c.Tracer().Begin(c.Rank(), "core.refine_level")
+		spRef := tr.Begin(rank, "core.refine_level")
 		sclp.ParRefine(cur, curPart, sclp.ParRefineConfig{
 			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
 			PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
 			Prev: prevCur, Arena: ar, Stats: &st.Par,
 		})
-		c.Tracer().End2(spRef, "level", int64(len(levels)), "heap_mb", c.Tracer().HeapMB())
+		tr.End2(spRef, "level", int64(len(levels)), "heap_mb", tr.HeapMB())
 		ar.Reset()
 		reportRefine(cur, curPart, len(levels))
 		for i := len(levels) - 1; i >= 0; i-- {
 			lv := levels[i]
-			spRef = c.Tracer().Begin(c.Rank(), "core.refine_level")
+			spRef = tr.Begin(rank, "core.refine_level")
 			curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
 			sclp.ParRefine(lv.fine, curPart, sclp.ParRefineConfig{
 				K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
 				PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
 				Prev: lv.prevFine, Arena: ar, Stats: &st.Par,
 			})
-			c.Tracer().End2(spRef, "level", int64(i), "heap_mb", c.Tracer().HeapMB())
+			tr.End2(spRef, "level", int64(i), "heap_mb", tr.HeapMB())
 			ar.Reset()
 			reportRefine(lv.fine, curPart, i)
 		}
-		st.RefineTime += time.Since(tRefine) //lint:determinism-ok stats timing, never partition state
+		st.RefineTime += tr.End1(spRefine, "cycle", int64(cycle))
 		part = curPart
 	}
 
@@ -516,13 +517,11 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 	// block over Lmax, run the dedicated distributed rebalancing stage.
 	// (The check is rank-consistent: BlockWeights is an allreduce.)
 	if mx > lmax {
-		tReb := time.Now() //lint:determinism-ok stats timing, never partition state
-		spReb := c.Tracer().Begin(c.Rank(), "core.rebalance")
+		spReb := tr.Begin(rank, "core.rebalance")
 		st.RebalanceMoves, _ = sclp.ParRebalance(d, part, sclp.ParRebalanceConfig{
 			K: cfg.K, Lmax: lmax,
 		})
-		c.Tracer().End1(spReb, "moves", st.RebalanceMoves)
-		st.RebalanceTime = time.Since(tReb) //lint:determinism-ok stats timing, never partition state
+		st.RebalanceTime = tr.End1(spReb, "moves", st.RebalanceMoves)
 		mx = slices.Max(d.BlockWeights(part, cfg.K))
 		report(Progress{Phase: PhaseRebalance, Cycle: cfg.VCycles - 1, Level: 0,
 			N: d.GlobalN, M: d.GlobalM, Cut: -1, Imbalance: imbalanceOf(mx)})
@@ -544,7 +543,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		st.MigratedNodes = d.Comm.AllreduceSum1(movedN)
 		st.MigrationVolume = d.Comm.AllreduceSum1(movedW)
 	}
-	st.TotalTime = time.Since(startAll) //lint:determinism-ok stats timing, never partition state
+	st.TotalTime = tr.End1(spRun, "cut", st.Cut)
 	report(Progress{Phase: PhaseDone, Cycle: cfg.VCycles - 1, Level: 0,
 		N: d.GlobalN, M: d.GlobalM, Cut: st.Cut, Imbalance: st.Imbalance})
 	return part, st, nil

@@ -122,6 +122,32 @@ func TestRunK1(t *testing.T) {
 	}
 }
 
+// TestRunK1EmitsDone checks that a k = 1 run, which skips the multilevel
+// pipeline, still ends with the done event the progress contract promises.
+func TestRunK1EmitsDone(t *testing.T) {
+	g, err := gen.ByFamily(gen.FamilyWeb, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := FastConfig(1, ClassSocial)
+	var evs []Progress
+	cfg.OnProgress = func(p Progress) { evs = append(evs, p) }
+	res, err := run(2, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 1 {
+		t.Fatalf("k=1 run emitted %d progress events, want one done event", len(evs))
+	}
+	ev := evs[0]
+	if ev.Phase != PhaseDone || ev.Cut != 0 || ev.Imbalance != 0 || ev.N != int64(g.NumNodes()) {
+		t.Errorf("k=1 done event = %+v, want phase done, cut 0, imbalance 0, n %d", ev, g.NumNodes())
+	}
+	if res.Stats.TotalTime <= 0 || ev.Elapsed < res.Stats.TotalTime {
+		t.Errorf("k=1 times: TotalTime %v, done event Elapsed %v", res.Stats.TotalTime, ev.Elapsed)
+	}
+}
+
 func TestRunInvalidK(t *testing.T) {
 	g := graph.Path(10)
 	if _, err := run(2, g, Config{K: 0}); err == nil {

@@ -3,8 +3,6 @@ package dgraph
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/mpi"
 )
 
 // ExchangePlan is the precomputed halo-exchange structure of one
@@ -25,7 +23,6 @@ import (
 // carry (position-in-send-list, value) pairs that the receiver resolves
 // with one array index instead of a hash lookup.
 type ExchangePlan struct {
-	c    *mpi.Comm
 	nbrs []int // adjacent ranks, ascending
 
 	// Send side: for neighbor slot i, sendVtx[sendOff[i]:sendOff[i+1]]
@@ -56,7 +53,7 @@ type ExchangePlan struct {
 // relation is symmetric).
 func (d *DGraph) buildPlan() {
 	c := d.Comm
-	p := &ExchangePlan{c: c}
+	p := &ExchangePlan{}
 
 	// Neighbor set: distinct ghost-owner ranks, ascending; never this rank,
 	// which owns no ghost. slotOf maps a rank to its neighbor slot.
@@ -141,36 +138,9 @@ func (d *DGraph) buildPlan() {
 	d.plan = p
 }
 
-// Plan returns the level's halo-exchange plan.
-func (d *DGraph) Plan() *ExchangePlan { return d.plan }
-
 // resetStaging truncates every staging buffer (keeping capacity).
 func (p *ExchangePlan) resetStaging() {
 	for i := range p.sendBuf {
 		p.sendBuf[i] = p.sendBuf[i][:0]
 	}
-}
-
-// AddToRank stages vals for delivery to rank r on the next Exchange. r must
-// be an adjacent rank (the matching baseline routes its cross-rank matching
-// handshake through this; proposal targets are ghost owners, so adjacency
-// holds by construction).
-func (p *ExchangePlan) AddToRank(r int32, vals ...int64) {
-	i, ok := slices.BinarySearch(p.nbrs, int(r))
-	if !ok {
-		panic(fmt.Sprintf("dgraph: AddToRank(%d): not an adjacent rank", r))
-	}
-	p.sendBuf[i] = append(p.sendBuf[i], vals...)
-}
-
-// Exchange ships the staged buffers over the neighborhood topology and
-// hands each neighbor's payload to recv (data is only valid during the
-// callback), then resets the staging for reuse. Collective (SPMD order).
-func (p *ExchangePlan) Exchange(recv func(src int32, data []int64)) {
-	sp := p.c.Tracer().Begin(p.c.Rank(), "dgraph.plan_exchange")
-	p.c.NeighborAlltoallv(p.nbrs, p.sendBuf, func(i int, data []int64) {
-		recv(int32(p.nbrs[i]), data)
-	})
-	p.resetStaging()
-	p.c.Tracer().End(sp)
 }

@@ -39,7 +39,7 @@ func TestPlanStructureConsistent(t *testing.T) {
 	const P = 4
 	mpi.NewWorld(P).Run(func(c *mpi.Comm) {
 		d := FromGraph(c, g)
-		p := d.Plan()
+		p := d.plan
 		// Every ghost owner appears as a neighbor and vice versa.
 		owners := map[int]bool{}
 		for gi := range d.ghostGlobal {
@@ -276,10 +276,9 @@ func TestPushGhostsMalformedBuffersPanicLoudly(t *testing.T) {
 			mpi.NewWorld(2).Run(func(c *mpi.Comm) {
 				d := FromGraph(c, g)
 				if c.Rank() == 0 {
-					// Stage a malformed buffer through the plan's raw staging
-					// API; this lines up with rank 1's PushGhosts superstep.
-					d.Plan().AddToRank(1, tc.payload...)
-					d.Plan().Exchange(func(int32, []int64) {})
+					// Send a malformed buffer in a raw neighbor exchange;
+					// this lines up with rank 1's PushGhosts superstep.
+					c.NeighborAlltoallv([]int{1}, [][]int64{tc.payload}, func(int, []int64) {})
 				} else {
 					vals := make([]int64, d.NTotal())
 					d.PushGhosts(vals, nil)

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/contract"
 	"repro/internal/core"
@@ -67,7 +66,8 @@ type Config struct {
 	// Seed drives randomness.
 	Seed uint64
 	// Tracer, when non-nil, records per-rank spans (matching rounds,
-	// exchange supersteps) for the run. Nil disables tracing at zero cost.
+	// exchange supersteps) for the run. Nil records nothing; the spans
+	// still time the run for Stats.
 	Tracer *obs.Tracer
 }
 
@@ -142,13 +142,13 @@ func parallelHeavyEdgeMatching(d *dgraph.DGraph, maxWeight int64, r *rng.RNG) []
 		labels[best] = gv
 	}
 
-	// Stage 2: cross-rank handshake over the halo-exchange plan's sparse
-	// neighborhood topology — proposals target ghost owners and acceptances
-	// return to proposer owners, both adjacent ranks by construction, so no
-	// message touches a non-adjacent PE. Proposals carry (proposer, target);
-	// owners accept greedily in (target, proposer) order for determinism
-	// across runs.
-	plan := d.Plan()
+	// Stage 2: cross-rank handshake, staged by destination rank in one
+	// sharder: proposals go to ghost owners, acceptances back to proposer
+	// owners. Proposals carry (proposer, target); owners accept greedily in
+	// (target, proposer) order for determinism across runs, and each
+	// proposer gets at most one acceptance, so arrival order decides
+	// nothing.
+	sh := mpi.NewSharder(d.Comm)
 	for _, v := range order {
 		if matched[v] {
 			continue
@@ -170,11 +170,11 @@ func parallelHeavyEdgeMatching(d *dgraph.DGraph, maxWeight int64, r *rng.RNG) []
 		if best < 0 {
 			continue
 		}
-		plan.AddToRank(d.GhostOwner(best), d.ToGlobal(v), d.ToGlobal(best))
+		sh.Add(int(d.GhostOwner(best)), d.ToGlobal(v), d.ToGlobal(best))
 	}
 	// Flatten and sort incoming proposals deterministically.
 	var all []proposal
-	plan.Exchange(func(src int32, buf []int64) {
+	sh.Exchange(func(src int, buf []int64) {
 		if len(buf)%2 != 0 {
 			d.Comm.Abort()
 			panic(fmt.Sprintf("matchbase: rank %d sent %d words of proposals (not pairs)", src, len(buf)))
@@ -200,9 +200,9 @@ func parallelHeavyEdgeMatching(d *dgraph.DGraph, maxWeight int64, r *rng.RNG) []
 			label = p.target
 		}
 		labels[lu] = label
-		plan.AddToRank(int32(d.Owner(p.proposer)), p.proposer, label)
+		sh.Add(d.Owner(p.proposer), p.proposer, label)
 	}
-	plan.Exchange(func(src int32, buf []int64) {
+	sh.Exchange(func(src int, buf []int64) {
 		if len(buf)%2 != 0 {
 			d.Comm.Abort()
 			panic(fmt.Sprintf("matchbase: rank %d sent %d words of acceptances (not pairs)", src, len(buf)))
@@ -234,7 +234,9 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 	}
 	cfg.normalize()
 	c := d.Comm
-	start := time.Now()
+	tr, rank := c.Tracer(), c.Rank()
+	// The Stats times are span durations, as in core.
+	spRun := tr.Begin(rank, "matchbase.partition")
 	var st core.Stats
 	shared := rng.New(cfg.Seed)
 	local := rng.New(cfg.Seed).Split(uint64(c.Rank() + 1))
@@ -255,15 +257,15 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 	cur := d
 	var levels []levelRec
 	st.Levels = append(st.Levels, core.LevelStat{N: cur.GlobalN, M: cur.GlobalM})
-	tCoarsen := time.Now()
+	spCoarsen := tr.Begin(rank, "matchbase.coarsen")
 	for lvl := 0; lvl < maxLevels && cur.GlobalN > coarsestLimit; lvl++ {
-		sp := c.Tracer().Begin(c.Rank(), "matchbase.match_round")
+		sp := tr.Begin(rank, "matchbase.match_round")
 		labels := parallelHeavyEdgeMatching(cur, maxPair, local)
 		// Owners may have matched nodes other ranks hold as ghosts; bring
 		// the ghost labels in sync before contracting.
 		cur.SyncGhosts(labels)
 		res := contract.ParContract(cur, labels)
-		c.Tracer().End2(sp, "level", int64(lvl), "coarse_n", res.Coarse.GlobalN)
+		tr.End2(sp, "level", int64(lvl), "coarse_n", res.Coarse.GlobalN)
 		if float64(res.Coarse.GlobalN) >= stallFactor*float64(cur.GlobalN) {
 			break
 		}
@@ -271,17 +273,17 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 		cur = res.Coarse
 		st.Levels = append(st.Levels, core.LevelStat{N: cur.GlobalN, M: cur.GlobalM})
 	}
-	st.CoarsenTime = time.Since(tCoarsen)
+	st.CoarsenTime = tr.End(spCoarsen)
 
 	// Replicating the coarsest graph is where memory blows up when
 	// coarsening stalled.
 	if cfg.MemoryBudgetNodes > 0 && cur.GlobalN > cfg.MemoryBudgetNodes {
-		st.TotalTime = time.Since(start)
+		st.TotalTime = tr.End(spRun)
 		return nil, st, fmt.Errorf("%w: %d nodes > budget %d",
 			ErrMemoryBudget, cur.GlobalN, cfg.MemoryBudgetNodes)
 	}
 
-	tInit := time.Now()
+	spInit := tr.Begin(rank, "matchbase.initial_partition")
 	coarsest := cur.Gather()
 	// Initial partitioning: recursive bisection (PT-Scotch/ParMETIS style),
 	// identical on all ranks via the shared seed.
@@ -293,9 +295,9 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 	if err != nil {
 		return nil, st, err
 	}
-	st.InitTime = time.Since(tInit)
+	st.InitTime = tr.End(spInit)
 
-	tRefine := time.Now()
+	spRefine := tr.Begin(rank, "matchbase.refine")
 	curPart := make([]int64, cur.NTotal())
 	for v := int32(0); v < cur.NTotal(); v++ {
 		curPart[v] = int64(best[cur.ToGlobal(v)])
@@ -311,7 +313,7 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 		curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
 		refine(lv.fine, curPart)
 	}
-	st.RefineTime = time.Since(tRefine)
+	st.RefineTime = tr.End(spRefine)
 
 	st.Cut = d.EdgeCut(curPart)
 	bw := d.BlockWeights(curPart, cfg.K)
@@ -328,7 +330,7 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 	st.Imbalance = float64(mx)/(float64(totalWeight)/float64(cfg.K)) - 1
 	st.Lmax = lmax
 	st.MaxBlockWeight = mx
-	st.TotalTime = time.Since(start)
+	st.TotalTime = tr.End1(spRun, "cut", st.Cut)
 	return curPart, st, nil
 }
 

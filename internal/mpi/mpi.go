@@ -193,8 +193,8 @@ type World struct {
 	errMu sync.Mutex
 	err   error // first transport failure; guarded by errMu
 
-	// tracer records per-rank exchange spans; nil (the default) disables
-	// tracing at zero cost. Set before Run via SetTracer.
+	// tracer records per-rank exchange spans; nil (the default) records
+	// nothing and allocates nothing. Set before Run via SetTracer.
 	tracer *obs.Tracer
 }
 
@@ -294,7 +294,7 @@ func (w *World) Close() error { return w.tr.Close() }
 func (w *World) LocalRanks() []int { return w.local }
 
 // TransportStats returns a snapshot of the transport-level counters
-// (frames, bytes, heartbeat misses, peer failures).
+// (frames and bytes sent, heartbeat misses).
 func (w *World) TransportStats() transport.Stats { return w.tr.Stats() }
 
 // Abort requests a cooperative shutdown of the whole world: every rank
@@ -442,10 +442,6 @@ func (c *Comm) Size() int { return c.world.size }
 // reads atomics only, so any rank (or an outside observer goroutine) may
 // call it at any time; the snapshot is monotone but not a consistent cut.
 func (c *Comm) WorldStats() Stats { return c.world.TotalStats() }
-
-// TransportStats returns the world's transport-level counters (frames,
-// bytes, heartbeat misses, peer failures). Atomics only, like WorldStats.
-func (c *Comm) TransportStats() transport.Stats { return c.world.tr.Stats() }
 
 // LocalRankCount returns how many of the world's ranks run in this process
 // (all of them on the in-process transport, typically one on TCP). Callers

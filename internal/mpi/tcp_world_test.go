@@ -273,7 +273,7 @@ func TestTCPWorldStats(t *testing.T) {
 	ws := tcpWorlds(t, P, transport.TCPConfig{})
 	RunAll(ws, func(c *Comm) {
 		c.Barrier()
-		if c.TransportStats().FramesSent == 0 {
+		if ws[c.Rank()].TransportStats().FramesSent == 0 {
 			t.Errorf("rank %d: zero transport frames after a barrier", c.Rank())
 		}
 	})

@@ -59,12 +59,5 @@ func (t *Inproc) Abort() {}
 // Close is a no-op.
 func (t *Inproc) Close() error { return nil }
 
-// Stats returns the frame counters. Every sent frame is delivered
-// synchronously, so the receive counters mirror the send counters (Send
-// touches only two atomics, keeping the hot path lean).
-func (t *Inproc) Stats() Stats {
-	s := t.ctr.snapshot()
-	s.FramesRecv = s.FramesSent
-	s.BytesRecv = s.BytesSent
-	return s
-}
+// Stats returns the frame counters.
+func (t *Inproc) Stats() Stats { return t.ctr.snapshot() }

@@ -380,8 +380,6 @@ func (t *TCP) reader(p *tcpPeer, conn net.Conn) {
 			t.remoteAbort(p.rank)
 			return
 		case opData:
-			t.ctr.framesRecv.Add(1)
-			t.ctr.bytesRecv.Add(int64(headerLen + 8*len(f.payload)))
 			t.h.Deliver(Frame{Src: p.rank, Dst: t.self, Kind: f.kind, Tag: f.tag, Payload: f.payload})
 		default:
 			t.fatal(p.rank, fmt.Errorf("transport: unknown frame op %d from rank %d", f.op, p.rank))
@@ -413,8 +411,6 @@ func (t *TCP) Send(f Frame) {
 	if f.Dst == t.self {
 		t.ctr.framesSent.Add(1)
 		t.ctr.bytesSent.Add(int64(8 * len(f.Payload)))
-		t.ctr.framesRecv.Add(1)
-		t.ctr.bytesRecv.Add(int64(8 * len(f.Payload)))
 		t.h.Deliver(copyPayload(f))
 		return
 	}
@@ -492,7 +488,6 @@ func (t *TCP) fatal(rank int, err error) {
 	if t.closed.Load() || t.aborting.Load() || t.dead.Swap(true) {
 		return
 	}
-	t.ctr.peerDown.Add(1)
 	t.logf("transport: rank %d: %v", t.self, err)
 	t.downOnce.Do(func() {
 		if t.h.Down != nil {

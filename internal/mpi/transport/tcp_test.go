@@ -131,11 +131,11 @@ func TestLoopbackMeshDelivery(t *testing.T) {
 		}
 	}
 	s := ts[0].Stats()
-	if s.FramesSent != 2 || s.FramesRecv != 2 {
-		t.Errorf("rank 0 stats: sent %d recv %d, want 2/2", s.FramesSent, s.FramesRecv)
+	if s.FramesSent != 2 {
+		t.Errorf("rank 0 stats: sent %d, want 2", s.FramesSent)
 	}
-	if s.BytesSent == 0 || s.BytesRecv == 0 {
-		t.Errorf("rank 0 stats: zero byte counters: %+v", s)
+	if s.BytesSent == 0 {
+		t.Errorf("rank 0 stats: zero byte counter: %+v", s)
 	}
 	closeMesh(ts)
 	testutil.WaitNoLeak(t, base, 2)
@@ -197,8 +197,8 @@ func TestConnectionLossAbortsWorld(t *testing.T) {
 	}
 	// The world is lost: sends are dropped instead of waiting out deadlines.
 	ts[1].Send(Frame{Src: 1, Dst: 0, Payload: []int64{2}})
-	if s := ts[1].Stats(); s.FramesSent != 0 || s.PeerFailures != 1 {
-		t.Errorf("rank 1 stats after the loss: %+v, want no frames sent and one peer failure", s)
+	if s := ts[1].Stats(); s.FramesSent != 0 {
+		t.Errorf("rank 1 stats after the loss: %+v, want no frames sent", s)
 	}
 	closeMesh(ts)
 	testutil.WaitNoLeak(t, base, 2)

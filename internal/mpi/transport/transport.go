@@ -85,49 +85,30 @@ type Transport interface {
 	Stats() Stats
 }
 
-// Stats counts transport-level traffic and failures. For Inproc,
-// frames==messages and the heartbeat and failure counters stay zero.
+// Stats counts the frames and bytes a transport sent and its missed
+// heartbeats. For Inproc, frames==messages and the heartbeat counter stays
+// zero.
 type Stats struct {
-	FramesSent int64 `json:"frames_sent"`
-	FramesRecv int64 `json:"frames_recv"`
-	BytesSent  int64 `json:"bytes_sent"`
-	BytesRecv  int64 `json:"bytes_recv"`
+	FramesSent int64
+	BytesSent  int64
 	// HeartbeatMisses counts liveness checks that found a peer silent for
 	// longer than the heartbeat interval (the world aborts once the
 	// silence exceeds the timeout).
-	HeartbeatMisses int64 `json:"heartbeat_misses"`
-	// PeerFailures counts peers declared permanently down.
-	PeerFailures int64 `json:"peer_failures"`
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.FramesSent += o.FramesSent
-	s.FramesRecv += o.FramesRecv
-	s.BytesSent += o.BytesSent
-	s.BytesRecv += o.BytesRecv
-	s.HeartbeatMisses += o.HeartbeatMisses
-	s.PeerFailures += o.PeerFailures
+	HeartbeatMisses int64
 }
 
 // counters is the shared atomic backing of Stats snapshots.
 type counters struct {
 	framesSent atomic.Int64
-	framesRecv atomic.Int64
 	bytesSent  atomic.Int64
-	bytesRecv  atomic.Int64
 	hbMisses   atomic.Int64
-	peerDown   atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
 		FramesSent:      c.framesSent.Load(),
-		FramesRecv:      c.framesRecv.Load(),
 		BytesSent:       c.bytesSent.Load(),
-		BytesRecv:       c.bytesRecv.Load(),
 		HeartbeatMisses: c.hbMisses.Load(),
-		PeerFailures:    c.peerDown.Load(),
 	}
 }
 

@@ -114,6 +114,33 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 }
 
+// TestNilTracerTimesSpans checks that a span on a nil tracer still times
+// itself: End returns the time since Begin, Elapsed reads it mid-span, and
+// nothing is recorded.
+func TestNilTracerTimesSpans(t *testing.T) {
+	var tr *Tracer
+	sp := tr.Begin(0, "x")
+	time.Sleep(time.Millisecond)
+	mid := sp.Elapsed()
+	d := tr.End1(sp, "k", 1)
+	if mid < time.Millisecond || d < mid {
+		t.Errorf("nil tracer span: Elapsed %v then End %v, want >= 1ms and non-decreasing", mid, d)
+	}
+	if tr.SpanCount() != 0 {
+		t.Error("nil tracer recorded a span")
+	}
+}
+
+// TestEndReturnsRecordedDuration checks that End's duration is the one the
+// trace stores.
+func TestEndReturnsRecordedDuration(t *testing.T) {
+	tr := NewTracer(1)
+	d := tr.End2(tr.Begin(0, "x"), "a", 1, "b", 2)
+	if got := time.Duration(tr.tracks[0].events[0].dur); got != d {
+		t.Errorf("End returned %v, recorded dur %v", d, got)
+	}
+}
+
 // TestOutOfRangeRankDropped checks spans against out-of-range ranks are
 // dropped rather than panicking.
 func TestOutOfRangeRankDropped(t *testing.T) {

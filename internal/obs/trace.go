@@ -5,11 +5,13 @@
 // gauge or counter samples.
 //
 // The package is dependency-free (stdlib only) so every layer — mpi, dgraph,
-// sclp, matchbase, core, server — can import it without cycles. Both halves
-// are built around the same discipline: when observability is off it must
-// cost nothing. A nil *Tracer is a valid, disabled tracer; Begin/End on it
-// perform no clock reads and no allocations, so instrumentation can stay in
-// superstep hot loops permanently.
+// sclp, matchbase, core, server — can import it without cycles. Spans are
+// also the pipeline's one clock: End returns the span's duration, and
+// core's and matchbase's Stats times are those durations, so a traced run's
+// phase times are the trace's span durations to the nanosecond. A nil
+// *Tracer is a valid, disabled tracer: Begin and End on it read the clock
+// once each and record nothing, so instrumentation can stay in superstep
+// hot loops permanently without allocating.
 package obs
 
 import (
@@ -51,12 +53,20 @@ type rankTrack struct {
 	events []event
 }
 
+// clockBase anchors every span's clock reading: spans hold their start as
+// nanoseconds since it, on the monotonic clock.
+var clockBase = time.Now()
+
+// now is the one clock read behind Begin, End and Elapsed.
+func now() int64 { return int64(time.Since(clockBase)) }
+
 // Tracer records spans on a fixed set of rank tracks. Create one with
 // NewTracer when tracing is requested; pass nil everywhere otherwise — all
-// methods are nil-safe no-ops, and the disabled path performs zero
-// allocations and zero clock reads.
+// methods are nil-safe, and on the disabled path spans still time
+// themselves (one clock read in Begin, one in End) but record nothing and
+// allocate nothing.
 type Tracer struct {
-	epoch  time.Time
+	epoch  int64 // clock reading at NewTracer; recorded starts are relative to it
 	tracks []rankTrack
 }
 
@@ -67,40 +77,47 @@ func NewTracer(ranks int) *Tracer {
 	if ranks < 1 {
 		ranks = 1
 	}
-	return &Tracer{epoch: time.Now(), tracks: make([]rankTrack, ranks)}
+	return &Tracer{epoch: now(), tracks: make([]rankTrack, ranks)}
 }
 
-// Span is an in-flight span handle returned by Begin. The zero Span (from a
-// nil or out-of-range tracer) is inert: End on it does nothing.
+// Span is an in-flight span handle returned by Begin. It always carries its
+// start time; only a span from an enabled tracer and an in-range rank is
+// recorded when it ends.
 type Span struct {
 	t     *Tracer
 	rank  int32
-	start int64
+	start int64 // clock reading at Begin
 	name  string
 }
 
-// Begin opens a span named name on the given rank's track. On a nil tracer
-// it returns the inert zero Span without reading the clock.
+// Begin opens a span named name on the given rank's track and stamps its
+// start time, on every tracer: a nil or out-of-range one returns a span
+// that times itself but is never recorded.
 //
 //parhip:hotpath
 func (t *Tracer) Begin(rank int, name string) Span {
-	if t == nil || rank < 0 || rank >= len(t.tracks) {
-		return Span{}
+	sp := Span{start: now()}
+	if t != nil && rank >= 0 && rank < len(t.tracks) {
+		sp.t, sp.rank, sp.name = t, int32(rank), name
 	}
-	return Span{t: t, rank: int32(rank), name: name, start: int64(time.Since(t.epoch))}
+	return sp
 }
 
-// record closes sp with the given args copied into the event buffer.
+// Elapsed returns the time since sp began, for reading a span's progress
+// before it ends.
+func (sp Span) Elapsed() time.Duration { return time.Duration(now() - sp.start) }
+
+// record stores sp, ended at the clock reading end, with the given args
+// copied into the event buffer.
 //
 //parhip:hotpath
-func (t *Tracer) record(sp Span, a0, a1, a2 Arg, nargs int) {
-	end := int64(time.Since(t.epoch))
+func (t *Tracer) record(sp Span, end int64, a0, a1, a2 Arg, nargs int) {
 	tr := &t.tracks[sp.rank]
 	//lint:hotpath-ok per-rank track: only that rank's goroutine ends spans, so the lock is uncontended; it guards WriteJSON racing a live run
 	tr.mu.Lock()
 	tr.events = append(tr.events, event{
 		name:  sp.name,
-		start: sp.start,
+		start: sp.start - t.epoch,
 		dur:   end - sp.start,
 		args:  [maxSpanArgs]Arg{a0, a1, a2},
 		nargs: nargs,
@@ -109,47 +126,53 @@ func (t *Tracer) record(sp Span, a0, a1, a2 Arg, nargs int) {
 	tr.mu.Unlock()
 }
 
-// End closes the span with no annotations. Inert on the zero Span.
+// End closes the span with no annotations and returns its duration, the
+// one a recorded span stores as dur. Records nothing for a span from a
+// nil or out-of-range tracer.
 //
 //parhip:hotpath
-func (t *Tracer) End(sp Span) {
-	if sp.t == nil {
-		return
+func (t *Tracer) End(sp Span) time.Duration {
+	end := now()
+	if sp.t != nil {
+		sp.t.record(sp, end, Arg{}, Arg{}, Arg{}, 0)
 	}
-	sp.t.record(sp, Arg{}, Arg{}, Arg{}, 0)
+	return time.Duration(end - sp.start)
 }
 
-// End1 closes the span with one annotation. The fixed-arity End variants
-// exist instead of a variadic signature so that disabled-path callers never
-// construct an argument slice — escape analysis would otherwise heap-
-// allocate it even when the tracer is nil.
+// End1 closes the span with one annotation and returns its duration. The
+// fixed-arity End variants exist instead of a variadic signature so that
+// disabled-path callers never construct an argument slice — escape analysis
+// would otherwise heap-allocate it even when the tracer is nil.
 //
 //parhip:hotpath
-func (t *Tracer) End1(sp Span, k string, v int64) {
-	if sp.t == nil {
-		return
+func (t *Tracer) End1(sp Span, k string, v int64) time.Duration {
+	end := now()
+	if sp.t != nil {
+		sp.t.record(sp, end, Arg{k, v}, Arg{}, Arg{}, 1)
 	}
-	sp.t.record(sp, Arg{k, v}, Arg{}, Arg{}, 1)
+	return time.Duration(end - sp.start)
 }
 
-// End2 closes the span with two annotations.
+// End2 closes the span with two annotations and returns its duration.
 //
 //parhip:hotpath
-func (t *Tracer) End2(sp Span, k1 string, v1 int64, k2 string, v2 int64) {
-	if sp.t == nil {
-		return
+func (t *Tracer) End2(sp Span, k1 string, v1 int64, k2 string, v2 int64) time.Duration {
+	end := now()
+	if sp.t != nil {
+		sp.t.record(sp, end, Arg{k1, v1}, Arg{k2, v2}, Arg{}, 2)
 	}
-	sp.t.record(sp, Arg{k1, v1}, Arg{k2, v2}, Arg{}, 2)
+	return time.Duration(end - sp.start)
 }
 
-// End3 closes the span with three annotations.
+// End3 closes the span with three annotations and returns its duration.
 //
 //parhip:hotpath
-func (t *Tracer) End3(sp Span, k1 string, v1 int64, k2 string, v2 int64, k3 string, v3 int64) {
-	if sp.t == nil {
-		return
+func (t *Tracer) End3(sp Span, k1 string, v1 int64, k2 string, v2 int64, k3 string, v3 int64) time.Duration {
+	end := now()
+	if sp.t != nil {
+		sp.t.record(sp, end, Arg{k1, v1}, Arg{k2, v2}, Arg{k3, v3}, 3)
 	}
-	sp.t.record(sp, Arg{k1, v1}, Arg{k2, v2}, Arg{k3, v3}, 3)
+	return time.Duration(end - sp.start)
 }
 
 // heapObjects is the runtime metric HeapMB reads: the bytes held by heap

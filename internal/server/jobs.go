@@ -13,7 +13,6 @@ import (
 	"repro"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/mpi/transport"
 	"repro/internal/obs"
 	"repro/internal/sclp"
 )
@@ -144,15 +143,14 @@ type jobManager struct {
 	cacheHits   int64 // guarded by mu
 	cacheMisses int64 // guarded by mu
 
-	coreRuns    int64           // guarded by mu
-	coarsenTime time.Duration   // guarded by mu
-	initTime    time.Duration   // guarded by mu
-	refineTime  time.Duration   // guarded by mu
-	totalTime   time.Duration   // guarded by mu
-	comm        mpi.Stats       // guarded by mu
-	transport   transport.Stats // guarded by mu
-	par         sclp.ParStats   // guarded by mu: label-propagation superstep totals
-	cutSum      int64           // guarded by mu
+	coreRuns    int64         // guarded by mu
+	coarsenTime time.Duration // guarded by mu
+	initTime    time.Duration // guarded by mu
+	refineTime  time.Duration // guarded by mu
+	totalTime   time.Duration // guarded by mu
+	comm        mpi.Stats     // guarded by mu
+	par         sclp.ParStats // guarded by mu: label-propagation superstep totals
+	cutSum      int64         // guarded by mu
 
 	// queueWait/runDur are the /metrics latency histograms, observed by
 	// runJob for every job that occupies a worker (cache hits at
@@ -493,7 +491,6 @@ func (m *jobManager) runJob(j *job) {
 	m.refineTime += res.Stats.RefineTime
 	m.totalTime += res.Stats.TotalTime
 	m.comm.Add(res.Stats.Comm)
-	m.transport.Add(res.Stats.Transport)
 	m.par.Add(res.Stats.Par)
 	m.cutSum += res.Cut
 	m.terminateLocked(j, StateDone, &res, "", end)

@@ -74,10 +74,6 @@ var metrics = []metric{
 		func(v *StatsView) float64 { return float64(v.Core.Sclp.Interior) }},
 	{"parhipd_sclp_supersteps_total", "Label-propagation supersteps executed across all core runs (rank 0's view).", "counter",
 		func(v *StatsView) float64 { return float64(v.Core.Sclp.Supersteps) }},
-	{"parhipd_transport_bytes_total", "Payload bytes handed to the rank transport across all core runs.", "counter",
-		func(v *StatsView) float64 { return float64(v.Core.Transport.BytesSent) }},
-	{"parhipd_transport_frames_total", "Frames handed to the rank transport across all core runs.", "counter",
-		func(v *StatsView) float64 { return float64(v.Core.Transport.FramesSent) }},
 	{"parhipd_worker_utilization", "Fraction of the worker pool busy right now (running/workers).", "gauge",
 		func(v *StatsView) float64 { return float64(v.Running) / float64(v.Workers) }},
 	{"parhipd_workers", "Worker pool size.", "gauge",

@@ -58,8 +58,6 @@ var metricFamilies = []string{
 	"parhipd_sclp_evaluated_total counter",
 	"parhipd_sclp_interior_total counter",
 	"parhipd_sclp_supersteps_total counter",
-	"parhipd_transport_bytes_total counter",
-	"parhipd_transport_frames_total counter",
 	"parhipd_worker_utilization gauge",
 	"parhipd_workers gauge",
 }

@@ -58,7 +58,6 @@ import (
 
 	"repro"
 	"repro/internal/graph"
-	"repro/internal/mpi/transport"
 )
 
 // maxUploadBytes bounds an uploaded graph body (64 MiB covers every graph
@@ -417,10 +416,6 @@ type progressView struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	CommMsgs  int64   `json:"comm_msgs"`
 	CommBytes int64   `json:"comm_bytes"`
-	// transport_frames/transport_bytes mirror the transport counters at
-	// the checkpoint (see StatsView.Core.Transport).
-	TransportFrames int64 `json:"transport_frames"`
-	TransportBytes  int64 `json:"transport_bytes"`
 }
 
 // jobView is the wire form of a job's state.
@@ -464,19 +459,17 @@ func viewLocked(j *job) jobView {
 	if j.progress != nil {
 		ev := *j.progress
 		v.Progress = &progressView{
-			Phase:           string(ev.Phase),
-			Cycle:           ev.Cycle,
-			Cycles:          ev.Cycles,
-			Level:           ev.Level,
-			N:               ev.N,
-			M:               ev.M,
-			Cut:             ev.Cut,
-			Imbalance:       ev.Imbalance,
-			ElapsedMS:       float64(ev.Elapsed) / float64(time.Millisecond),
-			CommMsgs:        ev.CommMsgs,
-			CommBytes:       ev.CommBytes,
-			TransportFrames: ev.TransportFrames,
-			TransportBytes:  ev.TransportBytes,
+			Phase:     string(ev.Phase),
+			Cycle:     ev.Cycle,
+			Cycles:    ev.Cycles,
+			Level:     ev.Level,
+			N:         ev.N,
+			M:         ev.M,
+			Cut:       ev.Cut,
+			Imbalance: ev.Imbalance,
+			ElapsedMS: float64(ev.Elapsed) / float64(time.Millisecond),
+			CommMsgs:  ev.CommMsgs,
+			CommBytes: ev.CommBytes,
 		}
 	}
 	if !j.started.IsZero() {
@@ -814,12 +807,6 @@ type StatsView struct {
 		DenseExchanges    int64 `json:"dense_exchanges"`
 		NeighborExchanges int64 `json:"neighbor_exchanges"`
 		CumulativeCut     int64 `json:"cumulative_cut"`
-		// Transport is the transport-level view of the same traffic,
-		// aggregated over those runs: frames/bytes actually handed to the
-		// transport. parhipd runs in-process worlds only, so its
-		// failure-path counters (heartbeat misses, peer failures) stay
-		// zero and are not exported as metrics.
-		Transport transport.Stats `json:"transport"`
 		// Sclp is the label-propagation view of those runs (rank 0): the
 		// superstep count and the wall time of their sweeps.
 		Sclp struct {
@@ -882,7 +869,6 @@ func (s *Server) Stats() StatsView {
 	v.Core.NeighborWords = m.comm.NeighborWords
 	v.Core.DenseExchanges = m.comm.DenseExchanges
 	v.Core.NeighborExchanges = m.comm.NeighborExchanges
-	v.Core.Transport = m.transport
 	v.Core.CumulativeCut = m.cutSum
 	v.Core.Sclp.Supersteps = m.par.Supersteps
 	v.Core.Sclp.CommitMS = float64(m.par.CommitNS) / 1e6

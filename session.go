@@ -164,7 +164,7 @@ func WithPrevious(prev *Partition) Option {
 // counts, mpi exchange supersteps with word counts) into t, and
 // t.WriteJSON afterwards yields a Chrome trace-event file openable in
 // Perfetto with one track per rank. A nil t leaves tracing disabled (the
-// default, zero cost).
+// default): nothing is recorded or allocated.
 func WithTracer(t *Tracer) Option { return func(s *settings) error { s.tracer = t; return nil } }
 
 // WithProgressFunc registers a callback invoked synchronously for every
