@@ -133,8 +133,7 @@ type Config struct {
 	// the coarsest-level evolutionary selection breaks fitness ties in
 	// favour of fewer moves, and Stats reports MigratedNodes and
 	// MigrationVolume against it.
-	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	Previous []int32
+	Previous partition.Partition
 
 	// Seed drives all randomness (identical value on every rank).
 	Seed uint64
@@ -335,10 +334,7 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 			return nil, Stats{}, fmt.Errorf("core: previous partition has %d entries for %d nodes",
 				len(cfg.Previous), d.GlobalN)
 		}
-		prevFine = make([]int64, d.NTotal())
-		for v := int32(0); v < d.NTotal(); v++ {
-			prevFine[v] = int64(cfg.Previous[d.ToGlobal(v)])
-		}
+		prevFine = d.Localize(cfg.Previous)
 	}
 	// part is the current partition on the finest level (NTotal, synced).
 	// The first V-cycle starts from the previous partition; every cycle
@@ -419,28 +415,24 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 		// --- Initial partitioning: replicate coarsest graph, run KaFFPaE ---
 		spInit := tr.Begin(rank, "core.initial_partition")
 		coarsest := cur.Gather()
-		var initial []int32
+		var initial partition.Partition
 		if constraint != nil {
-			initial = gatherPart(cur, constraint)
+			initial = cur.GatherPartition(constraint)
 		}
-		evoCfg := evo.Config{
-			K:              cfg.K,
-			Eps:            cfg.Eps,
-			PopulationSize: evoPopulation,
-			Rounds:         cfg.EvoRounds,
-			MutationProb:   0.1,
-			MigrateEvery:   2,
-			Seed:           shared.Uint64(),
-			Initial:        initial,
-			Objective:      cfg.Objective,
-		}
+		evoCfg := evo.DefaultConfig(cfg.K)
+		evoCfg.Eps = cfg.Eps
+		evoCfg.PopulationSize = evoPopulation
+		evoCfg.Rounds = cfg.EvoRounds
+		evoCfg.Seed = shared.Uint64()
+		evoCfg.Initial = initial
+		evoCfg.Objective = cfg.Objective
 		if prevCur != nil {
 			// Migration-aware selection on the coarsest graph: fitness ties go
 			// to the individual closer to the previous partition.
 			if prevTracksConstraint {
 				evoCfg.MigrationRef = initial
 			} else {
-				evoCfg.MigrationRef = gatherPart(cur, prevCur)
+				evoCfg.MigrationRef = cur.GatherPartition(prevCur)
 			}
 		}
 		if cfg.EvoTimeBudget > 0 {
@@ -469,43 +461,34 @@ func PartitionDistributed(ctx context.Context, d *dgraph.DGraph, cfg Config) ([]
 
 		// --- Parallel uncoarsening with label propagation local search ---
 		spRefine := tr.Begin(rank, "core.refine")
-		curPart := make([]int64, cur.NTotal())
-		for v := int32(0); v < cur.NTotal(); v++ {
-			curPart[v] = int64(best[cur.ToGlobal(v)])
-		}
-		// reportRefine computes the current cut and imbalance (collectives,
-		// executed on every rank — gated on OnProgress, which the Config
-		// contract requires to be rank-consistent) and emits a checkpoint.
-		reportRefine := func(dg *dgraph.DGraph, p []int64, level int) {
-			if cfg.OnProgress == nil {
-				return
+		curPart := cur.Localize(best)
+		// Level len(levels) is the coarsest graph, which starts from the
+		// initial partition; every finer level starts from the projection
+		// of the coarser one.
+		for i := len(levels); i >= 0; i-- {
+			spRef := tr.Begin(rank, "core.refine_level")
+			dg, prev := cur, prevCur
+			if i < len(levels) {
+				lv := levels[i]
+				dg, prev = lv.fine, lv.prevFine
+				curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
 			}
-			cut := dg.EdgeCut(p)
-			mx := slices.Max(dg.BlockWeights(p, cfg.K))
-			report(Progress{Phase: PhaseRefine, Cycle: cycle, Level: level,
-				N: dg.GlobalN, M: dg.GlobalM, Cut: cut, Imbalance: imbalanceOf(mx)})
-		}
-		spRef := tr.Begin(rank, "core.refine_level")
-		sclp.ParRefine(cur, curPart, sclp.ParRefineConfig{
-			K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
-			PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
-			Prev: prevCur, Arena: ar, Stats: &st.Par,
-		})
-		tr.End2(spRef, "level", int64(len(levels)), "heap_mb", tr.HeapMB())
-		ar.Reset()
-		reportRefine(cur, curPart, len(levels))
-		for i := len(levels) - 1; i >= 0; i-- {
-			lv := levels[i]
-			spRef = tr.Begin(rank, "core.refine_level")
-			curPart = contract.ParProject(lv.fine, lv.coarse, lv.fineToCoarse, curPart)
-			sclp.ParRefine(lv.fine, curPart, sclp.ParRefineConfig{
+			sclp.ParRefine(dg, curPart, sclp.ParRefineConfig{
 				K: cfg.K, Lmax: lmax, Iterations: cfg.RefineIters,
 				PhasesPerRound: phasesPerRound, Seed: shared.Uint64(),
-				Prev: lv.prevFine, Arena: ar, Stats: &st.Par,
+				Prev: prev, Arena: ar, Stats: &st.Par,
 			})
 			tr.End2(spRef, "level", int64(i), "heap_mb", tr.HeapMB())
 			ar.Reset()
-			reportRefine(lv.fine, curPart, i)
+			// The checkpoint's cut and imbalance are collectives, run on
+			// every rank: OnProgress is rank-consistent by the Config
+			// contract.
+			if cfg.OnProgress != nil {
+				cut := dg.EdgeCut(curPart)
+				mx := slices.Max(dg.BlockWeights(curPart, cfg.K))
+				report(Progress{Phase: PhaseRefine, Cycle: cycle, Level: i,
+					N: dg.GlobalN, M: dg.GlobalM, Cut: cut, Imbalance: imbalanceOf(mx)})
+			}
 		}
 		st.RefineTime += tr.End1(spRefine, "cycle", int64(cycle))
 		part = curPart
@@ -612,28 +595,6 @@ func clusterBound(u, w, n int64) int64 {
 	return max(u, coarsenAvgFloor*(w/n)+coarsenAvgFloor*(w%n)/n)
 }
 
-// gatherPart assembles the full global partition (one entry per global
-// node) on every rank from a distributed NTotal-length assignment.
-// Collective.
-//
-//parhip:collective
-func gatherPart(d *dgraph.DGraph, part []int64) []int32 {
-	return joinParts(d.Comm.Allgatherv(part[:d.NLocal()]), d.GlobalN)
-}
-
-// joinParts concatenates the ranks' shares of a partition, in rank order.
-func joinParts(parts [][]int64, n int64) []int32 {
-	out := make([]int32, n)
-	var gv int64
-	for _, p := range parts {
-		for _, b := range p {
-			out[gv] = int32(b)
-			gv++
-		}
-	}
-	return out
-}
-
 // Result is the outcome of a replicated-input run.
 type Result struct {
 	Part  partition.Partition
@@ -694,7 +655,7 @@ func RunWith(ctx context.Context, world *mpi.World, g *graph.Graph, tracer *obs.
 		if c.Rank() == 0 {
 			st.Comm = world.TotalStats()
 			st.Transport = world.TransportStats()
-			res = Result{Part: joinParts(parts, d.GlobalN), Stats: st}
+			res = Result{Part: partition.FromWords(parts...), Stats: st}
 		}
 		// Rank 0's release says it holds every share, so a share lost on
 		// the wire fails its sender too.

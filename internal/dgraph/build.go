@@ -36,7 +36,7 @@ func Build[ID int32 | int64](c *mpi.Comm, vtxdist []int64, nw []int64, xadj []in
 		nLocal:  nLocal,
 		XAdj:    xadj,
 	}
-	d.Adj = make([]int32, len(adjGlobal))
+	d.Adj = make([]graph.NodeID, len(adjGlobal))
 	d.AdjW = adjw
 	if adjw == nil {
 		var longest int64

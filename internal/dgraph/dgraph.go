@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/partition"
 )
 
 // DGraph is one rank's share of a distributed graph plus its ghost halo.
@@ -35,8 +36,7 @@ type DGraph struct {
 	// CSR over local nodes. Adj holds local IDs: values below NLocal()
 	// are local nodes, values >= NLocal() index ghosts.
 	XAdj []int64
-	//lint:rawslice-ok CSR adjacency in local-index space, not a partition
-	Adj []int32
+	Adj  []graph.NodeID
 	// AdjW may alias the input graph's weight array (FromGraph) and is
 	// never written. It is nil when every edge weight is 1, as in
 	// graph.Graph; EdgeWeights handles both.
@@ -67,7 +67,7 @@ type DGraph struct {
 	// Reverse CSR of the halo (see GhostNeighbors): ghost nLocal+i's local
 	// neighbours are ghostAdj[ghostAdjOff[i]:ghostAdjOff[i+1]].
 	ghostAdjOff []int64
-	ghostAdj    []int32
+	ghostAdj    []graph.NodeID
 }
 
 // UniformVtxDist splits n nodes into size contiguous chunks of nearly equal
@@ -277,9 +277,7 @@ func (d *DGraph) GhostOwner(v int32) int32 { return d.ghostOwner[v-d.nLocal] }
 // behind it (one int32 per interface arc, counting-sorted by walking the
 // local nodes in ID order) is built on the first call, at most once per
 // DGraph. The slice aliases internal storage.
-//
-//lint:rawslice-ok local node IDs in CSR order, not a partition
-func (d *DGraph) GhostNeighbors(g int32) []int32 {
+func (d *DGraph) GhostNeighbors(g int32) []graph.NodeID {
 	if d.ghostAdjOff == nil {
 		ng := d.NGhost()
 		d.ghostAdjOff = make([]int64, ng+1)
@@ -291,7 +289,7 @@ func (d *DGraph) GhostNeighbors(g int32) []int32 {
 		for i := int32(0); i < ng; i++ {
 			d.ghostAdjOff[i+1] += d.ghostAdjOff[i]
 		}
-		d.ghostAdj = make([]int32, d.ghostAdjOff[ng])
+		d.ghostAdj = make([]graph.NodeID, d.ghostAdjOff[ng])
 		next := slices.Clone(d.ghostAdjOff[:ng])
 		for v := int32(0); v < d.nLocal; v++ {
 			for _, u := range d.Neighbors(v) {
@@ -310,9 +308,7 @@ func (d *DGraph) Degree(v int32) int32 { return int32(d.XAdj[v+1] - d.XAdj[v]) }
 
 // Neighbors returns the local-ID neighbour list of local node v; entries
 // >= NLocal() are ghosts. The slice aliases internal storage.
-//
-//lint:rawslice-ok local node IDs in CSR order, not a partition
-func (d *DGraph) Neighbors(v int32) []int32 { return d.Adj[d.XAdj[v]:d.XAdj[v+1]] }
+func (d *DGraph) Neighbors(v int32) []graph.NodeID { return d.Adj[d.XAdj[v]:d.XAdj[v+1]] }
 
 // EdgeWeights returns edge weights parallel to Neighbors(v). The slice
 // aliases internal storage, or the shared ones of graph.UnitWeights, and
@@ -486,8 +482,7 @@ func (d *DGraph) SyncGhosts(vals []int64) {
 // being silently truncated. Collective.
 //
 //parhip:collective
-//lint:rawslice-ok changed is a list of local node IDs, not a partition
-func (d *DGraph) PushGhostsFunc(vals []int64, changed []int32, onUpdate func(ghost int32, old, new int64)) {
+func (d *DGraph) PushGhostsFunc(vals []int64, changed []graph.NodeID, onUpdate func(ghost int32, old, new int64)) {
 	sp := d.Comm.Tracer().Begin(d.Comm.Rank(), "dgraph.push_ghosts")
 	p := d.plan
 	p.resetStaging()
@@ -548,7 +543,7 @@ func (d *DGraph) Gather() *graph.Graph {
 	n := d.GlobalN
 	xadj := make([]int64, n+1)
 	nw := make([]int64, n)
-	var adj []int32
+	var adj []graph.NodeID
 	var adjw []int64
 	var gv int64
 	for _, part := range parts {
@@ -572,6 +567,26 @@ func (d *DGraph) Gather() *graph.Graph {
 		panic(fmt.Sprintf("dgraph: gather reconstructed %d of %d nodes", gv, n))
 	}
 	return graph.FromCSR(xadj, adj, adjw, nw)
+}
+
+// Localize returns this rank's share of the replicated assignment p (one
+// block per global node): one word per local and ghost node, ghosts in
+// sync, as the distributed kernels take it.
+func (d *DGraph) Localize(p partition.Partition) []int64 {
+	out := make([]int64, d.NTotal())
+	for v := range out {
+		out[v] = int64(p[d.ToGlobal(int32(v))])
+	}
+	return out
+}
+
+// GatherPartition replicates the assignment whose shares the ranks hold in
+// part (NTotal() entries; only local entries are read) on every rank: the
+// inverse of Localize. Collective.
+//
+//parhip:collective
+func (d *DGraph) GatherPartition(part []int64) partition.Partition {
+	return partition.FromWords(d.Comm.Allgatherv(part[:d.nLocal])...)
 }
 
 // EdgeCut computes the global weight of edges crossing between different

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
+	"repro/internal/partition"
 )
 
 // runP executes fn on a P-rank world.
@@ -59,6 +60,30 @@ func TestGlobalLocalRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLocalizeGatherPartitionRoundTrip: GatherPartition inverts Localize
+// on every rank, and Localize's ghost entries are their owners' values.
+func TestLocalizeGatherPartitionRoundTrip(t *testing.T) {
+	g := gen.RGG(200, 3)
+	p := make(partition.Partition, g.NumNodes())
+	for v := range p {
+		p[v] = int32(v*7) % 5
+	}
+	for P := 1; P <= 3; P++ {
+		runP(t, P, func(c *mpi.Comm) {
+			d := FromGraph(c, g)
+			local := d.Localize(p)
+			if got := d.GatherPartition(local); !slices.Equal(got, p) {
+				t.Errorf("P=%d rank %d: GatherPartition(Localize(p)) differs from p", P, c.Rank())
+			}
+			synced := slices.Clone(local)
+			d.SyncGhosts(synced)
+			if !slices.Equal(synced, local) {
+				t.Errorf("P=%d rank %d: a ghost entry of Localize differs from its owner's", P, c.Rank())
+			}
+		})
+	}
 }
 
 func TestOwnerConsistent(t *testing.T) {

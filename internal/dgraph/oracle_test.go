@@ -1,5 +1,7 @@
 package dgraph
 
+import "repro/internal/graph"
+
 // Reference implementations for plan_test.go and plan_tcp_test.go; nothing
 // outside this package's tests calls them.
 
@@ -15,8 +17,7 @@ func (d *DGraph) syncGhostsDense(vals []int64) {
 // exchange tests drive. Collective.
 //
 //parhip:collective
-//lint:rawslice-ok changed is a list of local node IDs, not a partition
-func (d *DGraph) PushGhosts(vals []int64, changed []int32) {
+func (d *DGraph) PushGhosts(vals []int64, changed []graph.NodeID) {
 	d.PushGhostsFunc(vals, changed, nil)
 }
 

@@ -49,7 +49,7 @@ const (
 	ObjectiveMigration
 )
 
-func (o Objective) value(g *graph.Graph, p []int32, k int32) int64 {
+func (o Objective) value(g *graph.Graph, p partition.Partition, k int32) int64 {
 	switch o {
 	case ObjectiveCommVol:
 		return partition.CommunicationVolume(g, p, k)
@@ -91,8 +91,7 @@ type Config struct {
 	// Initial optionally seeds the population with a known partition
 	// (V-cycles inject the projected previous solution, ensuring the
 	// result is at least as good).
-	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	Initial []int32
+	Initial partition.Partition
 	// Objective is the fitness to minimize (default: edge cut). Combine
 	// operators still optimize the cut internally (their no-worsening
 	// guarantee is cut-based); selection and migration use the objective.
@@ -102,8 +101,7 @@ type Config struct {
 	// nodes win objective ties (the MinimizeMigration "component" of the
 	// repartitioning path). Under ObjectiveMigration the divergence from
 	// the reference is the primary fitness and the cut breaks ties.
-	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	MigrationRef []int32
+	MigrationRef partition.Partition
 }
 
 // DefaultConfig returns sensible defaults for a k-way evolution.
@@ -120,7 +118,7 @@ func DefaultConfig(k int32) Config {
 }
 
 type individual struct {
-	p []int32
+	p partition.Partition
 	// primary is the objective value (edge cut under the default
 	// objective; divergence from the migration reference under
 	// ObjectiveMigration). secondary breaks primary ties: the migration
@@ -144,7 +142,7 @@ func better(a, b individual) bool {
 }
 
 // divergence counts the nodes p assigns differently from ref.
-func divergence(p, ref []int32) int64 {
+func divergence(p, ref partition.Partition) int64 {
 	var d int64
 	for i := range p {
 		if p[i] != ref[i] {
@@ -154,7 +152,7 @@ func divergence(p, ref []int32) int64 {
 	return d
 }
 
-func evaluate(g *graph.Graph, p []int32, cfg Config) individual {
+func evaluate(g *graph.Graph, p partition.Partition, cfg Config) individual {
 	ind := individual{
 		p:        p,
 		feasible: partition.IsFeasible(g, p, cfg.K, cfg.Eps),
@@ -184,8 +182,7 @@ func evaluate(g *graph.Graph, p []int32, cfg Config) individual {
 // cancels hard.
 //
 //parhip:collective
-//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) []int32 {
+func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) partition.Partition {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -205,7 +202,7 @@ func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) []int3
 
 	pop := make([]individual, 0, cfg.PopulationSize)
 	if cfg.Initial != nil {
-		pop = append(pop, evaluate(g, append([]int32(nil), cfg.Initial...), cfg))
+		pop = append(pop, evaluate(g, append(partition.Partition(nil), cfg.Initial...), cfg))
 	}
 	for len(pop) < cfg.PopulationSize {
 		if len(pop) > 0 && ctx.Err() != nil {
@@ -260,8 +257,8 @@ func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) []int3
 			// Rumor spreading on a fixed schedule: the best goes s ranks
 			// ahead, and the migrant from s ranks behind joins this step.
 			s := 1 + shared.Intn(size-1)
-			c.Send((c.Rank()+s)%size, migrantTag, toWire(pop[bestIdx()].p))
-			insert(evaluate(g, fromWire(c.Recv((c.Rank()-s+size)%size, migrantTag)), cfg))
+			c.Send((c.Rank()+s)%size, migrantTag, pop[bestIdx()].p.Words())
+			insert(evaluate(g, partition.FromWords(c.Recv((c.Rank()-s+size)%size, migrantTag)), cfg))
 		}
 
 		if r.Float64() < cfg.MutationProb {
@@ -311,25 +308,9 @@ func Evolve(ctx context.Context, c *mpi.Comm, g *graph.Graph, cfg Config) []int3
 	}
 	var wire []int64
 	if c.Rank() == winner {
-		wire = toWire(best.p)
+		wire = best.p.Words()
 	}
-	return fromWire(c.Bcast(winner, wire))
-}
-
-func toWire(p []int32) []int64 {
-	out := make([]int64, len(p))
-	for i, v := range p {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-func fromWire(w []int64) []int32 {
-	out := make([]int32, len(w))
-	for i, v := range w {
-		out[i] = int32(v)
-	}
-	return out
+	return partition.FromWords(c.Bcast(winner, wire))
 }
 
 func boolTo64(b bool) int64 {

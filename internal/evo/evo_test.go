@@ -167,16 +167,6 @@ func TestObjectiveValues(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	p := []int32{0, 5, -1, 1 << 20}
-	got := fromWire(toWire(p))
-	for i := range p {
-		if got[i] != p[i] {
-			t.Fatalf("wire roundtrip %v -> %v", p, got)
-		}
-	}
-}
-
 // TestEvolveHonorsCancelledContext: with a done context and no world
 // abort wired, Evolve degrades gracefully — it skips the search steps
 // (here a one-minute time budget) and still returns a valid partition

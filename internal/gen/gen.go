@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
@@ -221,9 +222,7 @@ func BarabasiAlbert(n int32, mAttach int, seed uint64) *graph.Graph {
 // external degree degOut per node). It also returns the ground-truth
 // community of each node. This family stands in for the paper's web graphs
 // whose community structure is what cluster contraction exploits.
-//
-//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-func PlantedPartition(n int32, communities int32, degIn, degOut float64, seed uint64) (*graph.Graph, []int32) {
+func PlantedPartition(n int32, communities int32, degIn, degOut float64, seed uint64) (*graph.Graph, partition.Partition) {
 	if communities < 1 {
 		communities = 1
 	}
@@ -249,7 +248,7 @@ func PlantedPartition(n int32, communities int32, degIn, degOut float64, seed ui
 	if sizes[0] < 1 {
 		sizes[0] = 1
 	}
-	comm := make([]int32, 0, n)
+	comm := make(partition.Partition, 0, n)
 	for i, s := range sizes {
 		for j := int32(0); j < s; j++ {
 			comm = append(comm, int32(i))

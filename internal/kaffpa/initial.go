@@ -122,9 +122,9 @@ func bisectInto(g *graph.Graph, k int32, eps float64, r *rng.RNG, out []int32, f
 // initialPartition computes a k-way partition of the (coarsest) graph:
 // tries independent recursive-bisection attempts and keeps the best by
 // (feasible, cut) lexicographic order.
-func initialPartition(g *graph.Graph, k int32, eps float64, tries int, r *rng.RNG) []int32 {
+func initialPartition(g *graph.Graph, k int32, eps float64, tries int, r *rng.RNG) partition.Partition {
 	lmax := uniformBounds(k, partition.Lmax(g.TotalNodeWeight(), k, eps))
-	var best []int32
+	var best partition.Partition
 	var bestCut int64
 	bestFeasible := false
 	for t := 0; t < tries; t++ {

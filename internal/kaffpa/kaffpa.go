@@ -56,14 +56,12 @@ type Config struct {
 	// every cluster stays inside one constraint class, so edges between
 	// classes survive to the coarsest level. The combine operator passes
 	// the composite labels of two parent partitions here (§II-C).
-	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	Constraint []int32
+	Constraint partition.Partition
 	// InitialPartition, when non-nil, is applied at the coarsest level
 	// instead of running initial partitioning. It must be constant on each
 	// constraint class (callers pass a parent partition together with a
 	// Constraint that refines it).
-	//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-	InitialPartition []int32
+	InitialPartition partition.Partition
 }
 
 // DefaultConfig returns the paper's defaults for a k-way partition.
@@ -104,9 +102,7 @@ type level struct {
 // kernels coarsen, contract and refine them. One rank has no ghosts, so a
 // level's local IDs are its node IDs, and initial partitioning and FM read
 // the level through a zero-copy view (levelView).
-//
-//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-func Partition(g *graph.Graph, cfg Config) ([]int32, error) {
+func Partition(g *graph.Graph, cfg Config) (partition.Partition, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kaffpa: k = %d", cfg.K)
 	}
@@ -139,8 +135,8 @@ func multilevel(d *dgraph.DGraph, cfg Config, out []int32) {
 	// Coarsening phase: size-constrained label propagation + contraction.
 	u := max(int64(float64(lmax)/sizeFactor), d.MaxNodeWeightGlobal())
 	cur := d
-	constraint := widen(cfg.Constraint)
-	initPart := widen(cfg.InitialPartition)
+	constraint := cfg.Constraint.Words()
+	initPart := cfg.InitialPartition.Words()
 	var levels []level
 	for cur.GlobalN > int64(cfg.CoarsestSize) {
 		labels := sclp.ParCluster(cur, sclp.ParClusterConfig{
@@ -193,7 +189,7 @@ func multilevel(d *dgraph.DGraph, cfg Config, out []int32) {
 		p = initPart
 		fm(cur)
 	} else {
-		p = widen(initialPartition(levelView(cur), cfg.K, cfg.Eps, initialTries, r))
+		p = initialPartition(levelView(cur), cfg.K, cfg.Eps, initialTries, r).Words()
 	}
 	refine(cur)
 
@@ -214,27 +210,13 @@ func levelView(d *dgraph.DGraph) *graph.Graph {
 	return graph.FromCSR(d.XAdj, d.Adj, d.AdjW, d.NW[:d.NLocal()])
 }
 
-// widen returns labels as int64s, or nil for nil.
-func widen(labels []int32) []int64 {
-	if labels == nil {
-		return nil
-	}
-	out := make([]int64, len(labels))
-	for v, l := range labels {
-		out[v] = int64(l)
-	}
-	return out
-}
-
 // CompositeConstraint builds the constraint labels for a combine operation:
 // nodes get equal labels iff they share a block in both parents, so no cut
 // edge of either parent can be contracted (§II-C). The distinct (p1, p2)
 // pairs are numbered densely in first-seen order, so every label is below n
 // at any k.
-//
-//lint:rawslice-ok internal SPMD plumbing: the raw assignment slice is the working representation; wrapped in *parhip.Partition at the public boundary
-func CompositeConstraint(p1, p2 []int32, k int32) []int32 {
-	out := make([]int32, len(p1))
+func CompositeConstraint(p1, p2 partition.Partition, k int32) partition.Partition {
+	out := make(partition.Partition, len(p1))
 	ids := hashtab.NewMapI64(64)
 	for v := range p1 {
 		id, _ := ids.PutIfAbsent(int64(p1[v])*int64(k)+int64(p2[v]), int64(ids.Len()))

@@ -298,10 +298,7 @@ func PartitionDistributed(d *dgraph.DGraph, cfg Config) ([]int64, core.Stats, er
 	st.InitTime = tr.End(spInit)
 
 	spRefine := tr.Begin(rank, "matchbase.refine")
-	curPart := make([]int64, cur.NTotal())
-	for v := int32(0); v < cur.NTotal(); v++ {
-		curPart[v] = int64(best[cur.ToGlobal(v)])
-	}
+	curPart := cur.Localize(best)
 	refine := func(dg *dgraph.DGraph, part []int64) {
 		sclp.ParRefine(dg, part, sclp.ParRefineConfig{
 			K: cfg.K, Lmax: lmax, Iterations: refineIters, Seed: shared.Uint64(), Stats: &st.Par,

@@ -15,7 +15,42 @@ import (
 
 // Partition assigns every node a block ID in [0, k). It is stored as a
 // plain slice indexed by node ID.
+//
+// It is the replicated form of an assignment: one block per global node,
+// the same on every rank, as the evolutionary initial partitioner and
+// kaffpa work on it. The distributed kernels work on one int64 word per
+// local and ghost node instead; Words and FromWords convert between the
+// two, and dgraph.DGraph's Localize and GatherPartition between a
+// replicated assignment and a rank's share of it.
 type Partition []int32
+
+// Words returns p with one int64 word per node, or nil for nil.
+func (p Partition) Words() []int64 {
+	if p == nil {
+		return nil
+	}
+	w := make([]int64, len(p))
+	for v, b := range p {
+		w[v] = int64(b)
+	}
+	return w
+}
+
+// FromWords concatenates shares of int64 block words, in order, into one
+// assignment: the ranks' shares in rank order make the whole assignment.
+func FromWords(shares ...[]int64) Partition {
+	n := 0
+	for _, s := range shares {
+		n += len(s)
+	}
+	p := make(Partition, 0, n)
+	for _, s := range shares {
+		for _, b := range s {
+			p = append(p, int32(b))
+		}
+	}
+	return p
+}
 
 // EdgeCut returns the total weight of edges whose endpoints lie in
 // different blocks.

@@ -166,6 +166,16 @@ func TestValidatePartition(t *testing.T) {
 	}
 }
 
+func TestWordsRoundTrip(t *testing.T) {
+	p := partition.Partition{0, 5, -1, 1 << 20}
+	got := partition.FromWords(p.Words())
+	for i := range p {
+		if got[i] != p[i] {
+			t.Fatalf("words roundtrip %v -> %v", p, got)
+		}
+	}
+}
+
 func TestEvaluateReport(t *testing.T) {
 	g, p := twoBlocksOfPath(10)
 	rep := testutil.Evaluate(g, p, 2, 0.03)

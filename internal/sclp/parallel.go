@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/dgraph"
@@ -157,7 +156,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 			// One Gauss-Seidel sweep (§IV-A: "each PE traverses its local
 			// nodes and moves them"): every node is evaluated once, against
 			// the labels and weights its predecessors in the phase left.
-			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
+			t0 := sp.Elapsed()
 			for _, v := range phase {
 				if clusterStepHook != nil {
 					clusterStepHook(d, v, idx, slots, &sweep)
@@ -169,7 +168,7 @@ func ParCluster(d *dgraph.DGraph, cfg ParClusterConfig) []int64 {
 					}
 				}
 			}
-			cfg.Stats.observe(time.Since(ct0)) //lint:determinism-ok stats timing only, never feeds partition state
+			cfg.Stats.observe(sp.Elapsed() - t0)
 
 			for _, v := range changedSet.stack {
 				labels[v] = global(idx[v])
@@ -436,7 +435,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 			// its predecessors in the phase left. Headroom is consumed here,
 			// so the claimed shares bound what this rank adds. A move
 			// activates the mover and its local neighbours for the next round.
-			ct0 := time.Now() //lint:determinism-ok stats timing only, never feeds partition state
+			t0 := sp.Elapsed()
 			for _, v := range phase {
 				if commitRefineMove(d, v, part, cfg.Prev, blockWeight, localContrib, headroom, cfg.Lmax, ln) {
 					movedLocal++
@@ -451,7 +450,7 @@ func ParRefine(d *dgraph.DGraph, part []int64, cfg ParRefineConfig) int64 {
 					}
 				}
 			}
-			cfg.Stats.observe(time.Since(ct0)) //lint:determinism-ok stats timing only, never feeds partition state
+			cfg.Stats.observe(sp.Elapsed() - t0)
 
 			exchangeLabels(d, part, wakeGhost, changedSet)
 			// Restore exact block weights (one allreduce per phase).

@@ -5,12 +5,16 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/dgraph"
+	"repro/internal/graph"
 	"repro/internal/hashtab"
 	"repro/internal/rng"
 )
 
 // ParStats aggregates one rank's superstep measurements. A clustering or
-// refinement superstep is one sweep, and its time is booked to CommitNS.
+// refinement superstep is one sweep followed by its exchange, timed by one
+// sclp.*_superstep span; Supersteps counts those spans, and CommitNS sums
+// the sweeps' share of them, read from each span's clock (Span.Elapsed
+// before and after the sweep), so sclp reads no clock of its own.
 // Evaluated and Interior are exact work counts, not timings: identical from
 // run to run.
 type ParStats struct {
@@ -19,7 +23,7 @@ type ParStats struct {
 	// benchmark/adapter.go, which changes only in a benchmark PR, reads it;
 	// that PR deletes it.
 	ProposeNS int64
-	CommitNS  int64 // wall time of the sweeps
+	CommitNS  int64 // wall time of the sweeps, within their supersteps' spans
 	// Evaluated counts the node evaluations of the sweeps; Interior is how
 	// many of them returned "stay" from the neighbour scan alone, before
 	// any rating was accumulated.
@@ -201,8 +205,7 @@ func selectCluster(slots []clusterSlot, touched []int32, cur int32, nw, u int64,
 // nothing can be selected. Those return false before conn is touched.
 //
 //parhip:hotpath
-//lint:rawslice-ok internal kernel shared with kaffpa's FM: nbrs is an adjacency row and part the raw working assignment
-func GatherBlocks[B int32 | int64](conn *hashtab.DenseAccumulator, nbrs []int32, ws []int64,
+func GatherBlocks[B int32 | int64](conn *hashtab.DenseAccumulator, nbrs []graph.NodeID, ws []int64,
 	part []B, v int32, mustLeave bool) bool {
 
 	if len(nbrs) == 0 {
